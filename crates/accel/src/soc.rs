@@ -240,7 +240,7 @@ impl Soc {
     }
 
     /// Shares a lowering template cache (typically the compiler driver's)
-    /// with the fault-recovery path; see [`pm_lower::relower_without_cached`].
+    /// with the fault-recovery path; see [`pm_lower::relower_without`].
     pub fn with_template_cache(&mut self, cache: srdfg::TemplateCache) -> &mut Self {
         self.template_cache = Some(cache);
         self
@@ -428,10 +428,8 @@ impl Soc {
     ) -> Result<CompiledProgram, SocError> {
         match targets {
             None => Err(fail),
-            Some(t) => {
-                pm_lower::relower_without_cached(compiled, t, down, self.template_cache.as_ref())
-                    .map_err(|e| SocError::Relower { detail: e.to_string() })
-            }
+            Some(t) => pm_lower::relower_without(compiled, t, down, self.template_cache.as_ref())
+                .map_err(|e| SocError::Relower { detail: e.to_string() }),
         }
     }
 

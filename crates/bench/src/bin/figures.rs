@@ -72,26 +72,6 @@ fn main() {
         figures::extensions();
         println!();
     }
-    // Consumer of the tracked benchmark account (renders the
-    // single-thread `parallel_speedup: null` as "n/a").
-    if let Some(pos) = args.iter().position(|a| a == "--bench-summary") {
-        let path = args
-            .get(pos + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map(String::as_str)
-            .unwrap_or("BENCH_compiler.json");
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("figures: cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        match pm_bench::summary::parse_summary(&text) {
-            Ok(s) => print!("{}", pm_bench::summary::render_summary(&s)),
-            Err(e) => {
-                eprintln!("figures: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     if let Some(pos) = args.iter().position(|a| a == "--csv") {
         let path = args
             .get(pos + 1)

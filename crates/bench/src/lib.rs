@@ -7,8 +7,10 @@
 //!   simulated platforms (`cargo run -p pm-bench --bin figures -- --all`);
 //! * `benches/compiler.rs` holds the Criterion micro-benchmarks of the
 //!   compilation stack itself.
+//!
+//! Performance of the stack is measured by the repository's benchmark in
+//! `benchmark/` (see `BENCHMARK.json`), not here.
 
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod summary;

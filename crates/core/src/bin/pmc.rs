@@ -181,12 +181,19 @@ fn run(args: &[String]) -> Result<(), String> {
             for (component, target) in parse_pins(&args[2..])? {
                 compiler = compiler.with_target_override(&component, backend_spec(&target)?);
             }
-            let want_timings = args.iter().any(|a| a == "--timings");
-            let (compiled, timings) =
-                compiler.compile_timed(&source, &bindings).map_err(|e| e.to_string())?;
-            if want_timings && parse_format(args)? == "json" {
-                println!("{}", timings_json(&timings));
-                return Ok(());
+            // Only `--timings` pays for the static verifier's two analyses.
+            let (compiled, timings) = if args.iter().any(|a| a == "--timings") {
+                let (c, t) =
+                    compiler.compile_timed(&source, &bindings).map_err(|e| e.to_string())?;
+                (c, Some(t))
+            } else {
+                (compiler.compile(&source, &bindings).map_err(|e| e.to_string())?, None)
+            };
+            if let Some(timings) = &timings {
+                if parse_format(args)? == "json" {
+                    println!("{}", timings_json(timings));
+                    return Ok(());
+                }
             }
             let soc = standard_soc();
             let report = soc.run(&compiled, &HashMap::new()).map_err(|e| e.to_string())?;
@@ -215,8 +222,8 @@ fn run(args: &[String]) -> Result<(), String> {
                     print_fragments(part);
                 }
             }
-            if want_timings {
-                print_timings(&timings);
+            if let Some(timings) = &timings {
+                print_timings(timings);
             }
             Ok(())
         }

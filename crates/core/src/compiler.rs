@@ -108,7 +108,7 @@ pub struct Compiler {
     /// which is the seam `pmc serve` shares between requests.
     template_cache: TemplateCache,
     /// Content-addressed whole-program cache consulted by
-    /// [`Compiler::compile_cached`]: a repeat compile of a structurally
+    /// [`Compiler::compile_cached_checked`]: a repeat compile of a structurally
     /// identical program against the same target map skips lowering and
     /// Algorithm 2 entirely and returns the stored artifact.
     program_cache: ProgramCache,
@@ -186,7 +186,7 @@ impl Compiler {
 
     /// The driver's persistent lowering template cache. The returned handle
     /// aliases the compiler's store (it is `Arc`-backed), so it can be
-    /// passed to [`pm_lower::relower_without_cached`] or a fault-tolerant
+    /// passed to [`pm_lower::relower_without`] or a fault-tolerant
     /// runtime and every hit/insert is reflected in [`Compiler::cache_stats`].
     pub fn template_cache(&self) -> TemplateCache {
         self.template_cache.clone()
@@ -199,7 +199,7 @@ impl Compiler {
 
     /// The driver's content-addressed compiled-program cache. The returned
     /// handle aliases the compiler's store (it is `Arc`-backed), so every
-    /// [`Compiler::compile_cached`] hit/insert is reflected in
+    /// [`Compiler::compile_cached_checked`] hit/insert is reflected in
     /// [`Compiler::program_cache_stats`].
     pub fn program_cache(&self) -> ProgramCache {
         self.program_cache.clone()
@@ -222,21 +222,13 @@ impl Compiler {
         self
     }
 
-    /// Runs the frontend and srDFG generation only.
+    /// Runs the frontend, srDFG generation and the mid-end only.
     ///
     /// # Errors
     ///
     /// Returns frontend or build errors.
     pub fn build_graph(&self, source: &str, bindings: &Bindings) -> Result<SrDfg, PolyMathError> {
-        let (program, _) = pmlang::frontend(source)?;
-        let mut graph = srdfg::build(&program, bindings)?;
-        if self.optimize {
-            PassManager::standard().run(&mut graph);
-        }
-        if self.fuse {
-            pm_passes::AlgebraicCombination.run(&mut graph);
-        }
-        Ok(graph)
+        self.midend_graph(source, bindings, &mut CompileTimings::default())
     }
 
     /// Full compilation: frontend → srDFG → passes → lower → per-target IR.
@@ -249,16 +241,14 @@ impl Compiler {
         source: &str,
         bindings: &Bindings,
     ) -> Result<CompiledProgram, PolyMathError> {
-        let mut graph = self.build_graph(source, bindings)?;
-        let unlimited = Budget::unlimited();
-        lower_budgeted(&mut graph, &self.targets, Some(&self.template_cache), &unlimited)?;
-        pm_passes::ElideMarshalling.run(&mut graph);
-        pm_passes::PruneUnusedInputs.run(&mut graph);
-        Ok(compile_program_budgeted(Arc::new(graph), &self.targets, true, &unlimited)?)
+        let run = self.pipeline(source, bindings, &Budget::unlimited(), None, None, false)?;
+        Ok(Arc::try_unwrap(run.program).unwrap_or_else(|shared| (*shared).clone()))
     }
 
-    /// [`Compiler::compile`] with per-stage and per-pass wall-clock timing
-    /// (the instrumentation behind `pmc compile --timings` and `pm-bench`).
+    /// [`Compiler::compile`] plus the static verifier (abstract
+    /// interpretation of the post-mid-end graph, schedule hazards of the
+    /// fragment plan), returning the wall-clock account of every stage
+    /// (the instrumentation behind `pmc compile --timings`).
     ///
     /// # Errors
     ///
@@ -268,68 +258,14 @@ impl Compiler {
         source: &str,
         bindings: &Bindings,
     ) -> Result<(CompiledProgram, CompileTimings), PolyMathError> {
-        let t0 = Instant::now();
-        let (program, _) = pmlang::frontend(source)?;
-        let frontend = t0.elapsed();
-
-        let t = Instant::now();
-        let mut graph = srdfg::build(&program, bindings)?;
-        let build = t.elapsed();
-
-        let t = Instant::now();
-        let mut passes = Vec::new();
-        if self.optimize {
-            passes = PassManager::standard().run_timed(&mut graph);
-        }
-        if self.fuse {
-            pm_passes::AlgebraicCombination.run(&mut graph);
-        }
-        let midend = t.elapsed();
-
-        // Abstract interpretation runs on the post-mid-end graph (before
-        // lowering explodes it into scalar fabric), matching what `pmc
-        // analyze` inspects; schedule hazards are timed after Algorithm 2.
-        let t = Instant::now();
-        let _ = pm_analyze::analyze_graph(&graph);
-        let analyze = t.elapsed();
-
-        let unlimited = Budget::unlimited();
-        let cache_before = self.template_cache.stats();
-        let t = Instant::now();
-        lower_budgeted(&mut graph, &self.targets, Some(&self.template_cache), &unlimited)?;
-        let lower_d = t.elapsed();
-        let cache = self.template_cache.stats().since(&cache_before);
-
-        let t = Instant::now();
-        pm_passes::ElideMarshalling.run(&mut graph);
-        pm_passes::PruneUnusedInputs.run(&mut graph);
-        let post_lower = t.elapsed();
-
-        let t = Instant::now();
-        let compiled = compile_program_budgeted(Arc::new(graph), &self.targets, true, &unlimited)?;
-        let compile = t.elapsed();
-
-        let t = Instant::now();
-        let _ = pm_analyze::analyze_schedule(&compiled, &self.targets);
-        let hazards = t.elapsed();
-
-        let timings = CompileTimings {
-            frontend,
-            build,
-            midend,
-            passes,
-            lower: lower_d,
-            post_lower,
-            compile,
-            analyze,
-            hazards,
-            cache,
-            total: t0.elapsed(),
-        };
-        Ok((compiled, timings))
+        let run = self.pipeline(source, bindings, &Budget::unlimited(), None, None, true)?;
+        let program = Arc::try_unwrap(run.program).unwrap_or_else(|shared| (*shared).clone());
+        Ok((program, run.timings))
     }
 
-    /// [`Compiler::compile`] through the content-addressed program cache.
+    /// [`Compiler::compile`] through the content-addressed program cache,
+    /// under a request [`Budget`] and an optional admission gate over the
+    /// content address.
     ///
     /// The frontend, srDFG build, and mid-end always run — they produce
     /// the post-midend graph whose [`srdfg::graph_fingerprint`] (paired
@@ -339,20 +275,6 @@ impl Compiler {
     /// zero, which is how callers (and the serve differential tests)
     /// verify the stages were skipped. On a miss, the full pipeline runs
     /// and the result is inserted before returning.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first pipeline error (never caches failures).
-    pub fn compile_cached(
-        &self,
-        source: &str,
-        bindings: &Bindings,
-    ) -> Result<CachedCompile, PolyMathError> {
-        self.compile_cached_checked(source, bindings, &Budget::unlimited(), None)
-    }
-
-    /// [`Compiler::compile_cached`] under a request [`Budget`] and an
-    /// optional admission gate over the content address.
     ///
     /// The budget is checked *before* the frontend runs — a request whose
     /// deadline has already passed never executes any pipeline stage —
@@ -365,8 +287,8 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Everything [`Compiler::compile_cached`] returns, plus
-    /// [`PolyMathError::Budget`] and [`PolyMathError::Quarantined`].
+    /// Returns the first pipeline error (never caches failures),
+    /// [`PolyMathError::Budget`] or [`PolyMathError::Quarantined`].
     pub fn compile_cached_checked(
         &self,
         source: &str,
@@ -374,75 +296,123 @@ impl Compiler {
         budget: &Budget,
         gate: Option<&dyn Fn(&ProgramKey) -> bool>,
     ) -> Result<CachedCompile, PolyMathError> {
-        budget.check("compile")?;
-        let t0 = Instant::now();
+        let run =
+            self.pipeline(source, bindings, budget, Some(&self.program_cache), gate, false)?;
+        let key = run.key.expect("the pipeline keys every program-cached compile");
+        Ok(CachedCompile {
+            program: run.program,
+            cache_hit: run.cache_hit,
+            key,
+            timings: run.timings,
+        })
+    }
+
+    /// The front half of [`Compiler::pipeline`]: frontend → srDFG build →
+    /// mid-end, each timed into `timings`.
+    fn midend_graph(
+        &self,
+        source: &str,
+        bindings: &Bindings,
+        timings: &mut CompileTimings,
+    ) -> Result<SrDfg, PolyMathError> {
         let t = Instant::now();
         let (program, _) = pmlang::frontend(source)?;
-        let frontend = t.elapsed();
+        timings.frontend = t.elapsed();
 
         let t = Instant::now();
         let mut graph = srdfg::build(&program, bindings)?;
-        let build = t.elapsed();
+        timings.build = t.elapsed();
 
         let t = Instant::now();
         if self.optimize {
-            PassManager::standard().run(&mut graph);
+            timings.passes = PassManager::standard().run_timed(&mut graph);
         }
         if self.fuse {
             pm_passes::AlgebraicCombination.run(&mut graph);
         }
-        let midend = t.elapsed();
+        timings.midend = t.elapsed();
+        Ok(graph)
+    }
 
-        let key = ProgramKey::new(&graph, &self.targets);
-        if let Some(gate) = gate {
-            if !gate(&key) {
+    /// The compile pipeline, written once. Every public entry point is
+    /// this stage list under different data: `programs` is the program
+    /// cache to key, look up and insert into (or none — then no key is
+    /// computed and `gate` is not consulted); `verify` runs the static
+    /// verifier's two analyses at the points `pmc analyze` inspects (the
+    /// post-mid-end graph before lowering explodes it into scalar fabric,
+    /// the fragment plan after Algorithm 2).
+    fn pipeline(
+        &self,
+        source: &str,
+        bindings: &Bindings,
+        budget: &Budget,
+        programs: Option<&ProgramCache>,
+        gate: Option<&dyn Fn(&ProgramKey) -> bool>,
+        verify: bool,
+    ) -> Result<PipelineRun, PolyMathError> {
+        budget.check("compile")?;
+        let t0 = Instant::now();
+        let mut timings = CompileTimings::default();
+        let mut graph = self.midend_graph(source, bindings, &mut timings)?;
+
+        if verify {
+            let t = Instant::now();
+            let _ = pm_analyze::analyze_graph(&graph);
+            timings.analyze = t.elapsed();
+        }
+
+        let keyed = programs.map(|cache| (cache, ProgramKey::new(&graph, &self.targets)));
+        let key = keyed.map(|(_, key)| key);
+        if let Some((cache, key)) = &keyed {
+            if gate.is_some_and(|admit| !admit(key)) {
                 return Err(PolyMathError::Quarantined { fingerprint: key.graph });
             }
-        }
-        if let Some(program) = self.program_cache.lookup(&key) {
-            let timings = CompileTimings {
-                frontend,
-                build,
-                midend,
-                total: t0.elapsed(),
-                ..CompileTimings::default()
-            };
-            return Ok(CachedCompile { program, cache_hit: true, key, timings });
+            if let Some(program) = cache.lookup(key) {
+                timings.total = t0.elapsed();
+                return Ok(PipelineRun { program, cache_hit: true, key: Some(*key), timings });
+            }
         }
 
         let cache_before = self.template_cache.stats();
         let t = Instant::now();
         lower_budgeted(&mut graph, &self.targets, Some(&self.template_cache), budget)?;
-        let lower_d = t.elapsed();
-        let cache = self.template_cache.stats().since(&cache_before);
+        timings.lower = t.elapsed();
+        timings.cache = self.template_cache.stats().since(&cache_before);
 
         let t = Instant::now();
         pm_passes::ElideMarshalling.run(&mut graph);
         pm_passes::PruneUnusedInputs.run(&mut graph);
-        let post_lower = t.elapsed();
+        timings.post_lower = t.elapsed();
 
         let t = Instant::now();
-        let compiled =
+        let program =
             Arc::new(compile_program_budgeted(Arc::new(graph), &self.targets, true, budget)?);
-        let compile = t.elapsed();
+        timings.compile = t.elapsed();
 
-        self.program_cache.insert(key, Arc::clone(&compiled));
-        let timings = CompileTimings {
-            frontend,
-            build,
-            midend,
-            lower: lower_d,
-            post_lower,
-            compile,
-            cache,
-            total: t0.elapsed(),
-            ..CompileTimings::default()
-        };
-        Ok(CachedCompile { program: compiled, cache_hit: false, key, timings })
+        if verify {
+            let t = Instant::now();
+            let _ = pm_analyze::analyze_schedule(&program, &self.targets);
+            timings.hazards = t.elapsed();
+        }
+
+        if let Some((cache, key)) = keyed {
+            cache.insert(key, Arc::clone(&program));
+        }
+        timings.total = t0.elapsed();
+        Ok(PipelineRun { program, cache_hit: false, key, timings })
     }
 }
 
-/// Result of one [`Compiler::compile_cached`] invocation.
+/// What one [`Compiler::pipeline`] run produced.
+struct PipelineRun {
+    program: Arc<CompiledProgram>,
+    cache_hit: bool,
+    /// `Some` exactly when the run was given a program cache.
+    key: Option<ProgramKey>,
+    timings: CompileTimings,
+}
+
+/// Result of one [`Compiler::compile_cached_checked`] invocation.
 #[derive(Debug, Clone)]
 pub struct CachedCompile {
     /// The compiled artifact — shared with the cache, never cloned per
@@ -454,12 +424,12 @@ pub struct CachedCompile {
     /// The content address the artifact was stored/found under.
     pub key: ProgramKey,
     /// Stage timings: on a hit, `lower`/`post_lower`/`compile` are zero
-    /// and `cache` is empty; `analyze`/`hazards`/`passes` are never
-    /// populated by this entry point.
+    /// and `cache` is empty; `analyze`/`hazards` are never populated by
+    /// this entry point.
     pub timings: CompileTimings,
 }
 
-/// Wall-clock account of one [`Compiler::compile_timed`] invocation.
+/// Wall-clock account of one compile, filled by every entry point.
 #[derive(Debug, Clone, Default)]
 pub struct CompileTimings {
     /// Lexing, parsing, and semantic analysis.
@@ -478,11 +448,13 @@ pub struct CompileTimings {
     /// Algorithm 2 accelerator-IR compilation.
     pub compile: Duration,
     /// Abstract interpretation over the post-mid-end graph (shape/dtype,
-    /// intervals, initialization).
+    /// intervals, initialization); zero unless [`Compiler::compile_timed`]
+    /// ran it.
     pub analyze: Duration,
     /// Static schedule hazard analysis of the Algorithm-2 fragment plan
     /// (scales with the lowered fragment count, so it is tracked apart
-    /// from the graph-level verifier).
+    /// from the graph-level verifier); zero unless
+    /// [`Compiler::compile_timed`] ran it.
     pub hazards: Duration,
     /// Template-cache activity during this invocation's lowering stage
     /// (delta, not lifetime totals — a warm driver shows hits here).
@@ -569,10 +541,14 @@ mod tests {
     #[test]
     fn compile_cached_hits_on_repeat_and_skips_lowering() {
         let c = Compiler::cross_domain();
-        let cold = c.compile_cached(TWO_DOMAIN, &Bindings::default()).unwrap();
+        let cached = |c: &Compiler| {
+            c.compile_cached_checked(TWO_DOMAIN, &Bindings::default(), &Budget::unlimited(), None)
+                .unwrap()
+        };
+        let cold = cached(&c);
         assert!(!cold.cache_hit);
         assert!(cold.timings.lower > Duration::ZERO);
-        let warm = c.compile_cached(TWO_DOMAIN, &Bindings::default()).unwrap();
+        let warm = cached(&c);
         assert!(warm.cache_hit);
         assert_eq!(cold.key, warm.key);
         assert!(Arc::ptr_eq(&cold.program, &warm.program), "hit returns the stored Arc");
@@ -584,7 +560,7 @@ mod tests {
         // A host-only driver compiles a different artifact: its key must
         // not collide with the cross-domain one.
         let host = Compiler::host_only();
-        let host_cold = host.compile_cached(TWO_DOMAIN, &Bindings::default()).unwrap();
+        let host_cold = cached(&host);
         assert!(!host_cold.cache_hit);
         assert_ne!(host_cold.key, cold.key);
     }

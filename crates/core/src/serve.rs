@@ -4,7 +4,7 @@
 //! users; this module is that serving layer. It admits line-delimited
 //! JSON requests (PMLang program + invocation feeds), compiles each
 //! through the driver's **content-addressed program cache** (see
-//! [`crate::Compiler::compile_cached`] and `pm_lower::progcache`), and
+//! [`crate::Compiler::compile_cached_checked`] and `pm_lower::progcache`), and
 //! executes it on a **sharded pool of simulated SoCs**
 //! ([`pm_accel::SocPool`]) with per-tenant shard affinity. Three layers:
 //!
@@ -787,34 +787,26 @@ impl ServeEngine {
     /// Renders the `stats` response: program-cache, template-cache, and
     /// pool-level counters.
     pub fn stats_response(&self, id: &str) -> String {
-        let pc = self.compiler.program_cache_stats();
-        let tc = self.compiler.cache_stats();
+        // Both caches are one LRU type, so one rendering (the program
+        // cache is never bypassed: its count is always 0).
+        let cache = |s: srdfg::CacheStats| {
+            Json::Obj(vec![
+                ("hits".into(), Json::Num(s.hits as f64)),
+                ("misses".into(), Json::Num(s.misses as f64)),
+                ("inserts".into(), Json::Num(s.inserts as f64)),
+                ("evictions".into(), Json::Num(s.evictions as f64)),
+                ("entries".into(), Json::Num(s.entries as f64)),
+                ("hit_rate".into(), Json::Num(s.hit_rate())),
+                ("bypassed".into(), Json::Num(s.bypassed as f64)),
+            ])
+        };
         let pool = self.pool.report();
         Json::Obj(vec![
             ("id".into(), Json::Str(id.into())),
             ("op".into(), Json::Str("stats".into())),
             ("ok".into(), Json::Bool(true)),
-            (
-                "program_cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::Num(pc.hits as f64)),
-                    ("misses".into(), Json::Num(pc.misses as f64)),
-                    ("inserts".into(), Json::Num(pc.inserts as f64)),
-                    ("evictions".into(), Json::Num(pc.evictions as f64)),
-                    ("entries".into(), Json::Num(pc.entries as f64)),
-                    ("hit_rate".into(), Json::Num(pc.hit_rate())),
-                ]),
-            ),
-            (
-                "template_cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::Num(tc.hits as f64)),
-                    ("misses".into(), Json::Num(tc.misses as f64)),
-                    ("inserts".into(), Json::Num(tc.inserts as f64)),
-                    ("evictions".into(), Json::Num(tc.evictions as f64)),
-                    ("hit_rate".into(), Json::Num(tc.hit_rate())),
-                ]),
-            ),
+            ("program_cache".into(), cache(self.compiler.program_cache_stats())),
+            ("template_cache".into(), cache(self.compiler.cache_stats())),
             (
                 "pool".into(),
                 Json::Obj(vec![
@@ -1326,6 +1318,10 @@ mod tests {
         let pc = v.get("program_cache").unwrap();
         assert_eq!(pc.get("hits").and_then(Json::as_u64), Some(1));
         assert_eq!(pc.get("misses").and_then(Json::as_u64), Some(1));
+        let tc = v.get("template_cache").unwrap();
+        let inserts = tc.get("inserts").and_then(Json::as_u64).unwrap();
+        assert_eq!(tc.get("entries").and_then(Json::as_u64), Some(inserts), "nothing evicted");
+        assert!(tc.get("bypassed").and_then(Json::as_u64).is_some());
         let pool = v.get("pool").unwrap();
         assert_eq!(pool.get("requests").and_then(Json::as_u64), Some(2));
     }

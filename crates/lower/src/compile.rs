@@ -163,59 +163,15 @@ impl CompiledProgram {
     }
 }
 
-/// Runs Algorithm 2 over a lowered graph, building the per-target
-/// partitions in parallel when more than one target received nodes.
-///
-/// Each partition is produced by the same pure builder the serial path
-/// uses over the same precomputed topological order, so the result is
-/// byte-identical to [`compile_program_serial`] regardless of thread
-/// count.
+/// Runs Algorithm 2 over (a clone of) a lowered graph, building fragment
+/// chunks in parallel, with no budget.
 ///
 /// # Errors
 ///
 /// Returns a [`LowerError`] if the graph still contains operations its
 /// targets do not support (run [`crate::lower::lower`] first).
 pub fn compile_program(graph: &SrDfg, targets: &TargetMap) -> Result<CompiledProgram, LowerError> {
-    compile_partitions(&Arc::new(graph.clone()), targets, true, &Budget::unlimited())
-}
-
-/// [`compile_program`] with parallelism disabled (one fragment chunk at a
-/// time). Exists so tests and benchmarks can assert the determinism
-/// guarantee; results are always identical to the parallel path.
-pub fn compile_program_serial(
-    graph: &SrDfg,
-    targets: &TargetMap,
-) -> Result<CompiledProgram, LowerError> {
-    compile_partitions(&Arc::new(graph.clone()), targets, false, &Budget::unlimited())
-}
-
-/// [`compile_program`] over an already-shared graph: no graph clone at
-/// all — the compiled artifact aliases the caller's [`Arc`]. This is the
-/// entry the [`polymath` compiler] driver uses after lowering.
-pub fn compile_program_shared(
-    graph: Arc<SrDfg>,
-    targets: &TargetMap,
-    parallel: bool,
-) -> Result<CompiledProgram, LowerError> {
-    compile_partitions(&graph, targets, parallel, &Budget::unlimited())
-}
-
-/// [`compile_program_shared`] under a cooperative-cancellation
-/// [`Budget`]: an expired request is turned away at entry (one fuel unit
-/// per graph node) before any fragment is built, with a budget-tagged
-/// [`LowerError`].
-///
-/// # Errors
-///
-/// Everything [`compile_program_shared`] returns, plus a [`LowerError`]
-/// carrying [`LowerError::budget`] on cancellation.
-pub fn compile_program_budgeted(
-    graph: Arc<SrDfg>,
-    targets: &TargetMap,
-    parallel: bool,
-    budget: &Budget,
-) -> Result<CompiledProgram, LowerError> {
-    compile_partitions(&graph, targets, parallel, budget)
+    compile_program_budgeted(Arc::new(graph.clone()), targets, true, &Budget::unlimited())
 }
 
 /// One size-binned slice of a partition's node list — the unit of
@@ -228,13 +184,27 @@ struct Chunk {
     hi: usize,
 }
 
-fn compile_partitions(
-    graph: &Arc<SrDfg>,
+/// Algorithm 2 over an already-shared graph — no graph clone at all, the
+/// compiled artifact aliases the caller's [`Arc`] — under a
+/// cooperative-cancellation [`Budget`]: an expired request is turned away
+/// at entry (one fuel unit per graph node) before any fragment is built,
+/// with a budget-tagged [`LowerError`].
+///
+/// Every fragment chunk is produced by one pure builder over one
+/// precomputed topological order, so the result is byte-identical with
+/// `parallel` on or off and at any thread count.
+///
+/// # Errors
+///
+/// Everything [`compile_program`] returns, plus a [`LowerError`] carrying
+/// [`LowerError::budget`] on cancellation.
+pub fn compile_program_budgeted(
+    graph: Arc<SrDfg>,
     targets: &TargetMap,
     parallel: bool,
     budget: &Budget,
 ) -> Result<CompiledProgram, LowerError> {
-    if !fully_lowered(graph, targets) {
+    if !fully_lowered(&graph, targets) {
         return Err(LowerError::msg("graph contains unsupported operations; lower it first"));
     }
     // One fuel unit per node: Algorithm 2 is a single sweep, so the entry
@@ -423,7 +393,7 @@ fn compile_partitions(
         parts[c.ti].fragments.extend(frags);
     }
     parts.sort_by_key(|p| (p.domain, p.target.clone()));
-    Ok(CompiledProgram { graph: Arc::clone(graph), partitions: parts })
+    Ok(CompiledProgram { graph, partitions: parts })
 }
 
 #[cfg(test)]

@@ -47,10 +47,10 @@ pub mod progcache;
 pub mod spec;
 
 pub use compile::{
-    compile_program, compile_program_budgeted, compile_program_serial, compile_program_shared,
-    AccProgram, ArgInfo, CompiledProgram, Fragment, FragmentKind,
+    compile_program, compile_program_budgeted, AccProgram, ArgInfo, CompiledProgram, Fragment,
+    FragmentKind,
 };
-pub use fallback::{relower_without, relower_without_cached};
-pub use lower::{fully_lowered, lower, lower_budgeted, lower_with, LowerError};
+pub use fallback::relower_without;
+pub use lower::{fully_lowered, lower, lower_budgeted, LowerError};
 pub use progcache::{ProgramCache, ProgramCacheStats, ProgramKey};
 pub use spec::{AcceleratorSpec, SupportMemo, TargetMap};

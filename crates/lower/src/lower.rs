@@ -83,7 +83,7 @@ pub fn lower(graph: &mut SrDfg, targets: &TargetMap) -> Result<(), LowerError> {
     // Even without a caller-provided cache, a transient one dedups the
     // repeated expansions *within* this program (an FFT expands one
     // butterfly fabric per stage; they are structurally identical).
-    lower_with(graph, targets, Some(&TemplateCache::new()))
+    lower_budgeted(graph, targets, Some(&TemplateCache::new()), &Budget::unlimited())
 }
 
 /// How one pending refinement will be instantiated this round.
@@ -98,30 +98,26 @@ enum Plan {
     Deferred(TemplateKey),
 }
 
-/// [`lower`] with an explicit [`TemplateCache`] policy: `Some` threads a
-/// (possibly shared, cross-program) cache through every scalar expansion;
-/// `None` disables caching entirely. Both paths route refinements through
-/// the same canonical-expansion + [`SrDfg::splice_template`] mechanism,
-/// so their lowered graphs are byte-identical — the cache only decides
-/// whether the expansion work is skipped.
-pub fn lower_with(
-    graph: &mut SrDfg,
-    targets: &TargetMap,
-    cache: Option<&TemplateCache>,
-) -> Result<(), LowerError> {
-    lower_budgeted(graph, targets, cache, &Budget::unlimited())
-}
-
-/// [`lower_with`] under a cooperative-cancellation [`Budget`]: the splice
-/// loop charges one fuel unit per pending refinement at every round
-/// boundary and unwinds with a budget-tagged [`LowerError`] the moment
-/// the request's deadline or fuel runs out. Charges happen only at round
-/// granularity — an in-flight round always completes, no thread is ever
-/// killed — so a cancelled lowering leaves the template cache coherent.
+/// [`lower`] with an explicit [`TemplateCache`] policy and under a
+/// cooperative-cancellation [`Budget`].
+///
+/// `Some` threads a (possibly shared, cross-program) cache through every
+/// scalar expansion; `None` disables caching entirely. Both paths route
+/// refinements through the same canonical-expansion +
+/// [`SrDfg::splice_template`] mechanism, so their lowered graphs are
+/// byte-identical — the cache only decides whether the expansion work is
+/// skipped.
+///
+/// The splice loop charges one fuel unit per pending refinement at every
+/// round boundary and unwinds with a budget-tagged [`LowerError`] the
+/// moment the request's deadline or fuel runs out. Charges happen only
+/// at round granularity — an in-flight round always completes, no thread
+/// is ever killed — so a cancelled lowering leaves the template cache
+/// coherent.
 ///
 /// # Errors
 ///
-/// Everything [`lower_with`] returns, plus a [`LowerError`] carrying
+/// Everything [`lower`] returns, plus a [`LowerError`] carrying
 /// [`LowerError::budget`] on cancellation.
 pub fn lower_budgeted(
     graph: &mut SrDfg,

@@ -14,8 +14,7 @@
 //!
 //! * [`srdfg::graph_fingerprint`] of the **post-midend, pre-lowering**
 //!   srDFG — content hashes only, never arena ids, so equal source text
-//!   keys equally in both the shared store and `PM_SRDFG_UNSHARED=1`
-//!   modes and across processes;
+//!   keys equally across processes;
 //! * [`crate::TargetMap::fingerprint`] of the target map the compile ran
 //!   against — the same graph lowered host-only vs. cross-domain yields
 //!   different partitions, so the map must discriminate the key.
@@ -33,18 +32,18 @@
 //! requires an adversarial input, which a simulation service does not
 //! face.
 //!
-//! ## Invalidation
+//! ## Storage
 //!
-//! Entries are immutable ([`Arc<CompiledProgram>`]) and self-contained,
-//! so only **capacity** eviction exists: least-recently-used entries are
-//! dropped past `capacity_units`, where an entry's units are its total
-//! fragment count plus lowered-graph size (a proxy for bytes).
+//! [`ProgramCache`] is a handle on the shared [`srdfg::ContentLru`] (the
+//! same store the template cache uses — exact LRU capacity eviction, see
+//! there). Entries are immutable ([`Arc<CompiledProgram>`]) and
+//! self-contained; an entry's units are its total fragment count plus
+//! lowered-graph size (a proxy for bytes).
 
 use crate::compile::CompiledProgram;
-use srdfg::FxBuildHasher;
-use std::collections::HashMap;
+use srdfg::{CacheStats, ContentLru};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default capacity, in fragment+node units, of a [`ProgramCache`].
 /// Every benchmark-family program compiled for the standard SoC fits
@@ -76,70 +75,9 @@ impl ProgramKey {
     }
 }
 
-#[derive(Debug)]
-struct Entry {
-    key: ProgramKey,
-    program: Arc<CompiledProgram>,
-    units: usize,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<u64, Entry, FxBuildHasher>,
-    units: usize,
-    capacity_units: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    inserts: u64,
-    evictions: u64,
-}
-
-/// Counter snapshot of a [`ProgramCache`] (see [`ProgramCache::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProgramCacheStats {
-    /// Lookups that returned a compiled program.
-    pub hits: u64,
-    /// Lookups that found nothing (or collided with an unequal key).
-    pub misses: u64,
-    /// Programs stored.
-    pub inserts: u64,
-    /// Programs dropped for capacity (or replaced on collision).
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Resident size in fragment+node units.
-    pub units: usize,
-    /// Configured capacity in the same units.
-    pub capacity_units: usize,
-}
-
-impl ProgramCacheStats {
-    /// Hit rate over the lookups these counters cover (0.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Counter deltas since an `earlier` snapshot of the same cache
-    /// (resident-size fields keep their current values).
-    pub fn since(&self, earlier: &ProgramCacheStats) -> ProgramCacheStats {
-        ProgramCacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            inserts: self.inserts - earlier.inserts,
-            evictions: self.evictions - earlier.evictions,
-            entries: self.entries,
-            units: self.units,
-            capacity_units: self.capacity_units,
-        }
-    }
-}
+/// Counter snapshot of a [`ProgramCache`] (see [`ProgramCache::stats`]);
+/// `bypassed` stays zero — every compile consults this cache.
+pub type ProgramCacheStats = CacheStats;
 
 fn program_units(p: &CompiledProgram) -> usize {
     let fragments: usize = p.partitions.iter().map(|part| part.fragments.len()).sum();
@@ -151,7 +89,7 @@ fn program_units(p: &CompiledProgram) -> usize {
 /// shared by every shard's compiler.
 #[derive(Debug, Clone)]
 pub struct ProgramCache {
-    inner: Arc<Mutex<Inner>>,
+    lru: ContentLru<ProgramKey, Arc<CompiledProgram>>,
 }
 
 impl Default for ProgramCache {
@@ -166,71 +104,25 @@ impl ProgramCache {
         ProgramCache::with_capacity(DEFAULT_CAPACITY_UNITS)
     }
 
-    /// A cache bounded to `capacity_units` of resident program size. A
-    /// single program larger than the whole capacity is still admitted
-    /// (alone), matching [`srdfg::TemplateCache`] semantics.
+    /// A cache bounded to `capacity_units` of resident program size.
     pub fn with_capacity(capacity_units: usize) -> ProgramCache {
-        ProgramCache { inner: Arc::new(Mutex::new(Inner { capacity_units, ..Inner::default() })) }
+        ProgramCache { lru: ContentLru::with_capacity(capacity_units) }
     }
 
     /// Looks up a compiled program, refreshing its LRU position on hit.
     pub fn lookup(&self, key: &ProgramKey) -> Option<Arc<CompiledProgram>> {
-        let fp = key.fingerprint();
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&fp) {
-            Some(entry) if entry.key == *key => {
-                entry.last_used = tick;
-                let p = Arc::clone(&entry.program);
-                inner.hits += 1;
-                Some(p)
-            }
-            _ => {
-                inner.misses += 1;
-                None
-            }
-        }
+        self.lru.lookup(key.fingerprint(), key)
     }
 
-    /// Stores a compiled program. On fingerprint collision with an
-    /// unequal key the newer program replaces the older one (counted as
-    /// an eviction). Evicts least-recently-used entries while over
-    /// capacity.
+    /// Stores a compiled program, sized as its fragment count plus
+    /// lowered-graph nodes and edges.
     pub fn insert(&self, key: ProgramKey, program: Arc<CompiledProgram>) {
-        let fp = key.fingerprint();
-        let units = program_units(&program);
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.insert(fp, Entry { key, program, units, last_used: tick }) {
-            inner.units -= old.units;
-            inner.evictions += 1;
-        }
-        inner.units += units;
-        inner.inserts += 1;
-        // LRU eviction; never evict the entry just inserted (it holds the
-        // freshest tick), so an oversized program survives alone.
-        while inner.units > inner.capacity_units && inner.map.len() > 1 {
-            let (&fp_lru, _) = inner.map.iter().min_by_key(|(_, e)| e.last_used).expect("len > 1");
-            let dropped = inner.map.remove(&fp_lru).expect("present");
-            inner.units -= dropped.units;
-            inner.evictions += 1;
-        }
+        self.lru.insert(key.fingerprint(), key, program_units(&program), program);
     }
 
     /// Current counter snapshot.
     pub fn stats(&self) -> ProgramCacheStats {
-        let inner = self.inner.lock().unwrap();
-        ProgramCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            inserts: inner.inserts,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-            units: inner.units,
-            capacity_units: inner.capacity_units,
-        }
+        self.lru.stats()
     }
 }
 
@@ -290,6 +182,17 @@ mod tests {
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         let later = cache.stats().since(&s);
         assert_eq!((later.hits, later.misses), (0, 0));
+    }
+
+    /// Two serve workers that miss on one program concurrently both insert it.
+    #[test]
+    fn reinserting_an_equal_key_is_not_an_eviction() {
+        let cache = ProgramCache::new();
+        let (key, prog) = compiled(DOT4);
+        cache.insert(key, Arc::clone(&prog));
+        cache.insert(key, prog);
+        let s = cache.stats();
+        assert_eq!((s.inserts, s.evictions, s.entries), (2, 0, 1));
     }
 
     #[test]

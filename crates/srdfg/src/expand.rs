@@ -28,7 +28,7 @@ use crate::hash::FxBuildHasher;
 use crate::ident::Ident;
 use crate::interp::for_each_point;
 use crate::kernel::KExpr;
-use crate::store::{intern, sharing_disabled, Consed};
+use crate::store::{intern, Consed};
 use pmlang::{BinOp, BuiltinReduction, DType, ScalarFunc, Span};
 use std::collections::HashMap;
 use std::fmt;
@@ -516,22 +516,15 @@ impl<'a> Expander<'a> {
     }
 
     /// The shared metadata record for an unnamed scalar temp of `dtype`
-    /// (see the `scalar_meta` field). In unshared mode every call interns
-    /// fresh, mirroring the flat representation's one-value-per-edge.
+    /// (see the `scalar_meta` field).
     fn scalar_temp_meta(&mut self, dtype: DType) -> Consed<EdgeMeta> {
         let span = self.span;
         let make = || intern(EdgeMeta::new(String::new(), dtype, Modifier::Temp, vec![]).at(span));
-        if sharing_disabled() {
-            return make();
-        }
         self.scalar_meta.entry(dtype).or_insert_with(make).clone()
     }
 
     /// Per-expander interning of scalar-op payloads (see `scalar_kinds`).
     fn intern_scalar(&mut self, kind: ScalarKind) -> Consed<ScalarKind> {
-        if sharing_disabled() {
-            return intern(kind);
-        }
         let h = crate::hash::scalar_kind_hash(&kind);
         if let Some(c) = self.scalar_kinds.get(&h) {
             if **c == kind {
@@ -556,12 +549,8 @@ impl<'a> Expander<'a> {
         }
     }
 
-    /// The shared `Ident` for a node name (bypassed in unshared mode so
-    /// every node carries its own allocation, like the flat path).
+    /// The shared `Ident` for a node name.
     fn name_ident(&mut self, name: &str) -> Ident {
-        if sharing_disabled() {
-            return Ident::from(name);
-        }
         if let Some(i) = self.names.get(name) {
             return i.clone();
         }

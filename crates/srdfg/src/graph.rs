@@ -20,7 +20,7 @@
 use crate::ident::Ident;
 use crate::kernel::KExpr;
 use crate::smallids::SmallIds;
-use crate::store::{intern, sharing_disabled, Consed};
+use crate::store::{intern, Consed};
 use crate::value::Tensor;
 use pmlang::{BinOp, BuiltinReduction, DType, Domain, ScalarFunc, Span, UnOp};
 use std::fmt;
@@ -823,19 +823,15 @@ impl SrDfg {
         // meta needs a distinct value (the span stamp), and `node.span` is
         // fixed for this whole call, so a stamped source meta always maps
         // to the same stamped result — a tiny per-splice memo keyed on the
-        // source handle's address avoids re-interning per edge. In
-        // unshared mode the memo is bypassed so every edge still gets its
-        // own record, exactly like the flat representation it emulates.
+        // source handle's address avoids re-interning per edge.
         let mut stamped: Vec<(usize, Consed<EdgeMeta>)> = Vec::new();
         let mut splice_meta = |meta: &Consed<EdgeMeta>| -> Consed<EdgeMeta> {
             if !(stamp_edge_spans && meta.span.is_synthetic()) {
                 return meta.clone();
             }
             let key = meta.ptr_id();
-            if !sharing_disabled() {
-                if let Some((_, m)) = stamped.iter().find(|(k, _)| *k == key) {
-                    return m.clone();
-                }
+            if let Some((_, m)) = stamped.iter().find(|(k, _)| *k == key) {
+                return m.clone();
             }
             let mut content = meta.get().clone();
             content.span = node.span;

@@ -84,10 +84,10 @@ impl Hasher for FxHasher {
 /// shallow per-node digest, which only needs to distinguish siblings).
 /// Two structurally identical graphs — in particular, the post-mid-end
 /// graphs of two submissions of the same source under the same size
-/// bindings — fingerprint identically, in both the shared and the
-/// `PM_SRDFG_UNSHARED=1` store modes: the digest reads the *content*
-/// hashes cached on the interned payloads, never arena ids, so it is
-/// O(nodes + edges) yet store-layout independent.
+/// bindings — fingerprint identically, in this process and any other:
+/// the digest reads the *content* hashes cached on the interned
+/// payloads, never arena ids, so it is O(nodes + edges) yet
+/// store-layout independent.
 ///
 /// This is what `pm-serve` keys its content-addressed compiled-program
 /// cache on: equal fingerprint ⇒ skip lowering + Algorithm 2 entirely.

@@ -61,6 +61,7 @@ pub mod hash;
 pub mod ident;
 pub mod interp;
 pub mod kernel;
+pub mod lru;
 pub mod pattern;
 pub mod smallids;
 pub mod store;
@@ -83,10 +84,11 @@ pub use hash::{graph_fingerprint, node_structural_hash, FxBuildHasher, FxHasher}
 pub use ident::Ident;
 pub use interp::Machine;
 pub use kernel::KExpr;
+pub use lru::{CacheStats, ContentLru};
 pub use smallids::SmallIds;
 pub use store::{
-    generation as store_generation, intern, sharing_disabled, sharing_stats, store_stats, Consed,
-    SharingStats, StoreStats,
+    generation as store_generation, intern, sharing_stats, store_stats, Consed, SharingStats,
+    StoreStats,
 };
 pub use template::{TemplateCache, TemplateCacheStats, TemplateKey};
 pub use validate::{validate, validate_all, ValidateError};

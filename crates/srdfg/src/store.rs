@@ -18,11 +18,9 @@
 //! points ([`crate::graph::SrDfg::edit_edge_meta`], the `NodeKind`
 //! constructors) make that the only expressible discipline.
 //!
-//! Setting `PM_SRDFG_UNSHARED=1` disables deduplication for the whole
-//! process: every intern call allocates a fresh record (fresh arena id,
-//! same structural hash). This is the reference "unshared" configuration
-//! the differential suite runs against — byte-for-byte identical compiler
-//! output proves sharing is unobservable.
+//! Sharing is unobservable in compiler output: the committed flat-store
+//! goldens in `tests/tests/structural_sharing.rs` (digests recorded from
+//! the pre-interning representation) pin every pipeline byte for byte.
 
 use crate::graph::{EdgeMeta, MapSpec, ReduceSpec, ScalarKind};
 use crate::hash::FxBuildHasher;
@@ -50,8 +48,7 @@ pub struct ConsedRec<T> {
 pub struct Consed<T>(Arc<ConsedRec<T>>);
 
 impl<T> Consed<T> {
-    /// The payload's arena id (unique per distinct value per type while
-    /// sharing is enabled; unique per intern call in unshared mode).
+    /// The payload's arena id (unique per distinct value per type).
     pub fn arena_id(&self) -> u32 {
         self.0.id
     }
@@ -143,20 +140,10 @@ pub fn generation() -> u64 {
     GENERATION.load(Ordering::Relaxed)
 }
 
-/// True when `PM_SRDFG_UNSHARED=1` disabled deduplication (read once).
-pub fn sharing_disabled() -> bool {
-    static UNSHARED: OnceLock<bool> = OnceLock::new();
-    *UNSHARED.get_or_init(|| std::env::var("PM_SRDFG_UNSHARED").is_ok_and(|v| v == "1"))
-}
-
-/// Interns `value`, returning the shared handle for its content (or a
-/// fresh unique record in unshared mode).
+/// Interns `value`, returning the shared handle for its content.
 pub fn intern<T: Internable>(value: T) -> Consed<T> {
     let hash = value.structural_hash();
     let mut table = T::interner().lock().expect("srdfg store poisoned");
-    if sharing_disabled() {
-        return table.insert(value, hash);
-    }
     if let Some(bucket) = table.buckets.get(&hash) {
         if let Some(found) = bucket.iter().find(|c| c.0.value == value) {
             let found = found.clone();
@@ -164,26 +151,14 @@ pub fn intern<T: Internable>(value: T) -> Consed<T> {
             return found;
         }
     }
-    table.insert(value, hash)
-}
-
-impl<T: Internable> Interner<T> {
-    fn insert(&mut self, value: T, hash: u64) -> Consed<T> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.records += 1;
-        self.bytes += value.heap_bytes() as u64;
-        GENERATION.fetch_add(1, Ordering::Relaxed);
-        let handle = Consed(Arc::new(ConsedRec { id, hash, value }));
-        if !sharing_disabled() {
-            self.buckets.entry(hash).or_default().push(handle.clone());
-        }
-        handle
-    }
-
-    fn stats(&self) -> TableStats {
-        TableStats { records: self.records, bytes: self.bytes, hits: self.hits }
-    }
+    let id = table.next_id;
+    table.next_id += 1;
+    table.records += 1;
+    table.bytes += value.heap_bytes() as u64;
+    GENERATION.fetch_add(1, Ordering::Relaxed);
+    let handle = Consed(Arc::new(ConsedRec { id, hash, value }));
+    table.buckets.entry(hash).or_default().push(handle.clone());
+    handle
 }
 
 /// One intern table's counters.
@@ -244,7 +219,8 @@ impl StoreStats {
 }
 
 fn table_stats<T: Internable>() -> TableStats {
-    T::interner().lock().expect("srdfg store poisoned").stats()
+    let table = T::interner().lock().expect("srdfg store poisoned");
+    TableStats { records: table.records, bytes: table.bytes, hits: table.hits }
 }
 
 /// Snapshots every intern table's counters.
@@ -265,9 +241,7 @@ pub fn store_stats() -> StoreStats {
 /// materialized: one payload per node, one metadata per edge. *Physical*
 /// counts the distinct shared records actually referenced. The
 /// materialization ratio `physical / logical` is the headline sharing
-/// metric (a lowered kmeans-784 sits well under 25%); in
-/// `PM_SRDFG_UNSHARED=1` mode every record is unique and the two columns
-/// coincide.
+/// metric (a lowered kmeans-784 sits well under 25%).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharingStats {
     /// Live nodes (component sub-graphs included, recursively).
@@ -443,12 +417,8 @@ mod tests {
     fn equal_content_shares_one_record() {
         let a = intern(meta("x"));
         let b = intern(meta("x"));
-        if sharing_disabled() {
-            assert_ne!(a.arena_id(), b.arena_id());
-        } else {
-            assert_eq!(a.arena_id(), b.arena_id());
-            assert_eq!(a.ptr_id(), b.ptr_id());
-        }
+        assert_eq!(a.arena_id(), b.arena_id());
+        assert_eq!(a.ptr_id(), b.ptr_id());
         assert_eq!(a, b);
         assert_eq!(a.structural_hash(), b.structural_hash());
     }
@@ -475,8 +445,6 @@ mod tests {
         let g1 = generation();
         assert!(g1 > g0, "new record must tick the generation");
         let b = intern(meta("gen-probe"));
-        if !sharing_disabled() {
-            assert_eq!(a.arena_id(), b.arena_id());
-        }
+        assert_eq!(a.arena_id(), b.arena_id());
     }
 }

@@ -31,29 +31,25 @@
 //! target only through its budget, so one template serves every fabric
 //! that shares it).
 //!
-//! Hash collisions are resolved by a confirming `==` on the stored key;
-//! a fingerprint collision with unequal keys is treated as a miss and
-//! the newer template replaces the older (counted as an eviction), which
-//! keeps the table deterministic.
+//! ## Storage
 //!
-//! ## Invalidation
-//!
+//! [`TemplateCache`] is a handle on the shared [`crate::lru::ContentLru`]
+//! (full-key compare on hit, exact LRU capacity eviction — see there).
 //! Templates are immutable and self-contained (they reference nothing
-//! outside themselves), so there is no dependency-driven invalidation —
-//! only **capacity** eviction: the cache holds at most `capacity_units`
-//! worth of templates (units = template nodes + edges, a proxy for
-//! bytes) and evicts least-recently-used entries past that. The handle
-//! is cheaply cloneable and thread-safe; [`crate::expand::refine_many`]
-//! workers and a future `pmc serve` loop can share one instance.
+//! outside themselves), so there is no dependency-driven invalidation;
+//! a template's size is its `nodes + edges`, a proxy for bytes. The
+//! handle is cheaply cloneable and thread-safe:
+//! [`crate::expand::refine_many`] workers and `pmc serve` share one
+//! instance.
 
 use crate::expand::ExpandOptions;
 use crate::graph::{EdgeMeta, Modifier, Node, NodeKind, SrDfg};
-use crate::hash::{hash_kind, FxBuildHasher, FxHasher};
+use crate::hash::{hash_kind, FxHasher};
+use crate::lru::{CacheStats, ContentLru};
 use crate::store::Consed;
 use pmlang::DType;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default capacity, in `nodes + edges` units, of a [`TemplateCache`].
 /// Generous enough to hold every distinct expansion of the benchmark
@@ -108,86 +104,15 @@ impl TemplateKey {
     }
 }
 
-#[derive(Debug)]
-struct Entry {
-    key: TemplateKey,
-    template: Arc<SrDfg>,
-    units: usize,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<u64, Entry, FxBuildHasher>,
-    units: usize,
-    capacity_units: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    inserts: u64,
-    evictions: u64,
-    bypassed: u64,
-}
-
 /// Counter snapshot of a [`TemplateCache`] (see [`TemplateCache::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TemplateCacheStats {
-    /// Lookups that returned a template.
-    pub hits: u64,
-    /// Lookups that found nothing (or collided with an unequal key).
-    pub misses: u64,
-    /// Templates stored.
-    pub inserts: u64,
-    /// Templates dropped for capacity (or replaced on collision).
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Resident size in `nodes + edges` units.
-    pub units: usize,
-    /// Configured capacity in the same units.
-    pub capacity_units: usize,
-    /// Nodes the planner never consulted the cache for (not
-    /// scalar-expansion eligible — e.g. component-flattening refinements
-    /// such as the MPC benchmark's, which splice a whole sub-graph rather
-    /// than instantiate a scalar template). A warm run showing
-    /// `0 hits / 0 misses` with a non-zero `bypassed` count is healthy:
-    /// nothing was cacheable, so nothing was looked up.
-    pub bypassed: u64,
-}
-
-impl TemplateCacheStats {
-    /// Hit rate over the lookups these counters cover (0.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Counter deltas since an `earlier` snapshot of the same cache
-    /// (resident-size fields keep their current values).
-    pub fn since(&self, earlier: &TemplateCacheStats) -> TemplateCacheStats {
-        TemplateCacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            inserts: self.inserts - earlier.inserts,
-            evictions: self.evictions - earlier.evictions,
-            bypassed: self.bypassed - earlier.bypassed,
-            entries: self.entries,
-            units: self.units,
-            capacity_units: self.capacity_units,
-        }
-    }
-}
+pub type TemplateCacheStats = CacheStats;
 
 /// Shared, thread-safe handle to a template cache. `Clone` is cheap and
 /// aliases the same store — hold one per [`crate::SrDfg`] compiler and
 /// thread it through lowering and fallback re-lowering.
 #[derive(Debug, Clone)]
 pub struct TemplateCache {
-    inner: Arc<Mutex<Inner>>,
+    lru: ContentLru<TemplateKey, Arc<SrDfg>>,
 }
 
 impl Default for TemplateCache {
@@ -203,79 +128,32 @@ impl TemplateCache {
     }
 
     /// A cache bounded to `capacity_units` of resident template size
-    /// (`nodes + edges`). A single template larger than the whole
-    /// capacity is still admitted (alone) — refusing it would make hit
-    /// behaviour depend on arrival order in surprising ways.
+    /// (`nodes + edges`).
     pub fn with_capacity(capacity_units: usize) -> TemplateCache {
-        TemplateCache { inner: Arc::new(Mutex::new(Inner { capacity_units, ..Inner::default() })) }
+        TemplateCache { lru: ContentLru::with_capacity(capacity_units) }
     }
 
     /// Looks up a template, refreshing its LRU position on hit.
     pub fn lookup(&self, key: &TemplateKey) -> Option<Arc<SrDfg>> {
-        let fp = key.fingerprint();
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&fp) {
-            Some(entry) if entry.key == *key => {
-                entry.last_used = tick;
-                let t = Arc::clone(&entry.template);
-                inner.hits += 1;
-                Some(t)
-            }
-            _ => {
-                inner.misses += 1;
-                None
-            }
-        }
+        self.lru.lookup(key.fingerprint(), key)
     }
 
-    /// Stores a template. On fingerprint collision with an unequal key
-    /// the newer template replaces the older one (counted as an
-    /// eviction). Evicts least-recently-used entries while over
-    /// capacity.
+    /// Stores a template, sized as its `nodes + edges`.
     pub fn insert(&self, key: TemplateKey, template: Arc<SrDfg>) {
-        let fp = key.fingerprint();
         let units = template.node_count() + template.edge_count();
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.insert(fp, Entry { key, template, units, last_used: tick }) {
-            inner.units -= old.units;
-            inner.evictions += 1;
-        }
-        inner.units += units;
-        inner.inserts += 1;
-        // LRU eviction; never evict the entry we just inserted (it holds
-        // the freshest tick), so an oversized template survives alone.
-        while inner.units > inner.capacity_units && inner.map.len() > 1 {
-            let (&fp_lru, _) = inner.map.iter().min_by_key(|(_, e)| e.last_used).expect("len > 1");
-            let dropped = inner.map.remove(&fp_lru).expect("present");
-            inner.units -= dropped.units;
-            inner.evictions += 1;
-        }
+        self.lru.insert(key.fingerprint(), key, units, template);
     }
 
     /// Records that the lowering planner skipped the cache for a node
     /// because its refinement is not template-shaped (see
-    /// [`TemplateCacheStats::bypassed`]).
+    /// [`CacheStats::bypassed`]).
     pub fn record_bypass(&self) {
-        self.inner.lock().unwrap().bypassed += 1;
+        self.lru.record_bypass();
     }
 
     /// Current counter snapshot.
     pub fn stats(&self) -> TemplateCacheStats {
-        let inner = self.inner.lock().unwrap();
-        TemplateCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            inserts: inner.inserts,
-            evictions: inner.evictions,
-            bypassed: inner.bypassed,
-            entries: inner.map.len(),
-            units: inner.units,
-            capacity_units: inner.capacity_units,
-        }
+        self.lru.stats()
     }
 }
 

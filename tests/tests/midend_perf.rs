@@ -170,10 +170,16 @@ fn parallel_algorithm2_matches_serial() {
         let compiler = Compiler::cross_domain();
         let compiled =
             compiler.compile(&src, &Bindings::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let serial = pm_lower::compile_program_serial(&compiled.graph, compiler.targets())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let parallel = pm_lower::compile_program(&compiled.graph, compiler.targets())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let algorithm2 = |parallel: bool| {
+            pm_lower::compile_program_budgeted(
+                std::sync::Arc::clone(&compiled.graph),
+                compiler.targets(),
+                parallel,
+                &srdfg::Budget::unlimited(),
+            )
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        let (serial, parallel) = (algorithm2(false), algorithm2(true));
         assert_eq!(
             serial.partitions, parallel.partitions,
             "{name}: parallel Algorithm 2 diverged from serial"

@@ -3,9 +3,8 @@
 //! breakers, admission control, poison quarantine, graceful drain, and
 //! wire hardening.
 //!
-//! Everything here is deterministic and valid in both srDFG store modes
-//! (`scripts/verify.sh` re-runs this suite under `PM_SRDFG_UNSHARED=1`);
-//! the byte-identity assertions are the point — a breaker steering
+//! Everything here is deterministic; the byte-identity assertions are
+//! the point — a breaker steering
 //! traffic through host-fallback re-lowering must be invisible in the
 //! outputs.
 

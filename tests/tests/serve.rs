@@ -1,8 +1,6 @@
 //! Service-level differential tests for `pmc serve` (DESIGN.md §14).
 //!
-//! Three contracts, all deterministic under fixed seeds and valid in both
-//! store modes (`scripts/verify.sh` re-runs this suite under
-//! `PM_SRDFG_UNSHARED=1`):
+//! Three contracts, all deterministic under fixed seeds:
 //!
 //! 1. **Cold/warm byte-identity** — a content-addressed program-cache hit
 //!    must skip lower+compile entirely and still produce outputs

@@ -4,9 +4,7 @@
 //!
 //! 1. **Interning is canonical** — re-interning an equal value returns a
 //!    handle with the same structural hash *and* the same arena id (one
-//!    physical record per distinct content), unless sharing is disabled
-//!    via `PM_SRDFG_UNSHARED=1`, in which case only the hash agreement
-//!    survives.
+//!    physical record per distinct content).
 //! 2. **Copy-on-write never aliases** — the divergence idiom passes use
 //!    (`get().clone()`, mutate, re-intern) must leave every existing
 //!    handle reading the original content; the mutated value lands in a
@@ -17,7 +15,7 @@
 //! on adversarial inputs.
 
 use proptest::prelude::*;
-use srdfg::{intern, sharing_disabled, Consed, EdgeMeta, Modifier, ScalarKind};
+use srdfg::{intern, Consed, EdgeMeta, Modifier, ScalarKind};
 use std::sync::Arc;
 
 fn arb_dtype() -> impl Strategy<Value = pmlang::DType> {
@@ -64,10 +62,8 @@ proptest! {
         prop_assert_eq!(a.structural_hash(), b.structural_hash());
         prop_assert_eq!(a.get(), &meta);
         prop_assert_eq!(b.get(), &meta);
-        if !sharing_disabled() {
-            prop_assert_eq!(a.arena_id(), b.arena_id());
-            prop_assert_eq!(a.ptr_id(), b.ptr_id(), "one physical record per content");
-        }
+        prop_assert_eq!(a.arena_id(), b.arena_id());
+        prop_assert_eq!(a.ptr_id(), b.ptr_id(), "one physical record per content");
     }
 
     /// Invariant 1 for `ScalarKind` payloads.
@@ -76,9 +72,7 @@ proptest! {
         let a: Consed<ScalarKind> = intern(kind.clone());
         let b: Consed<ScalarKind> = intern(kind.clone());
         prop_assert_eq!(a.structural_hash(), b.structural_hash());
-        if !sharing_disabled() {
-            prop_assert_eq!(a.arena_id(), b.arena_id());
-        }
+        prop_assert_eq!(a.arena_id(), b.arena_id());
     }
 
     /// Invariant 2: the copy-on-write idiom diverges into a fresh record
@@ -98,9 +92,7 @@ proptest! {
         prop_assert_eq!(diverged.get(), &owned, "new handle reads the mutation");
         // ptr inequality: the mutated content lives in a distinct record
         prop_assert_ne!(diverged.ptr_id(), original.ptr_id());
-        if !sharing_disabled() {
-            prop_assert_ne!(diverged.arena_id(), original.arena_id());
-        }
+        prop_assert_ne!(diverged.arena_id(), original.arena_id());
     }
 }
 
@@ -191,33 +183,28 @@ fn store_invariants_hold_under_concurrent_serve_traffic() {
         assert!(r.contains("\"values\":[20]"), "{r}");
     }
 
-    // Equal content ⇒ same hash on every thread; in shared mode, also the
-    // same arena id (one record per content, no duplicate admissions
-    // under contention).
+    // Equal content ⇒ same hash and same arena id on every thread (one
+    // record per content, no duplicate admissions under contention).
     for (i, hash, id) in &per_thread[0] {
         for other in &per_thread[1..] {
             let (oi, ohash, oid) = other[*i];
             assert_eq!((*i, *hash), (oi, ohash));
-            if !sharing_disabled() {
-                assert_eq!(*id, oid, "payload {i} admitted twice under contention");
-            }
+            assert_eq!(*id, oid, "payload {i} admitted twice under contention");
         }
     }
 
     // Table counters stay coherent: monotone records/bytes, and the
-    // re-interned shared payloads counted as hits (shared mode).
+    // re-interned shared payloads counted as hits.
     let after = srdfg::store_stats();
     assert!(after.records() >= before.records());
     assert!(after.bytes() >= before.bytes());
-    if !sharing_disabled() {
-        let expect = (THREADS * ROUNDS * 16 - 16) as u64;
-        assert!(
-            after.edge_metas.hits >= before.edge_metas.hits + expect,
-            "shared re-interns must count as hits: {} -> {}",
-            before.edge_metas.hits,
-            after.edge_metas.hits
-        );
-    }
+    let expect = (THREADS * ROUNDS * 16 - 16) as u64;
+    assert!(
+        after.edge_metas.hits >= before.edge_metas.hits + expect,
+        "shared re-interns must count as hits: {} -> {}",
+        before.edge_metas.hits,
+        after.edge_metas.hits
+    );
 
     // The compiled graph's sharing ledger is internally consistent.
     let compiled = engine
@@ -228,9 +215,6 @@ fn store_invariants_hold_under_concurrent_serve_traffic() {
     assert!(sh.physical_nodes <= sh.logical_nodes);
     assert!(sh.physical_edges <= sh.logical_edges);
     assert!(sh.physical_bytes <= sh.logical_bytes);
-    if sharing_disabled() {
-        assert_eq!(sh.physical_edges, sh.logical_edges, "unshared mode shares nothing");
-    }
     match Arc::try_unwrap(server) {
         Ok(s) => s.shutdown(),
         Err(_) => panic!("server still referenced"),

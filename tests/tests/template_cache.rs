@@ -8,7 +8,7 @@ use pm_accel::Backend;
 use pm_passes::Pass;
 use pm_workloads::programs;
 use polymath::Compiler;
-use srdfg::{Bindings, TemplateCache};
+use srdfg::{Bindings, Budget, TemplateCache};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -32,12 +32,14 @@ fn lower_and_compile(
     cache: Option<&TemplateCache>,
 ) -> (srdfg::SrDfg, pm_lower::CompiledProgram) {
     let mut graph = compiler.build_graph(src, &Bindings::default()).expect("build");
-    pm_lower::lower_with(&mut graph, compiler.targets(), cache).expect("lower");
+    let unlimited = Budget::unlimited();
+    pm_lower::lower_budgeted(&mut graph, compiler.targets(), cache, &unlimited).expect("lower");
     let lowered = graph.clone();
     pm_passes::ElideMarshalling.run(&mut graph);
     pm_passes::PruneUnusedInputs.run(&mut graph);
-    let compiled = pm_lower::compile_program_shared(Arc::new(graph), compiler.targets(), true)
-        .expect("algorithm 2");
+    let compiled =
+        pm_lower::compile_program_budgeted(Arc::new(graph), compiler.targets(), true, &unlimited)
+            .expect("algorithm 2");
     (lowered, compiled)
 }
 
@@ -128,17 +130,13 @@ fn relower_after_fault_hits_cache_and_matches_uncached() {
 
     let cache = compiler.template_cache();
     let before = cache.stats();
-    let re_cached = pm_lower::relower_without_cached(
-        &compiled,
-        compiler.targets(),
-        std::slice::from_ref(&down),
-        Some(&cache),
-    )
-    .expect("cached re-lower");
+    let relower = |cache| {
+        pm_lower::relower_without(&compiled, compiler.targets(), std::slice::from_ref(&down), cache)
+            .expect("re-lower")
+    };
+    let re_cached = relower(Some(&cache));
     let delta = cache.stats().since(&before);
-    let re_uncached =
-        pm_lower::relower_without(&compiled, compiler.targets(), std::slice::from_ref(&down))
-            .expect("re-lower");
+    let re_uncached = relower(None);
 
     assert!(delta.hits > 0, "re-lowering never hit the warmed template cache");
     assert_eq!(delta.misses, 0, "every re-expansion should have been warmed by a2: {delta:?}");
