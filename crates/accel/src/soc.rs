@@ -469,10 +469,10 @@ impl Soc {
         }
     }
 
-    /// Simulates every partition of one dispatch schedule. Per-partition
-    /// results are pure functions of `(part, graph, hints, cfg)`, so they
-    /// run in parallel; the fold below is serial in partition order,
-    /// keeping the outcome byte-identical to a serial run.
+    /// Simulates every partition of one dispatch schedule, in partition
+    /// order (the host manager runs data-dependent kernels one after
+    /// another). Every `Down` of the round is collected before the caller
+    /// folds them; the first error in partition order ends the round.
     fn dispatch(
         &self,
         compiled: &CompiledProgram,
@@ -480,19 +480,10 @@ impl Soc {
         expert: bool,
         cfg: &ChaosConfig,
     ) -> Result<Round, SocError> {
-        let sim = |part: &pm_lower::AccProgram| {
-            self.simulate_partition(part, compiled, hints, expert, cfg)
-        };
-        let sims: Vec<Result<PartSim, SocError>> = if compiled.partitions.len() > 1 {
-            use rayon::prelude::*;
-            compiled.partitions.par_iter().map(sim).collect()
-        } else {
-            compiled.partitions.iter().map(sim).collect()
-        };
-        let mut parts = Vec::with_capacity(sims.len());
+        let mut parts = Vec::with_capacity(compiled.partitions.len());
         let mut downs = Vec::new();
-        for s in sims {
-            match s? {
+        for part in &compiled.partitions {
+            match self.simulate_partition(part, compiled, hints, expert, cfg)? {
                 PartSim::Done(p) => parts.push(p),
                 PartSim::Down(info) => downs.push(info),
             }
@@ -605,9 +596,10 @@ impl Soc {
             let mut attempt: u32 = 1;
             let mut spent: u64 = 0;
             loop {
-                // All parallel charge sites share the `dispatch` stage so
-                // the wire error stays byte-stable whichever partition's
-                // charge crosses the limit first.
+                // Partitions are swept in order, so which one's charge
+                // exhausts the fuel is a pure function of the program;
+                // the stage is `dispatch` for all of them because the
+                // wire error names the stage, not the partition.
                 cfg.budget.charge("dispatch", 1).map_err(SocError::BudgetExhausted)?;
                 r.attempts += 1;
                 let Some(kind) = backend.inject_fault(&cfg.plan, idx, frag.kind, attempt) else {

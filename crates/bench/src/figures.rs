@@ -449,7 +449,7 @@ pub fn mpc_formulations() {
         ("condensed-1024", pm_workloads::programs::mobile_robot(1024)),
         ("recursive-LQR", pm_workloads::programs::lqr_step(12, 6)),
     ] {
-        let compiled = compile_single_target(&robox, &src, true);
+        let compiled = compile_single_target(&robox, &src, false, true);
         let part = compiled.partition_by_target("RoboX").expect("RoboX partition");
         let est = robox.estimate(part, &compiled.graph, &hints);
         // Steady-state DMA: `param`/`state` tensors are uploaded once and
@@ -477,17 +477,24 @@ pub fn mpc_formulations() {
 /// Design-space exploration over the simulated fabrics: one kernel per
 /// accelerator, swept across the hardware parameter its paper explores.
 /// The knees locate the published configurations (the defaults used for
-/// every other figure). Returns `(label, parameter, cycles)` rows.
+/// every other figure). Two compiler ablations ride along as off/on (0/1)
+/// rows: marshalling elision and algebraic combination. Returns
+/// `(label, parameter, cycles)` rows.
+///
+/// # Panics
+///
+/// If marshalling elision lengthens the TABLA schedule, or a larger
+/// HyperStreams operator budget slows the pipeline.
 pub fn dse() -> Vec<(String, u64, u64)> {
-    use pm_accel::{Backend, Deco, HyperStreams, Tabla, WorkloadHints};
+    use pm_accel::{Backend, Deco, HyperStreams, Robox, Tabla, WorkloadHints};
+    use pm_workloads::programs;
 
     let hints = WorkloadHints::default();
     let mut rows = Vec::new();
-    let compiled_for =
-        |backend: &dyn pm_accel::Backend, src: &str| compile_single_target(backend, src, true);
 
     println!("DSE: TABLA PE grid on LR-1024 (paper config: 16 PUs x 8 PEs)");
-    let lr = compiled_for(&Tabla::default(), &pm_workloads::programs::logistic(1024));
+    let tabla = Tabla::default();
+    let lr = compile_single_target(&tabla, &programs::logistic(1024), false, true);
     let part = lr.partition_by_target("TABLA").unwrap();
     for pes in [2usize, 4, 8, 16, 32] {
         let t = Tabla { pes_per_pu: pes, ..Default::default() };
@@ -497,7 +504,7 @@ pub fn dse() -> Vec<(String, u64, u64)> {
     }
 
     println!("DSE: DECO DSP blocks on FFT-8192 (paper config: 256 blocks)");
-    let fft = compiled_for(&Deco::default(), &pm_workloads::programs::fft(8192));
+    let fft = compile_single_target(&Deco::default(), &programs::fft(8192), false, true);
     let part = fft.partition_by_target("DECO").unwrap();
     for blocks in [32usize, 64, 128, 256, 512, 1024] {
         let d = Deco { dsp_blocks: blocks, ..Default::default() };
@@ -507,28 +514,60 @@ pub fn dse() -> Vec<(String, u64, u64)> {
     }
 
     println!("DSE: HyperStreams operator budget on BLKS-8192 (stream-balanced: 128 ops)");
-    let blks = compiled_for(&HyperStreams::default(), &pm_workloads::programs::black_scholes(8192));
+    let blks = compile_single_target(
+        &HyperStreams::default(),
+        &programs::black_scholes(8192),
+        false,
+        true,
+    );
     let part = blks.partition_by_target("HyperStreams").unwrap();
+    let mut prev = u64::MAX;
     for ops in [64usize, 128, 256, 1024, 4096] {
         let h = HyperStreams { max_operators: ops, ..Default::default() };
         let c = h.estimate(part, &blks.graph, &hints).cycles;
         println!("  {ops:>4} operators: {c:>8} cycles");
+        assert!(c <= prev, "more operators must never slow the pipeline");
+        prev = c;
         rows.push(("hyperstreams-ops".to_string(), ops as u64, c));
+    }
+
+    println!("Ablation: marshalling elision on LR-1024 (TABLA; 0 = off, 1 = on)");
+    let plain = compile_single_target(&tabla, &programs::logistic(1024), false, false);
+    let unelided =
+        tabla.estimate(plain.partition_by_target("TABLA").unwrap(), &plain.graph, &hints).cycles;
+    let elided = tabla.estimate(lr.partition_by_target("TABLA").unwrap(), &lr.graph, &hints).cycles;
+    println!("  {unelided} -> {elided} cycles");
+    assert!(elided <= unelided, "eliding marshalling must never lengthen the schedule");
+    rows.push(("elide-marshalling".to_string(), 0, unelided));
+    rows.push(("elide-marshalling".to_string(), 1, elided));
+
+    println!("Ablation: algebraic combination on MPC-64 (RoboX; 0 = off, 1 = on)");
+    let robox = Robox::default();
+    for fuse in [false, true] {
+        let mpc = compile_single_target(&robox, &programs::mobile_robot(64), fuse, false);
+        let c =
+            robox.estimate(mpc.partition_by_target("RoboX").unwrap(), &mpc.graph, &hints).cycles;
+        println!("  fused={fuse}: {c:>8} cycles");
+        rows.push(("algebraic-combination".to_string(), u64::from(fuse), c));
     }
     rows
 }
 
 /// Compiles one program for one accelerator (host for everything else):
-/// the single-target pipeline the DSE sweep and the Criterion benches
-/// share. `elide` runs marshalling elision after lowering.
-pub fn compile_single_target(
+/// the single-target pipeline of the DSE sweep. `fuse` runs algebraic
+/// combination before lowering, `elide` marshalling elision after it.
+fn compile_single_target(
     backend: &dyn pm_accel::Backend,
     src: &str,
+    fuse: bool,
     elide: bool,
 ) -> pm_lower::CompiledProgram {
     use pm_accel::Backend as _;
     let (prog, _) = pmlang::frontend(src).unwrap();
     let mut graph = srdfg::build(&prog, &Bindings::default()).unwrap();
+    if fuse {
+        pm_passes::Pass::run(&pm_passes::AlgebraicCombination, &mut graph);
+    }
     let mut targets = pm_lower::TargetMap::host_only(Cpu::default().accel_spec());
     targets.set(backend.accel_spec());
     pm_lower::lower(&mut graph, &targets).unwrap();

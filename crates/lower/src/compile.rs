@@ -163,8 +163,7 @@ impl CompiledProgram {
     }
 }
 
-/// Runs Algorithm 2 over (a clone of) a lowered graph, building fragment
-/// chunks in parallel, with no budget.
+/// Runs Algorithm 2 over (a clone of) a lowered graph, with no budget.
 ///
 /// # Errors
 ///
@@ -174,25 +173,15 @@ pub fn compile_program(graph: &SrDfg, targets: &TargetMap) -> Result<CompiledPro
     compile_program_budgeted(Arc::new(graph.clone()), targets, true, &Budget::unlimited())
 }
 
-/// One size-binned slice of a partition's node list — the unit of
-/// parallelism. Fragments of a node are a pure function of the shared
-/// pre-pass plan, so chunk boundaries (and thus thread count) cannot
-/// change the concatenated result.
-struct Chunk {
-    ti: usize,
-    lo: usize,
-    hi: usize,
-}
-
 /// Algorithm 2 over an already-shared graph — no graph clone at all, the
 /// compiled artifact aliases the caller's [`Arc`] — under a
 /// cooperative-cancellation [`Budget`]: an expired request is turned away
 /// at entry (one fuel unit per graph node) before any fragment is built,
 /// with a budget-tagged [`LowerError`].
 ///
-/// Every fragment chunk is produced by one pure builder over one
-/// precomputed topological order, so the result is byte-identical with
-/// `parallel` on or off and at any thread count.
+/// `_parallel` is dead: the chunk-parallel builder it selected lost to
+/// this single sweep on every benchmark workload and was deleted; the
+/// parameter stays only because the frozen `benchmark/` crate passes it.
 ///
 /// # Errors
 ///
@@ -201,7 +190,7 @@ struct Chunk {
 pub fn compile_program_budgeted(
     graph: Arc<SrDfg>,
     targets: &TargetMap,
-    parallel: bool,
+    _parallel: bool,
     budget: &Budget,
 ) -> Result<CompiledProgram, LowerError> {
     if !fully_lowered(&graph, targets) {
@@ -216,124 +205,85 @@ pub fn compile_program_budgeted(
     let n_edges = graph.edge_count();
 
     // Resolve every node's target once up front, as a dense index table
-    // (node raw id → index into `tlist`); the fragment builders share this
-    // read-only assignment, and integer comparisons replace the string
-    // hashing that used to dominate per-edge work. `tlist` keeps
+    // (node raw id → index into `parts`): integer comparisons replace the
+    // string hashing that used to dominate per-edge work. `parts` keeps
     // first-touch (topological) order; a partition's domain is the domain
     // of its first node (the paper's πd, one per accelerator — a domain
     // can host two accelerators under overrides).
-    let mut tlist: Vec<(&str, Option<Domain>)> = Vec::new();
+    let mut parts: Vec<AccProgram> = Vec::new();
     let mut assign: Vec<u32> = vec![u32::MAX; n_nodes];
     for &id in &order {
         let node = graph.node(id);
         let name = targets.target_for(node, graph.domain).name.as_str();
-        let ti = match tlist.iter().position(|&(t, _)| t == name) {
+        let ti = match parts.iter().position(|p| p.target == name) {
             Some(i) => i,
             None => {
-                tlist.push((name, node.domain.or(graph.domain)));
-                tlist.len() - 1
+                parts.push(AccProgram {
+                    target: name.to_string(),
+                    domain: node.domain.or(graph.domain),
+                    fragments: Vec::new(),
+                });
+                parts.len() - 1
             }
         };
         assign[id.0 as usize] = ti as u32;
     }
-    // The host target's index (host partitions never pay DMA); boundary
-    // inputs are sourced from host memory. u32::MAX when the host received
+    // The host target's index (boundary values live in host memory, so
+    // the host never pays DMA for them). u32::MAX when the host received
     // no nodes — then unequal to every real index, as it must be.
     let host_name = targets.host().name.as_str();
     let host_ti: u32 =
-        tlist.iter().position(|&(t, _)| t == host_name).map_or(u32::MAX, |i| i as u32);
+        parts.iter().position(|p| p.target == host_name).map_or(u32::MAX, |i| i as u32);
 
     let mut is_boundary_out = vec![false; n_edges];
     for e in &graph.boundary_outputs {
         is_boundary_out[e.0 as usize] = true;
     }
 
-    // Pre-pass: one serial sweep computes, per node, the DMA loads that
-    // precede its compute fragment (a value is loaded once per destination
-    // accelerator, by its first consumer there — this ordering decision is
-    // what forced the old builder to re-walk the whole graph per target)
-    // and the stores that follow it, plus a fragment-count weight for
-    // chunk binning.
-    let mut pre_loads: Vec<Vec<EdgeId>> = vec![Vec::new(); n_nodes];
-    let mut post_stores: Vec<Vec<EdgeId>> = vec![Vec::new(); n_nodes];
-    let mut node_w: Vec<u32> = vec![0; n_nodes];
-    let mut loaded = vec![false; tlist.len() * n_edges];
-    let mut weight: Vec<u64> = vec![0; tlist.len()];
-    let mut nodes_of: Vec<Vec<NodeId>> = vec![Vec::new(); tlist.len()];
+    // t_load: an operand produced on another target (or fed by the host
+    // through the graph boundary) is loaded once per destination
+    // partition, by its first consumer there.
+    let mut loaded = vec![false; parts.len() * n_edges];
+    let needs_load = |loaded: &mut [bool], ti: u32, e: EdgeId| -> bool {
+        let src_ti = match graph.edge(e).producer {
+            Some((p, _)) => assign[p.0 as usize],
+            None => host_ti,
+        };
+        src_ti != ti && !std::mem::replace(&mut loaded[ti as usize * n_edges + e.0 as usize], true)
+    };
+    // t_store: a result consumed on another target (or leaving an
+    // accelerator through the graph boundary toward the host).
+    let needs_store = |ti: u32, e: EdgeId| -> bool {
+        graph.edge(e).consumers.iter().any(|&(c, _)| assign[c.0 as usize] != ti)
+            || (is_boundary_out[e.0 as usize] && ti != host_ti)
+    };
+
+    // Exact-capacity reserve: a single-accelerator program puts every
+    // fragment into one partition, and doubling-growth would re-copy the
+    // whole fragment stream several times over.
+    let mut part_len = vec![0usize; parts.len()];
     for &id in &order {
-        let ni = id.0 as usize;
-        let ti = assign[ni];
+        let ti = assign[id.0 as usize];
         let node = graph.node(id);
-        let mut w = (1 + node.inputs.len() + node.outputs.len()) as u32;
-        for &e in &node.inputs {
-            let src_ti = match graph.edge(e).producer {
-                Some((p, _)) => assign[p.0 as usize],
-                None => host_ti, // boundary input: host memory
-            };
-            if src_ti != ti {
-                let slot = ti as usize * n_edges + e.0 as usize;
-                if !loaded[slot] {
-                    loaded[slot] = true;
-                    pre_loads[ni].push(e);
-                    w += 2;
-                }
-            }
-        }
-        for &e in &node.outputs {
-            let edge = graph.edge(e);
-            let crosses = edge.consumers.iter().any(|&(c, _)| assign[c.0 as usize] != ti)
-                || (is_boundary_out[e.0 as usize] && ti != host_ti);
-            if crosses {
-                post_stores[ni].push(e);
-                w += 2;
-            }
-        }
-        node_w[ni] = w;
-        weight[ti as usize] += u64::from(w);
-        nodes_of[ti as usize].push(id);
+        part_len[ti as usize] += 1
+            + node.inputs.iter().filter(|&&e| needs_load(&mut loaded, ti, e)).count()
+            + node.outputs.iter().filter(|&&e| needs_store(ti, e)).count();
     }
-
-    // Size-binned chunks: split each partition's node list so every chunk
-    // carries roughly equal fragment weight. This moves the rayon grain
-    // from whole-partitions (useless for single-accelerator programs) to
-    // fragments, while a floor keeps tiny graphs in one chunk.
-    let threads = rayon::current_num_threads().max(1);
-    let mut chunks: Vec<Chunk> = Vec::new();
-    for (ti, nodes) in nodes_of.iter().enumerate() {
-        let per_chunk = (weight[ti] / (threads as u64 * 4)).max(2048);
-        let mut lo = 0usize;
-        let mut acc = 0u64;
-        for (i, &id) in nodes.iter().enumerate() {
-            acc += u64::from(node_w[id.0 as usize]);
-            if acc >= per_chunk {
-                chunks.push(Chunk { ti, lo, hi: i + 1 });
-                lo = i + 1;
-                acc = 0;
-            }
-        }
-        if lo < nodes.len() {
-            chunks.push(Chunk { ti, lo, hi: nodes.len() });
-        }
+    for (p, n) in parts.iter_mut().zip(part_len) {
+        p.fragments.reserve_exact(n);
     }
+    loaded.fill(false);
 
+    // The sweep: πd = πd + t_load… + t(srdfg, n) + t_store… for each n.
     let arg_info = |e: EdgeId| -> ArgInfo { ArgInfo { meta: graph.edge(e).meta.clone(), edge: e } };
     let load_op: Ident = "load".into();
     let store_op: Ident = "store".into();
-    let build_chunk = |c: &Chunk| -> Vec<Fragment> {
-        let cap: usize = nodes_of[c.ti][c.lo..c.hi]
-            .iter()
-            .map(|id| {
-                let ni = id.0 as usize;
-                1 + pre_loads[ni].len() + post_stores[ni].len()
-            })
-            .sum();
-        let mut fragments = Vec::with_capacity(cap);
-        for &id in &nodes_of[c.ti][c.lo..c.hi] {
-            let ni = id.0 as usize;
-            let node = graph.node(id);
-            // t_load for operands produced on another accelerator (or fed
-            // by the host through the graph boundary).
-            for &e in &pre_loads[ni] {
+    for &id in &order {
+        let ti = assign[id.0 as usize];
+        let node = graph.node(id);
+        let fragments = &mut parts[ti as usize].fragments;
+        for &e in &node.inputs {
+            if needs_load(&mut loaded, ti, e) {
                 fragments.push(Fragment {
                     op: load_op.clone(),
                     kind: FragmentKind::Load,
@@ -343,18 +293,17 @@ pub fn compile_program_budgeted(
                     ops: 0,
                 });
             }
-            // t(srdfg, n): the compute fragment.
-            fragments.push(Fragment {
-                op: node.name.clone(),
-                kind: FragmentKind::Compute,
-                node: Some(id),
-                inputs: node.inputs.iter().map(|&e| arg_info(e)).collect(),
-                outputs: node.outputs.iter().map(|&e| arg_info(e)).collect(),
-                ops: srdfg::graph::node_op_count(node),
-            });
-            // t_store for results consumed on another accelerator (or
-            // leaving through the graph boundary toward the host).
-            for &e in &post_stores[ni] {
+        }
+        fragments.push(Fragment {
+            op: node.name.clone(),
+            kind: FragmentKind::Compute,
+            node: Some(id),
+            inputs: node.inputs.iter().map(|&e| arg_info(e)).collect(),
+            outputs: node.outputs.iter().map(|&e| arg_info(e)).collect(),
+            ops: srdfg::graph::node_op_count(node),
+        });
+        for &e in &node.outputs {
+            if needs_store(ti, e) {
                 fragments.push(Fragment {
                     op: store_op.clone(),
                     kind: FragmentKind::Store,
@@ -365,32 +314,6 @@ pub fn compile_program_budgeted(
                 });
             }
         }
-        fragments
-    };
-
-    let chunk_frags: Vec<Vec<Fragment>> = if parallel && chunks.len() > 1 {
-        use rayon::prelude::*;
-        chunks.par_iter().map(build_chunk).collect()
-    } else {
-        chunks.iter().map(build_chunk).collect()
-    };
-
-    let mut parts: Vec<AccProgram> = tlist
-        .iter()
-        .map(|&(t, domain)| AccProgram { target: t.to_string(), domain, fragments: Vec::new() })
-        .collect();
-    // Exact-capacity reserve: a single-accelerator program concatenates
-    // every chunk into one partition, and doubling-growth would re-copy
-    // the whole fragment stream several times over.
-    let mut part_len = vec![0usize; parts.len()];
-    for (c, frags) in chunks.iter().zip(&chunk_frags) {
-        part_len[c.ti] += frags.len();
-    }
-    for (p, n) in parts.iter_mut().zip(part_len) {
-        p.fragments.reserve_exact(n);
-    }
-    for (c, frags) in chunks.iter().zip(chunk_frags) {
-        parts[c.ti].fragments.extend(frags);
     }
     parts.sort_by_key(|p| (p.domain, p.target.clone()));
     Ok(CompiledProgram { graph, partitions: parts })

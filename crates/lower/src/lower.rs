@@ -208,23 +208,14 @@ pub fn lower_budgeted(
             plans = pending.iter().map(|_| Plan::Expand(None)).collect();
         }
 
-        // Expand the non-deduplicated jobs in parallel.
-        use rayon::prelude::*;
-        let expand_jobs: Vec<usize> = plans
+        // Expand the non-deduplicated jobs.
+        let mut expanded: Vec<Option<Result<SrDfg, RefineError>>> = plans
             .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Plan::Expand(_)))
-            .map(|(i, _)| i)
+            .zip(&pending)
+            .map(|(plan, &(id, opts))| {
+                matches!(plan, Plan::Expand(_)).then(|| refine_for_splice(graph, id, &opts))
+            })
             .collect();
-        let mut expanded: Vec<Option<Result<SrDfg, RefineError>>> =
-            (0..pending.len()).map(|_| None).collect();
-        for (i, sub) in expand_jobs
-            .par_iter()
-            .map(|&i| (i, refine_for_splice(graph, pending[i].0, &pending[i].1)))
-            .collect::<Vec<_>>()
-        {
-            expanded[i] = Some(sub);
-        }
 
         // Reserve the whole round's growth up front: each splice appends
         // its sub-graph's nodes/edges, and letting the tables double

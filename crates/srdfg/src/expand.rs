@@ -106,23 +106,6 @@ pub fn refine(
     refine_node(node, &in_metas, &out_metas, opts)
 }
 
-/// Refines many nodes at once, in parallel where the machine allows.
-///
-/// A node's refinement reads only the node itself and its edges' metadata
-/// — never another node — so distinct nodes expand independently. Scalar
-/// expansion of large tensors dominates lowering time, which makes this
-/// the natural unit of parallelism for on-demand expansion. Results come
-/// back one per job, **in input order**, so callers splice them
-/// deterministically; the output is identical to calling [`refine`] in a
-/// serial loop.
-pub fn refine_many(
-    graph: &SrDfg,
-    jobs: &[(crate::graph::NodeId, ExpandOptions)],
-) -> Vec<Result<SrDfg, RefineError>> {
-    use rayon::prelude::*;
-    jobs.par_iter().map(|&(id, opts)| refine(graph, id, &opts)).collect()
-}
-
 /// [`refine`] on a detached node (metadata supplied explicitly).
 pub fn refine_node(
     node: &Node,

@@ -38,9 +38,8 @@
 //! Templates are immutable and self-contained (they reference nothing
 //! outside themselves), so there is no dependency-driven invalidation;
 //! a template's size is its `nodes + edges`, a proxy for bytes. The
-//! handle is cheaply cloneable and thread-safe:
-//! [`crate::expand::refine_many`] workers and `pmc serve` share one
-//! instance.
+//! handle is cheaply cloneable and thread-safe: `pmc serve`'s workers
+//! share one instance.
 
 use crate::expand::ExpandOptions;
 use crate::graph::{EdgeMeta, Modifier, Node, NodeKind, SrDfg};

@@ -30,6 +30,12 @@ for workload in compile-large compile-apps serve-warm serve-churn; do
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1
 done
 
+echo "== figures --dse (fabric sweeps + ablation invariants)"
+# Deterministic simulated-cycle rows; the binary asserts that marshalling
+# elision never lengthens the TABLA schedule and that a larger
+# HyperStreams operator budget never slows the pipeline.
+cargo run --release -q -p pm-bench --bin figures -- --dse
+
 echo "== structural-sharing goldens at benchmark scale"
 # The hash-consed store must be unobservable except through speed and
 # memory: the committed goldens (captured from the flat pre-arena store)

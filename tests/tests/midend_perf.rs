@@ -2,14 +2,14 @@
 //!
 //! The value-numbering CSE replaced a pairwise O(n²) fixpoint scan; these
 //! tests pin its behaviour to the old algorithm (kept here as a reference
-//! implementation) across the workload suite, and pin the parallel
-//! Algorithm-2 path to the serial one fragment-for-fragment.
+//! implementation) across the workload suite, and pin Algorithm 2's
+//! fragment streams to the paper's single topological sweep.
 
 use pm_passes::{CommonSubexpressionElimination, Pass};
-use pm_workloads::programs;
+use pm_workloads::{apps, programs};
 use pmlang::DType;
 use polymath::Compiler;
-use srdfg::{Bindings, Machine, Modifier, NodeKind, SrDfg, Tensor};
+use srdfg::{Bindings, EdgeId, Machine, Modifier, NodeId, NodeKind, SrDfg, Tensor};
 use std::collections::HashMap;
 
 /// Small instances of every program family in `pm_workloads::programs`
@@ -162,27 +162,94 @@ fn vn_cse_equivalent_to_pairwise_reference() {
     }
 }
 
-/// Determinism guarantee: the rayon-parallel Algorithm-2 path must produce
-/// the exact `AccProgram` sequence of the serial path on every workload.
+/// Algorithm 2 is the paper's single sweep: every node, in topological
+/// order, appends `t_load`s, its compute fragment, then `t_store`s to its
+/// own target's partition. Checked fragment-by-fragment on every workload
+/// plus the two multi-partition apps.
 #[test]
-fn parallel_algorithm2_matches_serial() {
-    for (name, src) in workloads() {
+fn algorithm2_is_one_topological_sweep() {
+    use pm_lower::FragmentKind;
+    use std::collections::HashSet;
+
+    let mut all = workloads();
+    all.push(("brain_stimul-64", apps::brain_stimul(64, 8).source));
+    all.push(("option_pricing-32", apps::option_pricing(32, 8).source));
+    for (name, src) in all {
         let compiler = Compiler::cross_domain();
         let compiled =
             compiler.compile(&src, &Bindings::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let algorithm2 = |parallel: bool| {
-            pm_lower::compile_program_budgeted(
-                std::sync::Arc::clone(&compiled.graph),
-                compiler.targets(),
-                parallel,
-                &srdfg::Budget::unlimited(),
-            )
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
-        };
-        let (serial, parallel) = (algorithm2(false), algorithm2(true));
-        assert_eq!(
-            serial.partitions, parallel.partitions,
-            "{name}: parallel Algorithm 2 diverged from serial"
-        );
+        let g = &compiled.graph;
+        let host = &compiler.targets().host().name;
+
+        // Every live node compiles to exactly one compute fragment.
+        let mut part_of: HashMap<NodeId, usize> = HashMap::new();
+        for (pi, p) in compiled.partitions.iter().enumerate() {
+            for id in p.fragments.iter().filter_map(|f| f.node) {
+                assert!(part_of.insert(id, pi).is_none(), "{name}: {id:?} compiled twice");
+            }
+        }
+        assert_eq!(part_of.len(), g.node_count(), "{name}: a node has no compute fragment");
+        let topo_pos: HashMap<NodeId, usize> =
+            g.topo_order().into_iter().enumerate().map(|(i, id)| (id, i)).collect();
+        let host_pi = compiled.partitions.iter().position(|p| p.target == *host);
+        let boundary_out: HashSet<EdgeId> = g.boundary_outputs.iter().copied().collect();
+
+        for (pi, p) in compiled.partitions.iter().enumerate() {
+            let at = |what: &str, i: usize| format!("{name}/{}: fragment {i}: {what}", p.target);
+            let mut loaded: HashSet<EdgeId> = HashSet::new();
+            let mut last_pos = None;
+            let mut i = 0;
+            while i < p.fragments.len() {
+                let first = i;
+                while p.fragments[i].kind == FragmentKind::Load {
+                    i += 1; // a trailing load would index past the end: loads precede a compute
+                }
+                let compute = &p.fragments[i];
+                assert_eq!(
+                    compute.kind,
+                    FragmentKind::Compute,
+                    "{}",
+                    at("store before compute", i)
+                );
+                let id = compute.node.expect("compute fragments name their node");
+                let node = g.node(id);
+                assert!(last_pos < Some(topo_pos[&id]), "{}", at("out of topological order", i));
+                last_pos = Some(topo_pos[&id]);
+
+                // Loads: exactly the operands produced in another partition
+                // (boundary inputs live on the host) that no earlier node of
+                // this partition already loaded, in operand order.
+                let mut want = Vec::new();
+                for &e in &node.inputs {
+                    let src = g.edge(e).producer.map_or(host_pi, |(n, _)| Some(part_of[&n]));
+                    if src != Some(pi) && loaded.insert(e) {
+                        want.push(e);
+                    }
+                }
+                let got: Vec<EdgeId> =
+                    p.fragments[first..i].iter().map(|f| f.inputs[0].edge).collect();
+                assert_eq!(got, want, "{}", at("loads", first));
+
+                // Stores: exactly the results with a consumer in another
+                // partition, or leaving an accelerator through the boundary.
+                let want: Vec<EdgeId> = node
+                    .outputs
+                    .iter()
+                    .copied()
+                    .filter(|&e| {
+                        g.edge(e).consumers.iter().any(|(c, _)| part_of[c] != pi)
+                            || (boundary_out.contains(&e) && Some(pi) != host_pi)
+                    })
+                    .collect();
+                i += 1;
+                let first = i;
+                while p.fragments.get(i).is_some_and(|f| f.kind == FragmentKind::Store) {
+                    i += 1;
+                }
+                let got: Vec<EdgeId> =
+                    p.fragments[first..i].iter().map(|f| f.outputs[0].edge).collect();
+                assert_eq!(got, want, "{}", at("stores", first));
+            }
+        }
     }
 }

@@ -26,11 +26,39 @@ fn tensor(dims: &[usize], values: &[f64]) -> Json {
     ])
 }
 
+/// [`DA_PROG`] behind a DSP pre-filter: two accelerator partitions (DECO,
+/// TABLA) over the same feeds, so dispatch sweeps more than one.
+const DSP_DA_PROG: &str = "filt(input float x[8], output float f[8]) {
+    index i[0:7];
+    f[i] = x[i] * 0.5;
+}
+clas(input float f[8], param float w[8], output float y) {
+    index i[0:7];
+    y = sigmoid(sum[i](w[i]*f[i]));
+}
+main(input float x[8], param float w[8], output float y) {
+    float f[8];
+    DSP: filt(x, f);
+    DA: clas(f, w, y);
+}";
+
 /// Builds a run-request line for [`DA_PROG`]. `down` forces targets
 /// persistently down (the organic failure that trips a breaker);
 /// `deadline_ms`/`fuel` attach a budget. Timings are always off so
 /// responses compare byte-for-byte.
 fn run_line(
+    id: &str,
+    tenant: &str,
+    down: &[&str],
+    deadline_ms: Option<u64>,
+    fuel: Option<u64>,
+) -> String {
+    run_line_for(DA_PROG, id, tenant, down, deadline_ms, fuel)
+}
+
+/// [`run_line`] for any program over the feeds `x[8]`, `w[8]`.
+fn run_line_for(
+    program: &str,
     id: &str,
     tenant: &str,
     down: &[&str],
@@ -45,7 +73,7 @@ fn run_line(
         ("op".to_string(), Json::Str("run".into())),
         ("id".to_string(), Json::Str(id.into())),
         ("tenant".to_string(), Json::Str(tenant.into())),
-        ("program".to_string(), Json::Str(DA_PROG.into())),
+        ("program".to_string(), Json::Str(program.into())),
         ("invocations".to_string(), Json::Num(2.0)),
         ("feeds".to_string(), feeds),
         ("timings".to_string(), Json::Bool(false)),
@@ -113,6 +141,17 @@ fn fuel_exhaustion_is_deterministic_and_typed() {
     // A generous budget completes and spends nothing visible on the wire.
     let ok = engine.handle_line(&run_line("g", "alice", &[], Some(60_000), Some(1_000_000)));
     assert_eq!(parse(&ok).get("ok").and_then(Json::as_bool), Some(true), "{ok}");
+
+    // Two partitions, fuel that outlasts Algorithms 1 and 2 and runs out
+    // inside dispatch: partitions are swept in order, so which charge
+    // crosses the limit is a pure function of the program and two fresh
+    // engines answer with the same bytes.
+    let line = run_line_for(DSP_DA_PROG, "p", "alice", &[], None, Some(80));
+    let a = ServeEngine::new(&ServeConfig::default()).handle_line(&line);
+    let b = ServeEngine::new(&ServeConfig::default()).handle_line(&line);
+    assert_eq!(error_kind(&a), "deadline_exceeded", "{a}");
+    assert!(a.contains("during dispatch"), "fuel 80 must reach dispatch and die there: {a}");
+    assert_eq!(a, b, "dispatch-stage exhaustion must be byte-for-byte reproducible");
 }
 
 #[test]
