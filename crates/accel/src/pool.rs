@@ -94,6 +94,8 @@ pub struct PoolReport {
     /// Per-shard breaker snapshots, in shard order (empty inner vectors
     /// for shards whose backends have never failed).
     pub breakers: Vec<Vec<BreakerSnapshot>>,
+    /// The shards' price memos ([`Soc::price_stats`]) summed.
+    pub price_memo: srdfg::CacheStats,
 }
 
 /// A fixed set of [`Soc`] shards with tenant-affinity routing and
@@ -240,7 +242,18 @@ impl SocPool {
             .iter()
             .map(BreakerBoard::snapshot)
             .collect();
-        PoolReport { shards, total, tenants, breakers }
+        let mut price_memo = srdfg::CacheStats::default();
+        for s in self.shards.iter().map(Soc::price_stats) {
+            price_memo.hits += s.hits;
+            price_memo.misses += s.misses;
+            price_memo.inserts += s.inserts;
+            price_memo.evictions += s.evictions;
+            price_memo.entries += s.entries;
+            price_memo.units += s.units;
+            price_memo.capacity_units += s.capacity_units;
+            price_memo.bypassed += s.bypassed;
+        }
+        PoolReport { shards, total, tenants, breakers, price_memo }
     }
 }
 

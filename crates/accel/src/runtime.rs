@@ -26,6 +26,7 @@ use pm_lower::{CompiledProgram, TargetMap};
 use pmlang::Domain;
 use srdfg::{Machine, SrDfg, Tensor};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Inputs of one trajectory run.
 #[derive(Debug, Clone)]
@@ -117,7 +118,7 @@ impl Soc {
     ) -> Result<TrajectoryOutcome, SocError> {
         let invocations = inputs.invocations.max(1);
         let mut current: Option<CompiledProgram> = None;
-        let mut machine = Machine::new((*compiled.graph).clone());
+        let mut machine = Machine::new(Arc::clone(&compiled.graph));
         for (name, value) in inputs.state_seeds {
             machine.set_state(name, value.clone());
         }
@@ -150,7 +151,7 @@ impl Soc {
                 // A device went down mid-trajectory: move execution onto
                 // the re-lowered graph, carrying the checkpointed state
                 // across the substitution.
-                machine = Machine::new((*re.graph).clone());
+                machine = Machine::new(Arc::clone(&re.graph));
                 restore_states(&mut machine, &checkpoint);
                 current = Some(re);
             }

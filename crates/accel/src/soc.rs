@@ -26,12 +26,20 @@ use crate::cpu::Cpu;
 use crate::error::SocError;
 use crate::fault::{ChaosConfig, ChaosProfile, FaultEvent, FaultKind, VirtualClock};
 use crate::model::{PerfEstimate, WorkloadHints};
-use pm_lower::{CompiledProgram, FragmentKind, TargetMap};
+use pm_lower::{AccProgram, CompiledProgram, FragmentKind, TargetMap};
 use pmlang::Domain;
+use srdfg::{CacheStats, ContentLru, SrDfg};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::sync::{Arc, Weak};
 
 /// Host-manager dispatch overhead per fragment, virtual nanoseconds.
 const DISPATCH_NS: u64 = 2_000;
+/// Entries the price memo holds, one per (partition, hints, expert) priced.
+/// An entry is a 32-byte estimate and two weak handles, so this is a bound
+/// on bookkeeping, not on memory that matters; it sits above the few
+/// hundred programs a serving process keeps resident.
+const PRICE_MEMO_ENTRIES: usize = 1024;
 /// Fault events recorded verbatim per partition; beyond this only the
 /// counters grow (`faults_seen` stays exact).
 const MAX_RECORDED_FAULTS: usize = 32;
@@ -195,6 +203,60 @@ impl Carry {
     }
 }
 
+/// Which pricing question a memo entry answers: a partition of a compiled
+/// program, named by *identity* — the addresses behind the program's two
+/// [`Arc`]s and the partition's index — plus everything else the estimate
+/// reads (the expert flag and the hint values, floats by bit pattern).
+/// `CompiledProgram` is immutable behind those `Arc`s, so equal addresses
+/// are equal content for as long as the allocations live, and the entry's
+/// [`Weak`] guards keep them from being reused while it is resident.
+#[derive(Debug, PartialEq, Hash)]
+struct PriceKey {
+    graph: usize,
+    partitions: usize,
+    index: usize,
+    expert: bool,
+    hints: [Option<u64>; 6],
+}
+
+impl PriceKey {
+    fn new(compiled: &CompiledProgram, index: usize, expert: bool, h: &WorkloadHints) -> Self {
+        // Destructured so that a new hint field cannot be left out of the key.
+        let WorkloadHints {
+            effective_ops,
+            effective_bytes,
+            edges,
+            vertices,
+            gpu_batch,
+            native_factor,
+        } = *h;
+        PriceKey {
+            graph: Arc::as_ptr(&compiled.graph) as usize,
+            partitions: Arc::as_ptr(&compiled.partitions).cast::<AccProgram>() as usize,
+            index,
+            expert,
+            hints: [
+                effective_ops,
+                effective_bytes,
+                edges,
+                vertices,
+                gpu_batch,
+                native_factor.map(f64::to_bits),
+            ],
+        }
+    }
+}
+
+/// A memoised compute price. The guards hold the two allocations the key
+/// names (not their contents: a dropped program stays dropped), so no new
+/// program can be handed either address while this entry can still hit.
+#[derive(Debug, Clone)]
+struct Priced {
+    compute: PerfEstimate,
+    _graph: Weak<SrDfg>,
+    _partitions: Weak<[AccProgram]>,
+}
+
 /// A host plus a set of cascaded accelerator backends.
 pub struct Soc {
     backends: Vec<Box<dyn Backend>>,
@@ -210,6 +272,11 @@ pub struct Soc {
     /// compilation populated instead of re-expanding under recovery
     /// latency pressure.
     template_cache: Option<srdfg::TemplateCache>,
+    /// Compute prices already worked out on this SoC. A price is a pure
+    /// function of (backend, partition, graph, hints), so re-invoking a
+    /// program looks it up instead of re-walking the graph; the fragment
+    /// loop around it — fuel, faults, retries, DMA — is never memoised.
+    prices: ContentLru<PriceKey, Priced>,
 }
 
 impl std::fmt::Debug for Soc {
@@ -236,6 +303,7 @@ impl Soc {
             dma_energy_per_byte: 5.0e-11, // 50 pJ/byte
             manager_power_w: 5.0,
             template_cache: None,
+            prices: ContentLru::with_capacity(PRICE_MEMO_ENTRIES),
         }
     }
 
@@ -247,12 +315,20 @@ impl Soc {
     }
 
     /// Attaches an accelerator backend (replacing any previous backend of
-    /// the same name).
+    /// the same name). Prices memoised so far are forgotten: the backend
+    /// is part of what they were a function of.
     pub fn attach(&mut self, backend: impl Backend + 'static) -> &mut Self {
         let name = backend.accel_spec().name;
         self.backends.retain(|b| b.accel_spec().name != name);
         self.backends.push(Box::new(backend));
+        self.prices = ContentLru::with_capacity(PRICE_MEMO_ENTRIES);
         self
+    }
+
+    /// Counters of the price memo: a hit is a partition dispatched without
+    /// calling its backend's `estimate`, a miss is one that was priced.
+    pub fn price_stats(&self) -> CacheStats {
+        self.prices.stats()
     }
 
     /// The first backend serving `domain`, if attached.
@@ -482,8 +558,8 @@ impl Soc {
     ) -> Result<Round, SocError> {
         let mut parts = Vec::with_capacity(compiled.partitions.len());
         let mut downs = Vec::new();
-        for part in &compiled.partitions {
-            match self.simulate_partition(part, compiled, hints, expert, cfg)? {
+        for index in 0..compiled.partitions.len() {
+            match self.simulate_partition(index, compiled, hints, expert, cfg)? {
                 PartSim::Done(p) => parts.push(p),
                 PartSim::Down(info) => downs.push(info),
             }
@@ -495,35 +571,27 @@ impl Soc {
         }
     }
 
-    fn simulate_partition(
+    /// The compute price of partition `index` on `backend` (`None` = the
+    /// host): looked up by identity, else estimated — outside the memo's
+    /// lock, so two threads that miss together both compute the same
+    /// answer and the second insert refreshes the first.
+    fn price(
         &self,
-        part: &pm_lower::AccProgram,
         compiled: &CompiledProgram,
-        hints: &HashMap<Option<Domain>, WorkloadHints>,
+        index: usize,
+        backend: Option<&dyn Backend>,
+        h: &WorkloadHints,
         expert: bool,
-        cfg: &ChaosConfig,
-    ) -> Result<PartSim, SocError> {
-        let default_hints = WorkloadHints::default();
-        let h = hints.get(&part.domain).unwrap_or(&default_hints);
-        // The partition records which target its fragments were compiled
-        // for; pick the matching backend, else the host (an unaccelerated
-        // domain compiles against the host spec).
-        let backend = self.backends.iter().find(|b| b.accel_spec().name == part.target);
-        let host_spec_name = self.host.accel_spec().name;
-        if backend.is_none() && part.target != host_spec_name {
-            return Err(SocError::missing_backend(
-                part.target.clone(),
-                part.domain,
-                self.attached_names(),
-            ));
+    ) -> PerfEstimate {
+        let key = PriceKey::new(compiled, index, expert, h);
+        let fingerprint = srdfg::FxBuildHasher::default().hash_one(&key);
+        if let Some(hit) = self.prices.lookup(fingerprint, &key) {
+            return hit.compute;
         }
-        let (target, compute) = match backend {
-            Some(backend) if expert => {
-                (backend.name().to_string(), backend.estimate_expert(part, &compiled.graph, h))
-            }
-            Some(backend) => {
-                (backend.name().to_string(), backend.estimate(part, &compiled.graph, h))
-            }
+        let part = &compiled.partitions[index];
+        let compute = match backend {
+            Some(backend) if expert => backend.estimate_expert(part, &compiled.graph, h),
+            Some(backend) => backend.estimate(part, &compiled.graph, h),
             None => {
                 // Unaccelerated domains and host glue run on the CPU.
                 let mut est = self.host.estimate(part, &compiled.graph, h);
@@ -535,13 +603,46 @@ impl Soc {
                     est.energy_j *= 0.85;
                     est.cycles = (est.cycles as f64 * 0.85) as u64;
                 }
-                (self.host.name().to_string(), est)
+                est
             }
         };
-        let mut r = PartitionReport {
-            target,
-            domain: part.domain,
+        let priced = Priced {
             compute,
+            _graph: Arc::downgrade(&compiled.graph),
+            _partitions: Arc::downgrade(&compiled.partitions),
+        };
+        self.prices.insert(fingerprint, key, 1, priced);
+        compute
+    }
+
+    fn simulate_partition(
+        &self,
+        index: usize,
+        compiled: &CompiledProgram,
+        hints: &HashMap<Option<Domain>, WorkloadHints>,
+        expert: bool,
+        cfg: &ChaosConfig,
+    ) -> Result<PartSim, SocError> {
+        let part = &compiled.partitions[index];
+        let default_hints = WorkloadHints::default();
+        let h = hints.get(&part.domain).unwrap_or(&default_hints);
+        // The partition records which target its fragments were compiled
+        // for; pick the matching backend, else the host (an unaccelerated
+        // domain compiles against the host spec).
+        let backend =
+            self.backends.iter().find(|b| b.accel_spec().name == part.target).map(|b| b.as_ref());
+        let host_spec_name = self.host.accel_spec().name;
+        if backend.is_none() && part.target != host_spec_name {
+            return Err(SocError::missing_backend(
+                part.target.clone(),
+                part.domain,
+                self.attached_names(),
+            ));
+        }
+        let mut r = PartitionReport {
+            target: backend.map_or(self.host.name(), |b| b.name()).to_string(),
+            domain: part.domain,
+            compute: self.price(compiled, index, backend, h, expert),
             dma: PerfEstimate::default(),
             attempts: 0,
             retries: 0,
@@ -857,7 +958,7 @@ mod tests {
         let out = s.run_chaos(&compiled, &HashMap::new(), &cfg, Some(&targets)).unwrap();
         assert_eq!(out.report.fallbacks.len(), 2);
         let re = out.relowered.expect("fallback must produce a re-lowered program");
-        for p in &re.partitions {
+        for p in re.partitions.iter() {
             assert_eq!(p.target, "CPU", "all work must land on the host");
         }
         for p in &out.report.partitions {

@@ -525,7 +525,9 @@ mod tests {
             .expect("store")
             .clone();
         store.outputs[0].edge = z1;
-        compiled.partitions.iter_mut().find(|p| p.target != "host").unwrap().fragments.push(store);
+        let mut parts = compiled.partitions.to_vec();
+        parts.iter_mut().find(|p| p.target != "host").unwrap().fragments.push(store);
+        compiled.partitions = parts.into();
         let out = analyze_schedule(&compiled, &targets);
         assert!(out.iter().any(|f| f.code == codes::DMA_WAW), "{out:?}");
     }
@@ -543,9 +545,11 @@ mod tests {
              }",
             &targets,
         );
-        for part in &mut compiled.partitions {
+        let mut parts = compiled.partitions.to_vec();
+        for part in &mut parts {
             part.fragments.retain(|f| f.kind != FragmentKind::Store);
         }
+        compiled.partitions = parts.into();
         let out = analyze_schedule(&compiled, &targets);
         assert!(out.iter().any(|f| f.code == codes::MISSING_MARSHAL), "{out:?}");
     }
@@ -563,9 +567,11 @@ mod tests {
              }",
             &targets,
         );
-        for part in &mut compiled.partitions {
+        let mut parts = compiled.partitions.to_vec();
+        for part in &mut parts {
             part.fragments.retain(|f| f.kind != FragmentKind::Load);
         }
+        compiled.partitions = parts.into();
         let out = analyze_schedule(&compiled, &targets);
         assert!(
             out.iter().any(|f| f.code == codes::MISSING_MARSHAL && f.message.contains("DMA load")),
@@ -606,7 +612,8 @@ mod tests {
             load.inputs = std::mem::take(&mut load.outputs);
             (load, store)
         };
-        for part in &mut compiled.partitions {
+        let mut parts = compiled.partitions.to_vec();
+        for part in &mut parts {
             if part.target != "host" {
                 // load-before-store of its own product: waits on a store
                 // that only runs later in this same stream... unless the
@@ -617,6 +624,7 @@ mod tests {
                 part.fragments.push(store.clone());
             }
         }
+        compiled.partitions = parts.into();
         let out = analyze_schedule(&compiled, &targets);
         assert!(out.iter().any(|f| f.code == codes::DEADLOCK), "{out:?}");
     }

@@ -217,7 +217,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 report.comm_fraction * 100.0
             );
             if args.iter().any(|a| a == "--fragments") {
-                for part in &compiled.partitions {
+                for part in compiled.partitions.iter() {
                     println!("\npartition {} ({} fragments):", part.target, part.fragments.len());
                     print_fragments(part);
                 }
@@ -339,7 +339,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(c) => c.profile == pm_accel::ChaosProfile::Off,
             };
             if format == "text" && chaos_off {
-                let mut machine = srdfg::Machine::new((*compiled.graph).clone());
+                let mut machine = srdfg::Machine::new(std::sync::Arc::clone(&compiled.graph));
                 for (name, tensor) in state {
                     machine.set_state(&name, tensor);
                 }

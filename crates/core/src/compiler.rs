@@ -503,7 +503,7 @@ mod tests {
     #[test]
     fn host_only_compilation_single_partition_family() {
         let compiled = Compiler::host_only().compile(TWO_DOMAIN, &Bindings::default()).unwrap();
-        for p in &compiled.partitions {
+        for p in compiled.partitions.iter() {
             assert_eq!(p.target, "CPU");
         }
     }

@@ -68,7 +68,7 @@ pub fn estimate_all(
     hints: &WorkloadHints,
 ) -> PerfEstimate {
     let mut total = PerfEstimate::default();
-    for part in &compiled.partitions {
+    for part in compiled.partitions.iter() {
         total = total.then(&backend.estimate(part, &compiled.graph, hints));
     }
     total

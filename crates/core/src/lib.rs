@@ -41,7 +41,7 @@
 //!     ("sample".to_string(), Tensor::from_vec(pmlang::DType::Float, vec![4], vec![1.0; 4])?),
 //!     ("weights".to_string(), Tensor::from_vec(pmlang::DType::Float, vec![4], vec![0.5; 4])?),
 //! ]);
-//! let out = Machine::new((*compiled.graph).clone()).invoke(&feeds)?;
+//! let out = Machine::new(std::sync::Arc::clone(&compiled.graph)).invoke(&feeds)?;
 //! assert!(out["label"].scalar_value()? > 0.5);
 //! // Performance/energy account on the simulated SoC:
 //! let report = standard_soc().run(&compiled, &HashMap::new())?;

@@ -784,11 +784,11 @@ impl ServeEngine {
         Ok(Json::Obj(fields).render())
     }
 
-    /// Renders the `stats` response: program-cache, template-cache, and
-    /// pool-level counters.
+    /// Renders the `stats` response: program-cache, template-cache,
+    /// pool-level and price-memo counters.
     pub fn stats_response(&self, id: &str) -> String {
-        // Both caches are one LRU type, so one rendering (the program
-        // cache is never bypassed: its count is always 0).
+        // All three caches are one LRU type, so one rendering (only the
+        // template cache is ever bypassed: the others' count is always 0).
         let cache = |s: srdfg::CacheStats| {
             Json::Obj(vec![
                 ("hits".into(), Json::Num(s.hits as f64)),
@@ -878,6 +878,7 @@ impl ServeEngine {
                     ("quarantined_graphs".into(), Json::Num(self.quarantine.counts().1 as f64)),
                 ]),
             ),
+            ("price_memo".into(), cache(pool.price_memo)),
         ])
         .render()
     }
@@ -1324,5 +1325,12 @@ mod tests {
         assert!(tc.get("bypassed").and_then(Json::as_u64).is_some());
         let pool = v.get("pool").unwrap();
         assert_eq!(pool.get("requests").and_then(Json::as_u64), Some(2));
+        // The second request ran the cached program: same artifact, so
+        // every partition the first one priced is a memo hit.
+        let pm = v.get("price_memo").unwrap();
+        let priced = pm.get("misses").and_then(Json::as_u64).unwrap();
+        assert!(priced > 0);
+        assert_eq!(pm.get("hits").and_then(Json::as_u64), Some(priced));
+        assert_eq!(pm.get("entries").and_then(Json::as_u64), Some(priced));
     }
 }

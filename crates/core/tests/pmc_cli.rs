@@ -528,9 +528,10 @@ fn serve_json_schema_is_stable() {
     };
     assert_eq!(outputs(cold), outputs(warm), "warm outputs differ from cold");
 
-    // Stats response: the three counter groups, each with pinned keys.
+    // Stats response: the counter groups, each with pinned keys; the price
+    // memo was appended after every older key.
     let mut last = 0;
-    for field in ["id", "op", "ok", "program_cache", "template_cache", "pool"] {
+    for field in ["id", "op", "ok", "program_cache", "template_cache", "pool", "price_memo"] {
         let key = format!("\"{field}\":");
         let pos = stats.find(&key).unwrap_or_else(|| panic!("missing field `{field}`: {stats}"));
         assert!(pos > last || field == "id", "field `{field}` out of order: {stats}");

@@ -239,7 +239,7 @@ fn check_partitions(compiled: &CompiledProgram, targets: &TargetMap) -> Result<(
         .filter(|f| f.kind == FragmentKind::Store)
         .map(|f| f.outputs[0].edge)
         .collect();
-    for p in &compiled.partitions {
+    for p in compiled.partitions.iter() {
         for frag in &p.fragments {
             match frag.kind {
                 FragmentKind::Compute => {
@@ -301,6 +301,7 @@ fn chaos_route(
     let outcome = chaos_soc()
         .run_chaos(&compiled, &HashMap::new(), &chaos, Some(targets))
         .map_err(|e| format!("chaos dispatch: {e}"))?;
+    // Owned, like every route's graph: `run_route` takes it by value.
     Ok(match outcome.relowered {
         Some(re) => (*re.graph).clone(),
         None => (*compiled.graph).clone(),

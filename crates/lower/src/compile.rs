@@ -138,17 +138,19 @@ impl AccProgram {
 
 /// A fully compiled program: the lowered graph plus per-target IR.
 ///
-/// The graph is held behind an [`Arc`]: a lowered srDFG can run to
-/// hundreds of thousands of nodes, and cloning it into every compiled
-/// artifact (and again into every runtime machine) used to dominate the
-/// `compile` stage. Readers deref transparently; the rare consumer that
-/// needs an owned mutable graph (fallback re-lowering) clones explicitly.
+/// Both halves sit behind an [`Arc`], so the artifact is immutable once
+/// Algorithm 2 returns and `clone` is two refcount bumps: a lowered srDFG
+/// can run to hundreds of thousands of nodes and a partition to as many
+/// fragments. Readers deref transparently; the rare consumer that needs
+/// an owned mutable graph (fallback re-lowering) clones explicitly.
+/// Immutability is also what lets the SoC memoise a partition's price by
+/// the two pointers: equal pointers are equal content.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// The lowered srDFG (functional ground truth; backends execute it).
     pub graph: Arc<SrDfg>,
     /// One partition per target that received at least one fragment.
-    pub partitions: Vec<AccProgram>,
+    pub partitions: Arc<[AccProgram]>,
 }
 
 impl CompiledProgram {
@@ -316,7 +318,7 @@ pub fn compile_program_budgeted(
         }
     }
     parts.sort_by_key(|p| (p.domain, p.target.clone()));
-    Ok(CompiledProgram { graph, partitions: parts })
+    Ok(CompiledProgram { graph, partitions: parts.into() })
 }
 
 #[cfg(test)]

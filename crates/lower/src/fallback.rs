@@ -51,6 +51,8 @@ pub fn relower_without(
     let host_name = targets.host().name.clone();
     let down: Vec<&String> = down.iter().filter(|d| **d != host_name).collect();
     let reduced = targets.without_targets(&down);
+    // An owned copy: Algorithm 1 rewrites the graph in place, and the
+    // shared original stays live in the caller (and the program cache).
     let mut graph = (*compiled.graph).clone();
     // Clear stamped per-node assignments pointing at downed targets so
     // those nodes re-resolve through the reduced map (domain default, now
@@ -149,7 +151,7 @@ mod tests {
         let (compiled, targets) = two_domain_compiled();
         let down = vec!["DECO".to_string(), "TABLA".to_string()];
         let re = relower_without(&compiled, &targets, &down, None).unwrap();
-        for p in &re.partitions {
+        for p in re.partitions.iter() {
             assert_eq!(p.target, "CPU", "everything must land on the host");
         }
     }

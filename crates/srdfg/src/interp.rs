@@ -15,18 +15,22 @@ use crate::kernel::KExpr;
 use crate::value::{Scalar, Tensor};
 use pmlang::BuiltinReduction;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// A stateful executor for one program graph.
+/// A stateful executor for one program graph. The graph is shared and
+/// never mutated; everything an invocation changes lives in `state`.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    graph: SrDfg,
+    graph: Arc<SrDfg>,
     state: HashMap<String, Tensor>,
 }
 
 impl Machine {
-    /// Creates a machine for `graph`. State variables start zero-filled.
-    pub fn new(graph: SrDfg) -> Self {
-        Machine { graph, state: HashMap::new() }
+    /// Creates a machine for `graph` — an owned graph, or an [`Arc`] the
+    /// machine then shares with its other holders (a compiled program, a
+    /// cache entry) without copying it. State variables start zero-filled.
+    pub fn new(graph: impl Into<Arc<SrDfg>>) -> Self {
+        Machine { graph: graph.into(), state: HashMap::new() }
     }
 
     /// The program graph.
@@ -58,9 +62,9 @@ impl Machine {
         &mut self,
         feeds: &HashMap<String, Tensor>,
     ) -> Result<HashMap<String, Tensor>, ExecError> {
-        let mut bound: Vec<Option<Tensor>> = Vec::new();
+        let mut bound: Vec<Option<Tensor>> = Vec::with_capacity(self.graph.boundary_inputs.len());
         for &e in &self.graph.boundary_inputs {
-            let meta = self.graph.edge(e).meta.clone();
+            let meta = &self.graph.edge(e).meta;
             let value = match meta.modifier {
                 Modifier::State => Some(
                     self.state
@@ -110,8 +114,9 @@ pub fn exec_graph(
     boundary_values: Vec<Option<Tensor>>,
 ) -> Result<Vec<Tensor>, ExecError> {
     let mut values: Vec<Option<Tensor>> = vec![None; graph.edge_count()];
-    for (i, &e) in graph.boundary_inputs.iter().enumerate() {
-        values[e.0 as usize] = boundary_values.get(i).cloned().flatten().or_else(|| {
+    let mut bound = boundary_values.into_iter();
+    for &e in &graph.boundary_inputs {
+        values[e.0 as usize] = bound.next().flatten().or_else(|| {
             Some(Tensor::zeros(graph.edge(e).meta.dtype, graph.edge(e).meta.shape.clone()))
         });
     }
@@ -323,9 +328,7 @@ pub fn exec_reduce(
     })?;
 
     // Materialize the output tensor.
-    let carry_shift = usize::from(spec.write.carried);
     let mut out = init_output(&spec.write, operands, out_dtype)?;
-    let _ = carry_shift;
     let mut opoint = vec![0i64; spec.out_space.len()];
     let mut lhs_point = vec![0i64; spec.write.lhs.len()];
     let mut flat = 0usize;

@@ -16,6 +16,7 @@ use pmlang::Domain;
 use polymath::{standard_soc, Compiler};
 use srdfg::{Bindings, Machine, Tensor};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- functional closed loop at test scale -----------------------
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .join(" -> ")
     );
 
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = Machine::new(Arc::clone(&compiled.graph));
     let t = |shape: Vec<usize>, seed| pm_workloads::datagen::normal_tensor(shape, 0.2, seed);
     let params = HashMap::from([
         ("P".to_string(), t(vec![c, 3], 2)),

@@ -13,6 +13,7 @@ use pmlang::Domain;
 use polymath::{standard_soc, Compiler};
 use srdfg::{Bindings, Machine, Tensor};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vertices = 128usize;
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Iterate: the host invokes one relaxation sweep per step, with the
     // `level` state persisting on the accelerator between sweeps.
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = Machine::new(Arc::clone(&compiled.graph));
     let mut level0 = vec![1.0e6f64; vertices];
     level0[0] = 0.0;
     machine.set_state("level", Tensor::from_vec(pmlang::DType::Float, vec![vertices], level0)?);

@@ -14,12 +14,13 @@ use pm_workloads::{apps, datagen, reference};
 use polymath::{standard_soc, Compiler};
 use srdfg::{Bindings, Machine, Tensor};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- functional run at test scale --------------------------------
     let app = apps::option_pricing(32, 8);
     let compiled = Compiler::cross_domain().compile(&app.source, &Bindings::default())?;
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = Machine::new(Arc::clone(&compiled.graph));
 
     let spots = [95.0, 100.0, 105.0, 110.0, 90.0, 100.0, 120.0, 100.0];
     let vols = [0.15, 0.2, 0.25, 0.2, 0.3, 0.18, 0.22, 0.2];

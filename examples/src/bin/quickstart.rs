@@ -9,6 +9,7 @@
 use polymath::{standard_soc, Compiler};
 use srdfg::{Bindings, Machine, Tensor};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A two-domain program: a DSP moving-average filter feeding a Data
@@ -36,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let compiler = Compiler::cross_domain();
     let compiled = compiler.compile(source, &Bindings::default())?;
     println!("compiled {} partitions:", compiled.partitions.len());
-    for p in &compiled.partitions {
+    for p in compiled.partitions.iter() {
         println!(
             "  {:?} -> {} ({} fragments, {} compute ops)",
             p.domain.map(|d| d.keyword()),
@@ -53,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("taps".to_string(), Tensor::from_vec(pmlang::DType::Float, vec![8], vec![0.125; 8])?),
         ("w".to_string(), Tensor::from_vec(pmlang::DType::Float, vec![57], vec![0.2; 57])?),
     ]);
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = Machine::new(Arc::clone(&compiled.graph));
     let out = machine.invoke(&feeds)?;
     println!("anomaly score: {:.4}", out["anomaly"].scalar_value()?);
 

@@ -13,6 +13,7 @@ use pm_workloads::programs;
 use polymath::{standard_soc, Compiler};
 use srdfg::{Bindings, Machine, Tensor};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = 8usize;
@@ -79,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pos_ref[t * 3 + 2] = target[2];
     }
 
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = Machine::new(Arc::clone(&compiled.graph));
     let mut state = [0.0f64, -1.0, 0.0];
     let mut err = f64::INFINITY;
     println!("step |    x      y   | err");

@@ -29,6 +29,18 @@ for workload in compile-large compile-apps serve-warm serve-churn; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1
 done
+# The benchmark is frozen between `benchmark` PRs: it has to build against
+# this tree with no edit of its own. Every build rewrites its Cargo.lock
+# (the committed one still lists crates since deleted), so put that back
+# first; anything else that differs is an edit.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    git checkout -- benchmark/Cargo.lock
+    if [ -n "$(git status --porcelain -- benchmark BENCHMARK.json)" ]; then
+        echo "benchmark/ or BENCHMARK.json differs from the commit:" >&2
+        git status --porcelain -- benchmark BENCHMARK.json >&2
+        exit 1
+    fi
+fi
 
 echo "== figures --dse (fabric sweeps + ablation invariants)"
 # Deterministic simulated-cycle rows; the binary asserts that marshalling

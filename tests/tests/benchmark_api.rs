@@ -94,6 +94,29 @@ fn served_ok(response: &str, cache: &str) {
     assert_eq!(y, [Some(18.0)]);
 }
 
+/// The benchmark's mirror hands `Machine::new` an owned deep clone; the
+/// runtime hands it the program's `Arc`. Same constructor, same answers —
+/// state carried across invocations included.
+#[test]
+fn machines_agree_whether_they_own_or_share_the_graph() {
+    let acc = "main(input float x[4], state float acc[4], output float y[4]) {
+        index i[0:3];
+        DA: acc[i] = acc[i] + x[i];
+        DA: y[i] = 2.0*acc[i];
+    }";
+    let compiled = Compiler::cross_domain().compile(acc, &Bindings::default()).unwrap();
+    let x = Tensor::from_vec(pmlang::DType::Float, vec![4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+    let feeds = HashMap::from([("x".to_string(), x)]);
+    let mut owned = Machine::new((*compiled.graph).clone());
+    let mut shared = Machine::new(Arc::clone(&compiled.graph));
+    for k in 1..=3 {
+        let out = owned.invoke(&feeds).unwrap();
+        assert_eq!(out, shared.invoke(&feeds).unwrap());
+        assert_eq!(out["y"].as_real_slice().unwrap()[3], 8.0 * f64::from(k));
+    }
+    assert_eq!(owned.state("acc"), shared.state("acc"));
+}
+
 #[test]
 fn benchmark_surface_keeps_its_names_signatures_and_outcomes() {
     // compile_wl: a fresh driver per cycle, `Compiler::compile` twice, the
@@ -126,6 +149,8 @@ fn benchmark_surface_keeps_its_names_signatures_and_outcomes() {
         .unwrap();
     assert_eq!(outcome.outputs["y"].scalar_value().unwrap(), 16.0);
     let priced = soc.run(&fresh, &HashMap::new()).unwrap();
+    // The traced replay prices once per invocation on one SoC.
+    assert_eq!(soc.run(&fresh, &HashMap::new()).unwrap(), priced);
     let host_only = Compiler::host_only().compile(DOT, &Bindings::default()).unwrap();
     let host = estimate_all(&Cpu::default(), &host_only, &Default::default());
     assert!(host.seconds > 0.0 && priced.total.seconds > 0.0);
@@ -142,6 +167,8 @@ fn benchmark_surface_keeps_its_names_signatures_and_outcomes() {
     assert!(!staged_compile(&targets, &templates, Some(&programs)).1);
     assert!(staged_compile(&targets, &templates, Some(&programs)).1);
 
+    let (nodes, partitions) = (staged.graph.node_count(), staged.partitions.len());
+    assert!(nodes > 0 && partitions > 0);
     let fragments = || staged.partitions.iter().flat_map(|p| &p.fragments);
     let dma = fragments().filter(|f| f.kind != FragmentKind::Compute).count();
     let dma_bytes: u64 = staged.partitions.iter().map(|p| p.dma_bytes()).sum();

@@ -49,7 +49,7 @@ fn override_splits_one_domain_across_two_targets() {
     assert!(targets.contains(&"HyperStreams"), "{targets:?}");
     assert!(targets.contains(&"TABLA"), "{targets:?}");
     // Both partitions belong to the DA domain.
-    for p in &compiled.partitions {
+    for p in compiled.partitions.iter() {
         assert_eq!(p.domain, Some(pmlang::Domain::DataAnalytics), "{}", p.target);
     }
 }
@@ -73,7 +73,7 @@ fn override_naming_missing_component_is_a_no_op() {
         .compile(TWO_DA, &Bindings::default())
         .unwrap();
     assert_eq!(plain.partitions.len(), bogus.partitions.len());
-    for (p, b) in plain.partitions.iter().zip(&bogus.partitions) {
+    for (p, b) in plain.partitions.iter().zip(bogus.partitions.iter()) {
         assert_eq!(p.target, b.target);
         assert_eq!(p.fragments.len(), b.fragments.len());
     }
@@ -124,7 +124,7 @@ fn every_cross_target_load_has_a_matching_store() {
         .filter(|f| f.kind == FragmentKind::Store)
         .map(|f| f.outputs[0].edge)
         .collect();
-    for p in &compiled.partitions {
+    for p in compiled.partitions.iter() {
         for frag in p.fragments.iter().filter(|f| f.kind == FragmentKind::Load) {
             let e = frag.inputs[0].edge;
             let from_boundary = compiled.graph.edge(e).producer.is_none();
@@ -144,7 +144,7 @@ fn fragments_resolve_to_their_partitions_target() {
     let compiler =
         Compiler::cross_domain().with_target_override("a", HyperStreams::default().accel_spec());
     let compiled = compiler.compile(TWO_DA, &Bindings::default()).unwrap();
-    for p in &compiled.partitions {
+    for p in compiled.partitions.iter() {
         for frag in p.fragments.iter().filter(|f| f.kind == FragmentKind::Compute) {
             let node = compiled.graph.node(frag.node.unwrap());
             let spec = compiler.targets().target_for(node, compiled.graph.domain);

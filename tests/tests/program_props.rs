@@ -204,7 +204,7 @@ proptest! {
             .map(|f| f.outputs[0].edge)
             .collect();
 
-        for p in &compiled.partitions {
+        for p in compiled.partitions.iter() {
             for frag in &p.fragments {
                 match frag.kind {
                     FragmentKind::Compute => {

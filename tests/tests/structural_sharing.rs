@@ -103,7 +103,7 @@ fn graph_digest(g: &SrDfg) -> u64 {
 /// metadata and edge ids, op counts).
 fn partitions_digest(compiled: &pm_lower::CompiledProgram) -> u64 {
     let mut hasher = FxHasher::default();
-    for p in &compiled.partitions {
+    for p in compiled.partitions.iter() {
         h(&mut hasher, p.target.as_bytes());
         h(&mut hasher, format!("{:?}", p.domain).as_bytes());
         for f in &p.fragments {
