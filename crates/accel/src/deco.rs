@@ -14,11 +14,11 @@
 //! stages: after the fill latency, each stage streams one wave per cycle.
 
 use crate::backend::Backend;
+use crate::levels::Sweep;
 use crate::model::{HwConfig, PerfEstimate, WorkloadHints};
-use pm_lower::{AccProgram, AcceleratorSpec, FragmentKind};
+use pm_lower::{AccProgram, AcceleratorSpec};
 use pmlang::{BinOp, Domain};
-use srdfg::{Modifier, NodeId, NodeKind, ScalarKind, SrDfg};
-use std::collections::{HashMap, HashSet};
+use srdfg::{NodeId, NodeKind, ScalarKind, SrDfg};
 
 /// The DECO backend (FPGA overlay on the KCU1500, 150 MHz).
 #[derive(Debug, Clone)]
@@ -36,7 +36,7 @@ impl Default for Deco {
 }
 
 /// A stage-mapped schedule.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecoSchedule {
     /// Effective DSP operations per pipeline stage (after MAC fusion).
     pub stage_ops: Vec<usize>,
@@ -61,82 +61,44 @@ impl DecoSchedule {
 impl Deco {
     /// Builds the stage schedule with MAC fusion.
     pub fn schedule(&self, prog: &AccProgram, graph: &SrDfg) -> DecoSchedule {
-        let mine: HashMap<NodeId, &ScalarKind> = prog
-            .fragments
-            .iter()
-            .filter(|f| f.kind == FragmentKind::Compute)
-            .filter_map(|f| f.node)
-            .filter_map(|id| match &graph.node(id).kind {
-                NodeKind::Scalar(k) => Some((id, k.get())),
+        self.sweep(prog, graph).0
+    }
+
+    /// One pass over the partition: the stage schedule and the sweep's
+    /// totals.
+    fn sweep<'g>(&self, prog: &AccProgram, graph: &'g SrDfg) -> (DecoSchedule, Sweep<'g>) {
+        let mut sweep = Sweep::new(graph);
+        let mut sched = DecoSchedule::default();
+        for frag in &prog.fragments {
+            let Some((id, node, kind)) = sweep.enter(frag) else { continue };
+            // MAC fusion: a mul whose single consumer is an add absorbs into
+            // that add's DSP block (DSP48 computes a·b + c, so each add can
+            // host at most one multiplier — its lowest-numbered candidate).
+            let fusable = |&(p, _): &(NodeId, usize)| {
+                let mul = graph.node(p);
+                let users = &graph.edge(mul.outputs[0]).consumers;
+                matches!(&mul.kind, NodeKind::Scalar(k) if **k == ScalarKind::Bin(BinOp::Mul))
+                    && users.len() == 1
+                    && users[0].0 == id
+            };
+            let mac = match kind {
+                ScalarKind::Bin(BinOp::Add) => sweep.producers(node).filter(fusable).min(),
                 _ => None,
-            })
-            .collect();
-
-        // MAC fusion: a mul whose single consumer is an add absorbs into
-        // that add's DSP block (DSP48 computes a·b + c, so each add can
-        // host at most one multiplier).
-        let mut fused: HashSet<NodeId> = HashSet::new();
-        let mut host_add_taken: HashSet<NodeId> = HashSet::new();
-        let mut mul_ids: Vec<NodeId> = mine
-            .iter()
-            .filter(|(_, k)| matches!(k, ScalarKind::Bin(BinOp::Mul)))
-            .map(|(&id, _)| id)
-            .collect();
-        mul_ids.sort();
-        for id in mul_ids {
-            let node = graph.node(id);
-            let out = node.outputs[0];
-            let consumers = &graph.edge(out).consumers;
-            if consumers.len() == 1 {
-                let (c, _) = consumers[0];
-                if matches!(mine.get(&c), Some(ScalarKind::Bin(BinOp::Add)))
-                    && host_add_taken.insert(c)
-                {
-                    fused.insert(id);
-                }
-            }
-        }
-
-        // Level the unfused ops (a fused mul inherits its add's level).
-        let mut level: HashMap<NodeId, usize> = HashMap::new();
-        let mut sched = DecoSchedule { fused_macs: fused.len(), ..Default::default() };
-        for id in graph.topo_order() {
-            if !mine.contains_key(&id) {
-                continue;
-            }
-            let node = graph.node(id);
-            let mut l = 0usize;
-            for &e in &node.inputs {
-                if let Some((p, _)) = graph.edge(e).producer {
-                    if mine.contains_key(&p) {
-                        // A fused producer shares our stage.
-                        let bump = usize::from(!fused.contains(&p));
-                        l = l.max(level[&p] + bump);
-                    }
-                }
-            }
-            level.insert(id, l);
-            if fused.contains(&id) {
-                continue; // accounted within its consumer's MAC
+            };
+            // A fused mul shares its add's stage and is accounted within
+            // the add's MAC: take back the op its own stage was charged.
+            let l = sweep.place(id, node, mac.map(|(mul, _)| mul));
+            if let Some((_, mul_stage)) = mac {
+                sched.stage_ops[mul_stage] -= 1;
+                sched.fused_macs += 1;
             }
             if sched.stage_ops.len() <= l {
                 sched.stage_ops.resize(l + 1, 0);
             }
             sched.stage_ops[l] += 1;
         }
-
-        for frag in &prog.fragments {
-            if frag.kind == FragmentKind::Compute {
-                continue;
-            }
-            for a in frag.inputs.iter().chain(&frag.outputs) {
-                if matches!(a.modifier(), Modifier::Input | Modifier::Output | Modifier::Temp) {
-                    let per = if a.dtype() == pmlang::DType::Complex { 8 } else { 4 };
-                    sched.streamed_bytes += a.shape().iter().product::<usize>() as u64 * per;
-                }
-            }
-        }
-        sched
+        sched.streamed_bytes = sweep.streamed_bytes;
+        (sched, sweep)
     }
 }
 
@@ -172,17 +134,11 @@ impl Backend for Deco {
     }
 
     fn estimate(&self, prog: &AccProgram, graph: &SrDfg, hints: &WorkloadHints) -> PerfEstimate {
-        let sched = self.schedule(prog, graph);
-        let mut compute_cycles = sched.cycles(self.dsp_blocks);
-        compute_cycles =
-            ((compute_cycles as f64) * hints.effective_scale(prog.compute_ops())).ceil() as u64;
-        let stream_cycles = sched.streamed_bytes.div_ceil(self.stream_bytes_per_cycle);
         // Small per-invocation control cost: back-to-back kernels stream
         // through the pipelined overlay, so fill is amortized.
-        let cycles = compute_cycles.max(stream_cycles) + 8;
-        let mut est = PerfEstimate::from_cycles(cycles, &self.hw());
-        est.dma_bytes = prog.dma_bytes();
-        est
+        let (sched, sweep) = self.sweep(prog, graph);
+        let compute = sched.cycles(self.dsp_blocks);
+        sweep.price(compute, hints, self.stream_bytes_per_cycle, 8, &self.hw())
     }
 
     fn estimate_expert(
@@ -193,14 +149,10 @@ impl Backend for Deco {
     ) -> PerfEstimate {
         // An expert DECO mapping keeps every DSP block busy each cycle:
         // total fused work over the block count plus pipeline depth.
-        let sched = self.schedule(prog, graph);
+        let (sched, sweep) = self.sweep(prog, graph);
         let total: u64 = sched.stage_ops.iter().map(|&o| o as u64).sum();
-        let mut compute = total.div_ceil(self.dsp_blocks as u64) + sched.stage_ops.len() as u64;
-        compute = ((compute as f64) * hints.effective_scale(prog.compute_ops())).ceil() as u64;
-        let stream = sched.streamed_bytes.div_ceil(self.stream_bytes_per_cycle);
-        let mut est = PerfEstimate::from_cycles(compute.max(stream).max(1), &self.hw());
-        est.dma_bytes = prog.dma_bytes();
-        est
+        let compute = total.div_ceil(self.dsp_blocks as u64) + sched.stage_ops.len() as u64;
+        sweep.price(compute, hints, self.stream_bytes_per_cycle, 0, &self.hw())
     }
 }
 

@@ -51,7 +51,10 @@ pub mod fault;
 pub mod gpu;
 pub mod graphicionado;
 pub mod hyperstreams;
+mod levels;
 pub mod model;
+#[cfg(test)]
+mod oracle;
 pub mod pool;
 pub mod robox;
 pub mod runtime;

@@ -259,8 +259,13 @@ struct Priced {
 
 /// A host plus a set of cascaded accelerator backends.
 pub struct Soc {
-    backends: Vec<Box<dyn Backend>>,
+    /// Attached backends under their target-spec names, resolved at
+    /// `attach`: dispatch compares the name instead of building a whole
+    /// `AcceleratorSpec` (a heap string per supported op) to read it.
+    backends: Vec<(String, Box<dyn Backend>)>,
     host: Cpu,
+    /// The host's target-spec name, resolved at construction.
+    host_target: String,
     dma: DmaModel,
     /// Energy per DMA byte (interconnect + DRAM access), joules.
     dma_energy_per_byte: f64,
@@ -282,7 +287,7 @@ pub struct Soc {
 impl std::fmt::Debug for Soc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Soc")
-            .field("backends", &self.backends.iter().map(|b| b.name()).collect::<Vec<_>>())
+            .field("backends", &self.backends.iter().map(|(_, b)| b.name()).collect::<Vec<_>>())
             .finish()
     }
 }
@@ -296,9 +301,11 @@ impl Default for Soc {
 impl Soc {
     /// Creates a SoC with only the host CPU.
     pub fn new() -> Self {
+        let host = Cpu::default();
         Soc {
             backends: Vec::new(),
-            host: Cpu::default(),
+            host_target: host.accel_spec().name,
+            host,
             dma: DmaModel::default(),
             dma_energy_per_byte: 5.0e-11, // 50 pJ/byte
             manager_power_w: 5.0,
@@ -319,8 +326,8 @@ impl Soc {
     /// is part of what they were a function of.
     pub fn attach(&mut self, backend: impl Backend + 'static) -> &mut Self {
         let name = backend.accel_spec().name;
-        self.backends.retain(|b| b.accel_spec().name != name);
-        self.backends.push(Box::new(backend));
+        self.backends.retain(|(attached, _)| *attached != name);
+        self.backends.push((name, Box::new(backend)));
         self.prices = ContentLru::with_capacity(PRICE_MEMO_ENTRIES);
         self
     }
@@ -333,12 +340,12 @@ impl Soc {
 
     /// The first backend serving `domain`, if attached.
     pub fn backend(&self, domain: Domain) -> Option<&dyn Backend> {
-        self.backends.iter().find(|b| b.domain() == domain).map(|b| b.as_ref())
+        self.backends.iter().find(|(_, b)| b.domain() == domain).map(|(_, b)| b.as_ref())
     }
 
     /// The backend with the given target name, if attached.
     pub fn backend_by_name(&self, name: &str) -> Option<&dyn Backend> {
-        self.backends.iter().find(|b| b.accel_spec().name == name).map(|b| b.as_ref())
+        self.backends.iter().find(|(attached, _)| attached == name).map(|(_, b)| b.as_ref())
     }
 
     /// The host CPU model.
@@ -348,7 +355,7 @@ impl Soc {
 
     /// Names of the attached backends (target-spec names, attach order).
     pub fn attached_names(&self) -> Vec<String> {
-        self.backends.iter().map(|b| b.accel_spec().name).collect()
+        self.backends.iter().map(|(name, _)| name.clone()).collect()
     }
 
     /// Estimates one invocation of `compiled`, with per-domain workload
@@ -436,10 +443,9 @@ impl Soc {
         // Persistent outages known before dispatch: forced downs and the
         // hostile profile's device-down draw. Only targets the program
         // actually uses matter.
-        for b in &self.backends {
-            let name = b.accel_spec().name;
-            let declared = cfg.force_down.contains(&name) || cfg.plan.device_down(&name);
-            if declared && compiled.partitions.iter().any(|p| p.target == name) {
+        for (name, _) in &self.backends {
+            let declared = cfg.force_down.contains(name) || cfg.plan.device_down(name);
+            if declared && compiled.partitions.iter().any(|p| p.target == *name) {
                 fallbacks.push(FallbackRecord {
                     target: name.clone(),
                     fault: FaultKind::DeviceDown { persistent: true },
@@ -447,7 +453,7 @@ impl Soc {
                     op: "<declared>".to_string(),
                     attempts: 0,
                 });
-                down.push(name);
+                down.push(name.clone());
             }
         }
         let mut relowered: Option<CompiledProgram> = None;
@@ -629,10 +635,8 @@ impl Soc {
         // The partition records which target its fragments were compiled
         // for; pick the matching backend, else the host (an unaccelerated
         // domain compiles against the host spec).
-        let backend =
-            self.backends.iter().find(|b| b.accel_spec().name == part.target).map(|b| b.as_ref());
-        let host_spec_name = self.host.accel_spec().name;
-        if backend.is_none() && part.target != host_spec_name {
+        let backend = self.backend_by_name(&part.target);
+        if backend.is_none() && part.target != self.host_target {
             return Err(SocError::missing_backend(
                 part.target.clone(),
                 part.domain,
@@ -898,16 +902,34 @@ mod tests {
         targets.set(spec);
         lower(&mut g, &targets).unwrap();
         let compiled = compile_program(&g, &targets).unwrap();
-        let err = soc().run(&compiled, &HashMap::new()).unwrap_err();
+        // Attached a second time, TABLA is still listed once.
+        let err = soc().attach(Tabla::default()).run(&compiled, &HashMap::new()).unwrap_err();
         match &err {
             SocError::MissingBackend { target, suggestion, attached, .. } => {
                 assert_eq!(target, "TABAL");
                 assert_eq!(suggestion.as_deref(), Some("TABLA"));
-                assert!(attached.contains(&"TABLA".to_string()));
+                assert_eq!(attached, &["DECO", "TABLA"]);
             }
             other => panic!("expected MissingBackend, got {other:?}"),
         }
         assert!(err.to_string().contains("did you mean `TABLA`?"));
+    }
+
+    #[test]
+    fn reattaching_a_backend_replaces_the_one_dispatched() {
+        let (compiled, _) = compiled_two_domain(&[Domain::Dsp, Domain::DataAnalytics]);
+        let wide = || Tabla { pus: 2 * Tabla::default().pus, ..Tabla::default() };
+        let mut s = soc();
+        let narrow = s.run(&compiled, &HashMap::new()).unwrap();
+        s.attach(wide()).attach(wide());
+        assert_eq!(s.attached_names(), ["DECO", "TABLA"]);
+        assert_eq!(s.backend_by_name("TABLA").map(|b| b.name()), Some("TABLA"));
+        assert!(s.backend_by_name("TABAL").is_none());
+        let served = s.run(&compiled, &HashMap::new()).unwrap();
+        let mut fresh = Soc::new();
+        fresh.attach(Deco::default()).attach(wide());
+        assert_eq!(served, fresh.run(&compiled, &HashMap::new()).unwrap());
+        assert_ne!(served, narrow, "twice the PUs must not cost the same");
     }
 
     #[test]

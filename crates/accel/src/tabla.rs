@@ -15,11 +15,11 @@
 //! per invocation — exactly why PMLang exposes those modifiers.
 
 use crate::backend::Backend;
+use crate::levels::Sweep;
 use crate::model::{HwConfig, PerfEstimate, WorkloadHints};
 use pm_lower::{AccProgram, AcceleratorSpec, FragmentKind};
 use pmlang::{Domain, ScalarFunc};
-use srdfg::{Modifier, NodeId, NodeKind, ScalarKind, SrDfg};
-use std::collections::HashMap;
+use srdfg::{ScalarKind, SrDfg};
 
 /// The TABLA backend (FPGA bitstream on the KCU1500, 150 MHz).
 #[derive(Debug, Clone)]
@@ -41,7 +41,7 @@ impl Default for Tabla {
 }
 
 /// A static schedule: operations per dataflow level.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Schedule {
     /// `(ops, max latency)` per ASAP level.
     pub levels: Vec<(usize, u64)>,
@@ -68,7 +68,7 @@ impl Schedule {
 }
 
 /// ALU latency of a scalar operation, in cycles.
-fn op_latency(kind: &ScalarKind) -> u64 {
+pub(crate) fn op_latency(kind: &ScalarKind) -> u64 {
     match kind {
         ScalarKind::Bin(op) => match op {
             pmlang::BinOp::Mul => 2,
@@ -93,31 +93,24 @@ impl Tabla {
 
     /// Builds the static level schedule for this backend's partition.
     pub fn schedule(&self, prog: &AccProgram, graph: &SrDfg) -> Schedule {
-        // ASAP levels over the partition's scalar nodes.
-        let mine: HashMap<NodeId, &ScalarKind> = prog
-            .fragments
-            .iter()
-            .filter(|f| f.kind == FragmentKind::Compute)
-            .filter_map(|f| f.node)
-            .filter_map(|id| match &graph.node(id).kind {
-                NodeKind::Scalar(k) => Some((id, k.get())),
-                _ => None,
-            })
-            .collect();
-        let mut level: HashMap<NodeId, usize> = HashMap::new();
+        self.sweep(prog, graph).0
+    }
+
+    /// One pass over the partition: the ASAP level schedule of its scalar
+    /// nodes, the comparator-tree cycles of the arg-reductions that stayed
+    /// at group granularity (size/PEs each), and the sweep's totals.
+    fn sweep<'g>(&self, prog: &AccProgram, graph: &'g SrDfg) -> (Schedule, u64, Sweep<'g>) {
+        let mut sweep = Sweep::new(graph);
         let mut sched = Schedule::default();
-        for id in graph.topo_order() {
-            let Some(kind) = mine.get(&id) else { continue };
-            let node = graph.node(id);
-            let mut l = 0usize;
-            for &e in &node.inputs {
-                if let Some((p, _)) = graph.edge(e).producer {
-                    if mine.contains_key(&p) {
-                        l = l.max(level[&p] + 1);
-                    }
-                }
+        let mut group_cycles = 0u64;
+        for frag in &prog.fragments {
+            if frag.kind == FragmentKind::Compute
+                && matches!(frag.op.as_str(), "argmin" | "argmax" | "max" | "min")
+            {
+                group_cycles += (frag.ops / self.pes() as u64).max(1);
             }
-            level.insert(id, l);
+            let Some((id, node, kind)) = sweep.enter(frag) else { continue };
+            let l = sweep.place(id, node, None);
             if sched.levels.len() <= l {
                 sched.levels.resize(l + 1, (0, 0));
             }
@@ -125,20 +118,8 @@ impl Tabla {
             sched.levels[l].1 = sched.levels[l].1.max(op_latency(kind));
             sched.total_ops += 1;
         }
-        // Streaming bytes: input/output flows cross the FIFOs every
-        // invocation; state/param stay resident on-chip.
-        for frag in &prog.fragments {
-            if frag.kind == FragmentKind::Compute {
-                continue;
-            }
-            for a in frag.inputs.iter().chain(&frag.outputs) {
-                if matches!(a.modifier(), Modifier::Input | Modifier::Output | Modifier::Temp) {
-                    let per = if a.dtype() == pmlang::DType::Complex { 8 } else { 4 };
-                    sched.streamed_bytes += a.shape().iter().product::<usize>() as u64 * per;
-                }
-            }
-        }
-        sched
+        sched.streamed_bytes = sweep.streamed_bytes;
+        (sched, group_cycles, sweep)
     }
 }
 
@@ -175,24 +156,9 @@ impl Backend for Tabla {
     }
 
     fn estimate(&self, prog: &AccProgram, graph: &SrDfg, hints: &WorkloadHints) -> PerfEstimate {
-        let sched = self.schedule(prog, graph);
-        let mut compute_cycles = sched.cycles(self.pes());
-        // Arg-reductions that stayed at group granularity run on the
-        // comparator tree: size/PEs cycles each.
-        for frag in prog.fragments.iter().filter(|f| f.kind == FragmentKind::Compute) {
-            if matches!(frag.op.as_str(), "argmin" | "argmax" | "max" | "min") {
-                compute_cycles += (frag.ops / self.pes() as u64).max(1);
-            }
-        }
-        // Sparse workloads: scale compute by the effective/dense ratio.
-        compute_cycles =
-            ((compute_cycles as f64) * hints.effective_scale(prog.compute_ops())).ceil() as u64;
-        let stream_cycles = sched.streamed_bytes.div_ceil(self.stream_bytes_per_cycle);
-        // Streaming overlaps compute; the slower of the two dominates.
-        let cycles = compute_cycles.max(stream_cycles) + 32; // control epilogue
-        let mut est = PerfEstimate::from_cycles(cycles, &self.hw());
-        est.dma_bytes = prog.dma_bytes();
-        est
+        let (sched, group_cycles, sweep) = self.sweep(prog, graph);
+        let compute = sched.cycles(self.pes()) + group_cycles;
+        sweep.price(compute, hints, self.stream_bytes_per_cycle, 32, &self.hw())
     }
 
     fn estimate_expert(
@@ -202,15 +168,12 @@ impl Backend for Tabla {
         hints: &WorkloadHints,
     ) -> PerfEstimate {
         // An expert TABLA template packs ops with no per-level waste: the
-        // bound is total work over the PE count plus the dataflow depth.
-        let sched = self.schedule(prog, graph);
-        let mut compute =
+        // bound is total work over the PE count plus the dataflow depth,
+        // with no control epilogue.
+        let (sched, _, sweep) = self.sweep(prog, graph);
+        let compute =
             (sched.total_ops as u64).div_ceil(self.pes() as u64) + sched.levels.len() as u64;
-        compute = ((compute as f64) * hints.effective_scale(prog.compute_ops())).ceil() as u64;
-        let stream = sched.streamed_bytes.div_ceil(self.stream_bytes_per_cycle);
-        let mut est = PerfEstimate::from_cycles(compute.max(stream).max(1), &self.hw());
-        est.dma_bytes = prog.dma_bytes();
-        est
+        sweep.price(compute, hints, self.stream_bytes_per_cycle, 0, &self.hw())
     }
 }
 

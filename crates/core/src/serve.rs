@@ -652,7 +652,7 @@ impl ServeEngine {
 
     /// Processes one parsed request and renders the response line.
     pub fn handle(&self, req: &Request) -> String {
-        match req {
+        let mut line = match req {
             Request::Run(r) => match self.run(r) {
                 Ok(resp) => resp,
                 Err(e) => error_response(&r.id, "run", &e),
@@ -664,7 +664,12 @@ impl ServeEngine {
                 ("ok".into(), Json::Bool(true)),
             ])
             .render(),
-        }
+        };
+        // Rendering grows the line by doubling; whoever queues replies (the
+        // worker channel, a client's backlog) should hold the bytes, not
+        // the up-to-half-again of slack behind them.
+        line.shrink_to_fit();
+        line
     }
 
     /// Executes one `run` request under panic isolation: a panic anywhere
@@ -1239,6 +1244,7 @@ mod tests {
         assert_eq!(v.get("program_cache").and_then(Json::as_str), Some("miss"));
         let y = v.get("outputs").and_then(|o| o.get("y")).unwrap();
         assert_eq!(y.get("values").and_then(Json::as_array), Some(&[Json::Num(30.0)][..]));
+        assert_eq!(resp.capacity(), resp.len(), "a queued reply carries no rendering slack");
     }
 
     #[test]

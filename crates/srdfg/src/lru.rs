@@ -142,14 +142,20 @@ impl<K: PartialEq, V: Clone> ContentLru<K, V> {
 
     /// Stores `value` (of size `units`) under `key`, then evicts
     /// least-recently-used entries while over capacity — never the entry
-    /// just stored, so an oversized one survives alone.
+    /// just stored, so an oversized one survives alone. The entries that
+    /// leave are dropped after the lock is released: freeing a value (a
+    /// whole compiled program, for the program cache) must not hold up the
+    /// other workers' lookups, and a value's `Drop` may use this cache.
     pub fn insert(&self, fingerprint: u64, key: K, units: usize, value: V) {
+        // Declared before the guard, so dropped after it.
+        let mut victims = Vec::new();
         let mut guard = self.lock();
         let inner = &mut *guard;
         if let Some(old) = inner.map.remove(&fingerprint) {
             inner.order.remove(&old.last_used);
             inner.stats.units -= old.units;
             inner.stats.evictions += u64::from(old.key != key);
+            victims.push(old);
         }
         inner.tick += 1;
         inner.order.insert(inner.tick, fingerprint);
@@ -161,6 +167,7 @@ impl<K: PartialEq, V: Clone> ContentLru<K, V> {
             let dropped = inner.map.remove(&oldest).expect("the tick index names residents");
             inner.stats.units -= dropped.units;
             inner.stats.evictions += 1;
+            victims.push(dropped);
         }
     }
 
@@ -262,6 +269,34 @@ mod tests {
         put(&c, "c", 10, 4);
         assert_eq!(get(&c, "b"), None);
         assert_eq!(get(&c, "a"), Some(3));
+    }
+
+    /// A value that reads its own cache's counters as it dies.
+    #[derive(Clone)]
+    struct Probe {
+        cache: ContentLru<&'static str, Probe>,
+        seen: Arc<Mutex<Vec<(u64, usize)>>>,
+    }
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            let s = self.cache.stats();
+            self.seen.lock().unwrap().push((s.evictions, s.entries));
+        }
+    }
+
+    #[test]
+    fn departing_values_are_dropped_outside_the_lock() {
+        let c = ContentLru::<&'static str, Probe>::with_capacity(20);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let probe = || Probe { cache: c.clone(), seen: Arc::clone(&seen) };
+        c.insert(fp("apple"), "apple", 10, probe());
+        c.insert(fp("b"), "b", 10, probe());
+        // One replaced on a collision, one evicted for capacity: each `drop`
+        // takes the lock `insert` held, and finds the table as `insert` left it.
+        c.insert(fp("avocado"), "avocado", 10, probe());
+        c.insert(fp("c"), "c", 10, probe());
+        assert_eq!(*seen.lock().unwrap(), [(1, 2), (2, 2)]);
     }
 
     #[test]

@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Full local verification: everything CI would gate a PR on.
 # Usage: scripts/verify.sh
+# It checks that the benchmark builds and answers correctly, not how fast
+# it is. A change that claims a gain shows it with scripts/pairs.sh
+# (alternating parent/change pairs, medians, quartiles, win count) and
+# holds the other metrics with benchmark/run.sh --compare.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
