@@ -15,8 +15,9 @@ use srdfg::SrDfg;
 
 /// A simulated domain-specific accelerator (or general-purpose processor).
 ///
-/// `Send + Sync` so the SoC can estimate independent partitions on worker
-/// threads; backends are stateless cost models, so this costs nothing.
+/// `Send + Sync` because a `SocPool`'s shards, and the backends attached
+/// to them, are shared by the serve workers; backends are stateless cost
+/// models, so this costs nothing.
 pub trait Backend: Send + Sync {
     /// Target name (matches the `AcceleratorSpec` name).
     fn name(&self) -> &'static str;

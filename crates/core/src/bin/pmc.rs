@@ -60,7 +60,7 @@
 //!     `--format json` the chaos run prints a single JSON report
 //!     (profile, fault/retry counters, fallbacks, partitions, outputs).
 //! pmc serve [--addr host:port] [--shards N] [--workers N] [--queue N]
-//!           [--batch N] [--host-only]
+//!           [--host-only]
 //!     Long-lived compile-and-run service. Admits line-delimited JSON
 //!     requests (PMLang program + feeds + chaos config) over stdin/stdout
 //!     (default) or TCP (`--addr`), compiles each through a
@@ -610,7 +610,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         shards: flag_value("--shards")?.unwrap_or(defaults.shards as u64) as usize,
         workers: flag_value("--workers")?.unwrap_or(defaults.workers as u64) as usize,
         queue_depth: flag_value("--queue")?.unwrap_or(defaults.queue_depth as u64) as usize,
-        batch: flag_value("--batch")?.unwrap_or(defaults.batch as u64) as usize,
         host_only: args.iter().any(|a| a == "--host-only"),
         max_inflight_cost: flag_value("--max-inflight-cost")?.unwrap_or(defaults.max_inflight_cost),
         poison_marker: None,
@@ -1047,8 +1046,7 @@ fn usage() -> String {
 [--size name=value ...] [--host-only] [--pin comp=TARGET ...] [--iters N] \
 [--deny-warnings] [--timings] [--format json] [--chaos-seed N] \
 [--chaos-profile off|transient|hostile] [--max-retries K]\n\
-       pmc serve [--addr host:port] [--shards N] [--workers N] [--queue N] [--batch N] \
-[--host-only]\n\
+       pmc serve [--addr host:port] [--shards N] [--workers N] [--queue N] [--host-only]\n\
        pmc fuzz [--seed N] [--cases N] [--smoke] [--minimize] [--corpus DIR] \
 [--chaos-profile P] [--chaos-seed N]"
         .to_string()

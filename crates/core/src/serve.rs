@@ -17,9 +17,9 @@
 //!   hand-rolled worker thread pool (no async runtime dependency) — the
 //!   only threads the stack creates. A full queue rejects
 //!   with a typed `overloaded` error instead of blocking or panicking.
-//!   Workers drain requests in small batches to amortize lock traffic,
-//!   which also lets repeat programs within one batch hit the cache
-//!   entry their predecessor just inserted.
+//!   A worker takes one request per wake, so a queued request goes to
+//!   whichever worker is free first, never behind another worker's
+//!   backlog.
 //! * [`serve_stdio`] / [`serve_tcp`] — the transports: newline-delimited
 //!   JSON over stdin/stdout (robust for scripts and tests — no port
 //!   races) or over TCP connections.
@@ -105,8 +105,6 @@ pub struct ServeConfig {
     /// Bounded queue depth; submissions beyond it are rejected with a
     /// typed `overloaded` error.
     pub queue_depth: usize,
-    /// Requests a worker drains per queue lock acquisition.
-    pub batch: usize,
     /// Compile against the host-only target map instead of the
     /// cross-domain one.
     pub host_only: bool,
@@ -128,7 +126,6 @@ impl Default for ServeConfig {
             shards: 2,
             workers: 2,
             queue_depth: 64,
-            batch: 8,
             host_only: false,
             max_inflight_cost: 4 << 20,
             poison_marker: None,
@@ -918,7 +915,6 @@ pub struct ServeServer {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
     worker_count: usize,
-    batch: usize,
 }
 
 impl fmt::Debug for ServeServer {
@@ -955,7 +951,6 @@ impl ServeServer {
             }),
             workers: Vec::new(),
             worker_count: cfg.workers.max(1),
-            batch: cfg.batch.max(1),
         }
     }
 
@@ -967,14 +962,12 @@ impl ServeServer {
         for _ in 0..self.worker_count {
             let engine = Arc::clone(&self.engine);
             let shared = Arc::clone(&self.shared);
-            let batch = self.batch;
             self.workers.push(std::thread::spawn(move || loop {
-                let jobs: Vec<Job> = {
+                let job = {
                     let mut q = shared.queue.lock().unwrap();
                     loop {
-                        if !q.is_empty() {
-                            let take = batch.min(q.len());
-                            break q.drain(..take).collect();
+                        if let Some(job) = q.pop_front() {
+                            break job;
                         }
                         if shared.stopping.load(Ordering::Acquire) {
                             return;
@@ -982,24 +975,19 @@ impl ServeServer {
                         q = shared.not_empty.wait(q).unwrap();
                     }
                 };
-                for job in jobs {
-                    // The engine isolates request panics itself; this
-                    // backstop guarantees the worker survives even a
-                    // panic outside that region (parse, stats, render).
-                    let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        engine.handle_line(&job.line)
-                    }))
-                    .unwrap_or_else(|_| {
-                        engine.note_worker_panic();
-                        reject_line(
-                            &job.line,
-                            &ServeError::Panic("request processing panicked".into()),
-                        )
-                    });
-                    // A dropped receiver (client went away) is not an error.
-                    let _ = job.reply.send(resp);
-                    shared.inflight_cost.fetch_sub(job.cost, Ordering::Relaxed);
-                }
+                // The engine isolates request panics itself; this backstop
+                // guarantees the worker survives even a panic outside that
+                // region (parse, stats, render).
+                let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    engine.handle_line(&job.line)
+                }))
+                .unwrap_or_else(|_| {
+                    engine.note_worker_panic();
+                    reject_line(&job.line, &ServeError::Panic("request processing panicked".into()))
+                });
+                // A dropped receiver (client went away) is not an error.
+                let _ = job.reply.send(resp);
+                shared.inflight_cost.fetch_sub(job.cost, Ordering::Relaxed);
             }));
         }
     }
@@ -1082,6 +1070,31 @@ impl ServeServer {
     }
 }
 
+/// The transports' shared read loop: submits every non-blank line of
+/// `lines` to `server`, answering a refused one on `tx` with its typed
+/// rejection, until EOF or a `shutdown` request (which is submitted too,
+/// for its acknowledgement). Returns whether a shutdown was requested.
+fn pump_lines(
+    lines: impl Iterator<Item = std::io::Result<String>>,
+    server: &ServeServer,
+    tx: &mpsc::Sender<String>,
+) -> std::io::Result<bool> {
+    for line in lines {
+        let line = line?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let is_shutdown = matches!(Request::parse(&line), Ok(Request::Shutdown { .. }));
+        if let Err(e) = server.submit(line.clone(), tx.clone()) {
+            let _ = tx.send(reject_line(&line, &e));
+        }
+        if is_shutdown {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
 /// Serves newline-delimited JSON over stdin/stdout until EOF or a
 /// `shutdown` request. Responses are written in completion order by a
 /// dedicated writer thread; queued requests are drained before exit.
@@ -1105,24 +1118,11 @@ pub fn serve_stdio(cfg: &ServeConfig) -> Result<(), String> {
         }
     });
 
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("stdin: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let is_shutdown = matches!(Request::parse(&line), Ok(Request::Shutdown { .. }));
-        if let Err(e) = server.submit(line.clone(), tx.clone()) {
-            let _ = tx.send(reject_line(&line, &e));
-        }
-        if is_shutdown {
-            break;
-        }
-    }
+    let pumped = pump_lines(std::io::stdin().lock().lines(), &server, &tx);
     server.shutdown();
     drop(tx);
     let _ = writer.join();
-    Ok(())
+    pumped.map(|_| ()).map_err(|e| format!("stdin: {e}"))
 }
 
 /// Serves newline-delimited JSON over TCP. Each connection gets its own
@@ -1134,26 +1134,32 @@ pub fn serve_stdio(cfg: &ServeConfig) -> Result<(), String> {
 ///
 /// Binding failures; per-connection I/O errors only end that connection.
 pub fn serve_tcp(cfg: &ServeConfig, addr: &str) -> Result<(), String> {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpListener;
+    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    serve_listener(cfg, listener)
+}
 
-    let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+/// [`serve_tcp`] on an already-bound listener.
+fn serve_listener(cfg: &ServeConfig, listener: std::net::TcpListener) -> Result<(), String> {
+    use std::io::{BufRead, BufReader, Write};
+
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     eprintln!("pmc serve: listening on {local}");
     let engine = Arc::new(ServeEngine::new(cfg));
     let server = Arc::new(ServeServer::start(Arc::clone(&engine), cfg));
     let stop = Arc::new(AtomicBool::new(false));
-    let mut conns = Vec::new();
+    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
 
     for stream in listener.incoming() {
         if stop.load(Ordering::Acquire) {
             break;
         }
+        // Reap closed connections: a long-lived listener holds handles
+        // for the open ones only, not for every connection ever accepted.
+        conns.retain(|c| !c.is_finished());
         let Ok(stream) = stream else { continue };
         let server = Arc::clone(&server);
-        let conn_stop = Arc::clone(&stop);
+        let stop = Arc::clone(&stop);
         conns.push(std::thread::spawn(move || {
-            let stop = conn_stop;
             let (tx, rx) = mpsc::channel::<String>();
             let Ok(write_half) = stream.try_clone() else { return };
             let writer = std::thread::spawn(move || {
@@ -1165,28 +1171,15 @@ pub fn serve_tcp(cfg: &ServeConfig, addr: &str) -> Result<(), String> {
                     let _ = out.flush();
                 }
             });
-            let reader = BufReader::new(stream);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let is_shutdown = matches!(Request::parse(&line), Ok(Request::Shutdown { .. }));
-                if let Err(e) = server.submit(line.clone(), tx.clone()) {
-                    let _ = tx.send(reject_line(&line, &e));
-                }
-                if is_shutdown {
-                    stop.store(true, Ordering::Release);
-                    break;
-                }
+            // A read error only ends this connection.
+            if pump_lines(BufReader::new(stream).lines(), &server, &tx).unwrap_or(false) {
+                stop.store(true, Ordering::Release);
+                // Unblock the accept loop so the listener can close.
+                let _ = std::net::TcpStream::connect(local);
             }
             drop(tx);
             let _ = writer.join();
         }));
-        if stop.load(Ordering::Acquire) {
-            // Unblock the accept loop so the listener can close.
-            let _ = std::net::TcpStream::connect(local);
-        }
     }
     for c in conns {
         let _ = c.join();
@@ -1232,6 +1225,19 @@ mod tests {
             ),
         ])
         .render()
+    }
+
+    /// `line` with one more top-level field.
+    fn with_field(line: &str, name: &str, value: Json) -> String {
+        let Ok(Json::Obj(mut fields)) = Json::parse(line) else { panic!("not an object: {line}") };
+        fields.push((name.into(), value));
+        Json::Obj(fields).render()
+    }
+
+    fn id_of(resp: &str) -> String {
+        let v = Json::parse(resp).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+        v.get("id").and_then(Json::as_str).unwrap().to_string()
     }
 
     #[test]
@@ -1338,5 +1344,50 @@ mod tests {
         assert!(priced > 0);
         assert_eq!(pm.get("hits").and_then(Json::as_u64), Some(priced));
         assert_eq!(pm.get("entries").and_then(Json::as_u64), Some(priced));
+    }
+
+    #[test]
+    fn a_queued_request_goes_to_the_free_worker() {
+        let cfg = ServeConfig { workers: 2, host_only: true, ..Default::default() };
+        let engine = Arc::new(ServeEngine::new(&cfg));
+        let mut server = ServeServer::paused(Arc::clone(&engine), &cfg);
+        let (tx, rx) = mpsc::channel();
+        // A request of 100 000 invocations queued ahead of one invocation of
+        // the same program: the worker that takes the first must leave the
+        // second to the other worker, not run it afterwards.
+        let slow = with_field(&run_line("slow", DOT), "invocations", Json::Num(100_000.0));
+        server.submit(slow, tx.clone()).unwrap();
+        server.submit(run_line("quick", DOT), tx.clone()).unwrap();
+        server.resume();
+        let order = [rx.recv().unwrap(), rx.recv().unwrap()].map(|resp| id_of(&resp));
+        server.shutdown();
+        assert_eq!(order, ["quick", "slow"]);
+    }
+
+    #[test]
+    fn tcp_round_trip_matches_the_engine_and_the_listener_joins() {
+        use std::io::{BufRead, BufReader, Write};
+        let cfg = ServeConfig { host_only: true, ..Default::default() };
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let serving = {
+            let cfg = cfg.clone();
+            std::thread::spawn(move || serve_listener(&cfg, listener))
+        };
+        let mut out = std::net::TcpStream::connect(addr).unwrap();
+        let mut replies = BufReader::new(out.try_clone().unwrap()).lines();
+        // Lock-step, so completion order is request order; wall-clock
+        // fields off, so a fresh engine renders the same bytes.
+        let reference = ServeEngine::new(&cfg);
+        for line in [
+            with_field(&run_line("r", DOT), "timings", Json::Bool(false)),
+            "{\"op\":\"stats\",\"id\":\"s\"}".to_string(),
+            "{\"op\":\"shutdown\",\"id\":\"bye\"}".to_string(),
+        ] {
+            writeln!(out, "{line}").unwrap();
+            let reply = replies.next().expect("one reply per request").unwrap();
+            assert_eq!(reply, reference.handle_line(&line), "{line}");
+        }
+        serving.join().expect("listener thread panicked").expect("serve_listener failed");
     }
 }

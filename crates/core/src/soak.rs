@@ -362,7 +362,6 @@ fn run_pass(cfg: &SoakConfig, script: &[SoakRequest]) -> Result<PassOutcome, Str
         shards: 2,
         workers: 1,
         queue_depth: 64,
-        batch: 1,
         host_only: cfg.host_only,
         poison_marker: Some(POISON_MARKER.to_string()),
         ..ServeConfig::default()

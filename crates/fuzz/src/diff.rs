@@ -139,11 +139,7 @@ impl Pass for SabotagePass {
                 _ => continue,
             };
             if flipped {
-                return PassStats {
-                    changed: true,
-                    rewrites: 1,
-                    invalidates: pm_passes::Invalidations::PAYLOADS,
-                };
+                return PassStats { changed: true, rewrites: 1 };
             }
         }
         PassStats::default()

@@ -138,10 +138,10 @@ pub fn lower_budgeted(
     for _ in 0..64 {
         let slots_before = graph.node_slots() as u32;
         // Collect this round's unsupported nodes, then refine them all at
-        // once (in parallel on multi-core hosts). Batching is equivalent to
-        // the interleaved serial loop: `refine` reads only the node and its
-        // edge metadata, and `splice` removes no node but the one it
-        // replaces, so no pending refinement can observe another's splice.
+        // once. Batching is equivalent to the interleaved loop: `refine`
+        // reads only the node and its edge metadata, and `splice` removes
+        // no node but the one it replaces, so no pending refinement can
+        // observe another's splice.
         let mut pending = Vec::new();
         let mut labels = Vec::new();
         for id in graph.node_ids().filter(|id| id.0 >= scan_from).collect::<Vec<_>>() {

@@ -71,6 +71,12 @@ impl AcceleratorSpec {
 /// replaced nodes between rounds, so without the pin a stale answer
 /// could alias a recycled address). The spec side needs no pin — callers
 /// borrow the specs from a [`TargetMap`] they hold across the sweep.
+///
+/// Measured off (every call answered by [`AcceleratorSpec::supports`]) on
+/// the benchmark's `compile-large`: `latency_ms` 64.10 → 66.76, behind in
+/// 6 of 6 alternating pairs, so it stays (ROADMAP item 5(c)). What it
+/// saves is proportional to the nodes Algorithm 1 scans: measure again
+/// once ROADMAP item 2 shrinks that scan.
 #[derive(Debug, Default)]
 pub struct SupportMemo {
     map: HashMap<(usize, usize), (Ident, bool), srdfg::FxBuildHasher>,

@@ -2,14 +2,13 @@
 //! constants are evaluated at compile time and replaced by
 //! [`NodeKind::ConstTensor`] nodes.
 //!
-//! A single sweep over the ([`AnalysisCache`]d) topological order suffices
-//! to cascade constants through arbitrarily long chains: folding a node
-//! only changes the operands of its consumers, and every consumer sits
-//! strictly later in the order, so it is visited after the fold — no
-//! worklist, no fixpoint loop.
+//! A single sweep over the topological order suffices to cascade
+//! constants through arbitrarily long chains: folding a node only changes
+//! the operands of its consumers, and every consumer sits strictly later
+//! in the order, so it is visited after the fold — no worklist, no
+//! fixpoint loop.
 
-use crate::cache::AnalysisCache;
-use crate::manager::{Invalidations, Pass, PassStats};
+use crate::manager::{Pass, PassStats};
 use srdfg::interp::{exec_map, exec_reduce};
 use srdfg::{KExpr, NodeId, NodeKind, SrDfg, Tensor};
 
@@ -24,10 +23,6 @@ impl Pass for ConstantPropagation {
     }
 
     fn run_on_graph(&self, graph: &mut SrDfg) -> PassStats {
-        self.run_on_graph_cached(graph, &mut AnalysisCache::new())
-    }
-
-    fn run_on_graph_cached(&self, graph: &mut SrDfg, cache: &mut AnalysisCache) -> PassStats {
         let mut stats = PassStats::default();
         // Every fold needs a seed: an existing ConstTensor operand or an
         // input-free constant-kernel fill. A level with neither (the usual
@@ -42,8 +37,8 @@ impl Pass for ConstantPropagation {
         }
         // One forward sweep: a fold replaces a producer in place (the edge
         // id survives), and all affected consumers come later in the order.
-        let order = cache.topo_order(graph);
-        for &id in order {
+        let order = graph.topo_order();
+        for id in order {
             if !graph.is_live(id) {
                 continue;
             }
@@ -53,9 +48,6 @@ impl Pass for ConstantPropagation {
             graph.add_node("const", NodeKind::const_tensor(value), None, vec![], vec![out_edge]);
             stats.changed = true;
             stats.rewrites += 1;
-        }
-        if stats.changed {
-            stats.invalidates = Invalidations::TOPOLOGY;
         }
         stats
     }

@@ -10,8 +10,7 @@
 //! of duplicates collapse transitively in the same sweep — no pairwise
 //! O(n²) rescan, no fixpoint loop.
 
-use crate::cache::AnalysisCache;
-use crate::manager::{Invalidations, Pass, PassStats};
+use crate::manager::{Pass, PassStats};
 use srdfg::{NodeId, NodeKind, SrDfg};
 use std::collections::HashMap;
 
@@ -26,10 +25,6 @@ impl Pass for CommonSubexpressionElimination {
     }
 
     fn run_on_graph(&self, graph: &mut SrDfg) -> PassStats {
-        self.run_on_graph_cached(graph, &mut AnalysisCache::new())
-    }
-
-    fn run_on_graph_cached(&self, graph: &mut SrDfg, cache: &mut AnalysisCache) -> PassStats {
         let mut stats = PassStats::default();
         // A merge needs two candidates: levels with fewer than two
         // non-component nodes (common deep in a component hierarchy) skip
@@ -42,7 +37,7 @@ impl Pass for CommonSubexpressionElimination {
         if candidates < 2 {
             return stats;
         }
-        let order = cache.topo_order(graph);
+        let order = graph.topo_order();
         // Value-numbering table: structural hash → first representative.
         // Extra representatives with the same hash (true collision, or
         // equal nodes that both feed boundary outputs and so cannot merge)
@@ -51,7 +46,7 @@ impl Pass for CommonSubexpressionElimination {
         let mut table: HashMap<u64, NodeId, srdfg::FxBuildHasher> =
             HashMap::with_capacity_and_hasher(order.len(), srdfg::FxBuildHasher::default());
         let mut overflow: Vec<(u64, NodeId)> = Vec::new();
-        for &id in order {
+        for id in order {
             if !graph.is_live(id) {
                 continue;
             }
@@ -95,9 +90,6 @@ impl Pass for CommonSubexpressionElimination {
                     overflow.push((h, id));
                 }
             }
-        }
-        if stats.changed {
-            stats.invalidates = Invalidations::TOPOLOGY;
         }
         stats
     }

@@ -6,7 +6,7 @@
 //! liveness can have changed). The old version rescanned the whole graph
 //! each round until no node died — O(n²) on long dead chains.
 
-use crate::manager::{Invalidations, Pass, PassStats};
+use crate::manager::{Pass, PassStats};
 use srdfg::{NodeId, SrDfg};
 use std::collections::VecDeque;
 
@@ -70,9 +70,6 @@ impl Pass for DeadNodeElimination {
                     worklist.push_back(p);
                 }
             }
-        }
-        if stats.changed {
-            stats.invalidates = Invalidations::TOPOLOGY;
         }
         stats
     }

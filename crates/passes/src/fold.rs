@@ -5,7 +5,7 @@
 //! `Map`/`Reduce` nodes; node names are recomputed afterwards so lowering
 //! sees the simplified operation.
 
-use crate::manager::{Invalidations, Pass, PassStats};
+use crate::manager::{Pass, PassStats};
 use pmlang::{BinOp, UnOp};
 use srdfg::graph::map_op_name;
 use srdfg::{KExpr, NodeKind, SrDfg};
@@ -83,11 +83,6 @@ fn rewrite_kernels(graph: &mut SrDfg, rewriter: fn(&KExpr) -> Option<(KExpr, usi
             }
             _ => {}
         }
-    }
-    if stats.changed {
-        // Kernels are rewritten in place: node/edge structure is intact,
-        // only structural hashes go stale.
-        stats.invalidates = Invalidations::PAYLOADS;
     }
     stats
 }

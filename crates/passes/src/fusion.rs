@@ -13,7 +13,7 @@
 //! reduction whose body selects the contributing term by range — exactly
 //! the `[P H]·[pos; ctrl]` concatenation of the paper.
 
-use crate::manager::{Invalidations, Pass, PassStats};
+use crate::manager::{Pass, PassStats};
 use pmlang::{BinOp, BuiltinReduction};
 use srdfg::{IndexRange, KExpr, NodeId, NodeKind, ReduceOp, ReduceSpec, SrDfg};
 
@@ -32,9 +32,6 @@ impl Pass for AlgebraicCombination {
             apply_fusion(graph, candidate);
             stats.changed = true;
             stats.rewrites += 1;
-        }
-        if stats.changed {
-            stats.invalidates = Invalidations::TOPOLOGY;
         }
         stats
     }

@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod cache;
 pub mod constprop;
 pub mod cse;
 pub mod dce;
@@ -52,13 +51,12 @@ pub mod marshal;
 pub mod prune;
 
 pub use analysis::{critical_path_len, domains_used, stats, GraphStats};
-pub use cache::AnalysisCache;
 pub use constprop::ConstantPropagation;
 pub use cse::CommonSubexpressionElimination;
 pub use dce::DeadNodeElimination;
 pub use fold::{AlgebraicSimplify, ConstantFold};
 pub use fusion::AlgebraicCombination;
-pub use manager::{Invalidations, Pass, PassManager, PassStats, PassTiming, PassVerifyError};
+pub use manager::{Pass, PassManager, PassStats, PassTiming, PassVerifyError};
 pub use mapfusion::MapFusion;
 pub use marshal::ElideMarshalling;
 pub use prune::PruneUnusedInputs;

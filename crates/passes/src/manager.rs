@@ -6,7 +6,6 @@
 //! pipelines. Passes recurse into component sub-graphs so a transformation
 //! applies at every granularity level.
 
-use crate::cache::AnalysisCache;
 use srdfg::{NodeKind, SrDfg, ValidateError};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -32,40 +31,6 @@ impl std::error::Error for PassVerifyError {
     }
 }
 
-/// What a pass's rewrites invalidate in the pipeline's [`AnalysisCache`]
-/// (meaningful only when the pass reported `changed`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Invalidations {
-    /// Nodes or edges were added, removed, or rewired. Invalidates the
-    /// topological order, the consumer map, and (because a node's inputs
-    /// are part of its value-numbering key) the structural hashes.
-    pub topology: bool,
-    /// Node payloads (kernels, constants, names) were rewritten in place
-    /// without touching the wiring. Invalidates only the structural
-    /// hashes; order and consumer maps stay valid.
-    pub payloads: bool,
-}
-
-impl Invalidations {
-    /// Nothing invalidated (analysis-only passes).
-    pub const NONE: Invalidations = Invalidations { topology: false, payloads: false };
-    /// In-place payload rewrites only.
-    pub const PAYLOADS: Invalidations = Invalidations { topology: false, payloads: true };
-    /// Structural changes (the conservative default for a changed graph).
-    pub const TOPOLOGY: Invalidations = Invalidations { topology: true, payloads: false };
-
-    /// True when anything at all is invalidated.
-    pub fn any(&self) -> bool {
-        self.topology || self.payloads
-    }
-
-    /// Unions another set of invalidations into this one.
-    pub fn merge(&mut self, other: Invalidations) {
-        self.topology |= other.topology;
-        self.payloads |= other.payloads;
-    }
-}
-
 /// Statistics from one pass execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
@@ -73,8 +38,6 @@ pub struct PassStats {
     pub changed: bool,
     /// Number of individual rewrites applied.
     pub rewrites: usize,
-    /// Which cached analyses the rewrites invalidated.
-    pub invalidates: Invalidations,
 }
 
 impl PassStats {
@@ -82,7 +45,6 @@ impl PassStats {
     pub fn merge(&mut self, other: PassStats) {
         self.changed |= other.changed;
         self.rewrites += other.rewrites;
-        self.invalidates.merge(other.invalidates);
     }
 }
 
@@ -95,45 +57,11 @@ pub trait Pass {
     /// handles component sub-graphs.
     fn run_on_graph(&self, graph: &mut SrDfg) -> PassStats;
 
-    /// Like [`run_on_graph`](Pass::run_on_graph), with access to the
-    /// pipeline's cached analyses. The default ignores the cache; passes
-    /// that consume cached analyses (CSE, constant propagation) override
-    /// this and make [`run_on_graph`](Pass::run_on_graph) delegate here
-    /// with a throwaway cache.
-    fn run_on_graph_cached(&self, graph: &mut SrDfg, cache: &mut AnalysisCache) -> PassStats {
-        let _ = cache;
-        self.run_on_graph(graph)
-    }
-
-    /// [`run`](Pass::run) with the pipeline's [`AnalysisCache`] for the
-    /// top-level graph. Component sub-graphs have their own node-id
-    /// spaces, so they are processed uncached via [`run`](Pass::run).
-    fn run_cached(&self, graph: &mut SrDfg, cache: &mut AnalysisCache) -> PassStats {
-        let mut stats = self.run_on_graph_cached(graph, cache);
-        // Raw-slot iteration instead of collecting ids: slot count never
-        // grows here (component processing adds no nodes at this level).
-        for slot in 0..graph.node_slots() {
-            let id = srdfg::NodeId(slot as u32);
-            if !graph.is_live(id) {
-                continue;
-            }
-            if let NodeKind::Component(_) = &graph.node(id).kind {
-                let mut sub = match &mut graph.node_mut(id).kind {
-                    NodeKind::Component(sub) => std::mem::replace(sub.as_mut(), SrDfg::new("")),
-                    _ => unreachable!(),
-                };
-                stats.merge(self.run(&mut sub));
-                if let NodeKind::Component(slot) = &mut graph.node_mut(id).kind {
-                    **slot = sub;
-                }
-            }
-        }
-        stats
-    }
-
     /// Runs the pass on `graph` and every nested component sub-graph.
     fn run(&self, graph: &mut SrDfg) -> PassStats {
         let mut stats = self.run_on_graph(graph);
+        // Raw-slot iteration instead of collecting ids: slot count never
+        // grows here (component processing adds no nodes at this level).
         for slot in 0..graph.node_slots() {
             let id = srdfg::NodeId(slot as u32);
             // A rewrite at this level may have removed the slot's node.
@@ -240,19 +168,13 @@ impl PassManager {
     /// [`run_checked`](PassManager::run_checked)) and panics naming the
     /// offending pass; release builds skip the verifier for speed.
     pub fn run(&self, graph: &mut SrDfg) -> Vec<(&'static str, PassStats)> {
-        match self.run_inner(graph, cfg!(debug_assertions), false) {
-            Ok(totals) => totals.into_iter().map(|t| (t.pass, t.stats)).collect(),
-            Err(e) => panic!("{e}"),
-        }
+        self.run_timed(graph).into_iter().map(|t| (t.pass, t.stats)).collect()
     }
 
     /// Like [`run`](PassManager::run), additionally reporting per-pass
     /// wall time (cumulative across fixpoint iterations).
     pub fn run_timed(&self, graph: &mut SrDfg) -> Vec<PassTiming> {
-        match self.run_inner(graph, cfg!(debug_assertions), true) {
-            Ok(totals) => totals,
-            Err(e) => panic!("{e}"),
-        }
+        self.run_inner(graph, cfg!(debug_assertions)).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs the pipeline with the pass verifier always on: after each pass,
@@ -269,7 +191,7 @@ impl PassManager {
         &self,
         graph: &mut SrDfg,
     ) -> Result<Vec<(&'static str, PassStats)>, PassVerifyError> {
-        self.run_inner(graph, true, false)
+        self.run_inner(graph, true)
             .map(|totals| totals.into_iter().map(|t| (t.pass, t.stats)).collect())
     }
 
@@ -277,7 +199,6 @@ impl PassManager {
         &self,
         graph: &mut SrDfg,
         verify: bool,
-        timed: bool,
     ) -> Result<Vec<PassTiming>, PassVerifyError> {
         let mut totals: Vec<PassTiming> = self
             .passes
@@ -288,7 +209,6 @@ impl PassManager {
                 duration: Duration::ZERO,
             })
             .collect();
-        let mut cache = AnalysisCache::new();
         // Pass-level dirty bits: a pass is *clean* once it has run with no
         // graph change since. Fixpoint iteration re-runs only dirty passes;
         // when a pass changes the graph, every pass (itself included) is
@@ -301,18 +221,13 @@ impl PassManager {
                 if !dirty[i] {
                     continue;
                 }
-                // Clock reads are gated: twelve `Instant::now` calls per
-                // pipeline are measurable against a ~6µs converged run.
-                let t0 = timed.then(Instant::now);
-                let stats = pass.run_cached(graph, &mut cache);
-                if let Some(t0) = t0 {
-                    totals[i].duration += t0.elapsed();
-                }
+                let t0 = Instant::now();
+                let stats = pass.run(graph);
+                totals[i].duration += t0.elapsed();
                 totals[i].stats.merge(stats);
                 dirty[i] = false;
                 if stats.changed {
                     any = true;
-                    cache.invalidate(stats.invalidates);
                     for d in dirty.iter_mut() {
                         *d = true;
                     }
@@ -359,7 +274,7 @@ mod tests {
             "counting"
         }
         fn run_on_graph(&self, _graph: &mut SrDfg) -> PassStats {
-            PassStats { changed: false, rewrites: 1, ..Default::default() }
+            PassStats { changed: false, rewrites: 1 }
         }
     }
 
@@ -382,7 +297,7 @@ mod tests {
                 "mark"
             }
             fn run_on_graph(&self, graph: &mut SrDfg) -> PassStats {
-                PassStats { changed: false, rewrites: graph.node_count(), ..Default::default() }
+                PassStats { changed: false, rewrites: graph.node_count() }
             }
         }
         // Outer graph with one component node wrapping one inner node.
@@ -424,11 +339,7 @@ mod tests {
                 for e in edges {
                     if !graph.edge(e).consumers.is_empty() {
                         graph.edge_mut(e).consumers.clear();
-                        return PassStats {
-                            changed: true,
-                            rewrites: 1,
-                            invalidates: Invalidations::TOPOLOGY,
-                        };
+                        return PassStats { changed: true, rewrites: 1 };
                     }
                 }
                 PassStats::default()
@@ -471,7 +382,7 @@ mod tests {
                 for e in edges {
                     if graph.edge(e).producer.is_some() && !graph.edge(e).meta.shape.is_empty() {
                         graph.edit_edge_meta(e, |m| m.shape = vec![99]);
-                        return PassStats { changed: true, rewrites: 1, ..Default::default() };
+                        return PassStats { changed: true, rewrites: 1 };
                     }
                 }
                 PassStats::default()
@@ -521,7 +432,7 @@ mod tests {
             fn run_on_graph(&self, _g: &mut SrDfg) -> PassStats {
                 let first = !self.0.get();
                 self.0.set(true);
-                PassStats { changed: first, rewrites: usize::from(first), ..Default::default() }
+                PassStats { changed: first, rewrites: usize::from(first) }
             }
         }
         let mut pm = PassManager::new();

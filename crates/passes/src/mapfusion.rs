@@ -8,7 +8,7 @@
 //! *within* the map granularity. Backends see fewer, fatter kernels —
 //! fewer dispatches on CPUs and shallower streaming pipelines on overlays.
 
-use crate::manager::{Invalidations, Pass, PassStats};
+use crate::manager::{Pass, PassStats};
 use srdfg::{KExpr, MapSpec, NodeId, NodeKind, SrDfg};
 
 /// Fuses single-consumer elementwise map chains.
@@ -26,9 +26,6 @@ impl Pass for MapFusion {
             fuse(graph, producer, consumer, slot);
             stats.changed = true;
             stats.rewrites += 1;
-        }
-        if stats.changed {
-            stats.invalidates = Invalidations::TOPOLOGY;
         }
         stats
     }

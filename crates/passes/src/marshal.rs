@@ -9,7 +9,7 @@
 //! scalar edges directly and deletes the marshalling pair. Boundary
 //! `unpack`/`pack` nodes (actual data streaming) are untouched.
 
-use crate::manager::{Invalidations, Pass, PassStats};
+use crate::manager::{Pass, PassStats};
 use srdfg::{NodeKind, SrDfg};
 
 /// Removes interior `pack`→`unpack` pairs, wiring producers to consumers.
@@ -79,9 +79,6 @@ impl Pass for ElideMarshalling {
             }
             stats.changed = true;
             stats.rewrites += 1;
-        }
-        if stats.changed {
-            stats.invalidates = Invalidations::TOPOLOGY;
         }
         stats
     }

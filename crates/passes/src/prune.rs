@@ -5,7 +5,7 @@
 //! drops the unused slots and renumbers kernel operand references, keeping
 //! scalar-granularity translations clean.
 
-use crate::manager::{Invalidations, Pass, PassStats};
+use crate::manager::{Pass, PassStats};
 use srdfg::{KExpr, NodeKind, SrDfg};
 
 /// Removes unused operand inputs from `Map`/`Reduce` nodes.
@@ -100,10 +100,6 @@ impl Pass for PruneUnusedInputs {
             }
             stats.changed = true;
             stats.rewrites += 1;
-        }
-        if stats.changed {
-            // Dropping operands rewires edges: full topology invalidation.
-            stats.invalidates = Invalidations::TOPOLOGY;
         }
         stats
     }

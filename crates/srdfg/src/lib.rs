@@ -86,10 +86,7 @@ pub use interp::Machine;
 pub use kernel::KExpr;
 pub use lru::{CacheStats, ContentLru};
 pub use smallids::SmallIds;
-pub use store::{
-    generation as store_generation, intern, sharing_stats, store_stats, Consed, SharingStats,
-    StoreStats,
-};
+pub use store::{intern, sharing_stats, store_stats, Consed, SharingStats, StoreStats};
 pub use template::{TemplateCache, TemplateCacheStats, TemplateKey};
 pub use validate::{validate, validate_all, ValidateError};
 pub use value::{Scalar, Tensor, ValueError};

@@ -28,7 +28,6 @@ use crate::value::Tensor;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One arena record: the payload plus its identity within the store.
@@ -130,16 +129,6 @@ impl<T> Default for Interner<T> {
     }
 }
 
-/// Store generation: bumped whenever any table admits a new record.
-/// Analyses memoized against interned payloads (e.g. the pass manager's
-/// structural-hash cache) can compare generations instead of rehashing.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-/// The current store generation (monotone; one tick per new record).
-pub fn generation() -> u64 {
-    GENERATION.load(Ordering::Relaxed)
-}
-
 /// Interns `value`, returning the shared handle for its content.
 pub fn intern<T: Internable>(value: T) -> Consed<T> {
     let hash = value.structural_hash();
@@ -155,7 +144,6 @@ pub fn intern<T: Internable>(value: T) -> Consed<T> {
     table.next_id += 1;
     table.records += 1;
     table.bytes += value.heap_bytes() as u64;
-    GENERATION.fetch_add(1, Ordering::Relaxed);
     let handle = Consed(Arc::new(ConsedRec { id, hash, value }));
     table.buckets.entry(hash).or_default().push(handle.clone());
     handle
@@ -185,8 +173,6 @@ pub struct StoreStats {
     pub tensors: TableStats,
     /// `EdgeMeta` table.
     pub edge_metas: TableStats,
-    /// Store generation at snapshot time.
-    pub generation: u64,
 }
 
 impl StoreStats {
@@ -231,7 +217,6 @@ pub fn store_stats() -> StoreStats {
         scalar_kinds: table_stats::<ScalarKind>(),
         tensors: table_stats::<Tensor>(),
         edge_metas: table_stats::<EdgeMeta>(),
-        generation: generation(),
     }
 }
 
@@ -436,15 +421,5 @@ mod tests {
         let m = meta("x");
         let expect = format!("{m:?}");
         assert_eq!(format!("{:?}", intern(m)), expect);
-    }
-
-    #[test]
-    fn generation_ticks_on_new_records_only() {
-        let g0 = generation();
-        let a = intern(meta("gen-probe"));
-        let g1 = generation();
-        assert!(g1 > g0, "new record must tick the generation");
-        let b = intern(meta("gen-probe"));
-        assert_eq!(a.arena_id(), b.arena_id());
     }
 }

@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# Alternating parent/change pairs of one benchmark workload: the procedure
-# the `choosing-metrics` guide (§8) asks of a change that claims a gain.
+# Alternating parent/change pairs of benchmark workloads: the procedure
+# the `choosing-metrics` guide (§8) asks of a change that claims a gain,
+# and of one that claims none (every workload, every metric held).
 #
-#   scripts/pairs.sh <parent-bin> <change-bin> <workload> [--pairs N] [--seed K]
+#   scripts/pairs.sh <parent-bin> <change-bin> <workloads> [--pairs N] [--seed K]
+#
+# <workloads> is a comma-separated list of BENCHMARK.json workload names,
+# or `all`; each gets its own run of pairs and its own table (ten pairs
+# of all four take some twenty-five minutes).
 #
 # Both binaries are `pm-benchmark` builds (one per commit, each built once
 # into its own target directory: `cargo build --release --offline
@@ -15,8 +20,8 @@
 # Every run made is printed as it finishes. Run nothing else meanwhile.
 set -euo pipefail
 
-[ $# -ge 3 ] || { sed -n '2,15p' "$0" >&2; exit 2; }
-parent=$1 change=$2 workload=$3
+[ $# -ge 3 ] || { sed -n '2,20p' "$0" >&2; exit 2; }
+parent=$1 change=$2 workloads=$3
 shift 3
 pairs=10 seed=1
 while [ $# -gt 0 ]; do
@@ -29,21 +34,27 @@ while [ $# -gt 0 ]; do
 done
 cd "$(dirname "$0")/.."
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+if [ "$workloads" = all ]; then
+    workloads=$(python3 -c 'import json
+print(",".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+fi
 
 lines=$(mktemp)
 trap 'rm -f "$lines"' EXIT
-for pair in $(seq "$pairs"); do
-    if [ $((pair % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        bin=$parent; [ "$side" = change ] && bin=$change
-        result=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
-            | tail -n 1 || true)
-        echo "pair $pair $side $result" >&2
-        echo "$pair $side $result" >>"$lines"
+for workload in ${workloads//,/ }; do
+    : >"$lines"
+    for pair in $(seq "$pairs"); do
+        if [ $((pair % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            bin=$parent; [ "$side" = change ] && bin=$change
+            result=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+                | tail -n 1 || true)
+            echo "$workload pair $pair $side $result" >&2
+            echo "$pair $side $result" >>"$lines"
+        done
     done
-done
 
-PM_LINES="$lines" PM_WORKLOAD="$workload" PM_SEED="$seed" python3 - <<'PY'
+    PM_LINES="$lines" PM_WORKLOAD="$workload" PM_SEED="$seed" python3 - <<'PY'
 import json, os, statistics
 
 spec = json.load(open("BENCHMARK.json"))
@@ -77,3 +88,4 @@ for side in ("parent", "change"):
     wrong = sum(not r["correct"] for r in runs[side])
     print(f"{side}: failed {failed} of {attempted} attempted, {wrong} incorrect run(s)")
 PY
+done

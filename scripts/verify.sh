@@ -4,7 +4,8 @@
 # It checks that the benchmark builds and answers correctly, not how fast
 # it is. A change that claims a gain shows it with scripts/pairs.sh
 # (alternating parent/change pairs, medians, quartiles, win count) and
-# holds the other metrics with benchmark/run.sh --compare.
+# holds the other metrics with benchmark/run.sh --compare; a change that
+# claims none shows every metric held with `scripts/pairs.sh ... all`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

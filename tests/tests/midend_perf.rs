@@ -2,10 +2,11 @@
 //!
 //! The value-numbering CSE replaced a pairwise O(n²) fixpoint scan; these
 //! tests pin its behaviour to the old algorithm (kept here as a reference
-//! implementation) across the workload suite, and pin Algorithm 2's
-//! fragment streams to the paper's single topological sweep.
+//! implementation) across the workload suite, pin the pass manager's
+//! dirty-bit fixpoint to the plain run-everything fixpoint, and pin
+//! Algorithm 2's fragment streams to the paper's single topological sweep.
 
-use pm_passes::{CommonSubexpressionElimination, Pass};
+use pm_passes::{CommonSubexpressionElimination, Pass, PassManager, PassStats};
 use pm_workloads::{apps, programs};
 use pmlang::DType;
 use polymath::Compiler;
@@ -159,6 +160,70 @@ fn vn_cse_equivalent_to_pairwise_reference() {
             rows.join("\n")
         };
         assert_eq!(render(&out_vn), render(&out_ref), "{name}: outputs diverge");
+    }
+}
+
+/// The fixpoint `PassManager`'s dirty bits are meant to shortcut: every
+/// sweep runs every pass, and iteration stops after a sweep in which none
+/// changed the graph (same cap of ten sweeps).
+fn naive_fixpoint(graph: &mut SrDfg) -> Vec<(&'static str, PassStats)> {
+    let passes: [Box<dyn Pass>; 6] = [
+        Box::new(pm_passes::ConstantFold),
+        Box::new(pm_passes::AlgebraicSimplify),
+        Box::new(pm_passes::ConstantPropagation),
+        Box::new(pm_passes::PruneUnusedInputs),
+        Box::new(CommonSubexpressionElimination),
+        Box::new(pm_passes::DeadNodeElimination),
+    ];
+    let mut totals: Vec<_> = passes.iter().map(|p| (p.name(), PassStats::default())).collect();
+    for _ in 0..10 {
+        let mut any = false;
+        for (pass, (_, total)) in passes.iter().zip(&mut totals) {
+            let stats = pass.run(graph);
+            any |= stats.changed;
+            total.merge(stats);
+        }
+        if !any {
+            break;
+        }
+    }
+    totals
+}
+
+/// Skipping passes that have seen no change since their last run must not
+/// alter what the standard pipeline converges to, nor how many rewrites
+/// each pass makes on the way: same graph, same per-pass totals as the
+/// plain fixpoint, on every workload family, the two apps and 240
+/// `pm-fuzz` programs.
+#[test]
+fn dirty_bit_fixpoint_matches_run_everything_fixpoint() {
+    use rand::SeedableRng;
+
+    let mut all: Vec<(String, String)> =
+        workloads().into_iter().map(|(name, src)| (name.to_string(), src)).collect();
+    all.push(("brain_stimul-64".into(), apps::brain_stimul(64, 8).source));
+    all.push(("option_pricing-32".into(), apps::option_pricing(32, 8).source));
+    for seed in 0..240 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let program = pm_fuzz::gen_program(&mut rng, &pm_fuzz::GenConfig::default());
+        all.push((format!("fuzz-{seed}"), program.to_pmlang()));
+    }
+    for (name, src) in all {
+        let (prog, _) = pmlang::frontend(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let base =
+            srdfg::build(&prog, &Bindings::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
+
+        let mut managed = base.clone();
+        let got = PassManager::standard().run(&mut managed);
+        let mut reference = base;
+        let want = naive_fixpoint(&mut reference);
+
+        assert_eq!(got, want, "{name}: per-pass totals (left: PassManager, right: naive)");
+        assert_eq!(
+            srdfg::graph_fingerprint(&managed),
+            srdfg::graph_fingerprint(&reference),
+            "{name}: converged graphs differ"
+        );
     }
 }
 
