@@ -1,10 +1,9 @@
-//! Declaration-level lints over the PMLang AST.
+//! Declaration-level checks over the PMLang AST.
 //!
-//! These run before graph construction, so they see the program exactly as
-//! written: every statement, every declaration, with full spans.
+//! These need no graph, so they see the program exactly as written: every
+//! statement, every declaration, with full spans.
 
 use crate::diagnostic::Diagnostic;
-use crate::{Lint, LintContext};
 use pmlang::{Component, Expr, ExprKind, Program, Span, Stmt, TypeModifier};
 use std::collections::HashSet;
 
@@ -80,53 +79,40 @@ fn walk_stmt(stmt: &Stmt, f: &mut impl FnMut(&str, Span)) {
 /// `PM-W001` — `input`/`param`/`state` declarations that the component body
 /// never references. Dead declarations usually indicate a forgotten wire-up
 /// (and they still cost boundary-edge bookkeeping in the srDFG).
-pub struct UnusedDecl;
-
-impl Lint for UnusedDecl {
-    fn code(&self) -> &'static str {
-        "PM-W001"
-    }
-    fn name(&self) -> &'static str {
-        "unused-decl"
-    }
-    fn description(&self) -> &'static str {
-        "input/param/state declarations never referenced in the component body"
-    }
-    fn check(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for comp in &cx.program.components {
-            let mut used: HashSet<String> = HashSet::new();
-            // Dimension expressions of *other* declarations count as uses
-            // (`input float A[n][m]` uses a size param `n`).
-            for arg in &comp.args {
-                for d in &arg.dims {
-                    walk_expr(d, &mut |name, _| {
-                        used.insert(name.to_string());
-                    });
-                }
-            }
-            for stmt in &comp.body {
-                walk_stmt(stmt, &mut |name, _| {
+pub(crate) fn unused_decl(program: &Program, out: &mut Vec<Diagnostic>) {
+    for comp in &program.components {
+        let mut used: HashSet<String> = HashSet::new();
+        // Dimension expressions of *other* declarations count as uses
+        // (`input float A[n][m]` uses a size param `n`).
+        for arg in &comp.args {
+            for d in &arg.dims {
+                walk_expr(d, &mut |name, _| {
                     used.insert(name.to_string());
                 });
             }
-            for arg in &comp.args {
-                let lintable = matches!(
-                    arg.modifier,
-                    TypeModifier::Input | TypeModifier::Param | TypeModifier::State
+        }
+        for stmt in &comp.body {
+            walk_stmt(stmt, &mut |name, _| {
+                used.insert(name.to_string());
+            });
+        }
+        for arg in &comp.args {
+            let lintable = matches!(
+                arg.modifier,
+                TypeModifier::Input | TypeModifier::Param | TypeModifier::State
+            );
+            if lintable && !used.contains(&arg.name) {
+                out.push(
+                    Diagnostic::warning(
+                        "PM-W001",
+                        format!(
+                            "{} `{}` of component `{}` is never used",
+                            arg.modifier, arg.name, comp.name
+                        ),
+                    )
+                    .at(arg.span)
+                    .with_note("remove the declaration or reference it in the body"),
                 );
-                if lintable && !used.contains(&arg.name) {
-                    out.push(
-                        Diagnostic::warning(
-                            self.code(),
-                            format!(
-                                "{} `{}` of component `{}` is never used",
-                                arg.modifier, arg.name, comp.name
-                            ),
-                        )
-                        .at(arg.span)
-                        .with_note("remove the declaration or reference it in the body"),
-                    );
-                }
             }
         }
     }
@@ -184,39 +170,26 @@ fn effect_on(program: &Program, stmt: &Stmt, name: &str) -> Effect {
 /// invocation (zero on the first one) — the standard PolyMath accumulator
 /// idiom, but worth surfacing because it makes the component's output
 /// depend on invocation history.
-pub struct StateReadBeforeWrite;
-
-impl Lint for StateReadBeforeWrite {
-    fn code(&self) -> &'static str {
-        "PM-N002"
-    }
-    fn name(&self) -> &'static str {
-        "state-read-before-write"
-    }
-    fn description(&self) -> &'static str {
-        "state read before its first write; the value carries across invocations"
-    }
-    fn check(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for comp in &cx.program.components {
-            for arg in &comp.args {
-                if arg.modifier != TypeModifier::State {
-                    continue;
-                }
-                if let Some(stmt) = first_carried_read(cx.program, comp, &arg.name) {
-                    out.push(
-                        Diagnostic::note(
-                            self.code(),
-                            format!(
-                                "state `{}` is read before its first write in `{}`; \
-                                 the read observes the value carried from the previous \
-                                 invocation (zero initially)",
-                                arg.name, comp.name
-                            ),
-                        )
-                        .at(stmt.span())
-                        .with_note(format!("`{}` is declared state at {}", arg.name, arg.span)),
-                    );
-                }
+pub(crate) fn state_read_before_write(program: &Program, out: &mut Vec<Diagnostic>) {
+    for comp in &program.components {
+        for arg in &comp.args {
+            if arg.modifier != TypeModifier::State {
+                continue;
+            }
+            if let Some(stmt) = first_carried_read(program, comp, &arg.name) {
+                out.push(
+                    Diagnostic::note(
+                        "PM-N002",
+                        format!(
+                            "state `{}` is read before its first write in `{}`; \
+                             the read observes the value carried from the previous \
+                             invocation (zero initially)",
+                            arg.name, comp.name
+                        ),
+                    )
+                    .at(stmt.span())
+                    .with_note(format!("`{}` is declared state at {}", arg.name, arg.span)),
+                );
             }
         }
     }
@@ -241,12 +214,19 @@ fn first_carried_read<'c>(program: &Program, comp: &'c Component, name: &str) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::lint_one;
+
+    /// Runs one AST check over `source`.
+    fn lint_one(check: fn(&Program, &mut Vec<Diagnostic>), source: &str) -> Vec<Diagnostic> {
+        let (program, _) = pmlang::frontend(source).expect("test source must check");
+        let mut out = Vec::new();
+        check(&program, &mut out);
+        out
+    }
 
     #[test]
     fn flags_unused_input_param_and_state() {
         let diags = lint_one(
-            &UnusedDecl,
+            unused_decl,
             "main(input float x[4], input float dead[4], param float w, state float s,
                   output float y[4]) {
                  index i[0:3];
@@ -267,13 +247,12 @@ mod tests {
 
     #[test]
     fn size_param_used_only_in_dims_is_not_unused() {
-        let diags = crate::test_util::lint_one_sized(
-            &UnusedDecl,
+        let diags = lint_one(
+            unused_decl,
             "main(param int n, input float x[n], output float y[n]) {
                  index i[0:n-1];
                  y[i] = x[i];
              }",
-            vec![("n", 4)],
         );
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -281,7 +260,7 @@ mod tests {
     #[test]
     fn instantiation_arguments_count_as_uses() {
         let diags = lint_one(
-            &UnusedDecl,
+            unused_decl,
             "f(input float a, output float b) { b = a + 1.0; }
              main(input float x, output float y) { f(x, y); }",
         );
@@ -291,7 +270,7 @@ mod tests {
     #[test]
     fn accumulator_idiom_gets_a_note() {
         let diags = lint_one(
-            &StateReadBeforeWrite,
+            state_read_before_write,
             "main(input float x, state float acc, output float y) {
                  acc = acc + x;
                  y = acc;
@@ -307,7 +286,7 @@ mod tests {
     #[test]
     fn state_written_first_is_quiet() {
         let diags = lint_one(
-            &StateReadBeforeWrite,
+            state_read_before_write,
             "main(input float x, state float acc, output float y) {
                  acc = x * 2.0;
                  y = acc;
@@ -319,7 +298,7 @@ mod tests {
     #[test]
     fn state_passed_to_output_formal_is_a_write() {
         let diags = lint_one(
-            &StateReadBeforeWrite,
+            state_read_before_write,
             "init(input float x, output float o) { o = x; }
              main(input float x, state float s, output float y) {
                  init(x, s);

@@ -1,23 +1,24 @@
 //! Structured diagnostics with severity, machine-readable codes, and spans.
 //!
-//! A [`Diagnostic`] is what every lint produces: a stable code
-//! (`PM-W001`, …), a severity class, a one-line message, an optional
-//! PMLang [`Span`] and any number of supplementary notes. Two renderings
-//! are provided: a rustc-style text form with a caret line pointing into
-//! the original source ([`Diagnostic::render`]) and a machine-readable
-//! JSON form ([`Diagnostic::to_json`] / [`render_json`]).
+//! A [`Diagnostic`] is what every check and analysis engine in this crate
+//! produces: a stable code (`PM-W001`, …), a severity class, a one-line
+//! message, an optional PMLang [`Span`] and any number of supplementary
+//! notes. Two renderings are provided: a rustc-style text form with a
+//! caret line pointing into the original source ([`Diagnostic::render`])
+//! and a machine-readable JSON form ([`Diagnostic::to_json`] /
+//! [`render_json`]); `Display` is the one-line header alone.
 
 use pmlang::Span;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// How serious a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Informational; never fails a lint run.
+    /// Informational; never fails a run.
     Note,
     /// Suspicious but possibly intentional; fails under `--deny-warnings`.
     Warning,
-    /// Definitely wrong; always fails the lint run.
+    /// Definitely wrong; always fails the run.
     Error,
 }
 
@@ -32,7 +33,7 @@ impl Severity {
     }
 }
 
-/// A single finding from a lint.
+/// A single finding from a check or an analysis engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Machine-readable code, e.g. `PM-W001`.
@@ -94,8 +95,7 @@ impl Diagnostic {
     ///    = note: remove the declaration or reference it in the body
     /// ```
     pub fn render(&self, source: &str, filename: &str) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}[{}]: {}", self.severity.keyword(), self.code, self.message);
+        let mut out = format!("{self}\n");
         if let Some(span) = self.span {
             let line_no = span.line as usize;
             let gutter = line_no.to_string().len().max(2);
@@ -143,6 +143,12 @@ impl Diagnostic {
         }
         out.push_str("]}");
         out
+    }
+}
+
+impl fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}[{}]: {}", self.severity.keyword(), self.code, self.message)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Graph-level lints over the srDFG.
+//! Graph-level checks over the srDFG.
 //!
 //! These exploit the span provenance threaded through `srdfg::build` and
 //! `srdfg::expand`: every node and edge carries the PMLang span of the
@@ -6,27 +6,10 @@
 //! the IR still renders with a caret into the original source.
 
 use crate::diagnostic::Diagnostic;
-use crate::{Lint, LintContext};
-use pmlang::Domain;
+use crate::for_each_graph;
+use pm_lower::TargetMap;
 use srdfg::{IndexRange, KExpr, NodeKind, Scalar, SrDfg};
 use std::collections::HashMap;
-
-/// Visits `graph` and every nested component sub-graph, passing the
-/// effective domain at each level (a sub-graph inherits its instantiating
-/// node's domain when it has none of its own).
-fn for_each_graph<'g>(
-    graph: &'g SrDfg,
-    inherited: Option<Domain>,
-    f: &mut impl FnMut(&'g SrDfg, Option<Domain>),
-) {
-    let eff = graph.domain.or(inherited);
-    f(graph, eff);
-    for (_, node) in graph.iter_nodes() {
-        if let NodeKind::Component(sub) = &node.kind {
-            for_each_graph(sub, node.domain.or(eff), f);
-        }
-    }
-}
 
 /// Largest iteration space the race detector enumerates exhaustively.
 const MAX_RACE_POINTS: usize = 4096;
@@ -70,33 +53,6 @@ fn max_idx(k: &KExpr) -> Option<usize> {
     }
 }
 
-/// `PM-E003` — edge metadata consistency. Delegates to the `pm-analyze`
-/// shape/dtype inference engine — the single source of truth also used by
-/// the `PassManager` semantic verifier — which re-derives every edge's
-/// shape (and, for pure-arithmetic kernels, its dtype) from its producer
-/// and diffs the result against what the edge claims, including component
-/// boundary bindings, constant tensors, and pack/unpack arities.
-pub struct EdgeConsistency;
-
-impl Lint for EdgeConsistency {
-    fn code(&self) -> &'static str {
-        "PM-E003"
-    }
-    fn name(&self) -> &'static str {
-        "edge-consistency"
-    }
-    fn description(&self) -> &'static str {
-        "edge dtype/shape metadata disagrees with what its producer computes"
-    }
-    fn check(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for f in pm_analyze::analyze_graph(cx.graph) {
-            if f.code == self.code() {
-                out.push(crate::analyze_lints::diagnostic_from_finding(&f));
-            }
-        }
-    }
-}
-
 /// Scalar sample values for probing custom combiners. Chosen to break
 /// symmetry: distinct magnitudes and signs expose non-commutativity and
 /// non-associativity of anything that is not genuinely order-insensitive.
@@ -122,93 +78,74 @@ fn combine(combiner: &KExpr, a: f64, b: f64) -> Option<f64> {
 ///    the same element (the result then depends on evaluation order);
 /// 2. a custom reduction whose combiner is not associative/commutative, so
 ///    a parallel or reassociated reduction tree changes the result.
-pub struct ReductionRace;
-
-impl Lint for ReductionRace {
-    fn code(&self) -> &'static str {
-        "PM-W004"
-    }
-    fn name(&self) -> &'static str {
-        "reduction-race"
-    }
-    fn description(&self) -> &'static str {
-        "non-injective indexed writes and non-associative custom reductions"
-    }
-    fn check(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for_each_graph(cx.graph, None, &mut |graph, _| {
-            for (_, node) in graph.iter_nodes() {
-                let (out_space, write) = match &node.kind {
-                    NodeKind::Map(m) => (&m.out_space, &m.write),
-                    NodeKind::Reduce(r) => {
-                        if let srdfg::ReduceOp::Custom { name, combiner } = &r.op {
-                            check_combiner(self.code(), node, name, combiner, out);
-                        }
-                        (&r.out_space, &r.write)
+pub(crate) fn reduction_race(graph: &SrDfg, out: &mut Vec<Diagnostic>) {
+    for_each_graph(graph, None, &mut |graph, _| {
+        for (_, node) in graph.iter_nodes() {
+            let (out_space, write) = match &node.kind {
+                NodeKind::Map(m) => (&m.out_space, &m.write),
+                NodeKind::Reduce(r) => {
+                    if let srdfg::ReduceOp::Custom { name, combiner } = &r.op {
+                        check_combiner(node, name, combiner, out);
                     }
-                    _ => continue,
-                };
-                // Identity writes are injective by construction.
-                let identity = write.lhs.iter().enumerate().all(|(i, k)| *k == KExpr::Idx(i));
-                if identity || srdfg::graph::space_size(out_space) > MAX_RACE_POINTS {
-                    continue;
+                    (&r.out_space, &r.write)
                 }
-                // The lhs may only address the output space; anything else
-                // is structurally broken and validate's territory.
-                if write.lhs.iter().filter_map(max_idx).max() >= Some(out_space.len()) {
-                    continue;
-                }
-                let mut writes: HashMap<Vec<i64>, usize> = HashMap::new();
-                for_each_point(out_space, |point| {
-                    let coord: Option<Vec<i64>> =
-                        write.lhs.iter().map(|k| k.eval_index(point).ok()).collect();
-                    if let Some(coord) = coord {
-                        *writes.entry(coord).or_insert(0) += 1;
-                    }
-                });
-                // Tie-break on the coordinate so the report is deterministic.
-                if let Some((coord, count)) = writes
-                    .iter()
-                    .filter(|(_, &c)| c > 1)
-                    .max_by(|(ca, a), (cb, b)| a.cmp(b).then(cb.cmp(ca)))
-                {
-                    let target = graph
-                        .edge(node.outputs[0])
-                        .meta
-                        .name
-                        .split('.')
-                        .next()
-                        .unwrap_or("")
-                        .to_string();
-                    out.push(
-                        Diagnostic::warning(
-                            self.code(),
-                            format!(
-                                "indexed assignment to `{target}` writes element {coord:?} \
-                                 from {count} iteration points; the stored value depends \
-                                 on iteration order"
-                            ),
-                        )
-                        .at(node.span)
-                        .with_note(
-                            "left-hand-side index expressions are not injective over \
-                             the iteration space, so a parallel lowering may race",
-                        ),
-                    );
-                }
+                _ => continue,
+            };
+            // Identity writes are injective by construction.
+            let identity = write.lhs.iter().enumerate().all(|(i, k)| *k == KExpr::Idx(i));
+            if identity || srdfg::graph::space_size(out_space) > MAX_RACE_POINTS {
+                continue;
             }
-        });
-    }
+            // The lhs may only address the output space; anything else
+            // is structurally broken and validate's territory.
+            if write.lhs.iter().filter_map(max_idx).max() >= Some(out_space.len()) {
+                continue;
+            }
+            let mut writes: HashMap<Vec<i64>, usize> = HashMap::new();
+            for_each_point(out_space, |point| {
+                let coord: Option<Vec<i64>> =
+                    write.lhs.iter().map(|k| k.eval_index(point).ok()).collect();
+                if let Some(coord) = coord {
+                    *writes.entry(coord).or_insert(0) += 1;
+                }
+            });
+            // Tie-break on the coordinate so the report is deterministic.
+            if let Some((coord, count)) = writes
+                .iter()
+                .filter(|(_, &c)| c > 1)
+                .max_by(|(ca, a), (cb, b)| a.cmp(b).then(cb.cmp(ca)))
+            {
+                let target = graph
+                    .edge(node.outputs[0])
+                    .meta
+                    .name
+                    .split('.')
+                    .next()
+                    .unwrap_or("")
+                    .to_string();
+                out.push(
+                    Diagnostic::warning(
+                        "PM-W004",
+                        format!(
+                            "indexed assignment to `{target}` writes element {coord:?} \
+                             from {count} iteration points; the stored value depends \
+                             on iteration order"
+                        ),
+                    )
+                    .at(node.span)
+                    .with_note(
+                        "left-hand-side index expressions are not injective over \
+                         the iteration space, so a parallel lowering may race",
+                    ),
+                );
+            }
+        }
+    });
 }
 
 /// Probes a custom combiner for commutativity and associativity on the
 /// sample set, reporting the first counterexample of each kind.
-fn check_combiner(
-    code: &'static str,
-    node: &srdfg::Node,
-    name: &str,
-    combiner: &KExpr,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_combiner(node: &srdfg::Node, name: &str, combiner: &KExpr, out: &mut Vec<Diagnostic>) {
     let mut broken: Vec<String> = Vec::new();
     'comm: for &a in &SAMPLES {
         for &b in &SAMPLES {
@@ -241,7 +178,7 @@ fn check_combiner(
     }
     if !broken.is_empty() {
         let mut d = Diagnostic::warning(
-            code,
+            "PM-W004",
             format!(
                 "custom reduction `{name}` is not safe to reorder; a parallel \
                  reduction tree gives an unspecified result"
@@ -260,64 +197,53 @@ fn check_combiner(
 /// edge crosses *targets*; the paper's marshaling requirement is stated
 /// over *domains*. When two different domains resolve to the same
 /// accelerator (per-component overrides, shared backends), a domain
-/// crossing slips through with no load/store pair — this lint flags it.
-pub struct CrossDomainMarshal;
-
-impl Lint for CrossDomainMarshal {
-    fn code(&self) -> &'static str {
-        "PM-W005"
-    }
-    fn name(&self) -> &'static str {
-        "cross-domain-marshal"
-    }
-    fn description(&self) -> &'static str {
-        "domain-crossing edges Algorithm 2 will not wrap in a load/store pair"
-    }
-    fn check(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let host = cx.targets.host().name.clone();
-        for_each_graph(cx.graph, None, &mut |graph, eff| {
-            for e in graph.edge_ids() {
-                let edge = graph.edge(e);
-                let Some((p, _)) = edge.producer else { continue };
-                let pn = graph.node(p);
-                if is_marshalling(&pn.kind) {
+/// crossing slips through with no load/store pair — this check flags it.
+/// Overrides resolve through the target stamped on each node, so `graph`
+/// must already have been through `pm_lower::stamp_overrides`.
+pub(crate) fn cross_domain_marshal(graph: &SrDfg, targets: &TargetMap, out: &mut Vec<Diagnostic>) {
+    let host = targets.host().name.clone();
+    for_each_graph(graph, None, &mut |graph, eff| {
+        for e in graph.edge_ids() {
+            let edge = graph.edge(e);
+            let Some((p, _)) = edge.producer else { continue };
+            let pn = graph.node(p);
+            if is_marshalling(&pn.kind) {
+                continue;
+            }
+            let pd = pn.domain.or(eff);
+            for &(c, _) in &edge.consumers {
+                let cn = graph.node(c);
+                let cd = cn.domain.or(eff);
+                let (Some(pd), Some(cd)) = (pd, cd) else { continue };
+                if pd == cd || is_marshalling(&cn.kind) {
                     continue;
                 }
-                let pd = pn.domain.or(eff);
-                for &(c, _) in &edge.consumers {
-                    let cn = graph.node(c);
-                    let cd = cn.domain.or(eff);
-                    let (Some(pd), Some(cd)) = (pd, cd) else { continue };
-                    if pd == cd || is_marshalling(&cn.kind) {
-                        continue;
-                    }
-                    let pt = cx.targets.target_for(pn, eff).name.clone();
-                    let ct = cx.targets.target_for(cn, eff).name.clone();
-                    if pt == ct && pt != host {
-                        out.push(
-                            Diagnostic::warning(
-                                self.code(),
-                                format!(
-                                    "edge `{}` crosses the {}:→{}: domain boundary but \
-                                     both endpoints compile to `{pt}`; Algorithm 2 will \
-                                     not insert a marshaling load/store pair",
-                                    edge.meta.name,
-                                    pd.keyword(),
-                                    cd.keyword()
-                                ),
-                            )
-                            .at(edge.meta.span)
-                            .with_note(
-                                "data crossing a domain boundary inside one accelerator \
-                                 bypasses DMA marshaling; verify the layout contract",
+                let pt = targets.target_for(pn, eff).name.clone();
+                let ct = targets.target_for(cn, eff).name.clone();
+                if pt == ct && pt != host {
+                    out.push(
+                        Diagnostic::warning(
+                            "PM-W005",
+                            format!(
+                                "edge `{}` crosses the {}:→{}: domain boundary but \
+                                 both endpoints compile to `{pt}`; Algorithm 2 will \
+                                 not insert a marshaling load/store pair",
+                                edge.meta.name,
+                                pd.keyword(),
+                                cd.keyword()
                             ),
-                        );
-                        break; // one report per edge is enough
-                    }
+                        )
+                        .at(edge.meta.span)
+                        .with_note(
+                            "data crossing a domain boundary inside one accelerator \
+                             bypasses DMA marshaling; verify the layout contract",
+                        ),
+                    );
+                    break; // one report per edge is enough
                 }
             }
-        });
-    }
+        }
+    });
 }
 
 fn is_marshalling(kind: &NodeKind) -> bool {
@@ -327,25 +253,42 @@ fn is_marshalling(kind: &NodeKind) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{host_targets, lint_one, lint_with_targets};
-    use pm_lower::{AcceleratorSpec, TargetMap};
-    use pmlang::DType;
+    use crate::test_util::{build, build_program, host_targets};
+    use pm_lower::AcceleratorSpec;
+    use pmlang::{DType, Domain};
+
+    fn race(source: &str) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        reduction_race(&build(source), &mut out);
+        out
+    }
+
+    fn marshal(source: &str, targets: &TargetMap) -> Vec<Diagnostic> {
+        let mut graph = build(source);
+        pm_lower::stamp_overrides(&mut graph, targets);
+        let mut out = Vec::new();
+        cross_domain_marshal(&graph, targets, &mut out);
+        out
+    }
+
+    // The three edge-metadata tests drive the whole of `lint`: they are
+    // what shows `PM-E003` reaches the lint report from `analyze_graph`.
 
     #[test]
     fn clean_program_has_consistent_edges() {
-        let diags = lint_one(
-            &EdgeConsistency,
+        let (program, graph) = build_program(
             "main(input float x[4], output float y[4]) {
                  index i[0:3];
                  y[i] = x[i] * 2.0;
              }",
         );
+        let diags = crate::lint(&program, &graph, &host_targets());
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn detects_corrupted_shape_metadata() {
-        let (program, mut graph) = crate::test_util::build(
+        let (program, mut graph) = build_program(
             "main(input float x[4], output float y[4]) {
                  index i[0:3];
                  y[i] = x[i] * 2.0;
@@ -354,10 +297,7 @@ mod tests {
         // Corrupt: shrink the output edge's claimed shape.
         let oe = graph.boundary_outputs[0];
         graph.edit_edge_meta(oe, |m| m.shape = vec![2]);
-        let targets = host_targets();
-        let cx = LintContext { program: &program, graph: &graph, targets: &targets };
-        let mut out = Vec::new();
-        EdgeConsistency.check(&cx, &mut out);
+        let out = crate::lint(&program, &graph, &host_targets());
         assert!(!out.is_empty());
         assert_eq!(out[0].code, "PM-E003");
         assert_eq!(out[0].severity, crate::Severity::Error);
@@ -366,7 +306,7 @@ mod tests {
 
     #[test]
     fn detects_corrupted_dtype_metadata() {
-        let (program, mut graph) = crate::test_util::build(
+        let (program, mut graph) = build_program(
             "main(input float x[4], output float y[4]) {
                  index i[0:3];
                  y[i] = x[i] * 2.0;
@@ -374,17 +314,13 @@ mod tests {
         );
         let oe = graph.boundary_outputs[0];
         graph.edit_edge_meta(oe, |m| m.dtype = DType::Complex);
-        let targets = host_targets();
-        let cx = LintContext { program: &program, graph: &graph, targets: &targets };
-        let mut out = Vec::new();
-        EdgeConsistency.check(&cx, &mut out);
+        let out = crate::lint(&program, &graph, &host_targets());
         assert!(out.iter().any(|d| d.message.contains("dtype")), "{out:?}");
     }
 
     #[test]
     fn non_injective_write_is_a_race() {
-        let diags = lint_one(
-            &ReductionRace,
+        let diags = race(
             "main(input float x[4], output float y[4]) {
                  index i[0:3];
                  y[i % 2] = x[i];
@@ -398,8 +334,7 @@ mod tests {
 
     #[test]
     fn injective_writes_are_quiet() {
-        let diags = lint_one(
-            &ReductionRace,
+        let diags = race(
             "main(input float x[4], output float y[8]) {
                  index i[0:3];
                  y[2 * i] = x[i];
@@ -410,8 +345,7 @@ mod tests {
 
     #[test]
     fn non_associative_custom_reduction_is_flagged() {
-        let diags = lint_one(
-            &ReductionRace,
+        let diags = race(
             "reduction diff(a, b) = a - b;
              main(input float x[4], output float y) {
                  index i[0:3];
@@ -426,8 +360,7 @@ mod tests {
 
     #[test]
     fn associative_custom_reduction_is_quiet() {
-        let diags = lint_one(
-            &ReductionRace,
+        let diags = race(
             "reduction smax(a, b) = a > b ? a : b;
              main(input float x[4], output float y) {
                  index i[0:3];
@@ -447,8 +380,7 @@ mod tests {
         let mut shared_da = AcceleratorSpec::new("SHARED", Domain::DataAnalytics, ["sum", "dot"]);
         shared_da.supports_all = true;
         targets.set(shared_da);
-        let diags = lint_with_targets(
-            &CrossDomainMarshal,
+        let diags = marshal(
             "f(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i] * 0.5; }
              g(input float x[4], output float y) { index i[0:3]; y = sum[i](x[i]); }
              main(input float a[4], output float b) {
@@ -469,8 +401,7 @@ mod tests {
             TargetMap::host_only(AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics));
         targets.set(AcceleratorSpec::new("DECOISH", Domain::Dsp, ["mul"]));
         targets.set(AcceleratorSpec::new("TABLAISH", Domain::DataAnalytics, ["sum"]));
-        let diags = lint_with_targets(
-            &CrossDomainMarshal,
+        let diags = marshal(
             "f(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i] * 0.5; }
              g(input float x[4], output float y) { index i[0:3]; y = sum[i](x[i]); }
              main(input float a[4], output float b) {
@@ -481,5 +412,29 @@ mod tests {
             &targets,
         );
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn overrides_onto_one_target_draw_the_crossing_warning() {
+        // Two components of different domains, each pinned onto the same
+        // non-host accelerator: no domain default names `SHARED`, only the
+        // stamped overrides do.
+        let shared = |domain| AcceleratorSpec::general_purpose("SHARED", domain);
+        let mut targets = host_targets();
+        targets.set_override("f", shared(Domain::Dsp));
+        targets.set_override("g", shared(Domain::DataAnalytics));
+        let (program, graph) = build_program(
+            "f(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i] * 0.5; }
+             g(input float x[4], output float y) { index i[0:3]; y = sum[i](x[i]); }
+             main(input float a[4], output float b) {
+                 float t[4];
+                 DSP: f(a, t);
+                 DA: g(t, b);
+             }",
+        );
+        let diags = crate::lint(&program, &graph, &targets);
+        let crossings: Vec<_> = diags.iter().filter(|d| d.code == "PM-W005").collect();
+        assert_eq!(crossings.len(), 1, "{diags:?}");
+        assert!(crossings[0].message.contains("`SHARED`"), "{}", crossings[0].message);
     }
 }

@@ -16,7 +16,7 @@
 //! * **deadlock** (`PM-E113`) — the cross-target dependency graph has a
 //!   cycle, so every partition ends up waiting on DMA that never comes.
 
-use crate::{codes, Finding};
+use crate::{codes, Diagnostic};
 use pm_lower::{CompiledProgram, FragmentKind, TargetMap};
 use srdfg::graph::Modifier;
 use srdfg::EdgeId;
@@ -81,8 +81,9 @@ struct BufUse {
 }
 
 /// Analyzes the compiled fragment plan for marshalling gaps, DMA hazards
-/// on circulated state buffers, and cross-target dependency cycles.
-pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<Finding> {
+/// on circulated state buffers, and cross-target dependency cycles,
+/// returning the diagnostics through [`finish`](crate::finish).
+pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let graph = &compiled.graph;
     let host = targets.host().name.as_str();
@@ -153,7 +154,7 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
                         && !stores[a.edge.0 as usize].iter().any(|&g| frags[g].part == src)
                     {
                         out.push(
-                            Finding::error(
+                            Diagnostic::error(
                                 codes::MISSING_MARSHAL,
                                 format!(
                                     "partition `{}` loads `{}` but its producer partition `{}` \
@@ -193,7 +194,7 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
                             "host memory".to_string()
                         };
                         out.push(
-                            Finding::error(
+                            Diagnostic::error(
                                 codes::MISSING_MARSHAL,
                                 format!(
                                     "fragment `{}` on `{}` consumes `{}` from {from} without a \
@@ -286,7 +287,7 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
             .collect();
         stuck.truncate(6);
         out.push(
-            Finding::error(
+            Diagnostic::error(
                 codes::DEADLOCK,
                 format!(
                     "fragment schedule deadlocks: {} fragment(s) wait on DMA that never \
@@ -384,7 +385,7 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
                     continue;
                 }
                 out.push(
-                    Finding::warning(
+                    Diagnostic::warning(
                         codes::DMA_WAR,
                         format!(
                             "WAR hazard on state buffer `{r}`: `{}` reads `{}` while `{}` \
@@ -416,7 +417,7 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
                     continue;
                 }
                 out.push(
-                    Finding::warning(
+                    Diagnostic::warning(
                         codes::DMA_WAW,
                         format!(
                             "WAW hazard on state buffer `{r}`: `{}` and `{}` both write it \
@@ -431,7 +432,7 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
         }
     }
 
-    out
+    crate::finish(out)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! so the "state" is really a constant).
 
 use crate::solver::{self, ForwardDomain, Lattice};
-use crate::{codes, Finding};
+use crate::{codes, Diagnostic};
 use srdfg::graph::{Modifier, Node, NodeId};
 use srdfg::{EdgeId, SrDfg};
 
@@ -63,7 +63,7 @@ impl ForwardDomain for InitDomain {
 /// recursion), appending findings to `out`. `is_root` enables the
 /// cross-invocation state check, which only makes sense on the graph
 /// whose boundary the runtime circulates state through.
-pub fn check_graph(graph: &SrDfg, is_root: bool, out: &mut Vec<Finding>) {
+pub fn check_graph(graph: &SrDfg, is_root: bool, out: &mut Vec<Diagnostic>) {
     let values = solver::solve(graph, &mut InitDomain);
     // Report only root causes — producer-less edges somebody reads. The
     // propagated poison tells us how much of the graph each trap takes
@@ -83,7 +83,7 @@ pub fn check_graph(graph: &SrDfg, is_root: bool, out: &mut Vec<Finding>) {
                 .first()
                 .map(|&(c, _)| graph.node(c).name.clone())
                 .unwrap_or_default();
-            let mut finding = Finding::error(
+            let mut finding = Diagnostic::error(
                 codes::UNINITIALIZED,
                 format!("`{}` reads `{}`, which is never produced", reader, edge.meta.name),
             )
@@ -113,7 +113,7 @@ pub fn check_graph(graph: &SrDfg, is_root: bool, out: &mut Vec<Finding>) {
         if passed_through && !edge.consumers.is_empty() {
             let root = edge.meta.name.split('.').next().unwrap_or(&edge.meta.name);
             out.push(
-                Finding::warning(
+                Diagnostic::warning(
                     codes::STALE_STATE,
                     format!(
                         "state `{root}` is read but never updated; every invocation observes \
@@ -133,7 +133,7 @@ mod tests {
     use crate::test_util::build;
     use srdfg::graph::{EdgeMeta, NodeKind, ScalarKind};
 
-    fn check(graph: &SrDfg, is_root: bool) -> Vec<Finding> {
+    fn check(graph: &SrDfg, is_root: bool) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         check_graph(graph, is_root, &mut out);
         out

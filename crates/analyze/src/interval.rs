@@ -10,7 +10,7 @@
 //! certified program never traps in the srDFG interpreter.
 
 use crate::solver::{self, ForwardDomain, Lattice};
-use crate::{codes, Finding};
+use crate::{codes, Diagnostic};
 use pmlang::{BinOp, BuiltinReduction, DType, ScalarFunc, Span, UnOp};
 use srdfg::graph::{space_size, IndexRange, Node, NodeId, ReduceOp, ScalarKind, WriteSpec};
 use srdfg::{EdgeId, KExpr, NodeKind as NK, SrDfg};
@@ -225,7 +225,7 @@ struct ExprCx<'a> {
     span: Span,
     strict: bool,
     failed: Option<String>,
-    out: Vec<Finding>,
+    out: Vec<Diagnostic>,
 }
 
 impl<'a> ExprCx<'a> {
@@ -251,7 +251,7 @@ impl<'a> ExprCx<'a> {
         if self.strict {
             self.fail(msg);
         } else {
-            self.out.push(Finding::error(codes::OUT_OF_BOUNDS, msg).at(self.span));
+            self.out.push(Diagnostic::error(codes::OUT_OF_BOUNDS, msg).at(self.span));
         }
     }
 
@@ -259,7 +259,7 @@ impl<'a> ExprCx<'a> {
         if self.strict {
             self.fail(msg);
         } else {
-            self.out.push(Finding::warning(codes::ARITH_RANGE, msg).at(self.span));
+            self.out.push(Diagnostic::warning(codes::ARITH_RANGE, msg).at(self.span));
         }
     }
 
@@ -533,7 +533,7 @@ fn func_range(f: ScalarFunc, args: &[IVal]) -> IVal {
 
 /// The range-propagation domain; checks happen inside `transfer`.
 struct RangeDomain<'a> {
-    out: &'a mut Vec<Finding>,
+    out: &'a mut Vec<Diagnostic>,
 }
 
 impl RangeDomain<'_> {
@@ -586,7 +586,7 @@ impl RangeDomain<'_> {
                     BinOp::Div => {
                         if b.contains_zero() && b.finite() {
                             self.out.push(
-                                Finding::warning(
+                                Diagnostic::warning(
                                     codes::ARITH_RANGE,
                                     format!(
                                         "possible division by zero in `{}`: divisor range \
@@ -718,7 +718,7 @@ impl ForwardDomain for RangeDomain<'_> {
 
 /// Runs interval analysis over one graph level (no component recursion),
 /// appending findings to `out`.
-pub fn check_graph(graph: &SrDfg, out: &mut Vec<Finding>) {
+pub fn check_graph(graph: &SrDfg, out: &mut Vec<Diagnostic>) {
     let mut domain = RangeDomain { out };
     solver::solve(graph, &mut domain);
 }
@@ -925,7 +925,7 @@ mod tests {
     use super::*;
     use crate::test_util::build;
 
-    fn check(graph: &SrDfg) -> Vec<Finding> {
+    fn check(graph: &SrDfg) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         check_graph(graph, &mut out);
         out

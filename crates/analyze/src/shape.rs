@@ -1,14 +1,14 @@
 //! Shape/dtype inference: re-derives every edge's metadata from its
 //! producer and cross-checks the result against what the edge claims.
 //!
-//! This is the single source of truth behind `pm-lint`'s `PM-E003`
-//! edge-consistency lint and the `PassManager`'s semantic verifier: the
+//! This is the single source of truth behind the `PM-E003`
+//! edge-consistency check and the `PassManager`'s semantic verifier: the
 //! same [`solver::ForwardDomain`] instance drives both. On a mismatch the
 //! inferred value falls back to the claimed metadata so one corrupted
 //! edge does not cascade into findings on every downstream node.
 
 use crate::solver::{self, ForwardDomain, Lattice};
-use crate::{codes, Finding};
+use crate::{codes, Diagnostic};
 use pmlang::{BinOp, DType, UnOp};
 use srdfg::graph::{Node, NodeId, NodeKind};
 use srdfg::{EdgeId, KExpr, NodeKind as NK, SrDfg};
@@ -73,7 +73,7 @@ fn is_pure_arith(k: &KExpr) -> bool {
 
 /// The shape/dtype inference domain. Findings accumulate in `out`.
 struct ShapeDomain<'a> {
-    out: &'a mut Vec<Finding>,
+    out: &'a mut Vec<Diagnostic>,
 }
 
 impl ShapeDomain<'_> {
@@ -87,7 +87,7 @@ impl ShapeDomain<'_> {
     fn shape_mismatch(&mut self, graph: &SrDfg, node: &Node, oe: EdgeId, expected: &[usize]) {
         let meta = &graph.edge(oe).meta;
         self.out.push(
-            Finding::error(
+            Diagnostic::error(
                 codes::EDGE_CONSISTENCY,
                 format!(
                     "edge `{}` claims shape {:?} but its producer `{}` writes shape {:?}",
@@ -184,7 +184,7 @@ impl ForwardDomain for ShapeDomain<'_> {
                         if claims_complex != inferred {
                             let shown = if inferred { DType::Complex } else { DType::Float };
                             self.out.push(
-                                Finding::error(
+                                Diagnostic::error(
                                     codes::EDGE_CONSISTENCY,
                                     format!(
                                         "edge `{}` claims dtype {:?} but its producer `{}` \
@@ -210,7 +210,7 @@ impl ForwardDomain for ShapeDomain<'_> {
                     let is_complex = t.dtype() == DType::Complex;
                     if claims_complex != is_complex {
                         self.out.push(
-                            Finding::error(
+                            Diagnostic::error(
                                 codes::EDGE_CONSISTENCY,
                                 format!(
                                     "edge `{}` claims dtype {:?} but its producer `{}` \
@@ -242,7 +242,7 @@ impl ForwardDomain for ShapeDomain<'_> {
                     if vol != node.outputs.len() {
                         let meta = &graph.edge(ie).meta;
                         self.out.push(
-                            Finding::error(
+                            Diagnostic::error(
                                 codes::EDGE_CONSISTENCY,
                                 format!(
                                     "unpack of `{}` produces {} scalar edge(s) but the tensor \
@@ -263,7 +263,7 @@ impl ForwardDomain for ShapeDomain<'_> {
                     let meta = &graph.edge(oe).meta;
                     if meta.volume() != node.inputs.len() {
                         self.out.push(
-                            Finding::error(
+                            Diagnostic::error(
                                 codes::EDGE_CONSISTENCY,
                                 format!(
                                     "pack into `{}` gathers {} scalar edge(s) but the tensor \
@@ -293,7 +293,7 @@ impl ForwardDomain for ShapeDomain<'_> {
                     let om = &graph.edge(outer).meta;
                     if im.shape != om.shape {
                         self.out.push(
-                            Finding::error(
+                            Diagnostic::error(
                                 codes::EDGE_CONSISTENCY,
                                 format!(
                                     "component `{}` boundary edge `{}` has shape {:?} but is \
@@ -322,7 +322,7 @@ impl ForwardDomain for ShapeDomain<'_> {
 
 /// Runs shape/dtype inference over one graph level (no component
 /// recursion), appending findings to `out`.
-pub fn check_graph(graph: &SrDfg, out: &mut Vec<Finding>) {
+pub fn check_graph(graph: &SrDfg, out: &mut Vec<Diagnostic>) {
     let mut domain = ShapeDomain { out };
     solver::solve(graph, &mut domain);
 }
@@ -357,7 +357,7 @@ mod tests {
     use super::*;
     use crate::test_util::build;
 
-    fn check(graph: &SrDfg) -> Vec<Finding> {
+    fn check(graph: &SrDfg) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         check_graph(graph, &mut out);
         out

@@ -233,61 +233,25 @@ fn run(args: &[String]) -> Result<(), String> {
             // the source wrote it, with every span intact.
             let graph = srdfg::build(&program, &bindings).map_err(|e| e.to_string())?;
             let compiler = if host_only { Compiler::host_only() } else { Compiler::cross_domain() };
-            let cx = pm_lint::LintContext {
-                program: &program,
-                graph: &graph,
-                targets: compiler.targets(),
-            };
-            let diags = pm_lint::LintRegistry::standard().run(&cx);
-            if parse_format(args)? == "json" {
-                println!("{}", pm_lint::render_json(&diags));
-            } else {
-                print!("{}", pm_lint::render_text(&diags, &source, path));
-            }
-            let errors = diags.iter().filter(|d| d.severity == pm_lint::Severity::Error).count();
-            let warnings =
-                diags.iter().filter(|d| d.severity == pm_lint::Severity::Warning).count();
-            let deny = args.iter().any(|a| a == "--deny-warnings");
-            if errors > 0 {
-                return Err(format!("lint found {errors} error(s)"));
-            }
-            if deny && warnings > 0 {
-                return Err(format!("lint found {warnings} warning(s) (--deny-warnings)"));
-            }
-            Ok(())
+            let diags = pm_analyze::lint(&program, &graph, compiler.targets());
+            report(&diags, &source, path, args, "lint")
         }
         "analyze" => {
             let (program, _) = pmlang::frontend(&source).map_err(|e| e.to_string())?;
             // Abstract interpretation runs on the un-optimized graph so
             // every finding still carries a span into the source.
             let graph = srdfg::build(&program, &bindings).map_err(|e| e.to_string())?;
-            let mut findings = pm_analyze::analyze_graph(&graph);
+            let mut diags = pm_analyze::analyze_graph(&graph);
             let compiler = if host_only { Compiler::host_only() } else { Compiler::cross_domain() };
             // Hazard analysis needs the real compiled fragment plan; if the
             // pipeline fails downstream, the graph findings still render.
             match compiler.compile(&source, &bindings) {
                 Ok(compiled) => {
-                    findings.extend(pm_analyze::analyze_schedule(&compiled, compiler.targets()));
+                    diags.extend(pm_analyze::analyze_schedule(&compiled, compiler.targets()));
                 }
                 Err(e) => eprintln!("pmc: analyze: schedule hazard analysis skipped: {e}"),
             }
-            let findings = pm_analyze::finish(findings);
-            let diags: Vec<_> = findings.iter().map(pm_lint::diagnostic_from_finding).collect();
-            if parse_format(args)? == "json" {
-                println!("{}", pm_lint::render_json(&diags));
-            } else {
-                print!("{}", pm_lint::render_text(&diags, &source, path));
-            }
-            let errors = diags.iter().filter(|d| d.severity == pm_lint::Severity::Error).count();
-            let warnings =
-                diags.iter().filter(|d| d.severity == pm_lint::Severity::Warning).count();
-            if errors > 0 {
-                return Err(format!("analyze found {errors} error(s)"));
-            }
-            if args.iter().any(|a| a == "--deny-warnings") && warnings > 0 {
-                return Err(format!("analyze found {warnings} warning(s) (--deny-warnings)"));
-            }
-            Ok(())
+            report(&pm_analyze::finish(diags), &source, path, args, "analyze")
         }
         "fmt" => {
             let (program, _) = pmlang::frontend(&source).map_err(|e| e.to_string())?;
@@ -1039,6 +1003,32 @@ fn parse_format(args: &[String]) -> Result<&str, String> {
             None => Err("--format expects text or json".to_string()),
         },
     }
+}
+
+/// The tail `lint` and `analyze` share: print `diags` in the requested
+/// format, then fail on errors, or on warnings under `--deny-warnings`.
+fn report(
+    diags: &[pm_analyze::Diagnostic],
+    source: &str,
+    path: &str,
+    args: &[String],
+    verb: &str,
+) -> Result<(), String> {
+    if parse_format(args)? == "json" {
+        println!("{}", pm_analyze::render_json(diags));
+    } else {
+        print!("{}", pm_analyze::render_text(diags, source, path));
+    }
+    let count = |sev| diags.iter().filter(|d| d.severity == sev).count();
+    let (errors, warnings) =
+        (count(pm_analyze::Severity::Error), count(pm_analyze::Severity::Warning));
+    if errors > 0 {
+        return Err(format!("{verb} found {errors} error(s)"));
+    }
+    if warnings > 0 && args.iter().any(|a| a == "--deny-warnings") {
+        return Err(format!("{verb} found {warnings} warning(s) (--deny-warnings)"));
+    }
+    Ok(())
 }
 
 fn usage() -> String {

@@ -1,7 +1,7 @@
 //! Minimal JSON parsing and rendering for the serve wire protocol.
 //!
 //! The workspace renders all of its JSON by hand (`pmc --format json`,
-//! pm-bench, pm-lint) and, until the serve protocol, never had to *read*
+//! pm-bench, pm-analyze) and, until the serve protocol, never had to *read*
 //! any. This module adds the missing half: a small recursive-descent
 //! parser over the line-delimited request objects `pmc serve` admits,
 //! plus a renderer so responses round-trip through the same type. No

@@ -14,7 +14,7 @@
 //! * **Feasible by construction** — each statement's operation palette is
 //!   restricted to what its domain annotation's accelerator can execute
 //!   after Algorithm-1 refinement (see [`Palette`]), so a generated
-//!   program never trips lowering-feasibility errors and `pm-lint` stays
+//!   program never trips lowering-feasibility errors and `pmc lint` stays
 //!   error-free on it.
 //! * **Self-evaluating** — [`PProgram::eval`] is an independent Rust
 //!   implementation of the program's semantics (the differential oracle),

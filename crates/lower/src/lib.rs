@@ -51,6 +51,6 @@ pub use compile::{
     FragmentKind,
 };
 pub use fallback::relower_without;
-pub use lower::{fully_lowered, lower, lower_budgeted, LowerError};
+pub use lower::{fully_lowered, lower, lower_budgeted, stamp_overrides, LowerError};
 pub use progcache::{ProgramCache, ProgramCacheStats, ProgramKey};
 pub use spec::{AcceleratorSpec, SupportMemo, TargetMap};

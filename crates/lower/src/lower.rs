@@ -20,10 +20,11 @@
 //! fails for that accelerator").
 
 use crate::spec::{SupportMemo, TargetMap};
+use pmlang::Span;
 use srdfg::budget::{Budget, BudgetExceeded};
 use srdfg::expand::{refine_for_splice, scalar_expansion_eligible, RefineError};
 use srdfg::template::{TemplateCache, TemplateKey};
-use srdfg::{Consed, EdgeMeta, FxBuildHasher, SrDfg};
+use srdfg::{Consed, EdgeMeta, FxBuildHasher, NodeId, SrDfg};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -33,6 +34,9 @@ use std::sync::Arc;
 pub struct LowerError {
     /// Human-readable description.
     pub message: String,
+    /// PMLang source location of the node Algorithm 1 got stuck on, when
+    /// the failure is a stuck node and its statement is known.
+    pub span: Option<Span>,
     /// Set when the failure is a cooperative-cancellation unwind (the
     /// request's [`Budget`] ran out mid-lowering) rather than a real
     /// lowering defect. The serve layer maps this to a typed
@@ -43,7 +47,7 @@ pub struct LowerError {
 impl LowerError {
     /// A plain lowering failure.
     pub fn msg(message: impl Into<String>) -> Self {
-        LowerError { message: message.into(), budget: None }
+        LowerError { message: message.into(), span: None, budget: None }
     }
 }
 
@@ -58,15 +62,9 @@ impl fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-impl From<RefineError> for LowerError {
-    fn from(e: RefineError) -> Self {
-        LowerError::msg(e.to_string())
-    }
-}
-
 impl From<BudgetExceeded> for LowerError {
     fn from(e: BudgetExceeded) -> Self {
-        LowerError { message: e.to_string(), budget: Some(e) }
+        LowerError { message: e.to_string(), span: None, budget: Some(e) }
     }
 }
 
@@ -143,7 +141,6 @@ pub fn lower_budgeted(
         // no node but the one it replaces, so no pending refinement can
         // observe another's splice.
         let mut pending = Vec::new();
-        let mut labels = Vec::new();
         for id in graph.node_ids().filter(|id| id.0 >= scan_from).collect::<Vec<_>>() {
             let node = graph.node(id);
             let target = targets.target_for(node, graph.domain);
@@ -151,7 +148,6 @@ pub fn lower_budgeted(
                 continue;
             }
             pending.push((id, target.expand));
-            labels.push((node.name.clone(), node.domain, target.name.clone()));
         }
         if pending.is_empty() {
             return Ok(());
@@ -237,16 +233,12 @@ pub fn lower_budgeted(
         // Splice serially, in collection (deterministic id) order.
         for (i, plan) in plans.into_iter().enumerate() {
             let (id, opts) = pending[i];
-            let refine_err = |e: RefineError| {
-                let (name, domain, target) = &labels[i];
-                LowerError::msg(format!(
-                    "`{name}` (domain {domain:?}) is unsupported by {target} \
-                     and cannot refine: {e}"
-                ))
-            };
             match plan {
                 Plan::Expand(key) => {
-                    let sub = expanded[i].take().expect("planned").map_err(refine_err)?;
+                    let sub = expanded[i]
+                        .take()
+                        .expect("planned")
+                        .map_err(|e| stuck(graph, targets, id, e))?;
                     match (cache, key) {
                         (Some(cache), Some(key)) => {
                             let template = Arc::new(sub);
@@ -268,7 +260,8 @@ pub fn lower_budgeted(
                     match cache.lookup(&key) {
                         Some(t) => graph.splice_template(id, &t),
                         None => {
-                            let sub = refine_for_splice(graph, id, &opts).map_err(refine_err)?;
+                            let sub = refine_for_splice(graph, id, &opts)
+                                .map_err(|e| stuck(graph, targets, id, e))?;
                             graph.splice_template(id, &sub);
                         }
                     }
@@ -279,9 +272,26 @@ pub fn lower_budgeted(
     Err(LowerError::msg("lowering did not converge"))
 }
 
+/// The paper's failure rule: node `id`, still live because its splice
+/// never happened, is unsupported by its target and cannot be refined.
+fn stuck(graph: &SrDfg, targets: &TargetMap, id: NodeId, e: RefineError) -> LowerError {
+    let node = graph.node(id);
+    let target = targets.target_for(node, graph.domain);
+    let domain = node.domain.or(graph.domain).map_or("unannotated", |d| d.keyword());
+    LowerError {
+        message: format!(
+            "`{}` (domain {domain}) is not supported by target `{}` and cannot be refined: {e}",
+            node.name, target.name
+        ),
+        span: (!node.span.is_synthetic()).then_some(node.span),
+        budget: None,
+    }
+}
+
 /// Stamps per-component target overrides onto component nodes (and,
 /// recursively, their bodies) so the assignment survives splicing.
-fn stamp_overrides(graph: &mut SrDfg, targets: &TargetMap) {
+/// Idempotent: stamping an already-stamped graph changes nothing.
+pub fn stamp_overrides(graph: &mut SrDfg, targets: &TargetMap) {
     let ids: Vec<_> = graph.node_ids().collect();
     for id in ids {
         let name = graph.node(id).name.clone();
@@ -464,5 +474,32 @@ mod tests {
             .iter_nodes()
             .any(|(_, n)| n.domain.is_none() && matches!(n.kind, NodeKind::Map(_))));
         assert!(fully_lowered(&g, &targets));
+    }
+
+    #[test]
+    fn stuck_node_error_carries_the_source_span_and_a_budget_unwind_none() {
+        // `pick` is flattened in round one; only then does the scan reach
+        // the `argmax` inside it, which has no scalar expansion.
+        let src = "pick(input float x[4], output float y) { index i[0:3]; y = argmax[i](x[i]); }
+main(input float a[4], output float b) {
+    DSP: pick(a, b);
+}";
+        let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
+        let mut targets = TargetMap::host_only(host);
+        targets.set(AcceleratorSpec::new("DECOISH", Domain::Dsp, ["add", "mul", "const"]));
+        let err = lower(&mut build_graph(src), &targets).unwrap_err();
+        assert_eq!(
+            err.message,
+            "`argmax` (domain DSP) is not supported by target `DECOISH` and cannot be \
+             refined: node `argmax` has no scalar expansion"
+        );
+        let span = err.span.expect("stuck node span");
+        assert_eq!(&src[span.start..span.end], "y = argmax[i](x[i]);");
+        assert_eq!(err.budget, None);
+
+        let starved = Budget::new(None, Some(0));
+        let err = lower_budgeted(&mut build_graph(src), &targets, None, &starved).unwrap_err();
+        assert!(err.budget.is_some(), "{err}");
+        assert_eq!(err.span, None);
     }
 }

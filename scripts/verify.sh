@@ -218,6 +218,26 @@ if cargo run --release -q -p polymath --bin pmc -- analyze \
     exit 1
 fi
 
+echo "== pmc lint smoke"
+# The same pair for the lint entry point: a clean example passes, and the
+# deliberately buggy demo (unused declarations, a write race, a stuck
+# `argmax` on DECO) fails under --deny-warnings.
+cargo run --release -q -p polymath --bin pmc -- lint examples/pm/accumulator.pm --deny-warnings
+if cargo run --release -q -p polymath --bin pmc -- lint \
+    examples/pm/lint_demo.pm --deny-warnings >/dev/null 2>&1; then
+    echo "lint: lint_demo.pm unexpectedly passed --deny-warnings" >&2
+    exit 1
+fi
+
+echo "== one diagnostics crate"
+# pm-analyze is the only diagnostics crate: a crates/lint beside it means
+# a second Diagnostic type and a second spelling of Algorithm 1's failure
+# rule.
+if [ -e crates/lint ] || grep -rn 'pm_lint\|pm-lint' crates tests examples Cargo.toml; then
+    echo "crates/lint or a reference to pm-lint is back" >&2
+    exit 1
+fi
+
 echo "== pmc fuzz --smoke"
 cargo run --release -p polymath --bin pmc -- fuzz --smoke
 

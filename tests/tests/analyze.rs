@@ -2,7 +2,8 @@
 //! reproducer under `tests/corpus/analyze/` triggers exactly the lint
 //! code its filename names, the analyzer reports zero error-severity
 //! findings across the shipped examples and differential-fuzz corpus
-//! (false errors on valid programs are analyzer bugs), and certification
+//! (false errors on valid programs are analyzer bugs), `lint` carries the
+//! graph engines' diagnostics unchanged, and certification
 //! is sound under proptest — a program `certify_bounds` accepts never
 //! traps in the srDFG interpreter.
 
@@ -19,7 +20,7 @@ fn repo_root() -> PathBuf {
 
 /// Mirrors `pmc analyze`: abstract interpretation on the unoptimized
 /// graph, plus schedule hazards when cross-domain compilation succeeds.
-fn analyze_source(src: &str) -> Vec<pm_analyze::Finding> {
+fn analyze_source(src: &str) -> Vec<pm_analyze::Diagnostic> {
     let (program, _) = pmlang::frontend(src).expect("frontend");
     let graph = srdfg::build(&program, &Bindings::default()).expect("build");
     let mut findings = pm_analyze::analyze_graph(&graph);
@@ -76,6 +77,31 @@ fn analyzer_reports_no_errors_on_shipped_programs() {
         }
     }
     assert!(errors.is_empty(), "analyzer false positives:\n{}", errors.join("\n"));
+}
+
+#[test]
+fn lint_carries_exactly_what_analyze_graph_reports() {
+    // `lint` runs `analyze_graph` once and merges its five codes with the
+    // other checks' diagnostics: nothing added, dropped, or reordered.
+    const GRAPH_CODES: [&str; 5] = ["PM-E003", "PM-E102", "PM-W103", "PM-E104", "PM-W105"];
+    let mut files = pm_files(&repo_root().join("tests/corpus/analyze"));
+    files.extend(pm_files(&repo_root().join("examples/pm")));
+    let compiler = Compiler::cross_domain();
+    let mut seen = 0;
+    for path in &files {
+        let src = std::fs::read_to_string(path).unwrap();
+        let (program, _) = pmlang::frontend(&src).expect("frontend");
+        let graph = srdfg::build(&program, &Bindings::default()).expect("build");
+        let analyzed = pm_analyze::analyze_graph(&graph);
+        assert!(analyzed.iter().all(|d| GRAPH_CODES.contains(&d.code)), "{analyzed:?}");
+        let linted: Vec<_> = pm_analyze::lint(&program, &graph, compiler.targets())
+            .into_iter()
+            .filter(|d| GRAPH_CODES.contains(&d.code))
+            .collect();
+        assert_eq!(linted, analyzed, "{}", path.display());
+        seen += analyzed.len();
+    }
+    assert!(seen > 0, "no program exercised the comparison");
 }
 
 /// A generated program plus inputs sized to its `n`.

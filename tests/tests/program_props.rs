@@ -169,11 +169,11 @@ proptest! {
     fn random_valid_programs_lint_without_errors(program in strategies::program()) {
         let src = program.to_pmlang();
         let diags =
-            pm_lint::lint_source(&src, &Bindings::default(), Compiler::cross_domain().targets())
+            pm_analyze::lint_source(&src, &Bindings::default(), Compiler::cross_domain().targets())
                 .map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
         for d in &diags {
             prop_assert!(
-                d.severity != pm_lint::Severity::Error,
+                d.severity != pm_analyze::Severity::Error,
                 "lint error {} on a valid program: {}\n{src}", d.code, d.message
             );
         }
