@@ -43,6 +43,7 @@
 pub mod backend;
 pub mod breaker;
 pub mod classify;
+mod complement;
 pub mod cpu;
 pub mod deco;
 pub mod dnnweaver;
@@ -65,6 +66,9 @@ pub mod vta;
 pub use backend::{Backend, DmaModel};
 pub use breaker::{BreakerBoard, BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use classify::{profile, WorkProfile};
+pub use complement::{
+    backend_named, complement, cross_domain_targets, domain_defaults, host_targets,
+};
 pub use cpu::Cpu;
 pub use deco::Deco;
 pub use dnnweaver::DnnWeaver;

@@ -325,11 +325,23 @@ impl Soc {
     /// the same name). Prices memoised so far are forgotten: the backend
     /// is part of what they were a function of.
     pub fn attach(&mut self, backend: impl Backend + 'static) -> &mut Self {
+        self.attach_boxed(Box::new(backend));
+        self
+    }
+
+    fn attach_boxed(&mut self, backend: Box<dyn Backend>) {
         let name = backend.accel_spec().name;
         self.backends.retain(|(attached, _)| *attached != name);
-        self.backends.push((name, Box::new(backend)));
+        self.backends.push((name, backend));
         self.prices = ContentLru::with_capacity(PRICE_MEMO_ENTRIES);
-        self
+    }
+
+    /// A SoC with `backends` (a slice of [`crate::complement`]) attached
+    /// in order.
+    pub fn with(backends: Vec<Box<dyn Backend>>) -> Soc {
+        let mut soc = Soc::new();
+        backends.into_iter().for_each(|backend| soc.attach_boxed(backend));
+        soc
     }
 
     /// Counters of the price memo: a hit is a partition dispatched without

@@ -1,5 +1,10 @@
 //! `pmc` — the PolyMath compiler command-line interface.
 //!
+//! A subcommand takes exactly the flags listed for it here (and in
+//! `COMMANDS`, which `pmc` with no arguments prints): anything else is an
+//! `unknown flag` error, so a misspelt `--deny-warnings` cannot turn a gate
+//! off. Every number is decimal or `0x`-prefixed hexadecimal.
+//!
 //! ```text
 //! pmc check <file.pm> [--size name=value ...]
 //!     Parse and semantically check a PMLang program.
@@ -34,7 +39,7 @@
 //!     on state buffers, cross-target deadlock). Exits non-zero on
 //!     errors, or on warnings under --deny-warnings. `--format json`
 //!     emits one JSON array instead of caret renderings.
-//! pmc fmt <file.pm>
+//! pmc fmt <file.pm> [--size ...]
 //!     Pretty-print the program (canonical formatting) on stdout.
 //! pmc ir <file.pm> [--size ...] [--target <name>]
 //!     Print the srDFG as a textual listing (nodes, kernels, spaces).
@@ -51,8 +56,9 @@
 //!     feeds, and print the outputs. `feeds.txt` holds one tensor per
 //!     line: `name dim dim ... = v v v ...` (no dims = scalar); prefix a
 //!     line with `state ` to seed a persistent state variable. With
-//!     `--iters`, invokes repeatedly so `state` evolves. The chaos flags
-//!     run the trajectory through the resilient SoC runtime with
+//!     `--iters`, invokes repeatedly so `state` evolves (`--iters 0` runs
+//!     once, like `Soc::run_trajectory`). Every run goes through the
+//!     resilient SoC runtime; the chaos flags turn on its
 //!     deterministic fault injection (retry/backoff, checkpoint/replay,
 //!     host-fallback re-lowering on persistent outages); `--chaos-seed`
 //!     alone implies the transient profile, and `--chaos-profile off`
@@ -60,7 +66,7 @@
 //!     `--format json` the chaos run prints a single JSON report
 //!     (profile, fault/retry counters, fallbacks, partitions, outputs).
 //! pmc serve [--addr host:port] [--shards N] [--workers N] [--queue N]
-//!           [--host-only]
+//!           [--max-inflight-cost N] [--host-only]
 //!     Long-lived compile-and-run service. Admits line-delimited JSON
 //!     requests (PMLang program + feeds + chaos config) over stdin/stdout
 //!     (default) or TCP (`--addr`), compiles each through a
@@ -117,38 +123,170 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
-        return Err(usage());
-    };
-    if cmd == "fuzz" {
-        // `fuzz` takes no source file; everything after the command is flags.
-        return fuzz_cmd(&args[1..]);
-    }
-    if cmd == "serve" {
-        // `serve` takes no source file either; programs arrive over the wire.
-        return serve_cmd(&args[1..]);
-    }
-    if cmd == "soak" {
-        // `soak` generates its own workload from the seed.
-        return soak_cmd(&args[1..]);
-    }
-    let Some(path) = args.get(1) else {
-        return Err(usage());
-    };
-    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let bindings = parse_sizes(&args[2..])?;
-    let host_only = args.iter().any(|a| a == "--host-only");
+/// Every subcommand as its usage line: the positionals it expects, then
+/// each flag it takes in brackets — one written with a value hint
+/// (`[--size name=value]`) takes one value. The reader, `usage()` and the
+/// unknown-flag check all read this table.
+const COMMANDS: &[&str] = &[
+    "check <file.pm> [--size name=value]",
+    "stats <file.pm> [--size name=value]",
+    "dot <file.pm> [--size name=value]",
+    "compile <file.pm> [--size name=value] [--host-only] [--pin comp=TARGET] [--fragments] \
+     [--timings] [--format text|json]",
+    "lint <file.pm> [--size name=value] [--host-only] [--deny-warnings] [--format text|json]",
+    "analyze <file.pm> [--size name=value] [--host-only] [--deny-warnings] [--format text|json]",
+    "fmt <file.pm> [--size name=value]",
+    "ir <file.pm> [--size name=value] [--target NAME]",
+    "lower <file.pm> [--size name=value] [--target NAME]",
+    "run <file.pm> <feeds.txt> [--size name=value] [--iters N] [--chaos-seed N] \
+     [--chaos-profile off|transient|hostile] [--max-retries N] [--format text|json]",
+    "serve [--addr host:port] [--shards N] [--workers N] [--queue N] [--max-inflight-cost N] \
+     [--host-only]",
+    "soak [--seed N] [--profile off|transient|hostile] [--requests N] [--tenants N] \
+     [--host-only] [--format text|json]",
+    "fuzz [--seed N] [--cases N] [--smoke] [--minimize] [--corpus DIR] \
+     [--chaos-profile off|transient|hostile] [--chaos-seed N] [--wire]",
+];
 
-    match cmd.as_str() {
+fn usage() -> String {
+    format!("usage: pmc {}", COMMANDS.join("\n       pmc "))
+}
+
+/// One invocation's command line, checked against its `COMMANDS` row.
+struct Flags<'a> {
+    positionals: Vec<&'a str>,
+    /// `(name, value)` in command-line order.
+    given: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Splits `args` (subcommand first) into positionals and flags,
+    /// refusing a flag the subcommand does not list.
+    fn parse(args: &'a [String]) -> Result<Flags<'a>, String> {
+        let Some(cmd) = args.first() else { return Err(usage()) };
+        let row = COMMANDS
+            .iter()
+            .find(|row| row.split(' ').next() == Some(cmd))
+            .ok_or_else(|| format!("unknown command `{cmd}`\n{}", usage()))?;
+        // "cmd <positional>..." then one "--flag]" or "--flag hint]" each.
+        let mut specs = row.split(" [").map(|spec| spec.trim_end_matches(']'));
+        let positionals = specs.next().map_or(0, |head| head.matches('<').count());
+        let specs: Vec<&str> = specs.collect();
+        let mut rest = args[1..].iter().map(String::as_str);
+        let mut flags = Flags { positionals: Vec::new(), given: Vec::new() };
+        for _ in 0..positionals {
+            match rest.next().filter(|a| !a.starts_with("--")) {
+                Some(arg) => flags.positionals.push(arg),
+                None => return Err(format!("usage: pmc {row}")),
+            }
+        }
+        while let Some(arg) = rest.next() {
+            let spec = specs
+                .iter()
+                .find(|spec| spec.split(' ').next() == Some(arg))
+                .ok_or_else(|| format!("unknown flag `{arg}` for `pmc {cmd}`"))?;
+            let value = match spec.split_once(' ') {
+                None => None,
+                Some((_, hint)) => {
+                    Some(rest.next().ok_or_else(|| format!("{arg} expects {hint}"))?)
+                }
+            };
+            flags.given.push((arg, value));
+        }
+        Ok(flags)
+    }
+
+    fn flag(&self, name: &str) -> bool {
+        self.given.iter().any(|(given, _)| *given == name)
+    }
+
+    /// Every value given for a repeatable flag, in order.
+    fn values<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.given.iter().filter(move |(given, _)| *given == name).filter_map(|(_, v)| *v)
+    }
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.values(name).next()
+    }
+
+    /// A numeric flag: decimal or `0x`-prefixed hexadecimal.
+    fn number<T: TryFrom<u64>>(&self, name: &str) -> Result<Option<T>, String> {
+        let Some(v) = self.value(name) else { return Ok(None) };
+        let parsed = match v.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => v.parse(),
+        };
+        let number = parsed.ok().and_then(|n| T::try_from(n).ok());
+        number.map(Some).ok_or_else(|| format!("bad {name} value `{v}`"))
+    }
+
+    fn profile(&self, name: &str) -> Result<Option<pm_accel::ChaosProfile>, String> {
+        self.value(name).map(str::parse).transpose()
+    }
+
+    /// `--format <text|json>` (defaulting to text): is it `json`?
+    fn json(&self) -> Result<bool, String> {
+        match self.value("--format") {
+            None | Some("text") => Ok(false),
+            Some("json") => Ok(true),
+            Some(other) => Err(format!("unknown --format `{other}` (expected text or json)")),
+        }
+    }
+
+    /// Repeated `--size name=value` bindings.
+    fn sizes(&self) -> Result<Bindings, String> {
+        let mut bindings = Bindings::default();
+        for spec in self.values("--size") {
+            let (name, value) =
+                spec.split_once('=').ok_or_else(|| format!("bad --size `{spec}`"))?;
+            let value: i64 = value.parse().map_err(|_| format!("bad --size value `{value}`"))?;
+            bindings.sizes.insert(name.to_string(), value);
+        }
+        Ok(bindings)
+    }
+
+    /// The compiler `--host-only` and repeated `--pin component=TARGET`
+    /// overrides select.
+    fn compiler(&self) -> Result<Compiler, String> {
+        let mut compiler =
+            if self.flag("--host-only") { Compiler::host_only() } else { Compiler::cross_domain() };
+        for spec in self.values("--pin") {
+            let (component, target) = spec
+                .split_once('=')
+                .filter(|(component, target)| !component.is_empty() && !target.is_empty())
+                .ok_or_else(|| format!("bad --pin `{spec}`"))?;
+            compiler = compiler.with_target_override(component, backend_spec(target)?);
+        }
+        Ok(compiler)
+    }
+}
+
+fn run(args: &[String]) -> Result<(), String> {
+    let flags = Flags::parse(args)?;
+    let cmd = args[0].as_str();
+    match cmd {
+        // These take no source file: programs are generated or arrive
+        // over the wire.
+        "fuzz" => return fuzz_cmd(&flags),
+        "serve" => return serve_cmd(&flags),
+        "soak" => return soak_cmd(&flags),
+        _ => {}
+    }
+    let path = flags.positionals[0];
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let bindings = flags.sizes()?;
+    // The unlowered srDFG, as `stats`, `dot`, `ir` and `lower` show it.
+    let build_graph =
+        || Compiler::host_only().build_graph(&source, &bindings).map_err(|e| e.to_string());
+
+    match cmd {
         "check" => {
             pmlang::frontend(&source).map_err(|e| e.to_string())?;
             println!("{path}: OK");
             Ok(())
         }
         "stats" => {
-            let compiler = Compiler::host_only();
-            let graph = compiler.build_graph(&source, &bindings).map_err(|e| e.to_string())?;
+            let graph = build_graph()?;
             let stats = pm_passes::stats(&graph);
             println!("graph `{}`", graph.name);
             println!("  nodes:          {}", stats.nodes);
@@ -170,30 +308,24 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "dot" => {
-            let compiler = Compiler::host_only();
-            let graph = compiler.build_graph(&source, &bindings).map_err(|e| e.to_string())?;
+            let graph = build_graph()?;
             print!("{}", srdfg::dot::to_dot(&graph));
             Ok(())
         }
         "compile" => {
-            let mut compiler =
-                if host_only { Compiler::host_only() } else { Compiler::cross_domain() };
-            for (component, target) in parse_pins(&args[2..])? {
-                compiler = compiler.with_target_override(&component, backend_spec(&target)?);
-            }
+            let compiler = flags.compiler()?;
+            let json = flags.json()?;
             // Only `--timings` pays for the static verifier's two analyses.
-            let (compiled, timings) = if args.iter().any(|a| a == "--timings") {
+            let (compiled, timings) = if flags.flag("--timings") {
                 let (c, t) =
                     compiler.compile_timed(&source, &bindings).map_err(|e| e.to_string())?;
                 (c, Some(t))
             } else {
                 (compiler.compile(&source, &bindings).map_err(|e| e.to_string())?, None)
             };
-            if let Some(timings) = &timings {
-                if parse_format(args)? == "json" {
-                    println!("{}", timings_json(timings));
-                    return Ok(());
-                }
+            if let Some(timings) = timings.as_ref().filter(|_| json) {
+                println!("{}", timings_json(timings));
+                return Ok(());
             }
             let soc = standard_soc();
             let report = soc.run(&compiled, &HashMap::new()).map_err(|e| e.to_string())?;
@@ -216,7 +348,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 report.total.energy_j,
                 report.comm_fraction * 100.0
             );
-            if args.iter().any(|a| a == "--fragments") {
+            if flags.flag("--fragments") {
                 for part in compiled.partitions.iter() {
                     println!("\npartition {} ({} fragments):", part.target, part.fragments.len());
                     print_fragments(part);
@@ -227,22 +359,17 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        "lint" => {
+        "lint" | "analyze" => {
             let (program, _) = pmlang::frontend(&source).map_err(|e| e.to_string())?;
-            // No optimization passes: lints should see the graph exactly as
+            // No optimization passes: both should see the graph exactly as
             // the source wrote it, with every span intact.
             let graph = srdfg::build(&program, &bindings).map_err(|e| e.to_string())?;
-            let compiler = if host_only { Compiler::host_only() } else { Compiler::cross_domain() };
-            let diags = pm_analyze::lint(&program, &graph, compiler.targets());
-            report(&diags, &source, path, args, "lint")
-        }
-        "analyze" => {
-            let (program, _) = pmlang::frontend(&source).map_err(|e| e.to_string())?;
-            // Abstract interpretation runs on the un-optimized graph so
-            // every finding still carries a span into the source.
-            let graph = srdfg::build(&program, &bindings).map_err(|e| e.to_string())?;
+            let compiler = flags.compiler()?;
+            if cmd == "lint" {
+                let diags = pm_analyze::lint(&program, &graph, compiler.targets());
+                return report(&diags, &source, path, &flags, cmd);
+            }
             let mut diags = pm_analyze::analyze_graph(&graph);
-            let compiler = if host_only { Compiler::host_only() } else { Compiler::cross_domain() };
             // Hazard analysis needs the real compiled fragment plan; if the
             // pipeline fails downstream, the graph findings still render.
             match compiler.compile(&source, &bindings) {
@@ -251,7 +378,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
                 Err(e) => eprintln!("pmc: analyze: schedule hazard analysis skipped: {e}"),
             }
-            report(&pm_analyze::finish(diags), &source, path, args, "analyze")
+            report(&pm_analyze::finish(diags), &source, path, &flags, cmd)
         }
         "fmt" => {
             let (program, _) = pmlang::frontend(&source).map_err(|e| e.to_string())?;
@@ -259,24 +386,18 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "ir" => {
-            let compiler = Compiler::host_only();
-            let mut graph = compiler.build_graph(&source, &bindings).map_err(|e| e.to_string())?;
-            if let Some(pos) = args.iter().position(|a| a == "--target") {
-                let name =
-                    args.get(pos + 1).ok_or_else(|| "--target expects a name".to_string())?;
+            let mut graph = build_graph()?;
+            if let Some(name) = flags.value("--target") {
                 lower_for(&mut graph, name)?;
             }
             print!("{}", srdfg::dot::to_text(&graph));
             Ok(())
         }
         "lower" => {
-            let target = args
-                .iter()
-                .position(|a| a == "--target")
-                .and_then(|p| args.get(p + 1))
+            let target = flags
+                .value("--target")
                 .ok_or_else(|| "lower expects --target <name>".to_string())?;
-            let compiler = Compiler::host_only();
-            let mut graph = compiler.build_graph(&source, &bindings).map_err(|e| e.to_string())?;
+            let mut graph = build_graph()?;
             println!("before lowering:");
             print_census(&graph);
             lower_for(&mut graph, target)?;
@@ -285,56 +406,41 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "run" => {
-            let feeds_path = args
-                .get(2)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| "run expects a feeds file".to_string())?;
-            let (feeds, state) = parse_feeds(feeds_path)?;
-            let iters = parse_iters(&args[3..])?;
-            let chaos = parse_chaos(&args[3..])?;
+            let (feeds, state) = parse_feeds(flags.positionals[1])?;
+            // `--chaos-seed` without an explicit profile implies
+            // `transient`, so the short form alone turns fault injection on.
+            let seed: Option<u64> = flags.number("--chaos-seed")?;
+            let profile = match flags.profile("--chaos-profile")? {
+                Some(profile) => profile,
+                None if seed.is_some() => pm_accel::ChaosProfile::Transient,
+                None => pm_accel::ChaosProfile::Off,
+            };
+            let seed = seed.unwrap_or(0);
+            let max_retries: u32 = flags.number("--max-retries")?.unwrap_or(3);
+            let cfg = pm_accel::ChaosConfig::new(seed, profile).with_max_retries(max_retries);
+            let json = flags.json()?;
             let compiler = Compiler::cross_domain();
             let compiled = compiler.compile(&source, &bindings).map_err(|e| e.to_string())?;
-            let format = parse_format(args)?;
-
-            // The fault-free text path stays the plain interpreter loop —
-            // byte-identical with and without `--chaos-profile off`.
-            let chaos_off = match &chaos {
-                None => true,
-                Some(c) => c.profile == pm_accel::ChaosProfile::Off,
-            };
-            if format == "text" && chaos_off {
-                let mut machine = srdfg::Machine::new(std::sync::Arc::clone(&compiled.graph));
-                for (name, tensor) in state {
-                    machine.set_state(&name, tensor);
-                }
-                let mut outputs = std::collections::HashMap::new();
-                for _ in 0..iters {
-                    outputs = machine.invoke(&feeds).map_err(|e| e.to_string())?;
-                }
-                print_outputs(&outputs);
-                return Ok(());
-            }
-
-            let chaos = chaos.unwrap_or_default();
-            let cfg = pm_accel::ChaosConfig::new(chaos.seed, chaos.profile)
-                .with_max_retries(chaos.max_retries);
-            let soc = standard_soc();
             let inputs = pm_accel::TrajectoryInputs {
                 feeds: &feeds,
                 state_seeds: &state,
-                invocations: iters,
+                invocations: flags.number("--iters")?.unwrap_or(1),
             };
-            let outcome = soc
+            let outcome = standard_soc()
                 .run_trajectory(&compiled, &HashMap::new(), &cfg, Some(compiler.targets()), &inputs)
                 .map_err(|e| e.to_string())?;
-            if format == "json" {
-                println!("{}", chaos_json(&chaos, &outcome));
+            if json {
+                println!("{}", chaos_json(&cfg, &outcome));
                 return Ok(());
             }
             print_outputs(&outcome.outputs);
+            // A fault-free run prints the outputs alone — byte-identical
+            // with and without `--chaos-profile off`.
+            if profile == pm_accel::ChaosProfile::Off {
+                return Ok(());
+            }
             println!(
-                "chaos: profile {}, seed {:#x}, max {} retries/fragment",
-                chaos.profile, chaos.seed, chaos.max_retries
+                "chaos: profile {profile}, seed {seed:#x}, max {max_retries} retries/fragment"
             );
             println!(
                 "  invocations: {} ({} replayed), faults: {}, retries: {}, \
@@ -351,7 +457,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        _ => unreachable!("`Flags::parse` admits only the subcommands of COMMANDS"),
     }
 }
 
@@ -360,44 +466,19 @@ fn run(args: &[String]) -> Result<(), String> {
 /// The undocumented `PMC_FUZZ_MISCOMPILE` environment variable arms the
 /// sentinel miscompilation (a deliberate `add`→`sub` flip applied after
 /// optimization) so CI can prove the harness actually detects bugs.
-fn fuzz_cmd(args: &[String]) -> Result<(), String> {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| -> Result<Option<u64>, String> {
-        match args.iter().position(|a| a == name) {
-            None => Ok(None),
-            Some(pos) => {
-                let v = args.get(pos + 1).ok_or_else(|| format!("{name} expects a number"))?;
-                parse_u64(v).map(Some).map_err(|_| format!("bad {name} value `{v}`"))
-            }
-        }
-    };
-    let seed = flag_value("--seed")?.unwrap_or(if smoke { 0xC0FFEE } else { 0 });
-    let cases = flag_value("--cases")?.unwrap_or(if smoke { 10_000 } else { 1000 }) as usize;
-    if args.iter().any(|a| a == "--wire") {
+fn fuzz_cmd(flags: &Flags) -> Result<(), String> {
+    let smoke = flags.flag("--smoke");
+    let seed = flags.number("--seed")?.unwrap_or(if smoke { 0xC0FFEE } else { 0 });
+    let cases: usize = flags.number("--cases")?.unwrap_or(if smoke { 10_000 } else { 1000 });
+    if flags.flag("--wire") {
         return wire_fuzz_cmd(seed, cases);
     }
-    let chaos = match args.iter().position(|a| a == "--chaos-profile") {
-        None => None,
-        Some(pos) => {
-            let v =
-                args.get(pos + 1).ok_or_else(|| "--chaos-profile expects a value".to_string())?;
-            let profile: pm_accel::ChaosProfile = v.parse()?;
-            (profile != pm_accel::ChaosProfile::Off).then_some(profile)
-        }
-    };
-    let chaos_seed = flag_value("--chaos-seed")?.unwrap_or(0);
-    let minimize = args.iter().any(|a| a == "--minimize") || smoke;
-    let corpus_dir = args
-        .iter()
-        .position(|a| a == "--corpus")
-        .map(|pos| {
-            args.get(pos + 1)
-                .map(std::path::PathBuf::from)
-                .ok_or_else(|| "--corpus expects a directory".to_string())
-        })
-        .transpose()?;
+    let chaos =
+        flags.profile("--chaos-profile")?.filter(|profile| *profile != pm_accel::ChaosProfile::Off);
+    let chaos_seed = flags.number("--chaos-seed")?.unwrap_or(0);
+    let minimize = flags.flag("--minimize") || smoke;
+    let corpus_dir = flags.value("--corpus").map(std::path::PathBuf::from);
     let sabotage = std::env::var_os("PMC_FUZZ_MISCOMPILE").is_some_and(|v| v != "0");
-
     let cfg = pm_fuzz::FuzzConfig {
         seed,
         cases,
@@ -496,37 +577,16 @@ fn wire_fuzz_cmd(seed: u64, cases: usize) -> Result<(), String> {
 /// workload (chaos, deadline jitter, poison programs, admission storms),
 /// asserts the resilience invariants, and replays the whole run to prove
 /// byte-identical determinism. See `polymath::soak`.
-fn soak_cmd(args: &[String]) -> Result<(), String> {
-    let flag_value = |name: &str| -> Result<Option<u64>, String> {
-        match args.iter().position(|a| a == name) {
-            None => Ok(None),
-            Some(pos) => {
-                let v = args.get(pos + 1).ok_or_else(|| format!("{name} expects a number"))?;
-                match v.strip_prefix("0x") {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => v.parse(),
-                }
-                .map(Some)
-                .map_err(|_| format!("bad {name} value `{v}`"))
-            }
-        }
-    };
+fn soak_cmd(flags: &Flags) -> Result<(), String> {
     let defaults = polymath::SoakConfig::default();
-    let mut cfg = polymath::SoakConfig {
-        seed: flag_value("--seed")?.unwrap_or(defaults.seed),
-        requests: flag_value("--requests")?.unwrap_or(defaults.requests as u64) as usize,
-        tenants: flag_value("--tenants")?.unwrap_or(defaults.tenants as u64) as usize,
-        host_only: args.iter().any(|a| a == "--host-only"),
-        ..defaults
+    let cfg = polymath::SoakConfig {
+        seed: flags.number("--seed")?.unwrap_or(defaults.seed),
+        requests: flags.number("--requests")?.unwrap_or(defaults.requests),
+        tenants: flags.number("--tenants")?.unwrap_or(defaults.tenants),
+        host_only: flags.flag("--host-only"),
+        profile: flags.profile("--profile")?.unwrap_or(defaults.profile),
     };
-    if let Some(pos) = args.iter().position(|a| a == "--profile") {
-        let p = args.get(pos + 1).ok_or_else(|| "--profile expects a value".to_string())?;
-        cfg.profile = p.parse()?;
-    }
-    let json = matches!(
-        args.iter().position(|a| a == "--format").and_then(|p| args.get(p + 1)),
-        Some(f) if f == "json"
-    );
+    let json = flags.json()?;
     // Worker panics are an expected part of the soak (poison programs);
     // silence the default hook so the report is the only output.
     std::panic::set_hook(Box::new(|_| {}));
@@ -559,30 +619,20 @@ fn soak_cmd(args: &[String]) -> Result<(), String> {
 /// The `pmc serve` subcommand: a long-lived compile-and-run service
 /// speaking line-delimited JSON over stdin/stdout (default) or TCP
 /// (`--addr host:port`). See `polymath::serve` for the wire protocol.
-fn serve_cmd(args: &[String]) -> Result<(), String> {
-    let flag_value = |name: &str| -> Result<Option<u64>, String> {
-        match args.iter().position(|a| a == name) {
-            None => Ok(None),
-            Some(pos) => {
-                let v = args.get(pos + 1).ok_or_else(|| format!("{name} expects a number"))?;
-                v.parse().map(Some).map_err(|_| format!("bad {name} value `{v}`"))
-            }
-        }
-    };
+fn serve_cmd(flags: &Flags) -> Result<(), String> {
     let defaults = polymath::ServeConfig::default();
     let cfg = polymath::ServeConfig {
-        shards: flag_value("--shards")?.unwrap_or(defaults.shards as u64) as usize,
-        workers: flag_value("--workers")?.unwrap_or(defaults.workers as u64) as usize,
-        queue_depth: flag_value("--queue")?.unwrap_or(defaults.queue_depth as u64) as usize,
-        host_only: args.iter().any(|a| a == "--host-only"),
-        max_inflight_cost: flag_value("--max-inflight-cost")?.unwrap_or(defaults.max_inflight_cost),
+        shards: flags.number("--shards")?.unwrap_or(defaults.shards),
+        workers: flags.number("--workers")?.unwrap_or(defaults.workers),
+        queue_depth: flags.number("--queue")?.unwrap_or(defaults.queue_depth),
+        host_only: flags.flag("--host-only"),
+        max_inflight_cost: flags
+            .number("--max-inflight-cost")?
+            .unwrap_or(defaults.max_inflight_cost),
         poison_marker: None,
     };
-    match args.iter().position(|a| a == "--addr") {
-        Some(pos) => {
-            let addr = args.get(pos + 1).ok_or_else(|| "--addr expects host:port".to_string())?;
-            polymath::serve_tcp(&cfg, addr)
-        }
+    match flags.value("--addr") {
+        Some(addr) => polymath::serve_tcp(&cfg, addr),
         None => polymath::serve_stdio(&cfg),
     }
 }
@@ -632,73 +682,6 @@ fn parse_feeds(path: &str) -> Result<(Feeds, Vec<(String, srdfg::Tensor)>), Stri
     Ok((feeds, state))
 }
 
-fn parse_iters(args: &[String]) -> Result<u64, String> {
-    if let Some(pos) = args.iter().position(|a| a == "--iters") {
-        args.get(pos + 1)
-            .ok_or_else(|| "--iters expects a count".to_string())?
-            .parse()
-            .map_err(|_| "bad --iters value".to_string())
-    } else {
-        Ok(1)
-    }
-}
-
-/// Parses a decimal or `0x`-prefixed hexadecimal u64.
-fn parse_u64(v: &str) -> Result<u64, std::num::ParseIntError> {
-    if let Some(hex) = v.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        v.parse()
-    }
-}
-
-/// The `run` subcommand's chaos flags.
-struct ChaosFlags {
-    seed: u64,
-    profile: pm_accel::ChaosProfile,
-    max_retries: u32,
-}
-
-impl Default for ChaosFlags {
-    fn default() -> Self {
-        ChaosFlags { seed: 0, profile: pm_accel::ChaosProfile::Off, max_retries: 3 }
-    }
-}
-
-/// Parses `--chaos-seed N`, `--chaos-profile {off|transient|hostile}` and
-/// `--max-retries K`. Returns `None` when no chaos flag is present.
-/// `--chaos-seed` without an explicit profile implies `transient`, so the
-/// short form alone turns fault injection on.
-fn parse_chaos(args: &[String]) -> Result<Option<ChaosFlags>, String> {
-    let value_of = |name: &str| -> Result<Option<&String>, String> {
-        match args.iter().position(|a| a == name) {
-            None => Ok(None),
-            Some(pos) => {
-                args.get(pos + 1).map(Some).ok_or_else(|| format!("{name} expects a value"))
-            }
-        }
-    };
-    let seed = value_of("--chaos-seed")?;
-    let profile = value_of("--chaos-profile")?;
-    let retries = value_of("--max-retries")?;
-    if seed.is_none() && profile.is_none() && retries.is_none() {
-        return Ok(None);
-    }
-    let mut flags = ChaosFlags::default();
-    if let Some(v) = seed {
-        flags.seed = parse_u64(v).map_err(|_| format!("bad --chaos-seed value `{v}`"))?;
-    }
-    match profile {
-        Some(v) => flags.profile = v.parse()?,
-        None if seed.is_some() => flags.profile = pm_accel::ChaosProfile::Transient,
-        None => {}
-    }
-    if let Some(v) = retries {
-        flags.max_retries = v.parse().map_err(|_| format!("bad --max-retries value `{v}`"))?;
-    }
-    Ok(Some(flags))
-}
-
 /// Prints the outputs of a run, sorted by name (the `pmc run` contract).
 fn print_outputs(outputs: &std::collections::HashMap<String, srdfg::Tensor>) {
     let mut names: Vec<_> = outputs.keys().collect();
@@ -708,26 +691,14 @@ fn print_outputs(outputs: &std::collections::HashMap<String, srdfg::Tensor>) {
     }
 }
 
-/// Minimal JSON string escape (quotes, backslashes, control characters).
+/// A JSON string literal, escaped as the serve wire protocol escapes.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    polymath::Json::Str(s.to_string()).render()
 }
 
 /// The `run --format json` rendering of a chaos trajectory (single line,
 /// mirroring `--timings --format json`).
-fn chaos_json(flags: &ChaosFlags, outcome: &pm_accel::TrajectoryOutcome) -> String {
+fn chaos_json(cfg: &pm_accel::ChaosConfig, outcome: &pm_accel::TrajectoryOutcome) -> String {
     let num = |v: f64| if v.is_finite() { format!("{v}") } else { "null".to_string() };
     let fallbacks: Vec<String> = outcome
         .fallbacks
@@ -779,9 +750,9 @@ fn chaos_json(flags: &ChaosFlags, outcome: &pm_accel::TrajectoryOutcome) -> Stri
          \"replayed_invocations\":{},\"checkpoints\":{},\"faults_injected\":{},\"retries\":{},\
          \"retried_dma_bytes\":{},\"virtual_ns\":{},\"fallbacks\":[{}],\"partitions\":[{}],\
          \"outputs\":{{{}}}}}",
-        json_str(&flags.profile.to_string()),
-        flags.seed,
-        flags.max_retries,
+        json_str(&cfg.plan.profile().to_string()),
+        cfg.plan.seed(),
+        cfg.max_retries,
         outcome.invocations,
         outcome.replayed_invocations,
         outcome.checkpoints,
@@ -940,69 +911,9 @@ fn timings_json(t: &polymath::CompileTimings) -> String {
 
 /// Resolves a backend name to its accelerator spec.
 fn backend_spec(name: &str) -> Result<pm_lower::AcceleratorSpec, String> {
-    use pm_accel::Backend as _;
-    Ok(match name.to_ascii_uppercase().as_str() {
-        "TABLA" => pm_accel::Tabla::default().accel_spec(),
-        "DECO" => pm_accel::Deco::default().accel_spec(),
-        "GRAPHICIONADO" => pm_accel::Graphicionado::default().accel_spec(),
-        "ROBOX" => pm_accel::Robox::default().accel_spec(),
-        "TVM-VTA" | "VTA" => pm_accel::Vta::default().accel_spec(),
-        "DNNWEAVER" => pm_accel::DnnWeaver::default().accel_spec(),
-        "HYPERSTREAMS" => pm_accel::HyperStreams::default().accel_spec(),
-        other => return Err(format!("unknown target `{other}`")),
-    })
-}
-
-/// Parses repeated `--pin component=TARGET` overrides.
-fn parse_pins(args: &[String]) -> Result<Vec<(String, String)>, String> {
-    let mut pins = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--pin" {
-            let spec =
-                args.get(i + 1).ok_or_else(|| "--pin expects component=TARGET".to_string())?;
-            let (component, target) =
-                spec.split_once('=').ok_or_else(|| format!("bad --pin `{spec}`"))?;
-            if component.is_empty() || target.is_empty() {
-                return Err(format!("bad --pin `{spec}`"));
-            }
-            pins.push((component.to_string(), target.to_string()));
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    Ok(pins)
-}
-
-fn parse_sizes(args: &[String]) -> Result<Bindings, String> {
-    let mut bindings = Bindings::default();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--size" {
-            let spec = args.get(i + 1).ok_or_else(|| "--size expects name=value".to_string())?;
-            let (name, value) =
-                spec.split_once('=').ok_or_else(|| format!("bad --size `{spec}`"))?;
-            let value: i64 = value.parse().map_err(|_| format!("bad --size value `{value}`"))?;
-            bindings.sizes.insert(name.to_string(), value);
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    Ok(bindings)
-}
-
-/// Parses `--format <text|json>` (defaulting to text).
-fn parse_format(args: &[String]) -> Result<&str, String> {
-    match args.iter().position(|a| a == "--format") {
-        None => Ok("text"),
-        Some(pos) => match args.get(pos + 1).map(String::as_str) {
-            Some(f @ ("text" | "json")) => Ok(f),
-            Some(other) => Err(format!("unknown --format `{other}` (expected text or json)")),
-            None => Err("--format expects text or json".to_string()),
-        },
-    }
+    pm_accel::backend_named(name)
+        .map(|backend| backend.accel_spec())
+        .ok_or_else(|| format!("unknown target `{}`", name.to_ascii_uppercase()))
 }
 
 /// The tail `lint` and `analyze` share: print `diags` in the requested
@@ -1011,10 +922,10 @@ fn report(
     diags: &[pm_analyze::Diagnostic],
     source: &str,
     path: &str,
-    args: &[String],
+    flags: &Flags,
     verb: &str,
 ) -> Result<(), String> {
-    if parse_format(args)? == "json" {
+    if flags.json()? {
         println!("{}", pm_analyze::render_json(diags));
     } else {
         print!("{}", pm_analyze::render_text(diags, source, path));
@@ -1025,19 +936,31 @@ fn report(
     if errors > 0 {
         return Err(format!("{verb} found {errors} error(s)"));
     }
-    if warnings > 0 && args.iter().any(|a| a == "--deny-warnings") {
+    if warnings > 0 && flags.flag("--deny-warnings") {
         return Err(format!("{verb} found {warnings} warning(s) (--deny-warnings)"));
     }
     Ok(())
 }
 
-fn usage() -> String {
-    "usage: pmc <check|stats|dot|compile|lint|analyze|run> <file.pm> [feeds.txt] \
-[--size name=value ...] [--host-only] [--pin comp=TARGET ...] [--iters N] \
-[--deny-warnings] [--timings] [--format json] [--chaos-seed N] \
-[--chaos-profile off|transient|hostile] [--max-retries K]\n\
-       pmc serve [--addr host:port] [--shards N] [--workers N] [--queue N] [--host-only]\n\
-       pmc fuzz [--seed N] [--cases N] [--smoke] [--minimize] [--corpus DIR] \
-[--chaos-profile P] [--chaos-seed N]"
-        .to_string()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_numeric_flag_reads_hex_and_decimal_alike() {
+        for row in COMMANDS {
+            let cmd = row.split(' ').next().unwrap();
+            for flag in row.split(" [").filter_map(|spec| spec.strip_suffix(" N]")) {
+                let read = |text: &str| {
+                    let mut args = vec![cmd.to_string()];
+                    args.extend(row.matches('<').map(|_| "file".to_string()));
+                    args.extend([flag.to_string(), text.to_string()]);
+                    Flags::parse(&args).unwrap().number::<u64>(flag)
+                };
+                assert_eq!(read("0x10"), Ok(Some(16)), "pmc {cmd} {flag}");
+                assert_eq!(read("16"), Ok(Some(16)), "pmc {cmd} {flag}");
+                assert!(read("sixteen").unwrap_err().contains(flag), "pmc {cmd} {flag}");
+            }
+        }
+    }
 }

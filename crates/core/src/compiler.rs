@@ -2,9 +2,7 @@
 //! optimization passes → lowering (Algorithm 1) → accelerator IR
 //! (Algorithm 2).
 
-use pm_accel::{
-    Backend, Cpu, Deco, DnnWeaver, Graphicionado, HyperStreams, Robox, Soc, Tabla, Vta,
-};
+use pm_accel::Soc;
 use pm_lower::{
     compile_program_budgeted, lower_budgeted, CompiledProgram, ProgramCache, ProgramCacheStats,
     ProgramKey, TargetMap,
@@ -133,7 +131,7 @@ impl Compiler {
     /// A compiler mapping every domain to the host CPU (the baseline).
     pub fn host_only() -> Self {
         Compiler {
-            targets: TargetMap::host_only(Cpu::default().accel_spec()),
+            targets: pm_accel::host_targets(),
             optimize: true,
             fuse: false,
             template_cache: TemplateCache::new(),
@@ -142,15 +140,9 @@ impl Compiler {
     }
 
     /// A compiler with the paper's five accelerators attached
-    /// (Table V: RoboX, Graphicionado, TABLA, DECO, TVM-VTA).
+    /// ([`pm_accel::domain_defaults`]).
     pub fn cross_domain() -> Self {
-        let mut c = Compiler::host_only();
-        c.targets.set(Robox::default().accel_spec());
-        c.targets.set(Graphicionado::default().accel_spec());
-        c.targets.set(Tabla::default().accel_spec());
-        c.targets.set(Deco::default().accel_spec());
-        c.targets.set(Vta::default().accel_spec());
-        c
+        Compiler { targets: pm_accel::cross_domain_targets(), ..Compiler::host_only() }
     }
 
     /// A compiler accelerating only the listed domains (the paper's
@@ -463,21 +455,11 @@ pub struct CompileTimings {
     pub total: Duration,
 }
 
-/// The standard SoC with all five accelerators attached (execution-time
-/// counterpart of [`Compiler::cross_domain`]).
+/// The standard SoC with the whole [`pm_accel::complement`] attached
+/// (execution-time counterpart of [`Compiler::cross_domain`], plus the
+/// override-only backends).
 pub fn standard_soc() -> Soc {
-    let mut soc = Soc::new();
-    soc.attach(Robox::default());
-    soc.attach(Graphicionado::default());
-    soc.attach(Tabla::default());
-    soc.attach(Deco::default());
-    soc.attach(Vta::default());
-    soc.attach(HyperStreams::default());
-    // Not a domain default, but reachable through per-component target
-    // overrides (`--pin comp=DnnWeaver`); partitions are priced by target
-    // name, so attaching it never shadows the VTA.
-    soc.attach(DnnWeaver::default());
-    soc
+    Soc::with(pm_accel::complement())
 }
 
 #[cfg(test)]
@@ -578,5 +560,17 @@ mod tests {
         let report = soc.run(&compiled, &HashMap::new()).unwrap();
         assert!(report.total.seconds > 0.0);
         assert_eq!(report.partitions.len(), compiled.partitions.len());
+    }
+
+    #[test]
+    fn standard_soc_attaches_every_cross_domain_target() {
+        let attached = standard_soc().attached_names();
+        let targets = Compiler::cross_domain();
+        let domains = targets.targets().accelerated_domains();
+        assert_eq!(domains.len(), 5);
+        for domain in domains {
+            let name = &targets.targets().target(Some(domain)).name;
+            assert!(attached.contains(name), "{name} compiles for {domain:?} but is not attached");
+        }
     }
 }

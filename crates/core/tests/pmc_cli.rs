@@ -601,3 +601,40 @@ fn size_parameters_bind_from_the_command_line() {
     let out = pmc(&["stats", f.to_str().unwrap(), "--size", "n=32"]);
     assert!(out.status.success(), "{}", stderr(&out));
 }
+
+/// Every subcommand `pmc`'s own usage text lists refuses a flag it does
+/// not know, before doing any work, and names the flag and itself.
+#[test]
+fn every_subcommand_rejects_an_unknown_flag() {
+    let pm = temp_file("unknownflag", TWO_DOMAIN);
+    let usage = stderr(&pmc(&[]));
+    let rows: Vec<&str> = usage.lines().filter_map(|l| l.split("pmc ").nth(1)).collect();
+    assert_eq!(rows.len(), 13, "{usage}");
+    for row in rows {
+        let cmd = row.split(' ').next().unwrap();
+        let mut args = vec![cmd];
+        args.extend(row.matches('<').map(|_| pm.to_str().unwrap()));
+        args.push("--no-such-flag");
+        let out = pmc(&args);
+        assert!(!out.status.success(), "`pmc {cmd}` accepted --no-such-flag");
+        let expect = format!("unknown flag `--no-such-flag` for `pmc {cmd}`");
+        assert!(stderr(&out).contains(&expect), "{cmd}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn run_reads_hex_iters_and_runs_once_for_zero() {
+    let pm = temp_file(
+        "hexiters",
+        "main(input float x, state float s, output float y) { s = s + x; y = s; }",
+    );
+    let feeds = std::env::temp_dir().join(format!("pmc_cli_hexiters_{}.txt", std::process::id()));
+    std::fs::write(&feeds, "x = 10\nstate s = 10\n").unwrap();
+    let run = |iters: &str| {
+        let out = pmc(&["run", pm.to_str().unwrap(), feeds.to_str().unwrap(), "--iters", iters]);
+        assert!(out.status.success(), "--iters {iters}: {}", stderr(&out));
+        stdout(&out)
+    };
+    assert_eq!(run("0x10"), run("16"));
+    assert!(run("0").contains("20"), "`--iters 0` is one invocation, as in `run_trajectory`");
+}

@@ -22,14 +22,12 @@
 //! Algorithm-2 fragment plan; an error-severity hazard (missing DMA
 //! marshalling, deadlock) on a real compilation is a compiler bug.
 
-use crate::model::{EvalStep, PProgram};
-use pm_accel::{
-    Backend, ChaosConfig, ChaosProfile, Cpu, Deco, Graphicionado, Robox, Soc, Tabla, Vta,
-};
+use crate::model::PProgram;
+use pm_accel::{cross_domain_targets, host_targets, ChaosConfig, ChaosProfile, Soc};
 use pm_lower::{compile_program, fully_lowered, lower, CompiledProgram, FragmentKind, TargetMap};
 use pm_passes::{Pass, PassManager, PassStats};
 use srdfg::{Bindings, KExpr, Machine, NodeKind, SrDfg, Tensor};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Differential-run knobs.
@@ -146,82 +144,12 @@ impl Pass for SabotagePass {
     }
 }
 
-/// The host-only target map (every domain on the CPU).
-pub fn host_targets() -> TargetMap {
-    TargetMap::host_only(Cpu::default().accel_spec())
-}
-
-/// The cross-domain target map with the paper's five accelerators, the
-/// same assignment `polymath::Compiler::cross_domain` uses.
-pub fn cross_domain_targets() -> TargetMap {
-    let mut t = host_targets();
-    t.set(Robox::default().accel_spec());
-    t.set(Graphicionado::default().accel_spec());
-    t.set(Tabla::default().accel_spec());
-    t.set(Deco::default().accel_spec());
-    t.set(Vta::default().accel_spec());
-    t
-}
-
 fn close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
 }
 
 fn tensor(values: &[f64]) -> Tensor {
     Tensor::from_vec(pmlang::DType::Float, vec![values.len()], values.to_vec()).unwrap()
-}
-
-/// Runs one graph through `invocations` machine invocations and compares
-/// every defined output (and the state trajectory) against the oracle.
-fn run_route(
-    graph: SrDfg,
-    prog: &PProgram,
-    steps: &[EvalStep],
-    feeds: &HashMap<String, Tensor>,
-    z0: &[f64],
-    tol: f64,
-) -> Result<(), String> {
-    let mut machine = Machine::new(graph);
-    if prog.has_state() {
-        machine.set_state("z", tensor(z0));
-    }
-    for (k, step) in steps.iter().enumerate() {
-        let out = machine.invoke(feeds).map_err(|e| format!("invocation {k}: {e}"))?;
-        for (j, expect) in step.vecs.iter().enumerate() {
-            let got = out
-                .get(&format!("t{j}"))
-                .ok_or_else(|| format!("invocation {k}: missing output t{j}"))?
-                .as_real_slice()
-                .ok_or_else(|| format!("invocation {k}: t{j} is not a real tensor"))?;
-            for (i, (g, e)) in got.iter().zip(expect).enumerate() {
-                if !close(*g, *e, tol) {
-                    return Err(format!("invocation {k}: t{j}[{i}] = {g}, oracle says {e}"));
-                }
-            }
-        }
-        for (j, expect) in step.scalars.iter().enumerate() {
-            let got = out
-                .get(&format!("s{j}"))
-                .ok_or_else(|| format!("invocation {k}: missing output s{j}"))?
-                .scalar_value()
-                .map_err(|e| format!("invocation {k}: s{j}: {e}"))?;
-            if !close(got, *expect, tol) {
-                return Err(format!("invocation {k}: s{j} = {got}, oracle says {expect}"));
-            }
-        }
-        if let Some(expect) = &step.state_next {
-            let got = machine
-                .state("z")
-                .and_then(|t| t.as_real_slice())
-                .ok_or_else(|| format!("invocation {k}: state z not persisted"))?;
-            for (i, (g, e)) in got.iter().zip(expect).enumerate() {
-                if !close(*g, *e, tol) {
-                    return Err(format!("invocation {k}: state z[{i}] = {g}, oracle says {e}"));
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Structural invariants of an Algorithm-2 compilation: compute fragments
@@ -265,18 +193,6 @@ fn check_partitions(compiled: &CompiledProgram, targets: &TargetMap) -> Result<(
     Ok(())
 }
 
-/// The SoC the chaos route dispatches on: the paper's five accelerators,
-/// matching [`cross_domain_targets`].
-fn chaos_soc() -> Soc {
-    let mut s = Soc::new();
-    s.attach(Robox::default());
-    s.attach(Graphicionado::default());
-    s.attach(Tabla::default());
-    s.attach(Deco::default());
-    s.attach(Vta::default());
-    s
-}
-
 /// The chaos route: lower cross-domain, dispatch through the resilient
 /// SoC runtime under fault injection, and return the graph of whatever
 /// schedule survived (the original, or the host-fallback re-lowering
@@ -294,7 +210,8 @@ fn chaos_route(
     pm_passes::PruneUnusedInputs.run(&mut graph);
     let compiled = compile_program(&graph, targets).map_err(|e| format!("algorithm 2: {e}"))?;
     let chaos = ChaosConfig::new(cfg.chaos_seed, profile).with_max_retries(cfg.max_retries);
-    let outcome = chaos_soc()
+    // The five domain defaults, matching `cross_domain_targets`.
+    let outcome = Soc::with(pm_accel::domain_defaults())
         .run_chaos(&compiled, &HashMap::new(), &chaos, Some(targets))
         .map_err(|e| format!("chaos dispatch: {e}"))?;
     // Owned, like every route's graph: `run_route` takes it by value.
@@ -325,16 +242,10 @@ fn lowered_route(mut graph: SrDfg, targets: &TargetMap) -> Result<SrDfg, String>
     Ok(graph)
 }
 
-/// Differentially checks one program on one input set. Never panics:
-/// route panics are caught and reported as failures.
-pub fn check_case(
-    prog: &PProgram,
-    xs: &[f64],
-    ys: &[f64],
-    z0: &[f64],
-    cfg: &DiffConfig,
-) -> CaseResult {
-    match catch_unwind(AssertUnwindSafe(|| check_case_inner(prog, xs, ys, z0, cfg))) {
+/// Runs `body`, turning a panic anywhere under it into a `panic` route
+/// failure.
+fn guarded(body: impl FnOnce() -> CaseResult) -> CaseResult {
+    match catch_unwind(AssertUnwindSafe(body)) {
         Ok(result) => result,
         Err(payload) => {
             let detail = payload
@@ -347,140 +258,132 @@ pub fn check_case(
     }
 }
 
-fn check_case_inner(
+/// The route table: builds `source`, prepares every route's graph and
+/// hands each to `check` in order, stopping at the first failure. The
+/// first route is always `interp@O0` on the unoptimized graph.
+fn check_routes(
+    source: &str,
+    cfg: &DiffConfig,
+    mut check: impl FnMut(SrDfg) -> Result<(), String>,
+) -> Result<(), Failure> {
+    let fail = |route: &str, detail: String| Failure { route: route.into(), detail };
+    let (program, _) = pmlang::frontend(source).map_err(|e| fail("frontend", e.to_string()))?;
+    let base =
+        srdfg::build(&program, &Bindings::default()).map_err(|e| fail("build", e.to_string()))?;
+    // A valid program must produce no error-severity static findings —
+    // any would be an analyzer false positive.
+    if let Some(f) =
+        pm_analyze::analyze_graph(&base).iter().find(|f| f.severity == pm_analyze::Severity::Error)
+    {
+        return Err(fail("analyze@graph", f.to_string()));
+    }
+    let certified = pm_analyze::certify_bounds(&base).is_ok();
+
+    // The sabotaged graphs also seed the lowered routes, so a miscompile
+    // propagates everywhere the real pipeline would carry it.
+    let at_opt_level = |level| {
+        let mut graph = base.clone();
+        PassManager::at_opt_level(level).run(&mut graph);
+        if cfg.sabotage {
+            SabotagePass.run(&mut graph);
+        }
+        graph
+    };
+    let o1 = at_opt_level(1);
+    let optimized = at_opt_level(2);
+    let mut fused = optimized.clone();
+    pm_passes::AlgebraicCombination.run(&mut fused);
+    let cross = cross_domain_targets();
+
+    let mut route = |name: &str, graph: Result<SrDfg, String>| {
+        let graph = graph.map_err(|e| fail(name, e))?;
+        srdfg::validate(&graph).map_err(|e| fail(name, format!("validate: {e}")))?;
+        check(graph).map_err(|e| {
+            // An O0 interpreter trap under an in-bounds certificate is a
+            // soundness hole in the analyzer, not a generator artifact
+            // (divergence from the oracle stays an interpreter failure).
+            if name == "interp@O0" && certified && !e.contains("oracle says") {
+                fail("analyze@certified", format!("certified in-bounds, but {e}"))
+            } else {
+                fail(name, e)
+            }
+        })
+    };
+    route("interp@O0", Ok(base))?;
+    route("interp@O1", Ok(o1))?;
+    route("interp@O2", Ok(optimized.clone()))?;
+    route("interp@O2+fusion", Ok(fused.clone()))?;
+    route("lowered@host", lowered_route(optimized.clone(), &host_targets()))?;
+    route("lowered@cross-domain", lowered_route(optimized.clone(), &cross))?;
+    route("lowered@cross-domain+fusion", lowered_route(fused, &cross))?;
+    if let Some(profile) = cfg.chaos {
+        route(&format!("chaos@{profile}"), chaos_route(optimized, &cross, cfg, profile))?;
+    }
+    Ok(())
+}
+
+fn case_result(routes: Result<(), Failure>) -> CaseResult {
+    routes.map_or_else(CaseResult::Fail, |()| CaseResult::Pass)
+}
+
+/// Differentially checks one program on one input set against the model's
+/// own evaluator. Never panics: route panics are caught and reported as
+/// failures.
+pub fn check_case(
     prog: &PProgram,
     xs: &[f64],
     ys: &[f64],
     z0: &[f64],
     cfg: &DiffConfig,
 ) -> CaseResult {
-    // Oracle: step the model through every invocation.
-    let mut steps = Vec::with_capacity(prog.invocations());
-    let mut z = z0.to_vec();
-    for _ in 0..prog.invocations() {
-        let step = prog.eval(xs, ys, Some(&z));
-        if !step.stable {
-            return CaseResult::Unstable;
-        }
-        if let Some(next) = &step.state_next {
-            z.clone_from(next);
-        }
-        steps.push(step);
-    }
-
-    let fail =
-        |route: &str, detail: String| CaseResult::Fail(Failure { route: route.into(), detail });
-
-    let src = prog.to_pmlang();
-    let (program, _) = match pmlang::frontend(&src) {
-        Ok(r) => r,
-        Err(e) => return fail("frontend", e.to_string()),
-    };
-    let base = match srdfg::build(&program, &Bindings::default()) {
-        Ok(g) => g,
-        Err(e) => return fail("build", e.to_string()),
-    };
-    // A valid generated program must produce no error-severity static
-    // findings — any would be an analyzer false positive.
-    if let Some(f) =
-        pm_analyze::analyze_graph(&base).iter().find(|f| f.severity == pm_analyze::Severity::Error)
-    {
-        return fail("analyze@graph", f.to_string());
-    }
-    let certified = pm_analyze::certify_bounds(&base).is_ok();
-    let feeds = HashMap::from([("x".to_string(), tensor(xs)), ("y".to_string(), tensor(ys))]);
-
-    // Interpreter routes at each opt level. The sabotaged O2 graph also
-    // seeds the lowered routes, so a miscompile propagates everywhere the
-    // real pipeline would carry it.
-    let mut optimized = base.clone();
-    PassManager::at_opt_level(2).run(&mut optimized);
-    if cfg.sabotage {
-        SabotagePass.run(&mut optimized);
-    }
-    let mut fused = optimized.clone();
-    pm_passes::AlgebraicCombination.run(&mut fused);
-
-    let mut o1 = base.clone();
-    PassManager::at_opt_level(1).run(&mut o1);
-    if cfg.sabotage {
-        SabotagePass.run(&mut o1);
-    }
-
-    let interp_routes: [(&str, &SrDfg); 4] = [
-        ("interp@O0", &base),
-        ("interp@O1", &o1),
-        ("interp@O2", &optimized),
-        ("interp@O2+fusion", &fused),
-    ];
-    for (route, graph) in interp_routes {
-        if let Err(e) = srdfg::validate(graph) {
-            return fail(route, format!("validate: {e}"));
-        }
-        if let Err(e) = run_route((*graph).clone(), prog, &steps, &feeds, z0, cfg.tolerance) {
-            // An O0 interpreter trap under an in-bounds certificate is a
-            // soundness hole in the analyzer, not a generator artifact
-            // (divergence from the oracle stays an interpreter failure).
-            if route == "interp@O0" && certified && !e.contains("oracle says") {
-                return fail("analyze@certified", format!("certified in-bounds, but {e}"));
+    guarded(|| {
+        // Oracle: step the model through every invocation.
+        let mut reference: Vec<TrajectoryStep> = Vec::with_capacity(prog.invocations());
+        let mut z = z0.to_vec();
+        for _ in 0..prog.invocations() {
+            let step = prog.eval(xs, ys, Some(&z));
+            if !step.stable {
+                return CaseResult::Unstable;
             }
-            return fail(route, e);
-        }
-    }
-
-    // Lowered routes: host-only and cross-domain from the optimized graph,
-    // cross-domain from the fused graph.
-    let lowered_routes: [(&str, &SrDfg, TargetMap); 3] = [
-        ("lowered@host", &optimized, host_targets()),
-        ("lowered@cross-domain", &optimized, cross_domain_targets()),
-        ("lowered@cross-domain+fusion", &fused, cross_domain_targets()),
-    ];
-    for (route, graph, targets) in lowered_routes {
-        match lowered_route((*graph).clone(), &targets) {
-            Ok(lowered) => {
-                if let Err(e) = run_route(lowered, prog, &steps, &feeds, z0, cfg.tolerance) {
-                    return fail(route, e);
-                }
+            let vecs = step.vecs.iter().enumerate().map(|(j, v)| (format!("t{j}"), tensor(v)));
+            let scalars = step
+                .scalars
+                .iter()
+                .enumerate()
+                .map(|(j, s)| (format!("s{j}"), Tensor::scalar(pmlang::DType::Float, *s)));
+            let outputs = vecs.chain(scalars).collect();
+            let state = step.state_next.iter().map(|next| ("z".to_string(), tensor(next)));
+            reference.push((outputs, state.collect()));
+            if let Some(next) = step.state_next {
+                z = next;
             }
-            Err(e) => return fail(route, e),
         }
-    }
-
-    if let Some(profile) = cfg.chaos {
-        let route = format!("chaos@{profile}");
-        match chaos_route(optimized.clone(), &cross_domain_targets(), cfg, profile) {
-            Ok(survivor) => {
-                if let Err(e) = run_route(survivor, prog, &steps, &feeds, z0, cfg.tolerance) {
-                    return fail(&route, e);
-                }
-            }
-            Err(e) => return fail(&route, e),
-        }
-    }
-
-    CaseResult::Pass
+        let feeds = HashMap::from([("x".to_string(), tensor(xs)), ("y".to_string(), tensor(ys))]);
+        let seeds: HashMap<_, _> =
+            prog.has_state().then(|| ("z".to_string(), tensor(z0))).into_iter().collect();
+        case_result(check_routes(&prog.to_pmlang(), cfg, |graph| {
+            let got = record_trajectory(graph, &feeds, &seeds, reference.len())?;
+            compare_trajectories(&got, &reference, cfg.tolerance)
+        }))
+    })
 }
 
-/// Compares two tensors element-wise within the relative tolerance.
+/// Compares two real tensors of one shape element-wise within the
+/// relative tolerance.
 fn compare_tensors(label: &str, got: &Tensor, want: &Tensor, tol: f64) -> Result<(), String> {
-    match (got.as_real_slice(), want.as_real_slice()) {
-        (Some(g), Some(w)) => {
-            if g.len() != w.len() {
-                return Err(format!("{label}: {} elements, oracle has {}", g.len(), w.len()));
-            }
-            for (i, (a, b)) in g.iter().zip(w).enumerate() {
-                if !close(*a, *b, tol) {
-                    return Err(format!("{label}[{i}] = {a}, oracle says {b}"));
-                }
-            }
-            Ok(())
-        }
-        _ => match (got.scalar_value(), want.scalar_value()) {
-            (Ok(a), Ok(b)) if close(a, b, tol) => Ok(()),
-            (Ok(a), Ok(b)) => Err(format!("{label} = {a}, oracle says {b}")),
-            _ => Err(format!("{label}: non-real tensors cannot be compared")),
-        },
+    if got.shape() != want.shape() {
+        return Err(format!("{label}: shape {:?}, oracle has {:?}", got.shape(), want.shape()));
     }
+    let (Some(g), Some(w)) = (got.as_real_slice(), want.as_real_slice()) else {
+        return Err(format!("{label}: non-real tensors cannot be compared"));
+    };
+    for (i, (a, b)) in g.iter().zip(w).enumerate() {
+        if !close(*a, *b, tol) {
+            let at = if got.rank() == 0 { String::new() } else { format!("[{i}]") };
+            return Err(format!("{label}{at} = {a}, oracle says {b}"));
+        }
+    }
+    Ok(())
 }
 
 /// Names of the graph's `state` variables (boundary inputs carrying the
@@ -494,8 +397,9 @@ fn state_names(graph: &SrDfg) -> Vec<String> {
         .collect()
 }
 
-/// One invocation's observables: `(outputs, post-step state snapshot)`.
-type TrajectoryStep = (HashMap<String, Tensor>, HashMap<String, Tensor>);
+/// One invocation's observables, `(outputs, post-step state snapshot)`, by
+/// name — ordered, so the first divergence reported is always the same one.
+type TrajectoryStep = (BTreeMap<String, Tensor>, BTreeMap<String, Tensor>);
 
 /// Runs `graph` for `invocations`, recording outputs and the post-step
 /// state trajectory.
@@ -513,15 +417,35 @@ fn record_trajectory(
     let mut steps = Vec::with_capacity(invocations);
     for k in 0..invocations {
         let out = machine.invoke(feeds).map_err(|e| format!("invocation {k}: {e}"))?;
-        let mut state = HashMap::new();
-        for name in &states {
-            if let Some(t) = machine.state(name) {
-                state.insert(name.clone(), t.clone());
-            }
-        }
-        steps.push((out, state));
+        let state = states
+            .iter()
+            .filter_map(|name| Some((name.clone(), machine.state(name)?.clone())))
+            .collect();
+        steps.push((out.into_iter().collect(), state));
     }
     Ok(steps)
+}
+
+/// Checks one recorded trajectory against the reference, step by step.
+fn compare_trajectories(
+    got: &[TrajectoryStep],
+    reference: &[TrajectoryStep],
+    tol: f64,
+) -> Result<(), String> {
+    for (k, ((out, state), (ref_out, ref_state))) in got.iter().zip(reference).enumerate() {
+        for (name, want) in ref_out {
+            let got =
+                out.get(name).ok_or_else(|| format!("invocation {k}: missing output `{name}`"))?;
+            compare_tensors(&format!("invocation {k}: {name}"), got, want, tol)?;
+        }
+        for (name, want) in ref_state {
+            let got = state
+                .get(name)
+                .ok_or_else(|| format!("invocation {k}: state `{name}` not persisted"))?;
+            compare_tensors(&format!("invocation {k}: state {name}"), got, want, tol)?;
+        }
+    }
+    Ok(())
 }
 
 /// Differentially replays arbitrary PMLang source: the interpreter on the
@@ -538,124 +462,21 @@ pub fn check_source(
     seeds: &HashMap<String, Tensor>,
     cfg: &DiffConfig,
 ) -> CaseResult {
-    match catch_unwind(AssertUnwindSafe(|| check_source_inner(source, feeds, seeds, cfg))) {
-        Ok(result) => result,
-        Err(payload) => {
-            let detail = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            CaseResult::Fail(Failure { route: "panic".into(), detail })
-        }
-    }
-}
-
-fn check_source_inner(
-    source: &str,
-    feeds: &HashMap<String, Tensor>,
-    seeds: &HashMap<String, Tensor>,
-    cfg: &DiffConfig,
-) -> CaseResult {
-    let fail =
-        |route: &str, detail: String| CaseResult::Fail(Failure { route: route.into(), detail });
-    let (program, _) = match pmlang::frontend(source) {
-        Ok(r) => r,
-        Err(e) => return fail("frontend", e.to_string()),
-    };
-    let base = match srdfg::build(&program, &Bindings::default()) {
-        Ok(g) => g,
-        Err(e) => return fail("build", e.to_string()),
-    };
-    // Static analysis first: corpus reproducers are valid programs, so an
-    // error-severity finding is an analyzer false positive.
-    if let Some(f) =
-        pm_analyze::analyze_graph(&base).iter().find(|f| f.severity == pm_analyze::Severity::Error)
-    {
-        return fail("analyze@graph", f.to_string());
-    }
-    let certified = pm_analyze::certify_bounds(&base).is_ok();
-    let invocations = if state_names(&base).is_empty() { 1 } else { 3 };
-
-    // Oracle: the unoptimized interpreter. A trap under an in-bounds
-    // certificate is attributed to the analyzer's soundness contract.
-    let reference = match record_trajectory(base.clone(), feeds, seeds, invocations) {
-        Ok(r) => r,
-        Err(e) if certified => {
-            return fail("analyze@certified", format!("certified in-bounds, but {e}"))
-        }
-        Err(e) => return fail("interp@O0", e),
-    };
-
-    let compare = |graph: SrDfg| -> Result<(), String> {
-        srdfg::validate(&graph).map_err(|e| format!("validate: {e}"))?;
-        let got = record_trajectory(graph, feeds, seeds, invocations)?;
-        for (k, ((out, state), (ref_out, ref_state))) in got.iter().zip(&reference).enumerate() {
-            for (name, want) in ref_out {
-                let got = out
-                    .get(name)
-                    .ok_or_else(|| format!("invocation {k}: missing output `{name}`"))?;
-                compare_tensors(&format!("invocation {k}: {name}"), got, want, cfg.tolerance)?;
+    guarded(|| {
+        // Oracle: the first route's trajectory (the unoptimized interpreter).
+        let mut reference: Option<Vec<TrajectoryStep>> = None;
+        case_result(check_routes(source, cfg, |graph| match &reference {
+            None => {
+                let invocations = if state_names(&graph).is_empty() { 1 } else { 3 };
+                reference = Some(record_trajectory(graph, feeds, seeds, invocations)?);
+                Ok(())
             }
-            for (name, want) in ref_state {
-                let got = state
-                    .get(name)
-                    .ok_or_else(|| format!("invocation {k}: state `{name}` not persisted"))?;
-                compare_tensors(
-                    &format!("invocation {k}: state {name}"),
-                    got,
-                    want,
-                    cfg.tolerance,
-                )?;
+            Some(reference) => {
+                let got = record_trajectory(graph, feeds, seeds, reference.len())?;
+                compare_trajectories(&got, reference, cfg.tolerance)
             }
-        }
-        Ok(())
-    };
-
-    let mut optimized = base.clone();
-    PassManager::at_opt_level(2).run(&mut optimized);
-    if cfg.sabotage {
-        SabotagePass.run(&mut optimized);
-    }
-    let mut fused = optimized.clone();
-    pm_passes::AlgebraicCombination.run(&mut fused);
-    let mut o1 = base.clone();
-    PassManager::at_opt_level(1).run(&mut o1);
-
-    for (route, graph) in
-        [("interp@O1", &o1), ("interp@O2", &optimized), ("interp@O2+fusion", &fused)]
-    {
-        if let Err(e) = compare((*graph).clone()) {
-            return fail(route, e);
-        }
-    }
-    let lowered_routes: [(&str, &SrDfg, TargetMap); 3] = [
-        ("lowered@host", &optimized, host_targets()),
-        ("lowered@cross-domain", &optimized, cross_domain_targets()),
-        ("lowered@cross-domain+fusion", &fused, cross_domain_targets()),
-    ];
-    for (route, graph, targets) in lowered_routes {
-        match lowered_route((*graph).clone(), &targets) {
-            Ok(lowered) => {
-                if let Err(e) = compare(lowered) {
-                    return fail(route, e);
-                }
-            }
-            Err(e) => return fail(route, e),
-        }
-    }
-    if let Some(profile) = cfg.chaos {
-        let route = format!("chaos@{profile}");
-        match chaos_route(optimized.clone(), &cross_domain_targets(), cfg, profile) {
-            Ok(survivor) => {
-                if let Err(e) = compare(survivor) {
-                    return fail(&route, e);
-                }
-            }
-            Err(e) => return fail(&route, e),
-        }
-    }
-    CaseResult::Pass
+        }))
+    })
 }
 
 #[cfg(test)]
@@ -703,6 +524,11 @@ mod tests {
         let result = check_case(&prog, &[1.0; 4], &[1.0; 4], &[0.0; 4], &cfg);
         let CaseResult::Fail(f) = result else { panic!("sabotage went undetected: {result:?}") };
         assert!(f.route.starts_with("interp@O"), "{f}");
+        // A source replay walks the same table, so it too trips on O1.
+        let feeds = ["x", "y"].map(|name| (name.to_string(), tensor(&[1.0; 4])));
+        let result = check_source(&prog.to_pmlang(), &feeds.into(), &HashMap::new(), &cfg);
+        let CaseResult::Fail(f) = result else { panic!("sabotage went undetected: {result:?}") };
+        assert_eq!(f.route, "interp@O1", "{f}");
     }
 
     #[test]

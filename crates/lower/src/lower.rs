@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Every node whose operation name the domain's target does not support is
-//! replaced by its finer-granularity sub-srDFG ([`srdfg::refine`]) until
+//! replaced by its finer-granularity sub-srDFG — `Lower(n, Om)` is
+//! [`Refinement::of`], `srdfg[n ↦ subDfg]` is [`SrDfg::instantiate`] — until
 //! only supported operations remain. If an unsupported node cannot be
 //! refined further, compilation fails for that accelerator — exactly the
 //! paper's stated behaviour ("if the nodes in the srDFG cannot be lowered
@@ -22,12 +23,8 @@
 use crate::spec::{SupportMemo, TargetMap};
 use pmlang::Span;
 use srdfg::budget::{Budget, BudgetExceeded};
-use srdfg::expand::{refine_for_splice, scalar_expansion_eligible, RefineError};
-use srdfg::template::{TemplateCache, TemplateKey};
-use srdfg::{Consed, EdgeMeta, FxBuildHasher, NodeId, SrDfg};
-use std::collections::HashMap;
+use srdfg::{NodeId, RefineError, Refinement, SrDfg, TemplateCache};
 use std::fmt;
-use std::sync::Arc;
 
 /// Why lowering failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,34 +81,20 @@ pub fn lower(graph: &mut SrDfg, targets: &TargetMap) -> Result<(), LowerError> {
     lower_budgeted(graph, targets, Some(&TemplateCache::new()), &Budget::unlimited())
 }
 
-/// How one pending refinement will be instantiated this round.
-enum Plan {
-    /// Expand live; for scalar expansions (`Some(key)`) the result is
-    /// also stored in the cache as a template.
-    Expand(Option<TemplateKey>),
-    /// A cached template: instantiation is pure id-remapping.
-    Hit(Arc<SrDfg>),
-    /// Same key as an earlier `Expand` in this round — resolved from the
-    /// cache after that expansion has been inserted (batch dedup).
-    Deferred(TemplateKey),
-}
-
 /// [`lower`] with an explicit [`TemplateCache`] policy and under a
 /// cooperative-cancellation [`Budget`].
 ///
 /// `Some` threads a (possibly shared, cross-program) cache through every
-/// scalar expansion; `None` disables caching entirely. Both paths route
-/// refinements through the same canonical-expansion +
-/// [`SrDfg::splice_template`] mechanism, so their lowered graphs are
-/// byte-identical — the cache only decides whether the expansion work is
-/// skipped.
+/// scalar expansion; `None` disables caching entirely. Both go through
+/// [`Refinement::of`] and [`SrDfg::instantiate`], so their lowered graphs
+/// are byte-identical — the cache only decides whether the expansion work
+/// is skipped.
 ///
-/// The splice loop charges one fuel unit per pending refinement at every
-/// round boundary and unwinds with a budget-tagged [`LowerError`] the
+/// Each round charges one fuel unit per pending refinement before it
+/// refines anything and unwinds with a budget-tagged [`LowerError`] the
 /// moment the request's deadline or fuel runs out. Charges happen only
-/// at round granularity — an in-flight round always completes, no thread
-/// is ever killed — so a cancelled lowering leaves the template cache
-/// coherent.
+/// at round granularity — an in-flight round always completes — so a
+/// cancelled lowering leaves the template cache coherent.
 ///
 /// # Errors
 ///
@@ -135,11 +118,11 @@ pub fn lower_budgeted(
     // iteration bound is a defensive backstop.
     for _ in 0..64 {
         let slots_before = graph.node_slots() as u32;
-        // Collect this round's unsupported nodes, then refine them all at
-        // once. Batching is equivalent to the interleaved loop: `refine`
-        // reads only the node and its edge metadata, and `splice` removes
-        // no node but the one it replaces, so no pending refinement can
-        // observe another's splice.
+        // Collect this round's unsupported nodes, refine them all, then
+        // instantiate them all. That is equivalent to the paper's
+        // interleaved loop: refinement reads only the node and its edge
+        // metadata, and instantiation removes no node but the one it
+        // replaces, so no pending refinement can observe another's splice.
         let mut pending = Vec::new();
         for id in graph.node_ids().filter(|id| id.0 >= scan_from).collect::<Vec<_>>() {
             let node = graph.node(id);
@@ -158,122 +141,34 @@ pub fn lower_budgeted(
         budget.charge("lower", pending.len() as u64)?;
         scan_from = slots_before;
 
-        // Plan each job against the cache: template hits skip expansion
-        // entirely, and only the *first* job of each distinct key expands
-        // (identical siblings defer to its inserted template).
-        let mut plans: Vec<Plan> = Vec::with_capacity(pending.len());
-        if let Some(cache) = cache {
-            let mut first_of_fp: HashMap<u64, usize, FxBuildHasher> = HashMap::default();
-            for (i, &(id, opts)) in pending.iter().enumerate() {
-                let node = graph.node(id);
-                if !scalar_expansion_eligible(node) {
-                    // Not template-shaped (e.g. component flattening):
-                    // the cache is never consulted, which a warm-run
-                    // stats line reports as `bypassed` rather than as a
-                    // miss.
-                    cache.record_bypass();
-                    plans.push(Plan::Expand(None));
-                    continue;
-                }
-                let in_metas: Vec<Consed<EdgeMeta>> =
-                    node.inputs.iter().map(|&e| graph.edge(e).meta.clone()).collect();
-                let out_metas: Vec<Consed<EdgeMeta>> =
-                    node.outputs.iter().map(|&e| graph.edge(e).meta.clone()).collect();
-                let key = TemplateKey::new(node, &in_metas, &out_metas, &opts);
-                if let Some(t) = cache.lookup(&key) {
-                    plans.push(Plan::Hit(t));
-                    continue;
-                }
-                match first_of_fp.entry(key.fingerprint()) {
-                    std::collections::hash_map::Entry::Occupied(prev) if matches!(&plans[*prev.get()], Plan::Expand(Some(k)) if *k == key) =>
-                    {
-                        plans.push(Plan::Deferred(key));
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(i);
-                        plans.push(Plan::Expand(Some(key)));
-                    }
-                    // Fingerprint collision with a different key: expand
-                    // live without deduplication.
-                    std::collections::hash_map::Entry::Occupied(_) => {
-                        plans.push(Plan::Expand(Some(key)));
-                    }
-                }
-            }
-        } else {
-            plans = pending.iter().map(|_| Plan::Expand(None)).collect();
-        }
-
-        // Expand the non-deduplicated jobs.
-        let mut expanded: Vec<Option<Result<SrDfg, RefineError>>> = plans
-            .iter()
-            .zip(&pending)
-            .map(|(plan, &(id, opts))| {
-                matches!(plan, Plan::Expand(_)).then(|| refine_for_splice(graph, id, &opts))
-            })
-            .collect();
-
-        // Reserve the whole round's growth up front: each splice appends
-        // its sub-graph's nodes/edges, and letting the tables double
-        // mid-round re-copies the (multi-megabyte) graph repeatedly.
+        // `Lower(n, Om)` for each, in id order: a node structurally equal
+        // to an earlier one of this round hits the template that one just
+        // stored, and the round holds every template it will instantiate,
+        // so an eviction mid-round costs a re-expansion at most.
+        let mut round = Vec::with_capacity(pending.len());
         let (mut add_nodes, mut add_edges) = (0usize, 0usize);
-        for (i, plan) in plans.iter().enumerate() {
-            let (n, e) = match plan {
-                Plan::Expand(_) => match &expanded[i] {
-                    Some(Ok(sub)) => (sub.node_slots(), sub.edge_count()),
-                    _ => (0, 0),
-                },
-                Plan::Hit(t) => (t.node_slots(), t.edge_count()),
-                Plan::Deferred(_) => (0, 0),
-            };
-            add_nodes += n;
-            add_edges += e;
+        for (id, opts) in pending {
+            let refinement = Refinement::of(graph, id, &opts, cache)
+                .map_err(|e| stuck(graph, targets, id, e))?;
+            add_nodes += refinement.graph().node_slots();
+            add_edges += refinement.graph().edge_count();
+            round.push((id, refinement));
         }
+        // Reserve the whole round's growth up front: each instantiation
+        // appends its sub-graph's nodes/edges, and letting the tables
+        // double mid-round re-copies the (multi-megabyte) graph repeatedly.
         graph.reserve(add_nodes, add_edges);
-        // Splice serially, in collection (deterministic id) order.
-        for (i, plan) in plans.into_iter().enumerate() {
-            let (id, opts) = pending[i];
-            match plan {
-                Plan::Expand(key) => {
-                    let sub = expanded[i]
-                        .take()
-                        .expect("planned")
-                        .map_err(|e| stuck(graph, targets, id, e))?;
-                    match (cache, key) {
-                        (Some(cache), Some(key)) => {
-                            let template = Arc::new(sub);
-                            cache.insert(key, Arc::clone(&template));
-                            graph.splice_template(id, &template);
-                        }
-                        _ if scalar_expansion_eligible(graph.node(id)) => {
-                            graph.splice_template(id, &sub)
-                        }
-                        _ => graph.splice(id, &sub),
-                    }
-                }
-                Plan::Hit(template) => graph.splice_template(id, &template),
-                Plan::Deferred(key) => {
-                    // The leading expansion of this key was inserted above;
-                    // a miss is only possible if capacity pressure evicted
-                    // it within this very round — then expand live.
-                    let cache = cache.expect("deferred implies cache");
-                    match cache.lookup(&key) {
-                        Some(t) => graph.splice_template(id, &t),
-                        None => {
-                            let sub = refine_for_splice(graph, id, &opts)
-                                .map_err(|e| stuck(graph, targets, id, e))?;
-                            graph.splice_template(id, &sub);
-                        }
-                    }
-                }
-            }
+        // `srdfg ← srdfg[n ↦ subDfg]`, in the same deterministic order.
+        for (id, refinement) in &round {
+            graph.instantiate(*id, refinement);
         }
     }
     Err(LowerError::msg("lowering did not converge"))
 }
 
-/// The paper's failure rule: node `id`, still live because its splice
-/// never happened, is unsupported by its target and cannot be refined.
+/// The paper's failure rule: node `id`, still live because a round
+/// instantiates nothing until all of it is refined, is unsupported by its
+/// target and cannot be refined.
 fn stuck(graph: &SrDfg, targets: &TargetMap, id: NodeId, e: RefineError) -> LowerError {
     let node = graph.node(id);
     let target = targets.target_for(node, graph.domain);
@@ -292,37 +187,22 @@ fn stuck(graph: &SrDfg, targets: &TargetMap, id: NodeId, e: RefineError) -> Lowe
 /// recursively, their bodies) so the assignment survives splicing.
 /// Idempotent: stamping an already-stamped graph changes nothing.
 pub fn stamp_overrides(graph: &mut SrDfg, targets: &TargetMap) {
-    let ids: Vec<_> = graph.node_ids().collect();
-    for id in ids {
-        let name = graph.node(id).name.clone();
-        if let Some(spec) = targets.override_for(&name) {
-            let target: srdfg::Ident = spec.name.as_str().into();
-            stamp_node(graph, id, &target);
-        } else if let srdfg::NodeKind::Component(_) = &graph.node(id).kind {
-            // Recurse into nested components.
-            let srdfg::NodeKind::Component(sub) = &mut graph.node_mut(id).kind else {
-                unreachable!()
-            };
-            let mut inner = std::mem::replace(sub.as_mut(), SrDfg::new(""));
-            stamp_overrides(&mut inner, targets);
-            if let srdfg::NodeKind::Component(slot) = &mut graph.node_mut(id).kind {
-                **slot = inner;
-            }
+    for id in graph.node_ids().collect::<Vec<_>>() {
+        let node = graph.node_mut(id);
+        if let Some(spec) = targets.override_for(&node.name) {
+            stamp_node(node, &spec.name.as_str().into());
+        } else if let srdfg::NodeKind::Component(body) = &mut node.kind {
+            stamp_overrides(body, targets);
         }
     }
 }
 
 /// Marks a node and (for components) its whole body with a target name.
-fn stamp_node(graph: &mut SrDfg, id: srdfg::NodeId, target: &srdfg::Ident) {
-    graph.node_mut(id).target = Some(target.clone());
-    if let srdfg::NodeKind::Component(sub) = &mut graph.node_mut(id).kind {
-        let mut inner = std::mem::replace(sub.as_mut(), SrDfg::new(""));
-        let ids: Vec<_> = inner.node_ids().collect();
-        for nid in ids {
-            stamp_node(&mut inner, nid, target);
-        }
-        if let srdfg::NodeKind::Component(slot) = &mut graph.node_mut(id).kind {
-            **slot = inner;
+fn stamp_node(node: &mut srdfg::Node, target: &srdfg::Ident) {
+    node.target = Some(target.clone());
+    if let srdfg::NodeKind::Component(body) = &mut node.kind {
+        for id in body.node_ids().collect::<Vec<_>>() {
+            stamp_node(body.node_mut(id), target);
         }
     }
 }
@@ -501,5 +381,74 @@ main(input float a[4], output float b) {
         let err = lower_budgeted(&mut build_graph(src), &targets, None, &starved).unwrap_err();
         assert!(err.budget.is_some(), "{err}");
         assert_eq!(err.span, None);
+    }
+
+    /// `main` with one single-op map per entry of `ops`, all over the same
+    /// 4-element input: each is a scalar expansion of round one, and two
+    /// with the same operator are structurally identical.
+    fn maps_program(ops: &[&str]) -> SrDfg {
+        let outs: String = (0..ops.len()).map(|k| format!(", output float y{k}[4]")).collect();
+        let body: String =
+            ops.iter().enumerate().map(|(k, op)| format!("y{k}[i] = x[i] {op} 2.0; ")).collect();
+        build_graph(&format!("main(input float x[4]{outs}) {{ index i[0:3]; {body}}}"))
+    }
+
+    /// Lowers `graph` to scalar ops; returns the cache's `(misses, hits,
+    /// inserts, evictions, bypassed)`.
+    fn lower_to_scalars(
+        graph: &mut SrDfg,
+        cache: Option<&TemplateCache>,
+        budget: &Budget,
+    ) -> (Result<(), LowerError>, [u64; 5]) {
+        let ops = ["add", "mul", "const", "unpack", "pack"];
+        let targets =
+            TargetMap::host_only(AcceleratorSpec::new("SCALARY", Domain::DataAnalytics, ops));
+        let result = lower_budgeted(graph, &targets, cache, budget);
+        let s = cache.map(TemplateCache::stats).unwrap_or_default();
+        (result, [s.misses, s.hits, s.inserts, s.evictions, s.bypassed])
+    }
+
+    #[test]
+    fn same_round_siblings_hit_the_template_their_leader_stored() {
+        let cache = TemplateCache::new();
+        let (result, stats) =
+            lower_to_scalars(&mut maps_program(&["*"; 3]), Some(&cache), &Budget::unlimited());
+        assert_eq!((result, stats), (Ok(()), [1, 2, 1, 0, 0]));
+    }
+
+    #[test]
+    fn a_cache_that_evicts_within_the_round_lowers_like_no_cache() {
+        // Capacity 1: every insert evicts the template before it, so the
+        // second `*` finds its leader's template gone and expands again.
+        let ops = ["*", "+", "*", "+"];
+        let (mut uncached, mut cached) = (maps_program(&ops), maps_program(&ops));
+        lower_to_scalars(&mut uncached, None, &Budget::unlimited()).0.unwrap();
+        let cache = TemplateCache::with_capacity(1);
+        let (result, stats) = lower_to_scalars(&mut cached, Some(&cache), &Budget::unlimited());
+        assert_eq!((result, stats), (Ok(()), [4, 0, 4, 3, 0]));
+        assert_eq!(cached, uncached);
+    }
+
+    #[test]
+    fn a_round_that_cannot_finish_refining_instantiates_nothing() {
+        // Round one holds a good expansion (lower id) and a stuck `argmax`.
+        let mut g = build_graph(
+            "main(input float x[4], output float y[4], output float z) {
+                 index i[0:3];
+                 y[i] = x[i] * 2.0;
+                 z = argmax[i](x[i]);
+             }",
+        );
+        let before = g.clone();
+        let (result, _) = lower_to_scalars(&mut g, None, &Budget::unlimited());
+        let err = result.unwrap_err();
+        assert!(err.message.contains("`argmax`") && err.span.is_some(), "{err}");
+        assert_eq!(g, before);
+
+        // A fuel-starved round unwinds before it refines anything.
+        let cache = TemplateCache::new();
+        let (result, stats) = lower_to_scalars(&mut g, Some(&cache), &Budget::new(None, Some(0)));
+        assert!(result.unwrap_err().budget.is_some());
+        assert_eq!(stats, [0; 5]);
     }
 }

@@ -18,7 +18,10 @@
 //!
 //! Every refinement returns a graph whose boundary edges match the original
 //! node's operand/result edges, so [`SrDfg::splice`] can substitute it —
-//! exactly the replacement step of the paper's Algorithm 1.
+//! exactly the replacement step of the paper's Algorithm 1. Algorithm 1
+//! itself asks [`crate::template::Refinement::of`], which decides once per
+//! node between the refinement as it stands and the canonical, shareable
+//! form of a scalar expansion.
 
 use crate::graph::{
     map_op_name, EdgeId, EdgeMeta, IndexRange, MapSpec, Modifier, Node, NodeKind, ReduceOp,
@@ -99,11 +102,18 @@ pub fn refine(
     opts: &ExpandOptions,
 ) -> Result<SrDfg, RefineError> {
     let node = graph.node(id);
-    let in_metas: Vec<Consed<EdgeMeta>> =
-        node.inputs.iter().map(|&e| graph.edge(e).meta.clone()).collect();
-    let out_metas: Vec<Consed<EdgeMeta>> =
-        node.outputs.iter().map(|&e| graph.edge(e).meta.clone()).collect();
+    let (in_metas, out_metas) = boundary_metas(graph, node);
     refine_node(node, &in_metas, &out_metas, opts)
+}
+
+/// The metadata of `node`'s operand and result edges, in slot order — what
+/// [`refine_node`] and the template key read of the graph around a node.
+pub(crate) fn boundary_metas(
+    graph: &SrDfg,
+    node: &Node,
+) -> (Vec<Consed<EdgeMeta>>, Vec<Consed<EdgeMeta>>) {
+    let metas = |edges: &[EdgeId]| edges.iter().map(|&e| graph.edge(e).meta.clone()).collect();
+    (metas(&node.inputs), metas(&node.outputs))
 }
 
 /// [`refine`] on a detached node (metadata supplied explicitly).
@@ -143,7 +153,7 @@ pub fn refine_node(
 /// template-caching. Component inlining and map/reduce decompositions are
 /// cheap and instance-specific (their interiors carry source names), so
 /// they are never cached.
-pub fn scalar_expansion_eligible(node: &Node) -> bool {
+pub(crate) fn scalar_expansion_eligible(node: &Node) -> bool {
     match &node.kind {
         NodeKind::Map(spec) => spec.kernel.compute_op_count() <= 1,
         NodeKind::Reduce(spec) => spec.body.compute_op_count() == 0,
@@ -151,14 +161,15 @@ pub fn scalar_expansion_eligible(node: &Node) -> bool {
     }
 }
 
-/// [`refine_node`] in *canonical form* for the template cache: the node's
+/// [`refine_node`] in *canonical form* for a
+/// [`Refinement::Template`](crate::template::Refinement): the node's
 /// instance provenance (domain, target, span) is stripped before
 /// expansion, so the returned graph carries synthetic spans and no domain
 /// and can be shared by every structurally equal instance.
-/// [`SrDfg::splice_template`] stamps the instance's provenance back on,
+/// [`SrDfg::instantiate`] stamps the instance's provenance back on,
 /// reproducing exactly what a direct (non-canonical) expansion would have
 /// produced after splicing.
-pub fn refine_node_canonical(
+pub(crate) fn refine_node_canonical(
     node: &Node,
     in_metas: &[Consed<EdgeMeta>],
     out_metas: &[Consed<EdgeMeta>],
@@ -170,28 +181,6 @@ pub fn refine_node_canonical(
     canon.target = None;
     canon.span = Span::synthetic();
     refine_node(&canon, in_metas, out_metas, opts)
-}
-
-/// [`refine`] that routes scalar expansions through the canonical form
-/// (to be instantiated with [`SrDfg::splice_template`]) and every other
-/// refinement through the plain path (instantiated with
-/// [`SrDfg::splice`]). Algorithm 1 uses this for all refinement so cached
-/// and uncached lowering agree byte-for-byte.
-pub fn refine_for_splice(
-    graph: &SrDfg,
-    id: crate::graph::NodeId,
-    opts: &ExpandOptions,
-) -> Result<SrDfg, RefineError> {
-    let node = graph.node(id);
-    if scalar_expansion_eligible(node) {
-        let in_metas: Vec<Consed<EdgeMeta>> =
-            node.inputs.iter().map(|&e| graph.edge(e).meta.clone()).collect();
-        let out_metas: Vec<Consed<EdgeMeta>> =
-            node.outputs.iter().map(|&e| graph.edge(e).meta.clone()).collect();
-        refine_node_canonical(node, &in_metas, &out_metas, opts)
-    } else {
-        refine(graph, id, opts)
-    }
 }
 
 /// Reduce with compound body → Map(body) into an element tensor + pure

@@ -21,6 +21,7 @@ use crate::ident::Ident;
 use crate::kernel::KExpr;
 use crate::smallids::SmallIds;
 use crate::store::{intern, Consed};
+use crate::template::Refinement;
 use crate::value::Tensor;
 use pmlang::{BinOp, BuiltinReduction, DType, Domain, ScalarFunc, Span, UnOp};
 use std::fmt;
@@ -760,17 +761,26 @@ impl SrDfg {
         self.splice_impl(id, sub, false);
     }
 
-    /// [`SrDfg::splice`] for *canonical templates* (shared, immutable
-    /// expansions from [`crate::template::TemplateCache`], built by
-    /// [`crate::expand::refine_node_canonical`]): in addition to the node
-    /// stamping `splice` already does (synthetic-span nodes inherit the
-    /// replaced node's span, domain-less nodes its domain), interior
-    /// edges with synthetic spans also inherit the replaced node's span.
-    /// A template instantiated here is therefore byte-identical to what a
-    /// direct, non-canonical expansion of the node would have produced —
-    /// the template itself stays untouched and can be spliced anywhere.
-    pub fn splice_template(&mut self, id: NodeId, sub: &SrDfg) {
-        self.splice_impl(id, sub, true);
+    /// Puts a [`Refinement`] in place of node `id` — `srdfg[n ↦ subDfg]`,
+    /// the one point where Algorithm 1 turns a template into nodes. An
+    /// [`Inline`](Refinement::Inline) refinement is [`SrDfg::splice`]d as it
+    /// stands. A [`Template`](Refinement::Template) is canonical, so in
+    /// addition to the node stamping `splice` already does (synthetic-span
+    /// nodes inherit the replaced node's span, domain-less nodes its
+    /// domain), interior edges with synthetic spans also inherit the
+    /// replaced node's span: the instance is byte-identical to what a
+    /// direct, non-canonical expansion of the node would have produced,
+    /// and the template itself stays untouched and can be instantiated
+    /// anywhere.
+    ///
+    /// # Panics
+    ///
+    /// As [`SrDfg::splice`].
+    pub fn instantiate(&mut self, id: NodeId, refinement: &Refinement) {
+        match refinement {
+            Refinement::Template(template) => self.splice_impl(id, template, true),
+            Refinement::Inline(sub) => self.splice_impl(id, sub, false),
+        }
     }
 
     fn splice_impl(&mut self, id: NodeId, sub: &SrDfg, stamp_edge_spans: bool) {

@@ -72,10 +72,7 @@ pub mod value;
 pub use budget::{Budget, BudgetExceeded};
 pub use build::{build, Bindings};
 pub use error::{BuildError, ExecError};
-pub use expand::{
-    refine, refine_for_splice, refine_node_canonical, scalar_expansion_eligible, ExpandOptions,
-    RefineError,
-};
+pub use expand::{refine, ExpandOptions, RefineError};
 pub use graph::{
     Edge, EdgeId, EdgeMeta, IndexRange, MapSpec, Modifier, Node, NodeId, NodeKind, Pattern,
     ReduceOp, ReduceSpec, ScalarKind, SrDfg, WriteSpec,
@@ -87,6 +84,6 @@ pub use kernel::KExpr;
 pub use lru::{CacheStats, ContentLru};
 pub use smallids::SmallIds;
 pub use store::{intern, sharing_stats, store_stats, Consed, SharingStats, StoreStats};
-pub use template::{TemplateCache, TemplateCacheStats, TemplateKey};
+pub use template::{Refinement, TemplateCache, TemplateCacheStats, TemplateKey};
 pub use validate::{validate, validate_all, ValidateError};
 pub use value::{Scalar, Tensor, ValueError};

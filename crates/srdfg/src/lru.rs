@@ -41,7 +41,7 @@ pub struct CacheStats {
     /// Configured capacity in the same units.
     pub capacity_units: usize,
     /// Requests the caller chose not to consult the cache for (see
-    /// [`ContentLru::record_bypass`]). The lowering planner counts nodes
+    /// [`ContentLru::record_bypass`]). Algorithm 1 counts nodes
     /// that are not scalar-expansion eligible here — e.g. the MPC
     /// benchmark's component-flattening refinements, which splice a whole
     /// sub-graph rather than instantiate a template. A warm run showing

@@ -1,4 +1,5 @@
-//! Content-addressed cache of scalar-expansion templates.
+//! Content-addressed cache of scalar-expansion templates, and the one
+//! place Algorithm 1 decides how a node is refined ([`Refinement`]).
 //!
 //! Scalar expansion (the expensive leg of Algorithm 1) re-derives an
 //! identical sub-srDFG for every structurally equal `(op, shape)` subtree
@@ -6,8 +7,14 @@
 //! re-compile of the same program repeats all of it. This module keys
 //! each expansion by its *content* so the expanded graph is built once,
 //! stored as an immutable template behind an [`Arc`], and every further
-//! instantiation is id-remapping via [`SrDfg::splice_template`] instead
-//! of re-recursion.
+//! instantiation is id-remapping via [`SrDfg::instantiate`] instead of
+//! re-recursion.
+//!
+//! ## The seam
+//!
+//! [`Refinement::of`] is `Lower(n, Om)` for one node and
+//! [`SrDfg::instantiate`] is `srdfg[n ↦ subDfg]`; nothing outside this
+//! crate knows which refinements are shareable templates.
 //!
 //! ## Keying scheme
 //!
@@ -41,8 +48,11 @@
 //! handle is cheaply cloneable and thread-safe: `pmc serve`'s workers
 //! share one instance.
 
-use crate::expand::ExpandOptions;
-use crate::graph::{EdgeMeta, Modifier, Node, NodeKind, SrDfg};
+use crate::expand::{
+    boundary_metas, refine_node, refine_node_canonical, scalar_expansion_eligible, ExpandOptions,
+    RefineError,
+};
+use crate::graph::{EdgeMeta, Modifier, Node, NodeId, NodeKind, SrDfg};
 use crate::hash::{hash_kind, FxHasher};
 use crate::lru::{CacheStats, ContentLru};
 use crate::store::Consed;
@@ -77,7 +87,7 @@ pub struct TemplateKey {
 impl TemplateKey {
     /// Builds the key for expanding `node` with the given boundary
     /// metadata under `opts`.
-    pub fn new(
+    fn new(
         node: &Node,
         in_metas: &[Consed<EdgeMeta>],
         out_metas: &[Consed<EdgeMeta>],
@@ -93,7 +103,7 @@ impl TemplateKey {
 
     /// 64-bit fingerprint (the hash-table address; `==` on the full key
     /// confirms).
-    pub fn fingerprint(&self) -> u64 {
+    fn fingerprint(&self) -> u64 {
         let mut h = FxHasher::default();
         hash_kind(&self.kind, &mut h);
         self.ins.hash(&mut h);
@@ -133,26 +143,78 @@ impl TemplateCache {
     }
 
     /// Looks up a template, refreshing its LRU position on hit.
-    pub fn lookup(&self, key: &TemplateKey) -> Option<Arc<SrDfg>> {
+    fn lookup(&self, key: &TemplateKey) -> Option<Arc<SrDfg>> {
         self.lru.lookup(key.fingerprint(), key)
     }
 
     /// Stores a template, sized as its `nodes + edges`.
-    pub fn insert(&self, key: TemplateKey, template: Arc<SrDfg>) {
+    fn insert(&self, key: TemplateKey, template: Arc<SrDfg>) {
         let units = template.node_count() + template.edge_count();
         self.lru.insert(key.fingerprint(), key, units, template);
-    }
-
-    /// Records that the lowering planner skipped the cache for a node
-    /// because its refinement is not template-shaped (see
-    /// [`CacheStats::bypassed`]).
-    pub fn record_bypass(&self) {
-        self.lru.record_bypass();
     }
 
     /// Current counter snapshot.
     pub fn stats(&self) -> TemplateCacheStats {
         self.lru.stats()
+    }
+}
+
+/// How one node of Algorithm 1 is refined: the paper's `Lower(n, Om)`,
+/// ready for [`SrDfg::instantiate`].
+#[derive(Debug)]
+pub enum Refinement {
+    /// A scalar expansion in canonical form — no domain, target or span of
+    /// its own — shared by every structurally equal node; instantiation
+    /// stamps the replaced node's provenance on.
+    Template(Arc<SrDfg>),
+    /// Any other refinement (component inlining, map/reduce
+    /// decomposition): cheap, instance-specific, spliced as it stands.
+    Inline(SrDfg),
+}
+
+impl Refinement {
+    /// Refines node `id` of `graph` one granularity level. A scalar
+    /// expansion is served from `cache` when its key is resident and
+    /// stored there when not; with `None` it is expanded afresh, in the
+    /// same canonical form, so cached and uncached lowering agree
+    /// byte-for-byte. A refinement that is not template-shaped never
+    /// consults the cache, which counts it as `bypassed` rather than as a
+    /// miss.
+    ///
+    /// # Errors
+    ///
+    /// See [`RefineError`].
+    pub fn of(
+        graph: &SrDfg,
+        id: NodeId,
+        opts: &ExpandOptions,
+        cache: Option<&TemplateCache>,
+    ) -> Result<Refinement, RefineError> {
+        let node = graph.node(id);
+        let (ins, outs) = boundary_metas(graph, node);
+        if !scalar_expansion_eligible(node) {
+            if let Some(cache) = cache {
+                cache.lru.record_bypass();
+            }
+            return refine_node(node, &ins, &outs, opts).map(Refinement::Inline);
+        }
+        let expand = || refine_node_canonical(node, &ins, &outs, opts).map(Arc::new);
+        let Some(cache) = cache else { return expand().map(Refinement::Template) };
+        let key = TemplateKey::new(node, &ins, &outs, opts);
+        if let Some(template) = cache.lookup(&key) {
+            return Ok(Refinement::Template(template));
+        }
+        let template = expand()?;
+        cache.insert(key, Arc::clone(&template));
+        Ok(Refinement::Template(template))
+    }
+
+    /// The sub-srDFG that instantiation copies in.
+    pub fn graph(&self) -> &SrDfg {
+        match self {
+            Refinement::Template(template) => template,
+            Refinement::Inline(sub) => sub,
+        }
     }
 }
 

@@ -229,6 +229,28 @@ if cargo run --release -q -p polymath --bin pmc -- lint \
     exit 1
 fi
 
+echo "== pmc flag smoke"
+# A flag a subcommand does not list is an error, not a no-op: a misspelt
+# gate must not pass, and a misspelt --cases must not run the default
+# campaign and print "passed".
+for typo in "lint examples/pm/lint_demo.pm --deny-warning" "fuzz --case 3"; do
+    # shellcheck disable=SC2086
+    if cargo run --release -q -p polymath --bin pmc -- $typo >/dev/null 2>&1; then
+        echo "pmc $typo: unknown flag accepted" >&2
+        exit 1
+    fi
+done
+
+echo "== one refine-and-instantiate seam"
+# Algorithm 1 decides how a node is refined in srdfg::template::Refinement
+# and nowhere else: the planner's names must not come back, and the
+# provenance-stamping splice stays private to srdfg.
+if grep -rnE 'refine_for_splice|Plan::Deferred|first_of_fp' crates ||
+    grep -rn 'splice_template' crates --include='*.rs' | grep -v '^crates/srdfg/src/'; then
+    echo "a second spelling of Algorithm 1's refine/splice decision is back" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure
