@@ -169,15 +169,15 @@ mod tests {
         let vta = Vta::default();
         let c_dw = compiled_cnn(&dw, 32);
         let c_vta = compiled_cnn(&vta, 32);
-        let p_dw = c_dw.partition(Some(Domain::DeepLearning)).unwrap();
-        let p_vta = c_vta.partition(Some(Domain::DeepLearning)).unwrap();
-        assert_eq!(p_dw.target, "DnnWeaver");
-        assert_eq!(p_vta.target, "TVM-VTA");
+        assert_eq!(c_dw.partition(Some(Domain::DeepLearning)).unwrap().target, "DnnWeaver");
+        assert_eq!(c_vta.partition(Some(Domain::DeepLearning)).unwrap().target, "TVM-VTA");
         // Both stay at layer granularity with the same layer count.
-        let count =
-            |p: &pm_lower::AccProgram, op: &str| p.fragments.iter().filter(|f| f.op == op).count();
-        assert_eq!(count(p_dw, "conv2d"), count(p_vta, "conv2d"));
-        assert!(count(p_dw, "conv2d") >= 17);
+        let count = |c: &pm_lower::CompiledProgram, op: &str| {
+            let p = c.partition(Some(Domain::DeepLearning)).unwrap();
+            p.fragments.iter().filter(|f| f.op(&c.graph) == op).count()
+        };
+        assert_eq!(count(&c_dw, "conv2d"), count(&c_vta, "conv2d"));
+        assert!(count(&c_dw, "conv2d") >= 17);
     }
 
     #[test]

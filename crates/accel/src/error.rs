@@ -27,8 +27,8 @@ pub enum SocError {
         /// Closest attached name, when one is plausibly a typo.
         suggestion: Option<String>,
     },
-    /// A fragment violated the dispatch contract (e.g. a `load` with no
-    /// input operands).
+    /// A fragment violated the dispatch contract: a compute fragment that
+    /// names no live node, or a `load`/`store` with no edge to move.
     MalformedFragment {
         /// Target whose stream held the fragment.
         target: String,

@@ -77,19 +77,12 @@ impl HyperStreams {
                 _ => {}
             }
         }
-        for frag in &prog.fragments {
-            if frag.kind == FragmentKind::Compute {
-                continue;
-            }
-            for a in frag.inputs.iter().chain(&frag.outputs) {
-                // Resident `param`/`state` tensors are not streamed and do
-                // not define the element space.
-                if matches!(a.modifier(), Modifier::Input | Modifier::Output | Modifier::Temp) {
-                    let volume = a.shape().iter().product::<usize>() as u64;
-                    elements = elements.max(volume);
-                    let per = if a.dtype() == pmlang::DType::Complex { 8 } else { 4 };
-                    plan.streamed_bytes += volume * per;
-                }
+        for a in prog.fragments.iter().filter_map(|f| f.arg.as_ref()) {
+            // Resident `param`/`state` tensors are not streamed and do not
+            // define the element space.
+            if matches!(a.modifier(), Modifier::Input | Modifier::Output | Modifier::Temp) {
+                elements = elements.max(a.meta.volume() as u64);
+                plan.streamed_bytes += a.meta.bytes();
             }
         }
         plan.elements = elements.max(1);

@@ -34,11 +34,12 @@ impl<'g> Sweep<'g> {
     /// returns that node for the caller to [`Sweep::place`].
     pub fn enter(&mut self, frag: &Fragment) -> Option<(NodeId, &'g Node, &'g ScalarKind)> {
         if frag.kind != FragmentKind::Compute {
-            for a in frag.inputs.iter().chain(&frag.outputs) {
-                self.dma_bytes += a.meta.bytes();
-                if matches!(a.modifier(), Modifier::Input | Modifier::Output | Modifier::Temp) {
-                    self.streamed_bytes += a.meta.bytes();
-                }
+            let bytes = frag.bytes();
+            self.dma_bytes += bytes;
+            if frag.arg.as_ref().is_some_and(|a| {
+                matches!(a.modifier(), Modifier::Input | Modifier::Output | Modifier::Temp)
+            }) {
+                self.streamed_bytes += bytes;
             }
             return None;
         }

@@ -28,11 +28,9 @@ fn scalar_nodes<'g>(prog: &AccProgram, graph: &'g SrDfg) -> HashMap<NodeId, &'g 
 fn streamed_bytes(prog: &AccProgram) -> u64 {
     let mut bytes = 0;
     for frag in prog.fragments.iter().filter(|f| f.kind != FragmentKind::Compute) {
-        for a in frag.inputs.iter().chain(&frag.outputs) {
-            if matches!(a.modifier(), Modifier::Input | Modifier::Output | Modifier::Temp) {
-                let per = if a.dtype() == pmlang::DType::Complex { 8 } else { 4 };
-                bytes += a.shape().iter().product::<usize>() as u64 * per;
-            }
+        let a = frag.arg.as_ref().expect("a load/store carries its edge");
+        if matches!(a.modifier(), Modifier::Input | Modifier::Output | Modifier::Temp) {
+            bytes += a.meta.bytes();
         }
     }
     bytes

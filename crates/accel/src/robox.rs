@@ -206,12 +206,9 @@ mod tests {
         let compiled = compile_program(&g, &targets).unwrap();
         let part = compiled.partition(Some(Domain::Robotics)).unwrap();
         // Matrix-vector products must stay whole (no scalar explosion).
-        assert!(
-            part.fragments.iter().any(|f| f.op == "matvec" || f.op == "sum"),
-            "ops: {:?}",
-            part.fragments.iter().map(|f| f.op.clone()).collect::<Vec<_>>()
-        );
-        assert!(part.fragments.iter().all(|f| f.op != "unpack"));
+        let ops: Vec<_> = part.fragments.iter().map(|f| f.op(&compiled.graph)).collect();
+        assert!(ops.iter().any(|&o| o == "matvec" || o == "sum"), "ops: {ops:?}");
+        assert!(ops.iter().all(|&o| o != "unpack"));
     }
 
     #[test]

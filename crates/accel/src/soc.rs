@@ -257,6 +257,25 @@ struct Priced {
     _partitions: Weak<[AccProgram]>,
 }
 
+/// The dispatch contract a backend prices against: every compute fragment
+/// names a live node of `graph`, and every `load`/`store` carries the edge
+/// it moves.
+fn check_fragments(part: &AccProgram, graph: &SrDfg) -> Result<(), SocError> {
+    for (fragment, f) in part.fragments.iter().enumerate() {
+        let detail = match (f.kind, f.node, &f.arg) {
+            (FragmentKind::Compute, Some(id), _) if graph.is_live(id) => continue,
+            (FragmentKind::Compute, Some(id), _) => {
+                format!("compute fragment names removed node {id}")
+            }
+            (FragmentKind::Compute, None, _) => "compute fragment names no node".to_string(),
+            (_, _, Some(_)) => continue,
+            (_, _, None) => "load/store fragment has no edge to marshal".to_string(),
+        };
+        return Err(SocError::MalformedFragment { target: part.target.clone(), fragment, detail });
+    }
+    Ok(())
+}
+
 /// A host plus a set of cascaded accelerator backends.
 pub struct Soc {
     /// Attached backends under their target-spec names, resolved at
@@ -592,7 +611,9 @@ impl Soc {
     /// The compute price of partition `index` on `backend` (`None` = the
     /// host): looked up by identity, else estimated — outside the memo's
     /// lock, so two threads that miss together both compute the same
-    /// answer and the second insert refreshes the first.
+    /// answer and the second insert refreshes the first. A miss checks the
+    /// fragment stream first ([`check_fragments`]), so a hit — the same
+    /// immutable partition — pays nothing for it.
     fn price(
         &self,
         compiled: &CompiledProgram,
@@ -600,13 +621,14 @@ impl Soc {
         backend: Option<&dyn Backend>,
         h: &WorkloadHints,
         expert: bool,
-    ) -> PerfEstimate {
+    ) -> Result<PerfEstimate, SocError> {
         let key = PriceKey::new(compiled, index, expert, h);
         let fingerprint = srdfg::FxBuildHasher::default().hash_one(&key);
         if let Some(hit) = self.prices.lookup(fingerprint, &key) {
-            return hit.compute;
+            return Ok(hit.compute);
         }
         let part = &compiled.partitions[index];
+        check_fragments(part, &compiled.graph)?;
         let compute = match backend {
             Some(backend) if expert => backend.estimate_expert(part, &compiled.graph, h),
             Some(backend) => backend.estimate(part, &compiled.graph, h),
@@ -630,7 +652,7 @@ impl Soc {
             _partitions: Arc::downgrade(&compiled.partitions),
         };
         self.prices.insert(fingerprint, key, 1, priced);
-        compute
+        Ok(compute)
     }
 
     fn simulate_partition(
@@ -658,7 +680,7 @@ impl Soc {
         let mut r = PartitionReport {
             target: backend.map_or(self.host.name(), |b| b.name()).to_string(),
             domain: part.domain,
-            compute: self.price(compiled, index, backend, h, expert),
+            compute: self.price(compiled, index, backend, h, expert)?,
             dma: PerfEstimate::default(),
             attempts: 0,
             retries: 0,
@@ -676,13 +698,6 @@ impl Soc {
         let mut clock = VirtualClock::new();
         for (idx, frag) in part.fragments.iter().enumerate() {
             let is_dma = frag.kind != FragmentKind::Compute;
-            if is_dma && frag.inputs.is_empty() && frag.outputs.is_empty() {
-                return Err(SocError::MalformedFragment {
-                    target: part.target.clone(),
-                    fragment: idx,
-                    detail: "load/store fragment has no operands to marshal".to_string(),
-                });
-            }
             // `param` and `state` data are resident in the accelerator's
             // local memory (loaded once, amortized across the run) — this
             // is precisely what PMLang's type modifiers tell the stack
@@ -690,7 +705,7 @@ impl Soc {
             // cross the DMA per invocation, and only per-invocation
             // dispatches are fault-injected.
             let resident = is_dma
-                && frag.inputs.iter().chain(&frag.outputs).all(|a| {
+                && frag.arg.as_ref().is_some_and(|a| {
                     matches!(a.modifier(), srdfg::Modifier::Param | srdfg::Modifier::State)
                 });
             if resident {
@@ -728,7 +743,7 @@ impl Soc {
                     r.faults.push(FaultEvent {
                         target: part.target.clone(),
                         fragment: idx,
-                        op: frag.op.to_string(),
+                        op: frag.op(&compiled.graph).to_string(),
                         attempt,
                         kind,
                     });
@@ -745,7 +760,7 @@ impl Soc {
                     return Ok(PartSim::Down(DownInfo {
                         target: part.target.clone(),
                         fragment: idx,
-                        op: frag.op.to_string(),
+                        op: frag.op(&compiled.graph).to_string(),
                         attempts: attempt,
                         fault: kind,
                         spent_ns: clock.now_ns(),
@@ -942,6 +957,55 @@ mod tests {
         fresh.attach(Deco::default()).attach(wide());
         assert_eq!(served, fresh.run(&compiled, &HashMap::new()).unwrap());
         assert_ne!(served, narrow, "twice the PUs must not cost the same");
+    }
+
+    /// Runs `compiled` after `edit` rewrote the first `kind` fragment of its
+    /// first partition, and returns the error with that fragment's index.
+    fn run_edited(
+        compiled: CompiledProgram,
+        kind: FragmentKind,
+        edit: impl FnOnce(&mut pm_lower::Fragment),
+    ) -> (SocError, usize) {
+        let mut parts = compiled.partitions.to_vec();
+        let index = parts[0].fragments.iter().position(|f| f.kind == kind).expect("fragment");
+        edit(&mut parts[0].fragments[index]);
+        let compiled = CompiledProgram { graph: compiled.graph, partitions: parts.into() };
+        (soc().run(&compiled, &HashMap::new()).unwrap_err(), index)
+    }
+
+    fn assert_malformed(err: &SocError, index: usize, what: &str) {
+        match err {
+            SocError::MalformedFragment { fragment, detail, .. } => {
+                assert_eq!(*fragment, index);
+                assert!(detail.contains(what), "{detail}");
+            }
+            other => panic!("expected MalformedFragment, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_compute_fragment_naming_a_removed_node_is_a_typed_error() {
+        let (compiled, _) = compiled_two_domain(&[Domain::Dsp, Domain::DataAnalytics]);
+        let id = compiled.partitions[0].fragments.iter().find_map(|f| f.node).unwrap();
+        let mut graph = (*compiled.graph).clone();
+        graph.remove_node(id);
+        let compiled = CompiledProgram { graph: Arc::new(graph), partitions: compiled.partitions };
+        let (err, index) = run_edited(compiled, FragmentKind::Compute, |_| {});
+        assert_malformed(&err, index, "removed node");
+    }
+
+    #[test]
+    fn a_compute_fragment_naming_no_node_is_a_typed_error() {
+        let (compiled, _) = compiled_two_domain(&[Domain::Dsp, Domain::DataAnalytics]);
+        let (err, index) = run_edited(compiled, FragmentKind::Compute, |f| f.node = None);
+        assert_malformed(&err, index, "names no node");
+    }
+
+    #[test]
+    fn a_dma_fragment_without_its_edge_is_a_typed_error() {
+        let (compiled, _) = compiled_two_domain(&[Domain::Dsp, Domain::DataAnalytics]);
+        let (err, index) = run_edited(compiled, FragmentKind::Load, |f| f.arg = None);
+        assert_malformed(&err, index, "no edge to marshal");
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Tabla {
         let mut group_cycles = 0u64;
         for frag in &prog.fragments {
             if frag.kind == FragmentKind::Compute
-                && matches!(frag.op.as_str(), "argmin" | "argmax" | "max" | "min")
+                && matches!(frag.op(graph), "argmin" | "argmax" | "max" | "min")
             {
                 group_cycles += (frag.ops / self.pes() as u64).max(1);
             }

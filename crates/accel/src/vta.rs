@@ -214,12 +214,12 @@ mod tests {
             .fragments
             .iter()
             .filter(|f| f.kind == FragmentKind::Compute)
-            .map(|f| f.op.clone())
+            .map(|f| f.op(&compiled.graph))
             .collect();
-        assert!(ops.iter().any(|o| o == "conv2d"), "{ops:?}");
-        assert!(ops.iter().any(|o| o == "map.relu"), "{ops:?}");
-        assert!(ops.iter().any(|o| o == "matvec"), "{ops:?}");
-        assert!(!ops.iter().any(|o| o == "unpack"), "{ops:?}");
+        assert!(ops.contains(&"conv2d"), "{ops:?}");
+        assert!(ops.contains(&"map.relu"), "{ops:?}");
+        assert!(ops.contains(&"matvec"), "{ops:?}");
+        assert!(!ops.contains(&"unpack"), "{ops:?}");
     }
 
     #[test]

@@ -128,18 +128,10 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
     let mut loads: Vec<Vec<usize>> = vec![Vec::new(); graph.edge_count()];
     for (gid, fr) in frags.iter().enumerate() {
         let f = &compiled.partitions[fr.part].fragments[fr.idx];
-        match f.kind {
-            FragmentKind::Store => {
-                if let Some(a) = f.outputs.first() {
-                    stores[a.edge.0 as usize].push(gid);
-                }
-            }
-            FragmentKind::Load => {
-                if let Some(a) = f.inputs.first() {
-                    loads[a.edge.0 as usize].push(gid);
-                }
-            }
-            FragmentKind::Compute => {}
+        match (f.kind, &f.arg) {
+            (FragmentKind::Store, Some(a)) => stores[a.edge.0 as usize].push(gid),
+            (FragmentKind::Load, Some(a)) => loads[a.edge.0 as usize].push(gid),
+            _ => {}
         }
     }
 
@@ -148,7 +140,7 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
         let f = &compiled.partitions[fr.part].fragments[fr.idx];
         match f.kind {
             FragmentKind::Load => {
-                let Some(a) = f.inputs.first() else { continue };
+                let Some(a) = &f.arg else { continue };
                 if let Some(src) = origin(a.edge) {
                     if src != fr.part
                         && !stores[a.edge.0 as usize].iter().any(|&g| frags[g].part == src)
@@ -171,8 +163,9 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
                 }
             }
             FragmentKind::Compute => {
-                for a in &f.inputs {
-                    let src = origin(a.edge);
+                let Some(id) = f.node else { continue };
+                for &e in &graph.node(id).inputs {
+                    let src = origin(e);
                     let src_part = src.unwrap_or(usize::MAX);
                     let cross = match src {
                         Some(s) => s != fr.part,
@@ -184,9 +177,8 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
                     if !cross {
                         continue;
                     }
-                    let has_earlier_load = loads[a.edge.0 as usize]
-                        .iter()
-                        .any(|&g| frags[g].part == fr.part && g < gid);
+                    let has_earlier_load =
+                        loads[e.0 as usize].iter().any(|&g| frags[g].part == fr.part && g < gid);
                     if !has_earlier_load {
                         let from = if src.is_some() {
                             format!("partition `{}`", part_name(src_part))
@@ -199,12 +191,12 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
                                 format!(
                                     "fragment `{}` on `{}` consumes `{}` from {from} without a \
                                      preceding DMA load",
-                                    f.op,
+                                    f.op(graph),
                                     part_name(fr.part),
-                                    a.name(),
+                                    graph.edge(e).meta.name,
                                 ),
                             )
-                            .at(span_of(a.edge)),
+                            .at(span_of(e)),
                         );
                     }
                 }
@@ -282,7 +274,7 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
             .map(|g| {
                 let fr = frags[g];
                 let f = &compiled.partitions[fr.part].fragments[fr.idx];
-                format!("`{}`@{}", f.op, part_name(fr.part))
+                format!("`{}`@{}", f.op(graph), part_name(fr.part))
             })
             .collect();
         stuck.truncate(6);
@@ -340,36 +332,22 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
         for (gid, fr) in frags.iter().enumerate() {
             let f = &compiled.partitions[fr.part].fragments[fr.idx];
             let on_host = part_name(fr.part) == host;
-            match f.kind {
-                FragmentKind::Load => {
-                    if let Some(a) = f.inputs.first() {
-                        if ins.contains(&a.edge) {
-                            readers.push(BufUse { gid, part: fr.part, edge: a.edge });
-                        }
-                    }
+            let at = |edge: EdgeId| BufUse { gid, part: fr.part, edge };
+            match (f.kind, &f.arg, f.node) {
+                (FragmentKind::Load, Some(a), _) if ins.contains(&a.edge) => {
+                    readers.push(at(a.edge))
                 }
-                FragmentKind::Store => {
-                    if let Some(a) = f.outputs.first() {
-                        if outs.contains(&a.edge) {
-                            writers.push(BufUse { gid, part: fr.part, edge: a.edge });
-                        }
-                    }
+                (FragmentKind::Store, Some(a), _) if outs.contains(&a.edge) => {
+                    writers.push(at(a.edge));
                 }
-                FragmentKind::Compute => {
-                    // The host touches its own memory without DMA.
-                    if on_host {
-                        for a in &f.inputs {
-                            if ins.contains(&a.edge) {
-                                readers.push(BufUse { gid, part: fr.part, edge: a.edge });
-                            }
-                        }
-                        for a in &f.outputs {
-                            if outs.contains(&a.edge) {
-                                writers.push(BufUse { gid, part: fr.part, edge: a.edge });
-                            }
-                        }
-                    }
+                // The host touches its own memory without DMA.
+                (FragmentKind::Compute, _, Some(id)) if on_host => {
+                    let node = graph.node(id);
+                    readers.extend(node.inputs.iter().filter(|e| ins.contains(e)).map(|&e| at(e)));
+                    writers
+                        .extend(node.outputs.iter().filter(|e| outs.contains(e)).map(|&e| at(e)));
                 }
+                _ => {}
             }
         }
         for rd in &readers {
@@ -438,7 +416,7 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_lower::{compile_program, lower, AcceleratorSpec, TargetMap};
+    use pm_lower::{compile_program, lower, AcceleratorSpec, ArgInfo, Fragment, TargetMap};
     use pmlang::Domain;
 
     fn cross_targets() -> TargetMap {
@@ -525,7 +503,7 @@ mod tests {
             .find(|f| f.kind == FragmentKind::Store)
             .expect("store")
             .clone();
-        store.outputs[0].edge = z1;
+        store.arg = Some(ArgInfo { meta: compiled.graph.edge(z1).meta.clone(), edge: z1 });
         let mut parts = compiled.partitions.to_vec();
         parts.iter_mut().find(|p| p.target != "host").unwrap().fragments.push(store);
         compiled.partitions = parts.into();
@@ -552,7 +530,15 @@ mod tests {
         }
         compiled.partitions = parts.into();
         let out = analyze_schedule(&compiled, &targets);
-        assert!(out.iter().any(|f| f.code == codes::MISSING_MARSHAL), "{out:?}");
+        assert!(
+            out.iter().any(|d| {
+                d.code == codes::MISSING_MARSHAL
+                && d.message.contains(
+                    "partition `host` loads `f.1` but its producer partition `DECO` never stores it"
+                )
+            }),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -568,15 +554,25 @@ mod tests {
              }",
             &targets,
         );
+        // Only the host's load of the value DECO produced; the boundary
+        // input's load into DECO stays.
         let mut parts = compiled.partitions.to_vec();
-        for part in &mut parts {
-            part.fragments.retain(|f| f.kind != FragmentKind::Load);
-        }
+        let graph = &compiled.graph;
+        let host = parts.iter_mut().find(|p| p.target == "host").expect("host partition");
+        host.fragments.retain(|f| {
+            f.kind != FragmentKind::Load
+                || graph.edge(f.arg.as_ref().unwrap().edge).producer.is_none()
+        });
         compiled.partitions = parts.into();
         let out = analyze_schedule(&compiled, &targets);
+        let e110: Vec<_> = out.iter().filter(|d| d.code == codes::MISSING_MARSHAL).collect();
+        assert_eq!(e110.len(), 1, "{out:?}");
         assert!(
-            out.iter().any(|f| f.code == codes::MISSING_MARSHAL && f.message.contains("DMA load")),
-            "{out:?}"
+            e110[0].message.contains(
+                "on `host` consumes `f.1` from partition `DECO` without a preceding DMA load"
+            ),
+            "{}",
+            e110[0].message
         );
     }
 
@@ -608,9 +604,8 @@ mod tests {
                 .find(|f| f.kind == FragmentKind::Store)
                 .expect("store")
                 .clone();
-            let mut load = store.clone();
-            load.kind = FragmentKind::Load;
-            load.inputs = std::mem::take(&mut load.outputs);
+            // The same edge, moved the other way.
+            let load = Fragment { kind: FragmentKind::Load, ..store.clone() };
             (load, store)
         };
         let mut parts = compiled.partitions.to_vec();

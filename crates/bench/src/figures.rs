@@ -460,7 +460,7 @@ pub fn mpc_formulations() {
             .iter()
             .filter(|f| f.kind != pm_lower::FragmentKind::Compute)
             .filter(|f| {
-                f.inputs.iter().chain(&f.outputs).any(|a| {
+                f.arg.as_ref().is_some_and(|a| {
                     !matches!(a.modifier(), srdfg::Modifier::Param | srdfg::Modifier::State)
                 })
             })

@@ -351,7 +351,7 @@ fn run(args: &[String]) -> Result<(), String> {
             if flags.flag("--fragments") {
                 for part in compiled.partitions.iter() {
                     println!("\npartition {} ({} fragments):", part.target, part.fragments.len());
-                    print_fragments(part);
+                    print_fragments(part, &compiled.graph);
                 }
             }
             if let Some(timings) = &timings {
@@ -787,11 +787,10 @@ fn lower_for(graph: &mut srdfg::SrDfg, target: &str) -> Result<(), String> {
 
 /// Prints a partition's fragment stream, run-length-compressed so the
 /// scalar fabrics' long op rows stay readable.
-fn print_fragments(part: &pm_lower::AccProgram) {
-    let label = |f: &pm_lower::Fragment| match f.kind {
-        pm_lower::FragmentKind::Load => format!("load  {}", f.inputs[0].name()),
-        pm_lower::FragmentKind::Store => format!("store {}", f.outputs[0].name()),
-        pm_lower::FragmentKind::Compute => f.op.to_string(),
+fn print_fragments(part: &pm_lower::AccProgram, graph: &srdfg::SrDfg) {
+    let label = |f: &pm_lower::Fragment| match &f.arg {
+        Some(a) => format!("{:<5} {}", f.op(graph), a.name()),
+        None => f.op(graph).to_string(),
     };
     let mut i = 0;
     let frags = &part.fragments;

@@ -161,26 +161,27 @@ fn check_partitions(compiled: &CompiledProgram, targets: &TargetMap) -> Result<(
         .iter()
         .flat_map(|p| p.fragments.iter())
         .filter(|f| f.kind == FragmentKind::Store)
-        .map(|f| f.outputs[0].edge)
+        .filter_map(|f| f.arg.as_ref().map(|a| a.edge))
         .collect();
     for p in compiled.partitions.iter() {
         for frag in &p.fragments {
             match frag.kind {
                 FragmentKind::Compute => {
-                    let node = compiled.graph.node(frag.node.unwrap());
+                    let node =
+                        compiled.graph.node(frag.node.ok_or("compute fragment names no node")?);
                     let spec = targets.target_for(node, compiled.graph.domain);
                     if spec.name != p.target {
                         return Err(format!(
                             "fragment `{}` landed on `{}`, expected `{}`",
-                            frag.op, p.target, spec.name
+                            node.name, p.target, spec.name
                         ));
                     }
-                    if !spec.supports(&frag.op) {
-                        return Err(format!("`{}` not in {}'s op set", frag.op, p.target));
+                    if !spec.supports(&node.name) {
+                        return Err(format!("`{}` not in {}'s op set", node.name, p.target));
                     }
                 }
                 FragmentKind::Load => {
-                    let e = frag.inputs[0].edge;
+                    let e = frag.arg.as_ref().ok_or("load fragment carries no edge")?.edge;
                     let boundary = compiled.graph.edge(e).producer.is_none();
                     if !boundary && !stored.contains(&e) {
                         return Err(format!("{}: load of edge {e:?} without a store", p.target));

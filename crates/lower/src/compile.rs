@@ -14,26 +14,29 @@
 //!     return πd1, …, πdn
 //! ```
 //!
-//! Translation here produces a target-neutral [`Fragment`] per node — the
-//! operation name, typed/shaped argument descriptors derived from edge
-//! metadata (the paper's five argument-assignment steps), and the scalar-op
-//! count — accumulated into one [`AccProgram`] per target. `load`/`store`
-//! fragments are inserted wherever a value crosses a domain boundary; the
-//! accelerator backends (crate `pm-accel`) play the role of the
-//! "accelerator-provided compilers" that turn each fragment stream into an
-//! executable schedule.
+//! Translation here appends one target-neutral [`Fragment`] per node and
+//! per boundary edge to one [`AccProgram`] per target. A fragment is a
+//! *reference* into the lowered graph, as the paper writes it: a compute
+//! fragment names its node (`t(srdfg, n)`), and a `load`/`store` names the
+//! one edge it moves (`t_load(in_edge, n)` / `t_store(n, out_edge)`). The
+//! paper's five argument-assignment steps — name, type, type modifier,
+//! shape — are not copied into the fragment: a consumer reads them from
+//! the node's edges (`graph.node(id).inputs`, `graph.edge(e).meta`) at the
+//! point of use, so a compute fragment holds no heap block and no
+//! refcount. `load`/`store` fragments are inserted wherever a value
+//! crosses a domain boundary; the accelerator backends (crate `pm-accel`)
+//! play the role of the "accelerator-provided compilers" that turn each
+//! fragment stream into an executable schedule.
 
 use crate::lower::{fully_lowered, LowerError};
 use crate::spec::TargetMap;
 use pmlang::{DType, Domain};
 use srdfg::budget::Budget;
-use srdfg::{Consed, EdgeId, EdgeMeta, Ident, Modifier, NodeId, SrDfg};
+use srdfg::{Consed, EdgeId, EdgeMeta, Modifier, NodeId, SrDfg};
 use std::sync::Arc;
 
-/// A typed, shaped argument of a fragment: a handle on the interned edge
-/// metadata plus the edge itself. Building one is two refcount bumps —
-/// fragments share the graph's metadata records instead of re-copying
-/// name strings and shape vectors per argument.
+/// The one edge a `load`/`store` fragment moves: a handle on the interned
+/// edge metadata plus the edge itself, so DMA pricing needs no graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArgInfo {
     /// Interned `(name, type, type-modifier, shape)` metadata of the edge.
@@ -62,11 +65,6 @@ impl ArgInfo {
     pub fn shape(&self) -> &[usize] {
         &self.meta.shape
     }
-
-    /// Number of elements the argument carries.
-    pub fn volume(&self) -> usize {
-        self.meta.shape.iter().product()
-    }
 }
 
 /// What a fragment does.
@@ -80,35 +78,40 @@ pub enum FragmentKind {
     Store,
 }
 
-/// One accelerator-IR fragment: a basic operator and its arguments.
+/// One accelerator-IR fragment: a reference to a node or an edge of the
+/// lowered graph it was compiled from. A compute fragment sets `node`;
+/// its operands and results are that node's `inputs`/`outputs`. A
+/// `load`/`store` sets `arg` to the edge it moves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fragment {
-    /// Accelerator operation name (shared handle; compute fragments alias
-    /// their node's name, DMA fragments a per-compile `load`/`store`).
-    pub op: Ident,
     /// Kind of fragment.
     pub kind: FragmentKind,
-    /// The originating graph node (compute fragments).
+    /// The node a compute fragment evaluates (`None` for `load`/`store`).
     pub node: Option<NodeId>,
-    /// Input arguments.
-    pub inputs: Vec<ArgInfo>,
-    /// Output arguments.
-    pub outputs: Vec<ArgInfo>,
+    /// The edge a `load`/`store` moves (`None` for compute fragments).
+    pub arg: Option<ArgInfo>,
     /// Scalar operations this fragment performs (cost-model basis).
     pub ops: u64,
 }
 
 impl Fragment {
-    /// Bytes moved by a load/store fragment.
+    /// The accelerator operation: the node's name for a compute fragment
+    /// (`compute` if it names no live node of `graph`), `load` or `store`
+    /// for a DMA one.
+    pub fn op<'g>(&self, graph: &'g SrDfg) -> &'g str {
+        match self.kind {
+            FragmentKind::Load => "load",
+            FragmentKind::Store => "store",
+            FragmentKind::Compute => match self.node {
+                Some(id) if graph.is_live(id) => graph.node(id).name.as_str(),
+                _ => "compute",
+            },
+        }
+    }
+
+    /// Bytes moved by a load/store fragment (0 for a compute fragment).
     pub fn bytes(&self) -> u64 {
-        self.inputs
-            .iter()
-            .chain(&self.outputs)
-            .map(|a| {
-                let per = if a.dtype() == DType::Complex { 8 } else { 4 };
-                a.volume() as u64 * per
-            })
-            .sum()
+        self.arg.as_ref().map_or(0, |a| a.meta.bytes())
     }
 }
 
@@ -144,12 +147,15 @@ impl AccProgram {
 /// fragments. Readers deref transparently; the rare consumer that needs
 /// an owned mutable graph (fallback re-lowering) clones explicitly.
 /// Immutability is also what lets the SoC memoise a partition's price by
-/// the two pointers: equal pointers are equal content.
+/// the two pointers: equal pointers are equal content. The two halves
+/// belong together: a fragment names nodes and edges of *this* graph, and
+/// reads its compute arguments through it.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// The lowered srDFG (functional ground truth; backends execute it).
     pub graph: Arc<SrDfg>,
-    /// One partition per target that received at least one fragment.
+    /// One partition per target that received at least one fragment; its
+    /// fragments reference nodes and edges of `graph`.
     pub partitions: Arc<[AccProgram]>,
 }
 
@@ -211,8 +217,10 @@ pub fn compile_program_budgeted(
     // string hashing that used to dominate per-edge work. `parts` keeps
     // first-touch (topological) order; a partition's domain is the domain
     // of its first node (the paper's πd, one per accelerator — a domain
-    // can host two accelerators under overrides).
+    // can host two accelerators under overrides). Every node is one
+    // compute fragment of its partition, counted here as `part_len`.
     let mut parts: Vec<AccProgram> = Vec::new();
+    let mut part_len: Vec<usize> = Vec::new();
     let mut assign: Vec<u32> = vec![u32::MAX; n_nodes];
     for &id in &order {
         let node = graph.node(id);
@@ -225,9 +233,11 @@ pub fn compile_program_budgeted(
                     domain: node.domain.or(graph.domain),
                     fragments: Vec::new(),
                 });
+                part_len.push(0);
                 parts.len() - 1
             }
         };
+        part_len[ti] += 1;
         assign[id.0 as usize] = ti as u32;
     }
     // The host target's index (boundary values live in host memory, so
@@ -246,7 +256,7 @@ pub fn compile_program_budgeted(
     // through the graph boundary) is loaded once per destination
     // partition, by its first consumer there.
     let mut loaded = vec![false; parts.len() * n_edges];
-    let needs_load = |loaded: &mut [bool], ti: u32, e: EdgeId| -> bool {
+    let mut needs_load = |ti: u32, e: EdgeId| -> bool {
         let src_ti = match graph.edge(e).producer {
             Some((p, _)) => assign[p.0 as usize],
             None => host_ti,
@@ -260,64 +270,45 @@ pub fn compile_program_budgeted(
             || (is_boundary_out[e.0 as usize] && ti != host_ti)
     };
 
-    // Exact-capacity reserve: a single-accelerator program puts every
-    // fragment into one partition, and doubling-growth would re-copy the
-    // whole fragment stream several times over.
-    let mut part_len = vec![0usize; parts.len()];
-    for &id in &order {
-        let ti = assign[id.0 as usize];
-        let node = graph.node(id);
-        part_len[ti as usize] += 1
-            + node.inputs.iter().filter(|&&e| needs_load(&mut loaded, ti, e)).count()
-            + node.outputs.iter().filter(|&&e| needs_store(ti, e)).count();
-    }
+    // Reserve the compute fragments, let the few DMA ones grow the stream,
+    // and hand the slack back at the end: a fragment is 40 bytes, so that
+    // costs less than an exact-count pre-pass over every edge.
     for (p, n) in parts.iter_mut().zip(part_len) {
         p.fragments.reserve_exact(n);
     }
-    loaded.fill(false);
 
     // The sweep: πd = πd + t_load… + t(srdfg, n) + t_store… for each n.
-    let arg_info = |e: EdgeId| -> ArgInfo { ArgInfo { meta: graph.edge(e).meta.clone(), edge: e } };
-    let load_op: Ident = "load".into();
-    let store_op: Ident = "store".into();
+    // A compute fragment is the node's id; a DMA fragment carries the one
+    // edge it moves.
+    let dma = |kind: FragmentKind, e: EdgeId| Fragment {
+        kind,
+        node: None,
+        arg: Some(ArgInfo { meta: graph.edge(e).meta.clone(), edge: e }),
+        ops: 0,
+    };
     for &id in &order {
         let ti = assign[id.0 as usize];
         let node = graph.node(id);
         let fragments = &mut parts[ti as usize].fragments;
         for &e in &node.inputs {
-            if needs_load(&mut loaded, ti, e) {
-                fragments.push(Fragment {
-                    op: load_op.clone(),
-                    kind: FragmentKind::Load,
-                    node: None,
-                    inputs: vec![arg_info(e)],
-                    outputs: vec![],
-                    ops: 0,
-                });
+            if needs_load(ti, e) {
+                fragments.push(dma(FragmentKind::Load, e));
             }
         }
         fragments.push(Fragment {
-            op: node.name.clone(),
             kind: FragmentKind::Compute,
             node: Some(id),
-            inputs: node.inputs.iter().map(|&e| arg_info(e)).collect(),
-            outputs: node.outputs.iter().map(|&e| arg_info(e)).collect(),
+            arg: None,
             ops: srdfg::graph::node_op_count(node),
         });
         for &e in &node.outputs {
             if needs_store(ti, e) {
-                fragments.push(Fragment {
-                    op: store_op.clone(),
-                    kind: FragmentKind::Store,
-                    node: None,
-                    inputs: vec![],
-                    outputs: vec![arg_info(e)],
-                    ops: 0,
-                });
+                fragments.push(dma(FragmentKind::Store, e));
             }
         }
     }
-    parts.sort_by_key(|p| (p.domain, p.target.clone()));
+    parts.iter_mut().for_each(|p| p.fragments.shrink_to_fit());
+    parts.sort_by(|a, b| (a.domain, &a.target).cmp(&(b.domain, &b.target)));
     Ok(CompiledProgram { graph, partitions: parts.into() })
 }
 
@@ -421,8 +412,38 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
         let t = TargetMap::host_only(host);
         let compiled = compile_program(&g, &t).unwrap();
+        let g = &compiled.graph;
         let frags = &compiled.partitions[0].fragments;
-        let add = frags.iter().find(|f| f.op == "map.add").expect("add fragment");
-        assert!(add.inputs.iter().any(|a| a.modifier() == Modifier::State && a.shape() == [4]));
+        let add = frags.iter().find(|f| f.op(g) == "map.add").expect("add fragment");
+        assert!(add.arg.is_none(), "a compute fragment copies no argument");
+        let node = g.node(add.node.expect("a compute fragment names its node"));
+        assert!(node.inputs.iter().any(|&e| {
+            let meta = &g.edge(e).meta;
+            meta.modifier == Modifier::State && meta.shape == [4]
+        }));
+    }
+
+    #[test]
+    fn dma_fragments_carry_the_edge_they_move_and_no_node() {
+        let mut g = two_domain_graph();
+        let t = targets();
+        lower(&mut g, &t).unwrap();
+        let compiled = compile_program(&g, &t).unwrap();
+        let mut dma = 0;
+        for f in compiled.partitions.iter().flat_map(|p| &p.fragments) {
+            if f.kind == FragmentKind::Compute {
+                continue;
+            }
+            dma += 1;
+            let arg = f.arg.as_ref().expect("a load/store carries its edge");
+            assert!(f.node.is_none());
+            assert_eq!(*arg.meta, *compiled.graph.edge(arg.edge).meta);
+            assert_eq!(f.bytes(), arg.meta.bytes());
+            assert_eq!(
+                f.op(&compiled.graph),
+                if f.kind == FragmentKind::Load { "load" } else { "store" }
+            );
+        }
+        assert!(dma >= 4, "{dma} DMA fragments");
     }
 }

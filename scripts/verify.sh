@@ -251,6 +251,16 @@ if grep -rnE 'refine_for_splice|Plan::Deferred|first_of_fp' crates ||
     exit 1
 fi
 
+echo "== a fragment references the graph"
+# Algorithm 2 emits a node id per compute fragment and one moved edge per
+# load/store; operands are read through the graph where they are used.
+# Argument-list copies or a per-fragment op name would put a heap block
+# and refcount bumps back on every fragment.
+if grep -nE 'Vec<ArgInfo>|op: Ident' crates/lower/src/compile.rs; then
+    echo "Algorithm 2's Fragment copies its node's arguments again" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

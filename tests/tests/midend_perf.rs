@@ -292,7 +292,7 @@ fn algorithm2_is_one_topological_sweep() {
                     }
                 }
                 let got: Vec<EdgeId> =
-                    p.fragments[first..i].iter().map(|f| f.inputs[0].edge).collect();
+                    p.fragments[first..i].iter().map(|f| f.arg.as_ref().unwrap().edge).collect();
                 assert_eq!(got, want, "{}", at("loads", first));
 
                 // Stores: exactly the results with a consumer in another
@@ -312,7 +312,7 @@ fn algorithm2_is_one_topological_sweep() {
                     i += 1;
                 }
                 let got: Vec<EdgeId> =
-                    p.fragments[first..i].iter().map(|f| f.outputs[0].edge).collect();
+                    p.fragments[first..i].iter().map(|f| f.arg.as_ref().unwrap().edge).collect();
                 assert_eq!(got, want, "{}", at("stores", first));
             }
         }

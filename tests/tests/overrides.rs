@@ -106,7 +106,7 @@ fn cross_target_edge_stays_packed() {
     let tabla = compiled.partition_by_target("TABLA").unwrap();
     let loads: Vec<_> = tabla.fragments.iter().filter(|f| f.kind == FragmentKind::Load).collect();
     assert_eq!(loads.len(), 1, "expected one packed load, got {}", loads.len());
-    assert_eq!(loads[0].inputs[0].shape(), vec![16]);
+    assert_eq!(loads[0].arg.as_ref().unwrap().shape(), vec![16]);
 }
 
 #[test]
@@ -122,11 +122,11 @@ fn every_cross_target_load_has_a_matching_store() {
         .iter()
         .flat_map(|p| p.fragments.iter())
         .filter(|f| f.kind == FragmentKind::Store)
-        .map(|f| f.outputs[0].edge)
+        .map(|f| f.arg.as_ref().unwrap().edge)
         .collect();
     for p in compiled.partitions.iter() {
         for frag in p.fragments.iter().filter(|f| f.kind == FragmentKind::Load) {
-            let e = frag.inputs[0].edge;
+            let e = frag.arg.as_ref().unwrap().edge;
             let from_boundary = compiled.graph.edge(e).producer.is_none();
             assert!(
                 from_boundary || stored.contains(&e),

@@ -306,8 +306,8 @@ fn micro_cnn_lowered_to_vta_is_consistent() {
     let compiled = Compiler::cross_domain().compile(&src, &Bindings::default()).unwrap();
     let dl = compiled.partition(Some(Domain::DeepLearning)).expect("DL partition");
     assert_eq!(dl.target, "TVM-VTA");
-    assert!(dl.fragments.iter().any(|f| f.op == "conv2d"));
-    assert!(dl.fragments.iter().all(|f| f.op != "unpack"));
+    assert!(dl.fragments.iter().any(|f| f.op(&compiled.graph) == "conv2d"));
+    assert!(dl.fragments.iter().all(|f| f.op(&compiled.graph) != "unpack"));
 }
 
 #[test]

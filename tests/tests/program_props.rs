@@ -201,7 +201,7 @@ proptest! {
             .iter()
             .flat_map(|p| p.fragments.iter())
             .filter(|f| f.kind == FragmentKind::Store)
-            .map(|f| f.outputs[0].edge)
+            .map(|f| f.arg.as_ref().unwrap().edge)
             .collect();
 
         for p in compiled.partitions.iter() {
@@ -212,15 +212,15 @@ proptest! {
                         let spec = compiler.targets().target_for(node, compiled.graph.domain);
                         prop_assert_eq!(
                             &spec.name, &p.target,
-                            "fragment `{}` landed on `{}`", frag.op, p.target
+                            "fragment `{}` landed on `{}`", node.name, p.target
                         );
                         prop_assert!(
-                            spec.supports(&frag.op),
-                            "`{}` not in {}'s op set\n{src}", frag.op, p.target
+                            spec.supports(&node.name),
+                            "`{}` not in {}'s op set\n{src}", node.name, p.target
                         );
                     }
                     FragmentKind::Load => {
-                        let e = frag.inputs[0].edge;
+                        let e = frag.arg.as_ref().unwrap().edge;
                         let boundary = compiled.graph.edge(e).producer.is_none();
                         prop_assert!(
                             boundary || stored.contains(&e),

@@ -20,7 +20,7 @@
 
 use pm_workloads::{apps, programs};
 use polymath::Compiler;
-use srdfg::{Bindings, Budget, FxHasher, Machine, Modifier, SrDfg, Tensor};
+use srdfg::{Bindings, Budget, EdgeId, FxHasher, Machine, Modifier, SrDfg, Tensor};
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -100,23 +100,31 @@ fn graph_digest(g: &SrDfg) -> u64 {
 
 /// Digest of Algorithm 2's output: per-partition target/domain and the
 /// full fragment stream (ops, kinds, originating node ids, argument
-/// metadata and edge ids, op counts).
+/// metadata and edge ids, op counts). A compute fragment's arguments are
+/// its node's operands then results, read through the graph; a DMA
+/// fragment's is the one edge it moves.
 fn partitions_digest(compiled: &pm_lower::CompiledProgram) -> u64 {
+    let g = &compiled.graph;
     let mut hasher = FxHasher::default();
     for p in compiled.partitions.iter() {
         h(&mut hasher, p.target.as_bytes());
         h(&mut hasher, format!("{:?}", p.domain).as_bytes());
         for f in &p.fragments {
-            h(&mut hasher, f.op.as_bytes());
+            h(&mut hasher, f.op(g).as_bytes());
             h(&mut hasher, format!("{:?}{:?}", f.kind, f.node).as_bytes());
             hu(&mut hasher, f.ops);
-            for a in f.inputs.iter().chain(&f.outputs) {
-                h(&mut hasher, a.name().as_bytes());
-                h(
-                    &mut hasher,
-                    format!("{:?}{:?}{:?}", a.dtype(), a.modifier(), a.shape()).as_bytes(),
-                );
-                hu(&mut hasher, u64::from(a.edge.0));
+            let args: Vec<EdgeId> = match (&f.arg, f.node) {
+                (Some(a), _) => vec![a.edge],
+                (None, Some(id)) => {
+                    g.node(id).inputs.iter().chain(&g.node(id).outputs).copied().collect()
+                }
+                (None, None) => vec![],
+            };
+            for e in args {
+                let m = g.edge(e).meta();
+                h(&mut hasher, m.name.as_bytes());
+                h(&mut hasher, format!("{:?}{:?}{:?}", m.dtype, m.modifier, m.shape).as_bytes());
+                hu(&mut hasher, u64::from(e.0));
             }
             hu(&mut hasher, u64::MAX);
         }
