@@ -25,6 +25,7 @@ use pmlang::Span;
 use srdfg::budget::{Budget, BudgetExceeded};
 use srdfg::{NodeId, RefineError, Refinement, SrDfg, TemplateCache};
 use std::fmt;
+use std::ops::Range;
 
 /// Why lowering failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,59 +112,81 @@ pub fn lower_budgeted(
     // A node's support status depends only on its own fields, which never
     // change after creation, and splicing only *appends* node slots — so
     // after the first full scan, each later round needs to examine only
-    // the nodes the previous round's splices created.
-    let mut scan_from: u32 = 0;
+    // the slots the previous round's splices created.
+    let mut frontier = 0..slot_count(graph);
     let mut memo = SupportMemo::new();
     // Refinements strictly reduce granularity, so this terminates; the
     // iteration bound is a defensive backstop.
     for _ in 0..64 {
-        let slots_before = graph.node_slots() as u32;
-        // Collect this round's unsupported nodes, refine them all, then
-        // instantiate them all. That is equivalent to the paper's
-        // interleaved loop: refinement reads only the node and its edge
-        // metadata, and instantiation removes no node but the one it
-        // replaces, so no pending refinement can observe another's splice.
-        let mut pending = Vec::new();
-        for id in graph.node_ids().filter(|id| id.0 >= scan_from).collect::<Vec<_>>() {
-            let node = graph.node(id);
-            let target = targets.target_for(node, graph.domain);
-            if memo.supports(target, &node.name) {
-                continue;
-            }
-            pending.push((id, target.expand));
-        }
-        if pending.is_empty() {
-            return Ok(());
-        }
-        // One fuel unit per refinement this round: the charge total is a
-        // pure function of the program, so fuel-driven cancellation is
-        // deterministic (the chaos soak relies on this).
-        budget.charge("lower", pending.len() as u64)?;
-        scan_from = slots_before;
-
-        // `Lower(n, Om)` for each, in id order: a node structurally equal
-        // to an earlier one of this round hits the template that one just
-        // stored, and the round holds every template it will instantiate,
-        // so an eviction mid-round costs a re-expansion at most.
-        let mut round = Vec::with_capacity(pending.len());
-        let (mut add_nodes, mut add_edges) = (0usize, 0usize);
-        for (id, opts) in pending {
-            let refinement = Refinement::of(graph, id, &opts, cache)
-                .map_err(|e| stuck(graph, targets, id, e))?;
-            add_nodes += refinement.graph().node_slots();
-            add_edges += refinement.graph().edge_count();
-            round.push((id, refinement));
-        }
-        // Reserve the whole round's growth up front: each instantiation
-        // appends its sub-graph's nodes/edges, and letting the tables
-        // double mid-round re-copies the (multi-megabyte) graph repeatedly.
-        graph.reserve(add_nodes, add_edges);
-        // `srdfg ← srdfg[n ↦ subDfg]`, in the same deterministic order.
-        for (id, refinement) in &round {
-            graph.instantiate(*id, refinement);
+        match round(graph, targets, cache, budget, &mut memo, frontier)? {
+            Some(created) => frontier = created,
+            None => return Ok(()),
         }
     }
     Err(LowerError::msg("lowering did not converge"))
+}
+
+/// One round of Algorithm 1 over the node slots in `frontier`: refines
+/// every live node there that its target does not support, then
+/// instantiates them all. Returns the slots the instantiations appended —
+/// the next round's frontier — or `None` when the frontier is supported.
+///
+/// Refining all before instantiating any is equivalent to the paper's
+/// interleaved loop: refinement reads only the node and its edge
+/// metadata, and instantiation removes no node but the one it replaces, so
+/// no pending refinement can observe another's splice.
+fn round(
+    graph: &mut SrDfg,
+    targets: &TargetMap,
+    cache: Option<&TemplateCache>,
+    budget: &Budget,
+    memo: &mut SupportMemo,
+    frontier: Range<u32>,
+) -> Result<Option<Range<u32>>, LowerError> {
+    let mut pending = Vec::new();
+    for id in frontier.map(NodeId).filter(|&id| graph.is_live(id)) {
+        let node = graph.node(id);
+        let target = targets.target_for(node, graph.domain);
+        if !memo.supports(target, &node.name) {
+            pending.push((id, target.expand));
+        }
+    }
+    if pending.is_empty() {
+        return Ok(None);
+    }
+    // One fuel unit per refinement this round: the charge total is a pure
+    // function of the program, so fuel-driven cancellation is
+    // deterministic (the chaos soak relies on this).
+    budget.charge("lower", pending.len() as u64)?;
+
+    // `Lower(n, Om)` for each, in id order: a node structurally equal to
+    // an earlier one of this round hits the template that one just stored,
+    // and the round holds every template it will instantiate, so an
+    // eviction mid-round costs a re-expansion at most.
+    let mut refined = Vec::with_capacity(pending.len());
+    let (mut add_nodes, mut add_edges) = (0usize, 0usize);
+    for (id, opts) in pending {
+        let refinement =
+            Refinement::of(graph, id, &opts, cache).map_err(|e| stuck(graph, targets, id, e))?;
+        add_nodes += refinement.graph().node_slots();
+        add_edges += refinement.graph().edge_count();
+        refined.push((id, refinement));
+    }
+    // Reserve the whole round's growth up front: each instantiation
+    // appends its sub-graph's nodes/edges, and letting the tables double
+    // mid-round re-copies the (multi-megabyte) graph repeatedly.
+    let slots_before = slot_count(graph);
+    graph.reserve(add_nodes, add_edges);
+    // `srdfg ← srdfg[n ↦ subDfg]`, in the same deterministic order.
+    for (id, refinement) in &refined {
+        graph.instantiate(*id, refinement);
+    }
+    Ok(Some(slots_before..slot_count(graph)))
+}
+
+/// The graph's node-slot count as the `u32` bound of its node ids.
+fn slot_count(graph: &SrDfg) -> u32 {
+    u32::try_from(graph.node_slots()).expect("srDFG node ids are u32")
 }
 
 /// The paper's failure rule: node `id`, still live because a round
@@ -393,6 +416,12 @@ main(input float a[4], output float b) {
         build_graph(&format!("main(input float x[4]{outs}) {{ index i[0:3]; {body}}}"))
     }
 
+    /// A host that supports only scalar `+`/`*`, constants and marshalling.
+    fn scalar_targets() -> TargetMap {
+        let ops = ["add", "mul", "const", "unpack", "pack"];
+        TargetMap::host_only(AcceleratorSpec::new("SCALARY", Domain::DataAnalytics, ops))
+    }
+
     /// Lowers `graph` to scalar ops; returns the cache's `(misses, hits,
     /// inserts, evictions, bypassed)`.
     fn lower_to_scalars(
@@ -400,10 +429,7 @@ main(input float a[4], output float b) {
         cache: Option<&TemplateCache>,
         budget: &Budget,
     ) -> (Result<(), LowerError>, [u64; 5]) {
-        let ops = ["add", "mul", "const", "unpack", "pack"];
-        let targets =
-            TargetMap::host_only(AcceleratorSpec::new("SCALARY", Domain::DataAnalytics, ops));
-        let result = lower_budgeted(graph, &targets, cache, budget);
+        let result = lower_budgeted(graph, &scalar_targets(), cache, budget);
         let s = cache.map(TemplateCache::stats).unwrap_or_default();
         (result, [s.misses, s.hits, s.inserts, s.evictions, s.bypassed])
     }
@@ -450,5 +476,27 @@ main(input float a[4], output float b) {
         let (result, stats) = lower_to_scalars(&mut g, Some(&cache), &Budget::new(None, Some(0)));
         assert!(result.unwrap_err().budget.is_some());
         assert_eq!(stats, [0; 5]);
+    }
+
+    #[test]
+    fn a_round_scans_only_its_frontier_and_hands_on_the_slots_it_created() {
+        let mut g = maps_program(&["*", "+"]);
+        let maps: Vec<NodeId> = g.node_ids().collect();
+        assert_eq!(maps.len(), 2);
+        let (targets, budget, mut memo) =
+            (scalar_targets(), Budget::unlimited(), SupportMemo::new());
+        let slots = slot_count(&g);
+
+        // A frontier holding only the second map refines only that one.
+        let created = round(&mut g, &targets, None, &budget, &mut memo, maps[1].0..slots)
+            .unwrap()
+            .expect("the `+` map is unsupported");
+        assert!(g.is_live(maps[0]) && !g.is_live(maps[1]));
+        assert_eq!(created, slots..slot_count(&g), "the next frontier is the splice's slots");
+
+        // Those slots are all supported scalar ops, so the next round ends
+        // Algorithm 1 without reaching back to the unsupported `*` map.
+        assert_eq!(round(&mut g, &targets, None, &budget, &mut memo, created), Ok(None));
+        assert!(g.is_live(maps[0]));
     }
 }

@@ -47,6 +47,7 @@ fn find_fusable(graph: &SrDfg) -> Option<(NodeId, NodeId, usize)> {
             continue;
         }
         let (cid, slot) = edge.consumers[0];
+        let slot = slot as usize;
         let cnode = graph.node(cid);
         let NodeKind::Map(cspec) = &cnode.kind else { continue };
         if !same_space(pspec, cspec) {

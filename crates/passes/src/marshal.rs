@@ -63,7 +63,7 @@ impl Pass for ElideMarshalling {
                 // packed element's source edge.
                 let consumers = std::mem::take(&mut graph.edge_mut(*dst).consumers);
                 for (cnode, cslot) in consumers {
-                    graph.node_mut(cnode).inputs[cslot] = *src;
+                    graph.node_mut(cnode).inputs[cslot as usize] = *src;
                     graph.edge_mut(*src).consumers.push((cnode, cslot));
                 }
                 for bo in &mut graph.boundary_outputs {

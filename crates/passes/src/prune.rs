@@ -75,7 +75,7 @@ impl Pass for PruneUnusedInputs {
             for &e in &inputs {
                 graph.edge_mut(e).consumers.retain(|&(n, _)| n != id);
             }
-            for (new_slot, &e) in new_inputs.iter().enumerate() {
+            for (new_slot, &e) in (0u32..).zip(&new_inputs) {
                 graph.edge_mut(e).consumers.push((id, new_slot));
             }
             let node = graph.node_mut(id);

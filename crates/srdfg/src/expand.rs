@@ -31,6 +31,7 @@ use crate::hash::FxBuildHasher;
 use crate::ident::Ident;
 use crate::interp::for_each_point;
 use crate::kernel::KExpr;
+use crate::smallids::SmallIds;
 use crate::store::{intern, Consed};
 use pmlang::{BinOp, BuiltinReduction, DType, ScalarFunc, Span};
 use std::collections::HashMap;
@@ -232,14 +233,7 @@ fn decompose_reduce(
         write: WriteSpec { target_shape: combined_shape, lhs: lhs.clone(), carried: false },
     };
     let map_name = map_op_name(&map_spec.kernel);
-    g.add_node_at(
-        map_name,
-        NodeKind::map(map_spec),
-        node.domain,
-        ins.clone(),
-        vec![temp],
-        node.span,
-    );
+    g.add_node_at(map_name, NodeKind::map(map_spec), node.domain, &ins, [temp], node.span);
 
     // Pure reduce over the element tensor; the original inputs stay
     // available for the condition (and carry slot 0, if any).
@@ -259,7 +253,7 @@ fn decompose_reduce(
         NodeKind::reduce(red_spec),
         node.domain,
         red_inputs,
-        vec![out],
+        [out],
         node.span,
     );
     g
@@ -367,7 +361,7 @@ fn split_map(
             },
         };
         let name = map_op_name(&ms.kernel);
-        ctx.g.add_node_at(name, NodeKind::map(ms), ctx.domain, node_inputs, vec![temp], ctx.span);
+        ctx.g.add_node_at(name, NodeKind::map(ms), ctx.domain, node_inputs, [temp], ctx.span);
         extra.push(temp);
         // Read the temp back at zero-based identity positions.
         KExpr::Operand { slot: ctx.ins.len() + extra.len() - 1, indices: lhs }
@@ -410,7 +404,7 @@ fn split_map(
         write: spec.write.clone(),
     };
     let name = map_op_name(&ms.kernel);
-    g.add_node_at(name, NodeKind::map(ms), node.domain, node_inputs, vec![out], node.span);
+    g.add_node_at(name, NodeKind::map(ms), node.domain, node_inputs, [out], node.span);
     g
 }
 
@@ -461,7 +455,7 @@ struct Expander<'a> {
     /// a single string allocation. Downstream sweeps (the lowering scan,
     /// `fully_lowered`) memoize per allocation, so a fabric answers a
     /// handful of support questions instead of one per node.
-    names: HashMap<String, Ident, FxBuildHasher>,
+    names: HashMap<&'static str, Ident, FxBuildHasher>,
 }
 
 impl<'a> Expander<'a> {
@@ -522,16 +516,11 @@ impl<'a> Expander<'a> {
     }
 
     /// The shared `Ident` for a node name.
-    fn name_ident(&mut self, name: &str) -> Ident {
-        if let Some(i) = self.names.get(name) {
-            return i.clone();
-        }
-        let id = Ident::from(name);
-        self.names.insert(name.to_string(), id.clone());
-        id
+    fn name_ident(&mut self, name: &'static str) -> Ident {
+        self.names.entry(name).or_insert_with(|| Ident::from(name)).clone()
     }
 
-    fn scalar_edge(&mut self, _label: &str, dtype: DType) -> EdgeId {
+    fn scalar_edge(&mut self, dtype: DType) -> EdgeId {
         let meta = self.scalar_temp_meta(dtype);
         self.g.add_edge(meta)
     }
@@ -555,8 +544,8 @@ impl<'a> Expander<'a> {
                 unpack_name,
                 NodeKind::Unpack,
                 self.domain,
-                vec![self.ins[slot]],
-                elems.clone(),
+                [self.ins[slot]],
+                &elems,
                 span,
             );
             self.unpacked[slot] = Some(elems);
@@ -571,16 +560,10 @@ impl<'a> Expander<'a> {
             return Ok(e);
         }
         self.budget(1)?;
-        let e = self.scalar_edge("c", DType::Float);
+        let e = self.scalar_edge(DType::Float);
         let const_name = self.name_ident("const");
-        self.g.add_node_at(
-            const_name,
-            NodeKind::scalar(ScalarKind::Const(v)),
-            self.domain,
-            vec![],
-            vec![e],
-            self.span,
-        );
+        let kind = NodeKind::scalar(ScalarKind::Const(v));
+        self.g.add_node_at(const_name, kind, self.domain, [], [e], self.span);
         self.consts.insert(v.to_bits(), e);
         Ok(e)
     }
@@ -622,23 +605,23 @@ impl<'a> Expander<'a> {
             }
             KExpr::Unary(op, e) => {
                 let a = self.expand_expr(e, point)?;
-                self.op_node(ScalarKind::Un(*op), &op_label(k), vec![a])
+                self.op_node(ScalarKind::Un(*op), op_label(k), &[a])
             }
             KExpr::Binary(op, a, b) => {
                 let ea = self.expand_expr(a, point)?;
                 let eb = self.expand_expr(b, point)?;
-                self.op_node(ScalarKind::Bin(*op), &op_label(k), vec![ea, eb])
+                self.op_node(ScalarKind::Bin(*op), op_label(k), &[ea, eb])
             }
             KExpr::Select(c, a, b) => {
                 let ec = self.expand_expr(c, point)?;
                 let ea = self.expand_expr(a, point)?;
                 let eb = self.expand_expr(b, point)?;
-                self.op_node(ScalarKind::Select, "select", vec![ec, ea, eb])
+                self.op_node(ScalarKind::Select, "select", &[ec, ea, eb])
             }
             KExpr::Call(f, args) => {
-                let es: Vec<EdgeId> =
+                let es: SmallIds<EdgeId, 3> =
                     args.iter().map(|a| self.expand_expr(a, point)).collect::<Result<_, _>>()?;
-                self.op_node(ScalarKind::Func(*f), f.name(), es)
+                self.op_node(ScalarKind::Func(*f), f.name(), &es)
             }
         }
     }
@@ -646,23 +629,23 @@ impl<'a> Expander<'a> {
     fn op_node(
         &mut self,
         kind: ScalarKind,
-        name: &str,
-        inputs: Vec<EdgeId>,
+        name: &'static str,
+        inputs: &[EdgeId],
     ) -> Result<EdgeId, RefineError> {
         self.budget(1)?;
         let kind = NodeKind::Scalar(self.intern_scalar(kind));
-        let out = self.scalar_edge(name, DType::Float);
+        let out = self.scalar_edge(DType::Float);
         let name = self.name_ident(name);
-        self.g.add_node_at(name, kind, self.domain, inputs, vec![out], self.span);
+        self.g.add_node_at(name, kind, self.domain, inputs, [out], self.span);
         Ok(out)
     }
 
     /// Finishes the graph: packs `elements` (row-major over `out_meta.shape`)
     /// into the boundary output.
-    fn finish(mut self, out_meta: &Consed<EdgeMeta>, elements: Vec<EdgeId>) -> SrDfg {
+    fn finish(mut self, out_meta: &Consed<EdgeMeta>, elements: &[EdgeId]) -> SrDfg {
         let out = self.g.add_edge(out_meta.clone());
         let pack_name = self.name_ident("pack");
-        self.g.add_node_at(pack_name, NodeKind::Pack, self.domain, elements, vec![out], self.span);
+        self.g.add_node_at(pack_name, NodeKind::Pack, self.domain, elements, [out], self.span);
         self.g.boundary_outputs = vec![out];
         self.g
     }
@@ -681,22 +664,31 @@ fn has_arg(k: &KExpr) -> bool {
     }
 }
 
-fn op_label(k: &KExpr) -> String {
+/// The scalar node name of a unary or binary kernel operator; a comparison
+/// or logical operator is `cmp.` followed by its source symbol.
+fn op_label(k: &KExpr) -> &'static str {
     match k {
         KExpr::Binary(op, ..) => match op {
-            BinOp::Add => "add".into(),
-            BinOp::Sub => "sub".into(),
-            BinOp::Mul => "mul".into(),
-            BinOp::Div => "div".into(),
-            BinOp::Mod => "mod".into(),
-            BinOp::Pow => "pow".into(),
-            other => format!("cmp.{}", other.symbol()),
+            BinOp::Add => "add",
+            BinOp::Sub => "sub",
+            BinOp::Mul => "mul",
+            BinOp::Div => "div",
+            BinOp::Mod => "mod",
+            BinOp::Pow => "pow",
+            BinOp::Eq => "cmp.==",
+            BinOp::Ne => "cmp.!=",
+            BinOp::Lt => "cmp.<",
+            BinOp::Le => "cmp.<=",
+            BinOp::Gt => "cmp.>",
+            BinOp::Ge => "cmp.>=",
+            BinOp::And => "cmp.&&",
+            BinOp::Or => "cmp.||",
         },
         KExpr::Unary(op, _) => match op {
-            pmlang::UnOp::Neg => "neg".into(),
-            pmlang::UnOp::Not => "not".into(),
+            pmlang::UnOp::Neg => "neg",
+            pmlang::UnOp::Not => "not",
         },
-        _ => "op".into(),
+        _ => "op",
     }
 }
 
@@ -755,7 +747,7 @@ fn expand_map(
             None => final_elems.push(ex.const_node(0.0)?),
         }
     }
-    Ok(ex.finish(out_meta, final_elems))
+    Ok(ex.finish(out_meta, &final_elems))
 }
 
 /// Scalar expansion of a pure Reduce node (adder/combiner trees).
@@ -859,7 +851,7 @@ fn expand_reduce(
             None => final_elems.push(ex.const_node(0.0)?),
         }
     }
-    Ok(ex.finish(out_meta, final_elems))
+    Ok(ex.finish(out_meta, &final_elems))
 }
 
 impl Expander<'_> {
@@ -894,22 +886,22 @@ impl Expander<'_> {
     fn combine_pair(&mut self, op: &ReduceOp, a: EdgeId, b: EdgeId) -> Result<EdgeId, RefineError> {
         match op {
             ReduceOp::Builtin(BuiltinReduction::Sum) => {
-                self.op_node(ScalarKind::Bin(BinOp::Add), "add", vec![a, b])
+                self.op_node(ScalarKind::Bin(BinOp::Add), "add", &[a, b])
             }
             ReduceOp::Builtin(BuiltinReduction::Prod) => {
-                self.op_node(ScalarKind::Bin(BinOp::Mul), "mul", vec![a, b])
+                self.op_node(ScalarKind::Bin(BinOp::Mul), "mul", &[a, b])
             }
             ReduceOp::Builtin(BuiltinReduction::Max) => {
-                self.op_node(ScalarKind::Func(ScalarFunc::Max2), "max2", vec![a, b])
+                self.op_node(ScalarKind::Func(ScalarFunc::Max2), "max2", &[a, b])
             }
             ReduceOp::Builtin(BuiltinReduction::Min) => {
-                self.op_node(ScalarKind::Func(ScalarFunc::Min2), "min2", vec![a, b])
+                self.op_node(ScalarKind::Func(ScalarFunc::Min2), "min2", &[a, b])
             }
             ReduceOp::Builtin(BuiltinReduction::Any) => {
-                self.op_node(ScalarKind::Bin(BinOp::Or), "or", vec![a, b])
+                self.op_node(ScalarKind::Bin(BinOp::Or), "or", &[a, b])
             }
             ReduceOp::Builtin(BuiltinReduction::All) => {
-                self.op_node(ScalarKind::Bin(BinOp::And), "and", vec![a, b])
+                self.op_node(ScalarKind::Bin(BinOp::And), "and", &[a, b])
             }
             ReduceOp::Builtin(_) => Err(RefineError::Unsupported(self.name.clone())),
             ReduceOp::Custom { combiner, .. } => {
@@ -932,23 +924,23 @@ impl Expander<'_> {
             }
             KExpr::Unary(op, e) => {
                 let ea = self.expand_combiner(e, a, b)?;
-                self.op_node(ScalarKind::Un(*op), "un", vec![ea])
+                self.op_node(ScalarKind::Un(*op), "un", &[ea])
             }
             KExpr::Binary(op, x, y) => {
                 let ex_ = self.expand_combiner(x, a, b)?;
                 let ey = self.expand_combiner(y, a, b)?;
-                self.op_node(ScalarKind::Bin(*op), &op_label(k), vec![ex_, ey])
+                self.op_node(ScalarKind::Bin(*op), op_label(k), &[ex_, ey])
             }
             KExpr::Select(c, x, y) => {
                 let ec = self.expand_combiner(c, a, b)?;
                 let ex_ = self.expand_combiner(x, a, b)?;
                 let ey = self.expand_combiner(y, a, b)?;
-                self.op_node(ScalarKind::Select, "select", vec![ec, ex_, ey])
+                self.op_node(ScalarKind::Select, "select", &[ec, ex_, ey])
             }
             KExpr::Call(f, args) => {
-                let es: Vec<EdgeId> =
+                let es: SmallIds<EdgeId, 3> =
                     args.iter().map(|x| self.expand_combiner(x, a, b)).collect::<Result<_, _>>()?;
-                self.op_node(ScalarKind::Func(*f), f.name(), es)
+                self.op_node(ScalarKind::Func(*f), f.name(), &es)
             }
         }
     }
@@ -1159,6 +1151,15 @@ mod tests {
         let scal = refine(&g, id, &ExpandOptions::default()).unwrap();
         let outs = exec_graph(&scal, vec![Some(vec_t(vec![1.0, 2.0, 3.0]))]).unwrap();
         assert_eq!(outs[0].as_real_slice().unwrap(), &[3.0, 6.0, 9.0]);
+    }
+
+    #[test]
+    fn comparison_labels_spell_the_source_symbol() {
+        let x = || Box::new(KExpr::Const(1.0));
+        let cmps = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge, BinOp::And];
+        for op in cmps.into_iter().chain([BinOp::Or]) {
+            assert_eq!(op_label(&KExpr::Binary(op, x(), x())), format!("cmp.{}", op.symbol()));
+        }
     }
 
     #[test]

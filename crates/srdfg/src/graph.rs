@@ -335,6 +335,13 @@ impl NodeKind {
 }
 
 /// A node of the srDFG: `(name, kind, domain, operands, results)`.
+///
+/// A node is 96 bytes and owns no heap block of its own in the common
+/// case: the name and target are one-word shared strings ([`Ident`]), the
+/// payload is a shared handle or a boxed component, and the operand and
+/// result lists keep up to three and two ids inline ([`SmallIds`], 16
+/// bytes each). Algorithm 1 appends tens of thousands of these per
+/// program, so every word here is paid once per scalar operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The operation name used by the lowering algorithm's support check
@@ -363,12 +370,15 @@ pub struct Node {
 }
 
 /// An SSA value: the producing port, all consuming ports, and metadata.
+///
+/// An edge is 48 bytes: a port is a `(node, slot)` pair of two `u32`s, up
+/// to two consumers are kept inline, and the metadata is one shared handle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Edge {
     /// Producing `(node, output slot)`, or `None` for a boundary input.
-    pub producer: Option<(NodeId, usize)>,
+    pub producer: Option<(NodeId, u32)>,
     /// Consuming `(node, input slot)` pairs.
-    pub consumers: SmallIds<(NodeId, usize), 2>,
+    pub consumers: SmallIds<(NodeId, u32), 2>,
     /// The paper's edge metadata, interned (see [`crate::store`]): field
     /// reads auto-deref (`edge.meta.dtype`); mutation goes through
     /// [`SrDfg::edit_edge_meta`], which re-interns copy-on-write.
@@ -432,7 +442,7 @@ impl SrDfg {
     /// Adds an edge with no producer or consumers yet. Accepts an owned
     /// [`EdgeMeta`] (interned here) or an already-interned handle.
     pub fn add_edge(&mut self, meta: impl Into<Consed<EdgeMeta>>) -> EdgeId {
-        let id = EdgeId(self.edges.len() as u32);
+        let id = EdgeId(id32(self.edges.len()));
         self.edges.push(Edge { producer: None, consumers: SmallIds::new(), meta: meta.into() });
         id
     }
@@ -451,37 +461,18 @@ impl SrDfg {
         }
     }
 
-    /// Adds a node, wiring its input/output edges' use lists.
+    /// Adds a node, wiring its input/output edges' use lists. The edge
+    /// lists are copied in, so a caller can pass an array or a slice and
+    /// allocate nothing for a node of up to three operands and two results.
     pub fn add_node(
         &mut self,
         name: impl Into<Ident>,
         kind: NodeKind,
         domain: Option<Domain>,
-        inputs: Vec<EdgeId>,
-        outputs: Vec<EdgeId>,
+        inputs: impl AsRef<[EdgeId]>,
+        outputs: impl AsRef<[EdgeId]>,
     ) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        for (slot, e) in inputs.iter().enumerate() {
-            self.edges[e.0 as usize].consumers.push((id, slot));
-        }
-        for (slot, e) in outputs.iter().enumerate() {
-            debug_assert!(
-                self.edges[e.0 as usize].producer.is_none(),
-                "edge {e} already has a producer"
-            );
-            self.edges[e.0 as usize].producer = Some((id, slot));
-        }
-        self.nodes.push(Some(Node {
-            name: name.into(),
-            kind,
-            domain,
-            inputs: inputs.into(),
-            outputs: outputs.into(),
-            pattern: None,
-            target: None,
-            span: Span::synthetic(),
-        }));
-        id
+        self.add_node_at(name, kind, domain, inputs, outputs, Span::synthetic())
     }
 
     /// Adds a node carrying a PMLang source span (see [`SrDfg::add_node`]).
@@ -490,12 +481,32 @@ impl SrDfg {
         name: impl Into<Ident>,
         kind: NodeKind,
         domain: Option<Domain>,
-        inputs: Vec<EdgeId>,
-        outputs: Vec<EdgeId>,
+        inputs: impl AsRef<[EdgeId]>,
+        outputs: impl AsRef<[EdgeId]>,
         span: Span,
     ) -> NodeId {
-        let id = self.add_node(name, kind, domain, inputs, outputs);
-        self.node_mut(id).span = span;
+        let (inputs, outputs) = (inputs.as_ref(), outputs.as_ref());
+        let id = NodeId(id32(self.nodes.len()));
+        for (slot, e) in inputs.iter().enumerate() {
+            self.edges[e.0 as usize].consumers.push((id, id32(slot)));
+        }
+        for (slot, e) in outputs.iter().enumerate() {
+            debug_assert!(
+                self.edges[e.0 as usize].producer.is_none(),
+                "edge {e} already has a producer"
+            );
+            self.edges[e.0 as usize].producer = Some((id, id32(slot)));
+        }
+        self.nodes.push(Some(Node {
+            name: name.into(),
+            kind,
+            domain,
+            inputs: SmallIds::map_from(inputs, |e| e),
+            outputs: SmallIds::map_from(outputs, |e| e),
+            pattern: None,
+            target: None,
+            span,
+        }));
         id
     }
 
@@ -578,7 +589,12 @@ impl SrDfg {
 
     /// Removes a node, unlinking it from its edges' use lists.
     pub fn remove_node(&mut self, id: NodeId) {
-        let Some(node) = self.nodes[id.0 as usize].take() else { return };
+        self.take_node(id);
+    }
+
+    /// [`SrDfg::remove_node`], handing the removed node back.
+    fn take_node(&mut self, id: NodeId) -> Option<Node> {
+        let node = self.nodes[id.0 as usize].take()?;
         for e in &node.inputs {
             self.edges[e.0 as usize].consumers.retain(|(n, _)| *n != id);
         }
@@ -588,6 +604,7 @@ impl SrDfg {
                 edge.producer = None;
             }
         }
+        Some(node)
     }
 
     /// Returns live node ids in a deterministic topological order
@@ -784,7 +801,7 @@ impl SrDfg {
     }
 
     fn splice_impl(&mut self, id: NodeId, sub: &SrDfg, stamp_edge_spans: bool) {
-        let node = self.node(id).clone();
+        let node = self.node(id);
         assert_eq!(
             sub.boundary_inputs.len(),
             node.inputs.len(),
@@ -797,7 +814,10 @@ impl SrDfg {
             "splice: boundary output arity mismatch for `{}`",
             node.name
         );
-        self.remove_node(id);
+        // The replaced node is taken out of its slot, not copied: for an
+        // inlined component a copy would duplicate the whole body only to
+        // drop it.
+        let node = self.take_node(id).expect("checked live above");
 
         // Map sub-edge ids to parent edge ids.
         let mut edge_map: Vec<Option<EdgeId>> = vec![None; sub.edges.len()];
@@ -816,7 +836,7 @@ impl SrDfg {
                 for (cnode, cslot) in consumers {
                     self.edges[existing.0 as usize].consumers.push((cnode, cslot));
                     let n = self.node_mut(cnode);
-                    n.inputs[cslot] = existing;
+                    n.inputs[cslot as usize] = existing;
                 }
                 for bo in &mut self.boundary_outputs {
                     if *bo == out_edge {
@@ -857,8 +877,11 @@ impl SrDfg {
         // is the instantiation step of the lowering template cache, so it
         // is deliberately nothing but id-remapped reference rewires.
         if sub.nodes.iter().all(Option::is_some) {
-            let node_base = self.nodes.len() as u32;
-            let shift = |&(n, slot): &(NodeId, usize)| (NodeId(n.0 + node_base), slot);
+            // One check covers every shifted id: all are below the new
+            // table length.
+            id32(self.nodes.len() + sub.nodes.len());
+            let node_base = id32(self.nodes.len());
+            let shift = |&(n, slot): &(NodeId, u32)| (NodeId(n.0 + node_base), slot);
             // Boundary edges keep their identity in the parent; the
             // template nodes reading/writing them are appended to their
             // use lists (in sub node-id order, exactly as incremental
@@ -875,7 +898,7 @@ impl SrDfg {
             for (i, sedge) in sub.edges.iter().enumerate() {
                 if edge_map[i].is_none() {
                     let meta = splice_meta(&sedge.meta);
-                    let id = EdgeId(self.edges.len() as u32);
+                    let id = EdgeId(id32(self.edges.len()));
                     self.edges.push(Edge {
                         producer: sedge.producer.as_ref().map(&shift),
                         consumers: SmallIds::map_from(&sedge.consumers, |c| shift(&c)),
@@ -920,23 +943,22 @@ impl SrDfg {
         // srdfg domain).
         self.nodes.reserve(sub.node_count());
         for (_, snode) in sub.iter_nodes() {
-            let inputs: Vec<EdgeId> =
-                snode.inputs.iter().map(|e| edge_map[e.0 as usize].unwrap()).collect();
-            let outputs: Vec<EdgeId> =
-                snode.outputs.iter().map(|e| edge_map[e.0 as usize].unwrap()).collect();
-            let new_id = self.add_node(
+            let inputs: SmallIds<EdgeId, 3> =
+                SmallIds::map_from(&snode.inputs, |e| edge_map[e.0 as usize].unwrap());
+            let outputs: SmallIds<EdgeId, 2> =
+                SmallIds::map_from(&snode.outputs, |e| edge_map[e.0 as usize].unwrap());
+            // Provenance: refined nodes keep their own span when they have
+            // one (component bodies), else inherit the replaced node's.
+            let new_id = self.add_node_at(
                 snode.name.clone(),
                 snode.kind.clone(),
                 snode.domain.or(node.domain),
-                inputs,
-                outputs,
+                &inputs[..],
+                &outputs[..],
+                if snode.span.is_synthetic() { node.span } else { snode.span },
             );
             self.node_mut(new_id).pattern = snode.pattern;
             self.node_mut(new_id).target = snode.target.clone().or_else(|| node.target.clone());
-            // Provenance: refined nodes keep their own span when they have
-            // one (component bodies), else inherit the replaced node's.
-            self.node_mut(new_id).span =
-                if snode.span.is_synthetic() { node.span } else { snode.span };
         }
     }
 
@@ -983,7 +1005,8 @@ impl SrDfg {
         for (&ea, &eb) in outs_keep.iter().zip(&outs_drop) {
             let consumers = std::mem::take(&mut self.edges[eb.0 as usize].consumers);
             for (cnode, cslot) in consumers {
-                self.nodes[cnode.0 as usize].as_mut().expect("live consumer").inputs[cslot] = ea;
+                let consumer = self.nodes[cnode.0 as usize].as_mut().expect("live consumer");
+                consumer.inputs[cslot as usize] = ea;
                 self.edges[ea.0 as usize].consumers.push((cnode, cslot));
             }
         }
@@ -1000,6 +1023,11 @@ impl SrDfg {
         }
         total
     }
+}
+
+/// Narrows a table length or a slot index to a `u32` id, refusing to wrap.
+fn id32(n: usize) -> u32 {
+    u32::try_from(n).expect("srDFG table outgrew u32 ids")
 }
 
 /// Scalar-op count for one node (see [`SrDfg::scalar_op_count`]).

@@ -13,7 +13,8 @@
 //! one.
 
 use crate::graph::{
-    EdgeMeta, IndexRange, MapSpec, Node, NodeKind, ReduceOp, ReduceSpec, ScalarKind, WriteSpec,
+    EdgeMeta, IndexRange, MapSpec, Node, NodeId, NodeKind, ReduceOp, ReduceSpec, ScalarKind,
+    WriteSpec,
 };
 use crate::kernel::KExpr;
 use crate::value::Tensor;
@@ -121,8 +122,15 @@ fn hash_graph<H: Hasher>(g: &crate::graph::SrDfg, h: &mut H) {
         let edge = g.edge(e);
         e.hash(h);
         h.write_u64(edge.meta.structural_hash());
-        edge.producer.hash(h);
-        edge.consumers.hash(h);
+        // Slots are stored as `u32` and hashed as `usize`, exactly as a
+        // `[(NodeId, usize)]` list hashes, so program-cache keys are the
+        // same whatever width the graph stores a slot in.
+        let widen = |&(n, slot): &(NodeId, u32)| (n, slot as usize);
+        edge.producer.as_ref().map(widen).hash(h);
+        edge.consumers.len().hash(h);
+        for c in edge.consumers.iter() {
+            widen(c).hash(h);
+        }
     }
     g.boundary_inputs.hash(h);
     g.boundary_outputs.hash(h);

@@ -3,9 +3,16 @@
 //! Node names and target stamps are tiny strings ("add", "TABLA") cloned
 //! once per node during template instantiation and target stamping — on an
 //! expanded graph that is hundreds of thousands of heap allocations if they
-//! are `String`s. [`Ident`] wraps an `Arc<str>` so a clone is a refcount
-//! bump, while `Deref<Target = str>` keeps read sites (`==`, `starts_with`,
-//! formatting) source-compatible.
+//! are `String`s. [`Ident`] is a shared string behind one pointer, so a
+//! clone is a refcount bump, while `Deref<Target = str>` keeps read sites
+//! (`==`, `starts_with`, formatting) source-compatible.
+//!
+//! The pointer is thin: the shared record holds a `Box<str>`, so an
+//! `Ident` is one word (an `Arc<str>` would be two, pointer and length) and
+//! `Option<Ident>` is one word too. Every [`Node`](crate::graph::Node)
+//! carries a name and an optional target, so the word saved is paid back
+//! on each of the graph's nodes; reading the text costs one more pointer
+//! hop, which the support checks that read names memoize away.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -16,7 +23,7 @@ use std::sync::Arc;
 /// string contents (so it hashes identically to a `String` with the same
 /// text and can key the same maps).
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Ident(Arc<str>);
+pub struct Ident(Arc<Box<str>>);
 
 impl Ident {
     /// The name as a borrowed string slice.
@@ -29,7 +36,7 @@ impl Ident {
     /// it instead of re-hashing the text); *not* a content identity, since
     /// two independently built `Ident`s with equal text have distinct ids.
     pub fn ptr_id(&self) -> usize {
-        Arc::as_ptr(&self.0) as *const u8 as usize
+        Arc::as_ptr(&self.0) as usize
     }
 }
 
@@ -54,67 +61,67 @@ impl Borrow<str> for Ident {
 
 impl From<&str> for Ident {
     fn from(s: &str) -> Self {
-        Ident(Arc::from(s))
+        Ident(Arc::new(s.into()))
     }
 }
 
 impl From<String> for Ident {
     fn from(s: String) -> Self {
-        Ident(Arc::from(s))
+        Ident(Arc::new(s.into_boxed_str()))
     }
 }
 
 impl From<&String> for Ident {
     fn from(s: &String) -> Self {
-        Ident(Arc::from(s.as_str()))
+        Ident::from(s.as_str())
     }
 }
 
 impl Default for Ident {
     fn default() -> Self {
-        Ident(Arc::from(""))
+        Ident::from("")
     }
 }
 
 impl PartialEq<str> for Ident {
     fn eq(&self, other: &str) -> bool {
-        &*self.0 == other
+        self.as_str() == other
     }
 }
 
 impl PartialEq<&str> for Ident {
     fn eq(&self, other: &&str) -> bool {
-        &*self.0 == *other
+        self.as_str() == *other
     }
 }
 
 impl PartialEq<String> for Ident {
     fn eq(&self, other: &String) -> bool {
-        &*self.0 == other.as_str()
+        self.as_str() == other.as_str()
     }
 }
 
 impl PartialEq<Ident> for str {
     fn eq(&self, other: &Ident) -> bool {
-        self == &*other.0
+        self == other.as_str()
     }
 }
 
 impl PartialEq<Ident> for &str {
     fn eq(&self, other: &Ident) -> bool {
-        *self == &*other.0
+        *self == other.as_str()
     }
 }
 
 impl fmt::Display for Ident {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        self.as_str().fmt(f)
     }
 }
 
 impl fmt::Debug for Ident {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        self.as_str().fmt(f)
     }
 }
 
@@ -147,5 +154,18 @@ mod tests {
         let mut set = std::collections::HashSet::new();
         set.insert(Ident::from("x"));
         assert!(set.contains("x"));
+    }
+
+    #[test]
+    fn one_word_and_pointer_identity_per_allocation() {
+        assert_eq!(std::mem::size_of::<Ident>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Ident>>(), 8);
+        let a = Ident::from("add");
+        let b = Ident::from(String::from("add"));
+        assert_eq!(a, b);
+        assert_eq!(a.ptr_id(), a.clone().ptr_id());
+        assert_ne!(a.ptr_id(), b.ptr_id(), "equal text, distinct allocations");
+        let (a, b) = (Ident::from("a"), Ident::from("b"));
+        assert!(a < b, "ordering follows the text");
     }
 }

@@ -4,113 +4,128 @@
 //! result lists are almost always 1–3 entries long (a scalar `add` has two
 //! inputs and one output; most edges have a single consumer). Storing those
 //! lists as `Vec` costs one heap allocation per list, and template
-//! instantiation ([`SrDfg::splice`]) is dominated by exactly those
-//! allocations. [`SmallIds`] keeps up to `N` entries inline in the struct
-//! and only spills to a `Vec` beyond that, so the common case allocates
-//! nothing.
+//! instantiation ([`SrDfg::instantiate`]) is dominated by exactly those
+//! allocations. [`SmallIds`] keeps up to `N` entries inline and only spills
+//! beyond that, so the common case allocates nothing.
+//!
+//! A list is *either* its inline entries *or* one boxed spill vector, never
+//! both: the spill costs one word inside the list rather than a three-word
+//! `Vec` in every list, so `SmallIds<EdgeId, 3>` is 16 bytes and a node's
+//! two id lists together are 32.
 //!
 //! The type dereferences to `[T]`, so read sites (`.iter()`, `.len()`,
 //! indexing, `.contains(..)`) work unchanged; mutation goes through
 //! [`SmallIds::push`] / [`SmallIds::retain`] / `DerefMut`.
+//!
+//! [`SrDfg::instantiate`]: crate::graph::SrDfg::instantiate
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-/// An inline-first list of copyable ids: up to `N` entries live in the
-/// struct itself, longer lists spill wholesale into a `Vec`.
+/// An inline-first list of copyable ids: up to `N` (at most 255) entries
+/// live in the struct itself, longer lists spill wholesale into one boxed
+/// `Vec`.
 ///
-/// Invariant: if `spill` is non-empty it holds *all* entries and the inline
-/// buffer is dead; otherwise the entries are `inline[..len]`. A spilled
-/// list never migrates back inline (entries removed by [`retain`] just
-/// shrink the spill vector), which keeps the invariant trivially stable.
+/// A spilled list never migrates back inline (entries removed by
+/// [`retain`] just shrink the spill vector), which keeps the two forms
+/// trivially stable.
 ///
 /// [`retain`]: SmallIds::retain
 #[derive(Clone)]
-pub struct SmallIds<T: Copy + Default, const N: usize> {
-    len: u8,
-    inline: [T; N],
-    spill: Vec<T>,
+pub struct SmallIds<T: Copy + Default, const N: usize>(Repr<T, N>);
+
+#[derive(Clone)]
+enum Repr<T, const N: usize> {
+    /// The entries are `items[..len]`.
+    Inline { len: u8, items: [T; N] },
+    /// All entries, once the list has outgrown `N`. Boxed so the spill is
+    /// one word of the list where a bare `Vec` would be three.
+    #[allow(clippy::box_collection)]
+    Spill(Box<Vec<T>>),
 }
 
 impl<T: Copy + Default, const N: usize> SmallIds<T, N> {
     /// The empty list (allocation-free).
     pub fn new() -> Self {
-        SmallIds { len: 0, inline: [T::default(); N], spill: Vec::new() }
+        SmallIds(Repr::Inline { len: 0, items: [T::default(); N] })
     }
 
     /// Appends an entry, spilling to the heap on the `N+1`-th push.
     pub fn push(&mut self, v: T) {
-        if self.spill.is_empty() {
-            if (self.len as usize) < N {
-                self.inline[self.len as usize] = v;
-                self.len += 1;
-                return;
+        match &mut self.0 {
+            Repr::Inline { len, items } => {
+                if (*len as usize) < N {
+                    items[*len as usize] = v;
+                    *len += 1;
+                    return;
+                }
+                let mut spill = Vec::with_capacity(N + 1);
+                spill.extend_from_slice(&items[..]);
+                spill.push(v);
+                self.0 = Repr::Spill(Box::new(spill));
             }
-            self.spill.reserve(N + 1);
-            self.spill.extend_from_slice(&self.inline[..self.len as usize]);
-            self.len = 0;
+            Repr::Spill(spill) => spill.push(v),
         }
-        self.spill.push(v);
     }
 
     /// Keeps only the entries for which `f` returns `true`, preserving
     /// order (mirrors `Vec::retain`).
     pub fn retain<F: FnMut(&T) -> bool>(&mut self, mut f: F) {
-        if self.spill.is_empty() {
-            let mut w = 0usize;
-            for i in 0..self.len as usize {
-                let v = self.inline[i];
-                if f(&v) {
-                    self.inline[w] = v;
-                    w += 1;
+        match &mut self.0 {
+            Repr::Inline { len, items } => {
+                let mut w = 0u8;
+                for i in 0..*len as usize {
+                    let v = items[i];
+                    if f(&v) {
+                        items[w as usize] = v;
+                        w += 1;
+                    }
                 }
+                *len = w;
             }
-            self.len = w as u8;
-        } else {
-            self.spill.retain(f);
+            Repr::Spill(spill) => spill.retain(f),
         }
     }
 
     /// Removes all entries (keeps any spill capacity).
     pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
+        match &mut self.0 {
+            Repr::Inline { len, .. } => *len = 0,
+            Repr::Spill(spill) => spill.clear(),
+        }
     }
 
-    /// Builds a list by mapping `f` over a slice — the [`SrDfg::splice`]
-    /// hot path. The inline/spill decision is taken once from the source
-    /// length instead of being re-checked on every push.
+    /// Builds a list by mapping `f` over a slice — the
+    /// [`SrDfg::instantiate`] hot path. The inline/spill decision is taken
+    /// once from the source length instead of being re-checked on every
+    /// push.
     ///
-    /// [`SrDfg::splice`]: ../graph/struct.SrDfg.html#method.splice
+    /// [`SrDfg::instantiate`]: crate::graph::SrDfg::instantiate
     pub fn map_from<U: Copy>(src: &[U], mut f: impl FnMut(U) -> T) -> Self {
         if src.len() <= N {
-            let mut inline = [T::default(); N];
-            for (d, &v) in inline.iter_mut().zip(src) {
+            let mut items = [T::default(); N];
+            for (d, &v) in items.iter_mut().zip(src) {
                 *d = f(v);
             }
-            SmallIds { len: src.len() as u8, inline, spill: Vec::new() }
+            // `src.len() <= N`, and `N` fits a `u8` (see the type's docs).
+            let len = u8::try_from(src.len()).expect("SmallIds inline capacity exceeds 255");
+            SmallIds(Repr::Inline { len, items })
         } else {
-            SmallIds {
-                len: 0,
-                inline: [T::default(); N],
-                spill: src.iter().map(|&v| f(v)).collect(),
-            }
+            SmallIds(Repr::Spill(Box::new(src.iter().map(|&v| f(v)).collect())))
         }
     }
 
     fn as_slice(&self) -> &[T] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
+        match &self.0 {
+            Repr::Inline { len, items } => &items[..*len as usize],
+            Repr::Spill(spill) => spill,
         }
     }
 
     fn as_mut_slice(&mut self) -> &mut [T] {
-        if self.spill.is_empty() {
-            &mut self.inline[..self.len as usize]
-        } else {
-            &mut self.spill
+        match &mut self.0 {
+            Repr::Inline { len, items } => &mut items[..*len as usize],
+            Repr::Spill(spill) => spill,
         }
     }
 }
@@ -165,13 +180,9 @@ impl<T: Copy + Default + PartialEq, const N: usize, const M: usize> PartialEq<[T
 impl<T: Copy + Default, const N: usize> From<Vec<T>> for SmallIds<T, N> {
     fn from(v: Vec<T>) -> Self {
         if v.len() <= N {
-            let mut s = Self::new();
-            for x in v {
-                s.push(x);
-            }
-            s
+            Self::map_from(&v, |x| x)
         } else {
-            SmallIds { len: 0, inline: [T::default(); N], spill: v }
+            SmallIds(Repr::Spill(Box::new(v)))
         }
     }
 }
@@ -204,15 +215,34 @@ impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a SmallIds<T, N> 
 
 impl<T: Copy + Default, const N: usize> IntoIterator for SmallIds<T, N> {
     type Item = T;
-    type IntoIter = std::vec::IntoIter<T>;
+    type IntoIter = IntoIter<T, N>;
     fn into_iter(self) -> Self::IntoIter {
-        if self.spill.is_empty() {
-            Vec::from(&self.inline[..self.len as usize]).into_iter()
-        } else {
-            self.spill.into_iter()
-        }
+        IntoIter { list: self, next: 0 }
     }
 }
+
+/// The owning iterator of a [`SmallIds`]: it walks the list in place, so an
+/// inline list is iterated without a heap copy.
+pub struct IntoIter<T: Copy + Default, const N: usize> {
+    list: SmallIds<T, N>,
+    next: usize,
+}
+
+impl<T: Copy + Default, const N: usize> Iterator for IntoIter<T, N> {
+    type Item = T;
+    fn next(&mut self) -> Option<T> {
+        let v = self.list.get(self.next).copied()?;
+        self.next += 1;
+        Some(v)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.list.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl<T: Copy + Default, const N: usize> ExactSizeIterator for IntoIter<T, N> {}
 
 #[cfg(test)]
 mod tests {
@@ -266,5 +296,68 @@ mod tests {
         let t = std::mem::take(&mut s);
         assert_eq!(t, vec![1, 2]);
         assert!(s.is_empty());
+    }
+
+    fn is_spilled<T: Copy + Default, const N: usize>(s: &SmallIds<T, N>) -> bool {
+        matches!(s.0, Repr::Spill(_))
+    }
+
+    #[test]
+    fn a_spill_costs_one_word() {
+        use crate::graph::{EdgeId, NodeId};
+        use std::mem::size_of;
+        assert_eq!(size_of::<SmallIds<EdgeId, 3>>(), 16);
+        assert_eq!(size_of::<SmallIds<EdgeId, 2>>(), 16);
+        assert_eq!(size_of::<SmallIds<(NodeId, u32), 2>>(), 24);
+    }
+
+    #[test]
+    fn a_spilled_list_retained_to_empty_takes_pushes_again() {
+        let mut s: SmallIds<u32, 2> = SmallIds::new();
+        s.extend([1, 2, 3]);
+        assert!(is_spilled(&s));
+        s.retain(|_| false);
+        assert!(s.is_empty() && is_spilled(&s), "a spill never migrates back inline");
+        s.push(4);
+        s.push(5);
+        s.push(6);
+        assert_eq!(s, [4, 5, 6]);
+        s.clear();
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn map_from_past_n_spills_and_within_n_stays_inline() {
+        let big: SmallIds<u32, 2> = SmallIds::map_from(&[1u8, 2, 3, 4], u32::from);
+        assert!(is_spilled(&big));
+        assert_eq!(big, [1, 2, 3, 4]);
+        let small: SmallIds<u32, 2> = SmallIds::map_from(&[5u8, 6], |v| u32::from(v) * 10);
+        assert!(!is_spilled(&small));
+        assert_eq!(small, [50, 60]);
+    }
+
+    #[test]
+    fn owning_iteration_on_both_forms() {
+        let inline: SmallIds<u32, 3> = vec![7, 8].into();
+        let mut it = inline.into_iter();
+        assert_eq!(it.size_hint(), (2, Some(2)));
+        assert_eq!(it.next(), Some(7));
+        assert_eq!(it.len(), 1);
+        assert_eq!(it.collect::<Vec<_>>(), vec![8]);
+        let spilled: SmallIds<u32, 3> = (0..5).collect();
+        assert!(is_spilled(&spilled));
+        let mut it = spilled.into_iter();
+        assert_eq!(it.by_ref().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(it.next(), None, "a finished iterator stays finished");
+    }
+
+    #[test]
+    fn a_spilled_and_an_inline_list_with_the_same_entries_are_equal() {
+        let mut spilled: SmallIds<u32, 2> = vec![1, 2, 3].into();
+        spilled.retain(|&x| x != 3);
+        let inline: SmallIds<u32, 2> = vec![1, 2].into();
+        assert!(is_spilled(&spilled) && !is_spilled(&inline));
+        assert_eq!(spilled, inline);
+        assert_eq!(inline, spilled);
     }
 }

@@ -75,7 +75,7 @@ pub fn validate_all(graph: &SrDfg) -> Vec<ValidateError> {
 
 fn collect(graph: &SrDfg, out: &mut Vec<ValidateError>) {
     for (id, node) in graph.iter_nodes() {
-        for (slot, &e) in node.inputs.iter().enumerate() {
+        for (slot, &e) in (0u32..).zip(&node.inputs) {
             let edge = graph.edge(e);
             if !edge.consumers.contains(&(id, slot)) {
                 out.push(ValidateError::new(format!(
@@ -83,7 +83,7 @@ fn collect(graph: &SrDfg, out: &mut Vec<ValidateError>) {
                 )));
             }
         }
-        for (slot, &e) in node.outputs.iter().enumerate() {
+        for (slot, &e) in (0u32..).zip(&node.outputs) {
             let edge = graph.edge(e);
             if edge.producer != Some((id, slot)) {
                 out.push(ValidateError::new(format!(

@@ -261,6 +261,16 @@ if grep -nE 'Vec<ArgInfo>|op: Ident' crates/lower/src/compile.rs; then
     exit 1
 fi
 
+echo "== srDFG records at their information size"
+# A node's id lists keep their spill in one boxed word, and scalar
+# expansion names its nodes with static labels. A three-word `Vec` back in
+# every id list, or a `String` built per scalar node, puts the bytes and
+# the per-node allocations back on every node Algorithm 1 appends.
+if grep -nE 'spill: Vec<|fn op_label\(.*\) -> String' crates/srdfg/src/{smallids,expand}.rs; then
+    echo "SmallIds carries an inline Vec again, or op_label allocates per node" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

@@ -7,60 +7,12 @@
 //! that, and the type to its size.
 
 use pm_lower::{compile_program_budgeted, Fragment, FragmentKind};
+use pm_tests::{allocations, Counting};
 use polymath::Compiler;
 use srdfg::{Bindings, Budget};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Counts the allocations (fresh blocks and resizes) made by the current
-/// thread while `COUNTING` is set; the test harness's other threads are
-/// never counted.
-struct Counting;
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-// SAFETY: every method forwards to `System` unchanged.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// Allocations `f` makes on this thread.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCS.with(|n| n.set(0));
-    COUNTING.with(|c| c.set(true));
-    let out = f();
-    COUNTING.with(|c| c.set(false));
-    (out, ALLOCS.with(Cell::get))
-}
 
 #[test]
 fn a_fragment_is_a_reference_of_at_most_forty_bytes() {
