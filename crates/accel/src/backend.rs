@@ -7,9 +7,8 @@
 //! Functional results always come from executing the lowered srDFG itself,
 //! so every backend is checked against the same ground truth.
 
-use crate::fault::{FaultKind, FaultPlan};
 use crate::model::{HwConfig, PerfEstimate, WorkloadHints};
-use pm_lower::{AccProgram, AcceleratorSpec, FragmentKind};
+use pm_lower::{AccProgram, AcceleratorSpec};
 use pmlang::Domain;
 use srdfg::SrDfg;
 
@@ -48,21 +47,6 @@ pub trait Backend: Send + Sync {
         hints: &WorkloadHints,
     ) -> PerfEstimate {
         self.estimate(prog, graph, hints)
-    }
-
-    /// Consults the fault plan for dispatch attempt `attempt` (1-based) of
-    /// fragment `fragment` on this backend. The default draws from the
-    /// deterministic plan keyed by the backend's target name; a custom
-    /// backend can override this to model device-specific failure modes
-    /// (e.g. a DMA engine that never corrupts but often stalls).
-    fn inject_fault(
-        &self,
-        plan: &FaultPlan,
-        fragment: usize,
-        kind: FragmentKind,
-        attempt: u32,
-    ) -> Option<FaultKind> {
-        plan.fault_for(self.name(), fragment, kind, attempt)
     }
 }
 

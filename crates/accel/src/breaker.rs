@@ -13,15 +13,14 @@
 //!
 //! * **Closed** — traffic flows; consecutive failures are counted.
 //!   A persistent [`crate::fault::FaultKind::DeviceDown`] trips
-//!   immediately; retryable exhaustion trips after
-//!   [`BreakerConfig::failure_threshold`] consecutive failures.
+//!   immediately; retryable exhaustion trips after 3 consecutive
+//!   failures.
 //! * **Open** — traffic is steered away ([`BreakerBoard::guard`] adds
-//!   the target to the request's forced-down set). After
-//!   [`BreakerConfig::cooldown_ns`] of *virtual* time the breaker moves
-//!   to half-open.
+//!   the target to the request's forced-down set). After a cool-down of
+//!   *virtual* time (50 ms unless the pool sets another) the breaker
+//!   moves to half-open.
 //! * **Half-open** — the next request is allowed through un-steered as a
-//!   probe. Success (×[`BreakerConfig::probes_to_close`]) closes the
-//!   breaker; any failure re-opens it.
+//!   probe. One success closes the breaker; any failure re-opens it.
 //!
 //! Time is the shard's [`VirtualClock`], advanced by the virtual
 //! nanoseconds each served request consumed — never the wall clock — so
@@ -54,33 +53,20 @@ impl fmt::Display for BreakerState {
     }
 }
 
-/// Breaker tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive retryable failures that trip a closed breaker.
-    /// Persistent device-down faults trip on the first observation.
-    pub failure_threshold: u32,
-    /// Virtual nanoseconds an open breaker waits before allowing a
-    /// half-open probe.
-    pub cooldown_ns: u64,
-    /// Successful probes required to close a half-open breaker.
-    pub probes_to_close: u32,
-}
+/// Consecutive retryable failures that trip a closed breaker. Persistent
+/// device-down faults trip on the first observation.
+const FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        // 50 ms of virtual time ≈ a handful of served requests.
-        BreakerConfig { failure_threshold: 3, cooldown_ns: 50_000_000, probes_to_close: 1 }
-    }
-}
+/// Virtual nanoseconds an open breaker waits before a half-open probe
+/// unless the pool sets another: 50 ms ≈ a handful of served requests.
+pub(crate) const DEFAULT_COOLDOWN_NS: u64 = 50_000_000;
 
 /// One backend's breaker.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
+    cooldown_ns: u64,
     state: BreakerState,
     consecutive_failures: u32,
-    probe_successes: u32,
     opened_at_ns: u64,
     /// Times this breaker has tripped open.
     pub trips: u64,
@@ -89,13 +75,12 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given tuning.
-    pub fn new(cfg: BreakerConfig) -> CircuitBreaker {
+    /// A closed breaker that waits `cooldown_ns` (virtual) after tripping.
+    pub fn new(cooldown_ns: u64) -> CircuitBreaker {
         CircuitBreaker {
-            cfg,
+            cooldown_ns,
             state: BreakerState::Closed,
             consecutive_failures: 0,
-            probe_successes: 0,
             opened_at_ns: 0,
             trips: 0,
             steered: 0,
@@ -111,10 +96,9 @@ impl CircuitBreaker {
     /// returns the resulting state.
     pub fn poll(&mut self, now_ns: u64) -> BreakerState {
         if self.state == BreakerState::Open
-            && now_ns.saturating_sub(self.opened_at_ns) >= self.cfg.cooldown_ns
+            && now_ns.saturating_sub(self.opened_at_ns) >= self.cooldown_ns
         {
             self.state = BreakerState::HalfOpen;
-            self.probe_successes = 0;
         }
         self.state
     }
@@ -124,11 +108,8 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed => self.consecutive_failures = 0,
             BreakerState::HalfOpen => {
-                self.probe_successes += 1;
-                if self.probe_successes >= self.cfg.probes_to_close {
-                    self.state = BreakerState::Closed;
-                    self.consecutive_failures = 0;
-                }
+                self.state = BreakerState::Closed;
+                self.consecutive_failures = 0;
             }
             // A success observed while open belongs to a request admitted
             // before the trip; it carries no new information.
@@ -145,7 +126,7 @@ impl CircuitBreaker {
             BreakerState::HalfOpen => self.trip(now_ns),
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if persistent || self.consecutive_failures >= self.cfg.failure_threshold {
+                if persistent || self.consecutive_failures >= FAILURE_THRESHOLD {
                     self.trip(now_ns);
                 }
             }
@@ -157,7 +138,6 @@ impl CircuitBreaker {
         self.state = BreakerState::Open;
         self.opened_at_ns = now_ns;
         self.consecutive_failures = 0;
-        self.probe_successes = 0;
         self.trips += 1;
     }
 }
@@ -181,15 +161,15 @@ pub struct BreakerSnapshot {
 /// (and the host, which cannot fail) never appear on the board.
 #[derive(Debug, Clone)]
 pub struct BreakerBoard {
-    cfg: BreakerConfig,
+    cooldown_ns: u64,
     clock: VirtualClock,
     breakers: BTreeMap<String, CircuitBreaker>,
 }
 
 impl BreakerBoard {
-    /// An empty board.
-    pub fn new(cfg: BreakerConfig) -> BreakerBoard {
-        BreakerBoard { cfg, clock: VirtualClock::new(), breakers: BTreeMap::new() }
+    /// An empty board whose breakers cool down for `cooldown_ns`.
+    pub fn new(cooldown_ns: u64) -> BreakerBoard {
+        BreakerBoard { cooldown_ns, clock: VirtualClock::new(), breakers: BTreeMap::new() }
     }
 
     /// Advances the shard's virtual clock (by a served request's
@@ -232,7 +212,7 @@ impl BreakerBoard {
         let now = self.clock.now_ns();
         self.breakers
             .entry(target.to_string())
-            .or_insert_with(|| CircuitBreaker::new(self.cfg))
+            .or_insert_with(|| CircuitBreaker::new(self.cooldown_ns))
             .on_failure(persistent, now);
     }
 
@@ -254,13 +234,11 @@ impl BreakerBoard {
 mod tests {
     use super::*;
 
-    fn cfg() -> BreakerConfig {
-        BreakerConfig { failure_threshold: 3, cooldown_ns: 1_000, probes_to_close: 1 }
-    }
+    const COOLDOWN: u64 = 1_000;
 
     #[test]
     fn persistent_failure_trips_immediately() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::new(COOLDOWN);
         b.on_failure(true, 100);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.trips, 1);
@@ -268,7 +246,7 @@ mod tests {
 
     #[test]
     fn retryable_failures_trip_at_threshold_and_successes_reset() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::new(COOLDOWN);
         b.on_failure(false, 0);
         b.on_failure(false, 0);
         b.on_success(); // resets the consecutive count
@@ -281,7 +259,7 @@ mod tests {
 
     #[test]
     fn cooldown_then_probe_success_closes() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::new(COOLDOWN);
         b.on_failure(true, 0);
         assert_eq!(b.poll(999), BreakerState::Open, "still cooling down");
         assert_eq!(b.poll(1_000), BreakerState::HalfOpen, "cooldown elapsed");
@@ -291,7 +269,7 @@ mod tests {
 
     #[test]
     fn probe_failure_reopens_and_restarts_cooldown() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::new(COOLDOWN);
         b.on_failure(true, 0);
         assert_eq!(b.poll(1_000), BreakerState::HalfOpen);
         b.on_failure(false, 1_000);
@@ -303,7 +281,7 @@ mod tests {
 
     #[test]
     fn board_guards_open_breakers_only_and_counts_steering() {
-        let mut board = BreakerBoard::new(cfg());
+        let mut board = BreakerBoard::new(COOLDOWN);
         board.on_failure("TABLA", true);
         board.on_success("DECO"); // never failed → no breaker, no-op
         let forced = board.guard();

@@ -11,7 +11,8 @@
 //!
 //! Time is virtual throughout ([`VirtualClock`]): backoff delays and
 //! fragment deadlines are accounted in simulated nanoseconds, which keeps
-//! retry tests exact and CI free of timing flakiness.
+//! retry tests exact and CI free of timing flakiness. The timing is
+//! constant; only the retry count is settable.
 
 use pm_lower::FragmentKind;
 use srdfg::Budget;
@@ -66,7 +67,7 @@ pub enum FaultKind {
     /// The accelerator aborted mid-fragment (compute fragments).
     AccelCrash,
     /// The fragment stalled past its dispatch deadline; the host manager
-    /// gave up waiting after `fragment_deadline_ns` virtual nanoseconds.
+    /// gave up waiting after 1 ms of virtual time.
     FragmentStall,
     /// A DMA transfer delivered corrupted data (load/store fragments);
     /// the transfer must be re-issued in full.
@@ -154,10 +155,8 @@ fn splitmix64(mut x: u64) -> u64 {
 /// The deterministic fault injector: a pure function from
 /// `(seed, profile, target, fragment, attempt)` to an optional fault.
 ///
-/// Threaded through [`crate::backend::Backend::inject_fault`] so every
-/// backend consults the same schedule keyed by its own name, and a custom
-/// backend can override the default draw to model device-specific failure
-/// modes.
+/// [`crate::soc::Soc`] draws it for every dispatch attempt, keyed by the
+/// backend's [`crate::backend::Backend::name`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
@@ -254,37 +253,15 @@ impl FaultPlan {
     }
 }
 
-/// Exponential backoff between dispatch retries, in virtual nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Delay before the first retry.
-    pub base_ns: u64,
-    /// Multiplier applied per additional retry.
-    pub multiplier: u32,
-    /// Upper bound on any single delay.
-    pub cap_ns: u64,
-}
+/// How long (virtual ns) the host manager waits on a stalled fragment
+/// before declaring a [`FaultKind::FragmentStall`].
+pub(crate) const FRAGMENT_DEADLINE_NS: u64 = 1_000_000;
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        // 10 µs, doubling, capped at 10 ms.
-        BackoffPolicy { base_ns: 10_000, multiplier: 2, cap_ns: 10_000_000 }
-    }
-}
-
-impl BackoffPolicy {
-    /// Delay before retry `retry` (1-based): `base * multiplier^(retry-1)`,
-    /// saturating at the cap.
-    pub fn delay_ns(&self, retry: u32) -> u64 {
-        let mut d = self.base_ns;
-        for _ in 1..retry {
-            d = d.saturating_mul(self.multiplier as u64);
-            if d >= self.cap_ns {
-                return self.cap_ns;
-            }
-        }
-        d.min(self.cap_ns)
-    }
+/// Exponential backoff before retry `retry` (1-based), in virtual
+/// nanoseconds: 10 µs doubling per retry, capped at 10 ms.
+pub(crate) fn backoff_delay_ns(retry: u32) -> u64 {
+    let doublings = retry.saturating_sub(1).min(63);
+    10_000u64.saturating_mul(1 << doublings).min(10_000_000)
 }
 
 /// A monotonically advancing virtual clock (simulated nanoseconds).
@@ -321,15 +298,6 @@ pub struct ChaosConfig {
     pub plan: FaultPlan,
     /// Retries allowed per fragment beyond the first attempt.
     pub max_retries: u32,
-    /// Backoff schedule between retries.
-    pub backoff: BackoffPolicy,
-    /// How long (virtual ns) the host manager waits on a stalled fragment
-    /// before declaring a [`FaultKind::FragmentStall`].
-    pub fragment_deadline_ns: u64,
-    /// Total virtual-time budget per fragment (attempts + backoff);
-    /// exceeding it marks the device down even before the retry count is
-    /// exhausted.
-    pub fragment_budget_ns: u64,
     /// Targets forced persistently down regardless of the fault draw —
     /// the sentinel tests use this to kill every accelerator at once, and
     /// the serve pool uses it to steer traffic away from open breakers.
@@ -347,29 +315,28 @@ impl ChaosConfig {
         ChaosConfig::new(0, ChaosProfile::Off)
     }
 
-    /// A configuration for one seed and profile with default retry
-    /// parameters (3 retries, exponential backoff, 1 ms fragment
-    /// deadline).
+    /// A configuration for one seed and profile with 3 retries per
+    /// fragment.
     pub fn new(seed: u64, profile: ChaosProfile) -> Self {
-        let max_retries = 3;
-        let fragment_deadline_ns = 1_000_000;
         ChaosConfig {
             plan: FaultPlan::new(seed, profile),
-            max_retries,
-            backoff: BackoffPolicy::default(),
-            fragment_deadline_ns,
-            fragment_budget_ns: fragment_deadline_ns * (max_retries as u64 + 2),
+            max_retries: 3,
             force_down: BTreeSet::new(),
             budget: Budget::unlimited(),
         }
     }
 
-    /// Overrides the retry budget (rescaling the fragment budget to
-    /// match).
+    /// Overrides the retry count.
     pub fn with_max_retries(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;
-        self.fragment_budget_ns = self.fragment_deadline_ns.saturating_mul(max_retries as u64 + 2);
         self
+    }
+
+    /// Total virtual-time budget per fragment (attempts + backoff),
+    /// `FRAGMENT_DEADLINE_NS · (max_retries + 2)`; exceeding it marks the
+    /// device down even before the retry count is exhausted.
+    pub fn fragment_budget_ns(&self) -> u64 {
+        FRAGMENT_DEADLINE_NS.saturating_mul(self.max_retries as u64 + 2)
     }
 
     /// Forces `target` persistently down.
@@ -388,11 +355,6 @@ impl ChaosConfig {
     /// Derives the configuration for invocation `k` of a trajectory.
     pub fn for_invocation(&self, k: u64) -> ChaosConfig {
         ChaosConfig { plan: self.plan.for_invocation(k), ..self.clone() }
-    }
-
-    /// True when this configuration can never inject a fault.
-    pub fn is_off(&self) -> bool {
-        self.plan.profile() == ChaosProfile::Off && self.force_down.is_empty()
     }
 }
 
@@ -480,13 +442,12 @@ mod tests {
 
     #[test]
     fn backoff_schedule_doubles_then_caps() {
-        let b = BackoffPolicy { base_ns: 100, multiplier: 2, cap_ns: 1000 };
-        assert_eq!(b.delay_ns(1), 100);
-        assert_eq!(b.delay_ns(2), 200);
-        assert_eq!(b.delay_ns(3), 400);
-        assert_eq!(b.delay_ns(4), 800);
-        assert_eq!(b.delay_ns(5), 1000, "capped");
-        assert_eq!(b.delay_ns(50), 1000, "stays capped without overflow");
+        assert_eq!(backoff_delay_ns(1), 10_000);
+        assert_eq!(backoff_delay_ns(2), 20_000);
+        assert_eq!(backoff_delay_ns(3), 40_000);
+        assert_eq!(backoff_delay_ns(10), 5_120_000);
+        assert_eq!(backoff_delay_ns(11), 10_000_000, "capped");
+        assert_eq!(backoff_delay_ns(50), 10_000_000, "stays capped without overflow");
     }
 
     #[test]
@@ -502,12 +463,11 @@ mod tests {
     #[test]
     fn config_defaults_and_overrides() {
         let off = ChaosConfig::off();
-        assert!(off.is_off());
+        assert_eq!((off.plan.profile(), off.max_retries), (ChaosProfile::Off, 3));
+        assert_eq!(off.fragment_budget_ns(), FRAGMENT_DEADLINE_NS * 5);
         let c = ChaosConfig::new(1, ChaosProfile::Transient).with_max_retries(5);
-        assert!(!c.is_off());
         assert_eq!(c.max_retries, 5);
-        assert_eq!(c.fragment_budget_ns, c.fragment_deadline_ns * 7);
-        let d = ChaosConfig::off().with_down("TABLA");
-        assert!(!d.is_off(), "forced outage counts as chaos");
+        assert_eq!(c.fragment_budget_ns(), FRAGMENT_DEADLINE_NS * 7);
+        assert!(ChaosConfig::off().with_down("TABLA").force_down.contains("TABLA"));
     }
 }

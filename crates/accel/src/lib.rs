@@ -64,7 +64,7 @@ pub mod tabla;
 pub mod vta;
 
 pub use backend::{Backend, DmaModel};
-pub use breaker::{BreakerBoard, BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerBoard, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use classify::{profile, WorkProfile};
 pub use complement::{
     backend_named, complement, cross_domain_targets, domain_defaults, host_targets,
@@ -73,9 +73,7 @@ pub use cpu::Cpu;
 pub use deco::Deco;
 pub use dnnweaver::DnnWeaver;
 pub use error::SocError;
-pub use fault::{
-    BackoffPolicy, ChaosConfig, ChaosProfile, FaultEvent, FaultKind, FaultPlan, VirtualClock,
-};
+pub use fault::{ChaosConfig, ChaosProfile, FaultEvent, FaultKind, FaultPlan, VirtualClock};
 pub use gpu::Gpu;
 pub use graphicionado::Graphicionado;
 pub use hyperstreams::HyperStreams;

@@ -136,7 +136,7 @@ fn corpus() -> Vec<(String, CompiledProgram)> {
     let mut all: Vec<_> = named.iter().map(|(n, src)| (n.to_string(), compile(src))).collect();
     for seed in 0..240 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let program = pm_fuzz::gen_program(&mut rng, &pm_fuzz::GenConfig::default());
+        let program = pm_fuzz::gen_program(&mut rng);
         all.push((format!("generated-{seed}"), compile(&program.to_pmlang())));
     }
     all

@@ -18,7 +18,7 @@
 //! The serve layer brings its own workers and calls
 //! [`SocPool::shard_for`] → [`SocPool::shard`] → [`SocPool::record`].
 
-use crate::breaker::{BreakerBoard, BreakerConfig, BreakerSnapshot};
+use crate::breaker::{BreakerBoard, BreakerSnapshot, DEFAULT_COOLDOWN_NS};
 use crate::fault::FaultKind;
 use crate::runtime::TrajectoryOutcome;
 use crate::soc::Soc;
@@ -123,7 +123,7 @@ impl SocPool {
             shards: (0..n).map(build).collect(),
             ledgers: Mutex::new(vec![ShardStats::default(); n]),
             tenants: Mutex::new(BTreeMap::new()),
-            boards: Mutex::new(vec![BreakerBoard::new(BreakerConfig::default()); n]),
+            boards: Mutex::new(vec![BreakerBoard::new(DEFAULT_COOLDOWN_NS); n]),
         }
     }
 
@@ -159,14 +159,14 @@ impl SocPool {
         ledgers[shard % n].absorb(outcome);
     }
 
-    /// Replaces every shard's breaker board with a fresh one under `cfg`.
-    /// Tests and the soak harness use this to shrink the (virtual-time)
+    /// Replaces every shard's breaker board with a fresh one cooling down
+    /// for `cooldown_ns`. Tests and the soak harness shrink the (virtual)
     /// cool-down so open→half-open→closed cycles happen within a short
     /// deterministic run; calling it mid-flight discards breaker state.
-    pub fn set_breaker_config(&self, cfg: BreakerConfig) {
+    pub fn set_breaker_cooldown_ns(&self, cooldown_ns: u64) {
         let mut boards = self.boards.lock().unwrap_or_else(|e| e.into_inner());
         for b in boards.iter_mut() {
-            *b = BreakerBoard::new(cfg);
+            *b = BreakerBoard::new(cooldown_ns);
         }
     }
 

@@ -24,7 +24,7 @@ use crate::model::{PerfEstimate, WorkloadHints};
 use crate::soc::{ChaosOutcome, FallbackRecord, Soc, SocReport};
 use pm_lower::{CompiledProgram, TargetMap};
 use pmlang::Domain;
-use srdfg::{Machine, SrDfg, Tensor};
+use srdfg::{ExecError, Machine, SrDfg, Tensor};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -72,7 +72,9 @@ pub struct TrajectoryOutcome {
 /// tensor when one exists, else the zero tensor the interpreter would
 /// fabricate. Capturing zeros explicitly makes restore-after-rollback
 /// correct even before the first invocation has populated the state map.
-fn checkpoint_states(machine: &Machine) -> Vec<(String, Tensor)> {
+/// Fails, rather than aborting, when a declared state shape is too large
+/// to allocate.
+fn checkpoint_states(machine: &Machine) -> Result<Vec<(String, Tensor)>, ExecError> {
     let graph: &SrDfg = machine.graph();
     graph
         .boundary_inputs
@@ -80,11 +82,11 @@ fn checkpoint_states(machine: &Machine) -> Vec<(String, Tensor)> {
         .filter(|&&e| graph.edge(e).meta.modifier == srdfg::Modifier::State)
         .map(|&e| {
             let meta = &graph.edge(e).meta;
-            let value = machine
-                .state(&meta.name)
-                .cloned()
-                .unwrap_or_else(|| Tensor::zeros(meta.dtype, meta.shape.clone()));
-            (meta.name.clone(), value)
+            let value = match machine.state(&meta.name) {
+                Some(live) => live.clone(),
+                None => Tensor::try_zeros(meta.dtype, meta.shape.clone())?,
+            };
+            Ok((meta.name.clone(), value))
         })
         .collect()
 }
@@ -136,10 +138,12 @@ impl Soc {
 
         for k in 0..invocations {
             cfg.budget.charge("invoke", 1).map_err(SocError::BudgetExhausted)?;
+            let exec_err =
+                |e: ExecError| SocError::Execution { invocation: k, detail: e.to_string() };
             // Checkpoint the state edges at the domain boundary before
             // dispatching, so a faulted invocation can be rolled back and
             // replayed deterministically.
-            let checkpoint = checkpoint_states(&machine);
+            let checkpoint = checkpoint_states(&machine).map_err(exec_err)?;
             checkpoints += 1;
 
             let inv_cfg = cfg.for_invocation(k);
@@ -156,8 +160,6 @@ impl Soc {
                 current = Some(re);
             }
 
-            let exec_err =
-                |e: srdfg::ExecError| SocError::Execution { invocation: k, detail: e.to_string() };
             if report.faults_injected > 0 {
                 // The faulted dispatch's partial effects are discarded:
                 // run the doomed invocation, roll its state back to the

@@ -24,7 +24,10 @@
 use crate::backend::{Backend, DmaModel};
 use crate::cpu::Cpu;
 use crate::error::SocError;
-use crate::fault::{ChaosConfig, ChaosProfile, FaultEvent, FaultKind, VirtualClock};
+use crate::fault::{
+    backoff_delay_ns, ChaosConfig, ChaosProfile, FaultEvent, FaultKind, VirtualClock,
+    FRAGMENT_DEADLINE_NS,
+};
 use crate::model::{PerfEstimate, WorkloadHints};
 use pm_lower::{AccProgram, CompiledProgram, FragmentKind, TargetMap};
 use pmlang::Domain;
@@ -516,7 +519,7 @@ impl Soc {
                 Round::Downs(infos) => {
                     let fail = infos
                         .first()
-                        .map(|i| i.as_error(cfg.fragment_budget_ns))
+                        .map(|i| i.as_error(cfg.fragment_budget_ns()))
                         .unwrap_or(SocError::Relower { detail: "empty down set".into() });
                     for info in infos {
                         carry.absorb(&info);
@@ -734,7 +737,7 @@ impl Soc {
                 // wire error names the stage, not the partition.
                 cfg.budget.charge("dispatch", 1).map_err(SocError::BudgetExhausted)?;
                 r.attempts += 1;
-                let Some(kind) = backend.inject_fault(&cfg.plan, idx, frag.kind, attempt) else {
+                let Some(kind) = cfg.plan.fault_for(backend.name(), idx, frag.kind, attempt) else {
                     clock.advance(transfer_ns);
                     break;
                 };
@@ -749,12 +752,12 @@ impl Soc {
                     });
                 }
                 let cost = match kind {
-                    FaultKind::FragmentStall => cfg.fragment_deadline_ns,
+                    FaultKind::FragmentStall => FRAGMENT_DEADLINE_NS,
                     _ => transfer_ns,
                 };
                 clock.advance(cost);
                 spent += cost;
-                let budget_exceeded = spent > cfg.fragment_budget_ns;
+                let budget_exceeded = spent > cfg.fragment_budget_ns();
                 if !kind.retryable() || attempt > cfg.max_retries || budget_exceeded {
                     r.virtual_ns = clock.now_ns();
                     return Ok(PartSim::Down(DownInfo {
@@ -780,7 +783,7 @@ impl Soc {
                     r.dma.dma_bytes += bytes;
                     r.retried_dma_bytes += bytes;
                 }
-                let delay = cfg.backoff.delay_ns(attempt);
+                let delay = backoff_delay_ns(attempt);
                 clock.advance(delay);
                 spent += delay;
                 r.retries += 1;

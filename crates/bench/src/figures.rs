@@ -606,9 +606,3 @@ pub fn write_csv(results: &[PlatformResults], path: &std::path::Path) -> std::io
     }
     Ok(())
 }
-
-/// Convenience wrapper used by the CPU model sanity checks.
-pub fn cpu_estimate_of(source: &str) -> PerfEstimate {
-    let compiled = Compiler::host_only().compile(source, &Bindings::default()).unwrap();
-    polymath::evaluate::estimate_all(&Cpu::default(), &compiled, &WorkloadHints::default())
-}

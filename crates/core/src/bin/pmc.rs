@@ -482,10 +482,9 @@ fn fuzz_cmd(flags: &Flags) -> Result<(), String> {
     let cfg = pm_fuzz::FuzzConfig {
         seed,
         cases,
-        diff: pm_fuzz::DiffConfig { sabotage, chaos, chaos_seed, ..Default::default() },
+        diff: pm_fuzz::DiffConfig { sabotage, chaos, chaos_seed },
         minimize,
         corpus_dir,
-        ..Default::default()
     };
     let start = std::time::Instant::now();
     let report = pm_fuzz::run_fuzz_with_progress(&cfg, &mut |done, unstable| {

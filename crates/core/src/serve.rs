@@ -322,9 +322,11 @@ impl Request {
                     for (name, n) in
                         obj.members().ok_or_else(|| bad("run: `sizes` must be an object"))?
                     {
+                        // `i64::MAX as f64` rounds up to 2^63, hence `..`.
+                        let in_range = |x: &f64| (i64::MIN as f64..i64::MAX as f64).contains(x);
                         let val = n
                             .as_f64()
-                            .filter(|x| x.fract() == 0.0)
+                            .filter(|x| x.fract() == 0.0 && in_range(x))
                             .ok_or_else(|| bad("run: bad size value"))?;
                         sizes.sizes.insert(name.clone(), val as i64);
                     }
@@ -398,8 +400,11 @@ fn parse_chaos(v: Option<&Json>) -> Result<ChaosConfig, ServeError> {
     };
     let mut cfg = ChaosConfig::new(seed, profile);
     if let Some(n) = v.get("max_retries") {
-        let retries = n.as_u64().ok_or_else(|| bad("chaos: bad `max_retries`"))?;
-        cfg = cfg.with_max_retries(retries as u32);
+        let retries = n
+            .as_u64()
+            .and_then(|r| u32::try_from(r).ok())
+            .ok_or_else(|| bad("chaos: bad `max_retries`"))?;
+        cfg = cfg.with_max_retries(retries);
     }
     if let Some(down) = v.get("down") {
         for d in down.as_array().ok_or_else(|| bad("chaos: `down` must be an array"))? {
@@ -1042,11 +1047,6 @@ impl ServeServer {
         Ok(())
     }
 
-    /// Currently queued (admitted, not yet drained) requests.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.lock().unwrap().len()
-    }
-
     /// Cost (line bytes) of admitted requests not yet fully processed.
     pub fn inflight_cost(&self) -> u64 {
         self.shared.inflight_cost.load(Ordering::Relaxed)
@@ -1280,6 +1280,13 @@ mod tests {
             ("{\"op\":\"run\",\"id\":\"x\"}", "bad_request"),
             ("{\"op\":\"warp\",\"id\":\"x\"}", "bad_request"),
             ("{\"op\":\"run\",\"id\":\"x\",\"program\":\"main(\"}", "compile"),
+            // Out of range for their types: rejected, not truncated.
+            (r#"{"op":"run","id":"x","program":"p","sizes":{"n":1e300}}"#, "bad_request"),
+            (r#"{"op":"run","id":"x","program":"p","sizes":{"n":-1e19}}"#, "bad_request"),
+            (
+                r#"{"op":"run","id":"x","program":"p","chaos":{"max_retries":4294967297}}"#,
+                "bad_request",
+            ),
         ] {
             let v = Json::parse(&engine.handle_line(line)).unwrap();
             assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{line}");

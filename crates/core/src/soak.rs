@@ -32,7 +32,7 @@
 
 use crate::json::Json;
 use crate::serve::{reject_line, ServeConfig, ServeEngine, ServeError, ServeServer};
-use pm_accel::{BreakerConfig, BreakerState, ChaosProfile};
+use pm_accel::{BreakerState, ChaosProfile};
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -370,7 +370,7 @@ fn run_pass(cfg: &SoakConfig, script: &[SoakRequest]) -> Result<PassOutcome, Str
     // Shrink the breaker cool-down (virtual time) so open → half-open →
     // closed recovery cycles actually happen within a short soak, not
     // just the initial trip.
-    engine.pool().set_breaker_config(BreakerConfig { cooldown_ns: 500_000, ..Default::default() });
+    engine.pool().set_breaker_cooldown_ns(500_000);
     let mut transcript = Vec::new();
     admission_phase(&engine, &mut transcript)?;
 

@@ -31,10 +31,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Differential-run knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DiffConfig {
-    /// Relative float tolerance between routes and the oracle.
-    pub tolerance: f64,
     /// Applies the deliberate miscompilation ([`SabotagePass`]) after the
     /// optimizer — the sentinel that proves the harness detects bugs.
     pub sabotage: bool,
@@ -47,15 +45,10 @@ pub struct DiffConfig {
     /// Base seed of the chaos fault schedule (the campaign driver mixes
     /// the case index in, so every case draws an independent schedule).
     pub chaos_seed: u64,
-    /// Per-fragment retry budget on the chaos route.
-    pub max_retries: u32,
 }
 
-impl Default for DiffConfig {
-    fn default() -> Self {
-        DiffConfig { tolerance: 1e-6, sabotage: false, chaos: None, chaos_seed: 0, max_retries: 3 }
-    }
-}
+/// Relative float tolerance between routes and the oracle.
+const TOLERANCE: f64 = 1e-6;
 
 /// One route's divergence, crash, or structural failure.
 #[derive(Debug, Clone)]
@@ -144,8 +137,8 @@ impl Pass for SabotagePass {
     }
 }
 
-fn close(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= TOLERANCE * (1.0 + a.abs().max(b.abs()))
 }
 
 fn tensor(values: &[f64]) -> Tensor {
@@ -210,7 +203,7 @@ fn chaos_route(
     pm_passes::ElideMarshalling.run(&mut graph);
     pm_passes::PruneUnusedInputs.run(&mut graph);
     let compiled = compile_program(&graph, targets).map_err(|e| format!("algorithm 2: {e}"))?;
-    let chaos = ChaosConfig::new(cfg.chaos_seed, profile).with_max_retries(cfg.max_retries);
+    let chaos = ChaosConfig::new(cfg.chaos_seed, profile);
     // The five domain defaults, matching `cross_domain_targets`.
     let outcome = Soc::with(pm_accel::domain_defaults())
         .run_chaos(&compiled, &HashMap::new(), &chaos, Some(targets))
@@ -364,14 +357,14 @@ pub fn check_case(
             prog.has_state().then(|| ("z".to_string(), tensor(z0))).into_iter().collect();
         case_result(check_routes(&prog.to_pmlang(), cfg, |graph| {
             let got = record_trajectory(graph, &feeds, &seeds, reference.len())?;
-            compare_trajectories(&got, &reference, cfg.tolerance)
+            compare_trajectories(&got, &reference)
         }))
     })
 }
 
 /// Compares two real tensors of one shape element-wise within the
 /// relative tolerance.
-fn compare_tensors(label: &str, got: &Tensor, want: &Tensor, tol: f64) -> Result<(), String> {
+fn compare_tensors(label: &str, got: &Tensor, want: &Tensor) -> Result<(), String> {
     if got.shape() != want.shape() {
         return Err(format!("{label}: shape {:?}, oracle has {:?}", got.shape(), want.shape()));
     }
@@ -379,7 +372,7 @@ fn compare_tensors(label: &str, got: &Tensor, want: &Tensor, tol: f64) -> Result
         return Err(format!("{label}: non-real tensors cannot be compared"));
     };
     for (i, (a, b)) in g.iter().zip(w).enumerate() {
-        if !close(*a, *b, tol) {
+        if !close(*a, *b) {
             let at = if got.rank() == 0 { String::new() } else { format!("[{i}]") };
             return Err(format!("{label}{at} = {a}, oracle says {b}"));
         }
@@ -431,19 +424,18 @@ fn record_trajectory(
 fn compare_trajectories(
     got: &[TrajectoryStep],
     reference: &[TrajectoryStep],
-    tol: f64,
 ) -> Result<(), String> {
     for (k, ((out, state), (ref_out, ref_state))) in got.iter().zip(reference).enumerate() {
         for (name, want) in ref_out {
             let got =
                 out.get(name).ok_or_else(|| format!("invocation {k}: missing output `{name}`"))?;
-            compare_tensors(&format!("invocation {k}: {name}"), got, want, tol)?;
+            compare_tensors(&format!("invocation {k}: {name}"), got, want)?;
         }
         for (name, want) in ref_state {
             let got = state
                 .get(name)
                 .ok_or_else(|| format!("invocation {k}: state `{name}` not persisted"))?;
-            compare_tensors(&format!("invocation {k}: state {name}"), got, want, tol)?;
+            compare_tensors(&format!("invocation {k}: state {name}"), got, want)?;
         }
     }
     Ok(())
@@ -474,7 +466,7 @@ pub fn check_source(
             }
             Some(reference) => {
                 let got = record_trajectory(graph, feeds, seeds, reference.len())?;
-                compare_trajectories(&got, reference, cfg.tolerance)
+                compare_trajectories(&got, reference)
             }
         }))
     })

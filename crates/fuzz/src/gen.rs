@@ -47,38 +47,18 @@ impl WordSource for proptest::strategy::TestRng {
     }
 }
 
-/// Generation knobs.
-#[derive(Debug, Clone)]
-pub struct GenConfig {
-    /// Minimum vector length `n`.
-    pub min_n: usize,
-    /// Maximum vector length `n`.
-    pub max_n: usize,
-    /// Maximum body statements (at least 1 is always generated).
-    pub max_stmts: usize,
-    /// Maximum expression nesting depth.
-    pub max_depth: usize,
-    /// Probability a program carries a persistent `state` vector.
-    pub state_prob: f64,
-    /// Probability the whole body is wrapped into an annotated component.
-    pub wrap_prob: f64,
-    /// Per-statement probability of a domain annotation (unwrapped only).
-    pub annotate_prob: f64,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            min_n: 2,
-            max_n: 8,
-            max_stmts: 5,
-            max_depth: 3,
-            state_prob: 0.25,
-            wrap_prob: 0.15,
-            annotate_prob: 0.4,
-        }
-    }
-}
+// The shape of a generated program: vector length `n` in MIN_N..=MAX_N,
+// 1..=MAX_STMTS body statements, expressions at most MAX_DEPTH deep, and
+// the chances of a persistent `state` vector, of wrapping the whole body
+// into an annotated component, and (unwrapped only) of a per-statement
+// domain annotation.
+const MIN_N: usize = 2;
+const MAX_N: usize = 8;
+const MAX_STMTS: usize = 5;
+const MAX_DEPTH: usize = 3;
+const STATE_PROB: f64 = 0.25;
+const WRAP_PROB: f64 = 0.15;
+const ANNOTATE_PROB: f64 = 0.4;
 
 /// Operations a statement under `domain` may use so that Algorithm-1
 /// lowering is feasible by construction on the paper's accelerators.
@@ -180,12 +160,11 @@ pub fn gen_expr<R: WordSource + ?Sized>(
 /// A random statement under an already-chosen domain.
 fn gen_stmt<R: WordSource + ?Sized>(
     rng: &mut R,
-    cfg: &GenConfig,
     domain: Option<Domain>,
     allow_state: bool,
 ) -> PStmt {
     let pal = palette(domain);
-    let depth = 1 + rng.below(cfg.max_depth);
+    let depth = 1 + rng.below(MAX_DEPTH);
     let expr = gen_expr(rng, depth, &pal, allow_state);
     if rng.chance(0.3) {
         PStmt::Reduce(pal.reductions[rng.below(pal.reductions.len())], expr, domain)
@@ -195,24 +174,23 @@ fn gen_stmt<R: WordSource + ?Sized>(
 }
 
 /// Generates one random program.
-pub fn gen_program<R: WordSource + ?Sized>(rng: &mut R, cfg: &GenConfig) -> PProgram {
-    let n = cfg.min_n + rng.below(cfg.max_n.max(cfg.min_n) - cfg.min_n + 1);
-    let wrap =
-        if rng.chance(cfg.wrap_prob) { Some(DOMAINS[rng.below(DOMAINS.len())]) } else { None };
-    let has_state = wrap.is_none() && rng.chance(cfg.state_prob);
-    let count = 1 + rng.below(cfg.max_stmts.max(1));
+pub fn gen_program<R: WordSource + ?Sized>(rng: &mut R) -> PProgram {
+    let n = MIN_N + rng.below(MAX_N - MIN_N + 1);
+    let wrap = if rng.chance(WRAP_PROB) { Some(DOMAINS[rng.below(DOMAINS.len())]) } else { None };
+    let has_state = wrap.is_none() && rng.chance(STATE_PROB);
+    let count = 1 + rng.below(MAX_STMTS);
     let mut stmts = Vec::with_capacity(count);
     for _ in 0..count {
         let domain = match wrap {
             Some(d) => Some(d),
-            None if rng.chance(cfg.annotate_prob) => Some(DOMAINS[rng.below(DOMAINS.len())]),
+            None if rng.chance(ANNOTATE_PROB) => Some(DOMAINS[rng.below(DOMAINS.len())]),
             None => None,
         };
-        stmts.push(gen_stmt(rng, cfg, domain, has_state));
+        stmts.push(gen_stmt(rng, domain, has_state));
     }
     let state_update = if has_state {
         let pal = palette(None);
-        let depth = 1 + rng.below(cfg.max_depth);
+        let depth = 1 + rng.below(MAX_DEPTH);
         Some(gen_expr(rng, depth, &pal, true))
     } else {
         None
@@ -240,14 +218,9 @@ pub mod strategies {
         })
     }
 
-    /// A whole random program under the default [`GenConfig`].
+    /// A whole random program.
     pub fn program() -> BoxedStrategy<PProgram> {
-        program_with(GenConfig::default())
-    }
-
-    /// A whole random program under `cfg`.
-    pub fn program_with(cfg: GenConfig) -> BoxedStrategy<PProgram> {
-        BoxedStrategy::from_fn(move |rng| gen_program(rng, &cfg))
+        BoxedStrategy::from_fn(gen_program)
     }
 
     /// A vector of `n` quantized input values in `[-3, 3]`.
@@ -263,20 +236,18 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_per_seed() {
-        let cfg = GenConfig::default();
-        let a = gen_program(&mut StdRng::seed_from_u64(7), &cfg);
-        let b = gen_program(&mut StdRng::seed_from_u64(7), &cfg);
+        let a = gen_program(&mut StdRng::seed_from_u64(7));
+        let b = gen_program(&mut StdRng::seed_from_u64(7));
         assert_eq!(a, b);
-        let c = gen_program(&mut StdRng::seed_from_u64(8), &cfg);
+        let c = gen_program(&mut StdRng::seed_from_u64(8));
         assert_ne!(a, c, "distinct seeds should disagree almost surely");
     }
 
     #[test]
     fn generated_programs_always_parse() {
-        let cfg = GenConfig::default();
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..200 {
-            let p = gen_program(&mut rng, &cfg);
+            let p = gen_program(&mut rng);
             let src = p.to_pmlang();
             pmlang::frontend(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
         }

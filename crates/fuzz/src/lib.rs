@@ -32,7 +32,7 @@ pub mod model;
 pub mod wire;
 
 pub use diff::{check_case, check_source, CaseResult, DiffConfig, Failure, SabotagePass};
-pub use gen::{gen_inputs, gen_program, palette, GenConfig, Palette, WordSource};
+pub use gen::{gen_inputs, gen_program, palette, Palette, WordSource};
 pub use minimize::{minimize, minimize_with, Minimized};
 pub use model::{EvalStep, NonLin, PExpr, PProgram, PStmt, RedKind};
 pub use wire::{run_wire_fuzz, WireFailure, WireFuzzConfig, WireReport};
@@ -48,9 +48,7 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Number of cases to run.
     pub cases: usize,
-    /// Program-generation knobs.
-    pub gen: GenConfig,
-    /// Differential-execution knobs (tolerance, sabotage sentinel).
+    /// Differential-execution knobs (sabotage sentinel, chaos route).
     pub diff: DiffConfig,
     /// Shrink the first failure with delta debugging.
     pub minimize: bool,
@@ -63,7 +61,6 @@ impl Default for FuzzConfig {
         FuzzConfig {
             seed: 0,
             cases: 1000,
-            gen: GenConfig::default(),
             diff: DiffConfig::default(),
             minimize: true,
             corpus_dir: None,
@@ -127,7 +124,7 @@ pub fn run_fuzz_with_progress(
     let mut report = FuzzReport { executed: 0, passed: 0, unstable: 0, failure: None };
     for case in 0..cfg.cases {
         let mut rng = case_rng(cfg.seed, case);
-        let program = gen_program(&mut rng, &cfg.gen);
+        let program = gen_program(&mut rng);
         let xs = gen_inputs(&mut rng, program.n);
         let ys = gen_inputs(&mut rng, program.n);
         let z0 = gen_inputs(&mut rng, program.n);

@@ -148,7 +148,7 @@ fn round(
         let node = graph.node(id);
         let target = targets.target_for(node, graph.domain);
         if !memo.supports(target, &node.name) {
-            pending.push((id, target.expand));
+            pending.push(id);
         }
     }
     if pending.is_empty() {
@@ -165,9 +165,9 @@ fn round(
     // eviction mid-round costs a re-expansion at most.
     let mut refined = Vec::with_capacity(pending.len());
     let (mut add_nodes, mut add_edges) = (0usize, 0usize);
-    for (id, opts) in pending {
+    for id in pending {
         let refinement =
-            Refinement::of(graph, id, &opts, cache).map_err(|e| stuck(graph, targets, id, e))?;
+            Refinement::of(graph, id, cache).map_err(|e| stuck(graph, targets, id, e))?;
         add_nodes += refinement.graph().node_slots();
         add_edges += refinement.graph().edge_count();
         refined.push((id, refinement));

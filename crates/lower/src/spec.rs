@@ -2,12 +2,12 @@
 //!
 //! The paper's Algorithm 1 lowers against a map `Om` from domain names to
 //! the list `Ot` of operation names a domain's target accelerator
-//! supports. [`AcceleratorSpec`] is one such `Ot` (plus expansion limits);
+//! supports. [`AcceleratorSpec`] is one such `Ot`;
 //! [`TargetMap`] is `Om`, with a default target for un-annotated nodes
 //! (the SoC host).
 
 use pmlang::Domain;
-use srdfg::{ExpandOptions, Ident};
+use srdfg::Ident;
 use std::collections::{BTreeSet, HashMap};
 
 /// The operation-support contract of one accelerator target.
@@ -22,8 +22,6 @@ pub struct AcceleratorSpec {
     pub supported: BTreeSet<String>,
     /// When true, every operation is accepted (general-purpose hosts).
     pub supports_all: bool,
-    /// Scalar-expansion limits used while lowering toward this target.
-    pub expand: ExpandOptions,
 }
 
 impl AcceleratorSpec {
@@ -38,7 +36,6 @@ impl AcceleratorSpec {
             domain,
             supported: ops.into_iter().map(str::to_string).collect(),
             supports_all: false,
-            expand: ExpandOptions::default(),
         }
     }
 
@@ -49,7 +46,6 @@ impl AcceleratorSpec {
             domain,
             supported: BTreeSet::new(),
             supports_all: true,
-            expand: ExpandOptions::default(),
         }
     }
 
@@ -195,7 +191,6 @@ impl TargetMap {
             for op in &s.supported {
                 op.hash(h);
             }
-            s.expand.max_nodes.hash(h);
         }
         let mut h = srdfg::FxHasher::default();
         let mut domains: Vec<&Domain> = self.per_domain.keys().collect();

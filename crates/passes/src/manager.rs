@@ -91,9 +91,10 @@ pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     /// Iterate the whole pipeline until no pass changes the graph.
     run_to_fixpoint: bool,
-    /// Safety bound on fixpoint iterations.
-    max_iterations: usize,
 }
+
+/// Safety bound on fixpoint iterations.
+const MAX_FIXPOINT_ITERATIONS: usize = 10;
 
 impl fmt::Debug for PassManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -107,7 +108,7 @@ impl fmt::Debug for PassManager {
 impl PassManager {
     /// Creates an empty pipeline.
     pub fn new() -> Self {
-        PassManager { passes: Vec::new(), run_to_fixpoint: false, max_iterations: 10 }
+        PassManager::default()
     }
 
     /// The standard optimization pipeline: constant folding, algebraic
@@ -149,17 +150,6 @@ impl PassManager {
     pub fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
         self.passes.push(Box::new(pass));
         self
-    }
-
-    /// Requests fixpoint iteration of the whole pipeline.
-    pub fn set_fixpoint(&mut self, enabled: bool) -> &mut Self {
-        self.run_to_fixpoint = enabled;
-        self
-    }
-
-    /// Pass names in pipeline order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
     }
 
     /// Runs the pipeline on `graph`, returning per-pass cumulative stats.
@@ -215,7 +205,7 @@ impl PassManager {
         // re-dirtied, so convergence matches the plain run-everything
         // fixpoint while already-converged passes are skipped.
         let mut dirty = vec![true; self.passes.len()];
-        for _ in 0..self.max_iterations.max(1) {
+        for _ in 0..MAX_FIXPOINT_ITERATIONS {
             let mut any = false;
             for (i, pass) in self.passes.iter().enumerate() {
                 if !dirty[i] {
@@ -437,7 +427,7 @@ mod tests {
         }
         let mut pm = PassManager::new();
         pm.add(OncePass(std::cell::Cell::new(false)));
-        pm.set_fixpoint(true);
+        pm.run_to_fixpoint = true;
         let mut g = SrDfg::new("t");
         let stats = pm.run(&mut g);
         assert_eq!(stats[0].1.rewrites, 1);

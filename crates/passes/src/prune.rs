@@ -137,7 +137,7 @@ fn remap_kexpr(k: &mut KExpr, remap: &[usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srdfg::expand::{refine, ExpandOptions};
+    use srdfg::expand::refine;
     use std::collections::HashMap;
 
     #[test]
@@ -153,7 +153,7 @@ mod tests {
         .unwrap();
         let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Map(_))).unwrap();
-        let sub = refine(&g, id, &ExpandOptions::default()).unwrap();
+        let sub = refine(&g, id).unwrap();
         g.splice(id, &sub);
         let stats = PruneUnusedInputs.run(&mut g);
         assert!(stats.changed);

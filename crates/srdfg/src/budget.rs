@@ -110,11 +110,6 @@ impl Budget {
         }
     }
 
-    /// True when no limit is set (charges are free).
-    pub fn is_unlimited(&self) -> bool {
-        self.inner.is_none()
-    }
-
     /// The configured `(deadline, fuel)` limits.
     pub fn limits(&self) -> (Option<Duration>, Option<u64>) {
         match &self.inner {
@@ -169,7 +164,7 @@ mod tests {
     #[test]
     fn unlimited_charges_are_free() {
         let b = Budget::unlimited();
-        assert!(b.is_unlimited());
+        assert_eq!(b.limits(), (None, None));
         for _ in 0..1000 {
             b.charge("lower", u64::MAX / 2).unwrap();
         }

@@ -37,32 +37,20 @@ use pmlang::{BinOp, BuiltinReduction, DType, ScalarFunc, Span};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Limits for scalar expansion.
-#[derive(Debug, Clone, Copy)]
-pub struct ExpandOptions {
-    /// Maximum number of scalar nodes a single expansion may create.
-    pub max_nodes: usize,
-}
-
-impl Default for ExpandOptions {
-    fn default() -> Self {
-        ExpandOptions { max_nodes: 4_000_000 }
-    }
-}
+/// Maximum number of scalar nodes a single expansion may create.
+const MAX_EXPANSION_NODES: usize = 4_000_000;
 
 /// Why a node could not be refined.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RefineError {
     /// The node is already at the finest granularity.
     AtFinestGranularity(String),
-    /// Scalar expansion would exceed [`ExpandOptions::max_nodes`].
+    /// Scalar expansion would create more than 4 M nodes.
     TooLarge {
         /// Node name.
         name: String,
         /// Estimated node count.
         estimated: usize,
-        /// Configured limit.
-        limit: usize,
     },
     /// A reduction condition or operand index depends on runtime data and
     /// cannot be resolved during static expansion.
@@ -77,9 +65,10 @@ impl fmt::Display for RefineError {
             RefineError::AtFinestGranularity(n) => {
                 write!(f, "node `{n}` is already at the finest granularity")
             }
-            RefineError::TooLarge { name, estimated, limit } => {
-                write!(f, "expanding `{name}` would create ~{estimated} nodes (limit {limit})")
-            }
+            RefineError::TooLarge { name, estimated } => write!(
+                f,
+                "expanding `{name}` would create ~{estimated} nodes (limit {MAX_EXPANSION_NODES})"
+            ),
             RefineError::DataDependent(n) => {
                 write!(f, "node `{n}` has data-dependent indexing and cannot expand statically")
             }
@@ -90,6 +79,15 @@ impl fmt::Display for RefineError {
 
 impl std::error::Error for RefineError {}
 
+/// [`RefineError::TooLarge`] when expanding `name` into `nodes` nodes
+/// would exceed [`MAX_EXPANSION_NODES`].
+fn within_limit(name: &str, nodes: usize) -> Result<(), RefineError> {
+    if nodes > MAX_EXPANSION_NODES {
+        return Err(RefineError::TooLarge { name: name.to_string(), estimated: nodes });
+    }
+    Ok(())
+}
+
 /// Derives the next-finer-granularity sub-srDFG for node `id` — the
 /// paper's `n.srdfg`. The result's boundary matches the node's operand and
 /// result edges, ready for [`SrDfg::splice`].
@@ -97,14 +95,10 @@ impl std::error::Error for RefineError {}
 /// # Errors
 ///
 /// See [`RefineError`].
-pub fn refine(
-    graph: &SrDfg,
-    id: crate::graph::NodeId,
-    opts: &ExpandOptions,
-) -> Result<SrDfg, RefineError> {
+pub fn refine(graph: &SrDfg, id: crate::graph::NodeId) -> Result<SrDfg, RefineError> {
     let node = graph.node(id);
     let (in_metas, out_metas) = boundary_metas(graph, node);
-    refine_node(node, &in_metas, &out_metas, opts)
+    refine_node(node, &in_metas, &out_metas)
 }
 
 /// The metadata of `node`'s operand and result edges, in slot order — what
@@ -122,7 +116,6 @@ pub fn refine_node(
     node: &Node,
     in_metas: &[Consed<EdgeMeta>],
     out_metas: &[Consed<EdgeMeta>],
-    opts: &ExpandOptions,
 ) -> Result<SrDfg, RefineError> {
     match &node.kind {
         NodeKind::Component(sub) => Ok((**sub).clone()),
@@ -130,14 +123,14 @@ pub fn refine_node(
             if spec.body.compute_op_count() > 0 {
                 Ok(decompose_reduce(node, spec, in_metas, out_metas))
             } else {
-                expand_reduce(node, spec, in_metas, out_metas, opts)
+                expand_reduce(node, spec, in_metas, out_metas)
             }
         }
         NodeKind::Map(spec) => {
             if spec.kernel.compute_op_count() > 1 {
                 Ok(split_map(node, spec, in_metas, out_metas))
             } else {
-                expand_map(node, spec, in_metas, out_metas, opts)
+                expand_map(node, spec, in_metas, out_metas)
             }
         }
         NodeKind::Scalar(_)
@@ -174,14 +167,13 @@ pub(crate) fn refine_node_canonical(
     node: &Node,
     in_metas: &[Consed<EdgeMeta>],
     out_metas: &[Consed<EdgeMeta>],
-    opts: &ExpandOptions,
 ) -> Result<SrDfg, RefineError> {
     debug_assert!(scalar_expansion_eligible(node));
     let mut canon = node.clone();
     canon.domain = None;
     canon.target = None;
     canon.span = Span::synthetic();
-    refine_node(&canon, in_metas, out_metas, opts)
+    refine_node(&canon, in_metas, out_metas)
 }
 
 /// Reduce with compound body → Map(body) into an element tensor + pure
@@ -427,7 +419,6 @@ struct Expander<'a> {
     unpacked: Vec<Option<Vec<EdgeId>>>,
     domain: Option<pmlang::Domain>,
     nodes_created: usize,
-    limit: usize,
     name: String,
     /// Source span of the node being expanded, inherited by every scalar
     /// node/edge so diagnostics on the expanded graph still point at the
@@ -459,7 +450,7 @@ struct Expander<'a> {
 }
 
 impl<'a> Expander<'a> {
-    fn new(node: &Node, in_metas: &'a [Consed<EdgeMeta>], limit: usize) -> Self {
+    fn new(node: &Node, in_metas: &'a [Consed<EdgeMeta>]) -> Self {
         let mut g = SrDfg::new(format!("{}.scalar", node.name));
         g.domain = node.domain;
         let ins: Vec<EdgeId> = in_metas.iter().map(|m| g.add_edge(m.clone())).collect();
@@ -471,7 +462,6 @@ impl<'a> Expander<'a> {
             unpacked: vec![None; in_metas.len()],
             domain: node.domain,
             nodes_created: 0,
-            limit,
             name: node.name.to_string(),
             span: node.span,
             consts: HashMap::default(),
@@ -504,15 +494,7 @@ impl<'a> Expander<'a> {
 
     fn budget(&mut self, n: usize) -> Result<(), RefineError> {
         self.nodes_created += n;
-        if self.nodes_created > self.limit {
-            Err(RefineError::TooLarge {
-                name: self.name.clone(),
-                estimated: self.nodes_created,
-                limit: self.limit,
-            })
-        } else {
-            Ok(())
-        }
+        within_limit(&self.name, self.nodes_created)
     }
 
     /// The shared `Ident` for a node name.
@@ -698,18 +680,10 @@ fn expand_map(
     spec: &MapSpec,
     in_metas: &[Consed<EdgeMeta>],
     out_metas: &[Consed<EdgeMeta>],
-    opts: &ExpandOptions,
 ) -> Result<SrDfg, RefineError> {
     let points = crate::graph::space_size(&spec.out_space);
-    let est = points * (spec.kernel.op_count() as usize + 1);
-    if est > opts.max_nodes {
-        return Err(RefineError::TooLarge {
-            name: node.name.to_string(),
-            estimated: est,
-            limit: opts.max_nodes,
-        });
-    }
-    let mut ex = Expander::new(node, in_metas, opts.max_nodes);
+    within_limit(&node.name, points.saturating_mul(spec.kernel.op_count() as usize + 1))?;
+    let mut ex = Expander::new(node, in_metas);
     let out_meta = &out_metas[0];
     let volume = out_meta.volume();
     let mut elements: Vec<Option<EdgeId>> = vec![None; volume];
@@ -756,7 +730,6 @@ fn expand_reduce(
     spec: &ReduceSpec,
     in_metas: &[Consed<EdgeMeta>],
     out_metas: &[Consed<EdgeMeta>],
-    opts: &ExpandOptions,
 ) -> Result<SrDfg, RefineError> {
     if let ReduceOp::Builtin(b) = &spec.op {
         if b.is_arg() {
@@ -770,16 +743,9 @@ fn expand_reduce(
     }
     let out_points = crate::graph::space_size(&spec.out_space);
     let red_points = crate::graph::space_size(&spec.red_space);
-    let est = out_points * red_points.max(1) * 2;
-    if est > opts.max_nodes {
-        return Err(RefineError::TooLarge {
-            name: node.name.to_string(),
-            estimated: est,
-            limit: opts.max_nodes,
-        });
-    }
+    within_limit(&node.name, out_points.saturating_mul(red_points.max(1)).saturating_mul(2))?;
 
-    let mut ex = Expander::new(node, in_metas, opts.max_nodes);
+    let mut ex = Expander::new(node, in_metas);
     let out_meta = &out_metas[0];
     let volume = out_meta.volume();
     let mut elements: Vec<Option<EdgeId>> = vec![None; volume];
@@ -972,10 +938,9 @@ mod tests {
         // Refine every refinable node once, splice, re-run.
         let mut refined = graph.clone();
         let ids: Vec<_> = refined.node_ids().collect();
-        let opts = ExpandOptions::default();
         let mut any = false;
         for id in ids {
-            if let Ok(sub) = refine(&refined, id, &opts) {
+            if let Ok(sub) = refine(&refined, id) {
                 refined.splice(id, &sub);
                 any = true;
             }
@@ -1005,7 +970,7 @@ mod tests {
             .find(|(_, n)| matches!(n.kind, NodeKind::Component(_)))
             .map(|(id, _)| id)
             .unwrap();
-        let sub = refine(&g, comp_id, &ExpandOptions::default()).unwrap();
+        let sub = refine(&g, comp_id).unwrap();
         assert_eq!(sub.name, "f");
         assert!(sub.node_count() >= 1);
     }
@@ -1022,14 +987,14 @@ mod tests {
             g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Reduce(_))).unwrap();
         assert_eq!(node.name, "matvec");
         // Level 1: decompose into Map(mul) + pure sum.
-        let sub = refine(&g, id, &ExpandOptions::default()).unwrap();
+        let sub = refine(&g, id).unwrap();
         let names: Vec<_> = sub.iter_nodes().map(|(_, n)| n.name.clone()).collect();
         assert!(names.iter().any(|n| n == "map.mul"), "{names:?}");
         assert!(names.iter().any(|n| n == "sum"), "{names:?}");
         // Level 2: the pure sum expands to an adder tree.
         let (rid, _) =
             sub.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Reduce(_))).unwrap();
-        let scal = refine(&sub, rid, &ExpandOptions::default()).unwrap();
+        let scal = refine(&sub, rid).unwrap();
         let adds = scal
             .iter_nodes()
             .filter(|(_, n)| matches!(&n.kind, NodeKind::Scalar(s) if **s == ScalarKind::Bin(BinOp::Add)))
@@ -1116,13 +1081,15 @@ mod tests {
     #[test]
     fn expansion_respects_node_limit() {
         let g = program_graph(
-            "main(input float x[100], output float y[100]) {
-                 index i[0:99];
+            "main(input float x[3000000], output float y[3000000]) {
+                 index i[0:2999999];
                  y[i] = x[i] + 1.0;
              }",
         );
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Map(_))).unwrap();
-        let err = refine(&g, id, &ExpandOptions { max_nodes: 10 }).unwrap_err();
+        // The estimate (two nodes per point) is checked before anything
+        // is expanded, so this fails at once.
+        let err = refine(&g, id).unwrap_err();
         assert!(matches!(err, RefineError::TooLarge { .. }), "{err}");
     }
 
@@ -1132,13 +1099,10 @@ mod tests {
             "main(input float x[2], output float y[2]) { index i[0:1]; y[i] = x[i] + 1.0; }",
         );
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Map(_))).unwrap();
-        let scal = refine(&g, id, &ExpandOptions::default()).unwrap();
+        let scal = refine(&g, id).unwrap();
         let (sid, _) =
             scal.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Scalar(_))).unwrap();
-        assert!(matches!(
-            refine(&scal, sid, &ExpandOptions::default()),
-            Err(RefineError::AtFinestGranularity(_))
-        ));
+        assert!(matches!(refine(&scal, sid), Err(RefineError::AtFinestGranularity(_))));
     }
 
     #[test]
@@ -1148,7 +1112,7 @@ mod tests {
             "main(input float x[3], output float y[3]) { index i[0:2]; y[i] = x[i] * 3.0; }",
         );
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Map(_))).unwrap();
-        let scal = refine(&g, id, &ExpandOptions::default()).unwrap();
+        let scal = refine(&g, id).unwrap();
         let outs = exec_graph(&scal, vec![Some(vec_t(vec![1.0, 2.0, 3.0]))]).unwrap();
         assert_eq!(outs[0].as_real_slice().unwrap(), &[3.0, 6.0, 9.0]);
     }
@@ -1168,9 +1132,6 @@ mod tests {
             "main(input float x[4], output float y) { index i[0:3]; y = argmax[i](x[i]); }",
         );
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Reduce(_))).unwrap();
-        assert!(matches!(
-            refine(&g, id, &ExpandOptions::default()),
-            Err(RefineError::Unsupported(_))
-        ));
+        assert!(matches!(refine(&g, id), Err(RefineError::Unsupported(_))));
     }
 }

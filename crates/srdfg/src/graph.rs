@@ -108,16 +108,17 @@ impl EdgeMeta {
         self
     }
 
-    /// Number of elements the edge's value carries.
+    /// Number of elements the edge's value carries, saturating at
+    /// `usize::MAX` (request-supplied sizes can be arbitrarily large).
     pub fn volume(&self) -> usize {
-        self.shape.iter().product()
+        self.shape.iter().fold(1, |n: usize, &d| n.saturating_mul(d))
     }
 
     /// Size in bytes, assuming 4-byte reals and 8-byte complex elements
     /// (the precision the evaluated accelerators use for data transfer).
     pub fn bytes(&self) -> u64 {
         let per = if self.dtype == DType::Complex { 8 } else { 4 };
-        (self.volume() as u64) * per
+        (self.volume() as u64).saturating_mul(per)
     }
 }
 
@@ -143,9 +144,9 @@ impl IndexRange {
     }
 }
 
-/// Total number of points in an index space.
+/// Total number of points in an index space, saturating at `usize::MAX`.
 pub fn space_size(space: &[IndexRange]) -> usize {
-    space.iter().map(IndexRange::size).product()
+    space.iter().fold(1, |n: usize, r| n.saturating_mul(r.size()))
 }
 
 /// The reduction operator of a [`NodeKind::Reduce`] node.
@@ -1039,11 +1040,13 @@ fn id32(n: usize) -> u32 {
 pub fn node_op_count(node: &Node) -> u64 {
     match &node.kind {
         NodeKind::Component(sub) => sub.scalar_op_count(),
-        NodeKind::Map(m) => space_size(&m.out_space) as u64 * m.kernel.compute_op_count().max(1),
+        NodeKind::Map(m) => {
+            (space_size(&m.out_space) as u64).saturating_mul(m.kernel.compute_op_count().max(1))
+        }
         NodeKind::Reduce(r) => {
-            let points = (space_size(&r.out_space) * space_size(&r.red_space)) as u64;
+            let points = space_size(&r.out_space).saturating_mul(space_size(&r.red_space)) as u64;
             let per = r.body.compute_op_count() + 1; // + combine
-            points * per.max(1)
+            points.saturating_mul(per.max(1))
         }
         NodeKind::Scalar(_) => 1,
         NodeKind::ConstTensor(_)

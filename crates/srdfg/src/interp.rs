@@ -9,10 +9,10 @@
 
 use crate::error::ExecError;
 use crate::graph::{
-    IndexRange, MapSpec, Modifier, NodeKind, ReduceOp, ReduceSpec, SrDfg, WriteSpec,
+    space_size, IndexRange, MapSpec, Modifier, NodeKind, ReduceOp, ReduceSpec, SrDfg, WriteSpec,
 };
 use crate::kernel::KExpr;
-use crate::value::{Scalar, Tensor};
+use crate::value::{too_large, try_vec, Scalar, Tensor};
 use pmlang::BuiltinReduction;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -66,12 +66,10 @@ impl Machine {
         for &e in &self.graph.boundary_inputs {
             let meta = &self.graph.edge(e).meta;
             let value = match meta.modifier {
-                Modifier::State => Some(
-                    self.state
-                        .get(&meta.name)
-                        .cloned()
-                        .unwrap_or_else(|| Tensor::zeros(meta.dtype, meta.shape.clone())),
-                ),
+                Modifier::State => Some(match self.state.get(&meta.name) {
+                    Some(live) => live.clone(),
+                    None => Tensor::try_zeros(meta.dtype, meta.shape.clone())?,
+                }),
                 _ => feeds.get(&meta.name).cloned(),
             };
             let value = value.ok_or_else(|| {
@@ -116,9 +114,9 @@ pub fn exec_graph(
     let mut values: Vec<Option<Tensor>> = vec![None; graph.edge_count()];
     let mut bound = boundary_values.into_iter();
     for &e in &graph.boundary_inputs {
-        values[e.0 as usize] = bound.next().flatten().or_else(|| {
-            Some(Tensor::zeros(graph.edge(e).meta.dtype, graph.edge(e).meta.shape.clone()))
-        });
+        let meta = &graph.edge(e).meta;
+        let zeros = || Tensor::try_zeros(meta.dtype, meta.shape.clone());
+        values[e.0 as usize] = Some(bound.next().flatten().map_or_else(zeros, Ok)?);
     }
     for id in graph.topo_order() {
         exec_node(graph, id, &mut values)?;
@@ -208,7 +206,7 @@ fn exec_node(
         }
         NodeKind::Pack => {
             let meta = &graph.edge(node.outputs[0]).meta;
-            let mut t = Tensor::zeros(meta.dtype, meta.shape.clone());
+            let mut t = Tensor::try_zeros(meta.dtype, meta.shape.clone())?;
             if t.len() != operands.len() {
                 return Err(ExecError::new(format!(
                     "pack of {} edges into {} elements",
@@ -237,7 +235,7 @@ fn init_output(
             .ok_or_else(|| ExecError::new("carried write without carry operand"))?;
         Ok((*prev).clone())
     } else {
-        Ok(Tensor::zeros(dtype, write.target_shape.clone()))
+        Tensor::try_zeros(dtype, write.target_shape.clone())
     }
 }
 
@@ -267,14 +265,16 @@ pub fn exec_reduce(
     operands: &[&Tensor],
     out_dtype: pmlang::DType,
 ) -> Result<Tensor, ExecError> {
-    let out_points: usize = spec.out_space.iter().map(IndexRange::size).product();
+    let out_dims: Vec<usize> = spec.out_space.iter().map(IndexRange::size).collect();
+    let out_points = space_size(&spec.out_space).max(1);
     // Accumulators per output point.
-    let mut acc: Vec<Option<Scalar>> = vec![None; out_points.max(1)];
-    let mut best: Vec<i64> = vec![0; out_points.max(1)]; // arg-reduction winners
+    let mut acc: Vec<Option<Scalar>> =
+        try_vec(out_points, None).ok_or_else(|| too_large(&out_dims))?;
+    // Arg-reduction winners.
+    let mut best: Vec<i64> = try_vec(out_points, 0).ok_or_else(|| too_large(&out_dims))?;
 
     let full_space: Vec<IndexRange> =
         spec.out_space.iter().chain(&spec.red_space).cloned().collect();
-    let out_dims: Vec<usize> = spec.out_space.iter().map(IndexRange::size).collect();
     let mut point = vec![0i64; full_space.len()];
 
     for_each_point(&full_space, &mut point, &mut |idx| {

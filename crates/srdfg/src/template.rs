@@ -26,17 +26,15 @@
 //! * the `(dtype, modifier, shape)` triple of every operand and result
 //!   edge (shapes decide how many scalar nodes exist and how operand
 //!   reads flatten; dtype decides element edges; the modifier is
-//!   included defensively),
-//! * the expansion budget [`ExpandOptions::max_nodes`] (granularity:
-//!   whether an expansion succeeds or aborts with `TooLarge` depends on
-//!   it, so caching across different budgets would be unsound).
+//!   included defensively).
 //!
 //! Deliberately **not** part of the key: edge/node *names* and source
 //! *spans* (templates are built in canonical form — unnamed interior
 //! edges, synthetic spans — and splicing stamps instance provenance back
-//! on), the *domain*, and the *target name* (expansion depends on the
-//! target only through its budget, so one template serves every fabric
-//! that shares it).
+//! on), the *domain*, and the *target name* (expansion does not depend on
+//! the target, so one template serves every fabric). The expansion budget
+//! is a constant (`expand::MAX_EXPANSION_NODES`), so it is not a key
+//! component either.
 //!
 //! ## Storage
 //!
@@ -49,8 +47,7 @@
 //! share one instance.
 
 use crate::expand::{
-    boundary_metas, refine_node, refine_node_canonical, scalar_expansion_eligible, ExpandOptions,
-    RefineError,
+    boundary_metas, refine_node, refine_node_canonical, scalar_expansion_eligible, RefineError,
 };
 use crate::graph::{EdgeMeta, Modifier, Node, NodeId, NodeKind, SrDfg};
 use crate::hash::{hash_kind, FxHasher};
@@ -81,23 +78,20 @@ pub struct TemplateKey {
     kind: NodeKind,
     ins: Vec<MetaKey>,
     outs: Vec<MetaKey>,
-    max_nodes: usize,
 }
 
 impl TemplateKey {
     /// Builds the key for expanding `node` with the given boundary
-    /// metadata under `opts`.
+    /// metadata.
     fn new(
         node: &Node,
         in_metas: &[Consed<EdgeMeta>],
         out_metas: &[Consed<EdgeMeta>],
-        opts: &ExpandOptions,
     ) -> TemplateKey {
         TemplateKey {
             kind: node.kind.clone(),
             ins: in_metas.iter().map(|m| meta_key(m)).collect(),
             outs: out_metas.iter().map(|m| meta_key(m)).collect(),
-            max_nodes: opts.max_nodes,
         }
     }
 
@@ -108,7 +102,6 @@ impl TemplateKey {
         hash_kind(&self.kind, &mut h);
         self.ins.hash(&mut h);
         self.outs.hash(&mut h);
-        self.max_nodes.hash(&mut h);
         h.finish()
     }
 }
@@ -187,7 +180,6 @@ impl Refinement {
     pub fn of(
         graph: &SrDfg,
         id: NodeId,
-        opts: &ExpandOptions,
         cache: Option<&TemplateCache>,
     ) -> Result<Refinement, RefineError> {
         let node = graph.node(id);
@@ -196,11 +188,11 @@ impl Refinement {
             if let Some(cache) = cache {
                 cache.lru.record_bypass();
             }
-            return refine_node(node, &ins, &outs, opts).map(Refinement::Inline);
+            return refine_node(node, &ins, &outs).map(Refinement::Inline);
         }
-        let expand = || refine_node_canonical(node, &ins, &outs, opts).map(Arc::new);
+        let expand = || refine_node_canonical(node, &ins, &outs).map(Arc::new);
         let Some(cache) = cache else { return expand().map(Refinement::Template) };
-        let key = TemplateKey::new(node, &ins, &outs, opts);
+        let key = TemplateKey::new(node, &ins, &outs);
         if let Some(template) = cache.lookup(&key) {
             return Ok(Refinement::Template(template));
         }
@@ -248,34 +240,29 @@ mod tests {
     }
 
     fn key_of(c: f64, n: usize) -> (TemplateKey, Arc<SrDfg>) {
-        let opts = ExpandOptions::default();
         let (node, ins, outs) = mul_map(c, n);
-        let key = TemplateKey::new(&node, &ins, &outs, &opts);
-        let t = Arc::new(refine_node_canonical(&node, &ins, &outs, &opts).unwrap());
+        let key = TemplateKey::new(&node, &ins, &outs);
+        let t = Arc::new(refine_node_canonical(&node, &ins, &outs).unwrap());
         (key, t)
     }
 
     #[test]
     fn key_tracks_content_not_names() {
-        let opts = ExpandOptions::default();
         let (n1, i1, o1) = mul_map(2.0, 4);
         let (mut n2, mut i2, o2) = mul_map(2.0, 4);
         n2.name = "renamed".into();
         let mut renamed_meta = i2[0].get().clone();
         renamed_meta.name = "other_input".into();
         i2[0] = crate::store::intern(renamed_meta);
-        let k1 = TemplateKey::new(&n1, &i1, &o1, &opts);
-        let k2 = TemplateKey::new(&n2, &i2, &o2, &opts);
+        let k1 = TemplateKey::new(&n1, &i1, &o1);
+        let k2 = TemplateKey::new(&n2, &i2, &o2);
         assert_eq!(k1, k2, "names are provenance, not content");
         assert_eq!(k1.fingerprint(), k2.fingerprint());
 
         let (n3, i3, o3) = mul_map(3.0, 4); // different constant
         let (n4, i4, o4) = mul_map(2.0, 8); // different shape
-        assert_ne!(k1, TemplateKey::new(&n3, &i3, &o3, &opts));
-        assert_ne!(k1, TemplateKey::new(&n4, &i4, &o4, &opts));
-        // Granularity (the expansion budget) is part of the key.
-        let coarse = ExpandOptions { max_nodes: 10 };
-        assert_ne!(k1, TemplateKey::new(&n1, &i1, &o1, &coarse));
+        assert_ne!(k1, TemplateKey::new(&n3, &i3, &o3));
+        assert_ne!(k1, TemplateKey::new(&n4, &i4, &o4));
     }
 
     #[test]

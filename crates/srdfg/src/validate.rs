@@ -188,7 +188,7 @@ mod tests {
         let mut g = build(&prog, &Bindings::default()).unwrap();
         let ids: Vec<_> = g.node_ids().collect();
         for id in ids {
-            if let Ok(sub) = crate::expand::refine(&g, id, &Default::default()) {
+            if let Ok(sub) = crate::expand::refine(&g, id) {
                 g.splice(id, &sub);
             }
         }

@@ -7,6 +7,7 @@
 //! source-level typing, and stores on integer/boolean tensors are coerced
 //! to keep the declared semantics honest.
 
+use crate::error::ExecError;
 use pmlang::DType;
 use std::fmt;
 
@@ -117,6 +118,19 @@ impl fmt::Display for ValueError {
 
 impl std::error::Error for ValueError {}
 
+/// The error for a declared `shape` whose storage cannot be allocated.
+pub(crate) fn too_large(shape: &[usize]) -> ExecError {
+    ExecError::new(format!("a tensor of shape {shape:?} is too large to allocate"))
+}
+
+/// `n` copies of `fill`, or `None` when the allocation fails.
+pub(crate) fn try_vec<T: Clone>(n: usize, fill: T) -> Option<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(n).ok()?;
+    v.resize(n, fill);
+    Some(v)
+}
+
 /// Element storage for a tensor.
 #[derive(Debug, Clone, PartialEq)]
 enum TensorData {
@@ -169,6 +183,27 @@ impl Tensor {
             TensorData::Real(vec![0.0; n])
         };
         Tensor { dtype, shape, data }
+    }
+
+    /// [`Tensor::zeros`] for a shape read from program metadata, which a
+    /// request can make arbitrarily large.
+    ///
+    /// # Errors
+    ///
+    /// When the element count overflows or the allocation fails.
+    pub fn try_zeros(dtype: DType, shape: Vec<usize>) -> Result<Self, ExecError> {
+        // A count saturated at `usize::MAX` fails to allocate like any
+        // other too-large one.
+        let n = shape.iter().fold(1, |n: usize, &d| n.saturating_mul(d));
+        let data = if dtype == DType::Complex {
+            try_vec(n, (0.0, 0.0)).map(TensorData::Complex)
+        } else {
+            try_vec(n, 0.0).map(TensorData::Real)
+        };
+        match data {
+            Some(data) => Ok(Tensor { dtype, shape, data }),
+            None => Err(too_large(&shape)),
+        }
     }
 
     /// Creates a tensor filled with `fill`.

@@ -271,6 +271,16 @@ if grep -nE 'spill: Vec<|fn op_label\(.*\) -> String' crates/srdfg/src/{smallids
     exit 1
 fi
 
+echo "== one value in use, one constant"
+# The expansion limit, chaos timing, breaker threshold and probes, and the
+# fuzz generator each have exactly one value in use, so they are constants;
+# fault draws come from the plan, keyed by the backend's name. A setting
+# or hook nobody sets back in the API doubles what tests must cover.
+if grep -rnE 'struct (ExpandOptions|BackoffPolicy|GenConfig)\b|fn inject_fault|failure_threshold|probes_to_close|pub expand:' crates; then
+    echo "a one-value setting or the unimplemented inject_fault hook is back" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

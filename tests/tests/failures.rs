@@ -136,14 +136,16 @@ fn lowering_failure_names_the_operation_and_target() {
 fn expansion_cap_failure_is_reported_not_fatal() {
     use pm_lower::{lower, AcceleratorSpec, TargetMap};
     let (prog, _) = pmlang::frontend(
-        "main(input float x[512], output float y[512]) { index i[0:511]; y[i] = x[i] + 1.0; }",
+        "main(input float x[3000000], output float y[3000000]) {
+             index i[0:2999999]; y[i] = x[i] + 1.0;
+         }",
     )
     .unwrap();
     let mut g = srdfg::build(&prog, &Bindings::default()).unwrap();
     g.domain = Some(pmlang::Domain::Dsp);
-    let mut tiny =
+    // Two scalar nodes per point: the estimate alone exceeds the limit.
+    let tiny =
         AcceleratorSpec::new("TINY", pmlang::Domain::Dsp, ["add", "const", "unpack", "pack"]);
-    tiny.expand = srdfg::ExpandOptions { max_nodes: 16 };
     let mut targets = TargetMap::host_only(AcceleratorSpec::new("BARE", pmlang::Domain::Dsp, []));
     targets.set(tiny);
     let err = lower(&mut g, &targets).unwrap_err();

@@ -205,7 +205,7 @@ fn dirty_bit_fixpoint_matches_run_everything_fixpoint() {
     all.push(("option_pricing-32".into(), apps::option_pricing(32, 8).source));
     for seed in 0..240 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let program = pm_fuzz::gen_program(&mut rng, &pm_fuzz::GenConfig::default());
+        let program = pm_fuzz::gen_program(&mut rng);
         all.push((format!("fuzz-{seed}"), program.to_pmlang()));
     }
     for (name, src) in all {

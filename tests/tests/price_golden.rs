@@ -70,7 +70,7 @@ fn generated_programs_price_as_recorded() {
     let got: Vec<u64> = (0..GENERATED.len() as u64)
         .map(|seed| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            digest(&pm_fuzz::gen_program(&mut rng, &pm_fuzz::GenConfig::default()).to_pmlang())
+            digest(&pm_fuzz::gen_program(&mut rng).to_pmlang())
         })
         .collect();
     let moved: Vec<usize> = (0..got.len()).filter(|&i| got[i] != GENERATED[i]).collect();

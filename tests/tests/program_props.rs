@@ -21,7 +21,7 @@ type Case = (PProgram, Vec<f64>, Vec<f64>, Vec<f64>);
 
 fn case_strategy() -> BoxedStrategy<Case> {
     BoxedStrategy::from_fn(|rng| {
-        let program = pm_fuzz::gen_program(rng, &pm_fuzz::GenConfig::default());
+        let program = pm_fuzz::gen_program(rng);
         let xs = pm_fuzz::gen_inputs(rng, program.n);
         let ys = pm_fuzz::gen_inputs(rng, program.n);
         let z0 = pm_fuzz::gen_inputs(rng, program.n);

@@ -8,7 +8,6 @@
 //! traffic through host-fallback re-lowering must be invisible in the
 //! outputs.
 
-use pm_accel::BreakerConfig;
 use polymath::{Json, ServeConfig, ServeEngine, ServeError, ServeServer};
 use std::sync::{mpsc, Arc};
 
@@ -159,7 +158,7 @@ fn breaker_trips_then_steers_byte_identically_to_healthy_path() {
     let engine = ServeEngine::new(&ServeConfig::default());
     // Keep the breaker open forever once tripped: every later request is
     // steered, never a probe.
-    engine.pool().set_breaker_config(BreakerConfig { cooldown_ns: u64::MAX, ..Default::default() });
+    engine.pool().set_breaker_cooldown_ns(u64::MAX);
 
     let healthy = engine.handle_line(&run_line("h", "alice", &[], None, None));
     let baseline = outputs_of(&healthy);
@@ -194,7 +193,7 @@ fn breaker_open_close_cycles_stay_byte_identical() {
     // the first healthy request after a trip is still steered (and its
     // service advances the clock past the cool-down); the second one is
     // the half-open probe that re-closes the breaker.
-    engine.pool().set_breaker_config(BreakerConfig { cooldown_ns: 1, ..Default::default() });
+    engine.pool().set_breaker_cooldown_ns(1);
 
     let baseline = outputs_of(&engine.handle_line(&run_line("h", "alice", &[], None, None)));
     for cycle in 0..4 {
@@ -248,6 +247,33 @@ fn poison_is_contained_quarantined_and_rejected_at_admission() {
     let healthy = rx.recv().unwrap();
     assert_eq!(parse(&healthy).get("ok").and_then(Json::as_bool), Some(true), "{healthy}");
     server.shutdown();
+}
+
+#[test]
+fn oversized_declared_tensors_are_execution_errors_not_aborts() {
+    let engine = ServeEngine::new(&ServeConfig { host_only: true, ..Default::default() });
+    // 800 GB of state: the allocation fails instead of aborting the
+    // process. And a 2-D shape whose element count overflows `usize`: a
+    // typed error, not a panic that would quarantine a valid program.
+    let oversized = [
+        concat!(
+            r#"{"op":"run","id":"big","sizes":{"n":1e11},"program":"main(state float s[n], "#,
+            r#"output float y) { index i[0:n-1]; y = sum[i](s[i]); }"}"#
+        ),
+        concat!(
+            r#"{"op":"run","id":"big","sizes":{"n":1e10},"program":"main(state float s[n][n], "#,
+            r#"output float y) { index i[0:n-1], j[0:n-1]; y = sum[i][j](s[i][j]); }"}"#
+        ),
+    ];
+    for request in &oversized {
+        let resp = engine.handle_line(request);
+        assert_eq!(error_kind(&resp), "execution", "{resp}");
+        assert!(resp.contains("too large to allocate"), "{resp}");
+    }
+    let healthy = engine.handle_line(&run_line("ok", "alice", &[], None, None));
+    assert_eq!(parse(&healthy).get("ok").and_then(Json::as_bool), Some(true), "{healthy}");
+    assert_eq!(engine.worker_panics(), 0);
+    assert!(engine.quarantine().is_empty(), "a valid program must not be quarantined");
 }
 
 #[test]
