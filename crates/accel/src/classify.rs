@@ -69,7 +69,7 @@ pub fn profile(prog: &AccProgram, graph: &SrDfg) -> WorkProfile {
 pub fn classify_node(graph: &SrDfg, node: &Node, p: &mut WorkProfile) {
     if matches!(node.kind, NodeKind::Map(_) | NodeKind::Reduce(_)) {
         for &e in node.inputs.iter().chain(&node.outputs) {
-            p.touched_bytes += graph.edge(e).meta.bytes();
+            p.touched_bytes = p.touched_bytes.saturating_add(graph.edge(e).meta.bytes());
         }
     }
     match &node.kind {

@@ -15,6 +15,7 @@
 //! constant; only the retry count is settable.
 
 use pm_lower::FragmentKind;
+use srdfg::hash::splitmix64;
 use srdfg::Budget;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -104,31 +105,6 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// One observed fault occurrence, as recorded in the run report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Target the fragment was dispatched to.
-    pub target: String,
-    /// Fragment index within its partition's stream.
-    pub fragment: usize,
-    /// Fragment operation name (`load`, `store`, or the compute op).
-    pub op: String,
-    /// 1-based dispatch attempt the fault hit.
-    pub attempt: u32,
-    /// What went wrong.
-    pub kind: FaultKind,
-}
-
-impl fmt::Display for FaultEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: fragment {} (`{}`) attempt {}: {}",
-            self.target, self.fragment, self.op, self.attempt, self.kind
-        )
-    }
-}
-
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -142,14 +118,6 @@ fn fnv64(s: &str) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(PHI);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The deterministic fault injector: a pure function from

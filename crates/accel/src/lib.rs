@@ -34,8 +34,8 @@
 //! The SoC runtime is fault-tolerant (DESIGN.md §10): [`fault`] defines a
 //! typed fault model with a deterministic seed-driven injector, [`error`]
 //! the structured [`SocError`] taxonomy that replaces panics on every
-//! fallible path, and [`runtime`] the checkpoint/replay trajectory loop
-//! with host-fallback re-lowering for downed devices.
+//! fallible path, and [`runtime`] the dispatch-then-execute trajectory
+//! loop with host-fallback re-lowering for downed devices.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -73,7 +73,7 @@ pub use cpu::Cpu;
 pub use deco::Deco;
 pub use dnnweaver::DnnWeaver;
 pub use error::SocError;
-pub use fault::{ChaosConfig, ChaosProfile, FaultEvent, FaultKind, FaultPlan, VirtualClock};
+pub use fault::{ChaosConfig, ChaosProfile, FaultKind, FaultPlan, VirtualClock};
 pub use gpu::Gpu;
 pub use graphicionado::Graphicionado;
 pub use hyperstreams::HyperStreams;

@@ -93,15 +93,6 @@ impl PerfEstimate {
             dma_bytes: self.dma_bytes * times,
         }
     }
-
-    /// Performance-per-watt proxy: inverse energy-delay (1 / (s·J)). Used
-    /// only for ratios, so the absolute unit does not matter.
-    pub fn perf_per_watt(&self) -> f64 {
-        if self.seconds <= 0.0 || self.energy_j <= 0.0 {
-            return 0.0;
-        }
-        1.0 / (self.seconds * (self.energy_j / self.seconds))
-    }
 }
 
 /// Workload-level context a backend may use to refine its estimate.
@@ -178,14 +169,5 @@ mod tests {
         assert_eq!(HwConfig::graphicionado().power_w, 7.0);
         assert_eq!(HwConfig::titan_xp().power_w, 250.0);
         assert_eq!(HwConfig::jetson_xavier().power_w, 30.0);
-    }
-
-    #[test]
-    fn perf_per_watt_ratio_behaviour() {
-        let fast_low_power =
-            PerfEstimate { cycles: 0, seconds: 1e-3, energy_j: 1e-3, dma_bytes: 0 };
-        let slow_high_power =
-            PerfEstimate { cycles: 0, seconds: 1e-2, energy_j: 1.0, dma_bytes: 0 };
-        assert!(fast_low_power.perf_per_watt() > slow_high_power.perf_per_watt());
     }
 }

@@ -9,31 +9,34 @@
 //!   tenant's results are computed on an untouched `Soc` (and chaos state
 //!   is per-request anyway: [`Soc::run_trajectory`] threads the fault
 //!   plan through the call, never through the shard);
-//! * **aggregate accounting** — each shard accumulates a [`ShardStats`]
-//!   ledger of everything it executed, and [`SocPool::report`] folds the
+//! * **aggregate accounting** — each tenant accumulates a [`ShardStats`]
+//!   ledger of everything it was served, and [`SocPool::report`] folds the
 //!   ledgers into the pool-level account the serve stats endpoint and the
 //!   benchmark harness read.
 //!
-//! The pool is passive: it owns the SoCs and the ledgers but no threads.
-//! The serve layer brings its own workers and calls
-//! [`SocPool::shard_for`] → [`SocPool::shard`] → [`SocPool::record`].
+//! The pool is passive: it owns the SoCs, the ledgers and the breakers but
+//! no threads. The serve layer brings its own workers and makes one call
+//! per request, [`SocPool::run`]: route, guard, execute, record.
 
 use crate::breaker::{BreakerBoard, BreakerSnapshot, DEFAULT_COOLDOWN_NS};
-use crate::fault::FaultKind;
-use crate::runtime::TrajectoryOutcome;
+use crate::error::SocError;
+use crate::fault::{ChaosConfig, FaultKind};
+use crate::runtime::{TrajectoryInputs, TrajectoryOutcome};
 use crate::soc::Soc;
-use std::collections::{BTreeMap, BTreeSet};
+use pm_lower::{CompiledProgram, TargetMap};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Per-shard execution ledger (see [`SocPool::report`]).
+/// An execution ledger: one per tenant, and their fold (see
+/// [`SocPool::report`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
-    /// Requests executed on this shard.
+    /// Requests served.
     pub requests: u64,
     /// Program invocations executed (a request may carry many).
     pub invocations: u64,
-    /// Invocations that faulted, rolled back and replayed.
+    /// Invocations whose dispatch saw at least one fault.
     pub replayed_invocations: u64,
     /// Faults injected across all requests.
     pub faults_injected: u64,
@@ -52,8 +55,7 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Folds one trajectory outcome into the ledger.
-    pub fn absorb(&mut self, outcome: &TrajectoryOutcome) {
+    fn absorb(&mut self, outcome: &TrajectoryOutcome) {
         self.requests += 1;
         self.invocations += outcome.invocations;
         self.replayed_invocations += outcome.replayed_invocations;
@@ -80,12 +82,11 @@ impl ShardStats {
     }
 }
 
-/// Pool-level account: the per-shard ledgers plus their fold.
+/// Pool-level account: the per-tenant ledgers plus their fold.
 #[derive(Debug, Clone, Default)]
 pub struct PoolReport {
-    /// One ledger per shard, in shard order.
-    pub shards: Vec<ShardStats>,
-    /// All shard ledgers folded together.
+    /// All tenant ledgers folded together: every served request is
+    /// recorded under exactly one tenant.
     pub total: ShardStats,
     /// Per-tenant ledgers (tenant order), so retry/fallback attribution
     /// survives aggregation and the soak report can prove tenant
@@ -100,12 +101,17 @@ pub struct PoolReport {
 
 /// A fixed set of [`Soc`] shards with tenant-affinity routing and
 /// pool-level accounting. Shareable across threads (`Soc` execution takes
-/// `&self`; ledgers sit behind a [`Mutex`]).
+/// `&self`; ledgers and breakers sit behind a [`Mutex`] each).
 pub struct SocPool {
     shards: Vec<Soc>,
-    ledgers: Mutex<Vec<ShardStats>>,
     tenants: Mutex<BTreeMap<String, ShardStats>>,
     boards: Mutex<Vec<BreakerBoard>>,
+}
+
+/// A poisoned lock still guards consistent data here: every critical
+/// section is a fold that cannot panic halfway.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl std::fmt::Debug for SocPool {
@@ -121,7 +127,6 @@ impl SocPool {
         let n = shards.max(1);
         SocPool {
             shards: (0..n).map(build).collect(),
-            ledgers: Mutex::new(vec![ShardStats::default(); n]),
             tenants: Mutex::new(BTreeMap::new()),
             boards: Mutex::new(vec![BreakerBoard::new(DEFAULT_COOLDOWN_NS); n]),
         }
@@ -152,59 +157,57 @@ impl SocPool {
         &self.shards[shard % self.shards.len()]
     }
 
-    /// Folds a completed request's outcome into `shard`'s ledger.
-    pub fn record(&self, shard: usize, outcome: &TrajectoryOutcome) {
-        let mut ledgers = self.ledgers.lock().unwrap_or_else(|e| e.into_inner());
-        let n = ledgers.len();
-        ledgers[shard % n].absorb(outcome);
-    }
-
     /// Replaces every shard's breaker board with a fresh one cooling down
     /// for `cooldown_ns`. Tests and the soak harness shrink the (virtual)
     /// cool-down so open→half-open→closed cycles happen within a short
     /// deterministic run; calling it mid-flight discards breaker state.
     pub fn set_breaker_cooldown_ns(&self, cooldown_ns: u64) {
-        let mut boards = self.boards.lock().unwrap_or_else(|e| e.into_inner());
-        for b in boards.iter_mut() {
+        for b in lock(&self.boards).iter_mut() {
             *b = BreakerBoard::new(cooldown_ns);
         }
     }
 
-    /// The targets an admitted request on `shard` must steer away from:
-    /// every backend whose breaker is open. The caller merges the set
-    /// into its [`crate::fault::ChaosConfig::force_down`], which routes
-    /// those backends' fragments through the same host-fallback
-    /// re-lowering a mid-run outage uses — outputs stay byte-identical
-    /// to the healthy path.
-    pub fn breaker_guard(&self, shard: usize) -> BTreeSet<String> {
-        let mut boards = self.boards.lock().unwrap_or_else(|e| e.into_inner());
-        let n = boards.len();
-        boards[shard % n].guard()
-    }
-
-    /// Folds a served request into the shard *and* tenant ledgers, and
-    /// drives `shard`'s breakers from the outcome.
+    /// Serves one request of `tenant`: routes it to the tenant's shard,
+    /// steers it away from every backend whose breaker is open, runs the
+    /// trajectory, and records the outcome in the tenant's ledger and the
+    /// shard's breakers — the one place a served request commits.
     ///
-    /// `forced` is the set [`SocPool::breaker_guard`] returned when the
-    /// request was admitted: fallbacks the guard itself forced are *not*
-    /// counted as fresh failures (an open breaker steering traffic must
-    /// not keep itself open), and their targets report no success either
-    /// — only organic dispatches carry breaker information.
-    pub fn record_served(
+    /// Steering adds the open backends to the request's
+    /// [`ChaosConfig::force_down`], the host-fallback re-lowering a
+    /// declared outage takes, so outputs stay byte-identical to the
+    /// healthy path. A fallback the breakers forced is not a fresh failure
+    /// (an open breaker steering traffic must not keep itself open), and
+    /// its target reports no success either: only organic dispatches carry
+    /// breaker information.
+    ///
+    /// Returns the outcome, the shard that served it, and how many targets
+    /// the breakers steered it away from.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Soc::run_trajectory`] returns; a failed request is not
+    /// recorded.
+    pub fn run(
         &self,
-        shard: usize,
         tenant: &str,
-        outcome: &TrajectoryOutcome,
-        forced: &BTreeSet<String>,
-    ) {
-        self.record(shard, outcome);
-        {
-            let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
-            tenants.entry(tenant.to_string()).or_default().absorb(outcome);
-        }
-        let mut boards = self.boards.lock().unwrap_or_else(|e| e.into_inner());
-        let n = boards.len();
-        let board = &mut boards[shard % n];
+        compiled: &CompiledProgram,
+        mut chaos: ChaosConfig,
+        targets: &TargetMap,
+        inputs: &TrajectoryInputs<'_>,
+    ) -> Result<(TrajectoryOutcome, usize, usize), SocError> {
+        let shard = self.shard_for(tenant);
+        let forced = lock(&self.boards)[shard].guard();
+        chaos.force_down.extend(forced.iter().cloned());
+        let outcome = self.shards[shard].run_trajectory(
+            compiled,
+            &HashMap::new(),
+            &chaos,
+            Some(targets),
+            inputs,
+        )?;
+        lock(&self.tenants).entry(tenant.to_string()).or_default().absorb(&outcome);
+        let mut boards = lock(&self.boards);
+        let board = &mut boards[shard];
         board.advance(outcome.virtual_ns.max(1));
         for f in &outcome.fallbacks {
             if !forced.contains(&f.target) {
@@ -218,30 +221,18 @@ impl SocPool {
                 board.on_success(&p.target);
             }
         }
+        Ok((outcome, shard, forced.len()))
     }
 
-    /// Snapshot of every shard ledger plus the pool-level fold, tenant
-    /// attribution, and breaker states.
+    /// Snapshot of every tenant ledger, their fold, and breaker states.
     pub fn report(&self) -> PoolReport {
-        let shards = self.ledgers.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let tenants: Vec<_> =
+            lock(&self.tenants).iter().map(|(name, stats)| (name.clone(), *stats)).collect();
         let mut total = ShardStats::default();
-        for s in &shards {
+        for (_, s) in &tenants {
             total.merge(s);
         }
-        let tenants = self
-            .tenants
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(name, stats)| (name.clone(), *stats))
-            .collect();
-        let breakers = self
-            .boards
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(BreakerBoard::snapshot)
-            .collect();
+        let breakers = lock(&self.boards).iter().map(BreakerBoard::snapshot).collect();
         let mut price_memo = srdfg::CacheStats::default();
         for s in self.shards.iter().map(Soc::price_stats) {
             price_memo.hits += s.hits;
@@ -253,7 +244,7 @@ impl SocPool {
             price_memo.capacity_units += s.capacity_units;
             price_memo.bypassed += s.bypassed;
         }
-        PoolReport { shards, total, tenants, breakers, price_memo }
+        PoolReport { total, tenants, breakers, price_memo }
     }
 }
 
@@ -261,20 +252,20 @@ impl SocPool {
 mod tests {
     use super::*;
     use crate::backend::Backend as _;
-    use crate::fault::ChaosConfig;
-    use crate::runtime::TrajectoryInputs;
-    use pm_lower::{compile_program, lower, TargetMap};
+    use crate::tabla::Tabla;
+    use pm_lower::{compile_program, lower};
     use srdfg::Tensor;
-    use std::collections::HashMap;
 
-    fn host_compiled() -> (pm_lower::CompiledProgram, TargetMap) {
+    /// A DA reduction compiled for TABLA, so a shard has a breaker to trip.
+    fn tabla_compiled() -> (CompiledProgram, TargetMap) {
         let src = "main(input float x[4], output float y) {
              index i[0:3];
-             y = sum[i](x[i]*x[i]);
+             DA: y = sum[i](x[i]*x[i]);
          }";
         let prog = pmlang::parse(src).unwrap();
         let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
-        let targets = TargetMap::host_only(crate::cpu::Cpu::default().accel_spec());
+        let mut targets = TargetMap::host_only(crate::cpu::Cpu::default().accel_spec());
+        targets.set(Tabla::default().accel_spec());
         lower(&mut g, &targets).unwrap();
         (compile_program(&g, &targets).unwrap(), targets)
     }
@@ -300,34 +291,48 @@ mod tests {
 
     #[test]
     fn ledgers_aggregate_across_shards() {
-        let pool = SocPool::new(2, |_| Soc::new());
-        let (compiled, targets) = host_compiled();
+        let pool = SocPool::new(2, |_| Soc::with(vec![Box::new(Tabla::default())]));
+        let (compiled, targets) = tabla_compiled();
         let feeds = HashMap::from([(
             "x".to_string(),
             Tensor::from_vec(pmlang::DType::Float, vec![4], vec![1.0, 2.0, 3.0, 4.0]).unwrap(),
         )]);
         let inputs = TrajectoryInputs { feeds: &feeds, state_seeds: &[], invocations: 3 };
-        for shard in [0usize, 0, 1] {
-            let out = pool
-                .shard(shard)
-                .run_trajectory(
-                    &compiled,
-                    &HashMap::new(),
-                    &ChaosConfig::off(),
-                    Some(&targets),
-                    &inputs,
-                )
-                .unwrap();
-            pool.record(shard, &out);
-        }
+        let run = |tenant: &str, chaos: ChaosConfig| {
+            pool.run(tenant, &compiled, chaos, &targets, &inputs).unwrap()
+        };
+        let alice = "alice";
+        let bob = ["bob", "carol", "dave", "erin"]
+            .into_iter()
+            .find(|t| pool.shard_for(t) != pool.shard_for(alice))
+            .unwrap();
+
+        let (healthy, shard, steered) = run(alice, ChaosConfig::off());
+        assert_eq!((shard, steered), (pool.shard_for(alice), 0));
+        // A declared outage trips the TABLA breaker of alice's shard, so
+        // her next request is steered onto the host, with the same outputs.
+        let (outage, _, _) = run(alice, ChaosConfig::off().with_down("TABLA"));
+        assert_eq!(outage.fallbacks.len(), 1);
+        let (steered_run, _, steered) = run(alice, ChaosConfig::off());
+        assert_eq!(steered, 1);
+        assert_eq!(steered_run.outputs, healthy.outputs);
+        // The other shard's breakers never saw the outage.
+        let (_, bob_shard, bob_steered) = run(bob, ChaosConfig::off());
+        assert_eq!((bob_shard, bob_steered), (pool.shard_for(bob), 0));
+
         let report = pool.report();
-        assert_eq!(report.shards.len(), 2);
-        assert_eq!(report.shards[0].requests, 2);
-        assert_eq!(report.shards[1].requests, 1);
-        assert_eq!(report.total.requests, 3);
-        assert_eq!(report.total.invocations, 9);
+        let ledger = |t: &str| report.tenants.iter().find(|(n, _)| n == t).unwrap().1;
+        assert_eq!((ledger(alice).requests, ledger(alice).fallbacks), (3, 2));
+        assert_eq!((ledger(bob).requests, ledger(bob).fallbacks), (1, 0));
+        assert_eq!(report.total.requests, 4);
+        assert_eq!(report.total.invocations, 12);
+        assert_eq!(report.total.fallbacks, 2);
         assert_eq!(report.total.faults_injected, 0);
+        assert_eq!(report.total.seconds, ledger(alice).seconds + ledger(bob).seconds);
+        assert_eq!(report.total.energy_j, ledger(alice).energy_j + ledger(bob).energy_j);
         assert!(report.total.seconds > 0.0);
-        assert!(report.total.energy_j > 0.0);
+        let tabla = &report.breakers[shard][0];
+        assert_eq!((tabla.target.as_str(), tabla.trips, tabla.steered), ("TABLA", 1, 1));
+        assert!(report.breakers[bob_shard].is_empty());
     }
 }

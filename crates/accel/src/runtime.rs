@@ -1,22 +1,20 @@
 //! Resilient multi-invocation execution on the SoC.
 //!
 //! [`Soc::run_trajectory`] drives a compiled program through a sequence of
-//! invocations the way the host manager would: before each invocation it
-//! *checkpoints every state edge at the domain boundary* (the `state`
-//! modifier marks exactly the data that persists across invocations —
-//! paper §II.A), dispatches the schedule under fault injection, and, when
-//! faults hit, discards the faulted invocation's partial effects by
-//! restoring the checkpoint and replaying the invocation on the repaired
-//! schedule. Persistent outages re-lower the downed device's fragments
-//! onto the host mid-trajectory; the checkpoint carries the live state
-//! tensors onto the re-lowered graph, so degradation never loses model
-//! state.
+//! invocations the way the host manager would: each invocation is first
+//! *dispatched* — priced, fault-injected, retried, and re-lowered onto the
+//! host when a device goes down — and then *executed* once by the
+//! interpreter. The two never touch each other's state: a fault costs
+//! virtual time and retries, never a value, so there is nothing to roll
+//! back. When a persistent outage re-lowers the program mid-trajectory,
+//! the live `state` tensors (the data that persists across invocations —
+//! paper §II.A) move onto the re-lowered graph's machine, so degradation
+//! never loses model state.
 //!
 //! Because fault draws are deterministic per `(seed, invocation)` and the
 //! re-lowered graph computes node-for-node identical values, a chaos
 //! trajectory's outputs are *bit-identical* to the fault-free run — the
-//! property the checkpoint/replay determinism test and the fuzz chaos
-//! route pin down.
+//! property the trajectory tests and the fuzz chaos route pin down.
 
 use crate::error::SocError;
 use crate::fault::ChaosConfig;
@@ -24,7 +22,7 @@ use crate::model::{PerfEstimate, WorkloadHints};
 use crate::soc::{ChaosOutcome, FallbackRecord, Soc, SocReport};
 use pm_lower::{CompiledProgram, TargetMap};
 use pmlang::Domain;
-use srdfg::{ExecError, Machine, SrDfg, Tensor};
+use srdfg::{Machine, SrDfg, Tensor};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -50,11 +48,8 @@ pub struct TrajectoryOutcome {
     pub total: PerfEstimate,
     /// Invocations executed.
     pub invocations: u64,
-    /// Invocations that faulted, were rolled back to their checkpoint and
-    /// replayed.
+    /// Invocations whose dispatch saw at least one fault.
     pub replayed_invocations: u64,
-    /// State-edge checkpoints taken (one per invocation).
-    pub checkpoints: u64,
     /// Total faults injected across the trajectory.
     pub faults_injected: u64,
     /// Total retry dispatches across the trajectory.
@@ -68,39 +63,23 @@ pub struct TrajectoryOutcome {
     pub fallbacks: Vec<FallbackRecord>,
 }
 
-/// The effective pre-invocation value of every state edge: the live
-/// tensor when one exists, else the zero tensor the interpreter would
-/// fabricate. Capturing zeros explicitly makes restore-after-rollback
-/// correct even before the first invocation has populated the state map.
-/// Fails, rather than aborting, when a declared state shape is too large
-/// to allocate.
-fn checkpoint_states(machine: &Machine) -> Result<Vec<(String, Tensor)>, ExecError> {
-    let graph: &SrDfg = machine.graph();
-    graph
-        .boundary_inputs
-        .iter()
-        .filter(|&&e| graph.edge(e).meta.modifier == srdfg::Modifier::State)
-        .map(|&e| {
-            let meta = &graph.edge(e).meta;
-            let value = match machine.state(&meta.name) {
-                Some(live) => live.clone(),
-                None => Tensor::try_zeros(meta.dtype, meta.shape.clone())?,
-            };
-            Ok((meta.name.clone(), value))
-        })
-        .collect()
-}
-
-fn restore_states(machine: &mut Machine, checkpoint: &[(String, Tensor)]) {
-    for (name, value) in checkpoint {
-        machine.set_state(name, value.clone());
+/// A machine for `graph` holding `machine`'s live state: what execution
+/// moves onto when a relowering replaces the program mid-trajectory. A
+/// state never set stays unset, and the interpreter zero-fills it.
+fn carry_state(machine: &Machine, graph: Arc<SrDfg>) -> Machine {
+    let mut next = Machine::new(graph);
+    let old = machine.graph();
+    for name in old.boundary_inputs.iter().map(|&e| &old.edge(e).meta.name) {
+        if let Some(live) = machine.state(name) {
+            next.set_state(name, live.clone());
+        }
     }
+    next
 }
 
 impl Soc {
     /// Runs `inputs.invocations` invocations of `compiled` under the given
-    /// chaos configuration, with state-edge checkpointing and
-    /// deterministic replay of faulted invocations.
+    /// chaos configuration: each is dispatched, then executed once.
     ///
     /// `targets` enables host-fallback re-lowering when a device goes
     /// down; with `None`, persistent faults surface as structured errors.
@@ -129,7 +108,6 @@ impl Soc {
         let mut last: Option<SocReport> = None;
         let mut total = PerfEstimate::default();
         let mut replayed = 0u64;
-        let mut checkpoints = 0u64;
         let mut faults_injected = 0u64;
         let mut retries = 0u64;
         let mut retried_dma_bytes = 0u64;
@@ -138,37 +116,17 @@ impl Soc {
 
         for k in 0..invocations {
             cfg.budget.charge("invoke", 1).map_err(SocError::BudgetExhausted)?;
-            let exec_err =
-                |e: ExecError| SocError::Execution { invocation: k, detail: e.to_string() };
-            // Checkpoint the state edges at the domain boundary before
-            // dispatching, so a faulted invocation can be rolled back and
-            // replayed deterministically.
-            let checkpoint = checkpoint_states(&machine).map_err(exec_err)?;
-            checkpoints += 1;
-
-            let inv_cfg = cfg.for_invocation(k);
             let prog = current.as_ref().unwrap_or(compiled);
             let ChaosOutcome { report, relowered } =
-                self.run_chaos(prog, hints, &inv_cfg, targets)?;
-
+                self.run_chaos(prog, hints, &cfg.for_invocation(k), targets)?;
             if let Some(re) = relowered {
-                // A device went down mid-trajectory: move execution onto
-                // the re-lowered graph, carrying the checkpointed state
-                // across the substitution.
-                machine = Machine::new(Arc::clone(&re.graph));
-                restore_states(&mut machine, &checkpoint);
+                machine = carry_state(&machine, Arc::clone(&re.graph));
                 current = Some(re);
             }
-
-            if report.faults_injected > 0 {
-                // The faulted dispatch's partial effects are discarded:
-                // run the doomed invocation, roll its state back to the
-                // checkpoint, and replay it clean.
-                let _ = machine.invoke(inputs.feeds).map_err(exec_err)?;
-                restore_states(&mut machine, &checkpoint);
-                replayed += 1;
-            }
-            outputs = machine.invoke(inputs.feeds).map_err(exec_err)?;
+            replayed += u64::from(report.faults_injected > 0);
+            outputs = machine
+                .invoke(inputs.feeds)
+                .map_err(|e| SocError::Execution { invocation: k, detail: e.to_string() })?;
 
             total = total.then(&report.total);
             faults_injected += report.faults_injected;
@@ -193,7 +151,6 @@ impl Soc {
             total,
             invocations,
             replayed_invocations: replayed,
-            checkpoints,
             faults_injected,
             retries,
             retried_dma_bytes,
@@ -266,7 +223,6 @@ mod tests {
     fn checkpoint_replay_keeps_chaos_outputs_identical_to_clean_run() {
         let clean = run_with(&ChaosConfig::off());
         assert_eq!(clean.replayed_invocations, 0);
-        assert_eq!(clean.checkpoints, 4);
 
         // Find a transient seed that actually faults, then require the
         // replayed trajectory to match the clean one bit-for-bit.

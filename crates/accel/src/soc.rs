@@ -25,8 +25,7 @@ use crate::backend::{Backend, DmaModel};
 use crate::cpu::Cpu;
 use crate::error::SocError;
 use crate::fault::{
-    backoff_delay_ns, ChaosConfig, ChaosProfile, FaultEvent, FaultKind, VirtualClock,
-    FRAGMENT_DEADLINE_NS,
+    backoff_delay_ns, ChaosConfig, ChaosProfile, FaultKind, VirtualClock, FRAGMENT_DEADLINE_NS,
 };
 use crate::model::{PerfEstimate, WorkloadHints};
 use pm_lower::{AccProgram, CompiledProgram, FragmentKind, TargetMap};
@@ -43,9 +42,6 @@ const DISPATCH_NS: u64 = 2_000;
 /// on bookkeeping, not on memory that matters; it sits above the few
 /// hundred programs a serving process keeps resident.
 const PRICE_MEMO_ENTRIES: usize = 1024;
-/// Fault events recorded verbatim per partition; beyond this only the
-/// counters grow (`faults_seen` stays exact).
-const MAX_RECORDED_FAULTS: usize = 32;
 
 /// Per-partition result within a SoC run.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,11 +60,8 @@ pub struct PartitionReport {
     pub attempts: u64,
     /// Dispatches beyond the first attempt of each fragment.
     pub retries: u64,
-    /// Faults injected into this partition (exact count; `faults` below
-    /// records at most the first [`MAX_RECORDED_FAULTS`] verbatim).
+    /// Faults injected into this partition.
     pub faults_seen: u64,
-    /// The recorded fault events.
-    pub faults: Vec<FaultEvent>,
     /// DMA bytes re-transferred after corruption/truncation faults.
     pub retried_dma_bytes: u64,
     /// Virtual time the manager spent dispatching this partition
@@ -130,79 +123,24 @@ pub struct ChaosOutcome {
     pub relowered: Option<CompiledProgram>,
 }
 
-/// A fragment that exhausted its retry/deadline budget (internal).
-#[derive(Debug, Clone)]
-struct DownInfo {
-    target: String,
-    fragment: usize,
-    op: String,
-    attempts: u32,
-    fault: FaultKind,
-    spent_ns: u64,
+/// A partition abandoned because a fragment exhausted its retry or
+/// deadline budget (internal): the record the report keeps, and which of
+/// the two budgets ran out.
+struct Outage {
+    record: FallbackRecord,
     budget_exceeded: bool,
-    /// Counters from the aborted partition, carried into the final report.
-    faults_seen: u64,
-    retries: u64,
-    retried_dma_bytes: u64,
 }
 
-impl DownInfo {
-    fn record(&self) -> FallbackRecord {
-        FallbackRecord {
-            target: self.target.clone(),
-            fault: self.fault,
-            fragment: self.fragment,
-            op: self.op.clone(),
-            attempts: self.attempts,
-        }
-    }
-
-    fn as_error(&self, budget_ns: u64) -> SocError {
+impl Outage {
+    /// The error the outage is when there is no target map to re-lower
+    /// with; `spent_ns` is the abandoned partition's virtual time.
+    fn error(&self, spent_ns: u64, budget_ns: u64) -> SocError {
+        let FallbackRecord { target, fault, fragment, op, attempts } = self.record.clone();
         if self.budget_exceeded {
-            SocError::DeadlineExceeded {
-                target: self.target.clone(),
-                fragment: self.fragment,
-                op: self.op.clone(),
-                budget_ns,
-                spent_ns: self.spent_ns,
-            }
+            SocError::DeadlineExceeded { target, fragment, op, budget_ns, spent_ns }
         } else {
-            SocError::RetriesExhausted {
-                target: self.target.clone(),
-                fragment: self.fragment,
-                op: self.op.clone(),
-                attempts: self.attempts,
-                fault: self.fault,
-            }
+            SocError::RetriesExhausted { target, fragment, op, attempts, fault }
         }
-    }
-}
-
-enum PartSim {
-    Done(PartitionReport),
-    Down(DownInfo),
-}
-
-enum Round {
-    Done(Vec<PartitionReport>),
-    Downs(Vec<DownInfo>),
-}
-
-/// Counters carried across fallback rounds (internal).
-#[derive(Debug, Clone, Copy, Default)]
-struct Carry {
-    faults_seen: u64,
-    retries: u64,
-    retried_dma_bytes: u64,
-    virtual_ns: u64,
-}
-
-impl Carry {
-    fn absorb(&mut self, info: &DownInfo) {
-        self.faults_seen += info.faults_seen;
-        self.retries += info.retries;
-        self.retried_dma_bytes += info.retried_dma_bytes;
-        self.virtual_ns += info.spent_ns;
     }
 }
 
@@ -406,7 +344,7 @@ impl Soc {
         compiled: &CompiledProgram,
         hints: &HashMap<Option<Domain>, WorkloadHints>,
     ) -> Result<SocReport, SocError> {
-        self.run_plain(compiled, hints, false)
+        Ok(self.dispatch(compiled, hints, false, &ChaosConfig::off(), None)?.report)
     }
 
     /// Like [`Soc::run`] but pricing each accelerated partition at its
@@ -422,25 +360,7 @@ impl Soc {
         compiled: &CompiledProgram,
         hints: &HashMap<Option<Domain>, WorkloadHints>,
     ) -> Result<SocReport, SocError> {
-        self.run_plain(compiled, hints, true)
-    }
-
-    fn run_plain(
-        &self,
-        compiled: &CompiledProgram,
-        hints: &HashMap<Option<Domain>, WorkloadHints>,
-        expert: bool,
-    ) -> Result<SocReport, SocError> {
-        match self.dispatch(compiled, hints, expert, &ChaosConfig::off())? {
-            Round::Done(parts) => {
-                Ok(Self::assemble(parts, ChaosProfile::Off, 0, Vec::new(), Carry::default()))
-            }
-            // Unreachable by construction — the off plan injects nothing —
-            // but surfaced as an error rather than a panic.
-            Round::Downs(_) => Err(SocError::Relower {
-                detail: "device marked down under the off chaos profile (internal error)".into(),
-            }),
-        }
+        Ok(self.dispatch(compiled, hints, true, &ChaosConfig::off(), None)?.report)
     }
 
     /// Runs one invocation under fault injection with host-fallback
@@ -470,9 +390,27 @@ impl Soc {
         cfg: &ChaosConfig,
         targets: Option<&TargetMap>,
     ) -> Result<ChaosOutcome, SocError> {
+        self.dispatch(compiled, hints, false, cfg, targets)
+    }
+
+    /// The host manager's one dispatch loop, behind [`Soc::run`],
+    /// [`Soc::run_expert`] and [`Soc::run_chaos`]: sweep every partition
+    /// in order (the host manager runs data-dependent kernels one after
+    /// another); if any was abandoned, re-lower its target away and sweep
+    /// again. The first error in partition order ends the run.
+    fn dispatch(
+        &self,
+        compiled: &CompiledProgram,
+        hints: &HashMap<Option<Domain>, WorkloadHints>,
+        expert: bool,
+        cfg: &ChaosConfig,
+        targets: Option<&TargetMap>,
+    ) -> Result<ChaosOutcome, SocError> {
         let mut down: Vec<String> = Vec::new();
         let mut fallbacks: Vec<FallbackRecord> = Vec::new();
-        let mut carry = Carry::default();
+        // Partitions given up on in earlier rounds: their faults, retries
+        // and virtual time count; their prices do not.
+        let mut abandoned: Vec<PartitionReport> = Vec::new();
 
         // Persistent outages known before dispatch: forced downs and the
         // hostile profile's device-down draw. Only targets the program
@@ -505,32 +443,28 @@ impl Soc {
         for _ in 0..=self.backends.len() + 1 {
             cfg.budget.charge("dispatch", 1).map_err(SocError::BudgetExhausted)?;
             let prog = relowered.as_ref().unwrap_or(compiled);
-            match self.dispatch(prog, hints, false, cfg)? {
-                Round::Done(parts) => {
-                    let report = Self::assemble(
-                        parts,
-                        cfg.plan.profile(),
-                        cfg.plan.seed(),
-                        fallbacks,
-                        carry,
-                    );
-                    return Ok(ChaosOutcome { report, relowered });
-                }
-                Round::Downs(infos) => {
-                    let fail = infos
-                        .first()
-                        .map(|i| i.as_error(cfg.fragment_budget_ns()))
-                        .unwrap_or(SocError::Relower { detail: "empty down set".into() });
-                    for info in infos {
-                        carry.absorb(&info);
-                        if !down.contains(&info.target) {
-                            down.push(info.target.clone());
-                        }
-                        fallbacks.push(info.record());
-                    }
-                    relowered = Some(self.relower_or(compiled, targets, &down, fail)?);
+            let mut parts = Vec::with_capacity(prog.partitions.len());
+            let mut outages = Vec::new();
+            for index in 0..prog.partitions.len() {
+                match self.simulate_partition(index, prog, hints, expert, cfg)? {
+                    (report, None) => parts.push(report),
+                    (report, Some(outage)) => outages.push((report, outage)),
                 }
             }
+            let Some((first, outage)) = outages.first() else {
+                let (profile, seed) = (cfg.plan.profile(), cfg.plan.seed());
+                let report = Self::assemble(parts, &abandoned, profile, seed, fallbacks);
+                return Ok(ChaosOutcome { report, relowered });
+            };
+            let fail = outage.error(first.virtual_ns, cfg.fragment_budget_ns());
+            for (report, outage) in outages {
+                if !down.contains(&outage.record.target) {
+                    down.push(outage.record.target.clone());
+                }
+                fallbacks.push(outage.record);
+                abandoned.push(report);
+            }
+            relowered = Some(self.relower_or(compiled, targets, &down, fail)?);
         }
         Err(SocError::Relower { detail: "host-fallback loop did not converge".to_string() })
     }
@@ -551,20 +485,20 @@ impl Soc {
 
     fn assemble(
         partitions: Vec<PartitionReport>,
+        abandoned: &[PartitionReport],
         profile: ChaosProfile,
         chaos_seed: u64,
         fallbacks: Vec<FallbackRecord>,
-        carry: Carry,
     ) -> SocReport {
         let mut total = PerfEstimate::default();
         let mut dma_seconds = 0.0f64;
-        let mut faults_injected = carry.faults_seen;
-        let mut retries = carry.retries;
-        let mut retried_dma_bytes = carry.retried_dma_bytes;
-        let mut virtual_ns = carry.virtual_ns;
         for report in &partitions {
             total = total.then(&report.compute).then(&report.dma);
             dma_seconds += report.dma.seconds;
+        }
+        let (mut faults_injected, mut retries, mut retried_dma_bytes) = (0, 0, 0);
+        let mut virtual_ns = 0u64;
+        for report in abandoned.iter().chain(&partitions) {
             faults_injected += report.faults_seen;
             retries += report.retries;
             retried_dma_bytes += report.retried_dma_bytes;
@@ -582,32 +516,6 @@ impl Soc {
             retried_dma_bytes,
             virtual_ns,
             fallbacks,
-        }
-    }
-
-    /// Simulates every partition of one dispatch schedule, in partition
-    /// order (the host manager runs data-dependent kernels one after
-    /// another). Every `Down` of the round is collected before the caller
-    /// folds them; the first error in partition order ends the round.
-    fn dispatch(
-        &self,
-        compiled: &CompiledProgram,
-        hints: &HashMap<Option<Domain>, WorkloadHints>,
-        expert: bool,
-        cfg: &ChaosConfig,
-    ) -> Result<Round, SocError> {
-        let mut parts = Vec::with_capacity(compiled.partitions.len());
-        let mut downs = Vec::new();
-        for index in 0..compiled.partitions.len() {
-            match self.simulate_partition(index, compiled, hints, expert, cfg)? {
-                PartSim::Done(p) => parts.push(p),
-                PartSim::Down(info) => downs.push(info),
-            }
-        }
-        if downs.is_empty() {
-            Ok(Round::Done(parts))
-        } else {
-            Ok(Round::Downs(downs))
         }
     }
 
@@ -658,6 +566,10 @@ impl Soc {
         Ok(compute)
     }
 
+    /// Prices partition `index` and dispatches its fragments under `cfg`'s
+    /// fault plan. The outage, when there is one, names the fragment that
+    /// exhausted its budget; the report then accounts the partition up to
+    /// that point.
     fn simulate_partition(
         &self,
         index: usize,
@@ -665,7 +577,7 @@ impl Soc {
         hints: &HashMap<Option<Domain>, WorkloadHints>,
         expert: bool,
         cfg: &ChaosConfig,
-    ) -> Result<PartSim, SocError> {
+    ) -> Result<(PartitionReport, Option<Outage>), SocError> {
         let part = &compiled.partitions[index];
         let default_hints = WorkloadHints::default();
         let h = hints.get(&part.domain).unwrap_or(&default_hints);
@@ -688,7 +600,6 @@ impl Soc {
             attempts: 0,
             retries: 0,
             faults_seen: 0,
-            faults: Vec::new(),
             retried_dma_bytes: 0,
             virtual_ns: 0,
         };
@@ -696,7 +607,7 @@ impl Soc {
         // partition runs on an accelerator (host-resident data needs no
         // DMA, and the host manager does not dispatch to itself).
         let Some(backend) = backend else {
-            return Ok(PartSim::Done(r));
+            return Ok((r, None));
         };
         let mut clock = VirtualClock::new();
         for (idx, frag) in part.fragments.iter().enumerate() {
@@ -742,15 +653,6 @@ impl Soc {
                     break;
                 };
                 r.faults_seen += 1;
-                if r.faults.len() < MAX_RECORDED_FAULTS {
-                    r.faults.push(FaultEvent {
-                        target: part.target.clone(),
-                        fragment: idx,
-                        op: frag.op(&compiled.graph).to_string(),
-                        attempt,
-                        kind,
-                    });
-                }
                 let cost = match kind {
                     FaultKind::FragmentStall => FRAGMENT_DEADLINE_NS,
                     _ => transfer_ns,
@@ -760,18 +662,15 @@ impl Soc {
                 let budget_exceeded = spent > cfg.fragment_budget_ns();
                 if !kind.retryable() || attempt > cfg.max_retries || budget_exceeded {
                     r.virtual_ns = clock.now_ns();
-                    return Ok(PartSim::Down(DownInfo {
+                    let record = FallbackRecord {
                         target: part.target.clone(),
+                        fault: kind,
                         fragment: idx,
                         op: frag.op(&compiled.graph).to_string(),
                         attempts: attempt,
-                        fault: kind,
-                        spent_ns: clock.now_ns(),
-                        budget_exceeded: budget_exceeded && kind.retryable(),
-                        faults_seen: r.faults_seen,
-                        retries: r.retries,
-                        retried_dma_bytes: r.retried_dma_bytes,
-                    }));
+                    };
+                    let budget_exceeded = budget_exceeded && kind.retryable();
+                    return Ok((r, Some(Outage { record, budget_exceeded })));
                 }
                 // A corrupted or truncated transfer is re-issued in full:
                 // the retry pays the DMA cost again.
@@ -791,7 +690,7 @@ impl Soc {
             }
         }
         r.virtual_ns = clock.now_ns();
-        Ok(PartSim::Done(r))
+        Ok((r, None))
     }
 }
 

@@ -59,8 +59,8 @@
 //!     `--iters`, invokes repeatedly so `state` evolves (`--iters 0` runs
 //!     once, like `Soc::run_trajectory`). Every run goes through the
 //!     resilient SoC runtime; the chaos flags turn on its
-//!     deterministic fault injection (retry/backoff, checkpoint/replay,
-//!     host-fallback re-lowering on persistent outages); `--chaos-seed`
+//!     deterministic fault injection (retry/backoff, host-fallback
+//!     re-lowering on persistent outages); `--chaos-seed`
 //!     alone implies the transient profile, and `--chaos-profile off`
 //!     output is byte-identical to a run without chaos flags. With
 //!     `--format json` the chaos run prints a single JSON report
@@ -746,7 +746,7 @@ fn chaos_json(cfg: &pm_accel::ChaosConfig, outcome: &pm_accel::TrajectoryOutcome
         .collect();
     format!(
         "{{\"profile\":{},\"seed\":{},\"max_retries\":{},\"invocations\":{},\
-         \"replayed_invocations\":{},\"checkpoints\":{},\"faults_injected\":{},\"retries\":{},\
+         \"replayed_invocations\":{},\"faults_injected\":{},\"retries\":{},\
          \"retried_dma_bytes\":{},\"virtual_ns\":{},\"fallbacks\":[{}],\"partitions\":[{}],\
          \"outputs\":{{{}}}}}",
         json_str(&cfg.plan.profile().to_string()),
@@ -754,7 +754,6 @@ fn chaos_json(cfg: &pm_accel::ChaosConfig, outcome: &pm_accel::TrajectoryOutcome
         cfg.max_retries,
         outcome.invocations,
         outcome.replayed_invocations,
-        outcome.checkpoints,
         outcome.faults_injected,
         outcome.retries,
         outcome.retried_dma_bytes,

@@ -9,10 +9,11 @@
 //! ([`pm_accel::SocPool`]) with per-tenant shard affinity. Three layers:
 //!
 //! * [`ServeEngine`] — stateless-per-request processing: parse → compile
-//!   (cached) → route to the tenant's shard → `run_trajectory` → render
-//!   the response. Shared across worker threads behind an `Arc`; every
-//!   piece of shared state (template cache, program cache, pool ledgers)
-//!   is internally synchronized.
+//!   (cached) → [`pm_accel::SocPool::run`] (route to the tenant's shard,
+//!   steer, run the trajectory, record) → render the response. Shared
+//!   across worker threads behind an `Arc`; every piece of shared state
+//!   (template cache, program cache, pool ledgers) is internally
+//!   synchronized.
 //! * [`ServeServer`] — admission control: a bounded queue plus a
 //!   hand-rolled worker thread pool (no async runtime dependency) — the
 //!   only threads the stack creates. A full queue rejects
@@ -640,7 +641,7 @@ impl ServeEngine {
 
     /// Counts a panic the worker-level backstop caught (outside the
     /// engine's own isolation region).
-    pub fn note_worker_panic(&self) {
+    fn note_worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -726,38 +727,21 @@ impl ServeEngine {
                 )),
                 other => ServeError::Compile(other.to_string()),
             })?;
-        let shard = self.pool.shard_for(&req.tenant);
-        // Steer away from open breakers through the same force-down path
-        // a declared outage uses: fragments re-lower onto the host, so
-        // outputs stay byte-identical to the healthy path.
-        let forced = self.pool.breaker_guard(shard);
-        let mut chaos = req.chaos.clone();
-        chaos.budget = budget.clone();
-        for t in &forced {
-            chaos.force_down.insert(t.clone());
-        }
+        let chaos = req.chaos.clone().with_budget(budget);
         let inputs = TrajectoryInputs {
             feeds: &req.feeds,
             state_seeds: &req.state,
             invocations: req.invocations,
         };
         let t = Instant::now();
-        let outcome = self
+        let (outcome, shard, steered) = self
             .pool
-            .shard(shard)
-            .run_trajectory(
-                &cc.program,
-                &HashMap::new(),
-                &chaos,
-                Some(self.compiler.targets()),
-                &inputs,
-            )
+            .run(&req.tenant, &cc.program, chaos, self.compiler.targets(), &inputs)
             .map_err(|e| match e {
                 SocError::BudgetExhausted(b) => ServeError::DeadlineExceeded(b.to_string()),
                 other => ServeError::Execution(other.to_string()),
             })?;
         let execute_us = t.elapsed().as_micros() as f64;
-        self.pool.record_served(shard, &req.tenant, &outcome, &forced);
 
         let mut names: Vec<&String> = outcome.outputs.keys().collect();
         names.sort();
@@ -779,7 +763,7 @@ impl ServeEngine {
             ("faults_injected".into(), Json::Num(outcome.faults_injected as f64)),
             ("retries".into(), Json::Num(outcome.retries as f64)),
             ("fallbacks".into(), Json::Num(outcome.fallbacks.len() as f64)),
-            ("breaker_steered".into(), Json::Num(forced.len() as f64)),
+            ("breaker_steered".into(), Json::Num(steered as f64)),
             ("virtual_ns".into(), Json::Num(outcome.virtual_ns as f64)),
         ];
         if req.timings {
@@ -1285,6 +1269,12 @@ mod tests {
             (r#"{"op":"run","id":"x","program":"p","sizes":{"n":-1e19}}"#, "bad_request"),
             (
                 r#"{"op":"run","id":"x","program":"p","chaos":{"max_retries":4294967297}}"#,
+                "bad_request",
+            ),
+            // 2^32 × 2^32 elements: the count overflows, it does not wrap
+            // to an empty tensor.
+            (
+                r#"{"op":"run","id":"x","program":"p","feeds":{"x":{"dims":[4294967296,4294967296],"values":[]}}}"#,
                 "bad_request",
             ),
         ] {

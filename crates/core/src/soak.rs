@@ -124,19 +124,6 @@ impl SoakReport {
     }
 }
 
-/// The splitmix64 stream the workload is drawn from.
-struct SoakRng(u64);
-
-impl SoakRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 /// Single-line program variants (single-line so the JSON escaping path
 /// stays boring). All take `x[4]` and produce scalar `y`, so one feed
 /// shape serves every variant while still exercising distinct
@@ -230,12 +217,13 @@ fn run_request_line(spec: &RunSpec) -> String {
 /// carries an already-expired deadline; request 9 always carries starving
 /// fuel. Everything else is drawn from the seed stream.
 fn generate(cfg: &SoakConfig) -> Vec<SoakRequest> {
-    let mut rng = SoakRng(cfg.seed);
     let n = cfg.requests.max(12);
     let tenants = cfg.tenants.max(1);
     (0..n)
         .map(|i| {
-            let draw = rng.next();
+            // Step `i` of the splitmix64 stream seeded with `cfg.seed`.
+            let step = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let draw = srdfg::hash::splitmix64(cfg.seed.wrapping_add(step));
             let tenant = format!("t{}", draw % tenants as u64);
             let id = format!("r{i:04}");
             let poison = i == 3 || i == 7 || draw.is_multiple_of(29);

@@ -300,7 +300,6 @@ fn run_chaos_json_schema_is_stable() {
         "max_retries",
         "invocations",
         "replayed_invocations",
-        "checkpoints",
         "faults_injected",
         "retries",
         "retried_dma_bytes",

@@ -19,6 +19,8 @@
 //! matching what a line-based transport could actually deliver to the
 //! request parser.
 
+use srdfg::hash::splitmix64;
+
 /// One wire-fuzz campaign's knobs.
 #[derive(Debug, Clone)]
 pub struct WireFuzzConfig {
@@ -56,14 +58,6 @@ pub struct WireReport {
     /// The first failure, when one occurred. The route name on the wire
     /// is `serve@wire`.
     pub failure: Option<WireFailure>,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A tiny deterministic byte-stream RNG for the mutation draws.

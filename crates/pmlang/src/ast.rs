@@ -156,16 +156,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// True for comparison operators (result type is `bin`).
-    pub fn is_comparison(&self) -> bool {
-        matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-    }
-
-    /// True for logical operators (`&&`, `||`).
-    pub fn is_logical(&self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or)
-    }
-
     /// The operator's surface syntax.
     pub fn symbol(&self) -> &'static str {
         match self {
@@ -471,14 +461,6 @@ mod tests {
             assert_eq!(Domain::from_keyword(d.keyword()), Some(d));
         }
         assert_eq!(Domain::from_keyword("ML"), None);
-    }
-
-    #[test]
-    fn binop_classification() {
-        assert!(BinOp::Eq.is_comparison());
-        assert!(!BinOp::Add.is_comparison());
-        assert!(BinOp::And.is_logical());
-        assert!(!BinOp::Lt.is_logical());
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub fn print_program(prog: &Program) -> String {
 }
 
 /// Renders one component.
-pub fn print_component(c: &Component) -> String {
+fn print_component(c: &Component) -> String {
     let mut out = String::new();
     let args: Vec<String> = c
         .args
@@ -41,7 +41,7 @@ pub fn print_component(c: &Component) -> String {
 }
 
 /// Renders one statement (without trailing newline).
-pub fn print_stmt(stmt: &Stmt) -> String {
+fn print_stmt(stmt: &Stmt) -> String {
     match stmt {
         Stmt::IndexDecl { specs, .. } => {
             let parts: Vec<String> = specs
@@ -88,7 +88,7 @@ fn precedence(op: BinOp) -> u8 {
 }
 
 /// Renders an expression with minimal parentheses.
-pub fn print_expr(e: &Expr) -> String {
+fn print_expr(e: &Expr) -> String {
     print_prec(e, 0)
 }
 

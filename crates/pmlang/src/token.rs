@@ -117,11 +117,6 @@ impl TokenKind {
         })
     }
 
-    /// True if this token starts a type-modifier (`input`/`output`/`state`/`param`).
-    pub fn is_modifier(&self) -> bool {
-        matches!(self, TokenKind::Input | TokenKind::Output | TokenKind::State | TokenKind::Param)
-    }
-
     /// True if this token names a data type.
     pub fn is_dtype(&self) -> bool {
         matches!(
@@ -207,9 +202,6 @@ mod tests {
 
     #[test]
     fn modifier_and_dtype_predicates() {
-        assert!(TokenKind::Input.is_modifier());
-        assert!(TokenKind::Param.is_modifier());
-        assert!(!TokenKind::FloatTy.is_modifier());
         assert!(TokenKind::FloatTy.is_dtype());
         assert!(TokenKind::ComplexTy.is_dtype());
         assert!(!TokenKind::Index.is_dtype());

@@ -964,7 +964,7 @@ impl SrDfg {
     }
 
     /// True when any of `id`'s outputs is a graph boundary output.
-    pub fn feeds_boundary(&self, id: NodeId) -> bool {
+    fn feeds_boundary(&self, id: NodeId) -> bool {
         self.node(id).outputs.iter().any(|e| self.boundary_outputs.contains(e))
     }
 

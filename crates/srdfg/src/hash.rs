@@ -77,6 +77,17 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The splitmix64 finalizer applied to `x + φ·2⁶⁴` — one step of the
+/// splitmix64 stream whose state is `x`. The seeded draws (chaos fault
+/// plans, soak workloads, wire-fuzz mutations) all mix with it, so a seed
+/// means the same stream everywhere.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Content fingerprint of an entire srDFG — the program-cache key.
 ///
 /// Digests every node (kind content, domain, operand wiring), every

@@ -87,6 +87,11 @@ pub enum ValueError {
         /// Length of the provided data.
         got: usize,
     },
+    /// The shape's element count does not fit in a `usize`. It names no
+    /// shape: a heap payload gives every `Result<_, ValueError>` drop
+    /// glue, and the kernel evaluator returns one per scalar (a `Vec`
+    /// here cost serve-warm `execute_ms` ≈ 9 %).
+    ShapeOverflow,
     /// A complex value was used where a real was required.
     ComplexWhereRealExpected,
     /// A complex value was used as a Boolean condition.
@@ -107,6 +112,9 @@ impl fmt::Display for ValueError {
             ValueError::LengthMismatch { expected, got } => {
                 write!(f, "shape implies {expected} elements but data has {got}")
             }
+            ValueError::ShapeOverflow => {
+                f.write_str("shape has more elements than a tensor can hold")
+            }
             ValueError::ComplexWhereRealExpected => {
                 f.write_str("complex value where a real was expected")
             }
@@ -121,6 +129,12 @@ impl std::error::Error for ValueError {}
 /// The error for a declared `shape` whose storage cannot be allocated.
 pub(crate) fn too_large(shape: &[usize]) -> ExecError {
     ExecError::new(format!("a tensor of shape {shape:?} is too large to allocate"))
+}
+
+/// The number of elements of `shape`, checked: a shape taken from a
+/// request can name more than a `usize` counts.
+fn element_count(shape: &[usize]) -> Result<usize, ValueError> {
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)).ok_or(ValueError::ShapeOverflow)
 }
 
 /// `n` copies of `fill`, or `None` when the allocation fails.
@@ -152,9 +166,10 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`ValueError::LengthMismatch`] if `data.len()` does not equal
-    /// the product of `shape`.
+    /// the product of `shape`, and [`ValueError::ShapeOverflow`] if that
+    /// product overflows.
     pub fn from_vec(dtype: DType, shape: Vec<usize>, data: Vec<f64>) -> Result<Self, ValueError> {
-        let expected: usize = shape.iter().product();
+        let expected = element_count(&shape)?;
         if data.len() != expected {
             return Err(ValueError::LengthMismatch { expected, got: data.len() });
         }
@@ -165,9 +180,9 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`ValueError::LengthMismatch`] if the lengths disagree.
+    /// As [`Tensor::from_vec`].
     pub fn from_complex_vec(shape: Vec<usize>, data: Vec<(f64, f64)>) -> Result<Self, ValueError> {
-        let expected: usize = shape.iter().product();
+        let expected = element_count(&shape)?;
         if data.len() != expected {
             return Err(ValueError::LengthMismatch { expected, got: data.len() });
         }
@@ -440,6 +455,17 @@ mod tests {
             Tensor::from_vec(DType::Float, vec![2, 2], vec![1.0]),
             Err(ValueError::LengthMismatch { expected: 4, got: 1 })
         ));
+    }
+
+    #[test]
+    fn overflowing_shape_rejected() {
+        // 2^32 × 2^32 wraps to 0 unchecked, which an empty `data` matches.
+        let huge = vec![1usize << 32, 1 << 32];
+        let err = Tensor::from_vec(DType::Float, huge.clone(), vec![]).unwrap_err();
+        assert_eq!(err, ValueError::ShapeOverflow);
+        assert_eq!(Tensor::from_complex_vec(huge, vec![]), Err(ValueError::ShapeOverflow));
+        // A zero extent anywhere is an empty tensor, whatever follows it.
+        assert!(Tensor::from_vec(DType::Float, vec![0, usize::MAX, 2], vec![]).is_ok());
     }
 
     #[test]

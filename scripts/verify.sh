@@ -281,6 +281,16 @@ if grep -rnE 'struct (ExpandOptions|BackoffPolicy|GenConfig)\b|fn inject_fault|f
     exit 1
 fi
 
+echo "== the SoC runtime keeps one account"
+# A trajectory dispatches, then executes once; Soc::run is the chaos loop
+# under the off profile; a served request is one SocPool::run. A state
+# checkpoint, a second dispatch loop, a write-only fault log or a
+# guard/record pair would be a second account of the same run.
+if grep -rnE 'fn (checkpoint_states|restore_states|run_plain|record_served|breaker_guard)\b|struct (Carry|FaultEvent)\b|enum (Round|PartSim)\b|pub checkpoints:|MAX_RECORDED_FAULTS|ledgers: Mutex' crates; then
+    echo "a second account of the SoC runtime is back" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

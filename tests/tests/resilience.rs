@@ -277,6 +277,25 @@ fn oversized_declared_tensors_are_execution_errors_not_aborts() {
 }
 
 #[test]
+fn an_overflowing_feed_shape_is_a_bad_request_not_a_quarantine() {
+    let engine = ServeEngine::new(&ServeConfig { host_only: true, ..Default::default() });
+    // 2^32 × 2^32 elements: unchecked, the count overflows (a panic on the
+    // parsing thread) or wraps to 0 (an empty tensor that panics the
+    // interpreter and quarantines a valid program).
+    let line = concat!(
+        r#"{"op":"run","id":"wrap","sizes":{"n":4294967296},"program":"main(input float "#,
+        r#"x[n][n], output float y) { index i[0:n-1]; y = sum[i](x[i][i]); }","feeds":"#,
+        r#"{"x":{"dims":[4294967296,4294967296],"values":[]}}}"#
+    );
+    let resp = engine.handle_line(line);
+    assert_eq!(error_kind(&resp), "bad_request", "{resp}");
+    let healthy = engine.handle_line(&run_line("ok", "alice", &[], None, None));
+    assert_eq!(parse(&healthy).get("ok").and_then(Json::as_bool), Some(true), "{healthy}");
+    assert_eq!(engine.worker_panics(), 0);
+    assert!(engine.quarantine().is_empty(), "a valid program must not be quarantined");
+}
+
+#[test]
 fn shedding_is_typed_and_distinct_from_overload() {
     let cfg = ServeConfig { max_inflight_cost: 1, ..ServeConfig::default() };
     let engine = Arc::new(ServeEngine::new(&cfg));
