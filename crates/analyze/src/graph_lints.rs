@@ -8,37 +8,11 @@
 use crate::diagnostic::Diagnostic;
 use crate::for_each_graph;
 use pm_lower::TargetMap;
-use srdfg::{IndexRange, KExpr, NodeKind, Scalar, SrDfg};
+use srdfg::{KExpr, NodeKind, Odometer, Scalar, SrDfg};
 use std::collections::HashMap;
 
 /// Largest iteration space the race detector enumerates exhaustively.
 const MAX_RACE_POINTS: usize = 4096;
-
-/// Calls `f` with every point of `space` (row-major order). An empty space
-/// is the scalar case: one empty point.
-fn for_each_point(space: &[IndexRange], mut f: impl FnMut(&[i64])) {
-    if space.iter().any(|r| r.size() == 0) {
-        return;
-    }
-    let mut point: Vec<i64> = space.iter().map(|r| r.lo).collect();
-    loop {
-        f(&point);
-        let mut axis = space.len();
-        loop {
-            if axis == 0 {
-                return;
-            }
-            axis -= 1;
-            if point[axis] < space[axis].hi {
-                point[axis] += 1;
-                for (p, r) in point.iter_mut().zip(space.iter()).skip(axis + 1) {
-                    *p = r.lo;
-                }
-                break;
-            }
-        }
-    }
-}
 
 /// The highest `KExpr::Idx` position referenced, if any.
 fn max_idx(k: &KExpr) -> Option<usize> {
@@ -102,13 +76,14 @@ pub(crate) fn reduction_race(graph: &SrDfg, out: &mut Vec<Diagnostic>) {
                 continue;
             }
             let mut writes: HashMap<Vec<i64>, usize> = HashMap::new();
-            for_each_point(out_space, |point| {
+            let mut points = Odometer::new(out_space);
+            while let Some(point) = points.next_point() {
                 let coord: Option<Vec<i64>> =
                     write.lhs.iter().map(|k| k.eval_index(point).ok()).collect();
                 if let Some(coord) = coord {
                     *writes.entry(coord).or_insert(0) += 1;
                 }
-            });
+            }
             // Tie-break on the coordinate so the report is deterministic.
             if let Some((coord, count)) = writes
                 .iter()

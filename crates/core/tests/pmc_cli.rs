@@ -126,6 +126,22 @@ fn compile_pin_requires_component_and_target() {
 }
 
 #[test]
+fn compile_rejects_a_static_write_outside_its_target() {
+    // `y[i+1]` writes y[4]: Algorithm 1 fails the compile with the target
+    // named, instead of aborting with an index panic.
+    let f = temp_file(
+        "oobw",
+        "main(input float x[4], output float y[4]) { index i[0:3]; DA: y[i+1] = x[i]; }",
+    );
+    let out = pmc(&["compile", f.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.starts_with("pmc: lowering failed"), "{err}");
+    assert!(err.contains("indexes `y` out of bounds: index 4 on axis 0 of size 4"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn lower_prints_the_refinement_trajectory() {
     let f = temp_file("lower", TWO_DA);
     let out = pmc(&["lower", f.to_str().unwrap(), "--target", "TABLA"]);

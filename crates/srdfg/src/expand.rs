@@ -24,12 +24,11 @@
 //! form of a scalar expansion.
 
 use crate::graph::{
-    map_op_name, EdgeId, EdgeMeta, IndexRange, MapSpec, Modifier, Node, NodeKind, ReduceOp,
-    ReduceSpec, ScalarKind, SrDfg, WriteSpec,
+    map_op_name, EdgeId, EdgeMeta, IndexRange, MapSpec, Modifier, Node, NodeKind, Odometer,
+    ReduceOp, ReduceSpec, ScalarKind, SrDfg, WriteSpec,
 };
 use crate::hash::FxBuildHasher;
 use crate::ident::Ident;
-use crate::interp::for_each_point;
 use crate::kernel::KExpr;
 use crate::smallids::SmallIds;
 use crate::store::{intern, Consed};
@@ -57,6 +56,20 @@ pub enum RefineError {
     DataDependent(String),
     /// The operation has no scalar expansion (e.g. `argmax`).
     Unsupported(String),
+    /// A statically known read or write position lies outside its tensor
+    /// (the interpreter rejects the same access when it runs the node).
+    OutOfBounds {
+        /// Node name.
+        name: String,
+        /// The tensor read or written.
+        tensor: String,
+        /// Axis on which the position leaves the tensor.
+        axis: usize,
+        /// The offending index.
+        index: i64,
+        /// The axis size.
+        size: usize,
+    },
 }
 
 impl fmt::Display for RefineError {
@@ -73,6 +86,11 @@ impl fmt::Display for RefineError {
                 write!(f, "node `{n}` has data-dependent indexing and cannot expand statically")
             }
             RefineError::Unsupported(n) => write!(f, "node `{n}` has no scalar expansion"),
+            RefineError::OutOfBounds { name, tensor, axis, index, size } => write!(
+                f,
+                "node `{name}` indexes `{tensor}` out of bounds: index {index} on axis {axis} \
+                 of size {size}"
+            ),
         }
     }
 }
@@ -572,17 +590,7 @@ impl<'a> Expander<'a> {
             KExpr::Idx(i) => self.const_node(point[*i] as f64),
             KExpr::Arg(_) => Err(RefineError::Unsupported(self.name.clone())),
             KExpr::Operand { slot, indices } => {
-                let meta = &self.in_metas[*slot];
-                let mut flat = 0usize;
-                for (ix, &dim) in indices.iter().zip(&meta.shape) {
-                    let v = ix
-                        .eval_index(point)
-                        .map_err(|_| RefineError::DataDependent(self.name.clone()))?;
-                    if v < 0 || v as usize >= dim {
-                        return Err(RefineError::DataDependent(self.name.clone()));
-                    }
-                    flat = flat * dim + v as usize;
-                }
+                let flat = static_position(&self.name, indices, &self.in_metas[*slot], point)?;
                 self.element(*slot, flat)
             }
             KExpr::Unary(op, e) => {
@@ -631,6 +639,47 @@ impl<'a> Expander<'a> {
         self.g.boundary_outputs = vec![out];
         self.g
     }
+}
+
+/// [`RefineError::DataDependent`] when a position `kernel` reads or `write`
+/// stores depends on operand data, which no static expansion resolves.
+fn static_indices(name: &str, kernel: &KExpr, write: &WriteSpec) -> Result<(), RefineError> {
+    let mut data = write.lhs.iter().any(|l| l.max_slot().is_some());
+    kernel.for_each_operand(&mut |_, indices| {
+        data |= indices.iter().any(|ix| ix.max_slot().is_some());
+    });
+    if data {
+        return Err(RefineError::DataDependent(name.to_string()));
+    }
+    Ok(())
+}
+
+/// The row-major position in the tensor `meta` of an access whose indices
+/// (static, see [`static_indices`]) are evaluated at the fixed `point`.
+/// Algorithm 1 fails on a position that leaves the tensor.
+fn static_position(
+    name: &str,
+    indices: &[KExpr],
+    meta: &EdgeMeta,
+    point: &[i64],
+) -> Result<usize, RefineError> {
+    let mut flat = 0usize;
+    for (axis, (ix, &size)) in indices.iter().zip(&meta.shape).enumerate() {
+        let index =
+            ix.eval_index(point).map_err(|_| RefineError::DataDependent(name.to_string()))?;
+        if index < 0 || index as usize >= size {
+            let tensor = meta.name.to_string();
+            return Err(RefineError::OutOfBounds {
+                name: name.to_string(),
+                tensor,
+                axis,
+                index,
+                size,
+            });
+        }
+        flat = flat * size + index as usize;
+    }
+    Ok(flat)
 }
 
 /// True if the kernel references combiner arguments.
@@ -683,34 +732,17 @@ fn expand_map(
 ) -> Result<SrDfg, RefineError> {
     let points = crate::graph::space_size(&spec.out_space);
     within_limit(&node.name, points.saturating_mul(spec.kernel.op_count() as usize + 1))?;
+    static_indices(&node.name, &spec.kernel, &spec.write)?;
     let mut ex = Expander::new(node, in_metas);
     let out_meta = &out_metas[0];
     let volume = out_meta.volume();
     let mut elements: Vec<Option<EdgeId>> = vec![None; volume];
 
-    let mut point = vec![0i64; spec.out_space.len()];
-    let mut err = None;
-    for_each_point(&spec.out_space, &mut point, &mut |idx| {
-        let r = (|| -> Result<(), RefineError> {
-            let val = ex.expand_expr(&spec.kernel, idx)?;
-            // Static LHS position.
-            let mut flat = 0usize;
-            for (l, &dim) in spec.write.lhs.iter().zip(&out_meta.shape) {
-                let v = l
-                    .eval_index(idx)
-                    .map_err(|_| RefineError::DataDependent(node.name.to_string()))?;
-                flat = flat * dim + v as usize;
-            }
-            elements[flat] = Some(val);
-            Ok(())
-        })();
-        if let Err(e) = r {
-            err = Some(e);
-            return Err(crate::error::ExecError::new("expansion aborted"));
-        }
-        Ok(())
-    })
-    .map_err(|_| err.clone().expect("error recorded"))?;
+    let mut points = Odometer::new(&spec.out_space);
+    while let Some(point) = points.next_point() {
+        let val = ex.expand_expr(&spec.kernel, point)?;
+        elements[static_position(&ex.name, &spec.write.lhs, out_meta, point)?] = Some(val);
+    }
 
     // Fill unwritten positions from the carry (slot 0) or zero constants.
     let mut final_elems = Vec::with_capacity(volume);
@@ -741,6 +773,7 @@ fn expand_reduce(
             return Err(RefineError::DataDependent(node.name.to_string()));
         }
     }
+    static_indices(&node.name, &spec.body, &spec.write)?;
     let out_points = crate::graph::space_size(&spec.out_space);
     let red_points = crate::graph::space_size(&spec.red_space);
     within_limit(&node.name, out_points.saturating_mul(red_points.max(1)).saturating_mul(2))?;
@@ -750,64 +783,32 @@ fn expand_reduce(
     let volume = out_meta.volume();
     let mut elements: Vec<Option<EdgeId>> = vec![None; volume];
 
-    let full: Vec<IndexRange> = spec.out_space.iter().chain(&spec.red_space).cloned().collect();
     let out_rank = spec.out_space.len();
 
     // Gather contributing element edges per output point.
-    let mut opoint = vec![0i64; out_rank];
-    let mut err: Option<RefineError> = None;
-    let out_space = spec.out_space.clone();
-    for_each_point(&out_space, &mut opoint, &mut |oidx| {
-        let r = (|| -> Result<(), RefineError> {
-            let mut contrib: Vec<EdgeId> = Vec::new();
-            let mut fpoint = vec![0i64; full.len()];
-            fpoint[..out_rank].copy_from_slice(oidx);
-            let red_space = spec.red_space.clone();
-            let mut rpoint = vec![0i64; red_space.len()];
-            let mut inner_err: Option<RefineError> = None;
-            for_each_point(&red_space, &mut rpoint, &mut |ridx| {
-                fpoint[out_rank..].copy_from_slice(ridx);
-                let r2 = (|| -> Result<(), RefineError> {
-                    if let Some(c) = &spec.cond {
-                        let keep = c
-                            .eval(&fpoint, &[], &[])
-                            .and_then(|s| s.as_bool())
-                            .map_err(|_| RefineError::DataDependent(node.name.to_string()))?;
-                        if !keep {
-                            return Ok(());
-                        }
-                    }
-                    contrib.push(ex.expand_expr(&spec.body, &fpoint)?);
-                    Ok(())
-                })();
-                if let Err(e) = r2 {
-                    inner_err = Some(e);
-                    return Err(crate::error::ExecError::new("abort"));
-                }
-                Ok(())
-            })
-            .map_err(|_| inner_err.clone().expect("recorded"))?;
-
-            // Balanced combiner tree.
-            let result = ex.combine_tree(&spec.op, contrib)?;
-            // Static LHS position.
-            let mut flat = 0usize;
-            for (l, &dim) in spec.write.lhs.iter().zip(&out_meta.shape) {
-                let v = l
-                    .eval_index(oidx)
+    let mut fpoint = vec![0i64; out_rank + spec.red_space.len()];
+    let mut opoints = Odometer::new(&spec.out_space);
+    while let Some(opoint) = opoints.next_point() {
+        fpoint[..out_rank].copy_from_slice(opoint);
+        let mut contrib: Vec<EdgeId> = Vec::new();
+        let mut rpoints = Odometer::new(&spec.red_space);
+        while let Some(rpoint) = rpoints.next_point() {
+            fpoint[out_rank..].copy_from_slice(rpoint);
+            if let Some(c) = &spec.cond {
+                let keep = c
+                    .eval(&fpoint, &[], &[])
+                    .and_then(|s| s.as_bool())
                     .map_err(|_| RefineError::DataDependent(node.name.to_string()))?;
-                flat = flat * dim + v as usize;
+                if !keep {
+                    continue;
+                }
             }
-            elements[flat] = Some(result);
-            Ok(())
-        })();
-        if let Err(e) = r {
-            err = Some(e);
-            return Err(crate::error::ExecError::new("abort"));
+            contrib.push(ex.expand_expr(&spec.body, &fpoint)?);
         }
-        Ok(())
-    })
-    .map_err(|_| err.clone().expect("recorded"))?;
+        // Balanced combiner tree.
+        let result = ex.combine_tree(&spec.op, contrib)?;
+        elements[static_position(&ex.name, &spec.write.lhs, out_meta, opoint)?] = Some(result);
+    }
 
     let mut final_elems = Vec::with_capacity(volume);
     for (flat, e) in elements.into_iter().enumerate() {
@@ -1124,6 +1125,54 @@ mod tests {
         for op in cmps.into_iter().chain([BinOp::Or]) {
             assert_eq!(op_label(&KExpr::Binary(op, x(), x())), format!("cmp.{}", op.symbol()));
         }
+    }
+
+    /// The error refining the program's copy gives.
+    fn map_refine_error(src: &str) -> RefineError {
+        let g = program_graph(src);
+        let (id, _) = g.iter_nodes().find(|(_, n)| n.name == "map.copy").unwrap();
+        refine(&g, id).unwrap_err()
+    }
+
+    fn out_of_bounds(tensor: &str, axis: usize, index: i64, size: usize) -> RefineError {
+        let (name, tensor) = ("map.copy".to_string(), tensor.to_string());
+        RefineError::OutOfBounds { name, tensor, axis, index, size }
+    }
+
+    #[test]
+    fn a_write_past_the_last_column_is_out_of_bounds_not_the_next_row() {
+        // Unchecked, `y[0][4]` flattened to `y[1][0]`.
+        let err = map_refine_error(
+            "main(input float x[1][4], output float y[2][4]) {
+                 index i[0:0], j[0:3];
+                 y[i][j+1] = x[i][j];
+             }",
+        );
+        assert_eq!(err, out_of_bounds("y", 1, 4, 4), "{err}");
+    }
+
+    #[test]
+    fn a_write_past_the_end_is_out_of_bounds_not_a_panic() {
+        let err = map_refine_error(
+            "main(input float x[4], output float y[4]) { index i[0:3]; y[i+1] = x[i]; }",
+        );
+        assert_eq!(err, out_of_bounds("y", 0, 4, 4), "{err}");
+    }
+
+    #[test]
+    fn a_static_read_past_the_end_is_out_of_bounds_not_data_dependent() {
+        let err = map_refine_error(
+            "main(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i+1]; }",
+        );
+        assert_eq!(err, out_of_bounds("x", 0, 4, 4), "{err}");
+        // An index read from data stays data-dependent.
+        let err = map_refine_error(
+            "main(input float x[4], input float k[4], output float y[4]) {
+                 index i[0:3];
+                 y[i] = x[k[i]];
+             }",
+        );
+        assert!(matches!(err, RefineError::DataDependent(_)), "{err}");
     }
 
     #[test]

@@ -149,6 +149,58 @@ pub fn space_size(space: &[IndexRange]) -> usize {
     space.iter().fold(1, |n: usize, r| n.saturating_mul(r.size()))
 }
 
+/// The points of an index space in row-major order (last axis fastest),
+/// visited through one reused cursor: the stack's one enumerator of an
+/// iteration box. The interpreter's kernel plans, Algorithm 1's scalar
+/// expansion and the race lint all walk boxes with it, and Algorithm 1's
+/// node order — with it every lowered graph and `graph_fingerprint` —
+/// is this order. A space with no axes has one point, the empty one; a
+/// space with an empty axis has none.
+#[derive(Debug, Clone)]
+pub struct Odometer {
+    /// `(lo, hi)` per axis, inclusive.
+    bounds: Vec<(i64, i64)>,
+    point: Vec<i64>,
+    /// The cursor has not yet yielded its first point.
+    fresh: bool,
+}
+
+impl Odometer {
+    /// An odometer over the ranges of `space`, outermost first.
+    pub fn new<'s>(space: impl IntoIterator<Item = &'s IndexRange>) -> Odometer {
+        let bounds: Vec<(i64, i64)> = space.into_iter().map(|r| (r.lo, r.hi)).collect();
+        let fresh = bounds.iter().all(|&(lo, hi)| lo <= hi);
+        let point = if fresh { bounds.iter().map(|&(lo, _)| lo).collect() } else { Vec::new() };
+        Odometer { bounds, point, fresh }
+    }
+
+    /// The box: `(lo, hi)` per axis.
+    pub fn bounds(&self) -> &[(i64, i64)] {
+        &self.bounds
+    }
+
+    /// Steps to the next point and returns it; `None` once every point
+    /// has been visited.
+    #[inline]
+    pub fn next_point(&mut self) -> Option<&[i64]> {
+        if self.fresh {
+            self.fresh = false;
+            return Some(&self.point);
+        }
+        for axis in (0..self.point.len()).rev() {
+            let (lo, hi) = self.bounds[axis];
+            if self.point[axis] < hi {
+                self.point[axis] += 1;
+                return Some(&self.point);
+            }
+            self.point[axis] = lo;
+        }
+        // Exhausted: an empty cursor stays exhausted.
+        self.point.clear();
+        None
+    }
+}
+
 /// The reduction operator of a [`NodeKind::Reduce`] node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReduceOp {

@@ -9,9 +9,10 @@
 
 use crate::error::ExecError;
 use crate::graph::{
-    space_size, IndexRange, MapSpec, Modifier, NodeKind, ReduceOp, ReduceSpec, SrDfg, WriteSpec,
+    space_size, IndexRange, MapSpec, Modifier, NodeKind, Odometer, ReduceOp, ReduceSpec, SrDfg,
+    WriteSpec,
 };
-use crate::kernel::KExpr;
+use crate::kernel::{KExpr, KernelPlan, PlanExpr};
 use crate::value::{too_large, try_vec, Scalar, Tensor};
 use pmlang::BuiltinReduction;
 use std::collections::HashMap;
@@ -239,100 +240,95 @@ fn init_output(
     }
 }
 
-/// Executes an elementwise map.
+/// Executes an elementwise map through the kernel's plan (see
+/// `KernelPlan`), compiled once for this call.
 pub fn exec_map(
     spec: &MapSpec,
     operands: &[&Tensor],
     out_dtype: pmlang::DType,
 ) -> Result<Tensor, ExecError> {
     let mut out = init_output(&spec.write, operands, out_dtype)?;
-    let mut point = vec![0i64; spec.out_space.len()];
-    let mut lhs_point = vec![0i64; spec.write.lhs.len()];
-    for_each_point(&spec.out_space, &mut point, &mut |idx| {
-        let v = spec.kernel.eval(idx, operands, &[])?;
-        for (slot, l) in spec.write.lhs.iter().enumerate() {
-            lhs_point[slot] = l.eval_index(idx)?;
-        }
-        out.set(&lhs_point, v)?;
-        Ok(())
-    })?;
+    let mut points = Odometer::new(&spec.out_space);
+    let mut plan = KernelPlan::default();
+    let kernel = plan.expr(&spec.kernel, points.bounds(), operands);
+    let place = plan.place(&spec.write.lhs, points.bounds(), out.shape());
+    while let Some(point) = points.next_point() {
+        let v = plan.eval(kernel, point, operands, &[])?;
+        plan.store(place, point, &mut out, v)?;
+    }
     Ok(out)
 }
 
-/// Executes a group reduction.
+/// Executes a group reduction through its kernels' plan: one pass over
+/// `out_space ++ red_space` accumulates, a second over `out_space` writes.
 pub fn exec_reduce(
     spec: &ReduceSpec,
     operands: &[&Tensor],
     out_dtype: pmlang::DType,
 ) -> Result<Tensor, ExecError> {
-    let out_dims: Vec<usize> = spec.out_space.iter().map(IndexRange::size).collect();
     let out_points = space_size(&spec.out_space).max(1);
+    let oversized = || {
+        let out_dims: Vec<usize> = spec.out_space.iter().map(IndexRange::size).collect();
+        too_large(&out_dims)
+    };
     // Accumulators per output point.
-    let mut acc: Vec<Option<Scalar>> =
-        try_vec(out_points, None).ok_or_else(|| too_large(&out_dims))?;
+    let mut acc: Vec<Option<Scalar>> = try_vec(out_points, None).ok_or_else(oversized)?;
     // Arg-reduction winners.
-    let mut best: Vec<i64> = try_vec(out_points, 0).ok_or_else(|| too_large(&out_dims))?;
+    let mut best: Vec<i64> = try_vec(out_points, 0).ok_or_else(oversized)?;
 
-    let full_space: Vec<IndexRange> =
-        spec.out_space.iter().chain(&spec.red_space).cloned().collect();
-    let mut point = vec![0i64; full_space.len()];
-
-    for_each_point(&full_space, &mut point, &mut |idx| {
-        if let Some(cond) = &spec.cond {
-            if !cond.eval(idx, operands, &[])?.as_bool()? {
-                return Ok(());
+    let mut points = Odometer::new(spec.out_space.iter().chain(&spec.red_space));
+    let mut plan = KernelPlan::default();
+    let cond = spec.cond.as_ref().map(|c| plan.expr(c, points.bounds(), operands));
+    let body = plan.expr(&spec.body, points.bounds(), operands);
+    let fold = match &spec.op {
+        ReduceOp::Builtin(b) if b.is_arg() => Fold::Arg { max: *b == BuiltinReduction::Argmax },
+        ReduceOp::Builtin(b) => Fold::Builtin(*b),
+        ReduceOp::Custom { combiner, .. } => Fold::Custom(plan.expr(combiner, &[], &[])),
+    };
+    // Row-major flat positions of the point in the output and in the
+    // reduced space (the latter names an arg reduction's winner).
+    let red_points = space_size(&spec.red_space) as i64;
+    let (mut flat, mut red_flat) = (0usize, -1i64);
+    while let Some(point) = points.next_point() {
+        red_flat += 1;
+        if red_flat == red_points {
+            red_flat = 0;
+            flat += 1;
+        }
+        if let Some(cond) = cond {
+            if !plan.eval(cond, point, operands, &[])?.as_bool()? {
+                continue;
             }
         }
-        let elem = spec.body.eval(idx, operands, &[])?;
-        // Flat output position.
-        let mut flat = 0usize;
-        for (d, r) in spec.out_space.iter().enumerate() {
-            flat = flat * out_dims[d] + (idx[d] - r.lo) as usize;
-        }
-        // Flat reduced position (for arg reductions).
-        let mut red_flat = 0i64;
-        for (d, r) in spec.red_space.iter().enumerate() {
-            red_flat = red_flat * r.size() as i64 + (idx[spec.out_space.len() + d] - r.lo);
-        }
+        let elem = plan.eval(body, point, operands, &[])?;
         let slot = &mut acc[flat];
-        match (&spec.op, slot.as_ref()) {
-            (ReduceOp::Builtin(b), None) => {
-                if b.is_arg() {
+        let Some(prev) = *slot else {
+            // The first element seeds the accumulator and the winner.
+            best[flat] = red_flat;
+            *slot = Some(elem);
+            continue;
+        };
+        *slot = Some(match fold {
+            Fold::Arg { max } => {
+                let (p, v) = (prev.as_real()?, elem.as_real()?);
+                if (max && v > p) || (!max && v < p) {
                     best[flat] = red_flat;
-                }
-                *slot = Some(elem);
-            }
-            (ReduceOp::Builtin(b), Some(prev)) => {
-                if b.is_arg() {
-                    let p = prev.as_real()?;
-                    let v = elem.as_real()?;
-                    let better = if *b == BuiltinReduction::Argmax { v > p } else { v < p };
-                    if better {
-                        best[flat] = red_flat;
-                        *slot = Some(elem);
-                    }
+                    elem
                 } else {
-                    let combined = combine_builtin(*b, *prev, elem)?;
-                    *slot = Some(combined);
+                    prev
                 }
             }
-            (ReduceOp::Custom { combiner, .. }, Some(prev)) => {
-                let v = combiner.eval(&[], &[], &[*prev, elem])?;
-                *slot = Some(v);
-            }
-            (ReduceOp::Custom { .. }, None) => {
-                *slot = Some(elem);
-            }
-        }
-        Ok(())
-    })?;
+            Fold::Builtin(b) => combine_builtin(b, prev, elem)?,
+            Fold::Custom(combiner) => plan.eval(combiner, &[], &[], &[prev, elem])?,
+        });
+    }
 
     // Materialize the output tensor.
     let mut out = init_output(&spec.write, operands, out_dtype)?;
-    let mut opoint = vec![0i64; spec.out_space.len()];
-    let mut lhs_point = vec![0i64; spec.write.lhs.len()];
+    let mut points = Odometer::new(&spec.out_space);
+    let place = plan.place(&spec.write.lhs, points.bounds(), out.shape());
     let mut flat = 0usize;
-    for_each_point(&spec.out_space.clone(), &mut opoint, &mut |idx| {
+    while let Some(point) = points.next_point() {
         let value = match (&spec.op, acc[flat]) {
             (ReduceOp::Builtin(b), None) => {
                 if b.is_arg() {
@@ -351,21 +347,28 @@ pub fn exec_reduce(
             (ReduceOp::Custom { .. }, None) => Scalar::Real(0.0),
             (ReduceOp::Custom { .. }, Some(v)) => v,
         };
-        for (slot, l) in spec.write.lhs.iter().enumerate() {
-            lhs_point[slot] = l.eval_index(idx)?;
-        }
-        out.set(&lhs_point, value)?;
+        plan.store(place, point, &mut out, value)?;
         flat += 1;
-        Ok(())
-    })?;
+    }
     Ok(out)
+}
+
+/// How a reduction folds an element into its accumulator.
+#[derive(Clone, Copy)]
+enum Fold {
+    Builtin(BuiltinReduction),
+    /// `argmax` (`max`) or `argmin`: the first strictly better element wins.
+    Arg {
+        max: bool,
+    },
+    Custom(PlanExpr),
 }
 
 fn combine_builtin(b: BuiltinReduction, prev: Scalar, elem: Scalar) -> Result<Scalar, ExecError> {
     // Sum/prod work on complex values (FFT); the rest require reals.
     match (b, prev, elem) {
-        (BuiltinReduction::Sum, a, e) => Ok(crate::kernel::eval_binary(pmlang::BinOp::Add, a, e)?),
-        (BuiltinReduction::Prod, a, e) => Ok(crate::kernel::eval_binary(pmlang::BinOp::Mul, a, e)?),
+        (BuiltinReduction::Sum, a, e) => Ok(crate::kernel::binary(pmlang::BinOp::Add, a, e)?),
+        (BuiltinReduction::Prod, a, e) => Ok(crate::kernel::binary(pmlang::BinOp::Mul, a, e)?),
         (b, a, e) => Ok(Scalar::Real(b.combine(a.as_real()?, e.as_real()?))),
     }
 }
@@ -405,34 +408,6 @@ fn exec_scalar(kind: &crate::graph::ScalarKind, operands: &[&Tensor]) -> Result<
     }
     t.set_flat(0, v)?;
     Ok(t)
-}
-
-/// Calls `f` for every point of `space` in row-major order, reusing `point`
-/// as the cursor.
-pub fn for_each_point(
-    space: &[IndexRange],
-    point: &mut [i64],
-    f: &mut impl FnMut(&[i64]) -> Result<(), ExecError>,
-) -> Result<(), ExecError> {
-    fn rec(
-        space: &[IndexRange],
-        dim: usize,
-        point: &mut [i64],
-        f: &mut impl FnMut(&[i64]) -> Result<(), ExecError>,
-    ) -> Result<(), ExecError> {
-        if dim == space.len() {
-            return f(point);
-        }
-        let (lo, hi) = (space[dim].lo, space[dim].hi);
-        let mut i = lo;
-        while i <= hi {
-            point[dim] = i;
-            rec(space, dim + 1, point, f)?;
-            i += 1;
-        }
-        Ok(())
-    }
-    rec(space, 0, point, f)
 }
 
 #[cfg(test)]

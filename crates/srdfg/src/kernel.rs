@@ -3,8 +3,9 @@
 //!
 //! A kernel computes one scalar element of a node's result, given the
 //! current index-point and the node's operand tensors. Kernels are what the
-//! lazy scalar expansion unrolls into scalar-op subgraphs, and what the
-//! interpreter evaluates directly.
+//! lazy scalar expansion unrolls into scalar-op subgraphs; the interpreter
+//! compiles them per node into a `KernelPlan`, and [`KExpr::eval`] is
+//! their definition.
 
 use crate::value::{Scalar, Tensor, ValueError};
 use pmlang::{BinOp, ScalarFunc, UnOp};
@@ -142,13 +143,12 @@ impl KExpr {
             KExpr::Const(v) => Ok(Scalar::Real(*v)),
             KExpr::Idx(pos) => Ok(Scalar::Real(indices[*pos] as f64)),
             KExpr::Arg(i) => Ok(args[*i]),
-            KExpr::Operand { slot, indices: ixs } => {
-                let mut point = Vec::with_capacity(ixs.len());
-                for ix in ixs {
-                    point.push(ix.eval(indices, operands, args)?.as_index()?);
-                }
-                operands[*slot].get(&point)
-            }
+            KExpr::Operand { slot, indices: ixs } => buffered(
+                ixs.len(),
+                0,
+                |d| ixs[d].eval(indices, operands, args)?.as_index(),
+                |point| operands[*slot].get(point),
+            ),
             KExpr::Unary(op, e) => {
                 let v = e.eval(indices, operands, args)?;
                 eval_unary(*op, v)
@@ -188,13 +188,12 @@ impl KExpr {
                     b.eval(indices, operands, args)
                 }
             }
-            KExpr::Call(f, call_args) => {
-                let mut vals = Vec::with_capacity(call_args.len());
-                for a in call_args {
-                    vals.push(a.eval(indices, operands, args)?);
-                }
-                eval_call(*f, &vals)
-            }
+            KExpr::Call(f, call_args) => buffered(
+                call_args.len(),
+                Scalar::Real(0.0),
+                |i| call_args[i].eval(indices, operands, args),
+                |vals| eval_call(*f, vals),
+            ),
         }
     }
 
@@ -209,6 +208,7 @@ impl KExpr {
 }
 
 /// Applies a unary operator to a scalar.
+#[inline]
 fn eval_unary(op: UnOp, v: Scalar) -> Result<Scalar, ValueError> {
     match (op, v) {
         (UnOp::Neg, Scalar::Real(x)) => Ok(Scalar::Real(-x)),
@@ -219,6 +219,14 @@ fn eval_unary(op: UnOp, v: Scalar) -> Result<Scalar, ValueError> {
 
 /// Applies a binary operator with real/complex promotion.
 pub fn eval_binary(op: BinOp, lhs: Scalar, rhs: Scalar) -> Result<Scalar, ValueError> {
+    binary(op, lhs, rhs)
+}
+
+/// [`eval_binary`], inlined into the coarse kernels' per-element loops: out
+/// of line it made a `sum[j](A[i][j]*x[j])` element 1.7× slower. The
+/// scalar-node path keeps calling it out of line.
+#[inline(always)]
+pub(crate) fn binary(op: BinOp, lhs: Scalar, rhs: Scalar) -> Result<Scalar, ValueError> {
     use Scalar::*;
     // Promote to complex if either side is complex (arithmetic only).
     let complex = matches!(lhs, Complex(..)) || matches!(rhs, Complex(..));
@@ -284,13 +292,515 @@ fn eval_call(f: ScalarFunc, args: &[Scalar]) -> Result<Scalar, ValueError> {
             }
             Scalar::Real(x) => Ok(Scalar::Real(x.exp())),
         },
-        other => {
-            let mut reals = Vec::with_capacity(args.len());
-            for a in args {
-                reals.push(a.as_real()?);
-            }
-            Ok(Scalar::Real(other.eval_real(&reals)))
+        other => buffered(
+            args.len(),
+            0.0,
+            |i| args[i].as_real(),
+            |reals| Ok(Scalar::Real(other.eval_real(reals))),
+        ),
+    }
+}
+
+/// Hands `use_` the `n` values `item` produces in order, stopping at the
+/// first error. Up to four live on the stack, so an operand read or a
+/// builtin call allocates nothing; only a longer list takes the heap.
+fn buffered<T: Copy, R>(
+    n: usize,
+    fill: T,
+    mut item: impl FnMut(usize) -> Result<T, ValueError>,
+    use_: impl FnOnce(&[T]) -> Result<R, ValueError>,
+) -> Result<R, ValueError> {
+    if n <= 4 {
+        let mut buf = [fill; 4];
+        for (i, slot) in buf[..n].iter_mut().enumerate() {
+            *slot = item(i)?;
         }
+        use_(&buf[..n])
+    } else {
+        use_(&(0..n).map(item).collect::<Result<Vec<T>, _>>()?)
+    }
+}
+
+// ---- compiled plans --------------------------------------------------
+
+/// Largest magnitude an index expression may reach, at any sub-expression
+/// and any point, to be read as exact integer arithmetic: below 2^53 an
+/// `f64` sum or product of integers is exact, so the affine form and the
+/// tree's floating-point evaluation agree on every index.
+const EXACT: i64 = 1 << 52;
+
+/// One instruction of a [`KernelPlan`]. Values and indices live in
+/// numbered slots that compiling assigns like stack depths, so every
+/// operand position is fixed in the code. Jump targets are absolute
+/// positions in the code.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Const {
+        v: f64,
+        to: usize,
+    },
+    Idx {
+        pos: usize,
+        to: usize,
+    },
+    Arg {
+        i: usize,
+        to: usize,
+    },
+    /// Element `base + Σ coefs[at + k] · point[k]` of operand `slot`: an
+    /// affine read proven in bounds over the whole box.
+    Strided {
+        slot: usize,
+        base: i64,
+        at: usize,
+        to: usize,
+    },
+    /// Truncates value slot `from` into index slot `to`.
+    ToIndex {
+        from: usize,
+        to: usize,
+    },
+    /// The element of operand `slot` at the `rank` indices from index slot
+    /// `from` on, checked as [`Tensor::get`] checks it.
+    Checked {
+        slot: usize,
+        from: usize,
+        rank: usize,
+        to: usize,
+    },
+    /// Value `at` becomes `op` of itself.
+    Unary {
+        op: UnOp,
+        at: usize,
+    },
+    /// Value `at` becomes `op` of itself and value `at + 1`.
+    Binary {
+        op: BinOp,
+        at: usize,
+    },
+    /// Value `at` becomes `f` of the `n` values from `at` on.
+    Call {
+        f: ScalarFunc,
+        at: usize,
+        n: usize,
+    },
+    /// `a && b` after `a`: a false `a` becomes `0` and skips `b`.
+    AndElse {
+        at: usize,
+        end: usize,
+    },
+    /// `a || b` after `a`: a true `a` becomes `1` and skips `b`.
+    OrElse {
+        at: usize,
+        end: usize,
+    },
+    /// Value `at` becomes its truth value, `0` or `1`.
+    Truth {
+        at: usize,
+    },
+    /// Jumps when value `at` is false.
+    JumpUnless {
+        at: usize,
+        to: usize,
+    },
+    Jump {
+        to: usize,
+    },
+}
+
+/// A compiled expression: a range of its plan's code, leaving its value in
+/// slot 0.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlanExpr {
+    start: usize,
+    end: usize,
+}
+
+/// Where a compiled write puts each element.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Place {
+    /// A flat offset `base + Σ coefs[at + k] · point[k]`, proven in bounds.
+    Strided { base: i64, at: usize },
+    /// Code that leaves the `rank` target indices in index slots `0..rank`,
+    /// checked by [`Tensor::set`].
+    Checked { code: PlanExpr, rank: usize },
+}
+
+/// A node's kernels compiled once per call of `exec_map`/`exec_reduce`:
+/// flat code run without recursion, with an operand read or a write whose
+/// every index is affine in the iteration variables (`i`, `i+c`, `c*i`,
+/// `c-i` and their sums) reduced to a base offset plus one stride per axis
+/// once its bounds are proven over the whole box. Every other access — a
+/// data-dependent or non-affine index, or an affine one that leaves its
+/// tensor somewhere in the box — is checked where it is evaluated, with the
+/// error [`KExpr::eval`] gives. Arithmetic is [`KExpr::eval`]'s own
+/// operators, in its order, with its short circuits, so a plan computes the
+/// same bits; evaluation allocates nothing, because compiling sizes the
+/// slots its code uses.
+#[derive(Debug, Default)]
+pub(crate) struct KernelPlan {
+    code: Vec<Op>,
+    /// One flat-offset coefficient per box axis for each strided access.
+    coefs: Vec<i64>,
+    vals: Vec<Scalar>,
+    idxs: Vec<i64>,
+    /// Value and index slots in use at the end of the code so far.
+    depth: (usize, usize),
+}
+
+impl KernelPlan {
+    /// Compiles `k` for points of the box `bounds` (`(lo, hi)` per axis)
+    /// over `operands`.
+    pub(crate) fn expr(
+        &mut self,
+        k: &KExpr,
+        bounds: &[(i64, i64)],
+        operands: &[&Tensor],
+    ) -> PlanExpr {
+        let start = self.code.len();
+        self.code.reserve(3 * node_count(k));
+        self.emit(k, bounds, operands);
+        self.finish(start)
+    }
+
+    /// Compiles the write position `lhs` into a tensor of `shape` for
+    /// points of `bounds`. Like [`KExpr::eval_index`], it reads no operand.
+    pub(crate) fn place(&mut self, lhs: &[KExpr], bounds: &[(i64, i64)], shape: &[usize]) -> Place {
+        if let Some((base, at)) = self.strided(lhs, shape, bounds) {
+            return Place::Strided { base, at };
+        }
+        let start = self.code.len();
+        for l in lhs {
+            self.emit(l, bounds, &[]);
+            self.push_index();
+        }
+        Place::Checked { code: self.finish(start), rank: lhs.len() }
+    }
+
+    /// Evaluates `e` at `point` (`args` binds a combiner's arguments).
+    /// Inlined into the element loops, as are `store` and `run`: out of
+    /// line, each call's setup outweighed a small kernel's work.
+    #[inline(always)]
+    pub(crate) fn eval(
+        &mut self,
+        e: PlanExpr,
+        point: &[i64],
+        operands: &[&Tensor],
+        args: &[Scalar],
+    ) -> Result<Scalar, ValueError> {
+        self.run(e, point, operands, args)?;
+        Ok(self.vals[0])
+    }
+
+    /// Stores `v` at `place` for `point`, with [`Tensor::set`]'s coercion.
+    #[inline(always)]
+    pub(crate) fn store(
+        &mut self,
+        place: Place,
+        point: &[i64],
+        out: &mut Tensor,
+        v: Scalar,
+    ) -> Result<(), ValueError> {
+        match place {
+            Place::Strided { base, at } => out.set_flat(offset(&self.coefs, base, at, point), v),
+            Place::Checked { code, rank } => {
+                self.run(code, point, &[], &[])?;
+                out.set(&self.idxs[..rank], v)
+            }
+        }
+    }
+
+    fn finish(&mut self, start: usize) -> PlanExpr {
+        self.depth = (0, 0);
+        PlanExpr { start, end: self.code.len() }
+    }
+
+    /// Appends `op` and returns its position.
+    fn op(&mut self, op: Op) -> usize {
+        self.code.push(op);
+        self.code.len() - 1
+    }
+
+    /// The next free value slot, now taken; the slots grow to fit.
+    fn push(&mut self) -> usize {
+        let to = self.depth.0;
+        self.depth.0 += 1;
+        if self.vals.len() < self.depth.0 {
+            self.vals.resize(self.depth.0, Scalar::Real(0.0));
+        }
+        to
+    }
+
+    /// Moves the top value to the next free index slot.
+    fn push_index(&mut self) {
+        self.depth.0 -= 1;
+        let (from, to) = (self.depth.0, self.depth.1);
+        self.depth.1 += 1;
+        if self.idxs.len() < self.depth.1 {
+            self.idxs.resize(self.depth.1, 0);
+        }
+        self.op(Op::ToIndex { from, to });
+    }
+
+    /// Points the jump at `at` to the end of the code.
+    fn land(&mut self, at: usize) {
+        let here = self.code.len();
+        match &mut self.code[at] {
+            Op::AndElse { end: to, .. }
+            | Op::OrElse { end: to, .. }
+            | Op::JumpUnless { to, .. }
+            | Op::Jump { to } => *to = here,
+            _ => unreachable!("not a jump"),
+        }
+    }
+
+    fn emit(&mut self, k: &KExpr, bounds: &[(i64, i64)], operands: &[&Tensor]) {
+        match k {
+            KExpr::Const(v) => {
+                let to = self.push();
+                self.op(Op::Const { v: *v, to });
+            }
+            KExpr::Idx(pos) => {
+                let to = self.push();
+                self.op(Op::Idx { pos: *pos, to });
+            }
+            KExpr::Arg(i) => {
+                let to = self.push();
+                self.op(Op::Arg { i: *i, to });
+            }
+            KExpr::Operand { slot, indices } => {
+                let slot = *slot;
+                let strided =
+                    operands.get(slot).and_then(|t| self.strided(indices, t.shape(), bounds));
+                if let Some((base, at)) = strided {
+                    let to = self.push();
+                    self.op(Op::Strided { slot, base, at, to });
+                    return;
+                }
+                let from = self.depth.1;
+                for ix in indices {
+                    self.emit(ix, bounds, operands);
+                    self.push_index();
+                }
+                self.depth.1 = from;
+                let to = self.push();
+                self.op(Op::Checked { slot, from, rank: indices.len(), to });
+            }
+            KExpr::Unary(op, e) => {
+                self.emit(e, bounds, operands);
+                self.op(Op::Unary { op: *op, at: self.depth.0 - 1 });
+            }
+            KExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
+                self.emit(a, bounds, operands);
+                let at = self.depth.0 - 1;
+                let skip = if *op == BinOp::And {
+                    self.op(Op::AndElse { at, end: 0 })
+                } else {
+                    self.op(Op::OrElse { at, end: 0 })
+                };
+                self.depth.0 = at;
+                self.emit(b, bounds, operands);
+                self.op(Op::Truth { at });
+                self.land(skip);
+            }
+            KExpr::Binary(op, a, b) => {
+                self.emit(a, bounds, operands);
+                self.emit(b, bounds, operands);
+                self.depth.0 -= 1;
+                self.op(Op::Binary { op: *op, at: self.depth.0 - 1 });
+            }
+            KExpr::Select(c, a, b) => {
+                self.emit(c, bounds, operands);
+                let at = self.depth.0 - 1;
+                let to_else = self.op(Op::JumpUnless { at, to: 0 });
+                self.depth.0 = at;
+                self.emit(a, bounds, operands);
+                let to_end = self.op(Op::Jump { to: 0 });
+                self.land(to_else);
+                self.depth.0 = at;
+                self.emit(b, bounds, operands);
+                self.land(to_end);
+            }
+            KExpr::Call(f, args) => {
+                let at = self.depth.0;
+                for a in args {
+                    self.emit(a, bounds, operands);
+                }
+                if args.is_empty() {
+                    self.push();
+                }
+                self.depth.0 = at + 1;
+                self.op(Op::Call { f: *f, at, n: args.len() });
+            }
+        }
+    }
+
+    /// The flat offset `base + Σ coefs · point` and the coefficients' place
+    /// in `coefs`, when every index of an access into a tensor of `shape`
+    /// is affine and in bounds at every point of `bounds`.
+    fn strided(
+        &mut self,
+        indices: &[KExpr],
+        shape: &[usize],
+        bounds: &[(i64, i64)],
+    ) -> Option<(i64, usize)> {
+        if indices.len() != shape.len() {
+            return None;
+        }
+        let axes = bounds.len();
+        let empty = bounds.iter().any(|&(lo, hi)| lo > hi);
+        let at = self.coefs.len();
+        // The access's coefficients, then one index's scratch.
+        self.coefs.resize(at + 2 * axes, 0);
+        let mut base = 0i64;
+        for (ix, &dim) in indices.iter().zip(shape) {
+            let (flat, one) = self.coefs[at..].split_at_mut(axes);
+            one.fill(0);
+            let mut c = 0;
+            let proven = i64::try_from(dim).ok().filter(|_| {
+                affine(ix, 1, one, &mut c, bounds).is_some()
+                    && (empty || within(c, one, bounds, dim as i64))
+            });
+            let Some(dim) = proven else {
+                self.coefs.truncate(at);
+                return None;
+            };
+            // Row-major, as `Tensor::flat_index` folds it. Wrapping is
+            // exact: the true offset at every point of the box is in range.
+            base = base.wrapping_mul(dim).wrapping_add(c);
+            for (f, &a) in flat.iter_mut().zip(one.iter()) {
+                *f = f.wrapping_mul(dim).wrapping_add(a);
+            }
+        }
+        self.coefs.truncate(at + axes);
+        Some((base, at))
+    }
+
+    #[inline(always)]
+    fn run(
+        &mut self,
+        e: PlanExpr,
+        point: &[i64],
+        operands: &[&Tensor],
+        args: &[Scalar],
+    ) -> Result<(), ValueError> {
+        let KernelPlan { code, coefs, vals, idxs, .. } = self;
+        let truth = |b: bool| Scalar::Real(if b { 1.0 } else { 0.0 });
+        let mut pc = e.start;
+        while pc < e.end {
+            let op = code[pc];
+            pc += 1;
+            match op {
+                Op::Const { v, to } => vals[to] = Scalar::Real(v),
+                Op::Idx { pos, to } => vals[to] = Scalar::Real(point[pos] as f64),
+                Op::Arg { i, to } => vals[to] = args[i],
+                Op::Strided { slot, base, at, to } => {
+                    vals[to] = operands[slot].get_flat(offset(coefs, base, at, point));
+                }
+                Op::ToIndex { from, to } => idxs[to] = vals[from].as_index()?,
+                Op::Checked { slot, from, rank, to } => {
+                    vals[to] = operands[slot].get(&idxs[from..from + rank])?;
+                }
+                Op::Unary { op, at } => vals[at] = eval_unary(op, vals[at])?,
+                Op::Binary { op, at } => vals[at] = binary(op, vals[at], vals[at + 1])?,
+                Op::Call { f, at, n } => vals[at] = eval_call(f, &vals[at..at + n])?,
+                Op::AndElse { at, end } => {
+                    if !vals[at].as_bool()? {
+                        vals[at] = truth(false);
+                        pc = end;
+                    }
+                }
+                Op::OrElse { at, end } => {
+                    if vals[at].as_bool()? {
+                        vals[at] = truth(true);
+                        pc = end;
+                    }
+                }
+                Op::Truth { at } => vals[at] = truth(vals[at].as_bool()?),
+                Op::JumpUnless { at, to } => {
+                    if !vals[at].as_bool()? {
+                        pc = to;
+                    }
+                }
+                Op::Jump { to } => pc = to,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The flat offset `base + Σ coefs[at + k] · point[k]`.
+#[inline]
+fn offset(coefs: &[i64], base: i64, at: usize, point: &[i64]) -> usize {
+    let coefs = &coefs[at..at + point.len()];
+    coefs.iter().zip(point).fold(base, |o, (&c, &p)| o.wrapping_add(c.wrapping_mul(p))) as usize
+}
+
+/// Adds `scale · k` to the affine form `c + Σ coefs · point` when `k` is
+/// affine in the axes of `bounds` with integer coefficients, returning a
+/// bound on `|k|` over the box; `None` when it is not, or when some
+/// sub-expression could leave the range where `f64` is exact.
+fn affine(
+    k: &KExpr,
+    scale: i64,
+    coefs: &mut [i64],
+    c: &mut i64,
+    bounds: &[(i64, i64)],
+) -> Option<i64> {
+    let integer = |v: f64| (v.fract() == 0.0 && v.abs() <= EXACT as f64).then_some(v as i64);
+    let bound = match k {
+        KExpr::Const(v) => {
+            let v = integer(*v)?;
+            *c = c.checked_add(scale.checked_mul(v)?)?;
+            v.abs()
+        }
+        KExpr::Idx(pos) => {
+            let (lo, hi) = *bounds.get(*pos)?;
+            coefs[*pos] = coefs[*pos].checked_add(scale)?;
+            lo.checked_abs()?.max(hi.checked_abs()?)
+        }
+        KExpr::Unary(UnOp::Neg, e) => affine(e, scale.checked_neg()?, coefs, c, bounds)?,
+        KExpr::Binary(op @ (BinOp::Add | BinOp::Sub), a, b) => {
+            let sb = if *op == BinOp::Add { scale } else { scale.checked_neg()? };
+            let ba = affine(a, scale, coefs, c, bounds)?;
+            ba.checked_add(affine(b, sb, coefs, c, bounds)?)?
+        }
+        KExpr::Binary(BinOp::Mul, a, b) => {
+            let (m, e) = match (&**a, &**b) {
+                (KExpr::Const(m), e) | (e, KExpr::Const(m)) => (integer(*m)?, e),
+                _ => return None,
+            };
+            affine(e, scale.checked_mul(m)?, coefs, c, bounds)?.checked_mul(m.abs())?
+        }
+        _ => return None,
+    };
+    (bound <= EXACT).then_some(bound)
+}
+
+/// True when `c + Σ coefs · point` lies in `[0, dim)` at every point of the
+/// (non-empty) box `bounds`.
+fn within(c: i64, coefs: &[i64], bounds: &[(i64, i64)], dim: i64) -> bool {
+    let (mut lo, mut hi) = (c, c);
+    for (&a, &(l, h)) in coefs.iter().zip(bounds) {
+        // `affine` bounded every term by `EXACT`, so none overflows.
+        let (x, y) = (a * l, a * h);
+        lo += x.min(y);
+        hi += x.max(y);
+    }
+    lo >= 0 && hi < dim
+}
+
+/// The number of nodes in `k`. Each compiles to at most three ops: its
+/// own (two for a `Select`, `&&` or `||`) and a `ToIndex` when it is an
+/// index.
+fn node_count(k: &KExpr) -> usize {
+    1 + match k {
+        KExpr::Const(_) | KExpr::Idx(_) | KExpr::Arg(_) => 0,
+        KExpr::Operand { indices, .. } => indices.iter().map(node_count).sum(),
+        KExpr::Unary(_, e) => node_count(e),
+        KExpr::Binary(_, a, b) => node_count(a) + node_count(b),
+        KExpr::Select(c, a, b) => node_count(c) + node_count(a) + node_count(b),
+        KExpr::Call(_, args) => args.iter().map(node_count).sum(),
     }
 }
 

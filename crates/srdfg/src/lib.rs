@@ -74,8 +74,8 @@ pub use build::{build, Bindings};
 pub use error::{BuildError, ExecError};
 pub use expand::{refine, RefineError};
 pub use graph::{
-    Edge, EdgeId, EdgeMeta, IndexRange, MapSpec, Modifier, Node, NodeId, NodeKind, Pattern,
-    ReduceOp, ReduceSpec, ScalarKind, SrDfg, WriteSpec,
+    Edge, EdgeId, EdgeMeta, IndexRange, MapSpec, Modifier, Node, NodeId, NodeKind, Odometer,
+    Pattern, ReduceOp, ReduceSpec, ScalarKind, SrDfg, WriteSpec,
 };
 pub use hash::{graph_fingerprint, node_structural_hash, FxBuildHasher, FxHasher};
 pub use ident::Ident;

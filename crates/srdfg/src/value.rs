@@ -26,6 +26,7 @@ impl Scalar {
     /// # Errors
     ///
     /// Returns an error for complex values.
+    #[inline]
     pub fn as_bool(&self) -> Result<bool, ValueError> {
         match self {
             Scalar::Real(v) => Ok(*v != 0.0),
@@ -38,6 +39,7 @@ impl Scalar {
     /// # Errors
     ///
     /// Returns an error for complex values.
+    #[inline]
     pub fn as_real(&self) -> Result<f64, ValueError> {
         match self {
             Scalar::Real(v) => Ok(*v),
@@ -50,6 +52,7 @@ impl Scalar {
     /// # Errors
     ///
     /// Returns an error for complex values.
+    #[inline]
     pub fn as_index(&self) -> Result<i64, ValueError> {
         Ok(self.as_real()? as i64)
     }
@@ -296,6 +299,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `flat >= self.len()`.
+    #[inline]
     pub fn get_flat(&self, flat: usize) -> Scalar {
         match &self.data {
             TensorData::Real(v) => Scalar::Real(v[flat]),
@@ -325,6 +329,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `flat >= self.len()`.
+    #[inline]
     pub fn set_flat(&mut self, flat: usize, v: Scalar) -> Result<(), ValueError> {
         match (&mut self.data, v) {
             (TensorData::Real(data), Scalar::Real(x)) => {
@@ -422,6 +427,7 @@ impl fmt::Display for Tensor {
 }
 
 /// Coerces a real to a tensor's declared element type.
+#[inline]
 fn coerce_real(dtype: DType, x: f64) -> f64 {
     match dtype {
         DType::Int => x.trunc(),

@@ -291,6 +291,17 @@ if grep -rnE 'fn (checkpoint_states|restore_states|run_plain|record_served|break
     exit 1
 fi
 
+echo "== a coarse kernel runs through its plan"
+# exec_map/exec_reduce compile a node's kernels once into a KernelPlan and
+# walk the box with srdfg's one Odometer. A tree walk per element, or a
+# second enumerator of a box, puts the boxed KExpr walk and its per-element
+# allocations back on every element of every coarse node.
+if grep -nE 'for_each_point|\.eval\(idx' crates/srdfg/src/interp.rs ||
+    grep -n 'fn for_each_point' crates/analyze/src/graph_lints.rs; then
+    echo "a per-element tree walk or a second box enumerator is back" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

@@ -250,6 +250,40 @@ fn poison_is_contained_quarantined_and_rejected_at_admission() {
 }
 
 #[test]
+fn a_static_write_outside_its_target_is_a_compile_error_not_a_quarantine() {
+    let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let engine = Arc::new(ServeEngine::new(&cfg));
+    let server = ServeServer::start(Arc::clone(&engine), &cfg);
+    let (tx, rx) = mpsc::channel();
+    // Unchecked, the first write lands `x[0][3]` in `y[1][0]` and serves
+    // (and caches) the wrong program; the second indexes past `y` and
+    // panics the expansion, which quarantines it.
+    let lines = [
+        concat!(
+            r#"{"op":"run","id":"w2","program":"main(input float x[1][4], output float "#,
+            r#"y[2][4]) { index i[0:0], j[0:3]; DA: y[i][j+1] = x[i][j]; }","#,
+            r#""feeds":{"x":{"dims":[1,4],"values":[1,2,3,4]}}}"#
+        ),
+        concat!(
+            r#"{"op":"run","id":"w1","program":"main(input float x[4], output float y[4]) "#,
+            r#"{ index i[0:3]; DA: y[i+1] = x[i]; }","feeds":{"x":{"dims":[4],"values":[1,2,3,4]}}}"#
+        ),
+    ];
+    for line in lines {
+        server.submit(line.to_string(), tx.clone()).expect("admitted");
+        let resp = rx.recv().expect("the worker replies");
+        assert_eq!(error_kind(&resp), "compile", "{resp}");
+        assert!(resp.contains("indexes `y` out of bounds"), "{resp}");
+    }
+    server.submit(run_line("ok", "alice", &[], None, None), tx).unwrap();
+    let healthy = rx.recv().unwrap();
+    assert_eq!(parse(&healthy).get("ok").and_then(Json::as_bool), Some(true), "{healthy}");
+    assert_eq!(engine.worker_panics(), 0);
+    assert!(engine.quarantine().is_empty(), "a rejected program must not be quarantined");
+    server.shutdown();
+}
+
+#[test]
 fn oversized_declared_tensors_are_execution_errors_not_aborts() {
     let engine = ServeEngine::new(&ServeConfig { host_only: true, ..Default::default() });
     // 800 GB of state: the allocation fails instead of aborting the
