@@ -159,11 +159,11 @@ impl Backend for Deco {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_lower::{compile_program, lower, TargetMap};
+    use pm_lower::{CompiledProgram, TargetMap};
 
     /// A small dot-product-with-scale DSP kernel (complex-free so every op
     /// maps onto DSP blocks).
-    fn fir(taps: usize) -> (SrDfg, TargetMap) {
+    fn fir(taps: usize) -> CompiledProgram {
         let src = format!(
             "main(input float x[{n}], param float h[{n}], output float y) {{
                  index i[0:{m}];
@@ -179,17 +179,14 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::Dsp);
         let mut targets = TargetMap::host_only(host);
         targets.set(deco.accel_spec());
-        lower(&mut g, &targets).unwrap();
-        pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut g);
-        (g, targets)
+        crate::compiled(g, &targets)
     }
 
     #[test]
     fn fuses_macs_in_dot_product() {
-        let (g, targets) = fir(64);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = fir(64);
         let part = compiled.partition(Some(Domain::Dsp)).unwrap();
-        let sched = Deco::default().schedule(part, &g);
+        let sched = Deco::default().schedule(part, &compiled.graph);
         // Every mul feeds exactly one adder-tree add — but only the 32
         // first-level adds have mul operands; those muls all fuse.
         assert!(sched.fused_macs >= 32, "fused {}", sched.fused_macs);
@@ -202,10 +199,9 @@ mod tests {
         let deco = Deco::default();
         let mut last = 0u64;
         for taps in [64, 512, 2048] {
-            let (g, targets) = fir(taps);
-            let compiled = compile_program(&g, &targets).unwrap();
+            let compiled = fir(taps);
             let part = compiled.partition(Some(Domain::Dsp)).unwrap();
-            let est = deco.estimate(part, &g, &WorkloadHints::default());
+            let est = deco.estimate(part, &compiled.graph, &WorkloadHints::default());
             assert!(est.cycles > last, "taps={taps}");
             last = est.cycles;
         }
@@ -213,10 +209,9 @@ mod tests {
 
     #[test]
     fn params_do_not_stream() {
-        let (g, targets) = fir(64);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = fir(64);
         let part = compiled.partition(Some(Domain::Dsp)).unwrap();
-        let sched = Deco::default().schedule(part, &g);
+        let sched = Deco::default().schedule(part, &compiled.graph);
         // Streams x (256B) and y (4B) but not the 256B of taps.
         assert!(sched.streamed_bytes <= 300, "streamed {}", sched.streamed_bytes);
     }

@@ -149,17 +149,16 @@ impl Backend for DnnWeaver {
 mod tests {
     use super::*;
     use crate::vta::Vta;
-    use pm_lower::{compile_program, lower, TargetMap};
+    use pm_lower::TargetMap;
 
     fn compiled_cnn(backend: &dyn Backend, s: usize) -> pm_lower::CompiledProgram {
         let src = pm_workloads::programs::resnet18(s);
         let (prog, _) = pmlang::frontend(&src).unwrap();
-        let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
+        let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DeepLearning);
         let mut targets = TargetMap::host_only(host);
         targets.set(backend.accel_spec());
-        lower(&mut g, &targets).unwrap();
-        compile_program(&g, &targets).unwrap()
+        crate::compiled(g, &targets)
     }
 
     #[test]
@@ -194,11 +193,9 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DeepLearning);
         let h = WorkloadHints::default();
         let price = |backend: &dyn Backend| -> u64 {
-            let mut graph = g.clone();
             let mut targets = TargetMap::host_only(host.clone());
             targets.set(backend.accel_spec());
-            lower(&mut graph, &targets).unwrap();
-            let compiled = compile_program(&graph, &targets).unwrap();
+            let compiled = crate::compiled(g.clone(), &targets);
             backend
                 .estimate(
                     compiled.partition(Some(Domain::DeepLearning)).unwrap(),

@@ -194,11 +194,11 @@ impl Backend for Graphicionado {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_lower::{compile_program, lower, TargetMap};
+    use pm_lower::{CompiledProgram, TargetMap};
 
     /// BFS/SSSP-style vertex program over a dense weight matrix: one
     /// min-reduce over incident edges, one apply.
-    fn sssp(vertices: usize) -> (SrDfg, TargetMap) {
+    fn sssp(vertices: usize) -> CompiledProgram {
         let src = format!(
             "reduction minr(a, b) = a < b ? a : b;
              main(input float e_w[{v}][{v}], state float dist[{v}], output float out[{v}]) {{
@@ -218,17 +218,15 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::GraphAnalytics);
         let mut targets = TargetMap::host_only(host);
         targets.set(gacc.accel_spec());
-        lower(&mut g, &targets).unwrap();
-        (g, targets)
+        crate::compiled(g, &targets)
     }
 
     #[test]
     fn extracts_pipeline_blocks() {
-        let (g, targets) = sssp(16);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = sssp(16);
         let part = compiled.partition(Some(Domain::GraphAnalytics)).unwrap();
         let gacc = Graphicionado::default();
-        let p = gacc.pipeline_program(part, &g);
+        let p = gacc.pipeline_program(part, &compiled.graph);
         assert!(p.reduce_blocks >= 1, "{p:?}");
         assert!(p.apply_blocks >= 1, "{p:?}");
         assert_eq!(p.vertices, 16);
@@ -237,14 +235,13 @@ mod tests {
 
     #[test]
     fn sparse_hint_beats_dense_assumption() {
-        let (g, targets) = sssp(64);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = sssp(64);
         let part = compiled.partition(Some(Domain::GraphAnalytics)).unwrap();
         let gacc = Graphicionado::default();
-        let dense = gacc.estimate(part, &g, &WorkloadHints::default());
+        let dense = gacc.estimate(part, &compiled.graph, &WorkloadHints::default());
         let sparse = gacc.estimate(
             part,
-            &g,
+            &compiled.graph,
             &WorkloadHints { effective_ops: Some(1024), ..Default::default() },
         );
         assert!(sparse.cycles < dense.cycles);
@@ -252,12 +249,12 @@ mod tests {
 
     #[test]
     fn more_streams_go_faster() {
-        let (g, targets) = sssp(64);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = sssp(64);
         let part = compiled.partition(Some(Domain::GraphAnalytics)).unwrap();
         let one = Graphicionado { streams: 1, ..Default::default() };
         let eight = Graphicionado::default();
         let hints = WorkloadHints { effective_ops: Some(100_000), ..Default::default() };
-        assert!(eight.estimate(part, &g, &hints).cycles < one.estimate(part, &g, &hints).cycles);
+        let g = &compiled.graph;
+        assert!(eight.estimate(part, g, &hints).cycles < one.estimate(part, g, &hints).cycles);
     }
 }

@@ -158,19 +158,17 @@ impl Backend for HyperStreams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_lower::{compile_program, lower, TargetMap};
+    use pm_lower::TargetMap;
 
     fn compiled_blks(options: usize) -> (pm_lower::CompiledProgram, HyperStreams) {
         let src = pm_workloads::programs::black_scholes(options);
         let (prog, _) = pmlang::frontend(&src).unwrap();
-        let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
+        let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let hs = HyperStreams::default();
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
         let mut targets = TargetMap::host_only(host);
         targets.set(hs.accel_spec());
-        lower(&mut g, &targets).unwrap();
-        pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut g);
-        (compile_program(&g, &targets).unwrap(), hs)
+        (crate::compiled(g, &targets), hs)
     }
 
     #[test]

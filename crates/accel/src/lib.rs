@@ -84,3 +84,9 @@ pub use runtime::{TrajectoryInputs, TrajectoryOutcome};
 pub use soc::{ChaosOutcome, FallbackRecord, PartitionReport, Soc, SocReport};
 pub use tabla::Tabla;
 pub use vta::Vta;
+
+/// The backend tests' one way to compile: the compiler's back half.
+#[cfg(test)]
+fn compiled(graph: srdfg::SrDfg, targets: &pm_lower::TargetMap) -> pm_lower::CompiledProgram {
+    pm_passes::lower_and_compile(graph, targets, None, &srdfg::Budget::unlimited()).unwrap().0
+}

@@ -253,7 +253,6 @@ mod tests {
     use super::*;
     use crate::backend::Backend as _;
     use crate::tabla::Tabla;
-    use pm_lower::{compile_program, lower};
     use srdfg::Tensor;
 
     /// A DA reduction compiled for TABLA, so a shard has a breaker to trip.
@@ -263,11 +262,10 @@ mod tests {
              DA: y = sum[i](x[i]*x[i]);
          }";
         let prog = pmlang::parse(src).unwrap();
-        let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
+        let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let mut targets = TargetMap::host_only(crate::cpu::Cpu::default().accel_spec());
         targets.set(Tabla::default().accel_spec());
-        lower(&mut g, &targets).unwrap();
-        (compile_program(&g, &targets).unwrap(), targets)
+        (crate::compiled(g, &targets), targets)
     }
 
     #[test]

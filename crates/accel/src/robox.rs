@@ -162,10 +162,10 @@ impl Backend for Robox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_lower::{compile_program, lower, TargetMap};
+    use pm_lower::{CompiledProgram, TargetMap};
 
     /// The paper's MobileRobot MPC structure at small scale.
-    fn mpc(horizon: usize) -> (SrDfg, TargetMap) {
+    fn mpc(horizon: usize) -> CompiledProgram {
         let c = 3 * horizon; // predicted states
         let b = 2 * horizon; // control sequence
         let src = format!(
@@ -196,14 +196,12 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::Robotics);
         let mut targets = TargetMap::host_only(host);
         targets.set(rb.accel_spec());
-        lower(&mut g, &targets).unwrap();
-        (g, targets)
+        crate::compiled(g, &targets)
     }
 
     #[test]
     fn mpc_lowers_to_group_granularity() {
-        let (g, targets) = mpc(8);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = mpc(8);
         let part = compiled.partition(Some(Domain::Robotics)).unwrap();
         // Matrix-vector products must stay whole (no scalar explosion).
         let ops: Vec<_> = part.fragments.iter().map(|f| f.op(&compiled.graph)).collect();
@@ -216,10 +214,9 @@ mod tests {
         let rb = Robox::default();
         let mut last = 0u64;
         for h in [4, 16, 64] {
-            let (g, targets) = mpc(h);
-            let compiled = compile_program(&g, &targets).unwrap();
+            let compiled = mpc(h);
             let part = compiled.partition(Some(Domain::Robotics)).unwrap();
-            let est = rb.estimate(part, &g, &WorkloadHints::default());
+            let est = rb.estimate(part, &compiled.graph, &WorkloadHints::default());
             assert!(est.cycles > last, "h={h}");
             last = est.cycles;
         }
@@ -227,12 +224,12 @@ mod tests {
 
     #[test]
     fn more_lanes_help_dense_kernels() {
-        let (g, targets) = mpc(32);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = mpc(32);
         let part = compiled.partition(Some(Domain::Robotics)).unwrap();
         let narrow = Robox { lanes: 4, ..Default::default() };
         let wide = Robox { lanes: 32, ..Default::default() };
         let h = WorkloadHints::default();
-        assert!(wide.estimate(part, &g, &h).cycles < narrow.estimate(part, &g, &h).cycles);
+        let g = &compiled.graph;
+        assert!(wide.estimate(part, g, &h).cycles < narrow.estimate(part, g, &h).cycles);
     }
 }

@@ -167,7 +167,6 @@ mod tests {
     use crate::deco::Deco;
     use crate::fault::ChaosProfile;
     use crate::tabla::Tabla;
-    use pm_lower::{compile_program, lower};
 
     /// A stateful two-domain program: a DSP smoother feeding a DA
     /// accumulator whose `state` persists across invocations.
@@ -181,13 +180,12 @@ mod tests {
              DA: out[i] = acc[i];
          }";
         let prog = pmlang::parse(src).unwrap();
-        let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
+        let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let host = crate::cpu::Cpu::default().accel_spec();
         let mut targets = TargetMap::host_only(host);
         targets.set(Deco::default().accel_spec());
         targets.set(Tabla::default().accel_spec());
-        lower(&mut g, &targets).unwrap();
-        (compile_program(&g, &targets).unwrap(), targets)
+        (crate::compiled(g, &targets), targets)
     }
 
     fn soc() -> Soc {

@@ -699,7 +699,7 @@ mod tests {
     use super::*;
     use crate::deco::Deco;
     use crate::tabla::Tabla;
-    use pm_lower::{compile_program, lower, TargetMap};
+    use pm_lower::TargetMap;
 
     /// A two-domain pipeline: DSP filter feeding a DA classifier.
     fn compiled_two_domain(accelerate: &[Domain]) -> (CompiledProgram, TargetMap) {
@@ -721,7 +721,7 @@ mod tests {
              DA: clas(feat, W, v, cls);
          }";
         let prog = pmlang::parse(src).unwrap();
-        let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
+        let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let host = Cpu::default().accel_spec();
         let mut targets = TargetMap::host_only(host);
         if accelerate.contains(&Domain::Dsp) {
@@ -730,9 +730,7 @@ mod tests {
         if accelerate.contains(&Domain::DataAnalytics) {
             targets.set(Tabla::default().accel_spec());
         }
-        lower(&mut g, &targets).unwrap();
-        pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut g);
-        (compile_program(&g, &targets).unwrap(), targets)
+        (crate::compiled(g, &targets), targets)
     }
 
     fn soc() -> Soc {
@@ -791,12 +789,10 @@ mod tests {
              DA: clas(x, W, y);
          }";
         let prog = pmlang::parse(src).unwrap();
-        let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
+        let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let mut targets = TargetMap::host_only(Cpu::default().accel_spec());
         targets.set(Tabla::default().accel_spec());
-        lower(&mut g, &targets).unwrap();
-        pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut g);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = crate::compiled(g, &targets);
         let s = soc();
         let report = s.run(&compiled, &HashMap::new()).unwrap();
         let da =
@@ -824,13 +820,12 @@ mod tests {
              DA: y = sum[i](w[i]*x[i]);
          }";
         let prog = pmlang::parse(src).unwrap();
-        let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
+        let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let mut spec = Tabla::default().accel_spec();
         spec.name = "TABAL".to_string();
         let mut targets = TargetMap::host_only(Cpu::default().accel_spec());
         targets.set(spec);
-        lower(&mut g, &targets).unwrap();
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = crate::compiled(g, &targets);
         // Attached a second time, TABLA is still listed once.
         let err = soc().attach(Tabla::default()).run(&compiled, &HashMap::new()).unwrap_err();
         match &err {

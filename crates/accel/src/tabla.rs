@@ -180,9 +180,9 @@ impl Backend for Tabla {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_lower::{compile_program, lower, TargetMap};
+    use pm_lower::{CompiledProgram, TargetMap};
 
-    fn logistic_regression(features: usize) -> (SrDfg, TargetMap) {
+    fn logistic_regression(features: usize) -> CompiledProgram {
         let src = format!(
             "main(input float x[{n}], state float w[{n}], input float label, output float y) {{
                  index i[0:{m}];
@@ -201,45 +201,40 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
         let mut targets = TargetMap::host_only(host);
         targets.set(tabla.accel_spec());
-        lower(&mut g, &targets).unwrap();
-        pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut g);
-        (g, targets)
+        crate::compiled(g, &targets)
     }
 
     #[test]
     fn schedules_logistic_regression() {
-        let (g, targets) = logistic_regression(64);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = logistic_regression(64);
         let part = compiled.partition(Some(Domain::DataAnalytics)).unwrap();
         let tabla = Tabla::default();
-        let sched = tabla.schedule(part, &g);
+        let sched = tabla.schedule(part, &compiled.graph);
         // Dot product of 64 → 64 muls + 63 adds + sigmoid + update ops.
         assert!(sched.total_ops > 190, "got {}", sched.total_ops);
         // The adder tree gives a logarithmic level count.
         assert!(sched.levels.len() >= 7, "levels {}", sched.levels.len());
-        let est = tabla.estimate(part, &g, &WorkloadHints::default());
+        let est = tabla.estimate(part, &compiled.graph, &WorkloadHints::default());
         assert!(est.cycles > 0);
         assert!(est.seconds > 0.0 && est.energy_j > 0.0);
     }
 
     #[test]
     fn more_pes_never_slower() {
-        let (g, targets) = logistic_regression(128);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = logistic_regression(128);
         let part = compiled.partition(Some(Domain::DataAnalytics)).unwrap();
         let small = Tabla { pus: 2, pes_per_pu: 4, ..Tabla::default() };
         let big = Tabla { pus: 8, pes_per_pu: 8, ..Tabla::default() };
-        let sched_small = small.schedule(part, &g);
-        let sched_big = big.schedule(part, &g);
+        let sched_small = small.schedule(part, &compiled.graph);
+        let sched_big = big.schedule(part, &compiled.graph);
         assert!(sched_big.cycles(big.pes()) <= sched_small.cycles(small.pes()));
     }
 
     #[test]
     fn state_does_not_stream() {
-        let (g, targets) = logistic_regression(64);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = logistic_regression(64);
         let part = compiled.partition(Some(Domain::DataAnalytics)).unwrap();
-        let sched = Tabla::default().schedule(part, &g);
+        let sched = Tabla::default().schedule(part, &compiled.graph);
         // Streams x (64×4B), label, y — NOT the 64-element weight state.
         assert!(sched.streamed_bytes < 64 * 4 * 2 + 64, "streamed {}", sched.streamed_bytes);
     }
@@ -249,10 +244,9 @@ mod tests {
         let t = Tabla::default();
         let mut last = 0u64;
         for n in [32, 128, 512] {
-            let (g, targets) = logistic_regression(n);
-            let compiled = compile_program(&g, &targets).unwrap();
+            let compiled = logistic_regression(n);
             let part = compiled.partition(Some(Domain::DataAnalytics)).unwrap();
-            let est = t.estimate(part, &g, &WorkloadHints::default());
+            let est = t.estimate(part, &compiled.graph, &WorkloadHints::default());
             assert!(est.cycles > last, "n={n}: {} !> {last}", est.cycles);
             last = est.cycles;
         }

@@ -170,10 +170,10 @@ impl Backend for Vta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_lower::{compile_program, lower, TargetMap};
+    use pm_lower::{CompiledProgram, TargetMap};
 
     /// A conv → relu → dense micro-CNN.
-    fn micro_cnn(channels: usize, size: usize) -> (SrDfg, TargetMap) {
+    fn micro_cnn(channels: usize, size: usize) -> CompiledProgram {
         let o = size - 2; // valid 3×3 conv
         let src = format!(
             "main(input float img[{ch}][{s}][{s}],
@@ -201,14 +201,12 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DeepLearning);
         let mut targets = TargetMap::host_only(host);
         targets.set(vta.accel_spec());
-        lower(&mut g, &targets).unwrap();
-        (g, targets)
+        crate::compiled(g, &targets)
     }
 
     #[test]
     fn cnn_stays_at_layer_granularity() {
-        let (g, targets) = micro_cnn(8, 8);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = micro_cnn(8, 8);
         let part = compiled.partition(Some(Domain::DeepLearning)).unwrap();
         let ops: Vec<_> = part
             .fragments
@@ -237,10 +235,9 @@ mod tests {
         let vta = Vta::default();
         let mut last = 0u64;
         for s in [6, 10, 18] {
-            let (g, targets) = micro_cnn(8, s);
-            let compiled = compile_program(&g, &targets).unwrap();
+            let compiled = micro_cnn(8, s);
             let part = compiled.partition(Some(Domain::DeepLearning)).unwrap();
-            let est = vta.estimate(part, &g, &WorkloadHints::default());
+            let est = vta.estimate(part, &compiled.graph, &WorkloadHints::default());
             assert!(est.cycles > last, "s={s}");
             last = est.cycles;
         }
@@ -249,10 +246,8 @@ mod tests {
     #[test]
     fn functional_equivalence_of_lowered_cnn() {
         use std::collections::HashMap;
-        let (g, _) = micro_cnn(4, 6);
-        // Execute the lowered layer-granularity graph and compare with the
-        // unlowered original.
-        let prog_src_graph = g.clone();
+        // Execute the lowered layer-granularity graph.
+        let compiled = micro_cnn(4, 6);
         let mut rng = 0u64;
         let mut next = || {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -268,7 +263,7 @@ mod tests {
             ("w".to_string(), t(vec![4, 4, 3, 3])),
             ("fc".to_string(), t(vec![10, 4])),
         ]);
-        let out = srdfg::Machine::new(prog_src_graph).invoke(&feeds).unwrap();
+        let out = srdfg::Machine::new(compiled.graph).invoke(&feeds).unwrap();
         assert_eq!(out["logits"].shape(), &[10]);
         // Logits are finite and non-degenerate.
         let logits = out["logits"].as_real_slice().unwrap();

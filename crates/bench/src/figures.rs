@@ -570,6 +570,8 @@ fn compile_single_target(
     }
     let mut targets = pm_lower::TargetMap::host_only(Cpu::default().accel_spec());
     targets.set(backend.accel_spec());
+    // Not `pm_passes::lower_and_compile`: the ablation rows switch single
+    // stages, and their numbers hold until the reproduction claim is pinned.
     pm_lower::lower(&mut graph, &targets).unwrap();
     if elide {
         pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut graph);

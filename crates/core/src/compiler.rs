@@ -3,10 +3,7 @@
 //! (Algorithm 2).
 
 use pm_accel::Soc;
-use pm_lower::{
-    compile_program_budgeted, lower_budgeted, CompiledProgram, ProgramCache, ProgramCacheStats,
-    ProgramKey, TargetMap,
-};
+use pm_lower::{CompiledProgram, ProgramCache, ProgramCacheStats, ProgramKey, TargetMap};
 use pm_passes::{Pass, PassManager, PassTiming};
 use pmlang::Domain;
 use srdfg::{Bindings, Budget, BudgetExceeded, SrDfg, TemplateCache, TemplateCacheStats};
@@ -326,7 +323,8 @@ impl Compiler {
         Ok(graph)
     }
 
-    /// The compile pipeline, written once. Every public entry point is
+    /// The compile pipeline, written once: [`Compiler::midend_graph`],
+    /// then [`pm_passes::lower_and_compile`]. Every public entry point is
     /// this stage list under different data: `programs` is the program
     /// cache to key, look up and insert into (or none — then no key is
     /// computed and `gate` is not consulted); `verify` runs the static
@@ -345,7 +343,7 @@ impl Compiler {
         budget.check("compile")?;
         let t0 = Instant::now();
         let mut timings = CompileTimings::default();
-        let mut graph = self.midend_graph(source, bindings, &mut timings)?;
+        let graph = self.midend_graph(source, bindings, &mut timings)?;
 
         if verify {
             let t = Instant::now();
@@ -366,20 +364,13 @@ impl Compiler {
         }
 
         let cache_before = self.template_cache.stats();
-        let t = Instant::now();
-        lower_budgeted(&mut graph, &self.targets, Some(&self.template_cache), budget)?;
-        timings.lower = t.elapsed();
+        let (program, stages) =
+            pm_passes::lower_and_compile(graph, &self.targets, Some(&self.template_cache), budget)?;
         timings.cache = self.template_cache.stats().since(&cache_before);
-
-        let t = Instant::now();
-        pm_passes::ElideMarshalling.run(&mut graph);
-        pm_passes::PruneUnusedInputs.run(&mut graph);
-        timings.post_lower = t.elapsed();
-
-        let t = Instant::now();
-        let program =
-            Arc::new(compile_program_budgeted(Arc::new(graph), &self.targets, true, budget)?);
-        timings.compile = t.elapsed();
+        timings.lower = stages.lower;
+        timings.post_lower = stages.post_lower;
+        timings.compile = stages.compile;
+        let program = Arc::new(program);
 
         if verify {
             let t = Instant::now();

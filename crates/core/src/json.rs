@@ -14,6 +14,11 @@
 
 use std::fmt;
 
+/// The deepest array/object nesting a document may have. The deepest
+/// valid request nests 4; the cap keeps a hostile line from overflowing
+/// the stack of the recursive parser.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -56,7 +61,7 @@ impl Json {
     ///
     /// Returns a [`JsonError`] locating the first malformed byte.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -195,6 +200,8 @@ fn escape_into(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -232,8 +239,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -242,6 +249,21 @@ impl<'a> Parser<'a> {
             Some(other) => Err(self.err(format!("unexpected byte `{}`", other as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -398,6 +420,16 @@ mod tests {
         let x = v.get("feeds").and_then(|f| f.get("x")).unwrap();
         assert_eq!(x.get("dims").and_then(Json::as_array).map(|a| a.len()), Some(1));
         assert_eq!(x.get("values").and_then(Json::as_array).map(|a| a.len()), Some(4));
+    }
+
+    #[test]
+    fn nesting_is_capped_without_overflowing_the_stack() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(200_000)).is_err());
     }
 
     #[test]

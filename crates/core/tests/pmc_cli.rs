@@ -164,6 +164,17 @@ fn ir_target_prints_the_lowered_listing() {
 }
 
 #[test]
+fn ir_target_shows_the_graph_the_compiler_serves() {
+    let pagerank = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/pm/pagerank.pm");
+    let out = pmc(&["ir", pagerank, "--target", "Graphicionado"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    // Operand pruning ran: the reduce reads only the products it sums.
+    let sum = text.lines().find(|l| l.starts_with("n4 sum ")).unwrap_or_else(|| panic!("{text}"));
+    assert!(sum.contains(": (matvec.elems:[4, 4]) -> (contrib.1:[4])"), "{sum}");
+}
+
+#[test]
 fn run_executes_with_feeds_and_state() {
     let pm = temp_file(
         "runpm",

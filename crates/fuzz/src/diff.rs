@@ -24,11 +24,12 @@
 
 use crate::model::PProgram;
 use pm_accel::{cross_domain_targets, host_targets, ChaosConfig, ChaosProfile, Soc};
-use pm_lower::{compile_program, fully_lowered, lower, CompiledProgram, FragmentKind, TargetMap};
-use pm_passes::{Pass, PassManager, PassStats};
-use srdfg::{Bindings, KExpr, Machine, NodeKind, SrDfg, Tensor};
+use pm_lower::{CompiledProgram, FragmentKind, TargetMap};
+use pm_passes::{lower_and_compile, Pass, PassManager, PassStats};
+use srdfg::{Bindings, Budget, KExpr, Machine, NodeKind, SrDfg, TemplateCache, Tensor};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Differential-run knobs.
 #[derive(Debug, Clone, Default)]
@@ -187,45 +188,32 @@ fn check_partitions(compiled: &CompiledProgram, targets: &TargetMap) -> Result<(
     Ok(())
 }
 
-/// The chaos route: lower cross-domain, dispatch through the resilient
-/// SoC runtime under fault injection, and return the graph of whatever
-/// schedule survived (the original, or the host-fallback re-lowering
-/// after a persistent outage). The caller then checks that graph against
-/// the oracle, so a fault-injected run must either match or surface a
-/// structured diagnostic.
+/// The chaos route: dispatch the cross-domain program through the
+/// resilient SoC runtime under fault injection, and return the graph of
+/// whatever schedule survived (the original, or the host-fallback
+/// re-lowering after a persistent outage). The caller then checks that
+/// graph against the oracle, so a fault-injected run must either match or
+/// surface a structured diagnostic.
 fn chaos_route(
-    mut graph: SrDfg,
+    compiled: &CompiledProgram,
     targets: &TargetMap,
     cfg: &DiffConfig,
     profile: ChaosProfile,
-) -> Result<SrDfg, String> {
-    lower(&mut graph, targets).map_err(|e| e.to_string())?;
-    pm_passes::ElideMarshalling.run(&mut graph);
-    pm_passes::PruneUnusedInputs.run(&mut graph);
-    let compiled = compile_program(&graph, targets).map_err(|e| format!("algorithm 2: {e}"))?;
+) -> Result<Arc<SrDfg>, String> {
     let chaos = ChaosConfig::new(cfg.chaos_seed, profile);
     // The five domain defaults, matching `cross_domain_targets`.
     let outcome = Soc::with(pm_accel::domain_defaults())
-        .run_chaos(&compiled, &HashMap::new(), &chaos, Some(targets))
+        .run_chaos(compiled, &HashMap::new(), &chaos, Some(targets))
         .map_err(|e| format!("chaos dispatch: {e}"))?;
-    // Owned, like every route's graph: `run_route` takes it by value.
-    Ok(match outcome.relowered {
-        Some(re) => (*re.graph).clone(),
-        None => (*compiled.graph).clone(),
-    })
+    Ok(Arc::clone(&outcome.relowered.as_ref().unwrap_or(compiled).graph))
 }
 
-/// Lowers a copy of `graph` for `targets`, checks structure, and returns
-/// the lowered graph for interpretation.
-fn lowered_route(mut graph: SrDfg, targets: &TargetMap) -> Result<SrDfg, String> {
-    lower(&mut graph, targets).map_err(|e| e.to_string())?;
-    pm_passes::ElideMarshalling.run(&mut graph);
-    pm_passes::PruneUnusedInputs.run(&mut graph);
-    srdfg::validate(&graph).map_err(|e| format!("validate: {e}"))?;
-    if !fully_lowered(&graph, targets) {
-        return Err("lowering converged with unsupported operations left".into());
-    }
-    let compiled = compile_program(&graph, targets).map_err(|e| format!("algorithm 2: {e}"))?;
+/// Compiles `graph` for `targets` through the compiler's back half and
+/// checks the Algorithm-2 partitions and their schedule.
+fn lowered_route(graph: SrDfg, targets: &TargetMap) -> Result<CompiledProgram, String> {
+    let (compiled, _) =
+        lower_and_compile(graph, targets, Some(&TemplateCache::new()), &Budget::unlimited())
+            .map_err(|e| e.to_string())?;
     check_partitions(&compiled, targets)?;
     if let Some(f) = pm_analyze::analyze_schedule(&compiled, targets)
         .iter()
@@ -233,7 +221,7 @@ fn lowered_route(mut graph: SrDfg, targets: &TargetMap) -> Result<SrDfg, String>
     {
         return Err(format!("schedule hazard: {f}"));
     }
-    Ok(graph)
+    Ok(compiled)
 }
 
 /// Runs `body`, turning a panic anywhere under it into a `panic` route
@@ -258,7 +246,7 @@ fn guarded(body: impl FnOnce() -> CaseResult) -> CaseResult {
 fn check_routes(
     source: &str,
     cfg: &DiffConfig,
-    mut check: impl FnMut(SrDfg) -> Result<(), String>,
+    mut check: impl FnMut(Arc<SrDfg>) -> Result<(), String>,
 ) -> Result<(), Failure> {
     let fail = |route: &str, detail: String| Failure { route: route.into(), detail };
     let (program, _) = pmlang::frontend(source).map_err(|e| fail("frontend", e.to_string()))?;
@@ -289,7 +277,7 @@ fn check_routes(
     pm_passes::AlgebraicCombination.run(&mut fused);
     let cross = cross_domain_targets();
 
-    let mut route = |name: &str, graph: Result<SrDfg, String>| {
+    let mut route = |name: &str, graph: Result<Arc<SrDfg>, String>| {
         let graph = graph.map_err(|e| fail(name, e))?;
         srdfg::validate(&graph).map_err(|e| fail(name, format!("validate: {e}")))?;
         check(graph).map_err(|e| {
@@ -303,15 +291,17 @@ fn check_routes(
             }
         })
     };
-    route("interp@O0", Ok(base))?;
-    route("interp@O1", Ok(o1))?;
-    route("interp@O2", Ok(optimized.clone()))?;
-    route("interp@O2+fusion", Ok(fused.clone()))?;
-    route("lowered@host", lowered_route(optimized.clone(), &host_targets()))?;
-    route("lowered@cross-domain", lowered_route(optimized.clone(), &cross))?;
-    route("lowered@cross-domain+fusion", lowered_route(fused, &cross))?;
-    if let Some(profile) = cfg.chaos {
-        route(&format!("chaos@{profile}"), chaos_route(optimized, &cross, cfg, profile))?;
+    route("interp@O0", Ok(Arc::new(base)))?;
+    route("interp@O1", Ok(Arc::new(o1)))?;
+    route("interp@O2", Ok(Arc::new(optimized.clone())))?;
+    route("interp@O2+fusion", Ok(Arc::new(fused.clone())))?;
+    route("lowered@host", lowered_route(optimized.clone(), &host_targets()).map(|p| p.graph))?;
+    // The chaos route dispatches the program this route checked.
+    let served = lowered_route(optimized, &cross);
+    route("lowered@cross-domain", served.clone().map(|p| p.graph))?;
+    route("lowered@cross-domain+fusion", lowered_route(fused, &cross).map(|p| p.graph))?;
+    if let (Some(profile), Ok(served)) = (cfg.chaos, &served) {
+        route(&format!("chaos@{profile}"), chaos_route(served, &cross, cfg, profile))?;
     }
     Ok(())
 }
@@ -398,7 +388,7 @@ type TrajectoryStep = (BTreeMap<String, Tensor>, BTreeMap<String, Tensor>);
 /// Runs `graph` for `invocations`, recording outputs and the post-step
 /// state trajectory.
 fn record_trajectory(
-    graph: SrDfg,
+    graph: Arc<SrDfg>,
     feeds: &HashMap<String, Tensor>,
     seeds: &HashMap<String, Tensor>,
     invocations: usize,

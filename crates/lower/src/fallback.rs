@@ -68,6 +68,8 @@ pub fn relower_without(
         }
     }
     let unlimited = Budget::unlimited();
+    // Not `pm_passes::lower_and_compile`: the graph was cleaned when first
+    // compiled, and cleaning it again would change chaos `SocReport`s.
     lower_budgeted(&mut graph, &reduced, cache, &unlimited)?;
     compile_program_budgeted(Arc::new(graph), &reduced, true, &unlimited)
 }

@@ -17,9 +17,9 @@
 //! * [`fusion::AlgebraicCombination`] — the paper's cross-granularity
 //!   example pass: fusing chained matrix-vector products by concatenating
 //!   their inputs;
-//! * [`mapfusion::MapFusion`] — elementwise producer-consumer fusion
-//!   within the map granularity;
-//! * [`analysis`] — op counts, per-domain work split, critical-path depth.
+//! * [`analysis`] — op counts, per-domain work split, critical-path depth;
+//! * [`lower_and_compile`] — the back half of the compile pipeline:
+//!   Algorithm 1, marshalling elision and operand pruning, Algorithm 2.
 //!
 //! ## Example
 //!
@@ -40,23 +40,23 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod back_half;
 pub mod constprop;
 pub mod cse;
 pub mod dce;
 pub mod fold;
 pub mod fusion;
 pub mod manager;
-pub mod mapfusion;
 pub mod marshal;
 pub mod prune;
 
 pub use analysis::{critical_path_len, domains_used, stats, GraphStats};
+pub use back_half::{lower_and_compile, StageTimes};
 pub use constprop::ConstantPropagation;
 pub use cse::CommonSubexpressionElimination;
 pub use dce::DeadNodeElimination;
 pub use fold::{AlgebraicSimplify, ConstantFold};
 pub use fusion::AlgebraicCombination;
 pub use manager::{Pass, PassManager, PassStats, PassTiming, PassVerifyError};
-pub use mapfusion::MapFusion;
 pub use marshal::ElideMarshalling;
 pub use prune::PruneUnusedInputs;

@@ -302,6 +302,16 @@ if grep -nE 'for_each_point|\.eval\(idx' crates/srdfg/src/interp.rs ||
     exit 1
 fi
 
+echo "== one back half"
+# Algorithm 1 -> cleanup -> Algorithm 2 is pm_passes::lower_and_compile; the
+# compiler, pm-fuzz, pmc and the backend tests call it, so none of them
+# names a cleanup pass. MapFusion, which no pipeline ran, stays deleted.
+if grep -rn 'ElideMarshalling\|PruneUnusedInputs' crates/core crates/fuzz crates/accel \
+    tests/tests/properties.rs || grep -rn 'MapFusion\|mapfusion' crates tests; then
+    echo "a second spelling of the back half, or MapFusion, is back" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

@@ -43,6 +43,7 @@ fn staged_compile(
         }
     }
     let unlimited = Budget::unlimited();
+    // Not `pm_passes::lower_and_compile`: this pins the benchmark's own stages.
     lower_budgeted(&mut graph, targets, Some(templates), &unlimited).unwrap();
     pm_passes::ElideMarshalling.run(&mut graph);
     pm_passes::PruneUnusedInputs.run(&mut graph);

@@ -9,11 +9,11 @@
 //! workspace.
 
 use pm_fuzz::{gen::strategies, PExpr, PProgram, PStmt, RedKind};
-use pm_lower::{compile_program, lower, AcceleratorSpec, TargetMap};
-use pm_passes::{Pass, PassManager};
+use pm_lower::{AcceleratorSpec, TargetMap};
+use pm_passes::{lower_and_compile, Pass, PassManager};
 use pmlang::Domain;
 use proptest::prelude::*;
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Budget, Machine, Tensor};
 use std::collections::HashMap;
 
 /// Wraps a single random expression as the model program
@@ -124,8 +124,8 @@ proptest! {
         prop_assert!(close(o, b), "s0 diverged: {o} vs {b}\n{src}");
     }
 
-    /// Lowering to scalar granularity (plus marshalling elision) never
-    /// changes observable results, and leaves only supported ops.
+    /// The compiler's back half at scalar granularity never changes
+    /// observable results, and leaves only supported ops.
     #[test]
     fn lowering_preserves_semantics(
         expr in strategies::expr(4),
@@ -143,15 +143,12 @@ proptest! {
         let base = Machine::new(graph.clone()).invoke(&feeds).unwrap();
 
         let targets = scalar_target();
-        let mut lowered = graph;
-        lower(&mut lowered, &targets).unwrap();
-        pm_passes::ElideMarshalling.run(&mut lowered);
-        srdfg::validate::validate(&lowered).unwrap();
-        prop_assert!(pm_lower::fully_lowered(&lowered, &targets));
-        let compiled = compile_program(&lowered, &targets).unwrap();
+        let (compiled, _) = lower_and_compile(graph, &targets, None, &Budget::unlimited()).unwrap();
+        srdfg::validate::validate(&compiled.graph).unwrap();
+        prop_assert!(pm_lower::fully_lowered(&compiled.graph, &targets));
         prop_assert!(compiled.partition(Some(Domain::Dsp)).is_some());
 
-        let low = Machine::new(lowered).invoke(&feeds).unwrap();
+        let low = Machine::new(compiled.graph).invoke(&feeds).unwrap();
         for (k, v) in &base {
             let d = v.max_abs_diff(&low[k]).unwrap();
             let scale = 1.0 + v.as_real_slice()

@@ -33,6 +33,7 @@ fn lower_and_compile(
 ) -> (srdfg::SrDfg, pm_lower::CompiledProgram) {
     let mut graph = compiler.build_graph(src, &Bindings::default()).expect("build");
     let unlimited = Budget::unlimited();
+    // Not `pm_passes::lower_and_compile`: this compares the Algorithm-1 graph.
     pm_lower::lower_budgeted(&mut graph, compiler.targets(), cache, &unlimited).expect("lower");
     let lowered = graph.clone();
     pm_passes::ElideMarshalling.run(&mut graph);
