@@ -142,6 +142,18 @@ fn compile_rejects_a_static_write_outside_its_target() {
 }
 
 #[test]
+fn compile_refuses_a_long_operator_chain_with_exit_1() {
+    // 300,000 negations once overflowed the parser's stack (exit 134).
+    let chain = "-".repeat(300_000);
+    let f = temp_file("chain", &format!("main(input float x, output float y) {{ y = {chain}x; }}"));
+    let out = pmc(&["compile", f.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.starts_with("pmc: parse error at 1:172"), "{err}");
+    assert!(err.contains("nesting exceeds"), "{err}");
+}
+
+#[test]
 fn lower_prints_the_refinement_trajectory() {
     let f = temp_file("lower", TWO_DA);
     let out = pmc(&["lower", f.to_str().unwrap(), "--target", "TABLA"]);

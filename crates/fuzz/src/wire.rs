@@ -6,8 +6,9 @@
 //! starting from a caller-supplied corpus of valid request lines, it
 //! derives a deterministic stream of hostile mutations (bit flips,
 //! deletions, insertions, truncations, structural-character swaps,
-//! cross-line splices, and runs of thousands of `[` or `{`) and feeds each
-//! through a caller-supplied checker.
+//! cross-line splices, runs of thousands of `[` or `{`, and long operator
+//! chains in the program text) and feeds each through a caller-supplied
+//! checker.
 //!
 //! The mutation engine lives here (rather than next to the serve layer)
 //! so the driver stays independent of the stack's crates: `pm-fuzz` is a
@@ -94,7 +95,7 @@ pub fn mutate(corpus: &[String], seed: u64, case: usize) -> String {
             continue;
         }
         let pos = rng.below(bytes.len());
-        match rng.below(8) {
+        match rng.below(9) {
             // Bit flip.
             0 => bytes[pos] ^= 1 << rng.below(8),
             // Structural-character swap.
@@ -115,6 +116,16 @@ pub fn mutate(corpus: &[String], seed: u64, case: usize) -> String {
                 let open = if rng.below(2) == 0 { b'[' } else { b'{' };
                 let run = 1_000 + rng.below(100_000);
                 bytes.splice(pos..pos, std::iter::repeat_n(open, run));
+            }
+            // Operator chain: thousands of one prefix operator or
+            // operand-operator pair after the next `=` (an assignment in
+            // the program text), deep enough to overflow a parser that
+            // recurses per operator, or that drops the tree recursively.
+            7 => {
+                let unit: &[u8] = [b"-".as_slice(), b"!", b"x^", b"x+"][rng.below(4)];
+                let run = 1_000 + rng.below(300_000);
+                let at = bytes[pos..].iter().position(|&b| b == b'=').map_or(pos, |i| pos + i + 1);
+                bytes.splice(at..at, unit.iter().copied().cycle().take(unit.len() * run));
             }
             // Splice: head of this line + tail of another corpus line.
             _ => {

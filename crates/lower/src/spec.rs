@@ -70,9 +70,9 @@ impl AcceleratorSpec {
 ///
 /// Measured off (every call answered by [`AcceleratorSpec::supports`]) on
 /// the benchmark's `compile-large`: `latency_ms` 64.10 → 66.76, behind in
-/// 6 of 6 alternating pairs, so it stays (ROADMAP item 5(c)). What it
-/// saves is proportional to the nodes Algorithm 1 scans: measure again
-/// once ROADMAP item 2 shrinks that scan.
+/// 6 of 6 alternating pairs, so it stays (the `SupportMemo` verdict in
+/// CHANGES.md). What it saves is proportional to the nodes Algorithm 1
+/// scans: measure again once ROADMAP item 2 shrinks that scan.
 #[derive(Debug, Default)]
 pub struct SupportMemo {
     map: HashMap<(usize, usize), (Ident, bool), srdfg::FxBuildHasher>,

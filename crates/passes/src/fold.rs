@@ -8,7 +8,7 @@
 use crate::manager::{Pass, PassStats};
 use pmlang::{BinOp, UnOp};
 use srdfg::graph::map_op_name;
-use srdfg::{KExpr, NodeKind, SrDfg};
+use srdfg::{KExpr, MapSpec, NodeKind, ReduceSpec, SrDfg};
 
 /// Folds constant subexpressions inside kernels: `2 * 3 + x` → `6 + x`,
 /// `pi()` → `3.14159…`, `-(1)` → `-1`.
@@ -50,32 +50,36 @@ fn rewrite_kernels(graph: &mut SrDfg, rewriter: fn(&KExpr) -> Option<(KExpr, usi
         let node = graph.node_mut(id);
         match &mut node.kind {
             NodeKind::Map(spec) => {
-                if let Some((k, n)) = rewriter(&spec.kernel) {
+                if let Some((kernel, n)) = rewriter(&spec.kernel) {
                     // Copy-on-write: the spec may be shared with sibling
                     // template instances, so divergence re-interns a
-                    // fresh record instead of writing through the handle.
-                    let mut owned = spec.get().clone();
-                    owned.kernel = k;
-                    node.name = map_op_name(&owned.kernel).into();
+                    // fresh record (around the new kernel) instead of
+                    // writing through the handle.
+                    node.name = map_op_name(&kernel).into();
+                    let owned = MapSpec {
+                        out_space: spec.out_space.clone(),
+                        kernel,
+                        write: spec.write.clone(),
+                    };
                     *spec = srdfg::intern(owned);
                     stats.changed = true;
                     stats.rewrites += n;
                 }
             }
             NodeKind::Reduce(spec) => {
-                let mut total = 0;
-                let mut owned = spec.get().clone();
-                if let Some((k, n)) = rewriter(&owned.body) {
-                    owned.body = k;
-                    total += n;
-                }
-                if let Some(c) = &owned.cond {
-                    if let Some((ck, cn)) = rewriter(c) {
-                        owned.cond = Some(ck);
-                        total += cn;
-                    }
-                }
+                let body = rewriter(&spec.body);
+                let cond = spec.cond.as_ref().and_then(rewriter);
+                let total = body.as_ref().map_or(0, |b| b.1) + cond.as_ref().map_or(0, |c| c.1);
                 if total > 0 {
+                    // Copy-on-write, as for a Map spec.
+                    let owned = ReduceSpec {
+                        op: spec.op.clone(),
+                        out_space: spec.out_space.clone(),
+                        red_space: spec.red_space.clone(),
+                        cond: cond.map(|c| c.0).or_else(|| spec.cond.clone()),
+                        body: take_or_clone(body, &spec.body),
+                        write: spec.write.clone(),
+                    };
                     *spec = srdfg::intern(owned);
                     stats.changed = true;
                     stats.rewrites += total;

@@ -12,16 +12,22 @@
 //!             | IDENT ("[" expr "]")* "=" expr ";"
 //!             | (DOMAIN ":")? IDENT "(" exprs? ")" ";"
 //! spec       := IDENT "[" expr ":" expr "]"
-//! expr       := ternary over the usual C-like precedence ladder, plus
-//!               group reductions `name[iters](body)` where each iter is
-//!               `IDENT (":" expr)?`
+//! expr       := unary (INFIX expr)*, resolved by precedence climbing over
+//!               one binding-power table (`?:` lowest, `^` highest); the
+//!               operands of `-`/`!` are unary, group reductions are
+//!               `name[iters](body)` where each iter is `IDENT (":" expr)?`
 //! ```
+//!
+//! The parser copies out of the tokens only what the AST keeps, and never
+//! builds an expression deeper than semantic analysis accepts
+//! ([`MAX_EXPR_DEPTH`]): no recursion here or downstream can overflow.
 
 use crate::ast::*;
 use crate::error::ParseError;
 use crate::lexer::lex;
+use crate::sema::MAX_EXPR_DEPTH;
 use crate::span::Span;
-use crate::token::{Token, TokenKind};
+use crate::token::{unescape, Token, TokenKind};
 
 /// Parses PMLang source text into a [`Program`].
 ///
@@ -46,51 +52,90 @@ use crate::token::{Token, TokenKind};
 /// ```
 pub fn parse(source: &str) -> Result<Program, ParseError> {
     let tokens = lex(source)?;
-    Parser { tokens, pos: 0, depth: 0 }.program()
+    Parser { tokens, pos: 0, nesting: 0, level: 0 }.program()
 }
 
-/// Maximum expression nesting depth the parser accepts. Deeper trees
-/// would exhaust the stack in the recursive descent (and in every
-/// recursive pass downstream), so they are rejected with a diagnostic.
-const MAX_EXPR_DEPTH: usize = 96;
+/// Maximum number of open parenthesised, bracketed or argument
+/// expressions. Parentheses add no tree level, so this bounds the
+/// recursion [`MAX_EXPR_DEPTH`] does not.
+const MAX_NESTING: usize = 96;
 
-struct Parser {
-    tokens: Vec<Token>,
+/// A parsed expression and its height: the number of levels below its
+/// root (0 for a leaf).
+type Tree = (Expr, usize);
+
+/// What an infix token builds: `cond ? then : otherwise`, or `lhs op rhs`.
+#[derive(Clone, Copy)]
+enum Infix {
+    Ternary,
+    Binary(BinOp),
+}
+
+/// The binding-power table: how tightly each infix operator binds (higher
+/// is tighter). Every level associates to the left except `?:` and `^`.
+fn infix(kind: TokenKind<'_>) -> Option<(u8, Infix)> {
+    let (bp, op) = match kind {
+        TokenKind::Question => return Some((1, Infix::Ternary)),
+        TokenKind::OrOr => (2, BinOp::Or),
+        TokenKind::AndAnd => (3, BinOp::And),
+        TokenKind::EqEq => (4, BinOp::Eq),
+        TokenKind::NotEq => (4, BinOp::Ne),
+        TokenKind::Le => (5, BinOp::Le),
+        TokenKind::Ge => (5, BinOp::Ge),
+        TokenKind::Lt => (5, BinOp::Lt),
+        TokenKind::Gt => (5, BinOp::Gt),
+        TokenKind::Plus => (6, BinOp::Add),
+        TokenKind::Minus => (6, BinOp::Sub),
+        TokenKind::Star => (7, BinOp::Mul),
+        TokenKind::Slash => (7, BinOp::Div),
+        TokenKind::Percent => (7, BinOp::Mod),
+        TokenKind::Caret => (8, BinOp::Pow),
+        _ => return None,
+    };
+    Some((bp, Infix::Binary(op)))
+}
+
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
-    depth: usize,
+    /// Open [`Parser::nested`] calls.
+    nesting: usize,
+    /// Tree level of the expression being parsed below its statement's
+    /// root expression.
+    level: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
+    fn peek_kind(&self) -> TokenKind<'a> {
+        self.peek().kind
     }
 
-    fn peek_at(&self, offset: usize) -> &TokenKind {
-        &self.tokens[(self.pos + offset).min(self.tokens.len() - 1)].kind
+    fn peek_at(&self, offset: usize) -> TokenKind<'a> {
+        self.tokens[(self.pos + offset).min(self.tokens.len() - 1)].kind
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = *self.peek();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, ParseError> {
-        if *self.peek_kind() == kind {
+    fn expect(&mut self, kind: TokenKind<'a>) -> Result<Token<'a>, ParseError> {
+        if self.peek_kind() == kind {
             Ok(self.bump())
         } else {
             Err(self.err(format!("expected {kind}, found {}", self.peek_kind())))
         }
     }
 
-    fn eat(&mut self, kind: TokenKind) -> bool {
-        if *self.peek_kind() == kind {
+    fn eat(&mut self, kind: TokenKind<'a>) -> bool {
+        if self.peek_kind() == kind {
             self.bump();
             true
         } else {
@@ -103,19 +148,16 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<(String, Span), ParseError> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.bump().span;
-                Ok((name, span))
-            }
+        match self.peek_kind() {
+            TokenKind::Ident(name) => Ok((name.into(), self.bump().span)),
             other => Err(self.err(format!("expected identifier, found {other}"))),
         }
     }
 
     fn program(&mut self) -> Result<Program, ParseError> {
         let mut prog = Program::default();
-        while *self.peek_kind() != TokenKind::Eof {
-            if *self.peek_kind() == TokenKind::Reduction {
+        while self.peek_kind() != TokenKind::Eof {
+            if self.peek_kind() == TokenKind::Reduction {
                 prog.reductions.push(self.reduction_def()?);
             } else {
                 prog.components.push(self.component()?);
@@ -142,7 +184,7 @@ impl Parser {
         let (name, start) = self.ident()?;
         self.expect(TokenKind::LParen)?;
         let mut args = Vec::new();
-        if *self.peek_kind() != TokenKind::RParen {
+        if self.peek_kind() != TokenKind::RParen {
             loop {
                 args.push(self.arg_decl()?);
                 if !self.eat(TokenKind::Comma) {
@@ -153,8 +195,8 @@ impl Parser {
         self.expect(TokenKind::RParen)?;
         self.expect(TokenKind::LBrace)?;
         let mut body = Vec::new();
-        while *self.peek_kind() != TokenKind::RBrace {
-            if *self.peek_kind() == TokenKind::Eof {
+        while self.peek_kind() != TokenKind::RBrace {
+            if self.peek_kind() == TokenKind::Eof {
                 return Err(self.err(format!("unterminated body of component `{name}`")));
             }
             body.push(self.stmt()?);
@@ -257,7 +299,7 @@ impl Parser {
         let mut domain = None;
         if let TokenKind::Ident(word) = self.peek_kind() {
             if let Some(d) = Domain::from_keyword(word) {
-                if *self.peek_at(1) == TokenKind::Colon {
+                if self.peek_at(1) == TokenKind::Colon {
                     self.bump(); // domain keyword
                     self.bump(); // colon
                     domain = Some(d);
@@ -266,8 +308,7 @@ impl Parser {
         }
         // Instantiation: an identifier immediately followed by `(` at
         // statement position.
-        if matches!(self.peek_kind(), TokenKind::Ident(_)) && *self.peek_at(1) == TokenKind::LParen
-        {
+        if matches!(self.peek_kind(), TokenKind::Ident(_)) && self.peek_at(1) == TokenKind::LParen {
             return self.instantiate(domain, start);
         }
         // Otherwise an assignment.
@@ -287,7 +328,7 @@ impl Parser {
         let (component, _) = self.ident()?;
         self.expect(TokenKind::LParen)?;
         let mut args = Vec::new();
-        if *self.peek_kind() != TokenKind::RParen {
+        if self.peek_kind() != TokenKind::RParen {
             loop {
                 args.push(self.expr()?);
                 if !self.eat(TokenKind::Comma) {
@@ -302,252 +343,205 @@ impl Parser {
 
     // ---- expressions -------------------------------------------------
 
+    /// A statement's expression: the root of its own tree.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.depth += 1;
-        if self.depth > MAX_EXPR_DEPTH {
-            self.depth -= 1;
-            return Err(
-                self.err(format!("expression nesting exceeds the {MAX_EXPR_DEPTH}-level limit"))
-            );
-        }
-        let result = self.ternary();
-        self.depth -= 1;
-        result
+        Ok(self.nested()?.0)
     }
 
-    fn ternary(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.or()?;
-        if self.eat(TokenKind::Question) {
-            let then = self.expr()?;
-            self.expect(TokenKind::Colon)?;
-            let otherwise = self.ternary()?;
-            let span = cond.span.merge(otherwise.span);
-            return Ok(Expr::new(
-                ExprKind::Ternary {
-                    cond: Box::new(cond),
-                    then: Box::new(then),
-                    otherwise: Box::new(otherwise),
-                },
-                span,
-            ));
+    /// A full expression (ternaries included) opened by a statement, a
+    /// parenthesis, a bracket or an argument list.
+    fn nested(&mut self) -> Result<Tree, ParseError> {
+        self.nesting += 1;
+        if self.nesting > MAX_NESTING {
+            return Err(self.too_deep(MAX_NESTING));
         }
-        Ok(cond)
+        let tree = self.climb(0);
+        self.nesting -= 1;
+        tree
     }
 
-    fn binary_level(
+    /// Parses the operand of the node being built, one tree level down.
+    fn child(
         &mut self,
-        ops: &[(TokenKind, BinOp)],
-        next: fn(&mut Self) -> Result<Expr, ParseError>,
-    ) -> Result<Expr, ParseError> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for (tok, op) in ops {
-                if self.peek_kind() == tok {
-                    self.bump();
-                    let rhs = next(self)?;
-                    let span = lhs.span.merge(rhs.span);
-                    lhs = Expr::new(
-                        ExprKind::Binary { op: *op, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-                        span,
-                    );
-                    continue 'outer;
+        parse: impl FnOnce(&mut Self) -> Result<Tree, ParseError>,
+    ) -> Result<Tree, ParseError> {
+        self.level += 1;
+        if self.level > MAX_EXPR_DEPTH {
+            return Err(self.too_deep(MAX_EXPR_DEPTH));
+        }
+        let tree = parse(self);
+        self.level -= 1;
+        tree
+    }
+
+    /// A node of `height` at the current level, unless that makes the
+    /// statement's tree deeper than semantic analysis accepts.
+    fn node(&self, kind: ExprKind, span: Span, height: usize) -> Result<Tree, ParseError> {
+        if self.level + height > MAX_EXPR_DEPTH {
+            return Err(self.too_deep(MAX_EXPR_DEPTH));
+        }
+        Ok((Expr::new(kind, span), height))
+    }
+
+    fn too_deep(&self, limit: usize) -> ParseError {
+        self.err(format!("expression nesting exceeds the {limit}-level limit"))
+    }
+
+    /// Precedence climbing: a unary operand, then every infix operator
+    /// that binds at least as tightly as `min_bp`, each with its right
+    /// operand.
+    fn climb(&mut self, min_bp: u8) -> Result<Tree, ParseError> {
+        let mut lhs = self.unary()?;
+        while let Some((bp, infix)) = infix(self.peek_kind()) {
+            if bp < min_bp {
+                break;
+            }
+            self.bump();
+            lhs = match infix {
+                Infix::Ternary => {
+                    let (then, then_h) = self.child(Self::nested)?;
+                    self.expect(TokenKind::Colon)?;
+                    let (otherwise, else_h) = self.child(|p| p.climb(bp))?;
+                    let (cond, cond_h) = lhs;
+                    let span = cond.span.merge(otherwise.span);
+                    let kind = ExprKind::Ternary {
+                        cond: Box::new(cond),
+                        then: Box::new(then),
+                        otherwise: Box::new(otherwise),
+                    };
+                    self.node(kind, span, 1 + cond_h.max(then_h).max(else_h))?
                 }
-            }
-            return Ok(lhs);
+                Infix::Binary(op) => {
+                    let rbp = if op == BinOp::Pow { bp } else { bp + 1 };
+                    let (rhs, rhs_h) = self.child(|p| p.climb(rbp))?;
+                    let (lhs, lhs_h) = lhs;
+                    let span = lhs.span.merge(rhs.span);
+                    let kind = ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+                    self.node(kind, span, 1 + lhs_h.max(rhs_h))?
+                }
+            };
         }
+        Ok(lhs)
     }
 
-    fn or(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(&[(TokenKind::OrOr, BinOp::Or)], Self::and)
-    }
-
-    fn and(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(&[(TokenKind::AndAnd, BinOp::And)], Self::equality)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            &[(TokenKind::EqEq, BinOp::Eq), (TokenKind::NotEq, BinOp::Ne)],
-            Self::comparison,
-        )
-    }
-
-    fn comparison(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            &[
-                (TokenKind::Le, BinOp::Le),
-                (TokenKind::Ge, BinOp::Ge),
-                (TokenKind::Lt, BinOp::Lt),
-                (TokenKind::Gt, BinOp::Gt),
-            ],
-            Self::additive,
-        )
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            &[(TokenKind::Plus, BinOp::Add), (TokenKind::Minus, BinOp::Sub)],
-            Self::multiplicative,
-        )
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            &[
-                (TokenKind::Star, BinOp::Mul),
-                (TokenKind::Slash, BinOp::Div),
-                (TokenKind::Percent, BinOp::Mod),
-            ],
-            Self::power,
-        )
-    }
-
-    fn power(&mut self) -> Result<Expr, ParseError> {
-        // Right associative: a ^ b ^ c == a ^ (b ^ c).
-        let base = self.unary()?;
-        if self.eat(TokenKind::Caret) {
-            let exp = self.power()?;
-            let span = base.span.merge(exp.span);
-            return Ok(Expr::new(
-                ExprKind::Binary { op: BinOp::Pow, lhs: Box::new(base), rhs: Box::new(exp) },
-                span,
-            ));
-        }
-        Ok(base)
-    }
-
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    /// `-` and `!` bind tighter than every infix operator, `^` included.
+    fn unary(&mut self) -> Result<Tree, ParseError> {
         let span = self.peek().span;
-        if self.eat(TokenKind::Minus) {
-            let operand = self.unary()?;
-            let span = span.merge(operand.span);
-            return Ok(Expr::new(
-                ExprKind::Unary { op: UnOp::Neg, operand: Box::new(operand) },
-                span,
-            ));
-        }
-        if self.eat(TokenKind::Not) {
-            let operand = self.unary()?;
-            let span = span.merge(operand.span);
-            return Ok(Expr::new(
-                ExprKind::Unary { op: UnOp::Not, operand: Box::new(operand) },
-                span,
-            ));
-        }
-        self.postfix()
+        let op = match self.peek_kind() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Not => UnOp::Not,
+            _ => return self.postfix(),
+        };
+        self.bump();
+        let (operand, height) = self.child(Self::unary)?;
+        let span = span.merge(operand.span);
+        self.node(ExprKind::Unary { op, operand: Box::new(operand) }, span, height + 1)
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
+    fn postfix(&mut self) -> Result<Tree, ParseError> {
         let span = self.peek().span;
-        match self.peek_kind().clone() {
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::IntLit(v), span))
-            }
-            TokenKind::Float(v) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::FloatLit(v), span))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::StrLit(s), span))
-            }
+        let kind = match self.peek_kind() {
+            TokenKind::Int(v) => ExprKind::IntLit(v),
+            TokenKind::Float(v) => ExprKind::FloatLit(v),
+            TokenKind::Str(raw) => ExprKind::StrLit(unescape(raw)),
             TokenKind::LParen => {
                 self.bump();
-                let inner = self.expr()?;
+                let inner = self.nested()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(inner)
+                return Ok(inner);
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                self.ident_postfix(name, span)
+                return self.ident_postfix(name, span);
             }
             // `complex` is a type keyword, but `complex(re, im)` is also
             // the complex-number constructor in expressions.
-            TokenKind::ComplexTy if *self.peek_at(1) == TokenKind::LParen => {
+            TokenKind::ComplexTy if self.peek_at(1) == TokenKind::LParen => {
                 self.bump();
-                self.ident_postfix("complex".to_string(), span)
+                return self.ident_postfix("complex", span);
             }
-            other => Err(self.err(format!("expected expression, found {other}"))),
-        }
+            other => return Err(self.err(format!("expected expression, found {other}"))),
+        };
+        self.bump();
+        Ok((Expr::new(kind, span), 0))
     }
 
     /// After an identifier: `name(args)` is a call, `name[..]..(body)` is a
     /// group reduction, `name[..]..` is an indexed access, bare `name` a var.
-    fn ident_postfix(&mut self, name: String, span: Span) -> Result<Expr, ParseError> {
-        if *self.peek_kind() == TokenKind::LParen {
-            self.bump();
+    fn ident_postfix(&mut self, name: &str, span: Span) -> Result<Tree, ParseError> {
+        if self.eat(TokenKind::LParen) {
             let mut args = Vec::new();
-            if *self.peek_kind() != TokenKind::RParen {
+            let mut height = 0;
+            if self.peek_kind() != TokenKind::RParen {
                 loop {
-                    args.push(self.expr()?);
+                    let (arg, h) = self.child(Self::nested)?;
+                    height = height.max(h + 1);
+                    args.push(arg);
                     if !self.eat(TokenKind::Comma) {
                         break;
                     }
                 }
             }
             let end = self.expect(TokenKind::RParen)?.span;
-            return Ok(Expr::new(ExprKind::Call { name, args }, span.merge(end)));
+            let kind = ExprKind::Call { name: name.into(), args };
+            return self.node(kind, span.merge(end), height);
         }
-        if *self.peek_kind() != TokenKind::LBracket {
-            return Ok(Expr::new(ExprKind::Var(name), span));
+        if self.peek_kind() != TokenKind::LBracket {
+            return Ok((Expr::new(ExprKind::Var(name.into()), span), 0));
         }
-        // Parse bracket groups. Each group is either a plain index expression
-        // (access) or a reduce-iter `ident (":" cond)?`. We record both
-        // readings and decide when we see whether `(` follows the brackets.
-        let mut groups: Vec<(Expr, Option<ReduceIter>)> = Vec::new();
+        // Parse bracket groups: `(index expression, condition, span)`. A
+        // group is an access index or a reduce iter; `(` after the last
+        // one decides which.
+        let mut groups: Vec<(Expr, Option<Expr>, Span)> = Vec::new();
+        let (mut index_h, mut cond_h) = (0, 0);
         let mut end = span;
         while self.eat(TokenKind::LBracket) {
             let gstart = self.peek().span;
-            let inner = self.expr()?;
-            let iter = if self.eat(TokenKind::Colon) {
+            let (inner, h) = self.child(Self::nested)?;
+            index_h = index_h.max(h + 1);
+            let cond = if self.eat(TokenKind::Colon) {
                 // Conditional form: only valid as a reduce iter.
-                let cond = self.expr()?;
-                match &inner.kind {
-                    ExprKind::Var(iname) => {
-                        Some(ReduceIter { index: iname.clone(), cond: Some(cond), span: gstart })
-                    }
-                    _ => {
-                        return Err(self.err(
-                            "conditional index group requires a plain index variable before `:`"
-                                .into(),
-                        ))
-                    }
+                let (cond, h) = self.child(Self::nested)?;
+                if !matches!(inner.kind, ExprKind::Var(_)) {
+                    return Err(self.err(
+                        "conditional index group requires a plain index variable before `:`".into(),
+                    ));
                 }
+                cond_h = cond_h.max(h + 1);
+                Some(cond)
             } else {
-                match &inner.kind {
-                    ExprKind::Var(iname) => {
-                        Some(ReduceIter { index: iname.clone(), cond: None, span: gstart })
-                    }
-                    _ => None,
-                }
+                None
             };
             end = self.expect(TokenKind::RBracket)?.span;
-            groups.push((inner, iter));
+            groups.push((inner, cond, gstart));
         }
-        if *self.peek_kind() == TokenKind::LParen {
+        if self.peek_kind() == TokenKind::LParen {
             // Group reduction.
-            let iters: Option<Vec<ReduceIter>> = groups.iter().map(|(_, it)| it.clone()).collect();
-            let Some(iters) = iters else {
+            if !groups.iter().all(|(inner, ..)| matches!(inner.kind, ExprKind::Var(_))) {
                 return Err(self.err(format!(
                     "reduction `{name}` requires plain index variables in its bracket groups"
                 )));
-            };
+            }
+            let iters = groups
+                .into_iter()
+                .map(|(inner, cond, span)| {
+                    let ExprKind::Var(index) = inner.kind else { unreachable!("checked above") };
+                    ReduceIter { index, cond, span }
+                })
+                .collect();
             self.bump(); // (
-            let body = self.expr()?;
+            let (body, body_h) = self.child(Self::nested)?;
             let end = self.expect(TokenKind::RParen)?.span;
-            return Ok(Expr::new(
-                ExprKind::Reduce { op: name, iters, body: Box::new(body) },
-                span.merge(end),
-            ));
+            let kind = ExprKind::Reduce { op: name.into(), iters, body: Box::new(body) };
+            return self.node(kind, span.merge(end), cond_h.max(body_h + 1));
         }
         // Indexed access. Conditional groups are not valid here.
-        if groups.iter().any(|(_, it)| it.as_ref().is_some_and(|i| i.cond.is_some())) {
+        if groups.iter().any(|(_, cond, _)| cond.is_some()) {
             return Err(self
                 .err(format!("conditional index group on `{name}` is only valid in a reduction")));
         }
-        let indices = groups.into_iter().map(|(e, _)| e).collect();
-        Ok(Expr::new(ExprKind::Access { name, indices }, span.merge(end)))
+        let indices = groups.into_iter().map(|(inner, ..)| inner).collect();
+        self.node(ExprKind::Access { name: name.into(), indices }, span.merge(end), index_h)
     }
 }
 

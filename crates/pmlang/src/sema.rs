@@ -148,22 +148,24 @@ enum VarClass {
     IndexVar,
 }
 
-struct Scope {
-    vars: HashMap<String, VarClass>,
+/// A component's names, borrowed from its AST.
+#[derive(Default)]
+struct Scope<'a> {
+    vars: HashMap<&'a str, VarClass>,
     /// Declared rank (number of dimensions) per tensor variable.
-    ranks: HashMap<String, usize>,
+    ranks: HashMap<&'a str, usize>,
     /// Variables that have been assigned so far.
-    written: HashSet<String>,
+    written: HashSet<&'a str>,
 }
 
 fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, SemaError> {
-    let mut scope = Scope { vars: HashMap::new(), ranks: HashMap::new(), written: HashSet::new() };
+    let mut scope = Scope::default();
     let mut ci = ComponentInfo::default();
 
     // Arguments.
     for a in &comp.args {
-        scope.ranks.insert(a.name.clone(), a.dims.len());
-        if scope.vars.insert(a.name.clone(), VarClass::Arg(a.modifier)).is_some() {
+        scope.ranks.insert(&a.name, a.dims.len());
+        if scope.vars.insert(&a.name, VarClass::Arg(a.modifier)).is_some() {
             return Err(err(a.span, format!("duplicate argument `{}`", a.name)));
         }
         if a.dtype == DType::Str && !a.dims.is_empty() {
@@ -175,13 +177,13 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
     }
     // Implicit size parameters: identifiers in argument dims that are not
     // arguments themselves. They behave as scalar int params in the body.
-    let mut size_params: Vec<String> = Vec::new();
+    let mut size_params: Vec<&str> = Vec::new();
     for a in &comp.args {
         for d in &a.dims {
             collect_free_idents(d, &mut |name, span| {
                 if !scope.vars.contains_key(name) && ScalarFunc::by_name(name).is_none() {
-                    if !size_params.iter().any(|s| s == name) {
-                        size_params.push(name.to_string());
+                    if !size_params.contains(&name) {
+                        size_params.push(name);
                     }
                     Ok(())
                 } else if matches!(scope.vars.get(name), Some(VarClass::Arg(m)) if *m != TypeModifier::Param)
@@ -196,17 +198,17 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
             })?;
         }
     }
-    for sp in &size_params {
-        scope.vars.insert(sp.clone(), VarClass::Arg(TypeModifier::Param));
+    for &sp in &size_params {
+        scope.vars.insert(sp, VarClass::Arg(TypeModifier::Param));
     }
-    ci.size_params = size_params;
+    ci.size_params = size_params.into_iter().map(String::from).collect();
 
     // Body.
     for stmt in &comp.body {
         match stmt {
             Stmt::IndexDecl { specs, span } => {
                 for s in specs {
-                    if scope.vars.insert(s.name.clone(), VarClass::IndexVar).is_some() {
+                    if scope.vars.insert(&s.name, VarClass::IndexVar).is_some() {
                         return Err(err(*span, format!("duplicate name `{}`", s.name)));
                     }
                     // Bounds may reference params, size params, and literals.
@@ -216,8 +218,8 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
             }
             Stmt::VarDecl { vars, span, .. } => {
                 for (name, dims) in vars {
-                    scope.ranks.insert(name.clone(), dims.len());
-                    if scope.vars.insert(name.clone(), VarClass::Local).is_some() {
+                    scope.ranks.insert(name, dims.len());
+                    if scope.vars.insert(name, VarClass::Local).is_some() {
                         return Err(err(*span, format!("duplicate name `{name}`")));
                     }
                     for d in dims {
@@ -258,7 +260,7 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
                     check_expr(prog, &scope, ix, false)?;
                 }
                 check_expr(prog, &scope, value, true)?;
-                scope.written.insert(target.clone());
+                scope.written.insert(target);
             }
             Stmt::Instantiate { component, args, span, .. } => {
                 let callee = prog.component(component).ok_or_else(|| {
@@ -327,7 +329,7 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
                                 }
                                 _ => {}
                             }
-                            scope.written.insert(name.clone());
+                            scope.written.insert(name);
                         }
                         TypeModifier::Input | TypeModifier::Param => {
                             check_expr(prog, &scope, actual, true)?;
@@ -341,11 +343,11 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
 
     // Every output must be written.
     for a in &comp.args {
-        if a.modifier == TypeModifier::Output && !scope.written.contains(&a.name) {
+        if a.modifier == TypeModifier::Output && !scope.written.contains(a.name.as_str()) {
             return Err(err(a.span, format!("output `{}` is never written", a.name)));
         }
     }
-    ci.writes = scope.written.into_iter().collect();
+    ci.writes = scope.written.into_iter().map(String::from).collect();
     ci.writes.sort();
     Ok(ci)
 }
@@ -391,11 +393,12 @@ fn check_expr_depth(
             }
         }
         ExprKind::Access { name, indices } => {
-            if !scope.vars.contains_key(name.as_str()) {
-                return Err(err(e.span, format!("undeclared variable `{name}`")));
-            }
-            if matches!(scope.vars.get(name.as_str()), Some(VarClass::IndexVar)) {
-                return Err(err(e.span, format!("index variable `{name}` cannot be indexed")));
+            match scope.vars.get(name.as_str()) {
+                None => return Err(err(e.span, format!("undeclared variable `{name}`"))),
+                Some(VarClass::IndexVar) => {
+                    return Err(err(e.span, format!("index variable `{name}` cannot be indexed")))
+                }
+                Some(_) => {}
             }
             indices.iter().try_for_each(|ix| check_expr(prog, scope, ix, false))
         }
@@ -449,9 +452,9 @@ fn check_expr_depth(
     }
 }
 
-fn collect_free_idents(
-    e: &Expr,
-    f: &mut impl FnMut(&str, Span) -> Result<(), SemaError>,
+fn collect_free_idents<'a>(
+    e: &'a Expr,
+    f: &mut impl FnMut(&'a str, Span) -> Result<(), SemaError>,
 ) -> Result<(), SemaError> {
     match &e.kind {
         ExprKind::Var(name) => f(name, e.span),
@@ -481,11 +484,11 @@ fn check_acyclic(prog: &Program, info: &ProgramInfo) -> Result<(), SemaError> {
         InProgress,
         Done,
     }
-    fn visit(
-        name: &str,
+    fn visit<'a>(
+        name: &'a str,
         prog: &Program,
-        info: &ProgramInfo,
-        marks: &mut HashMap<String, Mark>,
+        info: &'a ProgramInfo,
+        marks: &mut HashMap<&'a str, Mark>,
     ) -> Result<(), SemaError> {
         match marks.get(name) {
             Some(Mark::Done) => return Ok(()),
@@ -495,13 +498,13 @@ fn check_acyclic(prog: &Program, info: &ProgramInfo) -> Result<(), SemaError> {
             }
             None => {}
         }
-        marks.insert(name.to_string(), Mark::InProgress);
+        marks.insert(name, Mark::InProgress);
         if let Some(ci) = info.components.get(name) {
             for callee in &ci.instantiates {
                 visit(callee, prog, info, marks)?;
             }
         }
-        marks.insert(name.to_string(), Mark::Done);
+        marks.insert(name, Mark::Done);
         Ok(())
     }
     let mut marks = HashMap::new();

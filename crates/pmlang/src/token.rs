@@ -3,18 +3,19 @@
 use crate::span::Span;
 use std::fmt;
 
-/// The lexical categories of PMLang.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+/// The lexical categories of PMLang. Payloads borrow the source text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
     // Literals and identifiers.
     /// An identifier or keyword candidate, e.g. `mvmul`, `pos_ref`.
-    Ident(String),
+    Ident(&'a str),
     /// An integer literal, e.g. `1024`.
     Int(i64),
     /// A floating-point literal, e.g. `0.5`, `1e-3`.
     Float(f64),
-    /// A string literal, e.g. `"label"`.
-    Str(String),
+    /// A string literal, e.g. `"label"`: the text between the quotes,
+    /// escapes as written (the lexer has checked them; see [`unescape`]).
+    Str(&'a str),
 
     // Keywords.
     /// `index`
@@ -98,9 +99,9 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Returns the keyword token for `word`, if it is a PMLang keyword.
-    pub fn keyword(word: &str) -> Option<TokenKind> {
+    pub fn keyword(word: &str) -> Option<TokenKind<'static>> {
         Some(match word {
             "index" => TokenKind::Index,
             "reduction" => TokenKind::Reduction,
@@ -130,14 +131,14 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use TokenKind::*;
         match self {
             Ident(s) => write!(f, "identifier `{s}`"),
             Int(v) => write!(f, "integer `{v}`"),
             Float(v) => write!(f, "float `{v}`"),
-            Str(s) => write!(f, "string {s:?}"),
+            Str(raw) => write!(f, "string {:?}", unescape(raw)),
             Index => f.write_str("`index`"),
             Reduction => f.write_str("`reduction`"),
             Input => f.write_str("`input`"),
@@ -180,11 +181,32 @@ impl fmt::Display for TokenKind {
     }
 }
 
+/// The value of a string literal whose text between the quotes is `raw`:
+/// each escape (`\n`, `\t`, `\"`, `\\`) becomes the character it names,
+/// and every other byte the `char` of that value.
+pub fn unescape(raw: &str) -> String {
+    let mut value = String::with_capacity(raw.len());
+    let mut bytes = raw.bytes();
+    while let Some(mut c) = bytes.next() {
+        if c == b'\\' {
+            c = match bytes.next() {
+                Some(b'n') => b'\n',
+                Some(b't') => b'\t',
+                // `\"` and `\\`: the lexer admits no other escape.
+                Some(e) => e,
+                None => break,
+            };
+        }
+        value.push(c as char);
+    }
+    value
+}
+
 /// A lexed token together with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// Lexical category and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Location in the source text.
     pub span: Span,
 }
@@ -209,8 +231,7 @@ mod tests {
 
     #[test]
     fn display_is_nonempty() {
-        for k in [TokenKind::Ident("x".into()), TokenKind::Int(3), TokenKind::EqEq, TokenKind::Eof]
-        {
+        for k in [TokenKind::Ident("x"), TokenKind::Int(3), TokenKind::EqEq, TokenKind::Eof] {
             assert!(!k.to_string().is_empty());
         }
     }

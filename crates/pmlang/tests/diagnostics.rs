@@ -136,6 +136,59 @@ fn expression_depth_limit_is_a_diagnostic() {
     assert!(err.to_string().contains("nesting exceeds"), "{err}");
 }
 
+/// Operators in each long chain below: enough that a parser recursing
+/// once per operator, or a 300,000-level tree dropped recursively,
+/// overflowed the stack and aborted the process.
+const LONG_CHAIN: usize = 300_000;
+
+/// Asserts `y = <expr>;` is refused while it is parsed, with the tree
+/// limit semantic analysis applies, at line:col `where_`.
+fn chain_is_refused(expr: &str, where_: &str) {
+    let src = format!("main(input float x, output float y) {{ y = {expr}; }}");
+    let err = pmlang::frontend(&src).expect_err("should be rejected");
+    assert!(matches!(err, pmlang::FrontendError::Parse(_)), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("expression nesting exceeds the 128-level limit"), "{msg}");
+    assert!(msg.contains(where_), "expected location `{where_}` in: {msg}");
+}
+
+#[test]
+fn a_long_negation_chain_is_a_parse_error() {
+    chain_is_refused(&format!("{}x", "-".repeat(LONG_CHAIN)), "1:172");
+}
+
+#[test]
+fn a_long_not_chain_is_a_parse_error() {
+    chain_is_refused(&format!("{}x", "!".repeat(LONG_CHAIN)), "1:172");
+}
+
+#[test]
+fn a_long_power_chain_is_a_parse_error() {
+    chain_is_refused(&format!("x{}", "^x".repeat(LONG_CHAIN)), "1:301");
+}
+
+#[test]
+fn a_long_sum_chain_is_a_parse_error() {
+    chain_is_refused(&format!("x{}", "+x".repeat(LONG_CHAIN)), "1:302");
+}
+
+/// The parser's limit is semantic analysis's: the deepest tree it accepts
+/// still checks, one level more is refused. A 3,000-term sum, which
+/// parsed and then failed the semantic check, is now a parse error.
+#[test]
+fn the_parser_accepts_exactly_the_trees_semantic_analysis_does() {
+    for (ok, too_deep) in [
+        ("-".repeat(128) + "x", "-".repeat(129) + "x"),
+        ("x".to_string() + &"+x".repeat(128), "x".to_string() + &"+x".repeat(129)),
+        ("x ? x : ".repeat(128) + "x", "x ? x : ".repeat(129) + "x"),
+    ] {
+        let src = format!("main(input float x, output float y) {{ y = {ok}; }}");
+        pmlang::frontend(&src).unwrap_or_else(|e| panic!("{e}"));
+        chain_is_refused(&too_deep, "1:");
+    }
+    chain_is_refused(&format!("x{}", "+x".repeat(3_000)), "1:302");
+}
+
 #[test]
 fn errors_name_the_right_line_in_multiline_programs() {
     rejects(

@@ -24,6 +24,12 @@ use pmlang::ast::{ArgDecl, Component, Expr, ExprKind, Stmt};
 use pmlang::{BuiltinReduction, DType, Domain, Program, ScalarFunc, Span, TypeModifier};
 use std::collections::HashMap;
 
+/// A name table keyed by text borrowed from the AST or the bindings. The
+/// names come from the program text, which `pmc serve` takes off the
+/// wire, so they keep std's keyed hasher: `FxHasher` keys can be chosen
+/// to collide.
+type Names<'a, V> = HashMap<&'a str, V>;
+
 /// Compile-time bindings for the entry component.
 #[derive(Debug, Clone, Default)]
 pub struct Bindings {
@@ -60,12 +66,12 @@ pub fn build(program: &Program, bindings: &Bindings) -> Result<SrDfg, BuildError
                     arg.span,
                 )
             })?;
-            builder.sizes.insert(arg.name.clone(), v);
+            builder.sizes.insert(&arg.name, v);
         }
     }
     // Implicit size params of main.
     for (name, v) in &bindings.sizes {
-        builder.sizes.entry(name.clone()).or_insert(*v);
+        builder.sizes.entry(name).or_insert(*v);
     }
     builder.run()
 }
@@ -77,8 +83,8 @@ enum Value {
     Var(VarSlot),
     /// A compile-time integer (int param or size param).
     ConstInt(i64),
-    /// A declared index variable.
-    Index(IndexRange),
+    /// A declared index variable (its name is the scope key).
+    Index { lo: i64, hi: i64 },
 }
 
 #[derive(Debug, Clone)]
@@ -94,15 +100,23 @@ struct VarSlot {
     version: u32,
 }
 
+impl VarSlot {
+    /// The edge holding variable `name`'s current value.
+    fn current_edge(&self, name: &str, span: Span) -> Result<EdgeId, BuildError> {
+        self.current.ok_or_else(|| {
+            BuildError::new(format!("`{name}` is read before any value is assigned"), span)
+        })
+    }
+}
+
+/// Builds one component's graph, borrowing the program it reads.
 struct ComponentBuilder<'a> {
     program: &'a Program,
     comp: &'a Component,
     domain: Option<Domain>,
     graph: SrDfg,
-    scope: HashMap<String, Value>,
-    sizes: HashMap<String, i64>,
-    /// Argument names in signature order (to emit boundary outputs).
-    arg_order: Vec<String>,
+    scope: Names<'a, Value>,
+    sizes: Names<'a, i64>,
 }
 
 impl<'a> ComponentBuilder<'a> {
@@ -114,9 +128,8 @@ impl<'a> ComponentBuilder<'a> {
             comp,
             domain,
             graph,
-            scope: HashMap::new(),
-            sizes: HashMap::new(),
-            arg_order: comp.args.iter().map(|a| a.name.clone()).collect(),
+            scope: Names::default(),
+            sizes: Names::default(),
         }
     }
 
@@ -124,8 +137,7 @@ impl<'a> ComponentBuilder<'a> {
     /// param and size param value.
     fn run(mut self) -> Result<SrDfg, BuildError> {
         self.declare_args()?;
-        let body = self.comp.body.clone();
-        for stmt in &body {
+        for stmt in &self.comp.body {
             self.stmt(stmt)?;
         }
         self.finish_boundary()?;
@@ -135,21 +147,20 @@ impl<'a> ComponentBuilder<'a> {
     fn declare_args(&mut self) -> Result<(), BuildError> {
         // Size params become compile-time constants before any dimension is
         // resolved (argument dims may reference them in any order).
-        for (name, v) in self.sizes.clone() {
+        for (&name, &v) in &self.sizes {
             self.scope.entry(name).or_insert(Value::ConstInt(v));
         }
-        let args = self.comp.args.clone();
-        for arg in &args {
+        for arg in &self.comp.args {
             // Compile-time int params were pre-bound by the caller.
             if arg.modifier == TypeModifier::Param && arg.dtype == DType::Int && arg.dims.is_empty()
             {
-                if !self.sizes.contains_key(&arg.name) {
+                let Some(&v) = self.sizes.get(arg.name.as_str()) else {
                     return Err(BuildError::new(
                         format!("int param `{}` not bound", arg.name),
                         arg.span,
                     ));
-                }
-                self.scope.insert(arg.name.clone(), Value::ConstInt(self.sizes[&arg.name]));
+                };
+                self.scope.insert(&arg.name, Value::ConstInt(v));
                 continue;
             }
             let shape = self.resolve_dims(&arg.dims, arg.span)?;
@@ -174,7 +185,7 @@ impl<'a> ComponentBuilder<'a> {
                 self.graph.boundary_inputs.push(e);
                 slot.current = Some(e);
             }
-            self.scope.insert(arg.name.clone(), Value::Var(slot));
+            self.scope.insert(&arg.name, Value::Var(slot));
         }
         Ok(())
     }
@@ -199,12 +210,12 @@ impl<'a> ComponentBuilder<'a> {
     }
 
     fn finish_boundary(&mut self) -> Result<(), BuildError> {
-        for name in self.arg_order.clone() {
-            let arg = self.comp.arg(&name).expect("arg exists");
+        for arg in &self.comp.args {
             if !matches!(arg.modifier, TypeModifier::Output | TypeModifier::State) {
                 continue;
             }
-            let Some(Value::Var(slot)) = self.scope.get(&name) else { continue };
+            let name = &arg.name;
+            let Some(Value::Var(slot)) = self.scope.get(name.as_str()) else { continue };
             let current = slot.current.ok_or_else(|| {
                 BuildError::new(format!("`{name}` has no value at component end"), arg.span)
             })?;
@@ -247,7 +258,7 @@ impl<'a> ComponentBuilder<'a> {
         match &e.kind {
             ExprKind::IntLit(v) => Ok(*v as f64),
             ExprKind::FloatLit(v) => Ok(*v),
-            ExprKind::Var(name) => match self.scope.get(name) {
+            ExprKind::Var(name) => match self.scope.get(name.as_str()) {
                 Some(Value::ConstInt(v)) => Ok(*v as f64),
                 _ => {
                     Err(BuildError::new(format!("`{name}` is not a compile-time constant"), e.span))
@@ -293,9 +304,15 @@ impl<'a> ComponentBuilder<'a> {
     }
 
     fn current_edge(&self, name: &str, span: Span) -> Result<EdgeId, BuildError> {
-        self.var_slot(name, span)?.current.ok_or_else(|| {
-            BuildError::new(format!("`{name}` is read before any value is assigned"), span)
-        })
+        self.var_slot(name, span)?.current_edge(name, span)
+    }
+
+    /// The declared range of `name`, if it is an index variable.
+    fn index_range(&self, name: &str) -> Option<IndexRange> {
+        match self.scope.get(name) {
+            Some(&Value::Index { lo, hi }) => Some(IndexRange { name: name.into(), lo, hi }),
+            _ => None,
+        }
     }
 
     /// Creates the next SSA version edge for a variable and marks it current.
@@ -316,16 +333,13 @@ impl<'a> ComponentBuilder<'a> {
 
     // ---- statements ----------------------------------------------------
 
-    fn stmt(&mut self, stmt: &Stmt) -> Result<(), BuildError> {
+    fn stmt(&mut self, stmt: &'a Stmt) -> Result<(), BuildError> {
         match stmt {
             Stmt::IndexDecl { specs, .. } => {
                 for s in specs {
                     let lo = self.const_int(&s.lo)?;
                     let hi = self.const_int(&s.hi)?;
-                    self.scope.insert(
-                        s.name.clone(),
-                        Value::Index(IndexRange { name: s.name.clone(), lo, hi }),
-                    );
+                    self.scope.insert(&s.name, Value::Index { lo, hi });
                 }
                 Ok(())
             }
@@ -333,7 +347,7 @@ impl<'a> ComponentBuilder<'a> {
                 for (name, dims) in vars {
                     let shape = self.resolve_dims(dims, *span)?;
                     self.scope.insert(
-                        name.clone(),
+                        name,
                         Value::Var(VarSlot {
                             dtype: *dtype,
                             shape,
@@ -389,8 +403,8 @@ impl<'a> ComponentBuilder<'a> {
         for ix in lhs_exprs {
             self.collect_index_vars(ix, &mut free)?;
         }
-        let index_pos: HashMap<String, usize> =
-            free.iter().enumerate().map(|(i, r)| (r.name.clone(), i)).collect();
+        let index_pos: Names<usize> =
+            free.iter().enumerate().map(|(i, r)| (r.name.as_str(), i)).collect();
 
         // Translate LHS index expressions (may only reference free indices
         // and constants).
@@ -490,10 +504,8 @@ impl<'a> ComponentBuilder<'a> {
     fn collect_index_vars(&self, e: &Expr, out: &mut Vec<IndexRange>) -> Result<(), BuildError> {
         match &e.kind {
             ExprKind::Var(name) => {
-                if let Some(Value::Index(r)) = self.scope.get(name) {
-                    if !out.iter().any(|x| x.name == r.name) {
-                        out.push(r.clone());
-                    }
+                if !out.iter().any(|x| x.name == *name) {
+                    out.extend(self.index_range(name));
                 }
                 Ok(())
             }
@@ -538,7 +550,7 @@ impl<'a> ComponentBuilder<'a> {
         &mut self,
         value: &Expr,
         free: &[IndexRange],
-        index_pos: &HashMap<String, usize>,
+        index_pos: &Names<usize>,
         temps: &mut Vec<EdgeId>,
     ) -> Result<RhsExpr, BuildError> {
         if let ExprKind::Reduce { .. } = &value.kind {
@@ -555,21 +567,21 @@ impl<'a> ComponentBuilder<'a> {
         &mut self,
         e: &Expr,
         free: &[IndexRange],
-        index_pos: &HashMap<String, usize>,
+        index_pos: &Names<usize>,
     ) -> Result<(ReduceSpec, Vec<EdgeId>), BuildError> {
         let ExprKind::Reduce { op, iters, body } = &e.kind else { unreachable!() };
         // Reduction index space: positions continue after the free space.
         let mut red_pos = index_pos.clone();
         let mut red_space = Vec::new();
         for it in iters {
-            let Some(Value::Index(r)) = self.scope.get(&it.index) else {
+            let Some(r) = self.index_range(&it.index) else {
                 return Err(BuildError::new(
                     format!("`{}` is not an index variable", it.index),
                     it.span,
                 ));
             };
-            red_pos.insert(it.index.clone(), free.len() + red_space.len());
-            red_space.push(r.clone());
+            red_pos.insert(&it.index, free.len() + red_space.len());
+            red_space.push(r);
         }
         let mut ops = OperandSet::default();
         let body_kernel = self.kexpr(body, &red_pos, &mut ops, &mut Vec::new())?;
@@ -610,7 +622,7 @@ impl<'a> ComponentBuilder<'a> {
     fn kexpr(
         &mut self,
         e: &Expr,
-        index_pos: &HashMap<String, usize>,
+        index_pos: &Names<usize>,
         ops: &mut OperandSet,
         temps: &mut Vec<EdgeId>,
     ) -> Result<KExpr, BuildError> {
@@ -620,9 +632,9 @@ impl<'a> ComponentBuilder<'a> {
             ExprKind::StrLit(_) => {
                 Err(BuildError::new("string literals cannot appear in kernels", e.span))
             }
-            ExprKind::Var(name) => match self.scope.get(name) {
-                Some(Value::Index(_)) => {
-                    let pos = index_pos.get(name).ok_or_else(|| {
+            ExprKind::Var(name) => match self.scope.get(name.as_str()) {
+                Some(Value::Index { .. }) => {
+                    let pos = index_pos.get(name.as_str()).ok_or_else(|| {
                         BuildError::new(
                             format!("index `{name}` is not bound here (missing from the left-hand side or the reduction's index groups)"),
                             e.span,
@@ -638,16 +650,14 @@ impl<'a> ComponentBuilder<'a> {
                             e.span,
                         ));
                     }
-                    let edge = self.current_edge(name, e.span)?;
+                    let edge = slot.current_edge(name, e.span)?;
                     Ok(KExpr::Operand { slot: ops.slot(edge), indices: vec![] })
                 }
                 None => Err(BuildError::new(format!("undeclared variable `{name}`"), e.span)),
             },
             ExprKind::Access { name, indices } => {
-                let rank = {
-                    let slot = self.var_slot(name, e.span)?;
-                    slot.shape.len()
-                };
+                let var = self.var_slot(name, e.span)?;
+                let rank = var.shape.len();
                 if indices.len() != rank {
                     return Err(BuildError::new(
                         format!(
@@ -657,8 +667,7 @@ impl<'a> ComponentBuilder<'a> {
                         e.span,
                     ));
                 }
-                let edge = self.current_edge(name, e.span)?;
-                let slot = ops.slot(edge);
+                let slot = ops.slot(var.current_edge(name, e.span)?);
                 let ixs: Vec<KExpr> = indices
                     .iter()
                     .map(|ix| self.kexpr(ix, index_pos, ops, temps))
@@ -693,14 +702,10 @@ impl<'a> ComponentBuilder<'a> {
                 let free: Vec<IndexRange> = {
                     // Reconstruct the free space from index_pos. Positions
                     // 0..n of index_pos that map into the statement space.
-                    let mut v: Vec<(&String, &usize)> = index_pos.iter().collect();
-                    v.sort_by_key(|(_, pos)| **pos);
-                    v.into_iter()
-                        .filter_map(|(name, _)| match self.scope.get(name) {
-                            Some(Value::Index(r)) => Some(r.clone()),
-                            _ => None,
-                        })
-                        .collect()
+                    let mut v: Vec<(&str, usize)> =
+                        index_pos.iter().map(|(&name, &pos)| (name, pos)).collect();
+                    v.sort_by_key(|&(_, pos)| pos);
+                    v.into_iter().filter_map(|(name, _)| self.index_range(name)).collect()
                 };
                 let (spec, inputs) = self.build_reduce(e, &free, index_pos)?;
                 let out_shape: Vec<usize> = free.iter().map(IndexRange::size).collect();
@@ -744,20 +749,19 @@ impl<'a> ComponentBuilder<'a> {
         let callee = self
             .program
             .component(name)
-            .ok_or_else(|| BuildError::new(format!("unknown component `{name}`"), span))?
-            .clone();
+            .ok_or_else(|| BuildError::new(format!("unknown component `{name}`"), span))?;
         let callee_domain = domain.or(self.domain);
 
         // Pass 1: bind callee int params from constant arguments, and unify
         // size params against actual shapes.
-        let mut callee_sizes: HashMap<String, i64> = HashMap::new();
+        let mut callee_sizes: Names<i64> = Names::default();
         for (actual, formal) in args.iter().zip(&callee.args) {
             if formal.modifier == TypeModifier::Param
                 && formal.dtype == DType::Int
                 && formal.dims.is_empty()
             {
                 let v = self.const_int(actual)?;
-                callee_sizes.insert(formal.name.clone(), v);
+                callee_sizes.insert(&formal.name, v);
             }
         }
         for (actual, formal) in args.iter().zip(&callee.args) {
@@ -772,12 +776,12 @@ impl<'a> ComponentBuilder<'a> {
         }
 
         // Pass 2: build the callee sub-graph.
-        let mut sub_builder = ComponentBuilder::new(self.program, &callee, callee_domain);
+        let mut sub_builder = ComponentBuilder::new(self.program, callee, callee_domain);
         sub_builder.sizes = callee_sizes;
         sub_builder.declare_args()?;
         // Outputs whose actual variable already has a value may be read
         // before written inside the callee; bind the incoming value.
-        let mut extra_inputs: Vec<(usize, String)> = Vec::new(); // (arg idx, name)
+        let mut extra_inputs: Vec<usize> = Vec::new(); // arg indices
         for (i, (actual, formal)) in args.iter().zip(&callee.args).enumerate() {
             if formal.modifier == TypeModifier::Output {
                 if let ExprKind::Var(vn) = &actual.kind {
@@ -787,13 +791,12 @@ impl<'a> ComponentBuilder<'a> {
                             (s.dtype, s.shape.clone())
                         };
                         sub_builder.bind_output_incoming(&formal.name, dtype, shape, actual.span);
-                        extra_inputs.push((i, formal.name.clone()));
+                        extra_inputs.push(i);
                     }
                 }
             }
         }
-        let body = callee.body.clone();
-        for stmt in &body {
+        for stmt in &callee.body {
             sub_builder.stmt(stmt)?;
         }
         sub_builder.finish_boundary()?;
@@ -818,9 +821,9 @@ impl<'a> ComponentBuilder<'a> {
                 TypeModifier::Output => {}
             }
         }
-        for (i, _) in &extra_inputs {
-            let ExprKind::Var(vn) = &args[*i].kind else { unreachable!() };
-            node_inputs.push(self.current_edge(vn, args[*i].span)?);
+        for &i in &extra_inputs {
+            let ExprKind::Var(vn) = &args[i].kind else { unreachable!() };
+            node_inputs.push(self.current_edge(vn, args[i].span)?);
         }
 
         let mut node_outputs: Vec<EdgeId> = Vec::new();
@@ -852,10 +855,10 @@ impl<'a> ComponentBuilder<'a> {
     /// The shape of an instantiation argument (scalar for constants).
     fn actual_shape(&self, actual: &Expr) -> Result<Vec<usize>, BuildError> {
         match &actual.kind {
-            ExprKind::Var(vn) => match self.scope.get(vn) {
+            ExprKind::Var(vn) => match self.scope.get(vn.as_str()) {
                 Some(Value::Var(slot)) => Ok(slot.shape.clone()),
                 Some(Value::ConstInt(_)) => Ok(vec![]),
-                Some(Value::Index(_)) => Err(BuildError::new(
+                Some(Value::Index { .. }) => Err(BuildError::new(
                     format!("index variable `{vn}` cannot be an argument"),
                     actual.span,
                 )),
@@ -877,7 +880,7 @@ impl<'a> ComponentBuilder<'a> {
     /// scalars as fill nodes.
     fn actual_edge(&mut self, actual: &Expr, formal: &ArgDecl) -> Result<EdgeId, BuildError> {
         match &actual.kind {
-            ExprKind::Var(vn) if matches!(self.scope.get(vn), Some(Value::Var(_))) => {
+            ExprKind::Var(vn) if matches!(self.scope.get(vn.as_str()), Some(Value::Var(_))) => {
                 self.current_edge(vn, actual.span)
             }
             _ => {
@@ -992,10 +995,10 @@ fn combiner_kernel(def: &pmlang::ReductionDef) -> Result<KExpr, BuildError> {
 
 /// Unifies declared dimension expressions against an actual shape,
 /// binding single-variable dims and checking the rest.
-fn unify_dims(
-    dims: &[Expr],
+fn unify_dims<'a>(
+    dims: &'a [Expr],
     shape: &[usize],
-    sizes: &mut HashMap<String, i64>,
+    sizes: &mut Names<'a, i64>,
     formal: &ArgDecl,
     span: Span,
 ) -> Result<(), BuildError> {
@@ -1012,7 +1015,7 @@ fn unify_dims(
     }
     for (d, &actual) in dims.iter().zip(shape) {
         match &d.kind {
-            ExprKind::Var(name) => match sizes.get(name) {
+            ExprKind::Var(name) => match sizes.get(name.as_str()) {
                 Some(&bound) => {
                     if bound != actual as i64 {
                         return Err(BuildError::new(
@@ -1025,7 +1028,7 @@ fn unify_dims(
                     }
                 }
                 None => {
-                    sizes.insert(name.clone(), actual as i64);
+                    sizes.insert(name, actual as i64);
                 }
             },
             _ => {
@@ -1048,10 +1051,10 @@ fn unify_dims(
 }
 
 /// Constant-evaluates an integer expression against a size environment.
-fn const_eval_with(e: &Expr, sizes: &HashMap<String, i64>) -> Option<i64> {
+fn const_eval_with(e: &Expr, sizes: &Names<i64>) -> Option<i64> {
     match &e.kind {
         ExprKind::IntLit(v) => Some(*v),
-        ExprKind::Var(name) => sizes.get(name).copied(),
+        ExprKind::Var(name) => sizes.get(name.as_str()).copied(),
         ExprKind::Unary { op: pmlang::UnOp::Neg, operand } => {
             Some(-const_eval_with(operand, sizes)?)
         }

@@ -452,9 +452,8 @@ struct Expander<'a> {
     /// Interned unnamed-scalar-temp metadata per dtype. Every scalar temp
     /// this expansion creates has identical content (empty name, `Temp`,
     /// scalar shape, the expansion's span), so a million-edge expansion
-    /// touches the global [`crate::store`] interner once per dtype instead
-    /// of once per edge — expansions run in parallel during cold lowering
-    /// and must not serialize on the store lock.
+    /// touches the global [`crate::store`] interner (a hash, a lock and a
+    /// table probe) once per dtype instead of once per edge.
     scalar_meta: HashMap<DType, Consed<EdgeMeta>, FxBuildHasher>,
     /// Interned scalar-op payloads keyed by structural hash (with an `==`
     /// confirmation), for the same lock-avoidance reason: an adder tree

@@ -27,11 +27,11 @@ fn detect_sum_pattern(spec: &ReduceSpec) -> Option<Pattern> {
     let red = spec.red_space.len();
     // The body must be a product of operand reads (2 factors for the dense
     // linear-algebra patterns).
-    let factors = product_factors(&spec.body)?;
-    if factors.len() != 2 {
+    let mut factors = Vec::with_capacity(2);
+    if !product_factors(&spec.body, &mut factors) || factors.len() != 2 {
         return None;
     }
-    let (a, b) = (&factors[0], &factors[1]);
+    let (a, b) = (factors[0], factors[1]);
     match (out, red) {
         // dot: y = Σ_k a[k]·b[k]
         (0, 1) if is_plain(a, &[out]) && is_plain(b, &[out]) => Some(Pattern::Dot),
@@ -83,17 +83,16 @@ fn detect_pool(spec: &ReduceSpec) -> Option<Pattern> {
     None
 }
 
-/// Decomposes a kernel into multiplication factors; `None` if the kernel is
-/// not a pure product of operand reads.
-fn product_factors(k: &KExpr) -> Option<Vec<KExpr>> {
+/// Appends a kernel's multiplication factors to `out`; false if the kernel
+/// is not a pure product of operand reads.
+fn product_factors<'k>(k: &'k KExpr, out: &mut Vec<&'k KExpr>) -> bool {
     match k {
-        KExpr::Binary(BinOp::Mul, a, b) => {
-            let mut fa = product_factors(a)?;
-            fa.extend(product_factors(b)?);
-            Some(fa)
+        KExpr::Binary(BinOp::Mul, a, b) => product_factors(a, out) && product_factors(b, out),
+        KExpr::Operand { .. } => {
+            out.push(k);
+            true
         }
-        KExpr::Operand { .. } => Some(vec![k.clone()]),
-        _ => None,
+        _ => false,
     }
 }
 

@@ -312,6 +312,34 @@ if grep -rn 'ElideMarshalling\|PruneUnusedInputs' crates/core crates/fuzz crates
     exit 1
 fi
 
+echo "== the front half is bounded and has one expression parser"
+# The parser never recurses through, or builds, an expression deeper than
+# sema's limit: 300,000 prefix `-` or `!`, right-associative `^` or
+# left-associative `+` are each a located error, not a stack overflow
+# (exit 134). Expressions are one precedence-climbing loop over a
+# binding-power table; a function per precedence level beside it would be
+# a second expression parser.
+chains=$(mktemp -d)
+for unit in '-' '!' '^x' '+x'; do
+    python3 -c 'import sys
+u = sys.argv[1]
+e = u * 300000 + "x" if len(u) == 1 else "x" + u * 300000
+print("main(input float x, output float y) { y = %s; }" % e)' "$unit" >"$chains/chain.pm"
+    code=0
+    err=$(cargo run --release -q -p polymath --bin pmc -- compile "$chains/chain.pm" 2>&1 >/dev/null) ||
+        code=$?
+    if [ "$code" != 1 ] || ! grep -q 'nesting exceeds' <<<"$err"; then
+        echo "pmc compile of a 300,000-long '$unit' chain: exit $code, ${err:0:300}" >&2
+        exit 1
+    fi
+done
+rm -r "$chains"
+if grep -nE 'fn (binary_level|or|and|equality|comparison|additive|multiplicative)\(' \
+    crates/pmlang/src/parser.rs; then
+    echo "a per-level precedence ladder is back beside the binding-power loop" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

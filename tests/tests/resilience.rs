@@ -352,6 +352,42 @@ fn a_deeply_nested_line_is_a_bad_request_not_a_stack_overflow() {
 }
 
 #[test]
+fn a_long_operator_chain_is_a_compile_error_not_a_stack_overflow() {
+    let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let engine = Arc::new(ServeEngine::new(&cfg));
+    let server = ServeServer::start(Arc::clone(&engine), &cfg);
+    let (tx, rx) = mpsc::channel();
+    // Unbounded, the parser recursed once per prefix operator or `^` (and
+    // dropped a 300,000-level tree for a sum) and aborted the process.
+    let n = 300_000;
+    for chain in [
+        format!("{}x", "-".repeat(n)),
+        format!("{}x", "!".repeat(n)),
+        format!("x{}", "^x".repeat(n)),
+        format!("x{}", "+x".repeat(n)),
+    ] {
+        let program = format!("main(input float x, output float y) {{ y = {chain}; }}");
+        let line = Json::Obj(vec![
+            ("op".into(), Json::Str("run".into())),
+            ("id".into(), Json::Str("chain".into())),
+            ("program".into(), Json::Str(program)),
+            ("feeds".into(), Json::Obj(vec![("x".into(), tensor(&[], &[1.0]))])),
+        ])
+        .render();
+        server.submit(line, tx.clone()).expect("admitted");
+        let resp = rx.recv().expect("the worker replies");
+        assert_eq!(error_kind(&resp), "compile", "{}", &resp[..resp.len().min(300)]);
+        assert!(resp.contains("nesting exceeds"), "{}", &resp[..resp.len().min(300)]);
+    }
+    server.submit(run_line("ok", "alice", &[], None, None), tx).unwrap();
+    let healthy = rx.recv().unwrap();
+    assert_eq!(parse(&healthy).get("ok").and_then(Json::as_bool), Some(true), "{healthy}");
+    assert_eq!(engine.worker_panics(), 0);
+    assert!(engine.quarantine().is_empty(), "a rejected program must not be quarantined");
+    server.shutdown();
+}
+
+#[test]
 fn shedding_is_typed_and_distinct_from_overload() {
     let cfg = ServeConfig { max_inflight_cost: 1, ..ServeConfig::default() };
     let engine = Arc::new(ServeEngine::new(&cfg));
