@@ -56,6 +56,9 @@
 //! with kinds `bad_request` | `overloaded` | `shedding` | `deadline_exceeded`
 //! | `quarantined` | `shutting_down` | `panic` | `compile` | `execution`.
 //!
+//! `invocations` is at most 4,096: admission charges a line by its bytes,
+//! so a short line must not be able to hold a worker for longer than that.
+//!
 //! Responses are emitted in completion order; match them to requests by
 //! `id`. All tensors are `float`; outputs render with names sorted, so a
 //! cache hit's response bytes are identical to the cold compile's.
@@ -95,6 +98,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// The most invocations one `run` line may ask for: more than 500× what
+/// any benchmark or soak request sends, and few enough that a line whose
+/// admission cost is its length cannot occupy a worker indefinitely.
+const MAX_INVOCATIONS: u64 = 4096;
 
 /// Configuration of one serve instance.
 #[derive(Debug, Clone)]
@@ -223,7 +231,7 @@ pub struct RunRequest {
     pub feeds: HashMap<String, Tensor>,
     /// Initial values for `state` variables.
     pub state: Vec<(String, Tensor)>,
-    /// Invocations to run (defaults to 1).
+    /// Invocations to run (defaults to 1, at most 4,096).
     pub invocations: u64,
     /// Size bindings for symbolic dimensions.
     pub sizes: Bindings,
@@ -300,7 +308,9 @@ impl Request {
                     v.get("tenant").and_then(Json::as_str).unwrap_or("default").to_string();
                 let invocations = match v.get("invocations") {
                     None => 1,
-                    Some(n) => n.as_u64().ok_or_else(|| bad("run: bad `invocations`"))?,
+                    Some(n) => n.as_u64().filter(|&n| n <= MAX_INVOCATIONS).ok_or_else(|| {
+                        bad(&format!("run: `invocations` must be an integer ≤ {MAX_INVOCATIONS}"))
+                    })?,
                 };
                 let mut feeds = HashMap::new();
                 if let Some(obj) = v.get("feeds") {
@@ -1271,6 +1281,9 @@ mod tests {
                 r#"{"op":"run","id":"x","program":"p","chaos":{"max_retries":4294967297}}"#,
                 "bad_request",
             ),
+            // The most invocations a line may ask for, and one more.
+            (r#"{"op":"run","id":"x","program":"p","invocations":4096}"#, "compile"),
+            (r#"{"op":"run","id":"x","program":"p","invocations":4097}"#, "bad_request"),
             // 2^32 × 2^32 elements: the count overflows, it does not wrap
             // to an empty tensor.
             (
@@ -1349,10 +1362,16 @@ mod tests {
         let engine = Arc::new(ServeEngine::new(&cfg));
         let mut server = ServeServer::paused(Arc::clone(&engine), &cfg);
         let (tx, rx) = mpsc::channel();
-        // A request of 100 000 invocations queued ahead of one invocation of
-        // the same program: the worker that takes the first must leave the
-        // second to the other worker, not run it afterwards.
-        let slow = with_field(&run_line("slow", DOT), "invocations", Json::Num(100_000.0));
+        // The most invocations a line may ask for, of a 256-term sum, queued
+        // ahead of one invocation of a 4-term one: the worker that takes the
+        // first must leave the second to the other worker, not run it
+        // afterwards.
+        let wide = "main(input float x[4], output float y) {
+             index i[0:3], j[0:63];
+             y = sum[i][j](x[i]*x[i]);
+         }";
+        let most = Json::Num(MAX_INVOCATIONS as f64);
+        let slow = with_field(&run_line("slow", wide), "invocations", most);
         server.submit(slow, tx.clone()).unwrap();
         server.submit(run_line("quick", DOT), tx.clone()).unwrap();
         server.resume();

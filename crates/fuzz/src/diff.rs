@@ -110,13 +110,13 @@ impl Pass for SabotagePass {
         for id in graph.node_ids().collect::<Vec<_>>() {
             let node = graph.node_mut(id);
             // Copy-on-write: sabotage must not reach sibling instances
-            // sharing the interned payload, so clone, flip, re-intern.
+            // sharing the payload record, so clone, flip, build a new record.
             let flipped = match &mut node.kind {
                 NodeKind::Map(m) => {
                     let mut owned = m.get().clone();
                     let hit = flip_first_add(&mut owned.kernel);
                     if hit {
-                        *m = srdfg::intern(owned);
+                        *m = srdfg::Consed::new(owned);
                     }
                     hit
                 }
@@ -124,7 +124,7 @@ impl Pass for SabotagePass {
                     let mut owned = r.get().clone();
                     let hit = flip_first_add(&mut owned.body);
                     if hit {
-                        *r = srdfg::intern(owned);
+                        *r = srdfg::Consed::new(owned);
                     }
                     hit
                 }

@@ -35,11 +35,11 @@ use srdfg::budget::Budget;
 use srdfg::{Consed, EdgeId, EdgeMeta, Modifier, NodeId, SrDfg};
 use std::sync::Arc;
 
-/// The one edge a `load`/`store` fragment moves: a handle on the interned
+/// The one edge a `load`/`store` fragment moves: a handle on the shared
 /// edge metadata plus the edge itself, so DMA pricing needs no graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArgInfo {
-    /// Interned `(name, type, type-modifier, shape)` metadata of the edge.
+    /// Shared `(name, type, type-modifier, shape)` metadata of the edge.
     pub meta: Consed<EdgeMeta>,
     /// The underlying graph edge.
     pub edge: EdgeId,

@@ -13,7 +13,7 @@
 //! A compiled program is addressed by [`ProgramKey`], the pair of
 //!
 //! * [`srdfg::graph_fingerprint`] of the **post-midend, pre-lowering**
-//!   srDFG — content hashes only, never arena ids, so equal source text
+//!   srDFG — content hashes only, never record addresses, so equal source text
 //!   keys equally across processes;
 //! * [`crate::TargetMap::fingerprint`] of the target map the compile ran
 //!   against — the same graph lowered host-only vs. cross-domain yields

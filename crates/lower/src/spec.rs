@@ -57,7 +57,7 @@ impl AcceleratorSpec {
 
 /// Memoized `n.name ∈ Ot` resolution for whole-graph sweeps.
 ///
-/// Template-instantiated nodes share their interned name allocations, so
+/// Template-instantiated nodes share their name allocations, so
 /// a lowered fabric of 78k nodes asks only a handful of pointer-distinct
 /// support questions. Keying on the `(spec, name-allocation)` address
 /// pair turns the per-node operation-set walk into one integer hash

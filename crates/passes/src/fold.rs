@@ -52,8 +52,8 @@ fn rewrite_kernels(graph: &mut SrDfg, rewriter: fn(&KExpr) -> Option<(KExpr, usi
             NodeKind::Map(spec) => {
                 if let Some((kernel, n)) = rewriter(&spec.kernel) {
                     // Copy-on-write: the spec may be shared with sibling
-                    // template instances, so divergence re-interns a
-                    // fresh record (around the new kernel) instead of
+                    // template instances, so divergence builds a fresh
+                    // record (around the new kernel) instead of
                     // writing through the handle.
                     node.name = map_op_name(&kernel).into();
                     let owned = MapSpec {
@@ -61,7 +61,7 @@ fn rewrite_kernels(graph: &mut SrDfg, rewriter: fn(&KExpr) -> Option<(KExpr, usi
                         kernel,
                         write: spec.write.clone(),
                     };
-                    *spec = srdfg::intern(owned);
+                    *spec = srdfg::Consed::new(owned);
                     stats.changed = true;
                     stats.rewrites += n;
                 }
@@ -80,7 +80,7 @@ fn rewrite_kernels(graph: &mut SrDfg, rewriter: fn(&KExpr) -> Option<(KExpr, usi
                         body: take_or_clone(body, &spec.body),
                         write: spec.write.clone(),
                     };
-                    *spec = srdfg::intern(owned);
+                    *spec = srdfg::Consed::new(owned);
                     stats.changed = true;
                     stats.rewrites += total;
                 }

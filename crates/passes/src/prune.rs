@@ -80,13 +80,13 @@ impl Pass for PruneUnusedInputs {
             }
             let node = graph.node_mut(id);
             node.inputs = new_inputs.into();
-            // Copy-on-write: re-intern the diverged payload rather than
-            // mutating a possibly shared record.
+            // Copy-on-write: the diverged payload gets a fresh record rather
+            // than mutating a possibly shared one.
             match &mut node.kind {
                 NodeKind::Map(m) => {
                     let mut owned = m.get().clone();
                     remap_kexpr(&mut owned.kernel, &remap);
-                    *m = srdfg::intern(owned);
+                    *m = srdfg::Consed::new(owned);
                 }
                 NodeKind::Reduce(r) => {
                     let mut owned = r.get().clone();
@@ -94,7 +94,7 @@ impl Pass for PruneUnusedInputs {
                     if let Some(c) = &mut owned.cond {
                         remap_kexpr(c, &remap);
                     }
-                    *r = srdfg::intern(owned);
+                    *r = srdfg::Consed::new(owned);
                 }
                 _ => unreachable!(),
             }

@@ -31,7 +31,7 @@ use crate::hash::FxBuildHasher;
 use crate::ident::Ident;
 use crate::kernel::KExpr;
 use crate::smallids::SmallIds;
-use crate::store::{intern, Consed};
+use crate::store::Consed;
 use pmlang::{BinOp, BuiltinReduction, DType, ScalarFunc, Span};
 use std::collections::HashMap;
 use std::fmt;
@@ -449,15 +449,15 @@ struct Expander<'a> {
     /// single wired constant, and sharing them shrinks the expansion by
     /// up to a third.
     consts: HashMap<u64, EdgeId, FxBuildHasher>,
-    /// Interned unnamed-scalar-temp metadata per dtype. Every scalar temp
-    /// this expansion creates has identical content (empty name, `Temp`,
-    /// scalar shape, the expansion's span), so a million-edge expansion
-    /// touches the global [`crate::store`] interner (a hash, a lock and a
-    /// table probe) once per dtype instead of once per edge.
+    /// The one unnamed-scalar-temp metadata record per dtype. Every scalar
+    /// temp this expansion creates has identical content (empty name,
+    /// `Temp`, scalar shape, the expansion's span), so this map is what
+    /// makes a million-edge expansion hold one record per dtype instead
+    /// of one per edge.
     scalar_meta: HashMap<DType, Consed<EdgeMeta>, FxBuildHasher>,
-    /// Interned scalar-op payloads keyed by structural hash (with an `==`
-    /// confirmation), for the same lock-avoidance reason: an adder tree
-    /// interns `Bin(Add)` once, not once per adder.
+    /// The one record per scalar-op payload, keyed by structural hash
+    /// (with an `==` confirmation), for the same reason: an adder tree
+    /// holds one `Bin(Add)` record, not one per adder.
     scalar_kinds: HashMap<u64, Consed<ScalarKind>, FxBuildHasher>,
     /// Shared node-name `Ident`s: all `mul` nodes of one expansion alias
     /// a single string allocation. Downstream sweeps (the lowering scan,
@@ -492,19 +492,19 @@ impl<'a> Expander<'a> {
     /// (see the `scalar_meta` field).
     fn scalar_temp_meta(&mut self, dtype: DType) -> Consed<EdgeMeta> {
         let span = self.span;
-        let make = || intern(EdgeMeta::new(String::new(), dtype, Modifier::Temp, vec![]).at(span));
+        let make = || EdgeMeta::new(String::new(), dtype, Modifier::Temp, vec![]).at(span).into();
         self.scalar_meta.entry(dtype).or_insert_with(make).clone()
     }
 
-    /// Per-expander interning of scalar-op payloads (see `scalar_kinds`).
-    fn intern_scalar(&mut self, kind: ScalarKind) -> Consed<ScalarKind> {
+    /// The shared record for a scalar-op payload (see `scalar_kinds`).
+    fn shared_scalar(&mut self, kind: ScalarKind) -> Consed<ScalarKind> {
         let h = crate::hash::scalar_kind_hash(&kind);
         if let Some(c) = self.scalar_kinds.get(&h) {
             if **c == kind {
                 return c.clone();
             }
         }
-        let c = intern(kind);
+        let c = Consed::new(kind);
         self.scalar_kinds.insert(h, c.clone());
         c
     }
@@ -533,7 +533,7 @@ impl<'a> Expander<'a> {
             self.budget(1)?;
             // Element edges are unnamed: at FFT-scale expansions (10⁶+
             // edges) per-element name strings would dominate memory —
-            // and interned, they all share one metadata record.
+            // and nameless, they all share one metadata record.
             let span = self.span;
             let dtype = meta.dtype;
             let elem_meta = self.scalar_temp_meta(dtype);
@@ -622,7 +622,7 @@ impl<'a> Expander<'a> {
         inputs: &[EdgeId],
     ) -> Result<EdgeId, RefineError> {
         self.budget(1)?;
-        let kind = NodeKind::Scalar(self.intern_scalar(kind));
+        let kind = NodeKind::Scalar(self.shared_scalar(kind));
         let out = self.scalar_edge(DType::Float);
         let name = self.name_ident(name);
         self.g.add_node_at(name, kind, self.domain, inputs, [out], self.span);

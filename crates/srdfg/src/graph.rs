@@ -20,7 +20,7 @@
 use crate::ident::Ident;
 use crate::kernel::KExpr;
 use crate::smallids::SmallIds;
-use crate::store::{intern, Consed};
+use crate::store::Consed;
 use crate::template::Refinement;
 use crate::value::Tensor;
 use pmlang::{BinOp, BuiltinReduction, DType, Domain, ScalarFunc, Span, UnOp};
@@ -328,13 +328,13 @@ impl Pattern {
 
 /// The behavioural payload of a node.
 ///
-/// Tensor/scalar payloads are *interned* ([`Consed`], see [`crate::store`]):
-/// the variant holds a shared handle into the process-global arena rather
-/// than an owned value, so cloning a `NodeKind` during template splicing is
-/// a refcount bump and payload equality gets a pointer fast path. Handles
-/// deref to the payload, keeping read sites unchanged; construction goes
-/// through [`NodeKind::map`]/[`NodeKind::reduce`]/[`NodeKind::scalar`]/
-/// [`NodeKind::const_tensor`], which intern. `Component` stays an owned
+/// Tensor/scalar payloads are *shared* ([`Consed`], see [`crate::store`]):
+/// the variant holds an immutable handle rather than an owned value, so
+/// cloning a `NodeKind` during template splicing is a refcount bump and
+/// payload equality gets a pointer fast path. Handles deref to the
+/// payload, keeping read sites unchanged; construction goes through
+/// [`NodeKind::map`]/[`NodeKind::reduce`]/[`NodeKind::scalar`]/
+/// [`NodeKind::const_tensor`], which wrap a value. `Component` stays an owned
 /// `Box` — instantiations are unique and mutated in place by lowering.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeKind {
@@ -365,22 +365,22 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
-    /// A [`NodeKind::Map`], interning the spec (or reusing a handle).
+    /// A [`NodeKind::Map`], wrapping the spec (or reusing a handle).
     pub fn map(spec: impl Into<Consed<MapSpec>>) -> NodeKind {
         NodeKind::Map(spec.into())
     }
 
-    /// A [`NodeKind::Reduce`], interning the spec (or reusing a handle).
+    /// A [`NodeKind::Reduce`], wrapping the spec (or reusing a handle).
     pub fn reduce(spec: impl Into<Consed<ReduceSpec>>) -> NodeKind {
         NodeKind::Reduce(spec.into())
     }
 
-    /// A [`NodeKind::Scalar`], interning the kind (or reusing a handle).
+    /// A [`NodeKind::Scalar`], wrapping the kind (or reusing a handle).
     pub fn scalar(kind: impl Into<Consed<ScalarKind>>) -> NodeKind {
         NodeKind::Scalar(kind.into())
     }
 
-    /// A [`NodeKind::ConstTensor`], interning the tensor (or reusing a
+    /// A [`NodeKind::ConstTensor`], wrapping the tensor (or reusing a
     /// handle).
     pub fn const_tensor(t: impl Into<Consed<Tensor>>) -> NodeKind {
         NodeKind::ConstTensor(t.into())
@@ -432,9 +432,9 @@ pub struct Edge {
     pub producer: Option<(NodeId, u32)>,
     /// Consuming `(node, input slot)` pairs.
     pub consumers: SmallIds<(NodeId, u32), 2>,
-    /// The paper's edge metadata, interned (see [`crate::store`]): field
-    /// reads auto-deref (`edge.meta.dtype`); mutation goes through
-    /// [`SrDfg::edit_edge_meta`], which re-interns copy-on-write.
+    /// The paper's edge metadata, a shared handle (see [`crate::store`]):
+    /// field reads auto-deref (`edge.meta.dtype`); mutation goes through
+    /// [`SrDfg::edit_edge_meta`], which copies on write.
     pub meta: Consed<EdgeMeta>,
 }
 
@@ -493,7 +493,7 @@ impl SrDfg {
     }
 
     /// Adds an edge with no producer or consumers yet. Accepts an owned
-    /// [`EdgeMeta`] (interned here) or an already-interned handle.
+    /// [`EdgeMeta`] (wrapped here) or an existing handle.
     pub fn add_edge(&mut self, meta: impl Into<Consed<EdgeMeta>>) -> EdgeId {
         let id = EdgeId(id32(self.edges.len()));
         self.edges.push(Edge { producer: None, consumers: SmallIds::new(), meta: meta.into() });
@@ -501,8 +501,8 @@ impl SrDfg {
     }
 
     /// Copy-on-write edit of an edge's metadata: the current value is
-    /// cloned, `f` rewrites the copy, and — if it changed — the copy is
-    /// re-interned and the edge rewired to the new handle. The shared
+    /// cloned, `f` rewrites the copy, and — if it changed — the copy gets
+    /// a record of its own and the edge is rewired to it. The shared
     /// record is never written through, so other edges (in this graph or
     /// any other) referencing the same metadata are unaffected.
     pub fn edit_edge_meta(&mut self, id: EdgeId, f: impl FnOnce(&mut EdgeMeta)) {
@@ -510,7 +510,7 @@ impl SrDfg {
         let mut meta = edge.meta.get().clone();
         f(&mut meta);
         if meta != *edge.meta.get() {
-            edge.meta = intern(meta);
+            edge.meta = Consed::new(meta);
         }
     }
 
@@ -906,7 +906,8 @@ impl SrDfg {
         // meta needs a distinct value (the span stamp), and `node.span` is
         // fixed for this whole call, so a stamped source meta always maps
         // to the same stamped result — a tiny per-splice memo keyed on the
-        // source handle's address avoids re-interning per edge.
+        // source handle's address builds one stamped record per source meta
+        // (the source sub-graph holds that record for the whole call).
         let mut stamped: Vec<(usize, Consed<EdgeMeta>)> = Vec::new();
         let mut splice_meta = |meta: &Consed<EdgeMeta>| -> Consed<EdgeMeta> {
             if !(stamp_edge_spans && meta.span.is_synthetic()) {
@@ -918,9 +919,9 @@ impl SrDfg {
             }
             let mut content = meta.get().clone();
             content.span = node.span;
-            let interned = intern(content);
-            stamped.push((key, interned.clone()));
-            interned
+            let stamped_meta = Consed::new(content);
+            stamped.push((key, stamped_meta.clone()));
+            stamped_meta
         };
         // Fast path (always taken for freshly expanded sub-graphs, which
         // have no removed-node slots): sub node ids are dense, so every

@@ -97,9 +97,9 @@ pub fn splitmix64(x: u64) -> u64 {
 /// Two structurally identical graphs — in particular, the post-mid-end
 /// graphs of two submissions of the same source under the same size
 /// bindings — fingerprint identically, in this process and any other:
-/// the digest reads the *content* hashes cached on the interned
-/// payloads, never arena ids, so it is O(nodes + edges) yet
-/// store-layout independent.
+/// the digest reads the *content* hashes cached on the shared payloads,
+/// never their addresses, so it is O(nodes + edges) yet independent of
+/// which records are shared.
 ///
 /// This is what `pm-serve` keys its content-addressed compiled-program
 /// cache on: equal fingerprint ⇒ skip lowering + Algorithm 2 entirely.
@@ -164,7 +164,7 @@ pub fn node_structural_hash(node: &Node) -> u64 {
 /// structurally equal expansions in different graph regions have
 /// different input edge ids but must fingerprint identically.
 ///
-/// Interned payloads ([`crate::store::Consed`]) carry their content hash,
+/// Shared payloads ([`crate::store::Consed`]) carry their content hash,
 /// so each arm is a single cached-u64 write — node hashing and template
 /// fingerprinting are O(1) in kernel size instead of walking the tree.
 pub(crate) fn hash_kind<H: Hasher>(kind: &NodeKind, h: &mut H) {
@@ -186,7 +186,7 @@ pub(crate) fn hash_kind<H: Hasher>(kind: &NodeKind, h: &mut H) {
     }
 }
 
-/// Content hash of a [`MapSpec`] (the interner key for `NodeKind::Map`).
+/// Content hash of a [`MapSpec`] (cached on the `NodeKind::Map` handle).
 pub(crate) fn map_spec_hash(m: &MapSpec) -> u64 {
     let mut h = FxHasher(0);
     hash_space(&m.out_space, &mut h);
@@ -195,7 +195,7 @@ pub(crate) fn map_spec_hash(m: &MapSpec) -> u64 {
     h.finish()
 }
 
-/// Content hash of a [`ReduceSpec`] (the interner key for `NodeKind::Reduce`).
+/// Content hash of a [`ReduceSpec`] (cached on the `NodeKind::Reduce` handle).
 pub(crate) fn reduce_spec_hash(r: &ReduceSpec) -> u64 {
     let mut h = FxHasher(0);
     match &r.op {
@@ -220,7 +220,7 @@ pub(crate) fn reduce_spec_hash(r: &ReduceSpec) -> u64 {
     h.finish()
 }
 
-/// Content hash of a [`ScalarKind`] (the interner key for `NodeKind::Scalar`).
+/// Content hash of a [`ScalarKind`] (cached on the `NodeKind::Scalar` handle).
 pub(crate) fn scalar_kind_hash(s: &ScalarKind) -> u64 {
     let mut h = FxHasher(0);
     std::mem::discriminant(s).hash(&mut h);
@@ -234,7 +234,7 @@ pub(crate) fn scalar_kind_hash(s: &ScalarKind) -> u64 {
     h.finish()
 }
 
-/// Content hash of a [`Tensor`] (the interner key for `NodeKind::ConstTensor`).
+/// Content hash of a [`Tensor`] (cached on the `NodeKind::ConstTensor` handle).
 pub(crate) fn tensor_hash(t: &Tensor) -> u64 {
     let mut h = FxHasher(0);
     hash_tensor(t, &mut h);
@@ -242,7 +242,7 @@ pub(crate) fn tensor_hash(t: &Tensor) -> u64 {
 }
 
 /// Content hash of an [`EdgeMeta`] — the *full* metadata including the
-/// provenance span, so interning can never conflate two metas that any
+/// provenance span, so the cached hash separates any two metas that a
 /// diagnostic or digest could tell apart.
 pub(crate) fn edge_meta_hash(m: &EdgeMeta) -> u64 {
     let mut h = FxHasher(0);

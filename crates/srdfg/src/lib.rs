@@ -83,7 +83,7 @@ pub use interp::Machine;
 pub use kernel::KExpr;
 pub use lru::{CacheStats, ContentLru};
 pub use smallids::SmallIds;
-pub use store::{intern, sharing_stats, store_stats, Consed, SharingStats, StoreStats};
+pub use store::{sharing_stats, store_stats, Consed, SharingStats, StoreStats};
 pub use template::{Refinement, TemplateCache, TemplateCacheStats, TemplateKey};
 pub use validate::{validate, validate_all, ValidateError};
 pub use value::{Scalar, Tensor, ValueError};

@@ -1,65 +1,75 @@
-//! The hash-consed payload store backing the srDFG (DESIGN.md §13).
+//! Shared immutable srDFG payloads (DESIGN.md §13).
 //!
-//! Template instantiation used to *materialize* every duplicated node and
-//! edge payload: splicing a 100-node expansion cloned 100 `MapSpec`s /
-//! `ScalarKind`s and 100 `EdgeMeta`s, so a kmeans-784 lowering heap-copied
-//! ~78k kernels that were drawn from a couple dozen distinct values. This
-//! module stores each distinct payload **once** in a process-global arena,
-//! keyed by the structural hashes [`crate::hash`] already defines, and
-//! hands out [`Consed<T>`] handles (shared, immutable, `Deref<Target=T>`).
-//! Cloning a handle is a refcount bump, so splicing becomes reference
-//! rewiring; equality gets a pointer fast path; and the structural hash of
-//! a payload is read back in O(1) from the handle.
+//! A [`Consed<T>`] holds a node payload or an [`EdgeMeta`] as an `Arc`
+//! around the value and its structural hash, computed once in
+//! [`Consed::new`]. Sharing comes from construction, not from a table: a
+//! scalar expansion builds each temp meta, scalar op and name once and
+//! hands every node it makes a clone, and a splice clones its template's
+//! handles. Payloads are immutable: a pass that diverges one instance
+//! clones the value, rewrites the copy and stores `Consed::new(copy)`.
 //!
-//! Interned payloads are **immutable**. Passes that need to diverge one
-//! instance (constant folding into a single copy, slot pruning) go through
-//! copy-on-write: read the value, clone it, rewrite, re-intern, and store
-//! the *new* handle — never mutate through a handle. The graph-side entry
-//! points ([`crate::graph::SrDfg::edit_edge_meta`], the `NodeKind`
-//! constructors) make that the only expressible discipline.
-//!
-//! Sharing is unobservable in compiler output: the committed flat-store
-//! goldens in `tests/tests/structural_sharing.rs` (digests recorded from
-//! the pre-interning representation) pin every pipeline byte for byte.
+//! A record is freed with its last handle, so a later record may reuse its
+//! address; every memo keyed by an address holds what it keys. Splice
+//! stamping in [`crate::graph::SrDfg`] is call-local and its source
+//! sub-graph outlives the call, `pm_lower::SupportMemo` pins each `Ident`
+//! it keys with a clone, the SoC price memo holds `Weak` guards on the
+//! program `Arc`s it keys, and [`sharing_stats`] borrows its graph.
+//! [`store_stats`] counts the records and bytes alive now.
 
 use crate::graph::{EdgeMeta, MapSpec, ReduceSpec, ScalarKind};
 use crate::hash::FxBuildHasher;
 use crate::value::Tensor;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// One arena record: the payload plus its identity within the store.
-pub struct ConsedRec<T> {
-    id: u32,
+static LIVE_RECORDS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// One shared record: the payload, its structural hash and the heap bytes
+/// it was counted at.
+struct ConsedRec<T> {
     hash: u64,
+    bytes: u64,
     value: T,
 }
 
-/// A shared handle to an interned payload.
+impl<T> Drop for ConsedRec<T> {
+    fn drop(&mut self) {
+        LIVE_RECORDS.fetch_sub(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(self.bytes, Ordering::Relaxed);
+    }
+}
+
+/// A shared handle to an immutable payload.
 ///
 /// `Deref<Target = T>` keeps read sites source-compatible; `Debug` is
 /// transparent (it prints exactly what the payload would), so digests and
-/// diagnostics are unchanged by interning. Equality takes a pointer fast
-/// path (shared records are equal by identity) before falling back to
+/// diagnostics do not see the handle. Equality takes a pointer fast path
+/// (a shared record is equal to itself) before falling back to
 /// hash-then-content comparison.
 pub struct Consed<T>(Arc<ConsedRec<T>>);
 
-impl<T> Consed<T> {
-    /// The payload's arena id (unique per distinct value per type).
-    pub fn arena_id(&self) -> u32 {
-        self.0.id
+impl<T: Internable> Consed<T> {
+    /// A new record holding `value`, its structural hash computed here.
+    pub fn new(value: T) -> Self {
+        let (hash, bytes) = (value.structural_hash(), value.heap_bytes() as u64);
+        LIVE_RECORDS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
+        Consed(Arc::new(ConsedRec { hash, bytes, value }))
     }
+}
 
-    /// The payload's structural hash, cached at intern time.
+impl<T> Consed<T> {
+    /// The payload's structural hash, cached at construction.
     pub fn structural_hash(&self) -> u64 {
         self.0.hash
     }
 
     /// Address identity of the shared record — stable for the life of the
-    /// handle, equal exactly for handles sharing one record. Useful as a
-    /// tiny memo key (e.g. the per-splice span-stamping cache).
+    /// handle, equal exactly for handles sharing one record. A memo keyed
+    /// by it must keep the record alive (see the module docs).
     pub fn ptr_id(&self) -> usize {
         Arc::as_ptr(&self.0) as usize
     }
@@ -97,130 +107,49 @@ impl<T: PartialEq> PartialEq for Consed<T> {
     }
 }
 
-/// A payload type the store can intern.
-pub trait Internable: Clone + PartialEq + Sized + 'static {
+/// A payload type a [`Consed`] record can hold.
+pub trait Internable {
     /// Content digest; equal values must hash equal (see [`crate::hash`]).
     fn structural_hash(&self) -> u64;
-    /// Approximate heap footprint of one record (for the sharing report).
+    /// Approximate heap footprint of one record (for the sharing report
+    /// and the live byte count).
     fn heap_bytes(&self) -> usize;
-    /// The process-global interner for this type.
-    fn interner() -> &'static Mutex<Interner<Self>>;
 }
 
 impl<T: Internable> From<T> for Consed<T> {
     fn from(value: T) -> Self {
-        intern(value)
+        Consed::new(value)
     }
 }
 
-/// Per-type intern table: structural hash → records with that hash (same-
-/// hash different-content collisions chain in the bucket's `Vec`).
-pub struct Interner<T> {
-    buckets: HashMap<u64, Vec<Consed<T>>, FxBuildHasher>,
-    next_id: u32,
-    records: u64,
-    bytes: u64,
-    hits: u64,
-}
-
-impl<T> Default for Interner<T> {
-    fn default() -> Self {
-        Interner { buckets: HashMap::default(), next_id: 0, records: 0, bytes: 0, hits: 0 }
-    }
-}
-
-/// Interns `value`, returning the shared handle for its content.
-pub fn intern<T: Internable>(value: T) -> Consed<T> {
-    let hash = value.structural_hash();
-    let mut table = T::interner().lock().expect("srdfg store poisoned");
-    if let Some(bucket) = table.buckets.get(&hash) {
-        if let Some(found) = bucket.iter().find(|c| c.0.value == value) {
-            let found = found.clone();
-            table.hits += 1;
-            return found;
-        }
-    }
-    let id = table.next_id;
-    table.next_id += 1;
-    table.records += 1;
-    table.bytes += value.heap_bytes() as u64;
-    let handle = Consed(Arc::new(ConsedRec { id, hash, value }));
-    table.buckets.entry(hash).or_default().push(handle.clone());
-    handle
-}
-
-/// One intern table's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TableStats {
-    /// Distinct records admitted.
-    pub records: u64,
-    /// Approximate heap bytes those records hold.
-    pub bytes: u64,
-    /// Intern calls answered by an existing record.
-    pub hits: u64,
-}
-
-/// Snapshot of every intern table (process-global, monotone).
+/// The payload records alive in the process and the heap bytes they hold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// `MapSpec` table.
-    pub map_specs: TableStats,
-    /// `ReduceSpec` table.
-    pub reduce_specs: TableStats,
-    /// `ScalarKind` table.
-    pub scalar_kinds: TableStats,
-    /// `Tensor` (`ConstTensor`) table.
-    pub tensors: TableStats,
-    /// `EdgeMeta` table.
-    pub edge_metas: TableStats,
+    records: u64,
+    bytes: u64,
 }
 
 impl StoreStats {
-    /// Total distinct records across all tables.
+    /// Live records.
     pub fn records(&self) -> u64 {
-        self.map_specs.records
-            + self.reduce_specs.records
-            + self.scalar_kinds.records
-            + self.tensors.records
-            + self.edge_metas.records
+        self.records
     }
 
-    /// Total approximate arena heap bytes across all tables.
+    /// Approximate heap bytes the live records hold.
     pub fn bytes(&self) -> u64 {
-        self.map_specs.bytes
-            + self.reduce_specs.bytes
-            + self.scalar_kinds.bytes
-            + self.tensors.bytes
-            + self.edge_metas.bytes
-    }
-
-    /// Total intern calls answered from existing records.
-    pub fn hits(&self) -> u64 {
-        self.map_specs.hits
-            + self.reduce_specs.hits
-            + self.scalar_kinds.hits
-            + self.tensors.hits
-            + self.edge_metas.hits
+        self.bytes
     }
 }
 
-fn table_stats<T: Internable>() -> TableStats {
-    let table = T::interner().lock().expect("srdfg store poisoned");
-    TableStats { records: table.records, bytes: table.bytes, hits: table.hits }
-}
-
-/// Snapshots every intern table's counters.
+/// Reads the live record and byte counts.
 pub fn store_stats() -> StoreStats {
     StoreStats {
-        map_specs: table_stats::<MapSpec>(),
-        reduce_specs: table_stats::<ReduceSpec>(),
-        scalar_kinds: table_stats::<ScalarKind>(),
-        tensors: table_stats::<Tensor>(),
-        edge_metas: table_stats::<EdgeMeta>(),
+        records: LIVE_RECORDS.load(Ordering::Relaxed),
+        bytes: LIVE_BYTES.load(Ordering::Relaxed),
     }
 }
 
-/// Logical-vs-physical footprint of one graph under the consed store.
+/// Logical-vs-physical footprint of one graph's shared payloads.
 ///
 /// *Logical* counts what a flat (unshared) representation would have
 /// materialized: one payload per node, one metadata per edge. *Physical*
@@ -231,9 +160,9 @@ pub fn store_stats() -> StoreStats {
 pub struct SharingStats {
     /// Live nodes (component sub-graphs included, recursively).
     pub logical_nodes: u64,
-    /// Distinct records behind those nodes: one per unique interned
-    /// payload, plus one per payload-free node (`Load`/`Store`/…, and
-    /// `Component` shells, which are never shared).
+    /// Distinct records behind those nodes: one per payload record, plus
+    /// one per payload-free node (`Load`/`Store`/…, and `Component`
+    /// shells, which are never shared).
     pub physical_nodes: u64,
     /// Edges (component sub-graphs included).
     pub logical_edges: u64,
@@ -250,19 +179,15 @@ pub fn sharing_stats(g: &crate::graph::SrDfg) -> SharingStats {
     use std::collections::HashSet;
     let mut s = SharingStats::default();
     let mut seen: HashSet<usize, FxBuildHasher> = HashSet::default();
-    fn record<T: Internable>(
+    fn record<T>(
         c: &Consed<T>,
         seen: &mut HashSet<usize, FxBuildHasher>,
         s: &mut SharingStats,
     ) -> u64 {
-        let bytes = c.heap_bytes() as u64;
-        s.logical_bytes += bytes;
-        if seen.insert(c.ptr_id()) {
-            s.physical_bytes += bytes;
-            1
-        } else {
-            0
-        }
+        let fresh = seen.insert(c.ptr_id());
+        s.logical_bytes += c.0.bytes;
+        s.physical_bytes += if fresh { c.0.bytes } else { 0 };
+        u64::from(fresh)
     }
     fn walk(
         g: &crate::graph::SrDfg,
@@ -293,15 +218,6 @@ pub fn sharing_stats(g: &crate::graph::SrDfg) -> SharingStats {
     s
 }
 
-macro_rules! global_interner {
-    ($ty:ty) => {
-        fn interner() -> &'static Mutex<Interner<$ty>> {
-            static TABLE: OnceLock<Mutex<Interner<$ty>>> = OnceLock::new();
-            TABLE.get_or_init(Default::default)
-        }
-    };
-}
-
 impl Internable for MapSpec {
     fn structural_hash(&self) -> u64 {
         crate::hash::map_spec_hash(self)
@@ -312,7 +228,6 @@ impl Internable for MapSpec {
             + kexpr_bytes(&self.kernel)
             + write_bytes(&self.write)
     }
-    global_interner!(MapSpec);
 }
 
 impl Internable for ReduceSpec {
@@ -332,7 +247,6 @@ impl Internable for ReduceSpec {
             + kexpr_bytes(&self.body)
             + write_bytes(&self.write)
     }
-    global_interner!(ReduceSpec);
 }
 
 impl Internable for ScalarKind {
@@ -342,7 +256,6 @@ impl Internable for ScalarKind {
     fn heap_bytes(&self) -> usize {
         std::mem::size_of::<ScalarKind>()
     }
-    global_interner!(ScalarKind);
 }
 
 impl Internable for Tensor {
@@ -353,7 +266,6 @@ impl Internable for Tensor {
         let per = if self.as_complex_slice().is_some() { 16 } else { 8 };
         std::mem::size_of::<Tensor>() + self.len() * per + self.shape().len() * 8
     }
-    global_interner!(Tensor);
 }
 
 impl Internable for EdgeMeta {
@@ -363,7 +275,6 @@ impl Internable for EdgeMeta {
     fn heap_bytes(&self) -> usize {
         std::mem::size_of::<EdgeMeta>() + self.name.len() + self.shape.len() * 8
     }
-    global_interner!(EdgeMeta);
 }
 
 fn space_bytes(space: &[crate::graph::IndexRange]) -> usize {
@@ -399,20 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn equal_content_shares_one_record() {
-        let a = intern(meta("x"));
-        let b = intern(meta("x"));
-        assert_eq!(a.arena_id(), b.arena_id());
-        assert_eq!(a.ptr_id(), b.ptr_id());
-        assert_eq!(a, b);
-        assert_eq!(a.structural_hash(), b.structural_hash());
-    }
-
-    #[test]
     fn different_content_gets_distinct_records() {
-        let a = intern(meta("x"));
-        let b = intern(meta("y"));
-        assert_ne!(a.arena_id(), b.arena_id());
+        let a = Consed::new(meta("x"));
+        let b = Consed::new(meta("y"));
+        assert_ne!(a.ptr_id(), b.ptr_id());
         assert_ne!(a, b);
     }
 
@@ -420,6 +321,6 @@ mod tests {
     fn debug_is_transparent() {
         let m = meta("x");
         let expect = format!("{m:?}");
-        assert_eq!(format!("{:?}", intern(m)), expect);
+        assert_eq!(format!("{:?}", Consed::new(m)), expect);
     }
 }

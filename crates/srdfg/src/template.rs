@@ -253,7 +253,7 @@ mod tests {
         n2.name = "renamed".into();
         let mut renamed_meta = i2[0].get().clone();
         renamed_meta.name = "other_input".into();
-        i2[0] = crate::store::intern(renamed_meta);
+        i2[0] = Consed::new(renamed_meta);
         let k1 = TemplateKey::new(&n1, &i1, &o1);
         let k2 = TemplateKey::new(&n2, &i2, &o2);
         assert_eq!(k1, k2, "names are provenance, not content");

@@ -340,6 +340,15 @@ if grep -nE 'fn (binary_level|or|and|equality|comparison|additive|multiplicative
     exit 1
 fi
 
+echo "== payloads are shared by construction"
+# A Consed record is shared because one expansion built it, and freed with
+# its last handle. A process-global intern table beside it would keep
+# every record ever built and put a lock on every expansion again.
+if grep -rnE 'struct Interner|fn interner\(|global_interner!|fn arena_id' crates; then
+    echo "a process-global payload interner is back" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

@@ -10,6 +10,7 @@
 
 use polymath::{Json, ServeConfig, ServeEngine, ServeError, ServeServer};
 use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// A cross-domain program whose DA statement lowers to TABLA, giving the
 /// breaker a real accelerator to guard.
@@ -348,6 +349,26 @@ fn a_deeply_nested_line_is_a_bad_request_not_a_stack_overflow() {
     assert_eq!(parse(&healthy).get("ok").and_then(Json::as_bool), Some(true), "{healthy}");
     assert_eq!(engine.worker_panics(), 0);
     assert!(engine.quarantine().is_empty(), "a rejected line must not be quarantined");
+    server.shutdown();
+}
+
+#[test]
+fn an_unbounded_invocation_count_is_a_bad_request_not_a_held_worker() {
+    let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let engine = Arc::new(ServeEngine::new(&cfg));
+    let server = ServeServer::start(Arc::clone(&engine), &cfg);
+    let (tx, rx) = mpsc::channel();
+    // 2^53 invocations: admitted by its byte length, such a line would
+    // keep the only worker busy for as long as the process lives.
+    let hold = run_line("hold", "alice", &[], None, None)
+        .replace("\"invocations\":2", "\"invocations\":9007199254740992");
+    assert_ne!(hold, run_line("hold", "alice", &[], None, None));
+    server.submit(hold, tx.clone()).expect("admitted");
+    let resp = rx.recv_timeout(Duration::from_secs(60)).expect("the worker replies");
+    assert_eq!(error_kind(&resp), "bad_request", "{resp}");
+    server.submit(run_line("ok", "alice", &[], None, None), tx).unwrap();
+    let healthy = rx.recv_timeout(Duration::from_secs(60)).expect("the worker is free");
+    assert_eq!(parse(&healthy).get("ok").and_then(Json::as_bool), Some(true), "{healthy}");
     server.shutdown();
 }
 

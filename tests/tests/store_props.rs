@@ -1,21 +1,16 @@
-//! Property tests for the hash-consed srDFG store (DESIGN.md §13).
+//! Property tests for the shared srDFG payloads (DESIGN.md §13).
 //!
-//! Two invariants hold for every internable payload:
+//! **Copy-on-write never aliases**: the divergence idiom passes use
+//! (`get().clone()`, mutate, `Consed::new`) must leave every existing
+//! handle reading the original content; the mutated value lands in a
+//! distinct record.
 //!
-//! 1. **Interning is canonical** — re-interning an equal value returns a
-//!    handle with the same structural hash *and* the same arena id (one
-//!    physical record per distinct content).
-//! 2. **Copy-on-write never aliases** — the divergence idiom passes use
-//!    (`get().clone()`, mutate, re-intern) must leave every existing
-//!    handle reading the original content; the mutated value lands in a
-//!    distinct record.
-//!
-//! These complement `structural_sharing.rs`: that suite checks the store
-//! is unobservable end-to-end, this one checks the store's own contract
+//! These complement `structural_sharing.rs`: that suite checks sharing
+//! is unobservable end-to-end, this one checks the handles' own contract
 //! on adversarial inputs.
 
 use proptest::prelude::*;
-use srdfg::{intern, Consed, EdgeMeta, Modifier, ScalarKind};
+use srdfg::{Consed, EdgeMeta, Modifier};
 use std::sync::Arc;
 
 fn arb_dtype() -> impl Strategy<Value = pmlang::DType> {
@@ -47,61 +42,33 @@ fn arb_meta() -> impl Strategy<Value = EdgeMeta> {
         })
 }
 
-fn arb_scalar_kind() -> impl Strategy<Value = ScalarKind> {
-    prop_oneof![Just(ScalarKind::Select), any::<f64>().prop_map(ScalarKind::Const),]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Invariant 1 for `EdgeMeta`: equal content interns to one record.
-    #[test]
-    fn equal_meta_interns_to_same_arena_id(meta in arb_meta()) {
-        let a: Consed<EdgeMeta> = intern(meta.clone());
-        let b: Consed<EdgeMeta> = intern(meta.clone());
-        prop_assert_eq!(a.structural_hash(), b.structural_hash());
-        prop_assert_eq!(a.get(), &meta);
-        prop_assert_eq!(b.get(), &meta);
-        prop_assert_eq!(a.arena_id(), b.arena_id());
-        prop_assert_eq!(a.ptr_id(), b.ptr_id(), "one physical record per content");
-    }
-
-    /// Invariant 1 for `ScalarKind` payloads.
-    #[test]
-    fn equal_scalar_kind_interns_to_same_arena_id(kind in arb_scalar_kind()) {
-        let a: Consed<ScalarKind> = intern(kind.clone());
-        let b: Consed<ScalarKind> = intern(kind.clone());
-        prop_assert_eq!(a.structural_hash(), b.structural_hash());
-        prop_assert_eq!(a.arena_id(), b.arena_id());
-    }
-
-    /// Invariant 2: the copy-on-write idiom diverges into a fresh record
-    /// and never writes through a shared handle.
+    /// The copy-on-write idiom diverges into a fresh record and never
+    /// writes through a shared handle.
     #[test]
     fn cow_mutation_never_aliases(meta in arb_meta(), extra_dim in 64usize..128) {
-        let original: Consed<EdgeMeta> = intern(meta.clone());
+        let original = Consed::new(meta.clone());
         let alias = original.clone();
 
         // The divergence idiom every pass uses (fold, prune, sabotage).
         let mut owned = original.get().clone();
         owned.shape.push(extra_dim); // extra_dim >= 64 > any generated dim
-        let diverged: Consed<EdgeMeta> = intern(owned.clone());
+        let diverged = Consed::new(owned.clone());
 
         prop_assert_eq!(alias.get(), &meta, "shared handle still reads the original");
         prop_assert_eq!(original.get(), &meta, "source handle untouched");
         prop_assert_eq!(diverged.get(), &owned, "new handle reads the mutation");
         // ptr inequality: the mutated content lives in a distinct record
         prop_assert_ne!(diverged.ptr_id(), original.ptr_id());
-        prop_assert_ne!(diverged.arena_id(), original.arena_id());
     }
 }
 
-/// Concurrency stress: the store is process-global, so a serve pool
-/// compiling on worker threads shares its intern tables with every other
-/// thread in the process. N interning/CoW threads hammer the `EdgeMeta`
-/// table with overlapping content while a `ServeServer` compiles and
-/// executes concurrently; both invariants must hold under contention and
-/// the table counters must stay coherent.
+/// Concurrency stress: handles read their content and copy-on-write never
+/// aliases under contention. N threads build and diverge `EdgeMeta`
+/// records with overlapping content while a `ServeServer` compiles and
+/// executes concurrently on worker threads of its own.
 #[test]
 fn store_invariants_hold_under_concurrent_serve_traffic() {
     use polymath::{ServeConfig, ServeEngine, ServeServer};
@@ -110,10 +77,8 @@ fn store_invariants_hold_under_concurrent_serve_traffic() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 200;
 
-    let before = srdfg::store_stats();
-
     // A serve pool compiling the same cross-domain program from four
-    // tenants on two workers: steady intern traffic from the compile and
+    // tenants on two workers: steady payload traffic from the compile and
     // program-cache paths.
     let cfg = ServeConfig { shards: 2, workers: 2, queue_depth: 256, ..Default::default() };
     let engine = Arc::new(ServeEngine::new(&cfg));
@@ -133,8 +98,8 @@ fn store_invariants_hold_under_concurrent_serve_traffic() {
         .count();
     drop(tx);
 
-    // Meanwhile: N threads intern the same shared payload set (equal
-    // content across threads) plus thread-unique divergences.
+    // Meanwhile: N threads wrap the same payload set (equal content
+    // across threads) plus thread-unique divergences.
     let shared_payloads: Arc<Vec<EdgeMeta>> = Arc::new(
         (0..16)
             .map(|i| EdgeMeta {
@@ -150,32 +115,32 @@ fn store_invariants_hold_under_concurrent_serve_traffic() {
         .map(|t| {
             let payloads = Arc::clone(&shared_payloads);
             std::thread::spawn(move || {
-                let mut ids = Vec::new();
+                let mut hashes = Vec::new();
                 for round in 0..ROUNDS {
-                    for (i, p) in payloads.iter().enumerate() {
-                        let a: Consed<EdgeMeta> = intern(p.clone());
-                        assert_eq!(a.get(), p, "interned handle must read its content");
+                    for p in payloads.iter() {
+                        let a = Consed::new(p.clone());
+                        assert_eq!(a.get(), p, "a handle must read its content");
                         if round == 0 {
-                            ids.push((i, a.structural_hash(), a.arena_id()));
+                            hashes.push(a.structural_hash());
                         }
                         // CoW divergence unique to this thread: must never
                         // write through the shared record.
                         let mut owned = a.get().clone();
                         owned.shape.push(1000 + t);
-                        let d: Consed<EdgeMeta> = intern(owned);
+                        let d = Consed::new(owned);
                         assert_ne!(d.ptr_id(), a.ptr_id());
                         assert_eq!(a.get(), p, "CoW wrote through a shared handle");
                     }
                 }
-                ids
+                hashes
             })
         })
         .collect();
 
-    let per_thread: Vec<Vec<(usize, u64, u32)>> =
+    let per_thread: Vec<Vec<u64>> =
         handles.into_iter().map(|h| h.join().expect("stress thread panicked")).collect();
 
-    // Serve traffic all completed underneath the interning storm.
+    // Serve traffic all completed underneath the payload storm.
     let responses: Vec<String> = rx.into_iter().collect();
     assert_eq!(responses.len(), submitted);
     for r in &responses {
@@ -183,28 +148,10 @@ fn store_invariants_hold_under_concurrent_serve_traffic() {
         assert!(r.contains("\"values\":[20]"), "{r}");
     }
 
-    // Equal content ⇒ same hash and same arena id on every thread (one
-    // record per content, no duplicate admissions under contention).
-    for (i, hash, id) in &per_thread[0] {
-        for other in &per_thread[1..] {
-            let (oi, ohash, oid) = other[*i];
-            assert_eq!((*i, *hash), (oi, ohash));
-            assert_eq!(*id, oid, "payload {i} admitted twice under contention");
-        }
+    // Equal content ⇒ the same structural hash on every thread.
+    for other in &per_thread[1..] {
+        assert_eq!(other, &per_thread[0]);
     }
-
-    // Table counters stay coherent: monotone records/bytes, and the
-    // re-interned shared payloads counted as hits.
-    let after = srdfg::store_stats();
-    assert!(after.records() >= before.records());
-    assert!(after.bytes() >= before.bytes());
-    let expect = (THREADS * ROUNDS * 16 - 16) as u64;
-    assert!(
-        after.edge_metas.hits >= before.edge_metas.hits + expect,
-        "shared re-interns must count as hits: {} -> {}",
-        before.edge_metas.hits,
-        after.edge_metas.hits
-    );
 
     // The compiled graph's sharing ledger is internally consistent.
     let compiled = engine
