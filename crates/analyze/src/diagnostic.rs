@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn render_clamps_caret_to_line_end() {
         let source = "short\n";
-        let d = Diagnostic::error("PM-E003", "x").at(Span::new(0, 500, 1, 1));
+        let d = Diagnostic::error("PM-E104", "x").at(Span::new(0, 500, 1, 1));
         let r = d.render(source, "f.pm");
         assert!(r.contains("^^^^^"), "{r}");
         assert!(!r.contains("^^^^^^"), "{r}");
@@ -247,11 +247,11 @@ mod tests {
 
     #[test]
     fn json_escapes_and_round_trips_fields() {
-        let d = Diagnostic::error("PM-E003", "bad \"shape\"\n")
+        let d = Diagnostic::error("PM-E104", "bad \"shape\"\n")
             .at(Span::new(3, 7, 2, 1))
             .with_note("tab\there");
         let j = d.to_json();
-        assert!(j.contains("\"code\":\"PM-E003\""), "{j}");
+        assert!(j.contains("\"code\":\"PM-E104\""), "{j}");
         assert!(j.contains("\"severity\":\"error\""), "{j}");
         assert!(j.contains("bad \\\"shape\\\"\\n"), "{j}");
         assert!(j.contains("\"span\":{\"start\":3,\"end\":7,\"line\":2,\"col\":1}"), "{j}");

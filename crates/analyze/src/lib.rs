@@ -14,7 +14,6 @@
 //! |------|------|----------|--------|
 //! | `PM-W001` | `unused-decl` | warning | `input`/`param`/`state` declarations never referenced |
 //! | `PM-N002` | `state-read-before-write` | note | state read before its first write (carried value) |
-//! | `PM-E003` | `edge-consistency` | error | edge dtype/shape metadata vs. what producers compute |
 //! | `PM-W004` | `reduction-race` | warning | non-injective indexed writes; non-associative custom reductions |
 //! | `PM-W005` | `cross-domain-marshal` | warning | domain crossings Algorithm 2 won't wrap in a load/store pair |
 //! | `PM-W006` | `lowering-feasibility` | warning | `pm_lower::lower` fails for the target map |
@@ -29,16 +28,14 @@
 //!
 //! ## Entry points
 //!
-//! * [`lint`] / [`lint_source`] (`pmc lint`) — the first ten rows: the AST
+//! * [`lint`] / [`lint_source`] (`pmc lint`) — the first nine rows: the AST
 //!   checks, the pattern checks over the unoptimized graph,
 //!   [`analyze_graph`] once, and lowering feasibility, which *is*
 //!   `pm_lower::lower` on a scratch clone.
 //! * [`analyze_graph`] — **abstract interpretation over the srDFG**: a
 //!   generic forward dataflow [`solver`] (worklist over
 //!   [`SrDfg::try_topo_order`], a lattice trait with join/widen)
-//!   instantiated with three domains. [`shape`] re-derives every edge's
-//!   shape/dtype metadata end-to-end and cross-checks it against what the
-//!   edge claims (`PM-E003`), [`interval`] propagates value ranges and
+//!   instantiated with two domains. [`interval`] propagates value ranges and
 //!   proves index-variable accesses in-bounds, flagging possible division
 //!   by zero and index-arithmetic overflow on the way (`PM-E102`,
 //!   `PM-W103`), and [`init`] catches reads of values that are never
@@ -52,8 +49,7 @@
 //!   streaming runtime would otherwise hit at execution time.
 //! * [`certify_bounds`] states the soundness contract the fuzzer
 //!   cross-checks: a program this crate certifies in-bounds must never
-//!   trap in the srDFG interpreter. [`verify_types`] is the `PassManager`
-//!   verifier's view of the [`shape`] engine.
+//!   trap in the srDFG interpreter.
 //!
 //! Every entry point that returns diagnostics returns them through
 //! [`finish`]: sorted by source position, deduplicated.
@@ -86,13 +82,11 @@ mod graph_lints;
 pub mod hazard;
 pub mod init;
 pub mod interval;
-pub mod shape;
 pub mod solver;
 
 pub use diagnostic::{render_json, render_text, Diagnostic, Severity};
 pub use hazard::analyze_schedule;
 pub use interval::certify_bounds;
-pub use shape::verify_types;
 
 use pm_lower::TargetMap;
 use pmlang::{Domain, Program};
@@ -101,8 +95,6 @@ use std::fmt;
 
 /// Stable codes of the analysis engines, one per defect class.
 pub mod codes {
-    /// Edge shape/dtype metadata disagrees with its producer.
-    pub const EDGE_CONSISTENCY: &str = "PM-E003";
     /// An operand access is provably out of bounds at every evaluation.
     pub const OUT_OF_BOUNDS: &str = "PM-E102";
     /// An access may go out of bounds, a divisor range includes zero, or
@@ -139,13 +131,12 @@ pub(crate) fn for_each_graph<'g>(
     }
 }
 
-/// Runs every graph-level engine (shape/dtype, intervals, initialization)
+/// Runs every graph-level engine (intervals, initialization)
 /// over `graph` and all nested component sub-graphs, returning the
 /// diagnostics through [`finish`].
 pub fn analyze_graph(graph: &SrDfg) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for_each_graph(graph, None, &mut |g, _| {
-        shape::check_graph(g, &mut out);
         interval::check_graph(g, &mut out);
         // The runtime circulates state through the root's boundary only.
         init::check_graph(g, std::ptr::eq(g, graph), &mut out);

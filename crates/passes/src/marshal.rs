@@ -61,10 +61,10 @@ impl Pass for ElideMarshalling {
             for (dst, src) in unpack_outputs.iter().zip(&pack_inputs) {
                 // Retarget every consumer of the unpacked element to the
                 // packed element's source edge.
-                let consumers = std::mem::take(&mut graph.edge_mut(*dst).consumers);
+                let consumers = std::mem::take(graph.consumers_mut(*dst));
                 for (cnode, cslot) in consumers {
                     graph.node_mut(cnode).inputs[cslot as usize] = *src;
-                    graph.edge_mut(*src).consumers.push((cnode, cslot));
+                    graph.consumers_mut(*src).push((cnode, cslot));
                 }
                 for bo in &mut graph.boundary_outputs {
                     if *bo == *dst {

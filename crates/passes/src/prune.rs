@@ -73,10 +73,10 @@ impl Pass for PruneUnusedInputs {
                 }
             }
             for &e in &inputs {
-                graph.edge_mut(e).consumers.retain(|&(n, _)| n != id);
+                graph.consumers_mut(e).retain(|&(n, _)| n != id);
             }
             for (new_slot, &e) in (0u32..).zip(&new_inputs) {
-                graph.edge_mut(e).consumers.push((id, new_slot));
+                graph.consumers_mut(e).push((id, new_slot));
             }
             let node = graph.node_mut(id);
             node.inputs = new_inputs.into();

@@ -226,10 +226,7 @@ impl<'a> ComponentBuilder<'a> {
             } else {
                 Modifier::Output
             };
-            self.graph.edit_edge_meta(current, |meta| {
-                meta.modifier = modifier;
-                meta.name = name.clone();
-            });
+            self.graph.rename_edge(current, name, modifier);
         }
         Ok(())
     }

@@ -43,6 +43,8 @@ impl std::error::Error for ValidateError {}
 /// * producer/consumer back-links are consistent;
 /// * boundary outputs have a producer or are boundary inputs (pass-through);
 /// * kernel operand slots stay within each node's input arity;
+/// * every node's edges keep its shape/dtype rule
+///   ([`NodeKind::check_edge_metas`]), which a pass can break in place;
 /// * component sub-graph boundary arities match their node's;
 /// * the graph is acyclic (checked via [`SrDfg::try_topo_order`]);
 /// * sub-graphs validate recursively.
@@ -61,8 +63,8 @@ pub fn validate(graph: &SrDfg) -> Result<(), ValidateError> {
 }
 
 /// Like [`validate`], but keeps going: returns *every* structural defect
-/// in the graph (and its nested components), in scan order — back-link
-/// and kernel-arity defects node by node, then producer-less boundary
+/// in the graph (and its nested components), in scan order — back-link,
+/// kernel-arity and shape/dtype-rule defects node by node, then producer-less boundary
 /// outputs, then the acyclicity check. Each error carries the same
 /// component breadcrumb [`ValidateError::path`] the first-error API
 /// reports, so a pass that corrupts several places at once is diagnosed
@@ -106,6 +108,9 @@ fn collect(graph: &SrDfg, out: &mut Vec<ValidateError>) {
                     node.inputs.len()
                 )));
             }
+        }
+        if let Err(msg) = node.kind.check_edge_metas(graph, &node.inputs, &node.outputs) {
+            out.push(ValidateError::new(format!("node `{}`: {msg}", node.name)));
         }
         if let NodeKind::Component(sub) = &node.kind {
             if sub.boundary_inputs.len() != node.inputs.len()
@@ -201,7 +206,7 @@ mod tests {
         let mut g = build(&prog, &Bindings::default()).unwrap();
         // Corrupt: clear a consumer list behind the node's back.
         let e = g.boundary_inputs[0];
-        g.edge_mut(e).consumers.clear();
+        g.consumers_mut(e).clear();
         assert!(validate(&g).is_err());
     }
 
@@ -241,8 +246,8 @@ mod tests {
         let mut g = build(&prog, &Bindings::default()).unwrap();
         // Corrupt both input edges: two independent back-link defects.
         let (e1, e2) = (g.boundary_inputs[0], g.boundary_inputs[1]);
-        g.edge_mut(e1).consumers.clear();
-        g.edge_mut(e2).consumers.clear();
+        g.consumers_mut(e1).clear();
+        g.consumers_mut(e2).clear();
         let errors = validate_all(&g);
         assert_eq!(errors.len(), 2, "{errors:?}");
         assert!(errors.iter().all(|e| e.message.contains("consumer back-link")), "{errors:?}");
@@ -268,7 +273,7 @@ mod tests {
                     if let NodeKind::Component(sub) = &mut g.node_mut(id).kind {
                         if !corrupt_innermost(sub) {
                             let e = sub.boundary_inputs[0];
-                            sub.edge_mut(e).consumers.clear();
+                            sub.consumers_mut(e).clear();
                         }
                         return true;
                     }

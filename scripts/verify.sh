@@ -349,6 +349,18 @@ if grep -rnE 'struct Interner|fn interner\(|global_interner!|fn arena_id' crates
     exit 1
 fi
 
+echo "== edge metadata is checked where it is born"
+# Each node's shape/dtype rule is `NodeKind::check_edge_metas`: add_node
+# panics on a claim that breaks it and srdfg::validate reports one made in
+# place. A lattice re-derivation in the analyzer would be a second
+# description of what a node produces.
+if [ -e crates/analyze/src/shape.rs ] ||
+    grep -rnE 'verify_types|EDGE_CONSISTENCY|PM-E003|ShapeDomain' crates ||
+    grep -n 'pm-analyze' crates/passes/Cargo.toml; then
+    echo "a second shape/dtype derivation is back" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure
