@@ -1,17 +1,16 @@
 //! Integer-interval analysis: propagates value ranges along edges and
-//! evaluates kernel index expressions over the index spaces they run in,
-//! proving operand accesses in-bounds — or flagging the ones that are
-//! provably (`PM-E102`) or possibly (`PM-W103`) out of bounds, along with
-//! possible division/modulo by zero and index-arithmetic overflow.
-//!
-//! The same machinery runs in a *strict* mode behind [`certify_bounds`]:
-//! instead of reporting suspicions it demands a positive proof for every
-//! access, giving the soundness contract the fuzzer cross-checks — a
-//! certified program never traps in the srDFG interpreter.
+//! walks each kernel's index expressions over the index spaces they run
+//! in. The walk reports only what it could not prove — an access not
+//! provably inside its tensor, a rank mismatch, a divisor that may be
+//! zero, overflowing index arithmetic, a construct it cannot reason
+//! about — as a `Finding`, and two readings consume the same findings:
+//! the lint's (an access provably `PM-E102` or possibly `PM-W103` out of
+//! bounds, a possible division/modulo by zero, overflow) and
+//! [`certify_bounds`], which refuses the first one.
 
 use crate::solver::{self, ForwardDomain, Lattice};
 use crate::{codes, Diagnostic};
-use pmlang::{BinOp, BuiltinReduction, DType, ScalarFunc, Span, UnOp};
+use pmlang::{BinOp, BuiltinReduction, DType, ScalarFunc, UnOp};
 use srdfg::graph::{space_size, IndexRange, Node, NodeId, ReduceOp, ScalarKind, WriteSpec};
 use srdfg::{EdgeId, KExpr, NodeKind as NK, SrDfg};
 
@@ -145,14 +144,120 @@ impl Lattice for RangeVal {
     }
 }
 
-/// Per-input-slot facts the expression evaluator needs. Everything is
-/// borrowed from the graph: this struct is rebuilt per node on the
-/// compiler's timed path, so it must not allocate.
-#[derive(Clone, Copy)]
-struct SlotInfo<'g> {
-    name: &'g str,
-    shape: &'g [usize],
-    range: IVal,
+/// Something the kernel walk could not prove. The lint reports some
+/// findings ([`Finding::lint`]); certification refuses every one
+/// ([`Finding::refusal`]).
+#[derive(Debug, Clone, Copy)]
+enum Finding<'g> {
+    /// An index on `axis` of `name` (extent `dim`) takes values in `iv`,
+    /// not provably an integer in `[0, dim)`.
+    Index { name: &'g str, axis: usize, dim: usize, iv: IVal, guarded: bool },
+    /// A read of a rank-`rank` operand with `indices` index(es).
+    Rank { name: &'g str, indices: usize, rank: usize, guarded: bool },
+    /// A divisor, or a modulus, whose range `b` includes 0.
+    Zero { modulus: bool, b: IVal, guarded: bool },
+    /// Index arithmetic on finite operands with a non-finite result.
+    Overflow,
+    /// An index variable outside the kernel's index space.
+    FreeIndex(usize),
+    /// A combiner argument outside a combiner.
+    Arg,
+    /// A `complex(...)` call.
+    Complex,
+    /// `positions` write positions into a rank-`rank` target.
+    WriteRank { positions: usize, rank: usize },
+    /// A write position computed from operand values.
+    WriteFromData,
+    /// A write position outside the output index space.
+    WriteOutsideSpace,
+}
+
+impl Finding<'_> {
+    /// The lint's reading: a provably out-of-bounds access is an error
+    /// unless guarded; a possibly out-of-bounds unguarded access with a
+    /// finite excess, a finite unguarded divisor range including zero and
+    /// overflow are warnings; a rank mismatch is an error unless guarded.
+    /// Everything else is certification's business.
+    fn lint(&self, node: &Node) -> Option<Diagnostic> {
+        let warn = |msg| Some(Diagnostic::warning(codes::ARITH_RANGE, msg).at(node.span));
+        let error = |msg| Some(Diagnostic::error(codes::OUT_OF_BOUNDS, msg).at(node.span));
+        match *self {
+            Finding::Index { name, axis, dim, iv, guarded } => {
+                let max = dim as f64 - 1.0;
+                if iv.hi < 0.0 || iv.lo > max {
+                    let msg = format!(
+                        "`{}` indexes `{name}` axis {axis} with values in [{}, {}], entirely \
+                         outside its size {dim}",
+                        node.name,
+                        fmt_bound(iv.lo),
+                        fmt_bound(iv.hi),
+                    );
+                    if guarded {
+                        warn(msg)
+                    } else {
+                        error(msg)
+                    }
+                } else if !guarded
+                    && ((iv.lo < 0.0 && iv.lo.is_finite()) || (iv.hi > max && iv.hi.is_finite()))
+                {
+                    warn(format!(
+                        "`{}` may index `{name}` axis {axis} out of bounds: value in [{}, {}] but \
+                         the axis has size {dim}",
+                        node.name,
+                        fmt_bound(iv.lo),
+                        fmt_bound(iv.hi),
+                    ))
+                } else {
+                    None
+                }
+            }
+            Finding::Rank { guarded: true, .. } => warn(self.refusal(node)),
+            Finding::Rank { .. } => error(self.refusal(node)),
+            Finding::Zero { b, guarded, .. } if b.finite() && !guarded => warn(self.refusal(node)),
+            Finding::Overflow => warn(self.refusal(node)),
+            _ => None,
+        }
+    }
+
+    /// Certification's reading: why `node` cannot be certified.
+    fn refusal(&self, node: &Node) -> String {
+        let n = &node.name;
+        match *self {
+            Finding::Index { name, axis, dim, iv, .. } => format!(
+                "cannot prove `{n}` indexes `{name}` axis {axis} in bounds: value in [{}, {}] vs \
+                 size {dim}{}",
+                fmt_bound(iv.lo),
+                fmt_bound(iv.hi),
+                if iv.exact { "" } else { " (possibly non-integral)" },
+            ),
+            Finding::Rank { name, indices, rank, .. } => {
+                format!("`{n}` accesses `{name}` with {indices} index(es) but it has rank {rank}")
+            }
+            Finding::Zero { modulus, b, guarded } if b.finite() && !guarded => format!(
+                "possible {} by zero in `{n}`: divisor range [{}, {}] includes 0",
+                if modulus { "modulo" } else { "division" },
+                fmt_bound(b.lo),
+                fmt_bound(b.hi),
+            ),
+            Finding::Zero { modulus, .. } => format!(
+                "cannot prove the {} in `{n}` is nonzero",
+                if modulus { "modulus" } else { "divisor" }
+            ),
+            Finding::Overflow => format!("index arithmetic in `{n}` may overflow"),
+            Finding::FreeIndex(i) => {
+                format!("`{n}` references index variable #{i} outside its index space")
+            }
+            Finding::Arg => format!("`{n}` uses a reduction argument outside a combiner"),
+            Finding::Complex => format!("`{n}` constructs a complex value"),
+            Finding::WriteRank { positions, rank } => {
+                format!("`{n}` writes {positions} position(s) into a rank-{rank} tensor")
+            }
+            Finding::WriteFromData => format!("`{n}` computes write positions from operand values"),
+            Finding::WriteOutsideSpace => {
+                format!("`{n}` writes at positions outside its output index space")
+            }
+        }
+    }
 }
 
 /// A kernel's index environment: the output space, optionally followed by
@@ -165,205 +270,127 @@ struct Env<'a> {
 }
 
 impl<'a> Env<'a> {
-    fn of(out: &'a [IndexRange]) -> Env<'a> {
-        Env { out, red: &[] }
-    }
-
     fn get(&self, i: usize) -> Option<&'a IndexRange> {
         self.out.get(i).or_else(|| self.red.get(i - self.out.len()))
     }
 }
 
-/// A per-node slot table. Nodes rarely read more than a handful of
-/// operands, so the common case stays on the stack — this is rebuilt for
-/// every map/reduce on the compiler's timed path. The inline array is
-/// the point: boxing it would put an allocation back in the hot loop.
-#[allow(clippy::large_enum_variant)]
-enum Slots<'g> {
-    Stack([SlotInfo<'g>; 8], usize),
-    Heap(Vec<SlotInfo<'g>>),
+/// The walk over one Map or Reduce node: evaluates its expressions over
+/// index intervals and hands every [`Finding`] to `report`. An operand
+/// read takes its metadata from the edge in its slot and its value range
+/// from `ranges` (unknown past its end). It allocates nothing: it runs for
+/// every map/reduce on the compiler's timed path.
+struct Walk<'g, 'r> {
+    graph: &'g SrDfg,
+    node: &'g Node,
+    env: Env<'g>,
+    ranges: &'r [RangeVal],
+    report: &'r mut dyn FnMut(Finding<'g>),
 }
 
-impl<'g> Slots<'g> {
-    fn push(&mut self, s: SlotInfo<'g>) {
-        match self {
-            Slots::Stack(arr, n) if *n < arr.len() => {
-                arr[*n] = s;
-                *n += 1;
-            }
-            Slots::Stack(arr, n) => {
-                let mut v: Vec<SlotInfo<'g>> = arr[..*n].to_vec();
-                v.push(s);
-                *self = Slots::Heap(v);
-            }
-            Slots::Heap(v) => v.push(s),
+/// Walks `node`'s kernels and write once — a Map's kernel, or a Reduce's
+/// condition and its body (guarded by the condition) — and returns the
+/// range of the kernel's value. Other nodes have no kernel: unknown.
+fn walk<'g>(
+    graph: &'g SrDfg,
+    node: &'g Node,
+    ranges: &[RangeVal],
+    report: &mut dyn FnMut(Finding<'g>),
+) -> IVal {
+    match &node.kind {
+        NK::Map(m) => {
+            let env = Env { out: &m.out_space, red: &[] };
+            let mut w = Walk { graph, node, env, ranges, report };
+            let body = w.eval(&m.kernel, false);
+            w.write(&m.write);
+            body
         }
-    }
-
-    fn as_slice(&self) -> &[SlotInfo<'g>] {
-        match self {
-            Slots::Stack(arr, n) => &arr[..*n],
-            Slots::Heap(v) => v,
+        NK::Reduce(r) => {
+            let env = Env { out: &r.out_space, red: &r.red_space };
+            let mut w = Walk { graph, node, env, ranges, report };
+            if let Some(c) = &r.cond {
+                w.eval(c, false);
+            }
+            let body = w.eval(&r.body, r.cond.is_some());
+            w.write(&r.write);
+            body
         }
+        _ => IVal::unknown(),
     }
 }
 
-impl Default for Slots<'_> {
-    fn default() -> Self {
-        let empty = SlotInfo { name: "", shape: &[], range: IVal::unknown() };
-        Slots::Stack([empty; 8], 0)
-    }
-}
-
-/// Evaluates kernel expressions over index intervals, checking every
-/// operand access on the way. In strict mode (certification) the first
-/// unprovable access aborts; otherwise findings accumulate in `out`.
-struct ExprCx<'a> {
-    env: Env<'a>,
-    slots: &'a [SlotInfo<'a>],
-    node: &'a str,
-    span: Span,
-    strict: bool,
-    failed: Option<String>,
-    out: Vec<Diagnostic>,
-}
-
-impl<'a> ExprCx<'a> {
-    fn new(env: Env<'a>, slots: &'a [SlotInfo<'a>], node: &'a Node, strict: bool) -> Self {
-        ExprCx {
-            env,
-            slots,
-            node: &node.name,
-            span: node.span,
-            strict,
-            failed: None,
-            out: Vec::new(),
-        }
-    }
-
-    fn fail(&mut self, msg: String) {
-        if self.failed.is_none() {
-            self.failed = Some(msg);
-        }
-    }
-
-    fn error(&mut self, msg: String) {
-        if self.strict {
-            self.fail(msg);
-        } else {
-            self.out.push(Diagnostic::error(codes::OUT_OF_BOUNDS, msg).at(self.span));
-        }
-    }
-
-    fn warn(&mut self, msg: String) {
-        if self.strict {
-            self.fail(msg);
-        } else {
-            self.out.push(Diagnostic::warning(codes::ARITH_RANGE, msg).at(self.span));
-        }
-    }
-
-    /// Classifies one index interval against one axis extent.
-    fn classify_index(&mut self, iv: IVal, dim: usize, axis: usize, name: &str, guarded: bool) {
-        let max = dim as f64 - 1.0;
-        if self.strict {
-            if !(iv.exact && iv.finite() && iv.lo >= 0.0 && iv.hi <= max) {
-                self.fail(format!(
-                    "cannot prove `{}` indexes `{name}` axis {axis} in bounds: \
-                     value in [{}, {}] vs size {dim}{}",
-                    self.node,
-                    fmt_bound(iv.lo),
-                    fmt_bound(iv.hi),
-                    if iv.exact { "" } else { " (possibly non-integral)" },
-                ));
-            }
-            return;
-        }
-        if iv.hi < 0.0 || iv.lo > max {
-            let msg = format!(
-                "`{}` indexes `{name}` axis {axis} with values in [{}, {}], entirely outside \
-                 its size {dim}",
-                self.node,
-                fmt_bound(iv.lo),
-                fmt_bound(iv.hi),
-            );
-            if guarded {
-                self.warn(msg);
-            } else {
-                self.error(msg);
-            }
-        } else if !guarded
-            && ((iv.lo < 0.0 && iv.lo.is_finite()) || (iv.hi > max && iv.hi.is_finite()))
-        {
-            self.warn(format!(
-                "`{}` may index `{name}` axis {axis} out of bounds: value in [{}, {}] but the \
-                 axis has size {dim}",
-                self.node,
-                fmt_bound(iv.lo),
-                fmt_bound(iv.hi),
-            ));
+impl<'g> Walk<'g, '_> {
+    /// Reports an index interval on one axis of extent `dim` that is not
+    /// provably an integer inside it.
+    fn index(&mut self, iv: IVal, dim: usize, axis: usize, name: &'g str, guarded: bool) {
+        if !(iv.exact && iv.finite() && iv.lo >= 0.0 && iv.hi <= dim as f64 - 1.0) {
+            (self.report)(Finding::Index { name, axis, dim, iv, guarded });
         }
     }
 
     /// Checks one operand access and returns the value range read.
-    fn access(&mut self, slot: usize, indices: &[KExpr], guarded: bool) -> IVal {
-        // Copy the slot record out (it is two references and an interval)
-        // so the recursive `eval` below can borrow `self` mutably.
-        let Some(&info) = self.slots.get(slot) else {
-            // max_slot beyond inputs: srdfg::validate territory.
-            if self.strict {
-                self.fail(format!("`{}` reads operand slot {slot} beyond its inputs", self.node));
-            }
-            return IVal::unknown();
-        };
-        if indices.len() != info.shape.len() {
-            let msg = format!(
-                "`{}` accesses `{}` with {} index(es) but it has rank {}",
-                self.node,
-                info.name,
-                indices.len(),
-                info.shape.len()
-            );
-            if self.strict || !guarded {
-                self.error(msg);
-            } else {
-                self.warn(msg);
-            }
+    fn access(&mut self, slot: usize, indices: &'g [KExpr], guarded: bool) -> IVal {
+        // A slot beyond the inputs is `srdfg::validate`'s kernel-arity
+        // defect, not this walk's.
+        let Some(&e) = self.node.inputs.get(slot) else { return IVal::unknown() };
+        let meta = &self.graph.edge(e).meta;
+        if indices.len() != meta.shape.len() {
+            let (indices_len, rank) = (indices.len(), meta.shape.len());
+            (self.report)(Finding::Rank { name: &meta.name, indices: indices_len, rank, guarded });
             for k in indices {
                 self.eval(k, guarded);
             }
             return IVal::unknown();
         }
-        for (axis, (k, &dim)) in indices.iter().zip(info.shape).enumerate() {
+        for (axis, (k, &dim)) in indices.iter().zip(&meta.shape).enumerate() {
             let iv = self.eval(k, guarded);
-            self.classify_index(iv, dim, axis, info.name, guarded);
+            self.index(iv, dim, axis, &meta.name, guarded);
         }
-        IVal { exact: false, ..info.range }
+        let range = self.ranges.get(slot).map_or_else(IVal::unknown, |v| v.to_ival());
+        IVal { exact: false, ..range }
     }
 
-    fn eval(&mut self, k: &KExpr, guarded: bool) -> IVal {
+    /// Checks the write positions against the target shape. They may use
+    /// the output index space only.
+    fn write(&mut self, write: &'g WriteSpec) {
+        if write.lhs.is_empty() {
+            return;
+        }
+        let rank = write.target_shape.len();
+        if write.lhs.len() != rank {
+            (self.report)(Finding::WriteRank { positions: write.lhs.len(), rank });
+            return;
+        }
+        for k in &write.lhs {
+            let opaque = if k.max_slot().is_some() {
+                Finding::WriteFromData
+            } else if max_idx(k).is_some_and(|m| m >= self.env.out.len()) {
+                Finding::WriteOutsideSpace
+            } else {
+                continue;
+            };
+            (self.report)(opaque);
+            return;
+        }
+        for (axis, (k, &dim)) in write.lhs.iter().zip(&write.target_shape).enumerate() {
+            let iv = self.eval(k, false);
+            self.index(iv, dim, axis, "its output", false);
+        }
+    }
+
+    fn eval(&mut self, k: &'g KExpr, guarded: bool) -> IVal {
         match k {
             KExpr::Const(c) => IVal::of(*c),
             KExpr::Idx(i) => match self.env.get(*i) {
                 Some(r) => IVal { lo: r.lo as f64, hi: r.hi as f64, exact: true },
                 None => {
-                    if self.strict {
-                        self.fail(format!(
-                            "`{}` references index variable #{i} outside its index space",
-                            self.node
-                        ));
-                    }
+                    (self.report)(Finding::FreeIndex(*i));
                     IVal::unknown()
                 }
             },
             KExpr::Operand { slot, indices } => self.access(*slot, indices, guarded),
             KExpr::Arg(_) => {
-                if self.strict {
-                    self.fail(format!(
-                        "`{}` uses a reduction argument outside a combiner",
-                        self.node
-                    ));
-                }
+                (self.report)(Finding::Arg);
                 IVal::unknown()
             }
             KExpr::Unary(op, e) => {
@@ -407,8 +434,8 @@ impl<'a> ExprCx<'a> {
                 vt.hull(&ve)
             }
             KExpr::Call(f, args) => {
-                if self.strict && *f == ScalarFunc::Complex {
-                    self.fail(format!("`{}` constructs a complex value", self.node));
+                if *f == ScalarFunc::Complex {
+                    (self.report)(Finding::Complex);
                 }
                 // Intrinsics take at most two arguments today; keep the
                 // common case off the heap (this runs per call site on the
@@ -431,23 +458,14 @@ impl<'a> ExprCx<'a> {
     /// itself overflowed.
     fn overflow_check(&mut self, r: IVal, a: IVal, b: IVal) -> IVal {
         if a.finite() && b.finite() && !r.finite() {
-            self.warn(format!("index arithmetic in `{}` may overflow", self.node));
+            (self.report)(Finding::Overflow);
         }
         r
     }
 
     fn div(&mut self, a: IVal, b: IVal, guarded: bool) -> IVal {
         if b.contains_zero() {
-            if b.finite() && !guarded {
-                self.warn(format!(
-                    "possible division by zero in `{}`: divisor range [{}, {}] includes 0",
-                    self.node,
-                    fmt_bound(b.lo),
-                    fmt_bound(b.hi),
-                ));
-            } else if self.strict {
-                self.fail(format!("cannot prove the divisor in `{}` is nonzero", self.node));
-            }
+            (self.report)(Finding::Zero { modulus: false, b, guarded });
             return IVal::unknown();
         }
         if !a.finite() || !b.finite() {
@@ -469,16 +487,7 @@ impl<'a> ExprCx<'a> {
             return IVal::mk(0.0, hi, exact);
         }
         if b.contains_zero() {
-            if b.finite() && !guarded {
-                self.warn(format!(
-                    "possible modulo by zero in `{}`: divisor range [{}, {}] includes 0",
-                    self.node,
-                    fmt_bound(b.lo),
-                    fmt_bound(b.hi),
-                ));
-            } else if self.strict {
-                self.fail(format!("cannot prove the modulus in `{}` is nonzero", self.node));
-            }
+            (self.report)(Finding::Zero { modulus: true, b, guarded });
         }
         IVal::unknown()
     }
@@ -531,44 +540,13 @@ fn func_range(f: ScalarFunc, args: &[IVal]) -> IVal {
     }
 }
 
-/// The range-propagation domain; checks happen inside `transfer`.
+/// The range-propagation domain: the lint reads each kernel walk's
+/// findings inside `transfer`.
 struct RangeDomain<'a> {
     out: &'a mut Vec<Diagnostic>,
 }
 
 impl RangeDomain<'_> {
-    fn slots<'g>(graph: &'g SrDfg, node: &Node, inputs: &[RangeVal]) -> Slots<'g> {
-        let mut slots = Slots::default();
-        for (&e, v) in node.inputs.iter().zip(inputs) {
-            let meta = &graph.edge(e).meta;
-            slots.push(SlotInfo { name: &meta.name, shape: &meta.shape, range: v.to_ival() });
-        }
-        slots
-    }
-
-    /// Checks the write positions of a map/reduce against the target
-    /// shape. `write.lhs` index expressions refer to the *output* index
-    /// space only.
-    fn check_write(&mut self, cx: &mut ExprCx<'_>, write: &WriteSpec, out_len: usize) {
-        let in_out_space = write
-            .lhs
-            .iter()
-            .all(|k| k.max_slot().is_none() && max_idx(k).is_none_or(|m| m < out_len));
-        if !in_out_space || write.lhs.len() != write.target_shape.len() {
-            if !write.lhs.is_empty() && cx.strict {
-                cx.fail(format!(
-                    "cannot prove the write positions of `{}` lie in the target tensor",
-                    cx.node
-                ));
-            }
-            return;
-        }
-        for (axis, (k, &dim)) in write.lhs.iter().zip(&write.target_shape).enumerate() {
-            let iv = cx.eval(k, false);
-            cx.classify_index(iv, dim, axis, "its output", false);
-        }
-    }
-
     fn scalar_range(&mut self, kind: &ScalarKind, node: &Node, inputs: &[IVal]) -> IVal {
         let get = |i: usize| inputs.get(i).copied().unwrap_or_else(IVal::unknown);
         match kind {
@@ -584,20 +562,9 @@ impl RangeDomain<'_> {
                     BinOp::Sub => a.sub(&b),
                     BinOp::Mul => a.mul(&b),
                     BinOp::Div => {
-                        if b.contains_zero() && b.finite() {
-                            self.out.push(
-                                Diagnostic::warning(
-                                    codes::ARITH_RANGE,
-                                    format!(
-                                        "possible division by zero in `{}`: divisor range \
-                                         [{}, {}] includes 0",
-                                        node.name,
-                                        fmt_bound(b.lo),
-                                        fmt_bound(b.hi),
-                                    ),
-                                )
-                                .at(node.span),
-                            );
+                        if b.contains_zero() {
+                            let zero = Finding::Zero { modulus: false, b, guarded: false };
+                            self.out.extend(zero.lint(node));
                         }
                         IVal::unknown()
                     }
@@ -642,31 +609,21 @@ impl ForwardDomain for RangeDomain<'_> {
         out: &mut Vec<RangeVal>,
     ) {
         let n_out = node.outputs.len();
-        let v = match &node.kind {
-            NK::Map(m) => {
-                let slots = Self::slots(graph, node, inputs);
-                let mut cx = ExprCx::new(Env::of(&m.out_space), slots.as_slice(), node, false);
-                let mut body = cx.eval(&m.kernel, false);
-                self.check_write(&mut cx, &m.write, m.out_space.len());
-                self.out.append(&mut cx.out);
-                if m.write.carried {
-                    body = body.hull(&inputs.first().copied().unwrap_or(RangeVal::Bot).to_ival());
-                }
-                RangeVal::of(body)
+        let carry = |v: IVal, write: &WriteSpec| {
+            if write.carried {
+                v.hull(&inputs.first().copied().unwrap_or(RangeVal::Bot).to_ival())
+            } else {
+                v
             }
+        };
+        let diags = &mut *self.out;
+        let mut lint = |f: Finding<'_>| diags.extend(f.lint(node));
+        let v = match &node.kind {
+            NK::Map(m) => RangeVal::of(carry(walk(graph, node, inputs, &mut lint), &m.write)),
             NK::Reduce(r) => {
-                let env = Env { out: &r.out_space, red: &r.red_space };
-                let slots = Self::slots(graph, node, inputs);
-                let mut cx = ExprCx::new(env, slots.as_slice(), node, false);
-                let guarded = r.cond.is_some();
-                if let Some(c) = &r.cond {
-                    cx.eval(c, false);
-                }
-                let body = cx.eval(&r.body, guarded);
-                self.check_write(&mut cx, &r.write, r.out_space.len());
-                self.out.append(&mut cx.out);
+                let body = walk(graph, node, inputs, &mut lint);
                 let n = space_size(&r.red_space) as f64;
-                let mut result = match &r.op {
+                let result = match &r.op {
                     ReduceOp::Builtin(BuiltinReduction::Sum) => {
                         IVal::mk((n * body.lo).min(0.0), (n * body.hi).max(0.0), false)
                     }
@@ -674,11 +631,7 @@ impl ForwardDomain for RangeDomain<'_> {
                     | ReduceOp::Builtin(BuiltinReduction::Min) => body.hull(&IVal::of(0.0)),
                     _ => IVal::unknown(),
                 };
-                if r.write.carried {
-                    result =
-                        result.hull(&inputs.first().copied().unwrap_or(RangeVal::Bot).to_ival());
-                }
-                RangeVal::of(result)
+                RangeVal::of(carry(result, &r.write))
             }
             NK::Scalar(kind) => {
                 let mut ivs = [IVal::unknown(); 4];
@@ -724,10 +677,13 @@ pub fn check_graph(graph: &SrDfg, out: &mut Vec<Diagnostic>) {
 }
 
 /// Certifies that invoking `graph` in the srDFG interpreter with complete,
-/// metadata-conforming feeds can never trap: every operand access is
-/// positively proven rank-correct and in-bounds (guards do not count as
-/// proof), every index expression provably integral, no complex values
-/// reach comparisons, and all marshalling arities line up.
+/// metadata-conforming feeds can never trap: the graph passes
+/// [`srdfg::validate`] (back-links, kernel arity, every node's shape rule,
+/// in every component), and the kernel walk, run with unknown operand
+/// ranges, finds nothing it could not prove — every access rank-correct,
+/// integral and in bounds (guards do not count as proof), every divisor
+/// nonzero. No edge is complex and no custom combiner reads outside its
+/// two arguments.
 ///
 /// # Errors
 ///
@@ -753,66 +709,38 @@ fn certify_level(graph: &SrDfg) -> Result<(), String> {
         }
     }
     for (_, node) in graph.iter_nodes() {
-        certify_node(graph, node)?;
+        let mut first = None;
+        walk(graph, node, &[], &mut |f| {
+            first.get_or_insert(f);
+        });
+        if let Some(f) = first {
+            return Err(f.refusal(node));
+        }
+        match &node.kind {
+            NK::Reduce(r) => {
+                if let ReduceOp::Custom { combiner, .. } = &r.op {
+                    certify_combiner(node, combiner)?;
+                }
+            }
+            NK::Scalar(kind) => {
+                if matches!(kind.get(), ScalarKind::Func(ScalarFunc::Complex)) {
+                    return Err(format!("`{}` constructs a complex value", node.name));
+                }
+                for &e in &node.inputs {
+                    let meta = &graph.edge(e).meta;
+                    if meta.volume() != 1 {
+                        return Err(format!(
+                            "scalar node `{}` consumes `{}` of shape {:?}",
+                            node.name, meta.name, meta.shape
+                        ));
+                    }
+                }
+            }
+            NK::Component(sub) => certify_level(sub)?,
+            _ => {}
+        }
     }
     Ok(())
-}
-
-fn strict_eval(graph: &SrDfg, node: &Node, env: Env<'_>, k: &KExpr) -> Result<(), String> {
-    let slots: Vec<SlotInfo> = node
-        .inputs
-        .iter()
-        .map(|&e| {
-            let meta = &graph.edge(e).meta;
-            SlotInfo { name: &meta.name, shape: &meta.shape, range: IVal::unknown() }
-        })
-        .collect();
-    let mut cx = ExprCx::new(env, &slots, node, true);
-    cx.eval(k, false);
-    match cx.failed {
-        Some(msg) => Err(msg),
-        None => Ok(()),
-    }
-}
-
-fn strict_write(
-    graph: &SrDfg,
-    node: &Node,
-    out_space: &[IndexRange],
-    write: &WriteSpec,
-) -> Result<(), String> {
-    if write.lhs.is_empty() {
-        return Ok(());
-    }
-    if write.lhs.len() != write.target_shape.len() {
-        return Err(format!(
-            "`{}` writes {} position(s) into a rank-{} tensor",
-            node.name,
-            write.lhs.len(),
-            write.target_shape.len()
-        ));
-    }
-    for k in &write.lhs {
-        if k.max_slot().is_some() {
-            return Err(format!("`{}` computes write positions from operand values", node.name));
-        }
-        if max_idx(k).is_some_and(|m| m >= out_space.len()) {
-            return Err(format!(
-                "`{}` writes at positions outside its output index space",
-                node.name
-            ));
-        }
-        strict_eval(graph, node, Env::of(out_space), k)?;
-    }
-    let mut cx = ExprCx::new(Env::of(out_space), &[], node, true);
-    for (axis, (k, &dim)) in write.lhs.iter().zip(&write.target_shape).enumerate() {
-        let iv = cx.eval(k, false);
-        cx.classify_index(iv, dim, axis, "its output", false);
-    }
-    match cx.failed {
-        Some(msg) => Err(msg),
-        None => Ok(()),
-    }
 }
 
 /// A custom combiner runs with only `Arg(0)`/`Arg(1)` bound: any operand
@@ -838,85 +766,6 @@ fn certify_combiner(node: &Node, k: &KExpr) -> Result<(), String> {
             "custom combiner of `{}` references state outside its two arguments",
             node.name
         ))
-    }
-}
-
-fn certify_node(graph: &SrDfg, node: &Node) -> Result<(), String> {
-    match &node.kind {
-        NK::Map(m) => {
-            strict_eval(graph, node, Env::of(&m.out_space), &m.kernel)?;
-            strict_write(graph, node, &m.out_space, &m.write)
-        }
-        NK::Reduce(r) => {
-            let env = Env { out: &r.out_space, red: &r.red_space };
-            if let Some(c) = &r.cond {
-                strict_eval(graph, node, env, c)?;
-            }
-            strict_eval(graph, node, env, &r.body)?;
-            strict_write(graph, node, &r.out_space, &r.write)?;
-            if let ReduceOp::Custom { combiner, .. } = &r.op {
-                certify_combiner(node, combiner)?;
-            }
-            Ok(())
-        }
-        NK::Scalar(kind) => {
-            if matches!(kind.get(), ScalarKind::Func(ScalarFunc::Complex)) {
-                return Err(format!("`{}` constructs a complex value", node.name));
-            }
-            for &e in &node.inputs {
-                let meta = &graph.edge(e).meta;
-                if meta.volume() != 1 {
-                    return Err(format!(
-                        "scalar node `{}` consumes `{}` of shape {:?}",
-                        node.name, meta.name, meta.shape
-                    ));
-                }
-            }
-            Ok(())
-        }
-        NK::Unpack => {
-            let vol = node.inputs.first().map(|&e| graph.edge(e).meta.volume()).unwrap_or(0);
-            if node.outputs.len() != vol {
-                return Err(format!(
-                    "unpack `{}` yields {} edge(s) for a {}-element tensor",
-                    node.name,
-                    node.outputs.len(),
-                    vol
-                ));
-            }
-            Ok(())
-        }
-        NK::Pack => {
-            let vol = node.outputs.first().map(|&e| graph.edge(e).meta.volume()).unwrap_or(0);
-            if node.inputs.len() != vol {
-                return Err(format!(
-                    "pack `{}` gathers {} edge(s) for a {}-element tensor",
-                    node.name,
-                    node.inputs.len(),
-                    vol
-                ));
-            }
-            Ok(())
-        }
-        NK::Component(sub) => {
-            let pairs = sub
-                .boundary_inputs
-                .iter()
-                .zip(&node.inputs)
-                .chain(sub.boundary_outputs.iter().zip(&node.outputs));
-            for (&inner, &outer) in pairs {
-                let im = &sub.edge(inner).meta;
-                let om = &graph.edge(outer).meta;
-                if im.shape != om.shape {
-                    return Err(format!(
-                        "component `{}` binds `{}` of shape {:?} to `{}` of shape {:?}",
-                        node.name, im.name, im.shape, om.name, om.shape
-                    ));
-                }
-            }
-            certify_level(sub)
-        }
-        NK::ConstTensor(_) | NK::Load | NK::Store => Ok(()),
     }
 }
 

@@ -49,7 +49,9 @@
 //!   streaming runtime would otherwise hit at execution time.
 //! * [`certify_bounds`] states the soundness contract the fuzzer
 //!   cross-checks: a program this crate certifies in-bounds must never
-//!   trap in the srDFG interpreter.
+//!   trap in the srDFG interpreter. It is `srdfg::validate` plus the
+//!   [`interval`] kernel walk behind `PM-E102`/`PM-W103`, read strictly:
+//!   anything the walk could not prove is a refusal.
 //!
 //! Every entry point that returns diagnostics returns them through
 //! [`finish`]: sorted by source position, deduplicated.

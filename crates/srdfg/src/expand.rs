@@ -141,7 +141,10 @@ pub fn refine_node(
     match &node.kind {
         NodeKind::Component(sub) => Ok((**sub).clone()),
         NodeKind::Reduce(spec) => {
-            if spec.body.compute_op_count() > 0 {
+            // A conditioned body is expanded only where the condition
+            // holds: an element map over the whole box would evaluate it
+            // where it was never meant to run (a padded read, say).
+            if spec.body.compute_op_count() > 0 && spec.cond.is_none() {
                 Ok(decompose_reduce(node, spec, in_metas, out_metas))
             } else {
                 expand_reduce(node, spec, in_metas, out_metas)
@@ -171,7 +174,7 @@ pub fn refine_node(
 pub(crate) fn scalar_expansion_eligible(node: &Node) -> bool {
     match &node.kind {
         NodeKind::Map(spec) => spec.kernel.compute_op_count() <= 1,
-        NodeKind::Reduce(spec) => spec.body.compute_op_count() == 0,
+        NodeKind::Reduce(spec) => spec.body.compute_op_count() == 0 || spec.cond.is_some(),
         _ => false,
     }
 }
@@ -197,8 +200,8 @@ pub(crate) fn refine_node_canonical(
     refine_node(&canon, in_metas, out_metas)
 }
 
-/// Reduce with compound body → Map(body) into an element tensor + pure
-/// Reduce over it.
+/// Unconditioned reduce with compound body → Map(body) into an element
+/// tensor + pure Reduce over it.
 fn decompose_reduce(
     node: &Node,
     spec: &ReduceSpec,
@@ -249,13 +252,13 @@ fn decompose_reduce(
     g.add_node_at(map_name, NodeKind::map(map_spec), node.domain, &ins, [temp], node.span);
 
     // Pure reduce over the element tensor; the original inputs stay
-    // available for the condition (and carry slot 0, if any).
+    // available for carry slot 0, if any.
     let temp_slot = ins.len();
     let red_spec = ReduceSpec {
         op: spec.op.clone(),
         out_space: spec.out_space.clone(),
         red_space: spec.red_space.clone(),
-        cond: spec.cond.clone(),
+        cond: None,
         body: KExpr::Operand { slot: temp_slot, indices: lhs },
         write: spec.write.clone(),
     };
@@ -278,8 +281,9 @@ fn decompose_reduce(
 /// whose branch kernels are *both* materialized (eager evaluation), as on
 /// the real fabrics — predication, not branching. Programs that rely on a
 /// ternary to guard out-of-range accesses should use reduction conditions
-/// instead (as the conv/pooling generators do); the interpreter's lazy
-/// ternary is a convenience of the reference semantics.
+/// instead (as the conv/pooling generators do), which scalar expansion
+/// honours per point; the interpreter's lazy ternary is a convenience of
+/// the reference semantics.
 fn split_map(
     node: &Node,
     spec: &MapSpec,
@@ -762,7 +766,8 @@ fn expand_map(
     Ok(ex.finish(out_meta, &final_elems))
 }
 
-/// Scalar expansion of a pure Reduce node (adder/combiner trees).
+/// Scalar expansion of a Reduce node (adder/combiner trees): a pure one,
+/// or one whose condition picks the points its body is expanded at.
 fn expand_reduce(
     node: &Node,
     spec: &ReduceSpec,
@@ -782,7 +787,11 @@ fn expand_reduce(
     static_indices(&node.name, &spec.body, &spec.write)?;
     let out_points = crate::graph::space_size(&spec.out_space);
     let red_points = crate::graph::space_size(&spec.red_space);
-    within_limit(&node.name, out_points.saturating_mul(red_points.max(1)).saturating_mul(2))?;
+    let per_point = spec.body.compute_op_count() as usize + 2;
+    within_limit(
+        &node.name,
+        out_points.saturating_mul(red_points.max(1)).saturating_mul(per_point),
+    )?;
 
     let mut ex = Expander::new(node, in_metas);
     let out_meta = &out_metas[0];
@@ -1072,6 +1081,25 @@ mod tests {
                 .unwrap(),
             )],
         );
+    }
+
+    #[test]
+    fn a_padded_convolution_expands_only_the_points_its_condition_keeps() {
+        // Decomposed, the body `x[i+k-1] * w[k]` became an element map over
+        // the whole box and read `x[-1]`, which Algorithm 1 refused.
+        let src = "main(input float x[8], input float w[3], output float y[8]) {
+                       index i[0:7], k[0:2];
+                       y[i] = sum[k: i+k-1 >= 0 && i+k-1 < 8](x[i+k-1] * w[k]);
+                   }";
+        let g = program_graph(src);
+        let (id, node) =
+            g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Reduce(_))).unwrap();
+        assert!(scalar_expansion_eligible(node));
+        let sub = refine(&g, id).unwrap();
+        let muls = sub.iter_nodes().filter(|(_, n)| n.name == "mul").count();
+        assert_eq!(muls, 8 * 3 - 2, "one product per kept point");
+        let x = vec_t((1..=8).map(f64::from).collect());
+        assert_refine_preserves(src, vec![("x", x), ("w", vec_t(vec![10.0, 20.0, 30.0]))]);
     }
 
     #[test]

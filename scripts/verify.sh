@@ -361,6 +361,15 @@ if [ -e crates/analyze/src/shape.rs ] ||
     exit 1
 fi
 
+echo "== an access is walked once"
+# PM-E102/W103 and certify_bounds read the same per-kernel findings of one
+# interval walk; a strict copy of the evaluator would be a second
+# definition of what is proven in bounds.
+if grep -nE 'strict_eval|strict_write|strict: bool|struct (Slots|SlotInfo)' crates/analyze/src/interval.rs; then
+    echo "a second, strict kernel evaluator is back in pm-analyze" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

@@ -49,6 +49,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("tests/corpus/analyze/pm-w103-possible-oob.pm", 0x2c115ab411afd472, 0x352f30e4b44874be),
     ("tests/corpus/analyze/pm-w105-stale-state.pm", 0xfa718fa5105d0cae, 0x21855d084ad3db7b),
     ("tests/corpus/analyze/pm-w111-war-hazard.pm", 0xb191b49ed57f1f7b, 0xfcac91649ee89127),
+    ("tests/corpus/conditioned-padding.pm", 0x0c179f311c682a84, 0xb3c14f4a7c7d6a7c),
     ("tests/corpus/cross-domain-annotations.pm", 0xca7f6329795389aa, 0x34615575a00ee4be),
     ("tests/corpus/cse-duplicate-outputs.pm", 0x377ff53d2a2c7501, 0x66d837152f6b1dc1),
     ("tests/corpus/custom-reduction-rss.pm", 0xf823823f811aa173, 0x2b6e45c2d56d4cf4),
