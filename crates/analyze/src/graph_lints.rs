@@ -14,19 +14,6 @@ use std::collections::HashMap;
 /// Largest iteration space the race detector enumerates exhaustively.
 const MAX_RACE_POINTS: usize = 4096;
 
-/// The highest `KExpr::Idx` position referenced, if any.
-fn max_idx(k: &KExpr) -> Option<usize> {
-    match k {
-        KExpr::Const(_) | KExpr::Arg(_) => None,
-        KExpr::Idx(i) => Some(*i),
-        KExpr::Operand { indices, .. } => indices.iter().filter_map(max_idx).max(),
-        KExpr::Unary(_, e) => max_idx(e),
-        KExpr::Binary(_, a, b) => max_idx(a).max(max_idx(b)),
-        KExpr::Select(c, a, b) => max_idx(c).max(max_idx(a)).max(max_idx(b)),
-        KExpr::Call(_, args) => args.iter().filter_map(max_idx).max(),
-    }
-}
-
 /// Scalar sample values for probing custom combiners. Chosen to break
 /// symmetry: distinct magnitudes and signs expose non-commutativity and
 /// non-associativity of anything that is not genuinely order-insensitive.
@@ -72,7 +59,7 @@ pub(crate) fn reduction_race(graph: &SrDfg, out: &mut Vec<Diagnostic>) {
             }
             // The lhs may only address the output space; anything else
             // is structurally broken and validate's territory.
-            if write.lhs.iter().filter_map(max_idx).max() >= Some(out_space.len()) {
+            if write.lhs.iter().filter_map(KExpr::max_idx).max() >= Some(out_space.len()) {
                 continue;
             }
             let mut writes: HashMap<Vec<i64>, usize> = HashMap::new();

@@ -4,59 +4,36 @@
 //! boundaries (`PM-W105` — every invocation observes the initial value,
 //! so the "state" is really a constant).
 
-use crate::solver::{self, ForwardDomain, Lattice};
 use crate::{codes, Diagnostic};
-use srdfg::graph::{Modifier, Node, NodeId};
+use srdfg::graph::Modifier;
 use srdfg::{EdgeId, SrDfg};
 
-/// Whether an edge's value materializes when the graph runs.
-///
-/// Ordered `Undef < Def`: every edge starts undefined and becomes defined
-/// when a node (or the boundary) produces it. A node with an undefined
-/// input traps before writing its outputs, so poison flows forward.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum InitVal {
-    /// Never materializes: a read of it traps.
-    Undef,
-    /// Produced by a node or fed at the boundary.
-    Def,
+/// Whether `e` is read but never written: no node produces it, some node
+/// consumes it, and the boundary does not feed it. The interpreter traps
+/// on the read (`PM-E104`), and certification refuses the graph.
+pub(crate) fn reads_unproduced(graph: &SrDfg, e: EdgeId) -> bool {
+    let edge = graph.edge(e);
+    edge.producer.is_none() && !edge.consumers.is_empty() && !graph.boundary_inputs.contains(&e)
 }
 
-impl Lattice for InitVal {
-    fn join(&mut self, other: &InitVal) -> bool {
-        if *self == InitVal::Undef && *other == InitVal::Def {
-            *self = InitVal::Def;
-            true
-        } else {
-            false
+/// How many produced values can never be computed: a node with an
+/// unproduced operand traps before it writes, so everything forward of an
+/// unproduced read, through each consumer's outputs, is lost. A boundary
+/// input is fed whatever its producer does.
+fn downstream_of_unproduced(graph: &SrDfg) -> usize {
+    let mut lost = vec![false; graph.edge_count()];
+    let mut stack: Vec<EdgeId> = graph.edge_ids().filter(|&e| reads_unproduced(graph, e)).collect();
+    while let Some(e) = stack.pop() {
+        for &(c, _) in &graph.edge(e).consumers {
+            for &o in &graph.node(c).outputs {
+                if !lost[o.0 as usize] && !graph.boundary_inputs.contains(&o) {
+                    lost[o.0 as usize] = true;
+                    stack.push(o);
+                }
+            }
         }
     }
-}
-
-struct InitDomain;
-
-impl ForwardDomain for InitDomain {
-    type Value = InitVal;
-
-    fn bottom(&self) -> InitVal {
-        InitVal::Undef
-    }
-
-    fn boundary(&mut self, _graph: &SrDfg, _edge: EdgeId) -> InitVal {
-        InitVal::Def
-    }
-
-    fn transfer(
-        &mut self,
-        _graph: &SrDfg,
-        _id: NodeId,
-        node: &Node,
-        inputs: &[InitVal],
-        out: &mut Vec<InitVal>,
-    ) {
-        let v = if inputs.contains(&InitVal::Undef) { InitVal::Undef } else { InitVal::Def };
-        out.extend(std::iter::repeat_n(v, node.outputs.len()));
-    }
+    graph.edge_ids().filter(|&e| lost[e.0 as usize] && graph.edge(e).producer.is_some()).count()
 }
 
 /// Runs initialization analysis over one graph level (no component
@@ -64,37 +41,25 @@ impl ForwardDomain for InitDomain {
 /// cross-invocation state check, which only makes sense on the graph
 /// whose boundary the runtime circulates state through.
 pub fn check_graph(graph: &SrDfg, is_root: bool, out: &mut Vec<Diagnostic>) {
-    let values = solver::solve(graph, &mut InitDomain);
     // Report only root causes — producer-less edges somebody reads. The
-    // propagated poison tells us how much of the graph each trap takes
-    // down, without a finding per downstream edge.
-    let poisoned = graph
-        .edge_ids()
-        .filter(|&e| values[e.0 as usize] == InitVal::Undef && graph.edge(e).producer.is_some())
-        .count();
-    for e in graph.edge_ids() {
+    // downstream count tells how much of the graph each trap takes down,
+    // without a finding per downstream edge.
+    let mut downstream = None;
+    for e in graph.edge_ids().filter(|&e| reads_unproduced(graph, e)) {
         let edge = graph.edge(e);
-        if edge.producer.is_none()
-            && !edge.consumers.is_empty()
-            && !graph.boundary_inputs.contains(&e)
-        {
-            let reader = edge
-                .consumers
-                .first()
-                .map(|&(c, _)| graph.node(c).name.clone())
-                .unwrap_or_default();
-            let mut finding = Diagnostic::error(
-                codes::UNINITIALIZED,
-                format!("`{}` reads `{}`, which is never produced", reader, edge.meta.name),
-            )
-            .at(edge.meta.span)
-            .with_note("the interpreter traps on the first read of an unwritten value");
-            if poisoned > 0 {
-                finding = finding
-                    .with_note(format!("{poisoned} downstream value(s) can never be computed"));
-            }
-            out.push(finding);
+        let reader = &graph.node(edge.consumers[0].0).name;
+        let mut finding = Diagnostic::error(
+            codes::UNINITIALIZED,
+            format!("`{}` reads `{}`, which is never produced", reader, edge.meta.name),
+        )
+        .at(edge.meta.span)
+        .with_note("the interpreter traps on the first read of an unwritten value");
+        let lost = *downstream.get_or_insert_with(|| downstream_of_unproduced(graph));
+        if lost > 0 {
+            finding =
+                finding.with_note(format!("{lost} downstream value(s) can never be computed"));
         }
+        out.push(finding);
     }
 
     if !is_root {

@@ -8,10 +8,9 @@
 //! bounds, a possible division/modulo by zero, overflow) and
 //! [`certify_bounds`], which refuses the first one.
 
-use crate::solver::{self, ForwardDomain, Lattice};
 use crate::{codes, Diagnostic};
 use pmlang::{BinOp, BuiltinReduction, DType, ScalarFunc, UnOp};
-use srdfg::graph::{space_size, IndexRange, Node, NodeId, ReduceOp, ScalarKind, WriteSpec};
+use srdfg::graph::{space_size, IndexRange, Node, ReduceOp, ScalarKind, WriteSpec};
 use srdfg::{EdgeId, KExpr, NodeKind as NK, SrDfg};
 
 /// An interval of possible values. `exact` means every value the concrete
@@ -98,50 +97,21 @@ fn fmt_bound(v: f64) -> String {
     }
 }
 
-/// Value range of an edge, the lattice the dataflow solver iterates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RangeVal {
-    /// No information yet (never produced).
-    Bot,
-    /// All values lie in the inclusive interval.
-    Known(f64, f64),
+/// The stored range of an edge no node has produced yet. `f64::min` and
+/// `f64::max` skip a NaN bound, so [`join`]ing a range into it assigns
+/// that range, and [`read`] turns it into unknown. A NaN constant's range
+/// is the same value and behaves the same.
+const UNSET: IVal = IVal { lo: f64::NAN, hi: f64::NAN, exact: false };
+
+/// Joins two stored edge ranges (NaN bounds skipped).
+fn join(a: IVal, b: IVal) -> IVal {
+    IVal { lo: a.lo.min(b.lo), hi: a.hi.max(b.hi), exact: false }
 }
 
-impl RangeVal {
-    fn of(iv: IVal) -> RangeVal {
-        RangeVal::Known(iv.lo, iv.hi)
-    }
-
-    fn to_ival(self) -> IVal {
-        match self {
-            // Reads of never-produced edges are the init domain's
-            // problem; range-wise they are unconstrained.
-            RangeVal::Bot => IVal::unknown(),
-            RangeVal::Known(lo, hi) => IVal::mk(lo, hi, false),
-        }
-    }
-}
-
-impl Lattice for RangeVal {
-    fn join(&mut self, other: &RangeVal) -> bool {
-        let joined = match (*self, *other) {
-            (v, RangeVal::Bot) => v,
-            (RangeVal::Bot, v) => v,
-            (RangeVal::Known(a, b), RangeVal::Known(c, d)) => RangeVal::Known(a.min(c), b.max(d)),
-        };
-        let changed = joined != *self;
-        *self = joined;
-        changed
-    }
-
-    fn widen(&mut self, other: &RangeVal) -> bool {
-        if self.join(other) {
-            *self = RangeVal::Known(f64::NEG_INFINITY, f64::INFINITY);
-            true
-        } else {
-            false
-        }
-    }
+/// A stored edge range as a kernel or a scalar node reads it: never
+/// integral, and unknown when unset.
+fn read(v: IVal) -> IVal {
+    IVal::mk(v.lo, v.hi, false)
 }
 
 /// Something the kernel walk could not prove. The lint reports some
@@ -278,13 +248,13 @@ impl<'a> Env<'a> {
 /// The walk over one Map or Reduce node: evaluates its expressions over
 /// index intervals and hands every [`Finding`] to `report`. An operand
 /// read takes its metadata from the edge in its slot and its value range
-/// from `ranges` (unknown past its end). It allocates nothing: it runs for
+/// from `operands` (unknown past its end). It allocates nothing: it runs for
 /// every map/reduce on the compiler's timed path.
 struct Walk<'g, 'r> {
     graph: &'g SrDfg,
     node: &'g Node,
     env: Env<'g>,
-    ranges: &'r [RangeVal],
+    operands: &'r [IVal],
     report: &'r mut dyn FnMut(Finding<'g>),
 }
 
@@ -294,20 +264,20 @@ struct Walk<'g, 'r> {
 fn walk<'g>(
     graph: &'g SrDfg,
     node: &'g Node,
-    ranges: &[RangeVal],
+    operands: &[IVal],
     report: &mut dyn FnMut(Finding<'g>),
 ) -> IVal {
     match &node.kind {
         NK::Map(m) => {
             let env = Env { out: &m.out_space, red: &[] };
-            let mut w = Walk { graph, node, env, ranges, report };
+            let mut w = Walk { graph, node, env, operands, report };
             let body = w.eval(&m.kernel, false);
             w.write(&m.write);
             body
         }
         NK::Reduce(r) => {
             let env = Env { out: &r.out_space, red: &r.red_space };
-            let mut w = Walk { graph, node, env, ranges, report };
+            let mut w = Walk { graph, node, env, operands, report };
             if let Some(c) = &r.cond {
                 w.eval(c, false);
             }
@@ -346,8 +316,7 @@ impl<'g> Walk<'g, '_> {
             let iv = self.eval(k, guarded);
             self.index(iv, dim, axis, &meta.name, guarded);
         }
-        let range = self.ranges.get(slot).map_or_else(IVal::unknown, |v| v.to_ival());
-        IVal { exact: false, ..range }
+        self.operands.get(slot).copied().unwrap_or_else(IVal::unknown)
     }
 
     /// Checks the write positions against the target shape. They may use
@@ -364,7 +333,7 @@ impl<'g> Walk<'g, '_> {
         for k in &write.lhs {
             let opaque = if k.max_slot().is_some() {
                 Finding::WriteFromData
-            } else if max_idx(k).is_some_and(|m| m >= self.env.out.len()) {
+            } else if k.max_idx().is_some_and(|m| m >= self.env.out.len()) {
                 Finding::WriteOutsideSpace
             } else {
                 continue;
@@ -540,140 +509,115 @@ fn func_range(f: ScalarFunc, args: &[IVal]) -> IVal {
     }
 }
 
-/// The range-propagation domain: the lint reads each kernel walk's
-/// findings inside `transfer`.
-struct RangeDomain<'a> {
-    out: &'a mut Vec<Diagnostic>,
-}
-
-impl RangeDomain<'_> {
-    fn scalar_range(&mut self, kind: &ScalarKind, node: &Node, inputs: &[IVal]) -> IVal {
-        let get = |i: usize| inputs.get(i).copied().unwrap_or_else(IVal::unknown);
-        match kind {
-            ScalarKind::Const(c) => IVal::of(*c),
-            ScalarKind::Un(UnOp::Neg) => get(0).neg(),
-            ScalarKind::Un(UnOp::Not) => IVal { lo: 0.0, hi: 1.0, exact: true },
-            ScalarKind::Func(f) => func_range(*f, inputs),
-            ScalarKind::Select => get(1).hull(&get(2)),
-            ScalarKind::Bin(op) => {
-                let (a, b) = (get(0), get(1));
-                match op {
-                    BinOp::Add => a.add(&b),
-                    BinOp::Sub => a.sub(&b),
-                    BinOp::Mul => a.mul(&b),
-                    BinOp::Div => {
-                        if b.contains_zero() {
-                            let zero = Finding::Zero { modulus: false, b, guarded: false };
-                            self.out.extend(zero.lint(node));
-                        }
-                        IVal::unknown()
+fn scalar_range(
+    kind: &ScalarKind,
+    node: &Node,
+    inputs: &[IVal],
+    out: &mut Vec<Diagnostic>,
+) -> IVal {
+    let get = |i: usize| inputs.get(i).copied().unwrap_or_else(IVal::unknown);
+    match kind {
+        ScalarKind::Const(c) => IVal::of(*c),
+        ScalarKind::Un(UnOp::Neg) => get(0).neg(),
+        ScalarKind::Un(UnOp::Not) => IVal { lo: 0.0, hi: 1.0, exact: true },
+        ScalarKind::Func(f) => func_range(*f, inputs),
+        ScalarKind::Select => get(1).hull(&get(2)),
+        ScalarKind::Bin(op) => {
+            let (a, b) = (get(0), get(1));
+            match op {
+                BinOp::Add => a.add(&b),
+                BinOp::Sub => a.sub(&b),
+                BinOp::Mul => a.mul(&b),
+                BinOp::Div => {
+                    if b.contains_zero() {
+                        let zero = Finding::Zero { modulus: false, b, guarded: false };
+                        out.extend(zero.lint(node));
                     }
-                    BinOp::Mod | BinOp::Pow => IVal::unknown(),
-                    _ => IVal { lo: 0.0, hi: 1.0, exact: true },
+                    IVal::unknown()
                 }
+                BinOp::Mod | BinOp::Pow => IVal::unknown(),
+                _ => IVal { lo: 0.0, hi: 1.0, exact: true },
             }
         }
     }
 }
 
-/// Largest `Idx` position referenced by `k`, if any.
-fn max_idx(k: &KExpr) -> Option<usize> {
-    match k {
-        KExpr::Const(_) | KExpr::Arg(_) => None,
-        KExpr::Idx(i) => Some(*i),
-        KExpr::Operand { indices, .. } => indices.iter().filter_map(max_idx).max(),
-        KExpr::Unary(_, e) => max_idx(e),
-        KExpr::Binary(_, a, b) => max_idx(a).max(max_idx(b)),
-        KExpr::Select(c, t, e) => max_idx(c).max(max_idx(t)).max(max_idx(e)),
-        KExpr::Call(_, args) => args.iter().filter_map(max_idx).max(),
-    }
-}
-
-impl ForwardDomain for RangeDomain<'_> {
-    type Value = RangeVal;
-
-    fn bottom(&self) -> RangeVal {
-        RangeVal::Bot
-    }
-
-    fn boundary(&mut self, _graph: &SrDfg, _edge: EdgeId) -> RangeVal {
-        RangeVal::Known(f64::NEG_INFINITY, f64::INFINITY)
-    }
-
-    fn transfer(
-        &mut self,
-        graph: &SrDfg,
-        _id: NodeId,
-        node: &Node,
-        inputs: &[RangeVal],
-        out: &mut Vec<RangeVal>,
-    ) {
-        let n_out = node.outputs.len();
-        let carry = |v: IVal, write: &WriteSpec| {
-            if write.carried {
-                v.hull(&inputs.first().copied().unwrap_or(RangeVal::Bot).to_ival())
-            } else {
-                v
-            }
-        };
-        let diags = &mut *self.out;
-        let mut lint = |f: Finding<'_>| diags.extend(f.lint(node));
-        let v = match &node.kind {
-            NK::Map(m) => RangeVal::of(carry(walk(graph, node, inputs, &mut lint), &m.write)),
-            NK::Reduce(r) => {
-                let body = walk(graph, node, inputs, &mut lint);
-                let n = space_size(&r.red_space) as f64;
-                let result = match &r.op {
-                    ReduceOp::Builtin(BuiltinReduction::Sum) => {
-                        IVal::mk((n * body.lo).min(0.0), (n * body.hi).max(0.0), false)
-                    }
-                    ReduceOp::Builtin(BuiltinReduction::Max)
-                    | ReduceOp::Builtin(BuiltinReduction::Min) => body.hull(&IVal::of(0.0)),
-                    _ => IVal::unknown(),
-                };
-                RangeVal::of(carry(result, &r.write))
-            }
-            NK::Scalar(kind) => {
-                let mut ivs = [IVal::unknown(); 4];
-                let r = if inputs.len() <= 4 {
-                    for (iv, v) in ivs.iter_mut().zip(inputs) {
-                        *iv = v.to_ival();
-                    }
-                    self.scalar_range(kind, node, &ivs[..inputs.len()])
-                } else {
-                    let ivs: Vec<IVal> = inputs.iter().map(|v| v.to_ival()).collect();
-                    self.scalar_range(kind, node, &ivs)
-                };
-                RangeVal::of(r)
-            }
-            NK::ConstTensor(t) => match t.as_real_slice() {
-                Some(xs) if !xs.is_empty() => {
-                    let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-                    let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                    RangeVal::Known(lo, hi)
-                }
-                _ => RangeVal::Known(f64::NEG_INFINITY, f64::INFINITY),
-            },
-            NK::Load | NK::Store | NK::Unpack => inputs.first().copied().unwrap_or(RangeVal::Bot),
-            NK::Pack => {
-                let mut acc = RangeVal::Bot;
-                for v in inputs {
-                    acc.join(v);
-                }
-                acc
-            }
-            // Component internals are analyzed at their own graph level.
-            NK::Component(_) => RangeVal::Known(f64::NEG_INFINITY, f64::INFINITY),
-        };
-        out.extend(std::iter::repeat_n(v, n_out));
-    }
-}
-
 /// Runs interval analysis over one graph level (no component recursion),
-/// appending findings to `out`.
+/// appending findings to `out`. The srDFG is a DAG (`srdfg::validate`
+/// rejects a cycle; `state` circulates through boundary input/output
+/// pairs), so one sweep in topological order computes every operand's
+/// range before its consumer reads it: that sweep is the fixpoint. On a
+/// cyclic graph it falls back to id order, where an operand not computed
+/// yet reads as unknown.
 pub fn check_graph(graph: &SrDfg, out: &mut Vec<Diagnostic>) {
-    let mut domain = RangeDomain { out };
-    solver::solve(graph, &mut domain);
+    let mut ranges = vec![UNSET; graph.edge_count()];
+    for &e in &graph.boundary_inputs {
+        ranges[e.0 as usize] = IVal::unknown();
+    }
+    let order = graph.try_topo_order().unwrap_or_else(|_| graph.node_ids().collect());
+    let mut operands = Vec::new();
+    for id in order {
+        let node = graph.node(id);
+        operands.clear();
+        operands.extend(node.inputs.iter().map(|e| read(ranges[e.0 as usize])));
+        let v = transfer(graph, node, &ranges, &operands, out);
+        // Joined, not assigned: no builder makes a boundary input that a
+        // node also produces, but `validate` allows one, and it stays
+        // unknown.
+        for &e in &node.outputs {
+            ranges[e.0 as usize] = join(ranges[e.0 as usize], v);
+        }
+    }
+}
+
+/// The range of every output of `node`, linting its kernels on the way.
+/// `operands` are its inputs as [`read`]; the nodes that only move values
+/// (Load, Store, Unpack, Pack) pass on the stored `ranges` instead.
+fn transfer(
+    graph: &SrDfg,
+    node: &Node,
+    ranges: &[IVal],
+    operands: &[IVal],
+    out: &mut Vec<Diagnostic>,
+) -> IVal {
+    let stored = |e: &EdgeId| ranges[e.0 as usize];
+    let carry = |v: IVal, write: &WriteSpec| {
+        if write.carried {
+            v.hull(&operands.first().copied().unwrap_or_else(IVal::unknown))
+        } else {
+            v
+        }
+    };
+    let mut lint = |f: Finding<'_>| out.extend(f.lint(node));
+    match &node.kind {
+        NK::Map(m) => carry(walk(graph, node, operands, &mut lint), &m.write),
+        NK::Reduce(r) => {
+            let body = walk(graph, node, operands, &mut lint);
+            let n = space_size(&r.red_space) as f64;
+            let result = match &r.op {
+                ReduceOp::Builtin(BuiltinReduction::Sum) => {
+                    IVal::mk((n * body.lo).min(0.0), (n * body.hi).max(0.0), false)
+                }
+                ReduceOp::Builtin(BuiltinReduction::Max)
+                | ReduceOp::Builtin(BuiltinReduction::Min) => body.hull(&IVal::of(0.0)),
+                _ => IVal::unknown(),
+            };
+            carry(result, &r.write)
+        }
+        NK::Scalar(kind) => scalar_range(kind, node, operands, out),
+        NK::ConstTensor(t) => match t.as_real_slice() {
+            Some(xs) if !xs.is_empty() => {
+                let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
+                let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                IVal { lo, hi, exact: false }
+            }
+            _ => IVal::unknown(),
+        },
+        NK::Load | NK::Store | NK::Unpack => node.inputs.first().map_or(UNSET, stored),
+        NK::Pack => node.inputs.iter().map(stored).fold(UNSET, join),
+        // Component internals are analyzed at their own graph level.
+        NK::Component(_) => IVal::unknown(),
+    }
 }
 
 /// Certifies that invoking `graph` in the srDFG interpreter with complete,
@@ -701,10 +645,7 @@ fn certify_level(graph: &SrDfg) -> Result<(), String> {
         if edge.meta.dtype == DType::Complex {
             return Err(format!("edge `{}` is complex", edge.meta.name));
         }
-        if edge.producer.is_none()
-            && !edge.consumers.is_empty()
-            && !graph.boundary_inputs.contains(&e)
-        {
+        if crate::init::reads_unproduced(graph, e) {
             return Err(format!("edge `{}` is consumed but never produced", edge.meta.name));
         }
     }

@@ -32,15 +32,13 @@
 //!   checks, the pattern checks over the unoptimized graph,
 //!   [`analyze_graph`] once, and lowering feasibility, which *is*
 //!   `pm_lower::lower` on a scratch clone.
-//! * [`analyze_graph`] — **abstract interpretation over the srDFG**: a
-//!   generic forward dataflow [`solver`] (worklist over
-//!   [`SrDfg::try_topo_order`], a lattice trait with join/widen)
-//!   instantiated with two domains. [`interval`] propagates value ranges and
-//!   proves index-variable accesses in-bounds, flagging possible division
-//!   by zero and index-arithmetic overflow on the way (`PM-E102`,
-//!   `PM-W103`), and [`init`] catches reads of values that are never
-//!   produced and `state` buffers that are never updated (`PM-E104`,
-//!   `PM-W105`).
+//! * [`analyze_graph`] — **the graph analyses**. The srDFG is a DAG, so
+//!   [`interval`] propagates value ranges in one sweep over
+//!   [`SrDfg::try_topo_order`] (that sweep is the fixpoint) and proves
+//!   index-variable accesses in-bounds, flagging possible division by zero
+//!   and index-arithmetic overflow on the way (`PM-E102`, `PM-W103`), and
+//!   [`init`] scans for reads of values that are never produced and
+//!   `state` buffers that are never updated (`PM-E104`, `PM-W105`).
 //! * [`analyze_schedule`] — **static schedule hazard analysis**:
 //!   [`hazard`] consumes the per-target fragment plan Algorithm 2 emits
 //!   and detects RAW dependencies with no load/store marshalling, WAR/WAW
@@ -84,7 +82,6 @@ mod graph_lints;
 pub mod hazard;
 pub mod init;
 pub mod interval;
-pub mod solver;
 
 pub use diagnostic::{render_json, render_text, Diagnostic, Severity};
 pub use hazard::analyze_schedule;
@@ -262,6 +259,22 @@ mod tests {
         );
         let findings = analyze_graph(&g);
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn analyses_terminate_on_a_cyclic_graph() {
+        // Two nodes consuming each other's outputs: `validate` rejects the
+        // graph, and neither entry point may spin or panic on it.
+        use srdfg::graph::{EdgeMeta, Modifier, ScalarKind};
+        let mut g = SrDfg::new("cyclic");
+        let meta = |name| EdgeMeta::new(name, pmlang::DType::Float, Modifier::Temp, vec![]);
+        let (e1, e2) = (g.add_edge(meta("e1")), g.add_edge(meta("e2")));
+        let neg = || NodeKind::scalar(ScalarKind::Un(pmlang::UnOp::Neg));
+        g.add_node("a", neg(), None, [e2], [e1]);
+        g.add_node("b", neg(), None, [e1], [e2]);
+        analyze_graph(&g);
+        let err = certify_bounds(&g).unwrap_err();
+        assert!(err.contains("cycle"), "{err}");
     }
 
     #[test]

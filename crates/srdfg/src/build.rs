@@ -1047,25 +1047,26 @@ fn unify_dims<'a>(
     Ok(())
 }
 
-/// Constant-evaluates an integer expression against a size environment.
+/// Constant-evaluates an integer expression against a size environment:
+/// `None` when it is not constant or its arithmetic overflows `i64`.
 fn const_eval_with(e: &Expr, sizes: &Names<i64>) -> Option<i64> {
     match &e.kind {
         ExprKind::IntLit(v) => Some(*v),
         ExprKind::Var(name) => sizes.get(name.as_str()).copied(),
         ExprKind::Unary { op: pmlang::UnOp::Neg, operand } => {
-            Some(-const_eval_with(operand, sizes)?)
+            const_eval_with(operand, sizes)?.checked_neg()
         }
         ExprKind::Binary { op, lhs, rhs } => {
             let a = const_eval_with(lhs, sizes)?;
             let b = const_eval_with(rhs, sizes)?;
-            Some(match op {
-                pmlang::BinOp::Add => a + b,
-                pmlang::BinOp::Sub => a - b,
-                pmlang::BinOp::Mul => a * b,
-                pmlang::BinOp::Div => a.checked_div(b)?,
-                pmlang::BinOp::Mod => a.checked_rem(b)?,
-                _ => return None,
-            })
+            match op {
+                pmlang::BinOp::Add => a.checked_add(b),
+                pmlang::BinOp::Sub => a.checked_sub(b),
+                pmlang::BinOp::Mul => a.checked_mul(b),
+                pmlang::BinOp::Div => a.checked_div(b),
+                pmlang::BinOp::Mod => a.checked_rem(b),
+                _ => None,
+            }
         }
         _ => None,
     }

@@ -101,6 +101,19 @@ impl KExpr {
         }
     }
 
+    /// The highest index variable (`Idx` position) referenced, if any.
+    pub fn max_idx(&self) -> Option<usize> {
+        match self {
+            KExpr::Const(_) | KExpr::Arg(_) => None,
+            KExpr::Idx(i) => Some(*i),
+            KExpr::Operand { indices, .. } => indices.iter().filter_map(KExpr::max_idx).max(),
+            KExpr::Unary(_, e) => e.max_idx(),
+            KExpr::Binary(_, a, b) => a.max_idx().max(b.max_idx()),
+            KExpr::Select(c, a, b) => c.max_idx().max(a.max_idx()).max(b.max_idx()),
+            KExpr::Call(_, args) => args.iter().filter_map(KExpr::max_idx).max(),
+        }
+    }
+
     /// Visits every `Operand` reference in the expression.
     pub fn for_each_operand(&self, f: &mut impl FnMut(usize, &[KExpr])) {
         match self {
@@ -977,6 +990,7 @@ mod tests {
             Box::new(KExpr::Operand { slot: 0, indices: vec![KExpr::Idx(0)] }),
         );
         assert_eq!(k.max_slot(), Some(2));
+        assert_eq!((k.max_idx(), KExpr::Arg(0).max_idx()), (Some(0), None));
         let mut seen = Vec::new();
         k.for_each_operand(&mut |slot, _| seen.push(slot));
         assert_eq!(seen, vec![2, 0]);

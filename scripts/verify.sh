@@ -370,6 +370,15 @@ if grep -nE 'strict_eval|strict_write|strict: bool|struct (Slots|SlotInfo)' crat
     exit 1
 fi
 
+echo "== one graph sweep"
+# The srDFG is a DAG, so one pass in topological order is the fixpoint of
+# every graph analysis; a worklist solver, its lattice traits and
+# widening only ever ran on cyclic graphs, which validate rejects.
+if [ -e crates/analyze/src/solver.rs ] || grep -rnE 'trait (Lattice|ForwardDomain)|fn widen' crates/analyze; then
+    echo "a fixpoint solver is back in pm-analyze" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

@@ -60,6 +60,25 @@ fn shape_mismatch_at_instantiation_is_reported() {
 }
 
 #[test]
+fn overflowing_component_dimension_is_a_build_error() {
+    // `n*n*n*n*n` with n = 2^20 is 2^100: not an `i64`.
+    let e = Compiler::host_only()
+        .build_graph(
+            "comp(input float a[n], input float b[n*n*n*n*n], output float c) {
+                 index i[0:n-1];
+                 c = sum[i](a[i]);
+             }
+             main(input float x[m], input float z[2], output float y) {
+                 comp(x, z, y);
+             }",
+            &Bindings::from_sizes([("m", 1_048_576)]),
+        )
+        .unwrap_err();
+    assert!(matches!(e, PolyMathError::Build(_)), "{e}");
+    assert!(e.to_string().contains("cannot evaluate dimension of `b`"), "{e}");
+}
+
+#[test]
 fn runtime_out_of_bounds_is_an_exec_error() {
     // Index arithmetic escapes the tensor: the interpreter reports it.
     let compiled = Compiler::host_only()
