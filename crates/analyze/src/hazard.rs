@@ -1,26 +1,21 @@
-//! Static hazard analysis of compiled SoC schedules.
+//! DMA race lints on compiled SoC schedules.
 //!
 //! Algorithm 2 hands every accelerator a sequential fragment stream;
 //! across streams the only synchronization is the store→load DMA pairs
-//! the compiler inserted. This module rebuilds that synchronization graph
-//! and checks the three ways it can be wrong:
-//!
-//! * **missing marshalling** (`PM-E110`) — a fragment consumes a value
-//!   produced on another target with no DMA load, or loads a value its
-//!   producer partition never stores;
-//! * **DMA races on shared host buffers** (`PM-W111`/`PM-W112`) — state
-//!   circulation reuses one host buffer per state variable, so an
-//!   accelerator DMA-reading the old version while another partition
-//!   writes the new one is a write-after-read (or write-after-write)
-//!   hazard unless some dependency path orders the two;
-//! * **deadlock** (`PM-E113`) — the cross-target dependency graph has a
-//!   cycle, so every partition ends up waiting on DMA that never comes.
+//! the compiler inserted. Its construction invariants — every crossing is
+//! marshalled, the streams cannot deadlock — are checked where the
+//! schedule is built ([`pm_lower::check_schedule`]). What a user program
+//! can still cause is a **DMA race on a shared host buffer**
+//! (`PM-W111`/`PM-W112`): state circulation reuses one host buffer per
+//! state variable, so an accelerator DMA-reading the old version while
+//! another partition writes the new one is a write-after-read (or
+//! write-after-write) hazard unless some dependency path orders the two.
 
 use crate::{codes, Diagnostic};
-use pm_lower::{CompiledProgram, FragmentKind, TargetMap};
+use pm_lower::{check_schedule, CompiledProgram, FragmentKind, TargetMap};
 use srdfg::graph::Modifier;
 use srdfg::EdgeId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// Dense per-source reachability over the fragment dependency DAG.
 ///
@@ -80,221 +75,19 @@ struct BufUse {
     edge: EdgeId,
 }
 
-/// Analyzes the compiled fragment plan for marshalling gaps, DMA hazards
-/// on circulated state buffers, and cross-target dependency cycles,
-/// returning the diagnostics through [`finish`](crate::finish).
+/// Lints the compiled fragment plan for DMA races on circulated state
+/// buffers, returning the diagnostics through [`finish`](crate::finish).
+///
+/// # Panics
+///
+/// Panics if `compiled` fails [`check_schedule`] while the program has
+/// state: the race query needs the schedule's run order. Every
+/// Algorithm 2 output passes the check.
 pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let graph = &compiled.graph;
     let host = targets.host().name.as_str();
 
-    // Global fragment numbering, plus where every edge is produced
-    // (partition of its producing node) and stored.
-    let mut frags: Vec<Frag> = Vec::new();
-    let mut first_gid = Vec::with_capacity(compiled.partitions.len());
-    for (pi, part) in compiled.partitions.iter().enumerate() {
-        first_gid.push(frags.len());
-        for fi in 0..part.fragments.len() {
-            frags.push(Frag { part: pi, idx: fi });
-        }
-    }
-    let n = frags.len();
-    // Dense node-raw-id → partition table: the E110 loop below looks up
-    // the producer partition of every compute input, which on large
-    // lowered graphs is hundreds of thousands of queries — flat indexing
-    // replaces per-query hashing of NodeIds.
-    let mut part_of_node: Vec<u32> = vec![u32::MAX; graph.node_slots()];
-    for (pi, p) in compiled.partitions.iter().enumerate() {
-        for f in &p.fragments {
-            if let Some(id) = f.node {
-                part_of_node[id.0 as usize] = pi as u32;
-            }
-        }
-    }
-    // The partition an edge's value originates in (host for boundary
-    // inputs and for producers that never made it into any partition).
-    let origin = |e: EdgeId| -> Option<usize> {
-        graph.edge(e).producer.and_then(|(p, _)| {
-            let pi = part_of_node[p.0 as usize];
-            (pi != u32::MAX).then_some(pi as usize)
-        })
-    };
-    let part_name = |pi: usize| compiled.partitions[pi].target.as_str();
-    let span_of = |e: EdgeId| graph.edge(e).meta.span;
-
-    // Edge raw id → global fragment ids that DMA-store / DMA-load it,
-    // again dense so the per-fragment interval queries are flat loads.
-    let mut stores: Vec<Vec<usize>> = vec![Vec::new(); graph.edge_count()];
-    let mut loads: Vec<Vec<usize>> = vec![Vec::new(); graph.edge_count()];
-    for (gid, fr) in frags.iter().enumerate() {
-        let f = &compiled.partitions[fr.part].fragments[fr.idx];
-        match (f.kind, &f.arg) {
-            (FragmentKind::Store, Some(a)) => stores[a.edge.0 as usize].push(gid),
-            (FragmentKind::Load, Some(a)) => loads[a.edge.0 as usize].push(gid),
-            _ => {}
-        }
-    }
-
-    // ---- PM-E110: marshalling gaps -------------------------------------
-    for (gid, fr) in frags.iter().enumerate() {
-        let f = &compiled.partitions[fr.part].fragments[fr.idx];
-        match f.kind {
-            FragmentKind::Load => {
-                let Some(a) = &f.arg else { continue };
-                if let Some(src) = origin(a.edge) {
-                    if src != fr.part
-                        && !stores[a.edge.0 as usize].iter().any(|&g| frags[g].part == src)
-                    {
-                        out.push(
-                            Diagnostic::error(
-                                codes::MISSING_MARSHAL,
-                                format!(
-                                    "partition `{}` loads `{}` but its producer partition `{}` \
-                                     never stores it",
-                                    part_name(fr.part),
-                                    a.name(),
-                                    part_name(src),
-                                ),
-                            )
-                            .at(span_of(a.edge))
-                            .with_note("the DMA load would read stale host memory"),
-                        );
-                    }
-                }
-            }
-            FragmentKind::Compute => {
-                let Some(id) = f.node else { continue };
-                for &e in &graph.node(id).inputs {
-                    let src = origin(e);
-                    let src_part = src.unwrap_or(usize::MAX);
-                    let cross = match src {
-                        Some(s) => s != fr.part,
-                        // Boundary inputs live in host memory: the host
-                        // partition reads them directly, everyone else
-                        // must DMA them in.
-                        None => part_name(fr.part) != host,
-                    };
-                    if !cross {
-                        continue;
-                    }
-                    let has_earlier_load =
-                        loads[e.0 as usize].iter().any(|&g| frags[g].part == fr.part && g < gid);
-                    if !has_earlier_load {
-                        let from = if src.is_some() {
-                            format!("partition `{}`", part_name(src_part))
-                        } else {
-                            "host memory".to_string()
-                        };
-                        out.push(
-                            Diagnostic::error(
-                                codes::MISSING_MARSHAL,
-                                format!(
-                                    "fragment `{}` on `{}` consumes `{}` from {from} without a \
-                                     preceding DMA load",
-                                    f.op(graph),
-                                    part_name(fr.part),
-                                    graph.edge(e).meta.name,
-                                ),
-                            )
-                            .at(span_of(e)),
-                        );
-                    }
-                }
-            }
-            FragmentKind::Store => {}
-        }
-    }
-
-    // ---- Dependency graph ----------------------------------------------
-    // Sequential order within each partition, plus store(e) -> load(e)
-    // DMA synchronization across partitions. The sequential edges are
-    // implicit (`g -> g + 1` while both fragments share a partition —
-    // partitions are laid out consecutively in the global numbering) and
-    // the cross edges live in a flat CSR, because one `Vec` per fragment
-    // costs an allocation per fragment and dominated this pass's runtime
-    // on expanded graphs.
-    let mut cross: Vec<(u32, u32)> = Vec::new();
-    for (ss, ls) in stores.iter().zip(&loads) {
-        if ss.is_empty() || ls.is_empty() {
-            continue;
-        }
-        for &s in ss {
-            for &l in ls {
-                if frags[s].part != frags[l].part {
-                    cross.push((s as u32, l as u32));
-                }
-            }
-        }
-    }
-    let mut cross_start = vec![0u32; n + 1];
-    for &(s, _) in &cross {
-        cross_start[s as usize + 1] += 1;
-    }
-    for i in 1..=n {
-        cross_start[i] += cross_start[i - 1];
-    }
-    let mut cross_tgt = vec![0u32; cross.len()];
-    {
-        let mut cursor = cross_start.clone();
-        for &(s, l) in &cross {
-            cross_tgt[cursor[s as usize] as usize] = l;
-            cursor[s as usize] += 1;
-        }
-    }
-    let for_each_succ = |g: usize, f: &mut dyn FnMut(usize)| {
-        let fr = frags[g];
-        if fr.idx + 1 < compiled.partitions[fr.part].fragments.len() {
-            f(g + 1);
-        }
-        for &t in &cross_tgt[cross_start[g] as usize..cross_start[g + 1] as usize] {
-            f(t as usize);
-        }
-    };
-
-    // ---- PM-E113: deadlock ---------------------------------------------
-    let mut indeg = vec![0u32; n];
-    for g in 0..n {
-        for_each_succ(g, &mut |t| indeg[t] += 1);
-    }
-    let mut queue: VecDeque<usize> = (0..n).filter(|&g| indeg[g] == 0).collect();
-    let mut topo: Vec<usize> = Vec::with_capacity(n);
-    while let Some(g) = queue.pop_front() {
-        topo.push(g);
-        for_each_succ(g, &mut |t| {
-            indeg[t] -= 1;
-            if indeg[t] == 0 {
-                queue.push_back(t);
-            }
-        });
-    }
-    let done = topo.len();
-    if done < n {
-        let mut stuck: Vec<String> = (0..n)
-            .filter(|&g| indeg[g] > 0)
-            .map(|g| {
-                let fr = frags[g];
-                let f = &compiled.partitions[fr.part].fragments[fr.idx];
-                format!("`{}`@{}", f.op(graph), part_name(fr.part))
-            })
-            .collect();
-        stuck.truncate(6);
-        out.push(
-            Diagnostic::error(
-                codes::DEADLOCK,
-                format!(
-                    "fragment schedule deadlocks: {} fragment(s) wait on DMA that never \
-                     completes, including {}",
-                    n - done,
-                    stuck.join(", "),
-                ),
-            )
-            .with_note("cross-target dependencies form a cycle"),
-        );
-        // Reachability below assumes a DAG; the cycle is the headline.
-        return out;
-    }
-
-    // ---- PM-W111/PM-W112: DMA races on circulated state buffers --------
     // State circulation reuses one host buffer per state root: `z` flows
     // in through a boundary input and its updated version `z.1` flows out
     // through a boundary output, both backed by the same storage between
@@ -316,11 +109,42 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
             }
         }
     }
-
     if state_roots.is_empty() {
         return out;
     }
-    let reach = Reachability::build(&topo, &for_each_succ, &frags, compiled.partitions.len());
+
+    // Global fragment numbering (partition by partition, as
+    // `check_schedule` numbers them), and the loads of every edge.
+    let mut frags: Vec<Frag> = Vec::new();
+    let mut loads: Vec<Vec<usize>> = vec![Vec::new(); graph.edge_count()];
+    for (pi, part) in compiled.partitions.iter().enumerate() {
+        for (fi, f) in part.fragments.iter().enumerate() {
+            if let (FragmentKind::Load, Some(a)) = (f.kind, &f.arg) {
+                loads[a.edge.0 as usize].push(frags.len());
+            }
+            frags.push(Frag { part: pi, idx: fi });
+        }
+    }
+    let part_name = |pi: usize| compiled.partitions[pi].target.as_str();
+    let span_of = |e: EdgeId| graph.edge(e).meta.span;
+    // The dependency graph: sequential order within each partition, plus
+    // store(e) -> load(e) DMA synchronization across partitions.
+    let for_each_succ = |g: usize, f: &mut dyn FnMut(usize)| {
+        let fr = frags[g];
+        let stream = &compiled.partitions[fr.part].fragments;
+        if fr.idx + 1 < stream.len() {
+            f(g + 1);
+        }
+        if let (FragmentKind::Store, Some(a)) = (stream[fr.idx].kind, &stream[fr.idx].arg) {
+            for &l in &loads[a.edge.0 as usize] {
+                if frags[l].part != fr.part {
+                    f(l);
+                }
+            }
+        }
+    };
+    let order = check_schedule(compiled, targets).unwrap_or_else(|e| panic!("check_schedule: {e}"));
+    let reach = Reachability::build(&order, &for_each_succ, &frags, compiled.partitions.len());
     let reaches = |from: usize, to: usize| -> bool { reach.reaches(from, to, &frags) };
 
     let mut reported: HashSet<(&'static str, String, usize, usize)> = HashSet::new();
@@ -416,7 +240,7 @@ pub fn analyze_schedule(compiled: &CompiledProgram, targets: &TargetMap) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_lower::{compile_program, lower, AcceleratorSpec, ArgInfo, Fragment, TargetMap};
+    use pm_lower::{compile_program, lower, AcceleratorSpec, ArgInfo, TargetMap};
     use pmlang::Domain;
 
     fn cross_targets() -> TargetMap {
@@ -509,119 +333,5 @@ mod tests {
         compiled.partitions = parts.into();
         let out = analyze_schedule(&compiled, &targets);
         assert!(out.iter().any(|f| f.code == codes::DMA_WAW), "{out:?}");
-    }
-
-    #[test]
-    fn detects_missing_store_for_a_cross_partition_load() {
-        let targets = cross_targets();
-        let mut compiled = compile(
-            "filt(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i] * 0.5; }
-             main(input float sig[4], output float out[4]) {
-                 index i[0:3];
-                 float f[4];
-                 DSP: filt(sig, f);
-                 out[i] = f[i] + 1.0;
-             }",
-            &targets,
-        );
-        let mut parts = compiled.partitions.to_vec();
-        for part in &mut parts {
-            part.fragments.retain(|f| f.kind != FragmentKind::Store);
-        }
-        compiled.partitions = parts.into();
-        let out = analyze_schedule(&compiled, &targets);
-        assert!(
-            out.iter().any(|d| {
-                d.code == codes::MISSING_MARSHAL
-                && d.message.contains(
-                    "partition `host` loads `f.1` but its producer partition `DECO` never stores it"
-                )
-            }),
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    fn detects_missing_load_before_a_cross_partition_compute() {
-        let targets = cross_targets();
-        let mut compiled = compile(
-            "filt(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i] * 0.5; }
-             main(input float sig[4], output float out[4]) {
-                 index i[0:3];
-                 float f[4];
-                 DSP: filt(sig, f);
-                 out[i] = f[i] + 1.0;
-             }",
-            &targets,
-        );
-        // Only the host's load of the value DECO produced; the boundary
-        // input's load into DECO stays.
-        let mut parts = compiled.partitions.to_vec();
-        let graph = &compiled.graph;
-        let host = parts.iter_mut().find(|p| p.target == "host").expect("host partition");
-        host.fragments.retain(|f| {
-            f.kind != FragmentKind::Load
-                || graph.edge(f.arg.as_ref().unwrap().edge).producer.is_none()
-        });
-        compiled.partitions = parts.into();
-        let out = analyze_schedule(&compiled, &targets);
-        let e110: Vec<_> = out.iter().filter(|d| d.code == codes::MISSING_MARSHAL).collect();
-        assert_eq!(e110.len(), 1, "{out:?}");
-        assert!(
-            e110[0].message.contains(
-                "on `host` consumes `f.1` from partition `DECO` without a preceding DMA load"
-            ),
-            "{}",
-            e110[0].message
-        );
-    }
-
-    #[test]
-    fn detects_cross_target_dependency_cycle() {
-        let targets = cross_targets();
-        let mut compiled = compile(
-            "filt(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i] * 0.5; }
-             main(input float sig[4], output float out[4]) {
-                 index i[0:3];
-                 float f[4];
-                 DSP: filt(sig, f);
-                 out[i] = f[i] + 1.0;
-             }",
-            &targets,
-        );
-        // Fabricate an impossible schedule: the accelerator partition also
-        // *loads* a value it produces, after storing it — while the host
-        // stores the same value back, closing the loop.
-        let (load, store) = {
-            let acc = compiled
-                .partitions
-                .iter()
-                .find(|p| p.target != "host")
-                .expect("accelerator partition");
-            let store = acc
-                .fragments
-                .iter()
-                .find(|f| f.kind == FragmentKind::Store)
-                .expect("store")
-                .clone();
-            // The same edge, moved the other way.
-            let load = Fragment { kind: FragmentKind::Load, ..store.clone() };
-            (load, store)
-        };
-        let mut parts = compiled.partitions.to_vec();
-        for part in &mut parts {
-            if part.target != "host" {
-                // load-before-store of its own product: waits on a store
-                // that only runs later in this same stream... unless the
-                // host's store satisfies it first, which in turn waits on
-                // the host consuming the accelerator's store.
-                part.fragments.insert(0, load.clone());
-            } else {
-                part.fragments.push(store.clone());
-            }
-        }
-        compiled.partitions = parts.into();
-        let out = analyze_schedule(&compiled, &targets);
-        assert!(out.iter().any(|f| f.code == codes::DEADLOCK), "{out:?}");
     }
 }

@@ -21,10 +21,8 @@
 //! | `PM-W103` | `analyze-arith-range` | warning | possible out-of-bounds, division by zero, or overflow |
 //! | `PM-E104` | `analyze-uninitialized` | error | values consumed but never produced |
 //! | `PM-W105` | `analyze-stale-state` | warning | state read but never updated across invocations |
-//! | `PM-E110` | `missing-marshal` | error | RAW dependency between targets with no load/store pair |
 //! | `PM-W111` | `dma-war` | warning | unordered DMA read/write of one host buffer |
 //! | `PM-W112` | `dma-waw` | warning | unordered DMA writes of one host buffer |
-//! | `PM-E113` | `deadlock` | error | cross-target dependency cycle in the fragment schedule |
 //!
 //! ## Entry points
 //!
@@ -39,12 +37,12 @@
 //!   and index-arithmetic overflow on the way (`PM-E102`, `PM-W103`), and
 //!   [`init`] scans for reads of values that are never produced and
 //!   `state` buffers that are never updated (`PM-E104`, `PM-W105`).
-//! * [`analyze_schedule`] — **static schedule hazard analysis**:
-//!   [`hazard`] consumes the per-target fragment plan Algorithm 2 emits
-//!   and detects RAW dependencies with no load/store marshalling, WAR/WAW
-//!   DMA hazards on shared host buffers, and cross-target dependency
-//!   cycles (the `PM-E11x`/`PM-W11x` rows) — the bugs a double-buffered
-//!   streaming runtime would otherwise hit at execution time.
+//! * [`analyze_schedule`] — **DMA race lints**: [`hazard`] reads the
+//!   per-target fragment plan Algorithm 2 emits and warns where two
+//!   partitions touch one circulated `state` buffer with no dependency
+//!   path between them (`PM-W111`/`PM-W112`). The plan's own invariants
+//!   (every crossing marshalled, no deadlock) are checked where it is
+//!   built, by `pm_lower::check_schedule`.
 //! * [`certify_bounds`] states the soundness contract the fuzzer
 //!   cross-checks: a program this crate certifies in-bounds must never
 //!   trap in the srDFG interpreter. It is `srdfg::validate` plus the
@@ -103,14 +101,10 @@ pub mod codes {
     pub const UNINITIALIZED: &str = "PM-E104";
     /// A `state` buffer is read but never updated across invocations.
     pub const STALE_STATE: &str = "PM-W105";
-    /// A RAW dependency between targets has no load/store marshalling.
-    pub const MISSING_MARSHAL: &str = "PM-E110";
     /// Unordered DMA read/write of the same host buffer (WAR).
     pub const DMA_WAR: &str = "PM-W111";
     /// Unordered DMA writes of the same host buffer (WAW).
     pub const DMA_WAW: &str = "PM-W112";
-    /// The fragment schedule contains a cross-target dependency cycle.
-    pub const DEADLOCK: &str = "PM-E113";
 }
 
 /// Visits `graph` and every nested component sub-graph, root first,
@@ -263,18 +257,24 @@ mod tests {
 
     #[test]
     fn analyses_terminate_on_a_cyclic_graph() {
-        // Two nodes consuming each other's outputs: `validate` rejects the
-        // graph, and neither entry point may spin or panic on it.
+        // Two nodes consuming each other's outputs, and one node consuming
+        // its own: `validate` rejects both graphs, and neither entry point
+        // may spin or panic on them.
         use srdfg::graph::{EdgeMeta, Modifier, ScalarKind};
-        let mut g = SrDfg::new("cyclic");
         let meta = |name| EdgeMeta::new(name, pmlang::DType::Float, Modifier::Temp, vec![]);
-        let (e1, e2) = (g.add_edge(meta("e1")), g.add_edge(meta("e2")));
         let neg = || NodeKind::scalar(ScalarKind::Un(pmlang::UnOp::Neg));
+        let mut g = SrDfg::new("cyclic");
+        let (e1, e2) = (g.add_edge(meta("e1")), g.add_edge(meta("e2")));
         g.add_node("a", neg(), None, [e2], [e1]);
         g.add_node("b", neg(), None, [e1], [e2]);
-        analyze_graph(&g);
-        let err = certify_bounds(&g).unwrap_err();
-        assert!(err.contains("cycle"), "{err}");
+        let mut own = SrDfg::new("self");
+        let e = own.add_edge(meta("e"));
+        own.add_node("a", neg(), None, [e], [e]);
+        for g in [g, own] {
+            analyze_graph(&g);
+            let err = certify_bounds(&g).unwrap_err();
+            assert!(err.contains("cycle"), "{err}");
+        }
     }
 
     #[test]

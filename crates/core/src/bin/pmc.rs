@@ -32,13 +32,11 @@
 //!     non-zero on errors, or on warnings under --deny-warnings.
 //!     `--format json` emits one JSON array instead of caret renderings.
 //! pmc analyze <file.pm> [--size ...] [--host-only] [--deny-warnings] [--format json]
-//!     Run the pm-analyze static verifiers: abstract interpretation over
-//!     the srDFG (shape/dtype re-inference, interval bounds proofs,
-//!     initialization analysis) plus static hazard analysis of the
-//!     compiled SoC schedule (missing DMA marshalling, WAR/WAW hazards
-//!     on state buffers, cross-target deadlock). Exits non-zero on
-//!     errors, or on warnings under --deny-warnings. `--format json`
-//!     emits one JSON array instead of caret renderings.
+//!     Run the pm-analyze static verifiers: interval bounds proofs and
+//!     initialization analysis over the srDFG, plus the DMA race lints
+//!     (WAR/WAW on state buffers) over the compiled SoC schedule. Exits
+//!     non-zero on errors, or on warnings under --deny-warnings.
+//!     `--format json` emits one JSON array instead of caret renderings.
 //! pmc fmt <file.pm> [--size ...]
 //!     Pretty-print the program (canonical formatting) on stdout.
 //! pmc ir <file.pm> [--size ...] [--target <name>]

@@ -7,24 +7,21 @@
 //! levels 0/1/2 (plus the optional fusion pass), and the fully lowered /
 //! partitioned program for the host-only and cross-domain target
 //! assignments. All outputs (including multi-invocation `state`
-//! trajectories) must agree within float tolerance; lowering must leave
-//! only supported operations, and Algorithm-2 partitions must be
-//! structurally consistent. Any divergence, validation error, or panic is
-//! reported with the route that produced it.
+//! trajectories) must agree within float tolerance, and every lowered
+//! route's Algorithm-2 schedule must pass `pm_lower::check_schedule`
+//! (marshalled, executable, placed on supported targets). Any divergence,
+//! validation error, or panic is reported with the route that produced it.
 //!
 //! Two analyzer cross-checks ride along: the `analyze@graph` route fails
 //! when `pm-analyze` reports an error-severity finding on a valid
 //! generated program (a static-analysis false positive), and programs
 //! `pm_analyze::certify_bounds` certifies in-bounds must never trap in
 //! the interpreter — a trap under a certificate is attributed to the
-//! analyzer (`analyze@certified`), not the generator. Every lowered
-//! route additionally runs the static schedule hazard analyzer over its
-//! Algorithm-2 fragment plan; an error-severity hazard (missing DMA
-//! marshalling, deadlock) on a real compilation is a compiler bug.
+//! analyzer (`analyze@certified`), not the generator.
 
 use crate::model::PProgram;
 use pm_accel::{cross_domain_targets, host_targets, ChaosConfig, ChaosProfile, Soc};
-use pm_lower::{CompiledProgram, FragmentKind, TargetMap};
+use pm_lower::{check_schedule, CompiledProgram, TargetMap};
 use pm_passes::{lower_and_compile, Pass, PassManager, PassStats};
 use srdfg::{Bindings, Budget, KExpr, Machine, NodeKind, SrDfg, TemplateCache, Tensor};
 use std::collections::{BTreeMap, HashMap};
@@ -146,48 +143,6 @@ fn tensor(values: &[f64]) -> Tensor {
     Tensor::from_vec(pmlang::DType::Float, vec![values.len()], values.to_vec()).unwrap()
 }
 
-/// Structural invariants of an Algorithm-2 compilation: compute fragments
-/// only name ops their target supports, and every accelerator load of an
-/// accelerator-produced value has a matching store.
-fn check_partitions(compiled: &CompiledProgram, targets: &TargetMap) -> Result<(), String> {
-    let stored: std::collections::HashSet<_> = compiled
-        .partitions
-        .iter()
-        .flat_map(|p| p.fragments.iter())
-        .filter(|f| f.kind == FragmentKind::Store)
-        .filter_map(|f| f.arg.as_ref().map(|a| a.edge))
-        .collect();
-    for p in compiled.partitions.iter() {
-        for frag in &p.fragments {
-            match frag.kind {
-                FragmentKind::Compute => {
-                    let node =
-                        compiled.graph.node(frag.node.ok_or("compute fragment names no node")?);
-                    let spec = targets.target_for(node, compiled.graph.domain);
-                    if spec.name != p.target {
-                        return Err(format!(
-                            "fragment `{}` landed on `{}`, expected `{}`",
-                            node.name, p.target, spec.name
-                        ));
-                    }
-                    if !spec.supports(&node.name) {
-                        return Err(format!("`{}` not in {}'s op set", node.name, p.target));
-                    }
-                }
-                FragmentKind::Load => {
-                    let e = frag.arg.as_ref().ok_or("load fragment carries no edge")?.edge;
-                    let boundary = compiled.graph.edge(e).producer.is_none();
-                    if !boundary && !stored.contains(&e) {
-                        return Err(format!("{}: load of edge {e:?} without a store", p.target));
-                    }
-                }
-                FragmentKind::Store => {}
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The chaos route: dispatch the cross-domain program through the
 /// resilient SoC runtime under fault injection, and return the graph of
 /// whatever schedule survived (the original, or the host-fallback
@@ -209,18 +164,12 @@ fn chaos_route(
 }
 
 /// Compiles `graph` for `targets` through the compiler's back half and
-/// checks the Algorithm-2 partitions and their schedule.
+/// checks the invariants Algorithm 2 builds into its schedule.
 fn lowered_route(graph: SrDfg, targets: &TargetMap) -> Result<CompiledProgram, String> {
     let (compiled, _) =
         lower_and_compile(graph, targets, Some(&TemplateCache::new()), &Budget::unlimited())
             .map_err(|e| e.to_string())?;
-    check_partitions(&compiled, targets)?;
-    if let Some(f) = pm_analyze::analyze_schedule(&compiled, targets)
-        .iter()
-        .find(|f| f.severity == pm_analyze::Severity::Error)
-    {
-        return Err(format!("schedule hazard: {f}"));
-    }
+    check_schedule(&compiled, targets).map_err(|e| format!("schedule: {e}"))?;
     Ok(compiled)
 }
 

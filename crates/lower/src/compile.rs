@@ -29,10 +29,11 @@
 //! fragment stream into an executable schedule.
 
 use crate::lower::{fully_lowered, LowerError};
-use crate::spec::TargetMap;
+use crate::spec::{SupportMemo, TargetMap};
 use pmlang::{DType, Domain};
 use srdfg::budget::Budget;
 use srdfg::{Consed, EdgeId, EdgeMeta, Modifier, NodeId, SrDfg};
+use std::fmt;
 use std::sync::Arc;
 
 /// The one edge a `load`/`store` fragment moves: a handle on the shared
@@ -309,7 +310,237 @@ pub fn compile_program_budgeted(
     }
     parts.iter_mut().for_each(|p| p.fragments.shrink_to_fit());
     parts.sort_by(|a, b| (a.domain, &a.target).cmp(&(b.domain, &b.target)));
-    Ok(CompiledProgram { graph, partitions: parts.into() })
+    let compiled = CompiledProgram { graph, partitions: parts.into() };
+    debug_assert_eq!(check_schedule(&compiled, targets).err(), None, "Algorithm 2's invariants");
+    Ok(compiled)
+}
+
+/// A fragment schedule that breaks one of the invariants
+/// [`check_schedule`] states.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScheduleError {
+    /// A compute fragment names no live node, or a `load`/`store` no edge.
+    Malformed {
+        /// The partition's target.
+        part: String,
+        /// The fragment's index in that partition.
+        index: usize,
+    },
+    /// *Marshalled*: a partition loads a value that the partition
+    /// producing it never stores.
+    UnstoredLoad {
+        /// The loading partition's target.
+        part: String,
+        /// The value's name.
+        value: String,
+        /// The producing partition's target.
+        producer: String,
+    },
+    /// *Marshalled*: a compute fragment consumes a cross-partition operand
+    /// that its own stream did not load before it.
+    UnloadedOperand {
+        /// The fragment's operation.
+        op: String,
+        /// The consuming partition's target.
+        part: String,
+        /// The operand's name.
+        value: String,
+        /// The producing partition's target; `None` for host memory.
+        from: Option<String>,
+    },
+    /// *Executable*: some fragments wait on DMA that never completes.
+    Deadlock {
+        /// How many fragments never ran.
+        waiting: usize,
+        /// The first six of them, as `` `op`@target ``.
+        including: Vec<String>,
+    },
+    /// *Placed*: a compute fragment sits on another partition than the
+    /// one its target map assigns.
+    Misplaced {
+        /// The fragment's operation.
+        op: String,
+        /// The partition it sits on.
+        part: String,
+        /// The target the map assigns.
+        expected: String,
+    },
+    /// *Placed*: a partition's target does not support a fragment's op.
+    Unsupported {
+        /// The fragment's operation.
+        op: String,
+        /// The partition's target.
+        part: String,
+    },
+}
+
+impl fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScheduleError::Malformed { part, index } => {
+                write!(f, "fragment {index} of partition `{part}` names no live node or edge")
+            }
+            ScheduleError::UnstoredLoad { part, value, producer } => write!(
+                f,
+                "partition `{part}` loads `{value}` but its producer partition `{producer}` \
+                 never stores it"
+            ),
+            ScheduleError::UnloadedOperand { op, part, value, from } => {
+                write!(f, "fragment `{op}` on `{part}` consumes `{value}` from ")?;
+                match from {
+                    Some(p) => write!(f, "partition `{p}`")?,
+                    None => f.write_str("host memory")?,
+                }
+                f.write_str(" without a preceding DMA load")
+            }
+            ScheduleError::Deadlock { waiting, including } => write!(
+                f,
+                "fragment schedule deadlocks: {waiting} fragment(s) wait on DMA that never \
+                 completes, including {}",
+                including.join(", ")
+            ),
+            ScheduleError::Misplaced { op, part, expected } => {
+                write!(f, "fragment `{op}` landed on `{part}`, expected `{expected}`")
+            }
+            ScheduleError::Unsupported { op, part } => write!(f, "`{op}` not in {part}'s op set"),
+        }
+    }
+}
+
+impl std::error::Error for ScheduleError {}
+
+/// Checks the invariants [`compile_program_budgeted`] builds into every
+/// schedule, in one run of its fragment streams:
+///
+/// 1. **Marshalled.** Every compute fragment loads each cross-partition
+///    operand earlier in its own stream. An operand is cross-partition if
+///    another partition produces it, or if it is a boundary input (host
+///    memory) and the fragment is not on the host. Every load of a
+///    produced value has a store of it in the producer's partition.
+/// 2. **Executable.** Run as a host manager would — each stream in order,
+///    a `load` of an edge waiting until every `store` of that edge on
+///    other partitions has run — every fragment finishes.
+/// 3. **Placed.** Every compute fragment sits on the partition its target
+///    map assigns, and that target supports its op.
+///
+/// The sweep makes all three hold by construction: it stores each
+/// crossing value in its producer's partition and loads it in each
+/// consumer's partition before the first use, so every stream is a
+/// subsequence of one topological order.
+///
+/// On success, returns the order the run finished the fragments in, as
+/// global numbers: partition by partition in `compiled.partitions` order,
+/// in stream order within each. That order is topological for the
+/// schedule's dependency graph (`g → g + 1` within a partition,
+/// `store(e) → load(e)` across partitions).
+///
+/// # Errors
+///
+/// The first violation the run meets, as a [`ScheduleError`].
+pub fn check_schedule(
+    compiled: &CompiledProgram,
+    targets: &TargetMap,
+) -> Result<Vec<usize>, ScheduleError> {
+    let (graph, parts) = (&*compiled.graph, &*compiled.partitions);
+    let n_edges = graph.edge_count();
+    let host = targets.host().name.as_str();
+    // Index: each partition's first global number, each compute
+    // fragment's partition by node, each store as (partition, position)
+    // by edge.
+    let (mut first, mut total) = (Vec::with_capacity(parts.len()), 0);
+    let mut part_of = vec![usize::MAX; graph.node_slots()];
+    let mut stores: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_edges];
+    for (p, part) in parts.iter().enumerate() {
+        first.push(total);
+        total += part.fragments.len();
+        for (index, f) in part.fragments.iter().enumerate() {
+            match (f.kind, f.node, &f.arg) {
+                (FragmentKind::Compute, Some(id), _) if graph.is_live(id) => {
+                    part_of[id.0 as usize] = p;
+                }
+                (FragmentKind::Store, _, Some(a)) => stores[a.edge.0 as usize].push((p, index)),
+                (FragmentKind::Load, _, Some(_)) => {}
+                _ => return Err(ScheduleError::Malformed { part: part.target.clone(), index }),
+            }
+        }
+    }
+    // The partition a value originates in; `None` for host memory.
+    let origin = |e: EdgeId| {
+        graph.edge(e).producer.map(|(n, _)| part_of[n.0 as usize]).filter(|&p| p != usize::MAX)
+    };
+    let mut loaded = vec![false; parts.len() * n_edges];
+    let mut memo = SupportMemo::new();
+    let mut next = vec![0usize; parts.len()];
+    let mut order = Vec::with_capacity(total);
+    // Round robin: advance each stream until it waits on a store. A round
+    // that runs nothing ends the run.
+    loop {
+        let ran = order.len();
+        for (p, part) in parts.iter().enumerate() {
+            while let Some(f) = part.fragments.get(next[p]) {
+                if let (FragmentKind::Load, Some(a)) = (f.kind, &f.arg) {
+                    let stored = &stores[a.edge.0 as usize];
+                    if stored.iter().any(|&(q, i)| q != p && next[q] <= i) {
+                        break;
+                    }
+                    if let Some(src) = origin(a.edge).filter(|&s| s != p) {
+                        if !stored.iter().any(|&(q, _)| q == src) {
+                            return Err(ScheduleError::UnstoredLoad {
+                                part: part.target.clone(),
+                                value: a.name().to_string(),
+                                producer: parts[src].target.clone(),
+                            });
+                        }
+                    }
+                    loaded[p * n_edges + a.edge.0 as usize] = true;
+                } else if let (FragmentKind::Compute, Some(id)) = (f.kind, f.node) {
+                    let node = graph.node(id);
+                    let op = || f.op(graph).to_string();
+                    let spec = targets.target_for(node, graph.domain);
+                    if spec.name != part.target {
+                        let (op, part) = (op(), part.target.clone());
+                        return Err(ScheduleError::Misplaced {
+                            op,
+                            part,
+                            expected: spec.name.clone(),
+                        });
+                    }
+                    if !memo.supports(spec, &node.name) {
+                        return Err(ScheduleError::Unsupported {
+                            op: op(),
+                            part: part.target.clone(),
+                        });
+                    }
+                    for &e in &node.inputs {
+                        let from = origin(e);
+                        let cross = from.map_or(part.target != host, |s| s != p);
+                        if cross && !loaded[p * n_edges + e.0 as usize] {
+                            return Err(ScheduleError::UnloadedOperand {
+                                op: op(),
+                                part: part.target.clone(),
+                                value: graph.edge(e).meta.name.to_string(),
+                                from: from.map(|s| parts[s].target.clone()),
+                            });
+                        }
+                    }
+                }
+                order.push(first[p] + next[p]);
+                next[p] += 1;
+            }
+        }
+        if order.len() == ran {
+            break;
+        }
+    }
+    if order.len() < total {
+        let including = (0..parts.len())
+            .flat_map(|p| parts[p].fragments[next[p]..].iter().map(move |f| (p, f)))
+            .take(6)
+            .map(|(p, f)| format!("`{}`@{}", f.op(graph), parts[p].target))
+            .collect();
+        return Err(ScheduleError::Deadlock { waiting: total - order.len(), including });
+    }
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -445,5 +676,63 @@ mod tests {
             );
         }
         assert!(dma >= 4, "{dma} DMA fragments");
+    }
+
+    /// The fixture compiled, its streams edited by `edit`, then checked.
+    fn check_fabricated(edit: impl FnOnce(&SrDfg, &mut [AccProgram])) -> String {
+        let (mut g, t) = (two_domain_graph(), targets());
+        lower(&mut g, &t).unwrap();
+        let compiled = compile_program(&g, &t).unwrap();
+        let mut parts = compiled.partitions.to_vec();
+        edit(&compiled.graph, &mut parts);
+        let fabricated = CompiledProgram { graph: compiled.graph, partitions: parts.into() };
+        check_schedule(&fabricated, &t).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn detects_missing_store_for_a_cross_partition_load() {
+        let err = check_fabricated(|_, parts| {
+            let deco = parts.iter_mut().find(|p| p.target == "DECO").unwrap();
+            let store = deco.fragments.iter().position(|f| f.kind == FragmentKind::Store);
+            deco.fragments.remove(store.expect("DECO stores its result"));
+        });
+        assert_eq!(
+            err,
+            "partition `TABLA` loads `filtered.1` but its producer partition `DECO` never stores it"
+        );
+    }
+
+    #[test]
+    fn detects_missing_load_before_a_cross_partition_compute() {
+        // Only TABLA's load of the value DECO produced; its loads of
+        // boundary inputs stay.
+        let err = check_fabricated(|graph, parts| {
+            let tabla = parts.iter_mut().find(|p| p.target == "TABLA").unwrap();
+            tabla.fragments.retain(|f| {
+                f.kind != FragmentKind::Load
+                    || graph.edge(f.arg.as_ref().unwrap().edge).producer.is_none()
+            });
+        });
+        assert_eq!(
+            err,
+            "fragment `unpack` on `TABLA` consumes `filtered.1` from partition `DECO` without a \
+             preceding DMA load"
+        );
+    }
+
+    #[test]
+    fn detects_cross_target_dependency_cycle() {
+        // DECO first loads the value it stores last, and TABLA stores that
+        // value back after loading it: each waits on the other.
+        let err = check_fabricated(|_, parts| {
+            let deco = parts.iter().position(|p| p.target == "DECO").unwrap();
+            let store = parts[deco].fragments.iter().find(|f| f.kind == FragmentKind::Store);
+            let store = store.expect("DECO stores its result").clone();
+            let load = Fragment { kind: FragmentKind::Load, ..store.clone() };
+            parts[deco].fragments.insert(0, load);
+            parts.iter_mut().find(|p| p.target == "TABLA").unwrap().fragments.push(store);
+        });
+        assert!(err.starts_with("fragment schedule deadlocks: "), "{err}");
+        assert!(err.contains("wait on DMA that never completes, including `load`@DECO"), "{err}");
     }
 }

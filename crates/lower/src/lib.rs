@@ -47,8 +47,8 @@ pub mod progcache;
 pub mod spec;
 
 pub use compile::{
-    compile_program, compile_program_budgeted, AccProgram, ArgInfo, CompiledProgram, Fragment,
-    FragmentKind,
+    check_schedule, compile_program, compile_program_budgeted, AccProgram, ArgInfo,
+    CompiledProgram, Fragment, FragmentKind, ScheduleError,
 };
 pub use fallback::relower_without;
 pub use lower::{fully_lowered, lower, lower_budgeted, stamp_overrides, LowerError};

@@ -833,7 +833,7 @@ impl SrDfg {
         // strictly smaller ids and are therefore already retired.
         let id_order_is_topological = self.iter_nodes().all(|(id, node)| {
             node.inputs.iter().all(|e| match self.edges[e.0 as usize].producer {
-                Some((p, _)) => p == id || p.0 < id.0,
+                Some((p, _)) => p.0 < id.0,
                 None => true,
             })
         });
@@ -841,20 +841,19 @@ impl SrDfg {
             return Ok(self.node_ids().collect());
         }
         // In-degrees count producer *links* (one per consumed input edge
-        // with a distinct-node producer); each link is decremented exactly
-        // once when its producer retires, so a node becomes ready when its
-        // last unique predecessor does — same order as counting unique
-        // predecessors, without per-node set allocations.
+        // with a producer, its own included: a node that consumes its own
+        // output never becomes ready, so a self-loop is a cycle); each link
+        // is decremented exactly once when its producer retires, so a node
+        // becomes ready when its last unique predecessor does — same order
+        // as counting unique predecessors, without per-node set allocations.
         let mut indeg: Vec<u32> = vec![0; self.nodes.len()];
         let mut live = 0usize;
         for (id, node) in self.iter_nodes() {
             live += 1;
             let mut d = 0u32;
             for e in &node.inputs {
-                if let Some((p, _)) = self.edges[e.0 as usize].producer {
-                    if p != id {
-                        d += 1;
-                    }
+                if self.edges[e.0 as usize].producer.is_some() {
+                    d += 1;
                 }
             }
             indeg[id.0 as usize] = d;
@@ -929,7 +928,7 @@ impl SrDfg {
             done[raw] = true;
             for e in &self.node(id).outputs {
                 for &(succ, _) in &self.edges[e.0 as usize].consumers {
-                    if succ == id || done[succ.0 as usize] {
+                    if done[succ.0 as usize] {
                         continue;
                     }
                     let d = &mut indeg[succ.0 as usize];

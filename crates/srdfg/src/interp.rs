@@ -119,7 +119,10 @@ pub fn exec_graph(
         let zeros = || Tensor::try_zeros(meta.dtype, meta.shape.clone());
         values[e.0 as usize] = Some(bound.next().flatten().map_or_else(zeros, Ok)?);
     }
-    for id in graph.topo_order() {
+    let order = graph.try_topo_order().map_err(|stuck| {
+        ExecError::new(format!("graph contains a cycle through {} node(s)", stuck.len()))
+    })?;
+    for id in order {
         exec_node(graph, id, &mut values)?;
     }
     graph

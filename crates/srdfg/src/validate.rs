@@ -214,8 +214,7 @@ mod tests {
     fn detects_cycle_without_panicking() {
         use crate::graph::{EdgeMeta, Modifier, ScalarKind};
         // Two scalar nodes consuming each other's outputs: a genuine cycle
-        // with consistent back-links (self-loops are legal SSA carries and
-        // are deliberately ignored by the topo sort).
+        // with consistent back-links.
         let mut g = SrDfg::new("cyclic");
         let e1 = g.add_edge(EdgeMeta::new("e1", pmlang::DType::Float, Modifier::Temp, vec![]));
         let e2 = g.add_edge(EdgeMeta::new("e2", pmlang::DType::Float, Modifier::Temp, vec![]));
@@ -236,6 +235,15 @@ mod tests {
         let err = validate(&g).unwrap_err();
         assert!(err.message.contains("cycle"), "{err}");
         assert!(g.try_topo_order().is_err());
+
+        // A node consuming its own output is a cycle too, and the
+        // interpreter refuses it instead of panicking.
+        let mut g = SrDfg::new("self");
+        let e = g.add_edge(EdgeMeta::new("e", pmlang::DType::Float, Modifier::Temp, vec![]));
+        g.add_node("a", NodeKind::scalar(ScalarKind::Un(pmlang::UnOp::Neg)), None, [e], [e]);
+        assert!(validate(&g).unwrap_err().message.contains("cycle"));
+        let err = crate::Machine::new(g).invoke(&Default::default()).unwrap_err();
+        assert!(err.to_string().contains("cycle"), "{err}");
     }
 
     #[test]

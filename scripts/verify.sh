@@ -379,6 +379,15 @@ if [ -e crates/analyze/src/solver.rs ] || grep -rnE 'trait (Lattice|ForwardDomai
     exit 1
 fi
 
+echo "== schedule checked where built"
+# Algorithm 2's sweep makes every crossing marshalled and the streams
+# deadlock-free; pm_lower::check_schedule checks that where the schedule
+# is built, so no analyzer code or fuzz checker re-derives it.
+if grep -rnE 'PM-E110|PM-E113|MISSING_MARSHAL|codes::DEADLOCK' crates || grep -rn 'fn check_partitions' crates/fuzz; then
+    echo "a second check of Algorithm 2's schedule invariants is back" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

@@ -71,16 +71,25 @@ fn analyzer_reports_no_errors_on_shipped_programs() {
     // positive. (Warnings are fine — hazard_demo.pm exists to warn.)
     let mut files = pm_files(&repo_root().join("examples/pm"));
     files.extend(pm_files(&repo_root().join("tests/corpus")));
-    let mut errors = Vec::new();
-    for path in &files {
+    let valid = files.len();
+    files.extend(pm_files(&repo_root().join("tests/corpus/analyze")));
+    let (mut errors, mut races) = (Vec::new(), std::collections::BTreeSet::new());
+    for (i, path) in files.iter().enumerate() {
         let src = std::fs::read_to_string(path).unwrap();
         for f in analyze_source(&src) {
-            if f.severity == pm_analyze::Severity::Error {
+            if f.severity == pm_analyze::Severity::Error && i < valid {
                 errors.push(format!("{}: {f}", path.display()));
+            }
+            if f.code == "PM-W111" || f.code == "PM-W112" {
+                races.insert(format!("{} {}", f.code, path.file_name().unwrap().to_str().unwrap()));
             }
         }
     }
     assert!(errors.is_empty(), "analyzer false positives:\n{}", errors.join("\n"));
+    // The DMA race lints fire on exactly the two programs written to show
+    // one, and PM-W112 on none.
+    let races: Vec<_> = races.into_iter().collect();
+    assert_eq!(races, ["PM-W111 hazard_demo.pm", "PM-W111 pm-w111-war-hazard.pm"]);
 }
 
 #[test]
