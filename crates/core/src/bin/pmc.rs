@@ -23,7 +23,8 @@
 //!     `--timings` appends a per-stage / per-pass wall-time account of the
 //!     compilation itself (frontend, build, each mid-end pass, lowering,
 //!     Algorithm 2); with `--format json` it prints that account as a
-//!     single JSON object instead of the partition summary.
+//!     single JSON object instead of the partition summary, so `--format
+//!     json` needs `--timings` and refuses `--fragments`.
 //! pmc lint <file.pm> [--size ...] [--host-only] [--deny-warnings] [--format json]
 //!     Run the cross-layer static-analysis lints (unused declarations,
 //!     state carry notes, edge-metadata consistency, reduction races,
@@ -314,16 +315,21 @@ fn run(args: &[String]) -> Result<(), String> {
         "compile" => {
             let compiler = flags.compiler()?;
             let json = flags.json()?;
-            // Only `--timings` pays for the static verifier's two analyses.
-            let (compiled, timings) = if flags.flag("--timings") {
-                let (c, t) =
-                    compiler.compile_timed(&source, &bindings).map_err(|e| e.to_string())?;
-                (c, Some(t))
-            } else {
-                (compiler.compile(&source, &bindings).map_err(|e| e.to_string())?, None)
-            };
-            if let Some(timings) = timings.as_ref().filter(|_| json) {
-                println!("{}", timings_json(timings));
+            // The JSON rendering is the timings object and nothing else.
+            if json && !flags.flag("--timings") {
+                return Err(
+                    "`pmc compile --format json` prints the timings: it needs --timings".into()
+                );
+            }
+            if json && flags.flag("--fragments") {
+                return Err("`pmc compile --fragments` prints text: it cannot be combined \
+                            with --format json"
+                    .into());
+            }
+            let (compiled, timings) =
+                compiler.compile_timed(&source, &bindings).map_err(|e| e.to_string())?;
+            if json {
+                println!("{}", timings_json(&timings));
                 return Ok(());
             }
             let soc = standard_soc();
@@ -353,8 +359,8 @@ fn run(args: &[String]) -> Result<(), String> {
                     print_fragments(part, &compiled.graph);
                 }
             }
-            if let Some(timings) = &timings {
-                print_timings(timings);
+            if flags.flag("--timings") {
+                print_timings(&timings);
             }
             Ok(())
         }
@@ -862,8 +868,6 @@ fn print_timings(t: &polymath::CompileTimings) {
     );
     println!("  post-lower   {:>10.3} ms", ms(t.post_lower));
     println!("  compile      {:>10.3} ms", ms(t.compile));
-    println!("  analyze      {:>10.3} ms", ms(t.analyze));
-    println!("  hazards      {:>10.3} ms", ms(t.hazards));
     println!("  total        {:>10.3} ms", ms(t.total));
 }
 
@@ -885,7 +889,7 @@ fn timings_json(t: &polymath::CompileTimings) -> String {
         .collect();
     format!(
         "{{\"frontend\":{},\"build\":{},\"midend\":{},\"passes\":[{}],\"lower\":{},\
-         \"post_lower\":{},\"compile\":{},\"analyze\":{},\"hazards\":{},\
+         \"post_lower\":{},\"compile\":{},\
          \"template_cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\
          \"inserts\":{},\"evictions\":{}}},\"total\":{}}}",
         s(t.frontend),
@@ -895,8 +899,6 @@ fn timings_json(t: &polymath::CompileTimings) -> String {
         s(t.lower),
         s(t.post_lower),
         s(t.compile),
-        s(t.analyze),
-        s(t.hazards),
         t.cache.hits,
         t.cache.misses,
         t.cache.hit_rate(),

@@ -4,7 +4,7 @@
 
 use pm_accel::Soc;
 use pm_lower::{CompiledProgram, ProgramCache, ProgramCacheStats, ProgramKey, TargetMap};
-use pm_passes::{Pass, PassManager, PassTiming};
+use pm_passes::{PassManager, PassTiming};
 use pmlang::Domain;
 use srdfg::{Bindings, Budget, BudgetExceeded, SrDfg, TemplateCache, TemplateCacheStats};
 use std::fmt;
@@ -91,11 +91,9 @@ impl From<BudgetExceeded> for PolyMathError {
 }
 
 /// The compiler: owns the target map (which accelerator serves each
-/// domain) and the optimization pipeline.
+/// domain) and the two caches its one pipeline consults.
 pub struct Compiler {
     targets: TargetMap,
-    optimize: bool,
-    fuse: bool,
     /// Lowering template cache shared across every `compile*` call on this
     /// driver: the second compilation of a structurally similar program
     /// (or a re-lowering after a device fault) instantiates templates
@@ -113,7 +111,6 @@ impl fmt::Debug for Compiler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Compiler")
             .field("accelerated", &self.targets.accelerated_domains())
-            .field("optimize", &self.optimize)
             .finish()
     }
 }
@@ -129,8 +126,6 @@ impl Compiler {
     pub fn host_only() -> Self {
         Compiler {
             targets: pm_accel::host_targets(),
-            optimize: true,
-            fuse: false,
             template_cache: TemplateCache::new(),
             program_cache: ProgramCache::new(),
         }
@@ -152,20 +147,6 @@ impl Compiler {
             }
         }
         c
-    }
-
-    /// Disables the optimization pipeline (for ablations).
-    pub fn without_optimizations(mut self) -> Self {
-        self.optimize = false;
-        self
-    }
-
-    /// Enables the cross-granularity algebraic-combination pass
-    /// (paper §IV.B's example pass; off by default so its effect can be
-    /// measured as an ablation).
-    pub fn with_fusion(mut self) -> Self {
-        self.fuse = true;
-        self
     }
 
     /// The target map (Algorithm 1's `Om`).
@@ -230,14 +211,12 @@ impl Compiler {
         source: &str,
         bindings: &Bindings,
     ) -> Result<CompiledProgram, PolyMathError> {
-        let run = self.pipeline(source, bindings, &Budget::unlimited(), None, None, false)?;
-        Ok(Arc::try_unwrap(run.program).unwrap_or_else(|shared| (*shared).clone()))
+        self.compile_timed(source, bindings).map(|(program, _)| program)
     }
 
-    /// [`Compiler::compile`] plus the static verifier (abstract
-    /// interpretation of the post-mid-end graph, schedule hazards of the
-    /// fragment plan), returning the wall-clock account of every stage
-    /// (the instrumentation behind `pmc compile --timings`).
+    /// [`Compiler::compile`], also returning the wall-clock account of
+    /// every stage that the pipeline collects on each call (what `pmc
+    /// compile --timings` prints).
     ///
     /// # Errors
     ///
@@ -247,14 +226,14 @@ impl Compiler {
         source: &str,
         bindings: &Bindings,
     ) -> Result<(CompiledProgram, CompileTimings), PolyMathError> {
-        let run = self.pipeline(source, bindings, &Budget::unlimited(), None, None, true)?;
+        let run = self.pipeline(source, bindings, &Budget::unlimited(), None)?;
         let program = Arc::try_unwrap(run.program).unwrap_or_else(|shared| (*shared).clone());
         Ok((program, run.timings))
     }
 
     /// [`Compiler::compile`] through the content-addressed program cache,
-    /// under a request [`Budget`] and an optional admission gate over the
-    /// content address.
+    /// under a request [`Budget`] and an admission gate over the content
+    /// address.
     ///
     /// The frontend, srDFG build, and mid-end always run — they produce
     /// the post-midend graph whose [`srdfg::graph_fingerprint`] (paired
@@ -269,10 +248,10 @@ impl Compiler {
     /// deadline has already passed never executes any pipeline stage —
     /// and charged inside Algorithm 1's round loop and at Algorithm 2's
     /// entry, so an in-flight request past its budget unwinds at the next
-    /// loop boundary. The `gate`, when provided, is consulted with the
-    /// post-midend [`ProgramKey`]; returning `false` rejects the request
-    /// as [`PolyMathError::Quarantined`] before lowering can run (this is
-    /// the serve layer's poison-quarantine hook).
+    /// loop boundary. The `gate` is consulted with the post-midend
+    /// [`ProgramKey`]; returning `false` rejects the request as
+    /// [`PolyMathError::Quarantined`] before lowering can run (this is the
+    /// serve layer's poison-quarantine hook).
     ///
     /// # Errors
     ///
@@ -283,10 +262,9 @@ impl Compiler {
         source: &str,
         bindings: &Bindings,
         budget: &Budget,
-        gate: Option<&dyn Fn(&ProgramKey) -> bool>,
+        gate: &dyn Fn(&ProgramKey) -> bool,
     ) -> Result<CachedCompile, PolyMathError> {
-        let run =
-            self.pipeline(source, bindings, budget, Some(&self.program_cache), gate, false)?;
+        let run = self.pipeline(source, bindings, budget, Some((&self.program_cache, gate)))?;
         let key = run.key.expect("the pipeline keys every program-cached compile");
         Ok(CachedCompile {
             program: run.program,
@@ -313,53 +291,38 @@ impl Compiler {
         timings.build = t.elapsed();
 
         let t = Instant::now();
-        if self.optimize {
-            timings.passes = PassManager::standard().run_timed(&mut graph);
-        }
-        if self.fuse {
-            pm_passes::AlgebraicCombination.run(&mut graph);
-        }
+        timings.passes = PassManager::standard().run_timed(&mut graph);
         timings.midend = t.elapsed();
         Ok(graph)
     }
 
     /// The compile pipeline, written once: [`Compiler::midend_graph`],
     /// then [`pm_passes::lower_and_compile`]. Every public entry point is
-    /// this stage list under different data: `programs` is the program
-    /// cache to key, look up and insert into (or none — then no key is
-    /// computed and `gate` is not consulted); `verify` runs the static
-    /// verifier's two analyses at the points `pmc analyze` inspects (the
-    /// post-mid-end graph before lowering explodes it into scalar fabric,
-    /// the fragment plan after Algorithm 2).
+    /// this stage list; `cached` is the program cache to key, look up and
+    /// insert into, with the gate that admits a key before the lookup (or
+    /// none — then no key is computed).
     fn pipeline(
         &self,
         source: &str,
         bindings: &Bindings,
         budget: &Budget,
-        programs: Option<&ProgramCache>,
-        gate: Option<&dyn Fn(&ProgramKey) -> bool>,
-        verify: bool,
+        cached: Option<(&ProgramCache, Gate<'_>)>,
     ) -> Result<PipelineRun, PolyMathError> {
         budget.check("compile")?;
         let t0 = Instant::now();
         let mut timings = CompileTimings::default();
         let graph = self.midend_graph(source, bindings, &mut timings)?;
 
-        if verify {
-            let t = Instant::now();
-            let _ = pm_analyze::analyze_graph(&graph);
-            timings.analyze = t.elapsed();
-        }
-
-        let keyed = programs.map(|cache| (cache, ProgramKey::new(&graph, &self.targets)));
-        let key = keyed.map(|(_, key)| key);
-        if let Some((cache, key)) = &keyed {
-            if gate.is_some_and(|admit| !admit(key)) {
+        let keyed =
+            cached.map(|(cache, admit)| (cache, ProgramKey::new(&graph, &self.targets), admit));
+        let key = keyed.map(|(_, key, _)| key);
+        if let Some((cache, key, admit)) = keyed {
+            if !admit(&key) {
                 return Err(PolyMathError::Quarantined { fingerprint: key.graph });
             }
-            if let Some(program) = cache.lookup(key) {
+            if let Some(program) = cache.lookup(&key) {
                 timings.total = t0.elapsed();
-                return Ok(PipelineRun { program, cache_hit: true, key: Some(*key), timings });
+                return Ok(PipelineRun { program, cache_hit: true, key: Some(key), timings });
             }
         }
 
@@ -371,20 +334,17 @@ impl Compiler {
         timings.post_lower = stages.post_lower;
         timings.compile = stages.compile;
         let program = Arc::new(program);
-
-        if verify {
-            let t = Instant::now();
-            let _ = pm_analyze::analyze_schedule(&program, &self.targets);
-            timings.hazards = t.elapsed();
-        }
-
-        if let Some((cache, key)) = keyed {
+        if let Some((cache, key, _)) = keyed {
             cache.insert(key, Arc::clone(&program));
         }
         timings.total = t0.elapsed();
         Ok(PipelineRun { program, cache_hit: false, key, timings })
     }
 }
+
+/// An admission hook over a post-midend [`ProgramKey`]: `false` rejects
+/// the program before lowering.
+type Gate<'a> = &'a dyn Fn(&ProgramKey) -> bool;
 
 /// What one [`Compiler::pipeline`] run produced.
 struct PipelineRun {
@@ -407,8 +367,7 @@ pub struct CachedCompile {
     /// The content address the artifact was stored/found under.
     pub key: ProgramKey,
     /// Stage timings: on a hit, `lower`/`post_lower`/`compile` are zero
-    /// and `cache` is empty; `analyze`/`hazards` are never populated by
-    /// this entry point.
+    /// and `cache` is empty.
     pub timings: CompileTimings,
 }
 
@@ -419,10 +378,10 @@ pub struct CompileTimings {
     pub frontend: Duration,
     /// srDFG generation.
     pub build: Duration,
-    /// The whole mid-end (standard pipeline plus optional fusion).
+    /// The whole mid-end ([`PassManager::standard`]).
     pub midend: Duration,
     /// Per-pass timings inside the mid-end (one entry per executed pass
-    /// run; empty when optimizations are disabled).
+    /// run).
     pub passes: Vec<PassTiming>,
     /// Algorithm 1 lowering.
     pub lower: Duration,
@@ -430,15 +389,6 @@ pub struct CompileTimings {
     pub post_lower: Duration,
     /// Algorithm 2 accelerator-IR compilation.
     pub compile: Duration,
-    /// Abstract interpretation over the post-mid-end graph (shape/dtype,
-    /// intervals, initialization); zero unless [`Compiler::compile_timed`]
-    /// ran it.
-    pub analyze: Duration,
-    /// Static schedule hazard analysis of the Algorithm-2 fragment plan
-    /// (scales with the lowered fragment count, so it is tracked apart
-    /// from the graph-level verifier); zero unless
-    /// [`Compiler::compile_timed`] ran it.
-    pub hazards: Duration,
     /// Template-cache activity during this invocation's lowering stage
     /// (delta, not lifetime totals — a warm driver shows hits here).
     pub cache: TemplateCacheStats,
@@ -515,8 +465,13 @@ mod tests {
     fn compile_cached_hits_on_repeat_and_skips_lowering() {
         let c = Compiler::cross_domain();
         let cached = |c: &Compiler| {
-            c.compile_cached_checked(TWO_DOMAIN, &Bindings::default(), &Budget::unlimited(), None)
-                .unwrap()
+            c.compile_cached_checked(
+                TWO_DOMAIN,
+                &Bindings::default(),
+                &Budget::unlimited(),
+                &|_| true,
+            )
+            .unwrap()
         };
         let cold = cached(&c);
         assert!(!cold.cache_hit);

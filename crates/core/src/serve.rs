@@ -729,7 +729,7 @@ impl ServeEngine {
         };
         let cc = self
             .compiler
-            .compile_cached_checked(&req.program, &req.sizes, &budget, Some(&gate))
+            .compile_cached_checked(&req.program, &req.sizes, &budget, &gate)
             .map_err(|e| match e {
                 PolyMathError::Budget(b) => ServeError::DeadlineExceeded(b.to_string()),
                 PolyMathError::Quarantined { fingerprint } => ServeError::Quarantined(format!(

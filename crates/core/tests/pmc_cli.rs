@@ -263,16 +263,22 @@ fn compile_timings_json_schema_is_stable() {
     assert!(json.starts_with('{') && json.ends_with('}'), "not a JSON object: {json}");
     assert_eq!(json.lines().count(), 1, "must be a single-line object: {json}");
 
-    // Top-level fields, in emission order.
-    let fields =
-        ["frontend", "build", "midend", "passes", "lower", "post_lower", "compile", "total"];
-    let mut last = 0;
-    for field in fields {
-        let key = format!("\"{field}\":");
-        let pos = json.find(&key).unwrap_or_else(|| panic!("missing field `{field}`: {json}"));
-        assert!(pos > last || field == "frontend", "field `{field}` out of order: {json}");
-        last = pos;
-    }
+    // Exactly these top-level fields, in emission order.
+    let parsed = polymath::Json::parse(json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    let keys: Vec<&str> =
+        parsed.members().expect("an object").iter().map(|(k, _)| k.as_str()).collect();
+    let fields = [
+        "frontend",
+        "build",
+        "midend",
+        "passes",
+        "lower",
+        "post_lower",
+        "compile",
+        "template_cache",
+        "total",
+    ];
+    assert_eq!(keys, fields, "{json}");
 
     // Every stage duration is a bare (non-quoted, non-scientific) number.
     for field in ["frontend", "build", "midend", "lower", "post_lower", "compile", "total"] {
@@ -297,6 +303,30 @@ fn compile_timings_json_schema_is_stable() {
     for pass in ["constant-fold", "algebraic-simplify", "cse", "dead-node-elimination"] {
         assert!(passes.contains(&format!("\"pass\":\"{pass}\"")), "missing pass `{pass}`: {json}");
     }
+}
+
+/// `pmc compile`'s JSON rendering is the timings object, so `--format
+/// json` without `--timings` is a usage error, not the text summary.
+#[test]
+fn compile_format_json_without_timings_is_a_usage_error() {
+    let f = temp_file("jsonnotimings", TWO_DOMAIN);
+    let out = pmc(&["compile", f.to_str().unwrap(), "--format", "json"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert!(stderr(&out).contains("needs --timings"), "{}", stderr(&out));
+}
+
+/// The fragment dump is text: under `--timings --format json` it would be
+/// dropped, so the pair is refused.
+#[test]
+fn compile_fragments_with_format_json_is_a_usage_error() {
+    let f = temp_file("jsonfragments", TWO_DOMAIN);
+    let path = f.to_str().unwrap();
+    let out = pmc(&["compile", path, "--timings", "--format", "json", "--fragments"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    let err = stderr(&out);
+    assert!(err.contains("--fragments") && err.contains("--format json"), "{err}");
 }
 
 /// Golden schema test for `pmc run --chaos-seed --format json`: like the

@@ -388,6 +388,15 @@ if grep -rnE 'PM-E110|PM-E113|MISSING_MARSHAL|codes::DEADLOCK' crates || grep -r
     exit 1
 fi
 
+echo "== one compile pipeline"
+# Compiler::pipeline is one fixed stage list: no switch turns a mid-end
+# pass on or off, and no analysis runs there only to be thrown away.
+if grep -rn 'let _ = pm_analyze' crates ||
+    grep -nE 'fn with_fusion|fn without_optimizations|verify: bool' crates/core/src/compiler.rs; then
+    echo "a pipeline switch or a discarded analysis is back in the compile driver" >&2
+    exit 1
+fi
+
 echo "== one diagnostics crate"
 # pm-analyze is the only diagnostics crate: a crates/lint beside it means
 # a second Diagnostic type and a second spelling of Algorithm 1's failure

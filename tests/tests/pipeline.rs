@@ -24,10 +24,9 @@ fn compile_and_check(
     feeds: &HashMap<String, Tensor>,
     tol: f64,
 ) -> HashMap<String, Tensor> {
-    let unlowered = Compiler::host_only()
-        .without_optimizations()
-        .build_graph(src, &Bindings::default())
-        .expect("build");
+    // The unoptimized graph: frontend and srDFG build, no mid-end.
+    let (program, _) = pmlang::frontend(src).expect("frontend");
+    let unlowered = srdfg::build(&program, &Bindings::default()).expect("build");
     let baseline = Machine::new(unlowered).invoke(feeds).expect("baseline run");
 
     let compiled = Compiler::cross_domain().compile(src, &Bindings::default()).expect("compile");

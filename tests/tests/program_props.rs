@@ -9,11 +9,11 @@
 //! evaluator within float tolerance, whatever the accelerator assignment.
 
 use pm_fuzz::{gen::strategies, EvalStep, PProgram};
-use pm_lower::FragmentKind;
-use polymath::Compiler;
+use pm_lower::{CompiledProgram, FragmentKind};
+use polymath::{Compiler, PolyMathError};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Budget, Machine, Tensor};
 use std::collections::HashMap;
 
 /// A full differential case: a program plus inputs sized to its `n`.
@@ -58,10 +58,22 @@ fn trajectory(program: &PProgram, xs: &[f64], ys: &[f64], z0: &[f64]) -> Option<
     Some(steps)
 }
 
-/// Compiles with the given compiler, executes every invocation, and checks
-/// each defined value (and the persisted state) against the model.
+/// The cross-domain pipeline with the cross-granularity
+/// algebraic-combination pass run after the mid-end: the graph
+/// `Compiler::build_graph` returns, fused, then lowered and compiled.
+fn compile_fused(src: &str) -> Result<CompiledProgram, PolyMathError> {
+    let compiler = Compiler::cross_domain();
+    let mut graph = compiler.build_graph(src, &Bindings::default())?;
+    pm_passes::Pass::run(&pm_passes::AlgebraicCombination, &mut graph);
+    let cache = compiler.template_cache();
+    let budget = Budget::unlimited();
+    Ok(pm_passes::lower_and_compile(graph, compiler.targets(), Some(&cache), &budget)?.0)
+}
+
+/// Compiles with `compile`, executes every invocation, and checks each
+/// defined value (and the persisted state) against the model.
 fn run_and_check(
-    compiler: Compiler,
+    compile: impl FnOnce(&str) -> Result<CompiledProgram, PolyMathError>,
     program: &PProgram,
     xs: &[f64],
     ys: &[f64],
@@ -71,9 +83,7 @@ fn run_and_check(
         return Ok(()); // unstable: nothing meaningful to compare
     };
     let src = program.to_pmlang();
-    let compiled = compiler
-        .compile(&src, &Bindings::default())
-        .map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
+    let compiled = compile(&src).map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
     let mut machine = Machine::new((*compiled.graph).clone());
     if program.has_state() {
         machine.set_state(
@@ -115,7 +125,8 @@ proptest! {
     fn random_programs_evaluate_correctly(
         (program, xs, ys, z0) in case_strategy(),
     ) {
-        run_and_check(Compiler::host_only(), &program, &xs, &ys, &z0)?;
+        let host = |src: &str| Compiler::host_only().compile(src, &Bindings::default());
+        run_and_check(host, &program, &xs, &ys, &z0)?;
     }
 
     /// The same programs, with their random statement-level domain
@@ -126,17 +137,18 @@ proptest! {
     fn random_cross_domain_programs_survive_lowering(
         (program, xs, ys, z0) in case_strategy(),
     ) {
-        run_and_check(Compiler::cross_domain(), &program, &xs, &ys, &z0)?;
+        let cross = |src: &str| Compiler::cross_domain().compile(src, &Bindings::default());
+        run_and_check(cross, &program, &xs, &ys, &z0)?;
     }
 
     /// The optional cross-granularity algebraic-combination pass
-    /// (`Compiler::with_fusion`) must also preserve semantics on random
-    /// program structures.
+    /// (`compile_fused`) must also preserve semantics on random program
+    /// structures.
     #[test]
     fn random_programs_survive_algebraic_combination(
         (program, xs, ys, z0) in case_strategy(),
     ) {
-        run_and_check(Compiler::cross_domain().with_fusion(), &program, &xs, &ys, &z0)?;
+        run_and_check(compile_fused, &program, &xs, &ys, &z0)?;
     }
 
     /// The standard pipeline is idempotent: after one full run has reached

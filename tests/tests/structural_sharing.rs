@@ -216,7 +216,7 @@ fn pipeline(compiler: &Compiler, src: &str) -> Vec<(&'static str, Arc<pm_lower::
     let bindings = Bindings::default();
     let cached = |expect_hit: bool| {
         let cc = compiler
-            .compile_cached_checked(src, &bindings, &Budget::unlimited(), None)
+            .compile_cached_checked(src, &bindings, &Budget::unlimited(), &|_| true)
             .expect("compile_cached_checked");
         assert_eq!(cc.cache_hit, expect_hit);
         cc.program
