@@ -168,7 +168,7 @@ fn round(
     for id in pending {
         let refinement =
             Refinement::of(graph, id, cache).map_err(|e| stuck(graph, targets, id, e))?;
-        add_nodes += refinement.graph().node_slots();
+        add_nodes += refinement.graph().node_count();
         add_edges += refinement.graph().edge_count();
         refined.push((id, refinement));
     }

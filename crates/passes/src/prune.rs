@@ -137,7 +137,7 @@ fn remap_kexpr(k: &mut KExpr, remap: &[usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srdfg::expand::refine;
+    use srdfg::Refinement;
     use std::collections::HashMap;
 
     #[test]
@@ -153,8 +153,8 @@ mod tests {
         .unwrap();
         let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Map(_))).unwrap();
-        let sub = refine(&g, id).unwrap();
-        g.splice(id, &sub);
+        let refinement = Refinement::of(&g, id, None).unwrap();
+        g.instantiate(id, &refinement);
         let stats = PruneUnusedInputs.run(&mut g);
         assert!(stats.changed);
         // Every map now has at most the operands its kernel reads.

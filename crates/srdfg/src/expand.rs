@@ -17,11 +17,11 @@
 //!   nodes and the adder tree inside `sum`).
 //!
 //! Every refinement returns a graph whose boundary edges match the original
-//! node's operand/result edges, so [`SrDfg::splice`] can substitute it —
-//! exactly the replacement step of the paper's Algorithm 1. Algorithm 1
-//! itself asks [`crate::template::Refinement::of`], which decides once per
-//! node between the refinement as it stands and the canonical, shareable
-//! form of a scalar expansion.
+//! node's operand/result edges, so [`SrDfg::instantiate`] can substitute it
+//! — exactly the replacement step of the paper's Algorithm 1. Algorithm 1
+//! asks [`crate::template::Refinement::of`], which decides once per node
+//! between the refinement as it stands and the canonical, shareable form
+//! of a scalar expansion; this module's only public item is [`RefineError`].
 
 use crate::graph::{
     map_op_name, EdgeId, EdgeMeta, IndexRange, MapSpec, Modifier, Node, NodeKind, Odometer,
@@ -109,19 +109,6 @@ fn within_limit(name: &str, n: usize) -> Result<(), RefineError> {
     Ok(())
 }
 
-/// Derives the next-finer-granularity sub-srDFG for node `id` — the
-/// paper's `n.srdfg`. The result's boundary matches the node's operand and
-/// result edges, ready for [`SrDfg::splice`].
-///
-/// # Errors
-///
-/// See [`RefineError`].
-pub fn refine(graph: &SrDfg, id: crate::graph::NodeId) -> Result<SrDfg, RefineError> {
-    let node = graph.node(id);
-    let (in_metas, out_metas) = boundary_metas(graph, node);
-    refine_node(node, &in_metas, &out_metas)
-}
-
 /// The metadata of `node`'s operand and result edges, in slot order — what
 /// [`refine_node`] and the template key read of the graph around a node.
 pub(crate) fn boundary_metas(
@@ -132,8 +119,10 @@ pub(crate) fn boundary_metas(
     (metas(&node.inputs), metas(&node.outputs))
 }
 
-/// [`refine`] on a detached node (metadata supplied explicitly).
-pub fn refine_node(
+/// Derives the next-finer-granularity sub-srDFG of `node` — the paper's
+/// `n.srdfg` — given the metadata of its operand and result edges. The
+/// result's boundary matches those edges.
+pub(crate) fn refine_node(
     node: &Node,
     in_metas: &[Consed<EdgeMeta>],
     out_metas: &[Consed<EdgeMeta>],
@@ -933,7 +922,9 @@ impl Expander<'_> {
 mod tests {
     use super::*;
     use crate::build::{build, Bindings};
+    use crate::graph::NodeId;
     use crate::interp::{exec_graph, Machine};
+    use crate::template::Refinement;
     use crate::value::Tensor;
     use std::collections::HashMap;
 
@@ -943,8 +934,13 @@ mod tests {
         build(&prog, &Bindings::default()).unwrap()
     }
 
-    /// Refining a node and splicing the result must preserve the program's
-    /// observable behaviour.
+    /// Node `id` of `graph` refined one level, as Algorithm 1 refines it.
+    fn refine_at(graph: &SrDfg, id: NodeId) -> Result<SrDfg, RefineError> {
+        Refinement::of(graph, id, None).map(|r| r.graph().clone())
+    }
+
+    /// Refining a node and instantiating the result must preserve the
+    /// program's observable behaviour.
     fn assert_refine_preserves(src: &str, feeds: Vec<(&str, Tensor)>) {
         let graph = program_graph(src);
         let feeds: HashMap<String, Tensor> =
@@ -952,13 +948,13 @@ mod tests {
         let mut m = Machine::new(graph.clone());
         let baseline = m.invoke(&feeds).unwrap();
 
-        // Refine every refinable node once, splice, re-run.
+        // Refine every refinable node once, instantiate, re-run.
         let mut refined = graph.clone();
         let ids: Vec<_> = refined.node_ids().collect();
         let mut any = false;
         for id in ids {
-            if let Ok(sub) = refine(&refined, id) {
-                refined.splice(id, &sub);
+            if let Ok(refinement) = Refinement::of(&refined, id, None) {
+                refined.instantiate(id, &refinement);
                 any = true;
             }
         }
@@ -987,7 +983,7 @@ mod tests {
             .find(|(_, n)| matches!(n.kind, NodeKind::Component(_)))
             .map(|(id, _)| id)
             .unwrap();
-        let sub = refine(&g, comp_id).unwrap();
+        let sub = refine_at(&g, comp_id).unwrap();
         assert_eq!(sub.name, "f");
         assert!(sub.node_count() >= 1);
     }
@@ -1004,14 +1000,14 @@ mod tests {
             g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Reduce(_))).unwrap();
         assert_eq!(node.name, "matvec");
         // Level 1: decompose into Map(mul) + pure sum.
-        let sub = refine(&g, id).unwrap();
+        let sub = refine_at(&g, id).unwrap();
         let names: Vec<_> = sub.iter_nodes().map(|(_, n)| n.name.clone()).collect();
         assert!(names.iter().any(|n| n == "map.mul"), "{names:?}");
         assert!(names.iter().any(|n| n == "sum"), "{names:?}");
         // Level 2: the pure sum expands to an adder tree.
         let (rid, _) =
             sub.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Reduce(_))).unwrap();
-        let scal = refine(&sub, rid).unwrap();
+        let scal = refine_at(&sub, rid).unwrap();
         let adds = scal
             .iter_nodes()
             .filter(|(_, n)| matches!(&n.kind, NodeKind::Scalar(s) if **s == ScalarKind::Bin(BinOp::Add)))
@@ -1095,7 +1091,7 @@ mod tests {
         let (id, node) =
             g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Reduce(_))).unwrap();
         assert!(scalar_expansion_eligible(node));
-        let sub = refine(&g, id).unwrap();
+        let sub = refine_at(&g, id).unwrap();
         let muls = sub.iter_nodes().filter(|(_, n)| n.name == "mul").count();
         assert_eq!(muls, 8 * 3 - 2, "one product per kept point");
         let x = vec_t((1..=8).map(f64::from).collect());
@@ -1125,7 +1121,7 @@ mod tests {
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Map(_))).unwrap();
         // The estimate (two nodes per point) is checked before anything
         // is expanded, so this fails at once.
-        let err = refine(&g, id).unwrap_err();
+        let err = refine_at(&g, id).unwrap_err();
         assert!(matches!(err, RefineError::TooLarge { .. }), "{err}");
     }
 
@@ -1135,7 +1131,7 @@ mod tests {
         pmlang::check(&prog).unwrap();
         let g = build(&prog, &Bindings::from_sizes(vec![("n", n)])).unwrap();
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Map(_))).unwrap();
-        refine(&g, id)
+        refine_at(&g, id)
     }
 
     /// The first map of `src` built at `n` = 2³², refined.
@@ -1177,10 +1173,10 @@ mod tests {
             "main(input float x[2], output float y[2]) { index i[0:1]; y[i] = x[i] + 1.0; }",
         );
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Map(_))).unwrap();
-        let scal = refine(&g, id).unwrap();
+        let scal = refine_at(&g, id).unwrap();
         let (sid, _) =
             scal.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Scalar(_))).unwrap();
-        assert!(matches!(refine(&scal, sid), Err(RefineError::AtFinestGranularity(_))));
+        assert!(matches!(refine_at(&scal, sid), Err(RefineError::AtFinestGranularity(_))));
     }
 
     #[test]
@@ -1190,7 +1186,7 @@ mod tests {
             "main(input float x[3], output float y[3]) { index i[0:2]; y[i] = x[i] * 3.0; }",
         );
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Map(_))).unwrap();
-        let scal = refine(&g, id).unwrap();
+        let scal = refine_at(&g, id).unwrap();
         let outs = exec_graph(&scal, vec![Some(vec_t(vec![1.0, 2.0, 3.0]))]).unwrap();
         assert_eq!(outs[0].as_real_slice().unwrap(), &[3.0, 6.0, 9.0]);
     }
@@ -1208,7 +1204,7 @@ mod tests {
     fn map_refine_error(src: &str) -> RefineError {
         let g = program_graph(src);
         let (id, _) = g.iter_nodes().find(|(_, n)| n.name == "map.copy").unwrap();
-        refine(&g, id).unwrap_err()
+        refine_at(&g, id).unwrap_err()
     }
 
     fn out_of_bounds(tensor: &str, axis: usize, index: i64, size: usize) -> RefineError {
@@ -1258,6 +1254,6 @@ mod tests {
             "main(input float x[4], output float y) { index i[0:3]; y = argmax[i](x[i]); }",
         );
         let (id, _) = g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Reduce(_))).unwrap();
-        assert!(matches!(refine(&g, id), Err(RefineError::Unsupported(_))));
+        assert!(matches!(refine_at(&g, id), Err(RefineError::Unsupported(_))));
     }
 }

@@ -952,52 +952,33 @@ impl SrDfg {
         Ok(order)
     }
 
-    /// Splices `sub` in place of node `id` (the substitution step of the
-    /// paper's Algorithm 1): `sub`'s boundary inputs are identified with
-    /// the node's input edges and its boundary outputs with the node's
-    /// output edges, positionally; interior edges and nodes are copied in.
+    /// Puts a [`Refinement`] in place of node `id` — `srdfg[n ↦ subDfg]`,
+    /// the one point where Algorithm 1 turns a refinement into nodes. The
+    /// sub-graph's boundary inputs are identified with the node's input
+    /// edges and its boundary outputs with the node's output edges,
+    /// positionally; interior edges and nodes are copied in. Copied nodes
+    /// and synthetic-span interior edges inherit the replaced node's
+    /// provenance (span, and domain and target where they have none), so
+    /// a canonical [`Template`](Refinement::Template) instance is
+    /// byte-identical to a direct expansion of the node, and the refinement
+    /// itself stays untouched and can be instantiated anywhere.
     ///
     /// # Panics
     ///
     /// Panics if the boundary arities do not match the node's.
-    pub fn splice(&mut self, id: NodeId, sub: &SrDfg) {
-        self.splice_impl(id, sub, false);
-    }
-
-    /// Puts a [`Refinement`] in place of node `id` — `srdfg[n ↦ subDfg]`,
-    /// the one point where Algorithm 1 turns a template into nodes. An
-    /// [`Inline`](Refinement::Inline) refinement is [`SrDfg::splice`]d as it
-    /// stands. A [`Template`](Refinement::Template) is canonical, so in
-    /// addition to the node stamping `splice` already does (synthetic-span
-    /// nodes inherit the replaced node's span, domain-less nodes its
-    /// domain), interior edges with synthetic spans also inherit the
-    /// replaced node's span: the instance is byte-identical to what a
-    /// direct, non-canonical expansion of the node would have produced,
-    /// and the template itself stays untouched and can be instantiated
-    /// anywhere.
-    ///
-    /// # Panics
-    ///
-    /// As [`SrDfg::splice`].
     pub fn instantiate(&mut self, id: NodeId, refinement: &Refinement) {
-        match refinement {
-            Refinement::Template(template) => self.splice_impl(id, template, true),
-            Refinement::Inline(sub) => self.splice_impl(id, sub, false),
-        }
-    }
-
-    fn splice_impl(&mut self, id: NodeId, sub: &SrDfg, stamp_edge_spans: bool) {
+        let sub = refinement.graph();
         let node = self.node(id);
         assert_eq!(
             sub.boundary_inputs.len(),
             node.inputs.len(),
-            "splice: boundary input arity mismatch for `{}`",
+            "instantiate: boundary input arity mismatch for `{}`",
             node.name
         );
         assert_eq!(
             sub.boundary_outputs.len(),
             node.outputs.len(),
-            "splice: boundary output arity mismatch for `{}`",
+            "instantiate: boundary output arity mismatch for `{}`",
             node.name
         );
         // The replaced node is taken out of its slot, not copied: for an
@@ -1035,15 +1016,15 @@ impl SrDfg {
         }
         // Interior-edge metadata: in the common case the handle is cloned
         // (a refcount bump — the paper's 78k duplicated metas collapse to
-        // reference rewires). Only template splicing of a synthetic-span
-        // meta needs a distinct value (the span stamp), and `node.span` is
-        // fixed for this whole call, so a stamped source meta always maps
-        // to the same stamped result — a tiny per-splice memo keyed on the
-        // source handle's address builds one stamped record per source meta
-        // (the source sub-graph holds that record for the whole call).
+        // reference rewires). Only a synthetic-span meta needs a distinct
+        // value (the span stamp), and `node.span` is fixed for this whole
+        // call, so a stamped source meta always maps to the same stamped
+        // result — a tiny per-call memo keyed on the source handle's
+        // address builds one stamped record per source meta (the
+        // sub-graph holds that record for the whole call).
         let mut stamped: Vec<(usize, Consed<EdgeMeta>)> = Vec::new();
-        let mut splice_meta = |meta: &Consed<EdgeMeta>| -> Consed<EdgeMeta> {
-            if !(stamp_edge_spans && meta.span.is_synthetic()) {
+        let mut stamp = |meta: &Consed<EdgeMeta>| -> Consed<EdgeMeta> {
+            if !meta.span.is_synthetic() {
                 return meta.clone();
             }
             let key = meta.ptr_id();
@@ -1056,96 +1037,67 @@ impl SrDfg {
             stamped.push((key, stamped_meta.clone()));
             stamped_meta
         };
-        // Fast path (always taken for freshly expanded sub-graphs, which
-        // have no removed-node slots): sub node ids are dense, so every
-        // spliced node's id is `node_base + its sub id` — producer and
-        // consumer lists can then be copied wholesale with a fixed offset
-        // instead of being re-grown push-by-push through `add_node`. This
-        // is the instantiation step of the lowering template cache, so it
-        // is deliberately nothing but id-remapped reference rewires.
-        if sub.nodes.iter().all(Option::is_some) {
-            // One check covers every shifted id: all are below the new
-            // table length.
-            id32(self.nodes.len() + sub.nodes.len());
-            let node_base = id32(self.nodes.len());
-            let shift = |&(n, slot): &(NodeId, u32)| (NodeId(n.0 + node_base), slot);
-            // Boundary edges keep their identity in the parent; the
-            // template nodes reading/writing them are appended to their
-            // use lists (in sub node-id order, exactly as incremental
-            // `add_node` wiring would have).
-            for (i, pe) in edge_map.iter().enumerate() {
-                let Some(pe) = pe else { continue };
-                let sedge = &sub.edges[i];
-                self.edges[pe.0 as usize].consumers.extend(sedge.consumers.iter().map(shift));
-                if let Some(p) = &sedge.producer {
-                    self.edges[pe.0 as usize].producer = Some(shift(p));
-                }
+        // A copied node's id is `base` + its rank among the sub-graph's
+        // live slots (its own id unless the mid-end removed a slot from a
+        // component body), so use lists are copied wholesale, id-remapped.
+        // One check covers every new id: all are below the new length.
+        let live = sub.node_count();
+        id32(self.nodes.len() + live);
+        let base = id32(self.nodes.len());
+        let rank: Option<Vec<u32>> = (live < sub.nodes.len()).then(|| {
+            let ranks = sub.nodes.iter().scan(0, |next, n| {
+                let r = *next;
+                *next += u32::from(n.is_some());
+                Some(r)
+            });
+            ranks.collect()
+        });
+        let shift = |&(n, slot): &(NodeId, u32)| {
+            let r = rank.as_ref().map_or(n.0, |rank| rank[n.0 as usize]);
+            (NodeId(base + r), slot)
+        };
+        // Boundary edges keep their identity in the parent; the copied
+        // nodes reading or writing them are appended to their use lists.
+        for (i, pe) in edge_map.iter().enumerate() {
+            let Some(pe) = pe else { continue };
+            let sedge = &sub.edges[i];
+            self.edges[pe.0 as usize].consumers.extend(sedge.consumers.iter().map(shift));
+            if let Some(p) = &sedge.producer {
+                self.edges[pe.0 as usize].producer = Some(shift(p));
             }
-            self.edges.reserve(sub.edges.len());
-            for (i, sedge) in sub.edges.iter().enumerate() {
-                if edge_map[i].is_none() {
-                    let meta = splice_meta(&sedge.meta);
-                    let id = EdgeId(id32(self.edges.len()));
-                    self.edges.push(Edge {
-                        producer: sedge.producer.as_ref().map(&shift),
-                        consumers: SmallIds::map_from(&sedge.consumers, |c| shift(&c)),
-                        meta,
-                    });
-                    edge_map[i] = Some(id);
-                }
-            }
-            self.nodes.reserve(sub.nodes.len());
-            for snode in sub.nodes.iter().flatten() {
-                let inputs: SmallIds<EdgeId, 3> =
-                    SmallIds::map_from(&snode.inputs, |e| edge_map[e.0 as usize].unwrap());
-                let outputs: SmallIds<EdgeId, 2> =
-                    SmallIds::map_from(&snode.outputs, |e| edge_map[e.0 as usize].unwrap());
-                self.nodes.push(Some(Node {
-                    name: snode.name.clone(),
-                    kind: snode.kind.clone(),
-                    domain: snode.domain.or(node.domain),
-                    inputs,
-                    outputs,
-                    pattern: snode.pattern,
-                    target: snode.target.clone().or_else(|| node.target.clone()),
-                    // Provenance: refined nodes keep their own span when
-                    // they have one (component bodies), else inherit the
-                    // replaced node's.
-                    span: if snode.span.is_synthetic() { node.span } else { snode.span },
-                }));
-            }
-            return;
         }
-
         self.edges.reserve(sub.edges.len());
         for (i, sedge) in sub.edges.iter().enumerate() {
             if edge_map[i].is_none() {
-                let meta = splice_meta(&sedge.meta);
-                edge_map[i] = Some(self.add_edge(meta));
+                let meta = stamp(&sedge.meta);
+                let id = EdgeId(id32(self.edges.len()));
+                self.edges.push(Edge {
+                    producer: sedge.producer.as_ref().map(shift),
+                    consumers: SmallIds::map_from(&sedge.consumers, |c| shift(&c)),
+                    meta,
+                });
+                edge_map[i] = Some(id);
             }
         }
-
-        // Copy sub nodes, remapping edges; inherit the parent node's domain
-        // where the sub node has none (paper: lowered nodes inherit the
-        // srdfg domain).
-        self.nodes.reserve(sub.node_count());
-        for (_, snode) in sub.iter_nodes() {
+        self.nodes.reserve(live);
+        for snode in sub.nodes.iter().flatten() {
             let inputs: SmallIds<EdgeId, 3> =
                 SmallIds::map_from(&snode.inputs, |e| edge_map[e.0 as usize].unwrap());
             let outputs: SmallIds<EdgeId, 2> =
                 SmallIds::map_from(&snode.outputs, |e| edge_map[e.0 as usize].unwrap());
-            // Provenance: refined nodes keep their own span when they have
-            // one (component bodies), else inherit the replaced node's.
-            let new_id = self.add_node_at(
-                snode.name.clone(),
-                snode.kind.clone(),
-                snode.domain.or(node.domain),
-                &inputs[..],
-                &outputs[..],
-                if snode.span.is_synthetic() { node.span } else { snode.span },
-            );
-            self.node_mut(new_id).pattern = snode.pattern;
-            self.node_mut(new_id).target = snode.target.clone().or_else(|| node.target.clone());
+            self.nodes.push(Some(Node {
+                name: snode.name.clone(),
+                kind: snode.kind.clone(),
+                domain: snode.domain.or(node.domain),
+                inputs,
+                outputs,
+                pattern: snode.pattern,
+                target: snode.target.clone().or_else(|| node.target.clone()),
+                // Provenance: refined nodes keep their own span when they
+                // have one (component bodies), else inherit the replaced
+                // node's.
+                span: if snode.span.is_synthetic() { node.span } else { snode.span },
+            }));
         }
     }
 
@@ -1418,7 +1370,7 @@ mod tests {
         sub.add_node("g", NodeKind::map(simple_map(2)), None, vec![sin], vec![st]);
         sub.add_node("h", NodeKind::map(simple_map(2)), None, vec![st], vec![sout]);
 
-        parent.splice(f, &sub);
+        parent.instantiate(f, &Refinement::Inline(sub));
         assert_eq!(parent.node_count(), 2);
         let order = parent.topo_order();
         assert_eq!(parent.node(order[0]).name, "g");
@@ -1450,9 +1402,58 @@ mod tests {
         sub.boundary_inputs.push(sin);
         sub.boundary_outputs.push(sout);
         sub.add_node("g", NodeKind::map(simple_map(2)), None, vec![sin], vec![sout]);
-        parent.splice(f, &sub);
+        parent.instantiate(f, &Refinement::Inline(sub));
         let (_, g) = parent.iter_nodes().next().unwrap();
         assert_eq!(g.domain, Some(Domain::Dsp));
+    }
+
+    #[test]
+    fn a_component_body_with_a_removed_slot_closes_it_up() {
+        use crate::build::{build, Bindings};
+        use crate::interp::Machine;
+        use std::collections::HashMap;
+        let prog = pmlang::parse(
+            "f(input float x[4], output float y[4]) {
+                 index i[0:3];
+                 float t[4], u[4];
+                 t[i] = x[i] * 2.0;
+                 u[i] = x[i] * 2.0;
+                 y[i] = t[i] + u[i];
+             }
+             main(input float a[4], output float b[4]) { f(a, b); b[0] = b[1] + 1.0; }",
+        )
+        .unwrap();
+        let mut g = build(&prog, &Bindings::default()).unwrap();
+        let feeds = HashMap::from([(
+            "a".to_string(),
+            Tensor::from_vec(DType::Float, vec![4], vec![1.0, -2.0, 3.5, 4.0]).unwrap(),
+        )]);
+        let before = Machine::new(g.clone()).invoke(&feeds).unwrap();
+        let (comp, _) =
+            g.iter_nodes().find(|(_, n)| matches!(n.kind, NodeKind::Component(_))).unwrap();
+        // CSE inside the body: `u` is `t`, so one of the two maps goes and
+        // leaves a removed slot behind.
+        let NodeKind::Component(body) = &mut g.node_mut(comp).kind else { unreachable!() };
+        let muls: Vec<NodeId> =
+            body.iter_nodes().filter(|(_, n)| n.name == "map.mul").map(|(id, _)| id).collect();
+        assert_eq!(muls.len(), 2, "{muls:?}");
+        body.merge_nodes(muls[0], muls[1]).unwrap();
+        assert!(body.node_count() < body.node_slots());
+
+        let refinement = Refinement::of(&g, comp, None).unwrap();
+        assert!(matches!(refinement, Refinement::Inline(_)));
+        let (base, count) = (g.node_slots(), refinement.graph().node_count());
+        g.instantiate(comp, &refinement);
+        crate::validate(&g).unwrap();
+        let new: Vec<usize> = g.node_ids().map(|id| id.0 as usize).filter(|&i| i >= base).collect();
+        assert_eq!(new, (base..base + count).collect::<Vec<_>>());
+        assert_eq!(g.node_slots(), base + count);
+        for e in g.edge_ids() {
+            for &(n, _) in &g.edge(e).consumers {
+                assert!(g.is_live(n), "edge {e} names removed node {n}");
+            }
+        }
+        assert_eq!(Machine::new(g).invoke(&feeds).unwrap(), before);
     }
 
     #[test]

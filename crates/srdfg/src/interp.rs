@@ -199,11 +199,7 @@ fn exec_node(
                 )));
             }
             for (i, &e) in node.outputs.iter().enumerate() {
-                let mut s = if t.dtype() == pmlang::DType::Complex {
-                    Tensor::zeros(pmlang::DType::Complex, vec![])
-                } else {
-                    Tensor::zeros(t.dtype(), vec![])
-                };
+                let mut s = Tensor::zeros(t.dtype(), vec![]);
                 s.set_flat(0, t.get_flat(i))?;
                 values[e.0 as usize] = Some(s);
             }

@@ -72,7 +72,7 @@ pub mod value;
 pub use budget::{Budget, BudgetExceeded};
 pub use build::{build, Bindings};
 pub use error::{BuildError, ExecError};
-pub use expand::{refine, RefineError};
+pub use expand::RefineError;
 pub use graph::{
     Edge, EdgeId, EdgeMeta, IndexRange, MapSpec, Modifier, Node, NodeId, NodeKind, Odometer,
     Pattern, ReduceOp, ReduceSpec, ScalarKind, SrDfg, WriteSpec,

@@ -193,8 +193,8 @@ mod tests {
         let mut g = build(&prog, &Bindings::default()).unwrap();
         let ids: Vec<_> = g.node_ids().collect();
         for id in ids {
-            if let Ok(sub) = crate::expand::refine(&g, id) {
-                g.splice(id, &sub);
+            if let Ok(refinement) = crate::Refinement::of(&g, id, None) {
+                g.instantiate(id, &refinement);
             }
         }
         validate(&g).unwrap();

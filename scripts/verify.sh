@@ -241,13 +241,14 @@ for typo in "lint examples/pm/lint_demo.pm --deny-warning" "fuzz --case 3"; do
     fi
 done
 
-echo "== one refine-and-instantiate seam"
+echo "== one refinement seam"
 # Algorithm 1 decides how a node is refined in srdfg::template::Refinement
-# and nowhere else: the planner's names must not come back, and the
-# provenance-stamping splice stays private to srdfg.
-if grep -rnE 'refine_for_splice|Plan::Deferred|first_of_fp' crates ||
-    grep -rn 'splice_template' crates --include='*.rs' | grep -v '^crates/srdfg/src/'; then
-    echo "a second spelling of Algorithm 1's refine/splice decision is back" >&2
+# and nowhere else, and SrDfg::instantiate is the one body that turns a
+# refinement into nodes: the planner's names, a public refine/splice twin,
+# a private splice helper or its edge-stamp flag must not come back.
+if grep -rnE 'refine_for_splice|Plan::Deferred|first_of_fp|splice_template' crates ||
+    grep -rnE 'fn refine\b|fn splice\b|fn splice_impl|stamp_edge_spans' crates/srdfg/src; then
+    echo "a second spelling of Algorithm 1's refine/splice step is back" >&2
     exit 1
 fi
 
