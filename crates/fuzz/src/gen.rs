@@ -223,6 +223,21 @@ pub mod strategies {
         BoxedStrategy::from_fn(gen_program)
     }
 
+    /// A program with its `x`, `y` and initial-state inputs.
+    pub type Case = (PProgram, Vec<f64>, Vec<f64>, Vec<f64>);
+
+    /// A whole random program plus inputs sized to its `n`: one
+    /// differential case for [`crate::check_case`].
+    pub fn case() -> BoxedStrategy<Case> {
+        BoxedStrategy::from_fn(|rng| {
+            let program = gen_program(rng);
+            let xs = gen_inputs(rng, program.n);
+            let ys = gen_inputs(rng, program.n);
+            let z0 = gen_inputs(rng, program.n);
+            (program, xs, ys, z0)
+        })
+    }
+
     /// A vector of `n` quantized input values in `[-3, 3]`.
     pub fn inputs(n: usize) -> BoxedStrategy<Vec<f64>> {
         BoxedStrategy::from_fn(move |rng| gen_inputs(rng, n))

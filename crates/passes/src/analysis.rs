@@ -29,8 +29,7 @@ pub fn stats(graph: &SrDfg) -> GraphStats {
         .boundary_inputs
         .iter()
         .chain(&graph.boundary_outputs)
-        .map(|&e| graph.edge(e).meta.bytes())
-        .sum();
+        .fold(0u64, |sum, &e| sum.saturating_add(graph.edge(e).meta.bytes()));
     s
 }
 
@@ -130,6 +129,17 @@ mod tests {
         assert_eq!(s.scalar_ops, 12);
         // A(24) + B(12) + C(8) bytes at 4 B/elem.
         assert_eq!(s.boundary_bytes, 44);
+    }
+
+    #[test]
+    fn boundary_bytes_saturate() {
+        // x alone is 2^80 elements: its bytes saturate, and so does the sum.
+        let g = graph(
+            "main(input float x[1099511627776][1099511627776], output float y) {
+                 y = x[0][0];
+             }",
+        );
+        assert_eq!(stats(&g).boundary_bytes, u64::MAX);
     }
 
     #[test]

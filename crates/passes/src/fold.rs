@@ -3,15 +3,19 @@
 //! Both are classic passes the paper lists as supported by the PolyMath
 //! pass infrastructure (§IV.B). They rewrite the scalar kernels carried by
 //! `Map`/`Reduce` nodes; node names are recomputed afterwards so lowering
-//! sees the simplified operation.
+//! sees the simplified operation. A folded operator is evaluated by
+//! `srdfg::kernel`, the interpreter's own definition of it, so a folded
+//! kernel computes what the unfolded one would.
 
 use crate::manager::{Pass, PassStats};
 use pmlang::{BinOp, UnOp};
 use srdfg::graph::map_op_name;
-use srdfg::{KExpr, MapSpec, NodeKind, ReduceSpec, SrDfg};
+use srdfg::kernel::{eval_binary, eval_call, eval_unary};
+use srdfg::{KExpr, MapSpec, NodeKind, ReduceSpec, Scalar, SrDfg};
 
 /// Folds constant subexpressions inside kernels: `2 * 3 + x` → `6 + x`,
-/// `pi()` → `3.14159…`, `-(1)` → `-1`.
+/// `pi()` → `3.14159…`, `-(1)` → `-1`, `1 ? a : b` → `a`. A result that is
+/// not real (`complex(1, 2)`) stays unfolded: a `Const` holds a real.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConstantFold;
 
@@ -25,8 +29,12 @@ impl Pass for ConstantFold {
     }
 }
 
-/// Applies identity rewrites: `x*1 → x`, `x*0 → 0`, `x+0 → x`, `x-0 → x`,
-/// `x/1 → x`, `x^1 → x`, `select(const, a, b) → a|b`, `!!x → x`, `--x → x`.
+/// Applies identity rewrites: `x*1 → x`, `1*x → x`, `x+0 → x`, `0+x → x`,
+/// `x-0 → x`, `x/1 → x`, `x^1 → x`, `--x → x`, and `c ? a : a → a` when
+/// `c` cannot fail. Each holds for every real `x` under the kernel's IEEE
+/// arithmetic, up to the sign of a zero; `x*0` is kept, since it is NaN for
+/// an infinite or NaN `x`, and so is a select whose condition reads an
+/// operand, since that read may be out of bounds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AlgebraicSimplify;
 
@@ -147,17 +155,9 @@ fn try_fold(k: &KExpr) -> Option<(KExpr, usize)> {
             let n = child.as_ref().map_or(0, |(_, c)| *c);
             let cur = child.as_ref().map_or(&**e, |(e2, _)| e2);
             if let KExpr::Const(v) = cur {
-                let folded = match op {
-                    UnOp::Neg => -v,
-                    UnOp::Not => {
-                        if *v == 0.0 {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                };
-                return Some((KExpr::Const(folded), n + 1));
+                if let Ok(Scalar::Real(r)) = eval_unary(*op, Scalar::Real(*v)) {
+                    return Some((KExpr::Const(r), n + 1));
+                }
             }
             child.map(|(e2, c)| (KExpr::Unary(*op, Box::new(e2)), c))
         }
@@ -168,10 +168,8 @@ fn try_fold(k: &KExpr) -> Option<(KExpr, usize)> {
             let ra = ca.as_ref().map_or(&**a, |(x, _)| x);
             let rb = cb.as_ref().map_or(&**b, |(x, _)| x);
             if let (KExpr::Const(x), KExpr::Const(y)) = (ra, rb) {
-                if let Ok(v) = srdfg::kernel::eval_binary(*op, (*x).into(), (*y).into()) {
-                    if let Ok(r) = v.as_real() {
-                        return Some((KExpr::Const(r), n + 1));
-                    }
+                if let Ok(Scalar::Real(r)) = eval_binary(*op, (*x).into(), (*y).into()) {
+                    return Some((KExpr::Const(r), n + 1));
                 }
             }
             if ca.is_none() && cb.is_none() {
@@ -190,8 +188,10 @@ fn try_fold(k: &KExpr) -> Option<(KExpr, usize)> {
                 + cb.as_ref().map_or(0, |(_, x)| *x);
             let rc = cc.as_ref().map_or(&**c, |(x, _)| x);
             if let KExpr::Const(v) = rc {
-                let taken = if *v != 0.0 { take_or_clone(ca, a) } else { take_or_clone(cb, b) };
-                return Some((taken, n + 1));
+                if let Ok(cond) = Scalar::Real(*v).as_bool() {
+                    let taken = if cond { take_or_clone(ca, a) } else { take_or_clone(cb, b) };
+                    return Some((taken, n + 1));
+                }
             }
             if cc.is_none() && ca.is_none() && cb.is_none() {
                 return None;
@@ -203,24 +203,32 @@ fn try_fold(k: &KExpr) -> Option<(KExpr, usize)> {
         }
         KExpr::Call(f, args) => {
             let folded = try_rewrite_list(args, try_fold);
-            // Fold calls over all-constant arguments (complex-producing
-            // builtins are left alone — Const is real-only).
             let cur: &[KExpr] = folded.as_ref().map_or(args, |(v, _)| v);
-            let all_const = cur.iter().all(|a| matches!(a, KExpr::Const(_)));
-            let produces_real = !matches!(f, pmlang::ScalarFunc::Complex);
-            if all_const && produces_real {
-                let vals: Vec<f64> = cur
-                    .iter()
-                    .map(|a| match a {
-                        KExpr::Const(v) => *v,
-                        _ => unreachable!(),
-                    })
-                    .collect();
-                let n = folded.as_ref().map_or(0, |(_, c)| *c);
-                return Some((KExpr::Const(f.eval_real(&vals)), n + 1));
+            let constant = |a: &KExpr| match a {
+                KExpr::Const(v) => Some(Scalar::Real(*v)),
+                _ => None,
+            };
+            if cur.iter().all(|a| constant(a).is_some()) {
+                let vals: Vec<Scalar> = cur.iter().filter_map(constant).collect();
+                if let Ok(Scalar::Real(r)) = eval_call(*f, &vals) {
+                    let n = folded.as_ref().map_or(0, |(_, c)| *c);
+                    return Some((KExpr::Const(r), n + 1));
+                }
             }
             folded.map(|(v, n)| (KExpr::Call(*f, v), n))
         }
+    }
+}
+
+/// True if evaluating `e` cannot fail: it reads no operand or argument
+/// and calls no builtin, so every value it forms is real.
+fn infallible(e: &KExpr) -> bool {
+    match e {
+        KExpr::Const(_) | KExpr::Idx(_) => true,
+        KExpr::Unary(_, x) => infallible(x),
+        KExpr::Binary(_, a, b) => infallible(a) && infallible(b),
+        KExpr::Select(c, a, b) => [c, a, b].iter().all(|x| infallible(x)),
+        KExpr::Operand { .. } | KExpr::Arg(_) | KExpr::Call(..) => false,
     }
 }
 
@@ -246,7 +254,7 @@ fn try_simplify(k: &KExpr) -> Option<(KExpr, usize)> {
             let child = try_simplify(e);
             let n = child.as_ref().map_or(0, |(_, c)| *c);
             let cur = child.as_ref().map_or(&**e, |(e2, _)| e2);
-            // --x → x, !!x → x
+            // --x → x
             if let KExpr::Unary(inner_op, inner) = cur {
                 if inner_op == op && *op == UnOp::Neg {
                     return Some(((**inner).clone(), n + 1));
@@ -258,24 +266,17 @@ fn try_simplify(k: &KExpr) -> Option<(KExpr, usize)> {
             let ca = try_simplify(a);
             let cb = try_simplify(b);
             let n = ca.as_ref().map_or(0, |(_, c)| *c) + cb.as_ref().map_or(0, |(_, c)| *c);
-            let is_const = |e: &KExpr, v: f64| matches!(e, KExpr::Const(c) if *c == v);
-            let const_a = {
-                let ra = ca.as_ref().map_or(&**a, |(x, _)| x);
-                (is_const(ra, 0.0), is_const(ra, 1.0))
-            };
-            let const_b = {
-                let rb = cb.as_ref().map_or(&**b, |(x, _)| x);
-                (is_const(rb, 0.0), is_const(rb, 1.0))
-            };
+            let is = |e: &Option<(KExpr, usize)>, orig: &KExpr, v: f64| matches!(e.as_ref().map_or(orig, |(x, _)| x), KExpr::Const(c) if *c == v);
+            let (a0, a1) = (is(&ca, a, 0.0), is(&ca, a, 1.0));
+            let (b0, b1) = (is(&cb, b, 0.0), is(&cb, b, 1.0));
             match op {
-                BinOp::Mul if const_b.1 => Some((take_or_clone(ca, a), n + 1)),
-                BinOp::Mul if const_a.1 => Some((take_or_clone(cb, b), n + 1)),
-                BinOp::Mul if const_a.0 || const_b.0 => Some((KExpr::Const(0.0), n + 1)),
-                BinOp::Add if const_b.0 => Some((take_or_clone(ca, a), n + 1)),
-                BinOp::Add if const_a.0 => Some((take_or_clone(cb, b), n + 1)),
-                BinOp::Sub if const_b.0 => Some((take_or_clone(ca, a), n + 1)),
-                BinOp::Div if const_b.1 => Some((take_or_clone(ca, a), n + 1)),
-                BinOp::Pow if const_b.1 => Some((take_or_clone(ca, a), n + 1)),
+                BinOp::Mul if b1 => Some((take_or_clone(ca, a), n + 1)),
+                BinOp::Mul if a1 => Some((take_or_clone(cb, b), n + 1)),
+                BinOp::Add if b0 => Some((take_or_clone(ca, a), n + 1)),
+                BinOp::Add if a0 => Some((take_or_clone(cb, b), n + 1)),
+                BinOp::Sub if b0 => Some((take_or_clone(ca, a), n + 1)),
+                BinOp::Div if b1 => Some((take_or_clone(ca, a), n + 1)),
+                BinOp::Pow if b1 => Some((take_or_clone(ca, a), n + 1)),
                 _ if ca.is_none() && cb.is_none() => None,
                 _ => {
                     let a2 = take_or_clone(ca, a);
@@ -291,12 +292,9 @@ fn try_simplify(k: &KExpr) -> Option<(KExpr, usize)> {
             let n = cc.as_ref().map_or(0, |(_, x)| *x)
                 + ca.as_ref().map_or(0, |(_, x)| *x)
                 + cb.as_ref().map_or(0, |(_, x)| *x);
-            let same = {
-                let ra = ca.as_ref().map_or(&**a, |(x, _)| x);
-                let rb = cb.as_ref().map_or(&**b, |(x, _)| x);
-                ra == rb
-            };
-            if same {
+            let rc = cc.as_ref().map_or(&**c, |(x, _)| x);
+            let ra = ca.as_ref().map_or(&**a, |(x, _)| x);
+            if ra == cb.as_ref().map_or(&**b, |(x, _)| x) && infallible(rc) {
                 return Some((take_or_clone(ca, a), n + 1));
             }
             if cc.is_none() && ca.is_none() && cb.is_none() {
@@ -372,10 +370,6 @@ mod tests {
     fn simplifies_identities() {
         for (k, expect) in [
             (KExpr::Binary(BinOp::Mul, Box::new(op0()), Box::new(KExpr::Const(1.0))), op0()),
-            (
-                KExpr::Binary(BinOp::Mul, Box::new(op0()), Box::new(KExpr::Const(0.0))),
-                KExpr::Const(0.0),
-            ),
             (KExpr::Binary(BinOp::Add, Box::new(KExpr::Const(0.0)), Box::new(op0())), op0()),
             (KExpr::Binary(BinOp::Sub, Box::new(op0()), Box::new(KExpr::Const(0.0))), op0()),
             (KExpr::Binary(BinOp::Div, Box::new(op0()), Box::new(KExpr::Const(1.0))), op0()),
@@ -384,6 +378,78 @@ mod tests {
             let (r, n) = simplify_kexpr(&k);
             assert_eq!(r, expect);
             assert_eq!(n, 1, "{k:?}");
+        }
+    }
+
+    #[test]
+    fn every_simplification_agrees_with_the_kernel() {
+        let inf = f64::INFINITY;
+        let values = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e308, -1e308, inf, -inf, f64::NAN];
+        let x = || Box::new(KExpr::Arg(0));
+        let mut operands: Vec<KExpr> = values.iter().map(|&v| KExpr::Const(v)).collect();
+        operands.push(KExpr::Arg(0));
+        let mut kernels = vec![
+            KExpr::Unary(UnOp::Neg, Box::new(KExpr::Unary(UnOp::Neg, x()))),
+            KExpr::Select(x(), x(), x()),
+        ];
+        use BinOp::*;
+        for op in [Add, Sub, Mul, Div, Mod, Pow, Eq, Ne, Lt, Le, Gt, Ge, And, Or] {
+            for a in &operands {
+                for b in &operands {
+                    kernels.push(KExpr::Binary(op, Box::new(a.clone()), Box::new(b.clone())));
+                }
+            }
+        }
+        for k in &kernels {
+            let (simplified, _) = simplify_kexpr(k);
+            for &v in &values {
+                let eval = |k: &KExpr| k.eval(&[], &[], &[Scalar::Real(v)]);
+                let (want, got) = (eval(k), eval(&simplified));
+                let agree = match (&want, &got) {
+                    (Ok(Scalar::Real(a)), Ok(Scalar::Real(b))) => {
+                        a == b || a.is_nan() && b.is_nan()
+                    }
+                    _ => want == got,
+                };
+                assert!(agree, "{k} → {simplified} at x = {v}: {want:?}, then {got:?}");
+            }
+        }
+    }
+
+    /// The output `y` of `source` fed `x`, as built and after the standard
+    /// pipeline.
+    fn at_o0_and_o2(source: &str, x: srdfg::Tensor) -> [Result<srdfg::Tensor, String>; 2] {
+        let prog = pmlang::parse(source).unwrap();
+        let g0 = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
+        let mut g2 = g0.clone();
+        crate::PassManager::standard().run(&mut g2);
+        let feeds = std::collections::HashMap::from([("x".to_string(), x)]);
+        [g0, g2].map(|g| match srdfg::Machine::new(g).invoke(&feeds) {
+            Ok(mut out) => Ok(out.remove("y").unwrap()),
+            Err(err) => Err(err.to_string()),
+        })
+    }
+
+    #[test]
+    fn a_product_with_zero_keeps_its_nan() {
+        // exp(1000) is infinite, and ∞ · 0 is NaN at every optimization level.
+        let x = srdfg::Tensor::scalar(pmlang::DType::Float, 1000.0);
+        for y in at_o0_and_o2("main(input float x, output float y) { y = exp(x) * 0.0; }", x) {
+            let y = y.unwrap().scalar_value().unwrap();
+            assert!(y.is_nan(), "{y}");
+        }
+    }
+
+    #[test]
+    fn a_select_keeps_its_failing_condition() {
+        // Both branches are 1, but the condition reads past the end of `x`.
+        let source = "main(input float x[4], output float y[4]) {
+                          index i[0:3];
+                          y[i] = x[i + 4] > 0.0 ? 1.0 : 1.0;
+                      }";
+        let x = srdfg::Tensor::from_vec(pmlang::DType::Float, vec![4], vec![1.0; 4]).unwrap();
+        for y in at_o0_and_o2(source, x) {
+            assert!(y.as_ref().is_err_and(|e| e.contains("out of bounds")), "{y:?}");
         }
     }
 

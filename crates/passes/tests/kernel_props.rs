@@ -39,13 +39,27 @@ fn kexpr_strategy() -> impl Strategy<Value = KExpr> {
     })
 }
 
-fn eval_all(
+/// Checks that `rewrite` keeps `k`'s value at every point, with operands
+/// `av` and `bv`: equal up to rounding, or both an error.
+fn preserves_evaluation(
+    rewrite: fn(&KExpr) -> (KExpr, usize),
     k: &KExpr,
-    points: &[[i64; 2]],
-    a: &Tensor,
-    b: &Tensor,
-) -> Vec<Result<Scalar, srdfg::ValueError>> {
-    points.iter().map(|p| k.eval(p, &[a, b], &[])).collect()
+    av: Vec<f64>,
+    bv: Vec<f64>,
+) -> Result<(), TestCaseError> {
+    let a = Tensor::from_vec(pmlang::DType::Float, vec![2], av).unwrap();
+    let b = Tensor::from_vec(pmlang::DType::Float, vec![2], bv).unwrap();
+    let (rewritten, _) = rewrite(k);
+    for p in [[0i64, 0], [0, 1], [1, 0], [1, 1]] {
+        match (k.eval(&p, &[&a, &b], &[]), rewritten.eval(&p, &[&a, &b], &[])) {
+            (Ok(Scalar::Real(u)), Ok(Scalar::Real(v))) => {
+                prop_assert!((u - v).abs() <= 1e-9 * (1.0 + u.abs()), "{u} vs {v}");
+            }
+            (Err(_), Err(_)) => {}
+            other => prop_assert!(false, "divergent results: {other:?}"),
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -57,21 +71,7 @@ proptest! {
         av in proptest::collection::vec(-3.0..3.0f64, 2),
         bv in proptest::collection::vec(-3.0..3.0f64, 2),
     ) {
-        let a = Tensor::from_vec(pmlang::DType::Float, vec![2], av).unwrap();
-        let b = Tensor::from_vec(pmlang::DType::Float, vec![2], bv).unwrap();
-        let points = [[0i64, 0], [0, 1], [1, 0], [1, 1]];
-        let (folded, _) = fold_kexpr(&k);
-        let before = eval_all(&k, &points, &a, &b);
-        let after = eval_all(&folded, &points, &a, &b);
-        for (x, y) in before.iter().zip(&after) {
-            match (x, y) {
-                (Ok(Scalar::Real(u)), Ok(Scalar::Real(v))) => {
-                    prop_assert!((u - v).abs() <= 1e-9 * (1.0 + u.abs()), "{u} vs {v}");
-                }
-                (Err(_), Err(_)) => {}
-                other => prop_assert!(false, "divergent results: {other:?}"),
-            }
-        }
+        preserves_evaluation(fold_kexpr, &k, av, bv)?;
     }
 
     #[test]
@@ -80,21 +80,7 @@ proptest! {
         av in proptest::collection::vec(-3.0..3.0f64, 2),
         bv in proptest::collection::vec(-3.0..3.0f64, 2),
     ) {
-        let a = Tensor::from_vec(pmlang::DType::Float, vec![2], av).unwrap();
-        let b = Tensor::from_vec(pmlang::DType::Float, vec![2], bv).unwrap();
-        let points = [[0i64, 0], [0, 1], [1, 0], [1, 1]];
-        let (simplified, _) = simplify_kexpr(&k);
-        let before = eval_all(&k, &points, &a, &b);
-        let after = eval_all(&simplified, &points, &a, &b);
-        for (x, y) in before.iter().zip(&after) {
-            match (x, y) {
-                (Ok(Scalar::Real(u)), Ok(Scalar::Real(v))) => {
-                    prop_assert!((u - v).abs() <= 1e-9 * (1.0 + u.abs()), "{u} vs {v}");
-                }
-                (Err(_), Err(_)) => {}
-                other => prop_assert!(false, "divergent results: {other:?}"),
-            }
-        }
+        preserves_evaluation(simplify_kexpr, &k, av, bv)?;
     }
 
     /// Rewriters reach a fixpoint in one extra application.

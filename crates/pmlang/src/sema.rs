@@ -212,8 +212,8 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
                         return Err(err(*span, format!("duplicate name `{}`", s.name)));
                     }
                     // Bounds may reference params, size params, and literals.
-                    check_expr(prog, &scope, &s.lo, false)?;
-                    check_expr(prog, &scope, &s.hi, false)?;
+                    check_expr(prog, &scope, &s.lo)?;
+                    check_expr(prog, &scope, &s.hi)?;
                 }
             }
             Stmt::VarDecl { vars, span, .. } => {
@@ -223,7 +223,7 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
                         return Err(err(*span, format!("duplicate name `{name}`")));
                     }
                     for d in dims {
-                        check_expr(prog, &scope, d, false)?;
+                        check_expr(prog, &scope, d)?;
                     }
                 }
             }
@@ -257,9 +257,9 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
                     }
                 }
                 for ix in indices {
-                    check_expr(prog, &scope, ix, false)?;
+                    check_expr(prog, &scope, ix)?;
                 }
-                check_expr(prog, &scope, value, true)?;
+                check_expr(prog, &scope, value)?;
                 scope.written.insert(target);
             }
             Stmt::Instantiate { component, args, span, .. } => {
@@ -332,7 +332,7 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
                             scope.written.insert(name);
                         }
                         TypeModifier::Input | TypeModifier::Param => {
-                            check_expr(prog, &scope, actual, true)?;
+                            check_expr(prog, &scope, actual)?;
                         }
                     }
                 }
@@ -358,22 +358,15 @@ fn check_component(prog: &Program, comp: &Component) -> Result<ComponentInfo, Se
 pub const MAX_EXPR_DEPTH: usize = 128;
 
 /// Checks an expression for undeclared names, bad calls, and reduce-iter
-/// validity. `allow_unwritten_read == false` restricts to "structural"
-/// positions (dims, bounds, LHS indices) where outputs may not be read.
-fn check_expr(
-    prog: &Program,
-    scope: &Scope,
-    e: &Expr,
-    _allow_unwritten_read: bool,
-) -> Result<(), SemaError> {
-    check_expr_depth(prog, scope, e, _allow_unwritten_read, 0)
+/// validity.
+fn check_expr(prog: &Program, scope: &Scope, e: &Expr) -> Result<(), SemaError> {
+    check_expr_depth(prog, scope, e, 0)
 }
 
 fn check_expr_depth(
     prog: &Program,
     scope: &Scope,
     e: &Expr,
-    _allow_unwritten_read: bool,
     depth: usize,
 ) -> Result<(), SemaError> {
     if depth > MAX_EXPR_DEPTH {
@@ -382,7 +375,7 @@ fn check_expr_depth(
             format!("expression nesting exceeds the {MAX_EXPR_DEPTH}-level limit"),
         ));
     }
-    let check_expr = |prog, scope, e, allow| check_expr_depth(prog, scope, e, allow, depth + 1);
+    let check_expr = |prog, scope, e| check_expr_depth(prog, scope, e, depth + 1);
     match &e.kind {
         ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::StrLit(_) => Ok(()),
         ExprKind::Var(name) => {
@@ -400,17 +393,17 @@ fn check_expr_depth(
                 }
                 Some(_) => {}
             }
-            indices.iter().try_for_each(|ix| check_expr(prog, scope, ix, false))
+            indices.iter().try_for_each(|ix| check_expr(prog, scope, ix))
         }
-        ExprKind::Unary { operand, .. } => check_expr(prog, scope, operand, _allow_unwritten_read),
+        ExprKind::Unary { operand, .. } => check_expr(prog, scope, operand),
         ExprKind::Binary { lhs, rhs, .. } => {
-            check_expr(prog, scope, lhs, _allow_unwritten_read)?;
-            check_expr(prog, scope, rhs, _allow_unwritten_read)
+            check_expr(prog, scope, lhs)?;
+            check_expr(prog, scope, rhs)
         }
         ExprKind::Ternary { cond, then, otherwise } => {
-            check_expr(prog, scope, cond, _allow_unwritten_read)?;
-            check_expr(prog, scope, then, _allow_unwritten_read)?;
-            check_expr(prog, scope, otherwise, _allow_unwritten_read)
+            check_expr(prog, scope, cond)?;
+            check_expr(prog, scope, then)?;
+            check_expr(prog, scope, otherwise)
         }
         ExprKind::Call { name, args } => {
             let f = ScalarFunc::by_name(name)
@@ -421,7 +414,7 @@ fn check_expr_depth(
                     format!("`{name}` expects {} arguments, got {}", f.arity(), args.len()),
                 ));
             }
-            args.iter().try_for_each(|a| check_expr(prog, scope, a, _allow_unwritten_read))
+            args.iter().try_for_each(|a| check_expr(prog, scope, a))
         }
         ExprKind::Reduce { op, iters, body } => {
             if BuiltinReduction::by_name(op).is_none() && prog.reduction(op).is_none() {
@@ -444,10 +437,10 @@ fn check_expr_depth(
                     }
                 }
                 if let Some(c) = &it.cond {
-                    check_expr(prog, scope, c, _allow_unwritten_read)?;
+                    check_expr(prog, scope, c)?;
                 }
             }
-            check_expr(prog, scope, body, _allow_unwritten_read)
+            check_expr(prog, scope, body)
         }
     }
 }

@@ -18,8 +18,9 @@ use crate::graph::{
     map_op_name, EdgeId, EdgeMeta, IndexRange, MapSpec, Modifier, NodeKind, ReduceOp, ReduceSpec,
     SrDfg, WriteSpec,
 };
-use crate::kernel::KExpr;
+use crate::kernel::{self, KExpr, EXACT};
 use crate::pattern::detect_pattern;
+use crate::value::Scalar;
 use pmlang::ast::{ArgDecl, Component, Expr, ExprKind, Stmt};
 use pmlang::{BuiltinReduction, DType, Domain, Program, ScalarFunc, Span, TypeModifier};
 use std::collections::HashMap;
@@ -59,7 +60,7 @@ pub fn build(program: &Program, bindings: &Bindings) -> Result<SrDfg, BuildError
     let mut builder = ComponentBuilder::new(program, main, None);
     // Bind main's integer params and size params from `bindings`.
     for arg in &main.args {
-        if arg.modifier == TypeModifier::Param && arg.dtype == DType::Int && arg.dims.is_empty() {
+        if is_const_param(arg) {
             let v = bindings.sizes.get(&arg.name).copied().ok_or_else(|| {
                 BuildError::new(
                     format!("int param `{}` of main must be bound at build time", arg.name),
@@ -91,9 +92,6 @@ enum Value {
 struct VarSlot {
     dtype: DType,
     shape: Vec<usize>,
-    /// Retained for diagnostics and future passes (not read today).
-    #[allow(dead_code)]
-    modifier: Modifier,
     /// The edge holding the variable's current value, if written/bound.
     current: Option<EdgeId>,
     /// SSA version counter, for edge naming.
@@ -152,8 +150,7 @@ impl<'a> ComponentBuilder<'a> {
         }
         for arg in &self.comp.args {
             // Compile-time int params were pre-bound by the caller.
-            if arg.modifier == TypeModifier::Param && arg.dtype == DType::Int && arg.dims.is_empty()
-            {
+            if is_const_param(arg) {
                 let Some(&v) = self.sizes.get(arg.name.as_str()) else {
                     return Err(BuildError::new(
                         format!("int param `{}` not bound", arg.name),
@@ -170,13 +167,8 @@ impl<'a> ComponentBuilder<'a> {
                 TypeModifier::State => Modifier::State,
                 TypeModifier::Param => Modifier::Param,
             };
-            let mut slot = VarSlot {
-                dtype: arg.dtype,
-                shape: shape.clone(),
-                modifier,
-                current: None,
-                version: 0,
-            };
+            let mut slot =
+                VarSlot { dtype: arg.dtype, shape: shape.clone(), current: None, version: 0 };
             // Inputs, state, and runtime params arrive via boundary edges.
             if modifier != Modifier::Output {
                 let e = self.graph.add_edge(
@@ -245,51 +237,21 @@ impl<'a> ComponentBuilder<'a> {
             .collect()
     }
 
-    /// Evaluates a compile-time integer expression (literals, int params,
-    /// size params, arithmetic).
-    fn const_int(&self, e: &Expr) -> Result<i64, BuildError> {
-        Ok(self.const_real(e)?.round() as i64)
+    /// The compile-time constant `e` (see [`const_eval`]) over this
+    /// component's integer params and sizes; `exact` when it is read as an
+    /// integer.
+    fn constant(&self, e: &Expr, exact: bool) -> Result<f64, BuildError> {
+        let int = |name: &str| match self.scope.get(name) {
+            Some(&Value::ConstInt(v)) => Some(v),
+            _ => None,
+        };
+        const_eval(e, &int, exact)
     }
 
-    fn const_real(&self, e: &Expr) -> Result<f64, BuildError> {
-        match &e.kind {
-            ExprKind::IntLit(v) => Ok(*v as f64),
-            ExprKind::FloatLit(v) => Ok(*v),
-            ExprKind::Var(name) => match self.scope.get(name.as_str()) {
-                Some(Value::ConstInt(v)) => Ok(*v as f64),
-                _ => {
-                    Err(BuildError::new(format!("`{name}` is not a compile-time constant"), e.span))
-                }
-            },
-            ExprKind::Unary { op, operand } => {
-                let v = self.const_real(operand)?;
-                Ok(match op {
-                    pmlang::UnOp::Neg => -v,
-                    pmlang::UnOp::Not => {
-                        if v == 0.0 {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                })
-            }
-            ExprKind::Binary { op, lhs, rhs } => {
-                let a = self.const_real(lhs)?;
-                let b = self.const_real(rhs)?;
-                crate::kernel::eval_binary(*op, a.into(), b.into())
-                    .map_err(|err| BuildError::new(err.to_string(), e.span))?
-                    .as_real()
-                    .map_err(|err| BuildError::new(err.to_string(), e.span))
-            }
-            ExprKind::Call { name, args } => {
-                let f = ScalarFunc::by_name(name)
-                    .ok_or_else(|| BuildError::new(format!("unknown function `{name}`"), e.span))?;
-                let vals: Result<Vec<f64>, _> = args.iter().map(|a| self.const_real(a)).collect();
-                Ok(f.eval_real(&vals?))
-            }
-            _ => Err(BuildError::new("expression is not a compile-time constant", e.span)),
-        }
+    /// The compile-time integer `e`: a size, a bound or an `int` argument,
+    /// read as the interpreter reads an index.
+    fn const_int(&self, e: &Expr) -> Result<i64, BuildError> {
+        index(self.constant(e, true)?, e.span)
     }
 
     fn var_slot(&self, name: &str, span: Span) -> Result<&VarSlot, BuildError> {
@@ -345,13 +307,7 @@ impl<'a> ComponentBuilder<'a> {
                     let shape = self.resolve_dims(dims, *span)?;
                     self.scope.insert(
                         name,
-                        Value::Var(VarSlot {
-                            dtype: *dtype,
-                            shape,
-                            modifier: Modifier::Temp,
-                            current: None,
-                            version: 0,
-                        }),
+                        Value::Var(VarSlot { dtype: *dtype, shape, current: None, version: 0 }),
                     );
                 }
                 Ok(())
@@ -408,7 +364,7 @@ impl<'a> ComponentBuilder<'a> {
         let mut ops = OperandSet::default();
         let lhs: Vec<KExpr> = lhs_exprs
             .iter()
-            .map(|ix| self.kexpr(ix, &index_pos, &mut ops, &mut Vec::new()))
+            .map(|ix| self.kexpr(ix, &index_pos, &mut ops))
             .collect::<Result<_, _>>()?;
         if !ops.edges.is_empty() {
             return Err(BuildError::new("left-hand-side indices may not read tensors", span));
@@ -422,8 +378,7 @@ impl<'a> ComponentBuilder<'a> {
         let carried = !identity;
 
         // RHS: pull out reductions into their own nodes first.
-        let mut reduce_temps: Vec<EdgeId> = Vec::new();
-        let rhs = self.extract_reductions(value, &free, &index_pos, &mut reduce_temps)?;
+        let rhs = self.extract_reductions(value, &free, &index_pos)?;
 
         let write = WriteSpec { target_shape: target_shape.clone(), lhs, carried };
 
@@ -456,7 +411,6 @@ impl<'a> ComponentBuilder<'a> {
         }
 
         let RhsExpr::Kernel(mut kernel, mut ops) = rhs else { unreachable!() };
-        let _ = &reduce_temps; // temps already registered as operands
         if carried {
             let prev = self.carry_edge(target, target_dtype, &target_shape, span)?;
             ops.edges.insert(0, prev);
@@ -548,14 +502,13 @@ impl<'a> ComponentBuilder<'a> {
         value: &Expr,
         free: &[IndexRange],
         index_pos: &Names<usize>,
-        temps: &mut Vec<EdgeId>,
     ) -> Result<RhsExpr, BuildError> {
         if let ExprKind::Reduce { .. } = &value.kind {
             let (spec, inputs) = self.build_reduce(value, free, index_pos)?;
             return Ok(RhsExpr::SingleReduce(Box::new(spec), inputs));
         }
         let mut ops = OperandSet::default();
-        let kernel = self.kexpr(value, index_pos, &mut ops, temps)?;
+        let kernel = self.kexpr(value, index_pos, &mut ops)?;
         Ok(RhsExpr::Kernel(kernel, ops))
     }
 
@@ -581,12 +534,12 @@ impl<'a> ComponentBuilder<'a> {
             red_space.push(r);
         }
         let mut ops = OperandSet::default();
-        let body_kernel = self.kexpr(body, &red_pos, &mut ops, &mut Vec::new())?;
+        let body_kernel = self.kexpr(body, &red_pos, &mut ops)?;
         // Conjunction of all iteration conditions.
         let mut cond: Option<KExpr> = None;
         for it in iters {
             if let Some(c) = &it.cond {
-                let ck = self.kexpr(c, &red_pos, &mut ops, &mut Vec::new())?;
+                let ck = self.kexpr(c, &red_pos, &mut ops)?;
                 cond = Some(match cond {
                     None => ck,
                     Some(prev) => KExpr::Binary(pmlang::BinOp::And, Box::new(prev), Box::new(ck)),
@@ -621,7 +574,6 @@ impl<'a> ComponentBuilder<'a> {
         e: &Expr,
         index_pos: &Names<usize>,
         ops: &mut OperandSet,
-        temps: &mut Vec<EdgeId>,
     ) -> Result<KExpr, BuildError> {
         match &e.kind {
             ExprKind::IntLit(v) => Ok(KExpr::Const(*v as f64)),
@@ -667,30 +619,28 @@ impl<'a> ComponentBuilder<'a> {
                 let slot = ops.slot(var.current_edge(name, e.span)?);
                 let ixs: Vec<KExpr> = indices
                     .iter()
-                    .map(|ix| self.kexpr(ix, index_pos, ops, temps))
+                    .map(|ix| self.kexpr(ix, index_pos, ops))
                     .collect::<Result<_, _>>()?;
                 Ok(KExpr::Operand { slot, indices: ixs })
             }
             ExprKind::Unary { op, operand } => {
-                Ok(KExpr::Unary(*op, Box::new(self.kexpr(operand, index_pos, ops, temps)?)))
+                Ok(KExpr::Unary(*op, Box::new(self.kexpr(operand, index_pos, ops)?)))
             }
             ExprKind::Binary { op, lhs, rhs } => Ok(KExpr::Binary(
                 *op,
-                Box::new(self.kexpr(lhs, index_pos, ops, temps)?),
-                Box::new(self.kexpr(rhs, index_pos, ops, temps)?),
+                Box::new(self.kexpr(lhs, index_pos, ops)?),
+                Box::new(self.kexpr(rhs, index_pos, ops)?),
             )),
             ExprKind::Ternary { cond, then, otherwise } => Ok(KExpr::Select(
-                Box::new(self.kexpr(cond, index_pos, ops, temps)?),
-                Box::new(self.kexpr(then, index_pos, ops, temps)?),
-                Box::new(self.kexpr(otherwise, index_pos, ops, temps)?),
+                Box::new(self.kexpr(cond, index_pos, ops)?),
+                Box::new(self.kexpr(then, index_pos, ops)?),
+                Box::new(self.kexpr(otherwise, index_pos, ops)?),
             )),
             ExprKind::Call { name, args } => {
                 let f = ScalarFunc::by_name(name)
                     .ok_or_else(|| BuildError::new(format!("unknown function `{name}`"), e.span))?;
-                let ks: Vec<KExpr> = args
-                    .iter()
-                    .map(|a| self.kexpr(a, index_pos, ops, temps))
-                    .collect::<Result<_, _>>()?;
+                let ks: Vec<KExpr> =
+                    args.iter().map(|a| self.kexpr(a, index_pos, ops)).collect::<Result<_, _>>()?;
                 Ok(KExpr::Call(f, ks))
             }
             ExprKind::Reduce { .. } => {
@@ -726,7 +676,6 @@ impl<'a> ComponentBuilder<'a> {
                     e.span,
                 );
                 self.graph.node_mut(id).pattern = pattern;
-                temps.push(temp);
                 let slot = ops.slot(temp);
                 let ixs: Vec<KExpr> = (0..free.len()).map(KExpr::Idx).collect();
                 Ok(KExpr::Operand { slot, indices: ixs })
@@ -752,22 +701,11 @@ impl<'a> ComponentBuilder<'a> {
         // Pass 1: bind callee int params from constant arguments, and unify
         // size params against actual shapes.
         let mut callee_sizes: Names<i64> = Names::default();
-        for (actual, formal) in args.iter().zip(&callee.args) {
-            if formal.modifier == TypeModifier::Param
-                && formal.dtype == DType::Int
-                && formal.dims.is_empty()
-            {
-                let v = self.const_int(actual)?;
-                callee_sizes.insert(&formal.name, v);
-            }
+        let pairs = || args.iter().zip(&callee.args);
+        for (actual, formal) in pairs().filter(|(_, formal)| is_const_param(formal)) {
+            callee_sizes.insert(&formal.name, self.const_int(actual)?);
         }
-        for (actual, formal) in args.iter().zip(&callee.args) {
-            if formal.modifier == TypeModifier::Param
-                && formal.dtype == DType::Int
-                && formal.dims.is_empty()
-            {
-                continue;
-            }
+        for (actual, formal) in pairs().filter(|(_, formal)| !is_const_param(formal)) {
             let shape = self.actual_shape(actual)?;
             unify_dims(&formal.dims, &shape, &mut callee_sizes, formal, span)?;
         }
@@ -809,12 +747,8 @@ impl<'a> ComponentBuilder<'a> {
                 TypeModifier::Input | TypeModifier::State => {
                     node_inputs.push(self.actual_edge(actual, formal)?);
                 }
-                TypeModifier::Param => {
-                    if formal.dtype == DType::Int && formal.dims.is_empty() {
-                        continue; // compile-time constant
-                    }
-                    node_inputs.push(self.actual_edge(actual, formal)?);
-                }
+                TypeModifier::Param if is_const_param(formal) => {}
+                TypeModifier::Param => node_inputs.push(self.actual_edge(actual, formal)?),
                 TypeModifier::Output => {}
             }
         }
@@ -863,10 +797,13 @@ impl<'a> ComponentBuilder<'a> {
             },
             _ => {
                 // Constant expression: scalar.
-                self.const_real(actual).map(|_| vec![]).map_err(|_| {
+                self.constant(actual, false).map(|_| vec![]).map_err(|err| {
                     BuildError::new(
-                        "instantiation arguments must be variables or constants",
-                        actual.span,
+                        format!(
+                            "instantiation arguments must be variables or constants: {}",
+                            err.message
+                        ),
+                        err.span,
                     )
                 })
             }
@@ -881,7 +818,7 @@ impl<'a> ComponentBuilder<'a> {
                 self.current_edge(vn, actual.span)
             }
             _ => {
-                let v = self.const_real(actual)?;
+                let v = self.constant(actual, false)?;
                 let e = self.graph.add_edge(
                     EdgeMeta::new(
                         format!("const.{}", self.graph.edge_count()),
@@ -990,6 +927,12 @@ fn combiner_kernel(def: &pmlang::ReductionDef) -> Result<KExpr, BuildError> {
     walk(&def.body, def)
 }
 
+/// An `int` scalar `param`: a compile-time constant its caller binds,
+/// with no edge of its own.
+fn is_const_param(arg: &ArgDecl) -> bool {
+    arg.modifier == TypeModifier::Param && arg.dtype == DType::Int && arg.dims.is_empty()
+}
+
 /// Unifies declared dimension expressions against an actual shape,
 /// binding single-variable dims and checking the rest.
 fn unify_dims<'a>(
@@ -1029,9 +972,17 @@ fn unify_dims<'a>(
                 }
             },
             _ => {
-                let v = const_eval_with(d, sizes).ok_or_else(|| {
-                    BuildError::new(format!("cannot evaluate dimension of `{}`", formal.name), span)
-                })?;
+                let v = const_eval(d, &|name| sizes.get(name).copied(), true)
+                    .and_then(|v| index(v, d.span))
+                    .map_err(|err| {
+                        BuildError::new(
+                            format!(
+                                "cannot evaluate dimension of `{}`: {}",
+                                formal.name, err.message
+                            ),
+                            span,
+                        )
+                    })?;
                 if v != actual as i64 {
                     return Err(BuildError::new(
                         format!(
@@ -1047,27 +998,53 @@ fn unify_dims<'a>(
     Ok(())
 }
 
-/// Constant-evaluates an integer expression against a size environment:
-/// `None` when it is not constant or its arithmetic overflows `i64`.
-fn const_eval_with(e: &Expr, sizes: &Names<i64>) -> Option<i64> {
-    match &e.kind {
-        ExprKind::IntLit(v) => Some(*v),
-        ExprKind::Var(name) => sizes.get(name.as_str()).copied(),
-        ExprKind::Unary { op: pmlang::UnOp::Neg, operand } => {
-            const_eval_with(operand, sizes)?.checked_neg()
+/// Evaluates a compile-time constant through the kernel's operators
+/// ([`crate::kernel`]): literals, the integers `int` binds, and unary,
+/// binary and call expressions over them. When the constant is `exact` —
+/// read as an integer — every value it forms must lie within ±2^52
+/// ([`EXACT`]), where `f64` integer arithmetic is exact, so a size is what
+/// its integer arithmetic says or a [`BuildError`], never a rounded or
+/// saturated value.
+fn const_eval(
+    e: &Expr,
+    int: &impl Fn(&str) -> Option<i64>,
+    exact: bool,
+) -> Result<f64, BuildError> {
+    let fail = |message: String| BuildError::new(message, e.span);
+    let v = match &e.kind {
+        ExprKind::IntLit(v) => Ok(Scalar::Real(*v as f64)),
+        ExprKind::FloatLit(v) => Ok(Scalar::Real(*v)),
+        ExprKind::Var(name) => match int(name) {
+            Some(v) => Ok(Scalar::Real(v as f64)),
+            None => return Err(fail(format!("`{name}` is not a compile-time constant"))),
+        },
+        ExprKind::Unary { op, operand } => {
+            kernel::eval_unary(*op, const_eval(operand, int, exact)?.into())
         }
         ExprKind::Binary { op, lhs, rhs } => {
-            let a = const_eval_with(lhs, sizes)?;
-            let b = const_eval_with(rhs, sizes)?;
-            match op {
-                pmlang::BinOp::Add => a.checked_add(b),
-                pmlang::BinOp::Sub => a.checked_sub(b),
-                pmlang::BinOp::Mul => a.checked_mul(b),
-                pmlang::BinOp::Div => a.checked_div(b),
-                pmlang::BinOp::Mod => a.checked_rem(b),
-                _ => None,
-            }
+            let (a, b) = (const_eval(lhs, int, exact)?, const_eval(rhs, int, exact)?);
+            kernel::eval_binary(*op, a.into(), b.into())
         }
-        _ => None,
+        ExprKind::Call { name, args } => {
+            let f = ScalarFunc::by_name(name)
+                .ok_or_else(|| fail(format!("unknown function `{name}`")))?;
+            let args: Vec<Scalar> = args
+                .iter()
+                .map(|a| Ok(const_eval(a, int, exact)?.into()))
+                .collect::<Result<_, _>>()?;
+            kernel::eval_call(f, &args)
+        }
+        _ => return Err(fail("expression is not a compile-time constant".into())),
+    };
+    match v.and_then(|v| v.as_real()) {
+        Ok(x) if !exact || x.abs() <= EXACT as f64 => Ok(x),
+        Ok(x) => Err(fail(format!("constant {x} is outside the exact integer range ±2^52"))),
+        Err(err) => Err(fail(err.to_string())),
     }
+}
+
+/// Reads a compile-time constant as an integer, as the interpreter reads
+/// an index.
+fn index(v: f64, span: Span) -> Result<i64, BuildError> {
+    Scalar::Real(v).as_index().map_err(|err| BuildError::new(err.to_string(), span))
 }

@@ -12,7 +12,7 @@ use crate::graph::{
     space_size, IndexRange, MapSpec, Modifier, NodeKind, Odometer, ReduceOp, ReduceSpec, SrDfg,
     WriteSpec,
 };
-use crate::kernel::{KExpr, KernelPlan, PlanExpr};
+use crate::kernel::{KernelPlan, PlanExpr};
 use crate::value::{too_large, try_vec, Scalar, Tensor};
 use pmlang::BuiltinReduction;
 use std::collections::HashMap;
@@ -374,6 +374,7 @@ fn combine_builtin(b: BuiltinReduction, prev: Scalar, elem: Scalar) -> Result<Sc
 
 fn exec_scalar(kind: &crate::graph::ScalarKind, operands: &[&Tensor]) -> Result<Tensor, ExecError> {
     use crate::graph::ScalarKind;
+    use crate::kernel::{buffered, eval_binary, eval_call, eval_unary};
     let get = |i: usize| -> Result<Scalar, ExecError> {
         operands
             .get(i)
@@ -382,16 +383,10 @@ fn exec_scalar(kind: &crate::graph::ScalarKind, operands: &[&Tensor]) -> Result<
     };
     let v = match kind {
         ScalarKind::Const(c) => Scalar::Real(*c),
-        ScalarKind::Bin(op) => crate::kernel::eval_binary(*op, get(0)?, get(1)?)?,
-        ScalarKind::Un(op) => {
-            let k = KExpr::Unary(*op, Box::new(KExpr::Arg(0)));
-            k.eval(&[], &[], &[get(0)?])?
-        }
+        ScalarKind::Bin(op) => eval_binary(*op, get(0)?, get(1)?)?,
+        ScalarKind::Un(op) => eval_unary(*op, get(0)?)?,
         ScalarKind::Func(f) => {
-            let args: Vec<KExpr> = (0..f.arity()).map(KExpr::Arg).collect();
-            let k = KExpr::Call(*f, args);
-            let vals: Vec<Scalar> = (0..f.arity()).map(&get).collect::<Result<_, _>>()?;
-            k.eval(&[], &[], &vals)?
+            buffered(f.arity(), Scalar::Real(0.0), get, |args| Ok(eval_call(*f, args)?))?
         }
         ScalarKind::Select => {
             if get(0)?.as_bool()? {
@@ -401,10 +396,11 @@ fn exec_scalar(kind: &crate::graph::ScalarKind, operands: &[&Tensor]) -> Result<
             }
         }
     };
-    let mut t = Tensor::zeros(pmlang::DType::Float, vec![]);
-    if let Scalar::Complex(..) = v {
-        t = Tensor::zeros(pmlang::DType::Complex, vec![]);
-    }
+    let dtype = match v {
+        Scalar::Real(_) => pmlang::DType::Float,
+        Scalar::Complex(..) => pmlang::DType::Complex,
+    };
+    let mut t = Tensor::zeros(dtype, vec![]);
     t.set_flat(0, v)?;
     Ok(t)
 }
@@ -436,6 +432,22 @@ mod tests {
 
     fn mat_t(r: usize, c: usize, v: Vec<f64>) -> Tensor {
         Tensor::from_vec(DType::Float, vec![r, c], v).unwrap()
+    }
+
+    #[test]
+    fn an_odd_size_halves_by_truncation_everywhere() {
+        // `n/2` and `m/2` at 5 are 2.5, read as the index 2 by the caller's
+        // declaration, the callee's declaration and the size unification.
+        let out = run_once(
+            "half(input float x[m], output float y[m/2]) {
+                 index i[0:m/2-1];
+                 y[i] = x[2*i] + x[2*i+1];
+             }
+             main(input float x[n], output float y[n/2]) { half(x, y); }",
+            vec![("x", vec_t(vec![1.0, 2.0, 3.0, 4.0, 5.0]))],
+            vec![("n", 5)],
+        );
+        assert_eq!(out["y"].as_real_slice().unwrap(), &[3.0, 7.0]);
     }
 
     #[test]

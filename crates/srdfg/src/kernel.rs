@@ -6,6 +6,11 @@
 //! lazy scalar expansion unrolls into scalar-op subgraphs; the interpreter
 //! compiles them per node into a `KernelPlan`, and [`KExpr::eval`] is
 //! their definition.
+//!
+//! [`eval_unary`], [`eval_binary`] and [`eval_call`] are the one meaning of
+//! each PMLang operator: compile-time sizes (`srdfg::build`), constant
+//! folding (`pm_passes::fold`) and scalar nodes (the interpreter) all call
+//! them, and [`Scalar::as_index`] is how any of them reads an integer.
 
 use crate::value::{Scalar, Tensor, ValueError};
 use pmlang::{BinOp, ScalarFunc, UnOp};
@@ -220,9 +225,9 @@ impl KExpr {
     }
 }
 
-/// Applies a unary operator to a scalar.
+/// Applies a unary operator to a scalar; `!` of a complex value is an error.
 #[inline]
-fn eval_unary(op: UnOp, v: Scalar) -> Result<Scalar, ValueError> {
+pub fn eval_unary(op: UnOp, v: Scalar) -> Result<Scalar, ValueError> {
     match (op, v) {
         (UnOp::Neg, Scalar::Real(x)) => Ok(Scalar::Real(-x)),
         (UnOp::Neg, Scalar::Complex(re, im)) => Ok(Scalar::Complex(-re, -im)),
@@ -230,7 +235,8 @@ fn eval_unary(op: UnOp, v: Scalar) -> Result<Scalar, ValueError> {
     }
 }
 
-/// Applies a binary operator with real/complex promotion.
+/// Applies a binary operator with real/complex promotion; an operator
+/// undefined on complex values is an error.
 pub fn eval_binary(op: BinOp, lhs: Scalar, rhs: Scalar) -> Result<Scalar, ValueError> {
     binary(op, lhs, rhs)
 }
@@ -287,8 +293,10 @@ fn as_complex(s: Scalar) -> (f64, f64) {
     }
 }
 
-/// Applies a built-in scalar function, handling the complex-aware builtins.
-fn eval_call(f: ScalarFunc, args: &[Scalar]) -> Result<Scalar, ValueError> {
+/// Applies a built-in scalar function, handling the complex-aware builtins;
+/// a complex argument to a real-only builtin is an error. `args` holds
+/// exactly `f`'s arity of values.
+pub fn eval_call(f: ScalarFunc, args: &[Scalar]) -> Result<Scalar, ValueError> {
     match f {
         ScalarFunc::Complex => Ok(Scalar::Complex(args[0].as_real()?, args[1].as_real()?)),
         ScalarFunc::CReal => Ok(Scalar::Real(as_complex(args[0]).0)),
@@ -317,12 +325,12 @@ fn eval_call(f: ScalarFunc, args: &[Scalar]) -> Result<Scalar, ValueError> {
 /// Hands `use_` the `n` values `item` produces in order, stopping at the
 /// first error. Up to four live on the stack, so an operand read or a
 /// builtin call allocates nothing; only a longer list takes the heap.
-fn buffered<T: Copy, R>(
+pub(crate) fn buffered<T: Copy, R, E>(
     n: usize,
     fill: T,
-    mut item: impl FnMut(usize) -> Result<T, ValueError>,
-    use_: impl FnOnce(&[T]) -> Result<R, ValueError>,
-) -> Result<R, ValueError> {
+    mut item: impl FnMut(usize) -> Result<T, E>,
+    use_: impl FnOnce(&[T]) -> Result<R, E>,
+) -> Result<R, E> {
     if n <= 4 {
         let mut buf = [fill; 4];
         for (i, slot) in buf[..n].iter_mut().enumerate() {
@@ -340,7 +348,7 @@ fn buffered<T: Copy, R>(
 /// and any point, to be read as exact integer arithmetic: below 2^53 an
 /// `f64` sum or product of integers is exact, so the affine form and the
 /// tree's floating-point evaluation agree on every index.
-const EXACT: i64 = 1 << 52;
+pub(crate) const EXACT: i64 = 1 << 52;
 
 /// One instruction of a [`KernelPlan`]. Values and indices live in
 /// numbered slots that compiling assigns like stack depths, so every

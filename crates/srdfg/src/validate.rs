@@ -40,7 +40,8 @@ impl std::error::Error for ValidateError {}
 
 /// Checks graph invariants:
 ///
-/// * producer/consumer back-links are consistent;
+/// * producer/consumer back-links are consistent, from the node side and
+///   from the edge side;
 /// * boundary outputs have a producer or are boundary inputs (pass-through);
 /// * kernel operand slots stay within each node's input arity;
 /// * every node's edges keep its shape/dtype rule
@@ -65,7 +66,8 @@ pub fn validate(graph: &SrDfg) -> Result<(), ValidateError> {
 /// Like [`validate`], but keeps going: returns *every* structural defect
 /// in the graph (and its nested components), in scan order — back-link,
 /// kernel-arity and shape/dtype-rule defects node by node, then producer-less boundary
-/// outputs, then the acyclicity check. Each error carries the same
+/// outputs, then edge-side back-link defects, then the acyclicity check
+/// (skipped when an edge names a node that does not use it). Each error carries the same
 /// component breadcrumb [`ValidateError::path`] the first-error API
 /// reports, so a pass that corrupts several places at once is diagnosed
 /// in one round trip.
@@ -141,7 +143,34 @@ fn collect(graph: &SrDfg, out: &mut Vec<ValidateError>) {
             )));
         }
     }
+    // The same back-links from the edge side. The sort below indexes by
+    // every node an edge names, so it runs only when each of them uses the
+    // edge in the slot named.
+    let before = out.len();
+    for e in graph.edge_ids() {
+        let edge = graph.edge(e);
+        let producer = edge.producer.map(|(n, slot)| ("producer", n, slot));
+        let consumers = edge.consumers.iter().map(|&(n, slot)| ("consumer", n, slot));
+        for (role, n, slot) in producer.into_iter().chain(consumers) {
+            let ports = graph.is_live(n).then(|| {
+                let node = graph.node(n);
+                if role == "producer" {
+                    &node.outputs[..]
+                } else {
+                    &node.inputs[..]
+                }
+            });
+            if ports.and_then(|p| p.get(slot as usize)) != Some(&e) {
+                out.push(ValidateError::new(format!(
+                    "edge {e} names {role} {n} slot {slot}, which does not use it"
+                )));
+            }
+        }
+    }
     // Acyclicity, without panicking on malformed graphs.
+    if out.len() > before {
+        return;
+    }
     if let Err(stuck) = graph.try_topo_order() {
         let names: Vec<String> =
             stuck.iter().take(8).map(|&id| format!("`{}`", graph.node(id).name)).collect();
@@ -210,28 +239,39 @@ mod tests {
         assert!(validate(&g).is_err());
     }
 
+    fn temp(name: &str) -> crate::graph::EdgeMeta {
+        use crate::graph::{EdgeMeta, Modifier};
+        EdgeMeta::new(name, pmlang::DType::Float, Modifier::Temp, vec![])
+    }
+
+    fn neg() -> NodeKind {
+        NodeKind::scalar(crate::graph::ScalarKind::Un(pmlang::UnOp::Neg))
+    }
+
+    #[test]
+    fn detects_a_dangling_consumer_without_panicking() {
+        // `a` reads what the later `b` writes, so the sort cannot take its
+        // id-order fast path and walks every consumer list.
+        let mut g = SrDfg::new("late");
+        let (x, t, y) = (g.add_edge(temp("x")), g.add_edge(temp("t")), g.add_edge(temp("y")));
+        g.add_node("a", neg(), None, [t], [y]);
+        g.add_node("b", neg(), None, [x], [t]);
+        g.boundary_inputs.push(x);
+        g.boundary_outputs.push(y);
+        validate(&g).unwrap();
+        g.consumers_mut(y).push((crate::graph::NodeId(7), 0));
+        let err = validate(&g).unwrap_err();
+        assert!(err.message.contains("names consumer n7 slot 0"), "{err}");
+    }
+
     #[test]
     fn detects_cycle_without_panicking() {
-        use crate::graph::{EdgeMeta, Modifier, ScalarKind};
         // Two scalar nodes consuming each other's outputs: a genuine cycle
         // with consistent back-links.
         let mut g = SrDfg::new("cyclic");
-        let e1 = g.add_edge(EdgeMeta::new("e1", pmlang::DType::Float, Modifier::Temp, vec![]));
-        let e2 = g.add_edge(EdgeMeta::new("e2", pmlang::DType::Float, Modifier::Temp, vec![]));
-        g.add_node(
-            "a",
-            NodeKind::scalar(ScalarKind::Un(pmlang::UnOp::Neg)),
-            None,
-            vec![e2],
-            vec![e1],
-        );
-        g.add_node(
-            "b",
-            NodeKind::scalar(ScalarKind::Un(pmlang::UnOp::Neg)),
-            None,
-            vec![e1],
-            vec![e2],
-        );
+        let (e1, e2) = (g.add_edge(temp("e1")), g.add_edge(temp("e2")));
+        g.add_node("a", neg(), None, [e2], [e1]);
+        g.add_node("b", neg(), None, [e1], [e2]);
         let err = validate(&g).unwrap_err();
         assert!(err.message.contains("cycle"), "{err}");
         assert!(g.try_topo_order().is_err());
@@ -239,8 +279,8 @@ mod tests {
         // A node consuming its own output is a cycle too, and the
         // interpreter refuses it instead of panicking.
         let mut g = SrDfg::new("self");
-        let e = g.add_edge(EdgeMeta::new("e", pmlang::DType::Float, Modifier::Temp, vec![]));
-        g.add_node("a", NodeKind::scalar(ScalarKind::Un(pmlang::UnOp::Neg)), None, [e], [e]);
+        let e = g.add_edge(temp("e"));
+        g.add_node("a", neg(), None, [e], [e]);
         assert!(validate(&g).unwrap_err().message.contains("cycle"));
         let err = crate::Machine::new(g).invoke(&Default::default()).unwrap_err();
         assert!(err.to_string().contains("cycle"), "{err}");

@@ -252,6 +252,19 @@ if grep -rnE 'refine_for_splice|Plan::Deferred|first_of_fp|splice_template' crat
     exit 1
 fi
 
+echo "== one operator semantics"
+# srdfg::kernel's eval_unary/eval_binary/eval_call define what a PMLang
+# operator computes: compile-time sizes, constant folding and scalar nodes
+# call them. A second size evaluator, a rounding integer read, a folder
+# table of its own or a KExpr tree built per scalar node would be another
+# meaning of the same operator.
+if grep -nE 'fn const_eval_with|\.round\(\) as i64' crates/srdfg/src/build.rs ||
+    sed -n '/^fn exec_scalar/,/^}/p' crates/srdfg/src/interp.rs | grep -n 'KExpr::' ||
+    grep -n 'UnOp::Neg =>' crates/passes/src/fold.rs; then
+    echo "an operator is defined outside srdfg::kernel again" >&2
+    exit 1
+fi
+
 echo "== a fragment references the graph"
 # Algorithm 2 emits a node id per compute fragment and one moved edge per
 # load/store; operands are read through the graph where they are used.

@@ -2,7 +2,8 @@
 //!
 //! The library half holds what more than one test binary shares: the
 //! counting allocator the allocation-budget tests install with
-//! `#[global_allocator] static GLOBAL: Counting = Counting;`.
+//! `#[global_allocator] static GLOBAL: Counting = Counting;`, and the
+//! float-vector feed builder [`vec_t`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -53,4 +54,9 @@ pub fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let out = f();
     COUNTING.with(|c| c.set(false));
     (out, ALLOCS.with(Cell::get))
+}
+
+/// A float tensor of shape `[values.len()]`.
+pub fn vec_t(values: Vec<f64>) -> srdfg::Tensor {
+    srdfg::Tensor::from_vec(pmlang::DType::Float, vec![values.len()], values).unwrap()
 }

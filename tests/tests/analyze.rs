@@ -11,7 +11,6 @@
 use pm_workloads::{apps, programs};
 use polymath::Compiler;
 use proptest::prelude::*;
-use proptest::strategy::BoxedStrategy;
 use srdfg::graph::Modifier;
 use srdfg::{Bindings, FxHasher, Machine, SrDfg, Tensor};
 use std::collections::HashMap;
@@ -286,19 +285,6 @@ fn analyzer_verdicts_on_the_shipped_programs_are_the_recorded_ones_and_certified
     assert_eq!(got, expected, "analyzer verdicts moved; this run computed:\n{table}");
 }
 
-/// A generated program plus inputs sized to its `n`.
-type Case = (pm_fuzz::PProgram, Vec<f64>, Vec<f64>, Vec<f64>);
-
-fn case_strategy() -> BoxedStrategy<Case> {
-    BoxedStrategy::from_fn(|rng| {
-        let program = pm_fuzz::gen_program(rng);
-        let xs = pm_fuzz::gen_inputs(rng, program.n);
-        let ys = pm_fuzz::gen_inputs(rng, program.n);
-        let z0 = pm_fuzz::gen_inputs(rng, program.n);
-        (program, xs, ys, z0)
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -306,7 +292,7 @@ proptest! {
     /// accepts a program, the interpreter must complete every invocation
     /// without trapping, whatever the (metadata-conforming) feeds.
     #[test]
-    fn certified_programs_never_trap((program, xs, ys, z0) in case_strategy()) {
+    fn certified_programs_never_trap((program, xs, ys, z0) in pm_fuzz::gen::strategies::case()) {
         let src = program.to_pmlang();
         let (p, _) = pmlang::frontend(&src).expect("generated programs parse");
         let graph = srdfg::build(&p, &Bindings::default()).expect("generated programs build");

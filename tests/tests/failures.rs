@@ -2,13 +2,10 @@
 //! into a typed error (never a panic) with a message that names the
 //! offending construct.
 
+use pm_tests::vec_t;
 use polymath::{Compiler, PolyMathError};
 use srdfg::{Bindings, Machine, Tensor};
 use std::collections::HashMap;
-
-fn vec_t(v: Vec<f64>) -> Tensor {
-    Tensor::from_vec(pmlang::DType::Float, vec![v.len()], v).unwrap()
-}
 
 #[test]
 fn frontend_errors_carry_location_and_name() {
@@ -76,6 +73,40 @@ fn overflowing_component_dimension_is_a_build_error() {
         .unwrap_err();
     assert!(matches!(e, PolyMathError::Build(_)), "{e}");
     assert!(e.to_string().contains("cannot evaluate dimension of `b`"), "{e}");
+}
+
+#[test]
+fn oversized_declared_dimension_is_a_build_error() {
+    // 2^100 elements: beyond the range where sizes are exact, not saturated.
+    let e = Compiler::host_only()
+        .build_graph(
+            "main(input float x[n*n*n*n*n], output float y) { y = x[0]; }",
+            &Bindings::from_sizes([("n", 1_048_576)]),
+        )
+        .unwrap_err();
+    assert!(matches!(e, PolyMathError::Build(_)), "{e}");
+    assert!(e.to_string().contains("exact integer range"), "{e}");
+}
+
+#[test]
+fn only_constants_read_as_integers_are_bounded() {
+    // A real argument need only be real; an `int` one beyond 2^52 is refused.
+    let source = |arg: &str| {
+        format!(
+            "f(input float x, param {arg}, output float y) {{ y = x * s; }}
+             main(input float x, output float y) {{ f(x, 100000000 * 100000000, y); }}"
+        )
+    };
+    let compiled = Compiler::host_only().compile(&source("float s"), &Bindings::default());
+    let x = Tensor::scalar(pmlang::DType::Float, 2.0);
+    let out = Machine::new((*compiled.unwrap().graph).clone())
+        .invoke(&HashMap::from([("x".to_string(), x)]))
+        .unwrap();
+    assert_eq!(out["y"].scalar_value().unwrap(), 2e16);
+
+    let e = Compiler::host_only().build_graph(&source("int s"), &Bindings::default()).unwrap_err();
+    assert!(matches!(e, PolyMathError::Build(_)), "{e}");
+    assert!(e.to_string().contains("exact integer range"), "{e}");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use pm_accel::{Backend, HyperStreams, Tabla};
 use pm_lower::FragmentKind;
+use pm_tests::vec_t;
 use polymath::Compiler;
 use srdfg::{Bindings, Machine, Tensor};
 use std::collections::HashMap;
@@ -23,10 +24,6 @@ main(input float x[16], param float w[16], output float z) {
     DA: a(x, w, y);
     DA: b(y, z);
 }";
-
-fn vec_t(v: Vec<f64>) -> Tensor {
-    Tensor::from_vec(pmlang::DType::Float, vec![v.len()], v).unwrap()
-}
 
 fn two_da_feeds() -> HashMap<String, Tensor> {
     HashMap::from([

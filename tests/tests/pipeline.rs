@@ -3,15 +3,12 @@
 //! IR, and the lowered program's outputs match both the unlowered graph
 //! and the hand-written Rust reference implementation.
 
+use pm_tests::vec_t;
 use pm_workloads::{datagen, programs, reference};
 use pmlang::Domain;
 use polymath::Compiler;
 use srdfg::{Bindings, Machine, Tensor};
 use std::collections::HashMap;
-
-fn vec_t(v: Vec<f64>) -> Tensor {
-    Tensor::from_vec(pmlang::DType::Float, vec![v.len()], v).unwrap()
-}
 
 fn mat_t(r: usize, c: usize, v: Vec<f64>) -> Tensor {
     Tensor::from_vec(pmlang::DType::Float, vec![r, c], v).unwrap()

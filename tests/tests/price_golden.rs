@@ -68,7 +68,12 @@ fn table_iii_programs_and_the_apps_price_as_recorded() {
 }
 
 /// `pm-fuzz` programs, seeds `0..GENERATED.len()`: statements annotated
-/// over all five domains, so most carry a TABLA or DECO partition.
+/// over all five domains, so most carry a TABLA or DECO partition. Seeds
+/// 46 and 139 multiply by a folded `0`; their digests price the product
+/// kept, since `x*0` is NaN for an infinite or NaN `x`. Seeds 20, 30, 116,
+/// 162, 175, 189, 190 and 211 select between equal branches on a condition
+/// that reads an operand; their digests price the select kept, since that
+/// read may fail.
 #[test]
 fn generated_programs_price_as_recorded() {
     let got: Vec<u64> = (0..GENERATED.len() as u64)
@@ -88,13 +93,13 @@ const GENERATED: [u64; 240] = [
     0xeb4c_e488_38ad_32ab, 0x1d62_8b7f_a684_6714, 0x8e5c_5b7d_2560_563c, 0xfe39_b30f_eada_6033,
     0xf34a_59f8_7f84_d59b, 0x5ffa_5c03_87d4_5102, 0x2c97_f6d4_fbbe_f61f, 0x63e3_fa3a_d664_29ad,
     0x01f5_c5cb_54c9_afac, 0xa5b9_28be_06fb_7161, 0x0e57_078c_d336_ceda, 0x0590_2690_9491_690b,
-    0x18ac_bff2_1d8c_f53f, 0x6403_9bb9_d0eb_f452, 0xa264_0edc_4dce_d230, 0xe361_fd72_c984_2399,
+    0x76cc_c93d_5697_f976, 0x6403_9bb9_d0eb_f452, 0xa264_0edc_4dce_d230, 0xe361_fd72_c984_2399,
     0xfc3a_2077_d5dc_40ca, 0x3074_70ba_2afc_9fc4, 0x5744_6790_86e7_d5f4, 0xb897_c7f6_34ab_ef20,
-    0xddf8_9db8_9ba1_3a5e, 0x1fdb_fd93_02b4_296f, 0xd64d_5975_5fd3_e50b, 0x9837_0330_6030_cc5b,
+    0xddf8_9db8_9ba1_3a5e, 0x1fdb_fd93_02b4_296f, 0xb076_2f3b_2d0e_ffbb, 0x9837_0330_6030_cc5b,
     0x1de9_9051_2cf8_f216, 0x21ac_5371_fbed_66fd, 0x4e4f_3926_a039_7666, 0x3dae_a202_6eeb_5176,
     0x62ba_1e96_3a30_a9a8, 0x2150_1397_1b1f_3b43, 0x2b07_1d22_6a5f_6027, 0xbc57_6b3b_d13b_5c35,
     0xed92_1d69_4552_6670, 0xa5b9_28be_06fb_7161, 0x3cb0_6437_6733_7bff, 0x812b_66d1_0178_e234,
-    0xa81b_1983_7010_9be3, 0x8aa4_c8cf_85ff_bef0, 0xd128_a147_6a7f_8fa8, 0xdb00_feb2_67a5_28af,
+    0xa81b_1983_7010_9be3, 0x8aa4_c8cf_85ff_bef0, 0x5be7_eaeb_9285_6dae, 0xdb00_feb2_67a5_28af,
     0xa34c_7076_fa99_c7c5, 0xc057_8180_2ccd_c6ef, 0x6f4a_e03f_3de5_3dae, 0x0882_c377_b0e9_8b23,
     0x2e55_f55b_24a7_a671, 0xc8ce_7ee9_f736_7b99, 0x2b73_c55a_349c_5459, 0xc5da_0bc9_6db3_4c39,
     0x48b1_7775_e49e_37af, 0xb808_184e_ba7d_72bb, 0x1ddf_d6f9_d314_76cc, 0xcfd2_b432_3516_cb8c,
@@ -112,30 +117,30 @@ const GENERATED: [u64; 240] = [
     0xc7fd_cbd5_e51e_48e9, 0x0c80_5ae6_c88e_5bad, 0xebe6_e1cb_e853_c98e, 0xdfd7_4580_f49f_800c,
     0xa382_58f7_5d4c_37d1, 0x377d_db4d_c903_5e2f, 0x4d27_dcc7_1658_c9c7, 0xd24b_179a_8a11_cb40,
     0xebfb_a6e8_1dc7_87e1, 0xa5b9_28be_06fb_7161, 0x86c8_bdd6_c43e_c165, 0x4f36_ac54_e2c3_1435,
-    0xce48_8883_418b_860c, 0x0d62_2a6b_54ca_9c30, 0x9580_f960_9e5e_f01e, 0x4aec_6c05_6a3e_3213,
+    0x1acb_317f_fdbe_30d1, 0x0d62_2a6b_54ca_9c30, 0x9580_f960_9e5e_f01e, 0x4aec_6c05_6a3e_3213,
     0x3851_3d99_4849_0c34, 0x4c8d_2980_ded1_6d3f, 0x070d_7684_54c9_a583, 0x6673_4736_31cb_e567,
     0xf627_0988_668b_ac1e, 0xc45c_3cf4_7716_fed3, 0x729a_a0a6_9dfd_c6a4, 0xac66_4d87_461e_1d0b,
     0x3ce2_dc25_51c3_a77d, 0x7b13_ebdd_50ca_1971, 0x13ae_fa90_c65b_8bb9, 0x2ffe_9a50_7983_faae,
     0x98e5_f628_be37_a1f3, 0xdb00_feb2_67a5_28af, 0x3dfb_ae82_2192_6bab, 0xb327_4782_79a1_6326,
-    0xe2a1_5b32_c774_a7cf, 0x9b40_17dc_0dcc_3a2a, 0x1a81_2324_c29c_1713, 0x6bd1_69da_30b0_2101,
+    0xe2a1_5b32_c774_a7cf, 0x9b40_17dc_0dcc_3a2a, 0x1a81_2324_c29c_1713, 0x5dae_3a9b_af88_9f93,
     0x59c2_3e4f_4751_4d89, 0xd900_6593_5e48_1d28, 0x4013_7050_07c6_46c3, 0x8e49_1bad_8ca9_3b02,
     0xf9bf_b88f_2cae_d0e1, 0xe1a8_2b57_d52f_ff80, 0x04ef_94c9_733b_78dc, 0xded2_ab3f_48fd_198e,
     0xadb7_f3cc_bd2c_6a25, 0x488a_12f4_6b23_1564, 0xb349_43cd_6e73_12f0, 0x3353_ab21_8ad6_35c4,
     0xbbd7_398f_3887_41f3, 0x8f33_f912_f237_24fd, 0xbd60_2855_b977_ff64, 0xe4ef_f915_97a3_714e,
     0x098b_dc16_ee00_4cca, 0xdb00_feb2_67a5_28af, 0x86d1_b29e_5903_bfbe, 0xa2e1_fdea_8797_b924,
-    0xc506_04c6_c644_db61, 0x6bd1_69da_30b0_2101, 0x752d_80d2_bb45_bccd, 0xe15b_cae4_64e9_a9af,
+    0xc506_04c6_c644_db61, 0x6bd1_69da_30b0_2101, 0x8f4e_595a_d6dc_2dd0, 0xe15b_cae4_64e9_a9af,
     0xee74_a6fc_e84a_dad1, 0x2a4d_d295_130f_48d5, 0xf948_1580_c9fd_c2c8, 0x1014_fa8f_f371_4404,
     0x51a1_a15d_2d38_4ce2, 0xd67f_f46d_6a95_3b7d, 0x8136_0d22_0150_73d3, 0xa005_3b59_9ebe_8697,
-    0xa757_4984_9025_e11d, 0xc4b5_474a_f9d5_7c14, 0x07c4_d4d7_6602_8ce7, 0x829f_5b0d_c459_fd92,
+    0xa757_4984_9025_e11d, 0xc4b5_474a_f9d5_7c14, 0x07c4_d4d7_6602_8ce7, 0xe463_90ae_21e1_0b61,
     0xb86f_defb_7942_a71a, 0x5e6f_c200_7c76_dc45, 0x636b_ed62_8a4b_826c, 0x1e65_54bb_b5eb_8384,
     0xf6dd_007b_6959_8631, 0x6205_7146_af9f_c92c, 0x844d_128f_80c9_1c4e, 0x5feb_d255_df8e_c72b,
     0xe3dc_67cd_53a8_14f5, 0xc705_da86_bbd4_61ba, 0x861a_0364_8330_ba7b, 0xe1ae_5f70_0883_4c2c,
-    0xbd38_b921_c504_918a, 0xb4e3_cb70_aba8_ef5a, 0x3e1e_a027_03f6_f6f1, 0x7596_4c5c_c150_d99a,
+    0xbd38_b921_c504_918a, 0x1a38_41a8_4a70_971d, 0x1e8b_ba85_e96c_6d9f, 0x7596_4c5c_c150_d99a,
     0xa181_dbfe_b647_06bc, 0x2fb8_7114_cd28_8497, 0xe051_d73f_32c8_bf92, 0x65df_da73_6106_6fac,
     0x5178_26bc_6f80_3d4a, 0xa5b9_28be_06fb_7161, 0x44b8_20ff_d412_6fe6, 0x9502_c6b9_423b_b19c,
     0xffcd_d644_52ce_b9dd, 0x0727_142f_52d3_0b33, 0xdd05_637d_6020_7c42, 0x21c3_e332_a3d5_56dc,
     0x1d62_8b7f_a684_6714, 0x8cab_d003_24be_0e29, 0xc955_bdb0_6413_a10e, 0x57b7_7e12_04a3_127b,
-    0x7eb5_fb6c_89cd_cd0d, 0x643e_17a2_72ab_ec85, 0x95b3_f311_c46e_5bdd, 0x2696_c471_626e_80b0,
+    0x7eb5_fb6c_89cd_cd0d, 0x643e_17a2_72ab_ec85, 0x95b3_f311_c46e_5bdd, 0x7174_9b71_59b8_fc25,
     0x4606_0e19_4b66_dc85, 0xd340_7d44_c2cd_8891, 0xdca2_28af_4e4b_0f14, 0xb74e_793a_8cbb_4e65,
     0x8422_4c06_888d_310e, 0xf93c_6778_3e95_444c, 0x7ead_9f16_9acb_af53, 0xfb26_3faa_cd93_b833,
     0x7cdc_8142_e8ac_fff8, 0xf30f_e127_c8cb_b71a, 0xdc48_e346_2607_83d9, 0xfd1f_2127_781b_e94d,

@@ -4,151 +4,31 @@
 //! per-statement domain annotations. The generator and its direct Rust
 //! evaluator live in `pm_fuzz::model` / `pm_fuzz::gen` — the same machinery
 //! `pmc fuzz` drives at scale — so every program shape the fuzzer can emit
-//! is also exercised here under proptest's seeded regime. The compiled
-//! (optimized, lowered, partitioned) graph must agree with the model
-//! evaluator within float tolerance, whatever the accelerator assignment.
+//! is also exercised here under proptest's seeded regime. The differential
+//! check is `pm_fuzz::check_case`, the one `pmc fuzz` runs: every route
+//! (interpreted, optimized, fused, lowered and partitioned) must agree with
+//! the model evaluator within float tolerance.
 
-use pm_fuzz::{gen::strategies, EvalStep, PProgram};
-use pm_lower::{CompiledProgram, FragmentKind};
-use polymath::{Compiler, PolyMathError};
+use pm_fuzz::{check_case, gen::strategies, CaseResult, DiffConfig};
+use pm_lower::FragmentKind;
+use polymath::Compiler;
 use proptest::prelude::*;
-use proptest::strategy::BoxedStrategy;
-use srdfg::{Bindings, Budget, Machine, Tensor};
-use std::collections::HashMap;
-
-/// A full differential case: a program plus inputs sized to its `n`.
-type Case = (PProgram, Vec<f64>, Vec<f64>, Vec<f64>);
-
-fn case_strategy() -> BoxedStrategy<Case> {
-    BoxedStrategy::from_fn(|rng| {
-        let program = pm_fuzz::gen_program(rng);
-        let xs = pm_fuzz::gen_inputs(rng, program.n);
-        let ys = pm_fuzz::gen_inputs(rng, program.n);
-        let z0 = pm_fuzz::gen_inputs(rng, program.n);
-        (program, xs, ys, z0)
-    })
-}
-
-fn feeds(n: usize, x: &[f64], y: &[f64]) -> HashMap<String, Tensor> {
-    HashMap::from([
-        ("x".to_string(), Tensor::from_vec(pmlang::DType::Float, vec![n], x.to_vec()).unwrap()),
-        ("y".to_string(), Tensor::from_vec(pmlang::DType::Float, vec![n], y.to_vec()).unwrap()),
-    ])
-}
-
-/// Relative-ish tolerance: optimization passes may legally reassociate.
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
-}
-
-/// The model-evaluator trajectory (one step per invocation; `state`
-/// programs run three), or `None` when any step is numerically unstable —
-/// those cases are skipped rather than compared against noise.
-fn trajectory(program: &PProgram, xs: &[f64], ys: &[f64], z0: &[f64]) -> Option<Vec<EvalStep>> {
-    let mut steps = Vec::new();
-    let mut z = program.has_state().then(|| z0.to_vec());
-    for _ in 0..program.invocations() {
-        let step = program.eval(xs, ys, z.as_deref());
-        if !step.stable {
-            return None;
-        }
-        z = step.state_next.clone();
-        steps.push(step);
-    }
-    Some(steps)
-}
-
-/// The cross-domain pipeline with the cross-granularity
-/// algebraic-combination pass run after the mid-end: the graph
-/// `Compiler::build_graph` returns, fused, then lowered and compiled.
-fn compile_fused(src: &str) -> Result<CompiledProgram, PolyMathError> {
-    let compiler = Compiler::cross_domain();
-    let mut graph = compiler.build_graph(src, &Bindings::default())?;
-    pm_passes::Pass::run(&pm_passes::AlgebraicCombination, &mut graph);
-    let cache = compiler.template_cache();
-    let budget = Budget::unlimited();
-    Ok(pm_passes::lower_and_compile(graph, compiler.targets(), Some(&cache), &budget)?.0)
-}
-
-/// Compiles with `compile`, executes every invocation, and checks each
-/// defined value (and the persisted state) against the model.
-fn run_and_check(
-    compile: impl FnOnce(&str) -> Result<CompiledProgram, PolyMathError>,
-    program: &PProgram,
-    xs: &[f64],
-    ys: &[f64],
-    z0: &[f64],
-) -> Result<(), TestCaseError> {
-    let Some(steps) = trajectory(program, xs, ys, z0) else {
-        return Ok(()); // unstable: nothing meaningful to compare
-    };
-    let src = program.to_pmlang();
-    let compiled = compile(&src).map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
-    let mut machine = Machine::new((*compiled.graph).clone());
-    if program.has_state() {
-        machine.set_state(
-            "z",
-            Tensor::from_vec(pmlang::DType::Float, vec![program.n], z0.to_vec()).unwrap(),
-        );
-    }
-    let feeds = feeds(program.n, xs, ys);
-    for (k, step) in steps.iter().enumerate() {
-        let out = machine
-            .invoke(&feeds)
-            .map_err(|e| TestCaseError::fail(format!("invocation {k}: {e}\n{src}")))?;
-        for (j, expect) in step.vecs.iter().enumerate() {
-            let got = out[&format!("t{j}")].as_real_slice().unwrap();
-            for (i, (g, e)) in got.iter().zip(expect).enumerate() {
-                prop_assert!(close(*g, *e), "invocation {k}: t{j}[{i}]: {g} vs {e}\n{src}");
-            }
-        }
-        for (j, expect) in step.scalars.iter().enumerate() {
-            let got = out[&format!("s{j}")].scalar_value().unwrap();
-            prop_assert!(close(got, *expect), "invocation {k}: s{j}: {got} vs {expect}\n{src}");
-        }
-        if let Some(expect) = &step.state_next {
-            let got = machine.state("z").and_then(|t| t.as_real_slice()).unwrap();
-            for (i, (g, e)) in got.iter().zip(expect).enumerate() {
-                prop_assert!(close(*g, *e), "invocation {k}: state z[{i}]: {g} vs {e}\n{src}");
-            }
-        }
-    }
-    Ok(())
-}
+use srdfg::Bindings;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random program structures compile host-only (optimized) and match
-    /// the model evaluator on every defined value across invocations.
+    /// Random program structures match the model evaluator on every
+    /// defined value across invocations, on the host-only and cross-domain
+    /// pipelines (with their random statement-level domain annotations
+    /// honoured) and after algebraic combination.
     #[test]
     fn random_programs_evaluate_correctly(
-        (program, xs, ys, z0) in case_strategy(),
+        (program, xs, ys, z0) in strategies::case(),
     ) {
-        let host = |src: &str| Compiler::host_only().compile(src, &Bindings::default());
-        run_and_check(host, &program, &xs, &ys, &z0)?;
-    }
-
-    /// The same programs, with their random statement-level domain
-    /// annotations honoured by the full cross-domain pipeline (lowering to
-    /// TABLA/DECO/RoboX granularities + marshalling elision + Algorithm 2),
-    /// still agree with the model evaluator.
-    #[test]
-    fn random_cross_domain_programs_survive_lowering(
-        (program, xs, ys, z0) in case_strategy(),
-    ) {
-        let cross = |src: &str| Compiler::cross_domain().compile(src, &Bindings::default());
-        run_and_check(cross, &program, &xs, &ys, &z0)?;
-    }
-
-    /// The optional cross-granularity algebraic-combination pass
-    /// (`compile_fused`) must also preserve semantics on random program
-    /// structures.
-    #[test]
-    fn random_programs_survive_algebraic_combination(
-        (program, xs, ys, z0) in case_strategy(),
-    ) {
-        run_and_check(compile_fused, &program, &xs, &ys, &z0)?;
+        if let CaseResult::Fail(f) = check_case(&program, &xs, &ys, &z0, &DiffConfig::default()) {
+            return Err(TestCaseError::fail(format!("{f}\n{}", program.to_pmlang())));
+        }
     }
 
     /// The standard pipeline is idempotent: after one full run has reached

@@ -1,16 +1,20 @@
 //! Property-based tests over the whole stack: randomly generated PMLang
 //! expressions must (1) evaluate exactly as the model's direct Rust
-//! evaluation of the same tree, (2) be invariant under the optimization
-//! pipeline, and (3) be invariant under lowering + marshalling elision.
+//! evaluation of the same tree, through the interpreter, the optimization
+//! pipeline and lowering, and (2) lower all the way to scalar granularity
+//! on an accelerator that has every op they use.
 //!
-//! The expression generator and its evaluator are `pm_fuzz`'s — the same
-//! model `pmc fuzz` differentially executes at scale — so there is exactly
-//! one definition of "what a random PMLang expression means" in the
-//! workspace.
+//! The expression generator, its evaluator and the differential check are
+//! `pm_fuzz`'s — the same model and `check_case` that `pmc fuzz` runs at
+//! scale — so there is exactly one definition of "what a random PMLang
+//! expression means" in the workspace.
 
-use pm_fuzz::{gen::strategies, PExpr, PProgram, PStmt, RedKind};
+use pm_fuzz::{
+    check_case, gen::strategies, CaseResult, DiffConfig, PExpr, PProgram, PStmt, RedKind,
+};
 use pm_lower::{AcceleratorSpec, TargetMap};
-use pm_passes::{lower_and_compile, Pass, PassManager};
+use pm_passes::lower_and_compile;
+use pm_tests::vec_t;
 use pmlang::Domain;
 use proptest::prelude::*;
 use srdfg::{Bindings, Budget, Machine, Tensor};
@@ -31,21 +35,12 @@ fn expr_program(expr: PExpr, n: usize, wrap: Option<Domain>) -> PProgram {
     }
 }
 
-fn feeds_for(x: &[f64], y: &[f64]) -> HashMap<String, Tensor> {
-    HashMap::from([
-        (
-            "x".to_string(),
-            Tensor::from_vec(pmlang::DType::Float, vec![x.len()], x.to_vec()).unwrap(),
-        ),
-        (
-            "y".to_string(),
-            Tensor::from_vec(pmlang::DType::Float, vec![y.len()], y.to_vec()).unwrap(),
-        ),
-    ])
-}
-
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
+/// Runs `pm_fuzz::check_case` on a stateless program.
+fn agrees_with_the_model(program: &PProgram, xs: &[f64], ys: &[f64]) -> Result<(), TestCaseError> {
+    match check_case(program, xs, ys, &[], &DiffConfig::default()) {
+        CaseResult::Fail(f) => Err(TestCaseError::fail(format!("{f}\n{}", program.to_pmlang()))),
+        CaseResult::Pass | CaseResult::Unstable => Ok(()),
+    }
 }
 
 /// A scalar-granularity DSP accelerator covering every op the expression
@@ -68,70 +63,31 @@ fn scalar_target() -> TargetMap {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Compiled evaluation equals the model's direct evaluation of the same
-    /// tree (numerically unstable draws are skipped, per the model's own
-    /// verdict).
+    /// Every route — the interpreter before and after the pass pipeline
+    /// and algebraic combination, and the lowered programs — equals the
+    /// model's direct evaluation of the same tree (numerically unstable
+    /// draws are skipped, per the model's own verdict).
     #[test]
     fn interpreter_matches_direct_eval(
         expr in strategies::expr(4),
         xs in strategies::inputs(6),
         ys in strategies::inputs(6),
     ) {
-        let program = expr_program(expr, 6, None);
-        let step = program.eval(&xs, &ys, None);
-        if !step.stable {
-            return Ok(()); // numerically unstable draw: skip
-        }
-        let src = program.to_pmlang();
-        let (prog, _) = pmlang::frontend(&src).unwrap();
-        let graph = srdfg::build(&prog, &Bindings::default()).unwrap();
-        let out = Machine::new(graph).invoke(&feeds_for(&xs, &ys)).unwrap();
-        let t0 = out["t0"].as_real_slice().unwrap();
-        for (i, (g, e)) in t0.iter().zip(&step.vecs[0]).enumerate() {
-            prop_assert!(close(*g, *e), "t0[{i}]: {g} vs {e}\n{src}");
-        }
-        let s0 = out["s0"].scalar_value().unwrap();
-        prop_assert!(close(s0, step.scalars[0]), "s0: {s0} vs {}\n{src}", step.scalars[0]);
+        agrees_with_the_model(&expr_program(expr, 6, None), &xs, &ys)?;
     }
 
-    /// The standard pass pipeline never changes observable results.
-    #[test]
-    fn passes_preserve_semantics(
-        expr in strategies::expr(4),
-        xs in strategies::inputs(6),
-        ys in strategies::inputs(6),
-    ) {
-        let program = expr_program(expr, 6, None);
-        if !program.eval(&xs, &ys, None).stable {
-            return Ok(()); // numerically unstable draw: skip
-        }
-        let src = program.to_pmlang();
-        let (prog, _) = pmlang::frontend(&src).unwrap();
-        let graph = srdfg::build(&prog, &Bindings::default()).unwrap();
-        let feeds = feeds_for(&xs, &ys);
-        let base = Machine::new(graph.clone()).invoke(&feeds).unwrap();
-
-        let mut optimized = graph;
-        PassManager::standard().run(&mut optimized);
-        pm_passes::AlgebraicCombination.run(&mut optimized);
-        srdfg::validate::validate(&optimized).unwrap();
-        let opt = Machine::new(optimized).invoke(&feeds).unwrap();
-        let (b, o) = (base["t0"].as_real_slice().unwrap(), opt["t0"].as_real_slice().unwrap());
-        for (i, (g, e)) in o.iter().zip(b).enumerate() {
-            prop_assert!(close(*g, *e), "t0[{i}] diverged: {g} vs {e}\n{src}");
-        }
-        let (b, o) = (base["s0"].scalar_value().unwrap(), opt["s0"].scalar_value().unwrap());
-        prop_assert!(close(o, b), "s0 diverged: {o} vs {b}\n{src}");
-    }
-
-    /// The compiler's back half at scalar granularity never changes
-    /// observable results, and leaves only supported ops.
+    /// An expression keeps its meaning through lowering, and under a DSP
+    /// annotation the compiler's back half refines it to scalar granularity
+    /// on an accelerator that supports every op, leaving only supported ops
+    /// and the O0 results unchanged. (`check_case` runs it unannotated: the
+    /// cross-domain DSP target lacks the sigmoid family this strategy draws.)
     #[test]
     fn lowering_preserves_semantics(
         expr in strategies::expr(4),
         xs in strategies::inputs(5),
         ys in strategies::inputs(5),
     ) {
+        agrees_with_the_model(&expr_program(expr.clone(), 5, None), &xs, &ys)?;
         let program = expr_program(expr, 5, Some(Domain::Dsp));
         if !program.eval(&xs, &ys, None).stable {
             return Ok(()); // numerically unstable draw: skip
@@ -139,14 +95,14 @@ proptest! {
         let src = program.to_pmlang();
         let (prog, _) = pmlang::frontend(&src).unwrap();
         let graph = srdfg::build(&prog, &Bindings::default()).unwrap();
-        let feeds = feeds_for(&xs, &ys);
+        let feeds = HashMap::from([("x".to_string(), vec_t(xs)), ("y".to_string(), vec_t(ys))]);
         let base = Machine::new(graph.clone()).invoke(&feeds).unwrap();
 
         let targets = scalar_target();
         let (compiled, _) = lower_and_compile(graph, &targets, None, &Budget::unlimited()).unwrap();
         srdfg::validate::validate(&compiled.graph).unwrap();
-        prop_assert!(pm_lower::fully_lowered(&compiled.graph, &targets));
-        prop_assert!(compiled.partition(Some(Domain::Dsp)).is_some());
+        prop_assert!(pm_lower::fully_lowered(&compiled.graph, &targets), "{src}");
+        prop_assert!(compiled.partition(Some(Domain::Dsp)).is_some(), "{src}");
 
         let low = Machine::new(compiled.graph).invoke(&feeds).unwrap();
         for (k, v) in &base {

@@ -9,8 +9,9 @@
 //! the tests were written: a change that allocates more on the path that
 //! serves traffic fails here, and one that allocates less lowers them.
 
-use pm_tests::{allocations, Counting};
+use pm_tests::{allocations, vec_t, Counting};
 use polymath::{Compiler, Json, ServeConfig, ServeEngine};
+use srdfg::graph::ScalarKind;
 use srdfg::{Bindings, Machine, NodeKind, SrDfg, Tensor};
 use std::collections::HashMap;
 
@@ -85,16 +86,28 @@ fn a_warm_served_request_stays_within_its_allocation_budget() {
 /// writing.
 const WARM_REQUEST_BUDGET: u64 = 577;
 
-/// The nodes one invocation of `graph` executes: its own and, for each
-/// component node, those of its body.
-fn interpreted_nodes(graph: &SrDfg) -> u64 {
+/// The nodes one invocation of `graph` executes that `pick` selects: its
+/// own and, for each component node, those of its body.
+fn interpreted(graph: &SrDfg, pick: &impl Fn(&NodeKind) -> bool) -> u64 {
     graph
         .node_ids()
         .map(|id| match &graph.node(id).kind {
-            NodeKind::Component(body) => 1 + interpreted_nodes(body),
-            _ => 1,
+            NodeKind::Component(body) => 1 + interpreted(body, pick),
+            kind => u64::from(pick(kind)),
         })
         .sum()
+}
+
+/// Allocations of the second invocation of `graph` on `feeds` (the first
+/// settles what a machine grows once).
+fn second_invocation(graph: &SrDfg, feeds: &[(&str, Tensor)]) -> u64 {
+    let feeds: HashMap<String, Tensor> =
+        feeds.iter().map(|(name, t)| (name.to_string(), t.clone())).collect();
+    let mut machine = Machine::new(graph.clone());
+    machine.invoke(&feeds).expect("first invocation");
+    let (out, allocs) = allocations(|| machine.invoke(&feeds));
+    out.expect("second invocation");
+    allocs
 }
 
 #[test]
@@ -102,17 +115,9 @@ fn an_interpreted_node_stays_within_its_allocation_budget() {
     let compiled = Compiler::cross_domain()
         .compile(&pm_workloads::programs::logistic(64), &Bindings::default())
         .expect("compile logistic-64");
-    let vec_t = |v: Vec<f64>| Tensor::from_vec(pmlang::DType::Float, vec![v.len()], v).unwrap();
-    let feeds = HashMap::from([
-        ("x".to_string(), vec_t(ramp(64))),
-        ("label".to_string(), Tensor::scalar(pmlang::DType::Float, 1.0)),
-    ]);
-    let mut machine = Machine::new(compiled.graph.clone());
-    machine.invoke(&feeds).expect("first invocation");
-
-    let (out, allocs) = allocations(|| machine.invoke(&feeds));
-    out.expect("second invocation");
-    let nodes = interpreted_nodes(&compiled.graph);
+    let label = Tensor::scalar(pmlang::DType::Float, 1.0);
+    let allocs = second_invocation(&compiled.graph, &[("x", vec_t(ramp(64))), ("label", label)]);
+    let nodes = interpreted(&compiled.graph, &|_| true);
     assert!(nodes >= 200, "logistic-64 lowered to only {nodes} nodes");
     assert!(
         allocs * 100 <= NODE_BUDGET_PERCENT * nodes,
@@ -123,3 +128,32 @@ fn an_interpreted_node_stays_within_its_allocation_budget() {
 /// Allocations per interpreted node of a lowered logistic-64 invocation,
 /// in hundredths, at the time of writing (1,666 for 266 nodes).
 const NODE_BUDGET_PERCENT: u64 = 627;
+
+#[test]
+fn a_lowered_black_scholes_invocation_stays_within_its_allocation_budget() {
+    let compiled = Compiler::cross_domain()
+        .compile(&pm_workloads::programs::black_scholes(32), &Bindings::default())
+        .expect("compile blackscholes-32");
+    let shifted = |by: f64, scale: f64| vec_t(ramp(32).iter().map(|v| by + v * scale).collect());
+    let scalar = |v| Tensor::scalar(pmlang::DType::Float, v);
+    let allocs = second_invocation(
+        &compiled.graph,
+        &[
+            ("spot", shifted(100.0, 4.0)),
+            ("strike", shifted(100.0, -4.0)),
+            ("vol", shifted(0.3, 0.1)),
+            ("rate", scalar(0.05)),
+            ("tte", scalar(0.5)),
+        ],
+    );
+    let calls = interpreted(
+        &compiled.graph,
+        &|kind| matches!(kind, NodeKind::Scalar(s) if matches!(s.get(), ScalarKind::Func(f) if f.arity() > 0)),
+    );
+    assert!(calls >= 128, "blackscholes-32 lowered to only {calls} builtin calls");
+    assert!(allocs <= BLACK_SCHOLES_BUDGET, "{allocs} allocations for one invocation");
+}
+
+/// Allocations of one invocation of a lowered blackscholes-32 (720
+/// interpreted nodes, 192 of them builtin calls) at the time of writing.
+const BLACK_SCHOLES_BUDGET: u64 = 3_671;
