@@ -218,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_replay_keeps_chaos_outputs_identical_to_clean_run() {
+    fn replay_keeps_chaos_outputs_identical_to_clean_run() {
         let clean = run_with(&ChaosConfig::off());
         assert_eq!(clean.replayed_invocations, 0);
 

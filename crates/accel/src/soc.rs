@@ -198,25 +198,6 @@ struct Priced {
     _partitions: Weak<[AccProgram]>,
 }
 
-/// The dispatch contract a backend prices against: every compute fragment
-/// names a live node of `graph`, and every `load`/`store` carries the edge
-/// it moves.
-fn check_fragments(part: &AccProgram, graph: &SrDfg) -> Result<(), SocError> {
-    for (fragment, f) in part.fragments.iter().enumerate() {
-        let detail = match (f.kind, f.node, &f.arg) {
-            (FragmentKind::Compute, Some(id), _) if graph.is_live(id) => continue,
-            (FragmentKind::Compute, Some(id), _) => {
-                format!("compute fragment names removed node {id}")
-            }
-            (FragmentKind::Compute, None, _) => "compute fragment names no node".to_string(),
-            (_, _, Some(_)) => continue,
-            (_, _, None) => "load/store fragment has no edge to marshal".to_string(),
-        };
-        return Err(SocError::MalformedFragment { target: part.target.clone(), fragment, detail });
-    }
-    Ok(())
-}
-
 /// A host plus a set of cascaded accelerator backends.
 pub struct Soc {
     /// Attached backends under their target-spec names, resolved at
@@ -523,8 +504,9 @@ impl Soc {
     /// host): looked up by identity, else estimated — outside the memo's
     /// lock, so two threads that miss together both compute the same
     /// answer and the second insert refreshes the first. A miss checks the
-    /// fragment stream first ([`check_fragments`]), so a hit — the same
-    /// immutable partition — pays nothing for it.
+    /// fragment stream against the contract a backend prices against
+    /// ([`Fragment::defect`](pm_lower::Fragment::defect)) first, so a hit —
+    /// the same immutable partition — pays nothing for it.
     fn price(
         &self,
         compiled: &CompiledProgram,
@@ -539,7 +521,12 @@ impl Soc {
             return Ok(hit.compute);
         }
         let part = &compiled.partitions[index];
-        check_fragments(part, &compiled.graph)?;
+        for (fragment, f) in part.fragments.iter().enumerate() {
+            if let Some(detail) = f.defect(&compiled.graph) {
+                let target = part.target.clone();
+                return Err(SocError::MalformedFragment { target, fragment, detail });
+            }
+        }
         let compute = match backend {
             Some(backend) if expert => backend.estimate_expert(part, &compiled.graph, h),
             Some(backend) => backend.estimate(part, &compiled.graph, h),

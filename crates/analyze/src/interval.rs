@@ -134,6 +134,8 @@ enum Finding<'g> {
     Arg,
     /// A `complex(...)` call.
     Complex,
+    /// A `bitrev(v, bits)` that may get `v < 0` or `bits` outside `0..=64`.
+    Bitrev,
     /// `positions` write positions into a rank-`rank` target.
     WriteRank { positions: usize, rank: usize },
     /// A write position computed from operand values.
@@ -219,6 +221,7 @@ impl Finding<'_> {
             }
             Finding::Arg => format!("`{n}` uses a reduction argument outside a combiner"),
             Finding::Complex => format!("`{n}` constructs a complex value"),
+            Finding::Bitrev => format!("`bitrev` in `{n}` may get v < 0 or bits outside 0..=64"),
             Finding::WriteRank { positions, rank } => {
                 format!("`{n}` writes {positions} position(s) into a rank-{rank} tensor")
             }
@@ -413,6 +416,12 @@ impl<'g> Walk<'g, '_> {
                     let mut vs = [IVal::unknown(); 4];
                     for (v, a) in vs.iter_mut().zip(args) {
                         *v = self.eval(a, guarded);
+                    }
+                    let [v, bits, ..] = vs;
+                    if *f == ScalarFunc::Bitrev
+                        && !(v.lo >= 0.0 && bits.lo >= 0.0 && bits.hi <= 64.0)
+                    {
+                        (self.report)(Finding::Bitrev);
                     }
                     func_range(*f, &vs[..args.len()])
                 } else {
@@ -626,8 +635,8 @@ fn transfer(
 /// in every component), and the kernel walk, run with unknown operand
 /// ranges, finds nothing it could not prove — every access rank-correct,
 /// integral and in bounds (guards do not count as proof), every divisor
-/// nonzero. No edge is complex and no custom combiner reads outside its
-/// two arguments.
+/// nonzero, every `bitrev` inside its range. No edge is complex and no
+/// custom combiner reads outside its two arguments.
 ///
 /// # Errors
 ///
@@ -744,6 +753,19 @@ mod tests {
         let out = check(&g);
         assert!(out.iter().any(|f| f.code == codes::OUT_OF_BOUNDS), "{out:?}");
         assert!(certify_bounds(&g).is_err());
+    }
+
+    #[test]
+    fn bitrev_certifies_only_inside_its_range() {
+        for (args, ok) in [("i, 3", true), ("i, 70", false), ("i - 1, 3", false)] {
+            let g = build(&format!(
+                "main(input float x[8], output float y[8]) {{
+                     index i[0:7];
+                     y[i] = x[i] + bitrev({args});
+                 }}"
+            ));
+            assert_eq!(certify_bounds(&g).is_ok(), ok, "{args}: {:?}", certify_bounds(&g));
+        }
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! | `PM-E104` | `analyze-uninitialized` | error | values consumed but never produced |
 //! | `PM-W105` | `analyze-stale-state` | warning | state read but never updated across invocations |
 //! | `PM-W111` | `dma-war` | warning | unordered DMA read/write of one host buffer |
-//! | `PM-W112` | `dma-waw` | warning | unordered DMA writes of one host buffer |
 //!
 //! ## Entry points
 //!
@@ -37,12 +36,13 @@
 //!   and index-arithmetic overflow on the way (`PM-E102`, `PM-W103`), and
 //!   [`init`] scans for reads of values that are never produced and
 //!   `state` buffers that are never updated (`PM-E104`, `PM-W105`).
-//! * [`analyze_schedule`] — **DMA race lints**: [`hazard`] reads the
-//!   per-target fragment plan Algorithm 2 emits and warns where two
-//!   partitions touch one circulated `state` buffer with no dependency
-//!   path between them (`PM-W111`/`PM-W112`). The plan's own invariants
-//!   (every crossing marshalled, no deadlock) are checked where it is
-//!   built, by `pm_lower::check_schedule`.
+//! * [`analyze_schedule`] — **the DMA race lint**: [`hazard`] reads the
+//!   per-target fragment plan Algorithm 2 emits and warns where a
+//!   partition reads a circulated `state` buffer with no dependency path
+//!   to or from its one writer on another partition (`PM-W111`). The
+//!   plan's own invariants (every crossing marshalled, one writer per
+//!   value, no deadlock) are checked where it is built, by
+//!   `pm_lower::check_schedule`.
 //! * [`certify_bounds`] states the soundness contract the fuzzer
 //!   cross-checks: a program this crate certifies in-bounds must never
 //!   trap in the srDFG interpreter. It is `srdfg::validate` plus the
@@ -103,8 +103,6 @@ pub mod codes {
     pub const STALE_STATE: &str = "PM-W105";
     /// Unordered DMA read/write of the same host buffer (WAR).
     pub const DMA_WAR: &str = "PM-W111";
-    /// Unordered DMA writes of the same host buffer (WAW).
-    pub const DMA_WAW: &str = "PM-W112";
 }
 
 /// Visits `graph` and every nested component sub-graph, root first,

@@ -34,8 +34,8 @@
 //!     `--format json` emits one JSON array instead of caret renderings.
 //! pmc analyze <file.pm> [--size ...] [--host-only] [--deny-warnings] [--format json]
 //!     Run the pm-analyze static verifiers: interval bounds proofs and
-//!     initialization analysis over the srDFG, plus the DMA race lints
-//!     (WAR/WAW on state buffers) over the compiled SoC schedule. Exits
+//!     initialization analysis over the srDFG, plus the DMA race lint
+//!     (WAR on state buffers) over the compiled SoC schedule. Exits
 //!     non-zero on errors, or on warnings under --deny-warnings.
 //!     `--format json` emits one JSON array instead of caret renderings.
 //! pmc fmt <file.pm> [--size ...]

@@ -110,6 +110,21 @@ impl Fragment {
         }
     }
 
+    /// What breaks the fragment contract — a compute fragment names a live
+    /// node of `graph`, a `load`/`store` carries the edge it moves — or
+    /// `None` when the fragment keeps it.
+    pub fn defect(&self, graph: &SrDfg) -> Option<String> {
+        match (self.kind, self.node, &self.arg) {
+            (FragmentKind::Compute, Some(id), _) if graph.is_live(id) => None,
+            (FragmentKind::Compute, Some(id), _) => {
+                Some(format!("compute fragment names removed node {id}"))
+            }
+            (FragmentKind::Compute, None, _) => Some("compute fragment names no node".to_string()),
+            (_, _, Some(_)) => None,
+            (_, _, None) => Some("load/store fragment has no edge to marshal".to_string()),
+        }
+    }
+
     /// Bytes moved by a load/store fragment (0 for a compute fragment).
     pub fn bytes(&self) -> u64 {
         self.arg.as_ref().map_or(0, |a| a.meta.bytes())
@@ -319,7 +334,8 @@ pub fn compile_program_budgeted(
 /// [`check_schedule`] states.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScheduleError {
-    /// A compute fragment names no live node, or a `load`/`store` no edge.
+    /// A compute fragment names no live node, or a `load`/`store` no edge
+    /// ([`Fragment::defect`]).
     Malformed {
         /// The partition's target.
         part: String,
@@ -335,6 +351,16 @@ pub enum ScheduleError {
         value: String,
         /// The producing partition's target.
         producer: String,
+    },
+    /// *Marshalled*: a partition stores a value that another partition
+    /// (or no partition) produces, which would give it a second writer.
+    ForeignStore {
+        /// The storing partition's target.
+        part: String,
+        /// The value's name.
+        value: String,
+        /// The producing partition's target; `None` if no partition does.
+        producer: Option<String>,
     },
     /// *Marshalled*: a compute fragment consumes a cross-partition operand
     /// that its own stream did not load before it.
@@ -385,6 +411,13 @@ impl fmt::Display for ScheduleError {
                 "partition `{part}` loads `{value}` but its producer partition `{producer}` \
                  never stores it"
             ),
+            ScheduleError::ForeignStore { part, value, producer } => {
+                write!(f, "partition `{part}` stores `{value}`, which ")?;
+                match producer {
+                    Some(p) => write!(f, "only its producer partition `{p}` may write"),
+                    None => f.write_str("no partition produces"),
+                }
+            }
             ScheduleError::UnloadedOperand { op, part, value, from } => {
                 write!(f, "fragment `{op}` on `{part}` consumes `{value}` from ")?;
                 match from {
@@ -416,7 +449,9 @@ impl std::error::Error for ScheduleError {}
 ///    operand earlier in its own stream. An operand is cross-partition if
 ///    another partition produces it, or if it is a boundary input (host
 ///    memory) and the fragment is not on the host. Every load of a
-///    produced value has a store of it in the producer's partition.
+///    produced value has a store of it in the producer's partition, and
+///    every store sits there, so one partition writes each value (a
+///    circulated `state` buffer included).
 /// 2. **Executable.** Run as a host manager would — each stream in order,
 ///    a `load` of an edge waiting until every `store` of that edge on
 ///    other partitions has run — every fragment finishes.
@@ -454,13 +489,13 @@ pub fn check_schedule(
         first.push(total);
         total += part.fragments.len();
         for (index, f) in part.fragments.iter().enumerate() {
+            if f.defect(graph).is_some() {
+                return Err(ScheduleError::Malformed { part: part.target.clone(), index });
+            }
             match (f.kind, f.node, &f.arg) {
-                (FragmentKind::Compute, Some(id), _) if graph.is_live(id) => {
-                    part_of[id.0 as usize] = p;
-                }
+                (FragmentKind::Compute, Some(id), _) => part_of[id.0 as usize] = p,
                 (FragmentKind::Store, _, Some(a)) => stores[a.edge.0 as usize].push((p, index)),
-                (FragmentKind::Load, _, Some(_)) => {}
-                _ => return Err(ScheduleError::Malformed { part: part.target.clone(), index }),
+                _ => {}
             }
         }
     }
@@ -493,6 +528,15 @@ pub fn check_schedule(
                         }
                     }
                     loaded[p * n_edges + a.edge.0 as usize] = true;
+                } else if let (FragmentKind::Store, Some(a)) = (f.kind, &f.arg) {
+                    let src = origin(a.edge);
+                    if src != Some(p) {
+                        return Err(ScheduleError::ForeignStore {
+                            part: part.target.clone(),
+                            value: a.name().to_string(),
+                            producer: src.map(|s| parts[s].target.clone()),
+                        });
+                    }
                 } else if let (FragmentKind::Compute, Some(id)) = (f.kind, f.node) {
                     let node = graph.node(id);
                     let op = || f.op(graph).to_string();
@@ -549,8 +593,12 @@ mod tests {
     use crate::lower::lower;
     use crate::spec::AcceleratorSpec;
 
+    fn graph(source: &str) -> SrDfg {
+        srdfg::build(&pmlang::parse(source).unwrap(), &srdfg::Bindings::default()).unwrap()
+    }
+
     fn two_domain_graph() -> SrDfg {
-        let prog = pmlang::parse(
+        graph(
             "filt(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i] * 0.5; }
              clas(input float x[4], param float w[4], output float y) {
                  index i[0:3];
@@ -562,8 +610,6 @@ mod tests {
                  DA: clas(filtered, w, cls);
              }",
         )
-        .unwrap();
-        srdfg::build(&prog, &srdfg::Bindings::default()).unwrap()
     }
 
     fn targets() -> TargetMap {
@@ -615,11 +661,8 @@ mod tests {
 
     #[test]
     fn single_domain_program_has_one_accel_partition() {
-        let prog = pmlang::parse(
-            "main(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i] + 1.0; }",
-        )
-        .unwrap();
-        let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
+        let g =
+            graph("main(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i] + 1.0; }");
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
         let t = TargetMap::host_only(host);
         let compiled = compile_program(&g, &t).unwrap();
@@ -631,15 +674,13 @@ mod tests {
 
     #[test]
     fn fragment_args_carry_modifiers_and_shapes() {
-        let prog = pmlang::parse(
+        let g = graph(
             "main(input float x[4], state float s[4], output float y[4]) {
                  index i[0:3];
                  s[i] = s[i] + x[i];
                  y[i] = s[i];
              }",
-        )
-        .unwrap();
-        let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
+        );
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
         let t = TargetMap::host_only(host);
         let compiled = compile_program(&g, &t).unwrap();
@@ -678,9 +719,9 @@ mod tests {
         assert!(dma >= 4, "{dma} DMA fragments");
     }
 
-    /// The fixture compiled, its streams edited by `edit`, then checked.
-    fn check_fabricated(edit: impl FnOnce(&SrDfg, &mut [AccProgram])) -> String {
-        let (mut g, t) = (two_domain_graph(), targets());
+    /// `g` lowered and compiled, its streams edited by `edit`, then checked.
+    fn check_fabricated(mut g: SrDfg, edit: impl FnOnce(&SrDfg, &mut [AccProgram])) -> String {
+        let t = targets();
         lower(&mut g, &t).unwrap();
         let compiled = compile_program(&g, &t).unwrap();
         let mut parts = compiled.partitions.to_vec();
@@ -691,7 +732,7 @@ mod tests {
 
     #[test]
     fn detects_missing_store_for_a_cross_partition_load() {
-        let err = check_fabricated(|_, parts| {
+        let err = check_fabricated(two_domain_graph(), |_, parts| {
             let deco = parts.iter_mut().find(|p| p.target == "DECO").unwrap();
             let store = deco.fragments.iter().position(|f| f.kind == FragmentKind::Store);
             deco.fragments.remove(store.expect("DECO stores its result"));
@@ -706,7 +747,7 @@ mod tests {
     fn detects_missing_load_before_a_cross_partition_compute() {
         // Only TABLA's load of the value DECO produced; its loads of
         // boundary inputs stay.
-        let err = check_fabricated(|graph, parts| {
+        let err = check_fabricated(two_domain_graph(), |graph, parts| {
             let tabla = parts.iter_mut().find(|p| p.target == "TABLA").unwrap();
             tabla.fragments.retain(|f| {
                 f.kind != FragmentKind::Load
@@ -724,7 +765,7 @@ mod tests {
     fn detects_cross_target_dependency_cycle() {
         // DECO first loads the value it stores last, and TABLA stores that
         // value back after loading it: each waits on the other.
-        let err = check_fabricated(|_, parts| {
+        let err = check_fabricated(two_domain_graph(), |_, parts| {
             let deco = parts.iter().position(|p| p.target == "DECO").unwrap();
             let store = parts[deco].fragments.iter().find(|f| f.kind == FragmentKind::Store);
             let store = store.expect("DECO stores its result").clone();
@@ -734,5 +775,30 @@ mod tests {
         });
         assert!(err.starts_with("fragment schedule deadlocks: "), "{err}");
         assert!(err.contains("wait on DMA that never completes, including `load`@DECO"), "{err}");
+    }
+
+    #[test]
+    fn detects_a_second_writer_of_a_state_buffer() {
+        let g = graph(
+            "main(input float x[4], state float z[4], output float y[4]) {
+                 index i[0:3];
+                 DSP: y[i] = z[i] * 0.5;
+                 z[i] = x[i];
+             }",
+        );
+        // DECO also DMA-stores the new `z` that the host computes.
+        let err = check_fabricated(g, |graph, parts| {
+            let mut outs = graph.boundary_outputs.iter().map(|&e| (e, graph.edge(e)));
+            let (z, _) = outs.find(|(_, e)| e.producer.is_some() && e.meta.name == "z").unwrap();
+            let deco = parts.iter_mut().find(|p| p.target == "DECO").unwrap();
+            let store = deco.fragments.iter().find(|f| f.kind == FragmentKind::Store);
+            let mut store = store.expect("DECO stores its result").clone();
+            store.arg = Some(ArgInfo { meta: graph.edge(z).meta.clone(), edge: z });
+            deco.fragments.push(store);
+        });
+        assert_eq!(
+            err,
+            "partition `DECO` stores `z`, which only its producer partition `CPU` may write"
+        );
     }
 }

@@ -293,9 +293,9 @@ fn as_complex(s: Scalar) -> (f64, f64) {
     }
 }
 
-/// Applies a built-in scalar function, handling the complex-aware builtins;
-/// a complex argument to a real-only builtin is an error. `args` holds
-/// exactly `f`'s arity of values.
+/// Applies a built-in scalar function, handling the complex-aware builtins
+/// and `bitrev`'s integer range; a complex argument to a real-only builtin
+/// is an error. `args` holds exactly `f`'s arity of values.
 pub fn eval_call(f: ScalarFunc, args: &[Scalar]) -> Result<Scalar, ValueError> {
     match f {
         ScalarFunc::Complex => Ok(Scalar::Complex(args[0].as_real()?, args[1].as_real()?)),
@@ -313,6 +313,15 @@ pub fn eval_call(f: ScalarFunc, args: &[Scalar]) -> Result<Scalar, ValueError> {
             }
             Scalar::Real(x) => Ok(Scalar::Real(x.exp())),
         },
+        ScalarFunc::Bitrev => {
+            let (v, bits) = (args[0].as_index()?, args[1].as_index()?);
+            match (u64::try_from(v), u32::try_from(bits)) {
+                (Ok(v), Ok(bits)) if bits <= 64 => {
+                    Ok(Scalar::Real(pmlang::intrinsics::bitrev(v, bits) as f64))
+                }
+                _ => Err(ValueError::BitrevRange),
+            }
+        }
         other => buffered(
             args.len(),
             0.0,
@@ -968,6 +977,17 @@ mod tests {
         assert_eq!(eval_call(ScalarFunc::CReal, &[z]).unwrap(), Scalar::Real(3.0));
         assert_eq!(eval_call(ScalarFunc::CImag, &[z]).unwrap(), Scalar::Real(4.0));
         assert_eq!(eval_call(ScalarFunc::Abs, &[z]).unwrap(), Scalar::Real(5.0));
+    }
+
+    #[test]
+    fn bitrev_reads_integers_and_refuses_what_it_cannot_reverse() {
+        let bitrev = |v, b| eval_call(ScalarFunc::Bitrev, &[Scalar::Real(v), Scalar::Real(b)]);
+        for (v, b, want) in [(6.0, 3.0, 3.0), (5.0, 0.0, 0.0), (1.0, 64.0, 2f64.powi(63))] {
+            assert_eq!(bitrev(v, b), Ok(Scalar::Real(want)));
+        }
+        for (v, b) in [(1.0, 65.0), (1.0, 70.0), (1.0, -1.0), (-1.0, 3.0)] {
+            assert_eq!(bitrev(v, b), Err(ValueError::BitrevRange), "bitrev({v}, {b})");
+        }
     }
 
     #[test]

@@ -101,6 +101,8 @@ pub enum ValueError {
     ComplexCondition,
     /// Arithmetic not defined for the operand kinds (e.g. `<` on complex).
     UnsupportedOp(&'static str),
+    /// `bitrev(v, bits)` with a negative `v` or `bits` outside `0..=64`.
+    BitrevRange,
 }
 
 impl fmt::Display for ValueError {
@@ -123,6 +125,9 @@ impl fmt::Display for ValueError {
             }
             ValueError::ComplexCondition => f.write_str("complex value used as a condition"),
             ValueError::UnsupportedOp(op) => write!(f, "operation `{op}` not defined for complex"),
+            ValueError::BitrevRange => {
+                f.write_str("bitrev needs a non-negative value and a width in 0..=64")
+            }
         }
     }
 }

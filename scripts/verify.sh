@@ -402,6 +402,17 @@ if grep -rnE 'PM-E110|PM-E113|MISSING_MARSHAL|codes::DEADLOCK' crates || grep -r
     exit 1
 fi
 
+echo "== one writer per state buffer"
+# check_schedule refuses a store outside the partition that produces its
+# value, so a state buffer has one writer and the race lint needs no
+# second-writer search or all-pairs reachability table. The fragment
+# contract (Fragment::defect) is stated once, not again in the SoC.
+if grep -rnE 'PM-W112|DMA_WAW|struct Reachability|SuccVisitor' crates ||
+    grep -n 'fn check_fragments' crates/accel/src/soc.rs; then
+    echo "a second-writer race lint or a second fragment contract is back" >&2
+    exit 1
+fi
+
 echo "== one compile pipeline"
 # Compiler::pipeline is one fixed stage list: no switch turns a mid-end
 # pass on or off, and no analysis runs there only to be thrown away.

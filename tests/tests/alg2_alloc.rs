@@ -1,7 +1,7 @@
 //! Algorithm 2 allocates per partition, not per fragment.
 //!
 //! A fragment is a reference into the lowered graph — a node id for a
-//! compute fragment, one interned edge handle for a `load`/`store` — so
+//! compute fragment, one shared edge handle for a `load`/`store` — so
 //! building a partition's stream costs its one `Vec`, whatever the number
 //! of fragments in it. A counting global allocator holds the compile to
 //! that, and the type to its size.

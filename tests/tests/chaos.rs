@@ -142,7 +142,7 @@ fn all_backends_down_corpus_still_matches_oracle() {
 
 /// Transient chaos never changes the schedule permanently, so outputs are
 /// bit-identical to the fault-free run, and the same seed reproduces the
-/// same report — the checkpoint/replay determinism contract, end to end.
+/// same report — the replay determinism contract, end to end.
 #[test]
 fn transient_chaos_is_deterministic_and_output_preserving() {
     let soc = standard_soc();

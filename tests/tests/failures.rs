@@ -127,6 +127,20 @@ fn runtime_out_of_bounds_is_an_exec_error() {
 }
 
 #[test]
+fn bitrev_outside_its_range_is_an_exec_error() {
+    // A width past 64 bits is refused, not a shift overflow.
+    let compiled = Compiler::host_only()
+        .compile(
+            "main(input float x, output float y) { y = bitrev(x, 70.0); }",
+            &Bindings::default(),
+        )
+        .unwrap();
+    let feeds = HashMap::from([("x".to_string(), Tensor::scalar(pmlang::DType::Float, 5.0))]);
+    let err = Machine::new((*compiled.graph).clone()).invoke(&feeds).unwrap_err();
+    assert!(err.to_string().contains("bitrev needs"), "{err}");
+}
+
+#[test]
 fn missing_and_misshapen_feeds_are_named() {
     let compiled = Compiler::host_only()
         .compile(

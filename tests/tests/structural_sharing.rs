@@ -284,7 +284,7 @@ const FULL_GOLDENS: &[(&str, u64, u64, u64)] = &[
 /// Every family at test scale: graphs, fragments, and run outputs must be
 /// byte-identical to the pre-refactor flat store.
 #[test]
-fn interned_pipeline_matches_flat_store_goldens() {
+fn pipeline_matches_flat_store_goldens() {
     check(small_workloads(), SMALL_GOLDENS);
 }
 
@@ -292,6 +292,6 @@ fn interned_pipeline_matches_flat_store_goldens() {
 /// as `scripts/verify.sh` does).
 #[test]
 #[ignore = "benchmark-scale; run with --release -- --ignored"]
-fn interned_pipeline_matches_flat_store_goldens_full_scale() {
+fn pipeline_matches_flat_store_goldens_full_scale() {
     check(full_workloads(), FULL_GOLDENS);
 }
