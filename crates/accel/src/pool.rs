@@ -240,8 +240,8 @@ impl SocPool {
             price_memo.inserts += s.inserts;
             price_memo.evictions += s.evictions;
             price_memo.entries += s.entries;
-            price_memo.units += s.units;
-            price_memo.capacity_units += s.capacity_units;
+            price_memo.bytes += s.bytes;
+            price_memo.capacity_bytes += s.capacity_bytes;
             price_memo.bypassed += s.bypassed;
         }
         PoolReport { total, tenants, breakers, price_memo }

@@ -42,6 +42,10 @@ const DISPATCH_NS: u64 = 2_000;
 /// on bookkeeping, not on memory that matters; it sits above the few
 /// hundred programs a serving process keeps resident.
 const PRICE_MEMO_ENTRIES: usize = 1024;
+/// What one price-memo entry is charged: its key and value, which own no
+/// heap of their own. Every entry costs the same, so the memo's byte
+/// budget is [`PRICE_MEMO_ENTRIES`] of these.
+const PRICE_ENTRY_BYTES: usize = std::mem::size_of::<PriceKey>() + std::mem::size_of::<Priced>();
 
 /// Per-partition result within a SoC run.
 #[derive(Debug, Clone, PartialEq)]
@@ -251,7 +255,7 @@ impl Soc {
             dma_energy_per_byte: 5.0e-11, // 50 pJ/byte
             manager_power_w: 5.0,
             template_cache: None,
-            prices: ContentLru::with_capacity(PRICE_MEMO_ENTRIES),
+            prices: ContentLru::with_capacity(PRICE_MEMO_ENTRIES * PRICE_ENTRY_BYTES),
         }
     }
 
@@ -274,7 +278,7 @@ impl Soc {
         let name = backend.accel_spec().name;
         self.backends.retain(|(attached, _)| *attached != name);
         self.backends.push((name, backend));
-        self.prices = ContentLru::with_capacity(PRICE_MEMO_ENTRIES);
+        self.prices = ContentLru::with_capacity(PRICE_MEMO_ENTRIES * PRICE_ENTRY_BYTES);
     }
 
     /// A SoC with `backends` (a slice of [`crate::complement`]) attached
@@ -549,7 +553,7 @@ impl Soc {
             _graph: Arc::downgrade(&compiled.graph),
             _partitions: Arc::downgrade(&compiled.partitions),
         };
-        self.prices.insert(fingerprint, key, 1, priced);
+        self.prices.insert(fingerprint, key, PRICE_ENTRY_BYTES, priced);
         Ok(compute)
     }
 

@@ -797,6 +797,8 @@ impl ServeEngine {
                 ("inserts".into(), Json::Num(s.inserts as f64)),
                 ("evictions".into(), Json::Num(s.evictions as f64)),
                 ("entries".into(), Json::Num(s.entries as f64)),
+                ("bytes".into(), Json::Num(s.bytes as f64)),
+                ("capacity_bytes".into(), Json::Num(s.capacity_bytes as f64)),
                 ("hit_rate".into(), Json::Num(s.hit_rate())),
                 ("bypassed".into(), Json::Num(s.bypassed as f64)),
             ])
@@ -1344,6 +1346,14 @@ mod tests {
         let tc = v.get("template_cache").unwrap();
         let inserts = tc.get("inserts").and_then(Json::as_u64).unwrap();
         assert_eq!(tc.get("entries").and_then(Json::as_u64), Some(inserts), "nothing evicted");
+        for c in [pc, tc] {
+            let bytes = c.get("bytes").and_then(Json::as_u64).unwrap();
+            let capacity = c.get("capacity_bytes").and_then(Json::as_u64).unwrap();
+            let entries = c.get("entries").and_then(Json::as_u64).unwrap();
+            assert!(bytes <= capacity, "{bytes} of {capacity} bytes");
+            assert_eq!(bytes > 0, entries > 0, "{bytes} bytes in {entries} entries");
+            assert_eq!(capacity, srdfg::DEFAULT_CAPACITY_BYTES as u64);
+        }
         assert!(tc.get("bypassed").and_then(Json::as_u64).is_some());
         let pool = v.get("pool").unwrap();
         assert_eq!(pool.get("requests").and_then(Json::as_u64), Some(2));

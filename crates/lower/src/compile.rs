@@ -32,7 +32,7 @@ use crate::lower::{fully_lowered, LowerError};
 use crate::spec::{SupportMemo, TargetMap};
 use pmlang::{DType, Domain};
 use srdfg::budget::Budget;
-use srdfg::{Consed, EdgeId, EdgeMeta, Modifier, NodeId, SrDfg};
+use srdfg::{Consed, EdgeId, EdgeMeta, Footprint, Modifier, NodeId, SrDfg};
 use std::fmt;
 use std::sync::Arc;
 
@@ -184,6 +184,28 @@ impl CompiledProgram {
     /// The partition compiled for a specific target name.
     pub fn partition_by_target(&self, target: &str) -> Option<&AccProgram> {
         self.partitions.iter().find(|p| p.target == target)
+    }
+
+    /// Heap bytes the artifact keeps alive: both `Arc` blocks, the lowered
+    /// graph ([`SrDfg::heap_bytes`]) and every fragment stream at its
+    /// capacity, each shared record once — a `load`/`store`'s metadata is
+    /// the graph edge's own. A walk over the whole artifact, so it is
+    /// taken once, when the program cache stores it.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let arc_counts = 2 * size_of::<usize>();
+        let mut count = Footprint::default();
+        count.graph(&self.graph);
+        count.add(
+            2 * arc_counts + size_of::<SrDfg>() + self.partitions.len() * size_of::<AccProgram>(),
+        );
+        for part in self.partitions.iter() {
+            count.add(part.target.capacity() + part.fragments.capacity() * size_of::<Fragment>());
+            for arg in part.fragments.iter().filter_map(|f| f.arg.as_ref()) {
+                count.record(&arg.meta);
+            }
+        }
+        count.bytes()
     }
 }
 

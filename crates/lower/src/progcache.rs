@@ -19,9 +19,8 @@
 //!   against — the same graph lowered host-only vs. cross-domain yields
 //!   different partitions, so the map must discriminate the key.
 //!
-//! Compiler *option* knobs that change the post-midend graph (optimize,
-//! fuse) need no explicit key component: they are already reflected in
-//! the graph fingerprint because it is taken after those passes run.
+//! The compile pipeline has no option that changes what is lowered from
+//! a given post-midend graph, so nothing else belongs in the key.
 //!
 //! Unlike [`TemplateKey`](srdfg::TemplateKey) there is no stored full key
 //! for a confirming `==` — an srDFG compare would cost a graph walk per
@@ -37,19 +36,15 @@
 //! [`ProgramCache`] is a handle on the shared [`srdfg::ContentLru`] (the
 //! same store the template cache uses — exact LRU capacity eviction, see
 //! there). Entries are immutable ([`Arc<CompiledProgram>`]) and
-//! self-contained; an entry's units are its total fragment count plus
-//! lowered-graph size (a proxy for bytes).
+//! self-contained; an entry is charged the heap bytes the program keeps
+//! alive ([`CompiledProgram::heap_bytes`], measured once when it is
+//! stored) against a byte budget ([`srdfg::DEFAULT_CAPACITY_BYTES`]
+//! unless given one).
 
 use crate::compile::CompiledProgram;
-use srdfg::{CacheStats, ContentLru};
+use srdfg::{CacheStats, ContentLru, DEFAULT_CAPACITY_BYTES};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// Default capacity, in fragment+node units, of a [`ProgramCache`].
-/// Every benchmark-family program compiled for the standard SoC fits
-/// simultaneously with room to spare; memory stays bounded for a
-/// long-lived serve process.
-pub const DEFAULT_CAPACITY_UNITS: usize = 4_000_000;
 
 /// Content-address of one compile: post-midend graph fingerprint plus
 /// target-map fingerprint. See the module docs for the derivation.
@@ -79,9 +74,9 @@ impl ProgramKey {
 /// `bypassed` stays zero — every compile consults this cache.
 pub type ProgramCacheStats = CacheStats;
 
-fn program_units(p: &CompiledProgram) -> usize {
-    let fragments: usize = p.partitions.iter().map(|part| part.fragments.len()).sum();
-    fragments + p.graph.node_count() + p.graph.edge_count()
+/// What an entry keeps alive: the program and its `Arc` block.
+fn entry_bytes(p: &CompiledProgram) -> usize {
+    2 * std::mem::size_of::<usize>() + std::mem::size_of::<CompiledProgram>() + p.heap_bytes()
 }
 
 /// Shared, thread-safe handle to a compiled-program cache. `Clone` is
@@ -99,14 +94,14 @@ impl Default for ProgramCache {
 }
 
 impl ProgramCache {
-    /// A cache with [`DEFAULT_CAPACITY_UNITS`].
+    /// A cache of [`DEFAULT_CAPACITY_BYTES`].
     pub fn new() -> ProgramCache {
-        ProgramCache::with_capacity(DEFAULT_CAPACITY_UNITS)
+        ProgramCache::with_capacity(DEFAULT_CAPACITY_BYTES)
     }
 
-    /// A cache bounded to `capacity_units` of resident program size.
-    pub fn with_capacity(capacity_units: usize) -> ProgramCache {
-        ProgramCache { lru: ContentLru::with_capacity(capacity_units) }
+    /// A cache bounded to `capacity_bytes` of resident programs.
+    pub fn with_capacity(capacity_bytes: usize) -> ProgramCache {
+        ProgramCache { lru: ContentLru::with_capacity(capacity_bytes) }
     }
 
     /// Looks up a compiled program, refreshing its LRU position on hit.
@@ -114,10 +109,9 @@ impl ProgramCache {
         self.lru.lookup(key.fingerprint(), key)
     }
 
-    /// Stores a compiled program, sized as its fragment count plus
-    /// lowered-graph nodes and edges.
+    /// Stores a compiled program, charged the heap bytes it keeps alive.
     pub fn insert(&self, key: ProgramKey, program: Arc<CompiledProgram>) {
-        self.lru.insert(key.fingerprint(), key, program_units(&program), program);
+        self.lru.insert(key.fingerprint(), key, entry_bytes(&program), program);
     }
 
     /// Current counter snapshot.
@@ -210,8 +204,8 @@ mod tests {
                  y = sum[i](x[i]+x[i]);
              }",
         );
-        let unit = program_units(&p1).max(program_units(&p2)).max(program_units(&p3));
-        let cache = ProgramCache::with_capacity(unit * 2);
+        let size = entry_bytes(&p1).max(entry_bytes(&p2)).max(entry_bytes(&p3));
+        let cache = ProgramCache::with_capacity(size * 2);
         cache.insert(k1, p1);
         cache.insert(k2, p2);
         assert!(cache.lookup(&k1).is_some(), "touch k1 so k2 is the LRU");
@@ -221,7 +215,7 @@ mod tests {
         assert!(cache.lookup(&k3).is_some());
         let s = cache.stats();
         assert!(s.evictions >= 1);
-        assert!(s.units <= s.capacity_units);
+        assert!(s.bytes <= s.capacity_bytes);
     }
 
     #[test]

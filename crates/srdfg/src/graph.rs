@@ -20,7 +20,7 @@
 use crate::ident::Ident;
 use crate::kernel::KExpr;
 use crate::smallids::SmallIds;
-use crate::store::Consed;
+use crate::store::{Consed, Footprint};
 use crate::template::Refinement;
 use crate::value::Tensor;
 use pmlang::{BinOp, BuiltinReduction, DType, Domain, ScalarFunc, Span, UnOp};
@@ -774,6 +774,16 @@ impl SrDfg {
         self.edges.len()
     }
 
+    /// Heap bytes the graph keeps alive: its tables at their capacities,
+    /// spilled id lists, component sub-graphs, and each distinct payload
+    /// record and name once (see [`Footprint`]). A walk over every node
+    /// and edge, so it is taken once when a cache stores the graph.
+    pub fn heap_bytes(&self) -> usize {
+        let mut count = Footprint::default();
+        count.graph(self);
+        count.bytes()
+    }
+
     /// Removes a node, unlinking it from its edges' use lists.
     pub fn remove_node(&mut self, id: NodeId) {
         self.take_node(id);
@@ -1161,6 +1171,47 @@ impl SrDfg {
             total += node_op_count(node);
         }
         total
+    }
+}
+
+impl Footprint {
+    /// Counts what `g` owns, not the `SrDfg` value itself.
+    pub fn graph(&mut self, g: &SrDfg) {
+        use std::mem::size_of;
+        self.add(
+            g.name.capacity()
+                + g.nodes.capacity() * size_of::<Option<Node>>()
+                + g.edges.capacity() * size_of::<Edge>()
+                + (g.boundary_inputs.capacity() + g.boundary_outputs.capacity())
+                    * size_of::<EdgeId>(),
+        );
+        for node in g.nodes.iter().flatten() {
+            self.add(node.inputs.heap_bytes() + node.outputs.heap_bytes());
+            self.ident(&node.name);
+            if let Some(target) = &node.target {
+                self.ident(target);
+            }
+            self.kind(&node.kind);
+        }
+        for edge in &g.edges {
+            self.add(edge.consumers.heap_bytes());
+            self.record(&edge.meta);
+        }
+    }
+
+    /// Counts a node payload's record, or a component's boxed sub-graph.
+    pub(crate) fn kind(&mut self, kind: &NodeKind) {
+        match kind {
+            NodeKind::Component(sub) => {
+                self.add(std::mem::size_of::<SrDfg>());
+                self.graph(sub);
+            }
+            NodeKind::Map(m) => self.record(m),
+            NodeKind::Reduce(r) => self.record(r),
+            NodeKind::Scalar(k) => self.record(k),
+            NodeKind::ConstTensor(t) => self.record(t),
+            NodeKind::Load | NodeKind::Store | NodeKind::Unpack | NodeKind::Pack => {}
+        }
     }
 }
 

@@ -38,6 +38,12 @@ impl Ident {
     pub fn ptr_id(&self) -> usize {
         Arc::as_ptr(&self.0) as usize
     }
+
+    /// Heap bytes of the shared record: the `Arc` block around the
+    /// `Box<str>` plus the text.
+    pub fn heap_bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>() + std::mem::size_of::<Box<str>>() + self.0.len()
+    }
 }
 
 impl Deref for Ident {

@@ -81,9 +81,9 @@ pub use hash::{graph_fingerprint, node_structural_hash, FxBuildHasher, FxHasher}
 pub use ident::Ident;
 pub use interp::Machine;
 pub use kernel::KExpr;
-pub use lru::{CacheStats, ContentLru};
+pub use lru::{CacheStats, ContentLru, DEFAULT_CAPACITY_BYTES};
 pub use smallids::SmallIds;
-pub use store::{sharing_stats, store_stats, Consed, SharingStats, StoreStats};
+pub use store::{sharing_stats, store_stats, Consed, Footprint, SharingStats, StoreStats};
 pub use template::{Refinement, TemplateCache, TemplateCacheStats, TemplateKey};
 pub use validate::{validate, validate_all, ValidateError};
 pub use value::{Scalar, Tensor, ValueError};

@@ -1,17 +1,22 @@
-//! The one content-addressed LRU behind [`crate::TemplateCache`] and
-//! `pm_lower::ProgramCache`.
+//! The one content-addressed LRU behind [`crate::TemplateCache`],
+//! `pm_lower::ProgramCache` and the SoC's price memo.
 //!
 //! An entry is addressed by a 64-bit **fingerprint** of its key and holds
-//! the full **key**, a **size in units** (the caller's proxy for bytes)
-//! and the **value**. A lookup hits only when the stored key compares
-//! equal to the probe — a fingerprint collision between unequal keys is a
-//! miss, and inserting the newer key replaces the older entry (counted as
-//! an eviction), which keeps the table deterministic. Re-inserting an
-//! *equal* key (two workers that missed on the same content concurrently)
-//! refreshes the entry and is not an eviction.
+//! the full **key**, its **size in bytes** and the **value**. A lookup
+//! hits only when the stored key compares equal to the probe — a
+//! fingerprint collision between unequal keys is a miss, and inserting the
+//! newer key replaces the older entry (counted as an eviction), which
+//! keeps the table deterministic. Re-inserting an *equal* key (two workers
+//! that missed on the same content concurrently) refreshes the entry and
+//! is not an eviction.
+//!
+//! The caller measures an entry once, when it inserts it: the two graph
+//! caches charge what the value keeps alive on the heap
+//! ([`crate::SrDfg::heap_bytes`], `CompiledProgram::heap_bytes`), the price
+//! memo the fixed size of its key and estimate. A lookup never measures.
 //!
 //! Entries are immutable and self-contained, so only **capacity**
-//! eviction exists: past `capacity_units` the least-recently-touched
+//! eviction exists: past `capacity_bytes` the least-recently-touched
 //! entries are dropped, oldest first. Recency is exact — every lookup hit
 //! and every insert stamps the entry with a fresh tick, and an ordered
 //! tick index yields the oldest entry without scanning the table. An
@@ -21,6 +26,11 @@
 use crate::hash::FxBuildHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// The byte budget of each template or program cache built without one
+/// (`TemplateCache::new`, `ProgramCache::new`): 64 MiB. DESIGN.md §12
+/// gives the working sets it was chosen to hold.
+pub const DEFAULT_CAPACITY_BYTES: usize = 64 << 20;
 
 /// Counter snapshot of a cache (see [`ContentLru::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,10 +46,10 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Resident size in the cache's units.
-    pub units: usize,
-    /// Configured capacity in the same units.
-    pub capacity_units: usize,
+    /// Resident bytes, as the entries were charged when stored.
+    pub bytes: usize,
+    /// Configured capacity in bytes.
+    pub capacity_bytes: usize,
     /// Requests the caller chose not to consult the cache for (see
     /// [`ContentLru::record_bypass`]). Algorithm 1 counts nodes
     /// that are not scalar-expansion eligible here — e.g. the MPC
@@ -79,7 +89,7 @@ impl CacheStats {
 struct Entry<K, V> {
     key: K,
     value: V,
-    units: usize,
+    bytes: usize,
     last_used: u64,
 }
 
@@ -108,9 +118,9 @@ impl<K, V> Clone for ContentLru<K, V> {
 }
 
 impl<K: PartialEq, V: Clone> ContentLru<K, V> {
-    /// A cache bounded to `capacity_units` of resident entry size.
-    pub fn with_capacity(capacity_units: usize) -> Self {
-        let stats = CacheStats { capacity_units, ..CacheStats::default() };
+    /// A cache bounded to `capacity_bytes` of resident entries.
+    pub fn with_capacity(capacity_bytes: usize) -> Self {
+        let stats = CacheStats { capacity_bytes, ..CacheStats::default() };
         let inner = Inner { map: HashMap::default(), order: BTreeMap::new(), tick: 0, stats };
         ContentLru { inner: Arc::new(Mutex::new(inner)) }
     }
@@ -140,32 +150,32 @@ impl<K: PartialEq, V: Clone> ContentLru<K, V> {
         }
     }
 
-    /// Stores `value` (of size `units`) under `key`, then evicts
+    /// Stores `value` (charged `bytes`) under `key`, then evicts
     /// least-recently-used entries while over capacity — never the entry
     /// just stored, so an oversized one survives alone. The entries that
     /// leave are dropped after the lock is released: freeing a value (a
     /// whole compiled program, for the program cache) must not hold up the
     /// other workers' lookups, and a value's `Drop` may use this cache.
-    pub fn insert(&self, fingerprint: u64, key: K, units: usize, value: V) {
+    pub fn insert(&self, fingerprint: u64, key: K, bytes: usize, value: V) {
         // Declared before the guard, so dropped after it.
         let mut victims = Vec::new();
         let mut guard = self.lock();
         let inner = &mut *guard;
         if let Some(old) = inner.map.remove(&fingerprint) {
             inner.order.remove(&old.last_used);
-            inner.stats.units -= old.units;
+            inner.stats.bytes -= old.bytes;
             inner.stats.evictions += u64::from(old.key != key);
             victims.push(old);
         }
         inner.tick += 1;
         inner.order.insert(inner.tick, fingerprint);
-        inner.map.insert(fingerprint, Entry { key, value, units, last_used: inner.tick });
-        inner.stats.units += units;
+        inner.map.insert(fingerprint, Entry { key, value, bytes, last_used: inner.tick });
+        inner.stats.bytes += bytes;
         inner.stats.inserts += 1;
-        while inner.stats.units > inner.stats.capacity_units && inner.map.len() > 1 {
+        while inner.stats.bytes > inner.stats.capacity_bytes && inner.map.len() > 1 {
             let (_, oldest) = inner.order.pop_first().expect("one tick per resident entry");
             let dropped = inner.map.remove(&oldest).expect("the tick index names residents");
-            inner.stats.units -= dropped.units;
+            inner.stats.bytes -= dropped.bytes;
             inner.stats.evictions += 1;
             victims.push(dropped);
         }
@@ -195,8 +205,8 @@ mod tests {
         u64::from(key.as_bytes()[0])
     }
 
-    fn put(c: &Lru, key: &'static str, units: usize, value: u32) {
-        c.insert(fp(key), key, units, value);
+    fn put(c: &Lru, key: &'static str, bytes: usize, value: u32) {
+        c.insert(fp(key), key, bytes, value);
     }
 
     fn get(c: &Lru, key: &'static str) -> Option<u32> {
@@ -213,11 +223,11 @@ mod tests {
         c.record_bypass();
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.inserts, s.evictions, s.bypassed), (1, 2, 1, 0, 1));
-        assert_eq!((s.entries, s.units, s.capacity_units), (1, 10, 100));
+        assert_eq!((s.entries, s.bytes, s.capacity_bytes), (1, 10, 100));
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         let later = c.stats().since(&s);
         assert_eq!((later.hits, later.misses, later.inserts, later.bypassed), (0, 0, 0, 0));
-        assert_eq!((later.entries, later.units), (1, 10), "residency is current, not a delta");
+        assert_eq!((later.entries, later.bytes), (1, 10), "residency is current, not a delta");
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
@@ -232,14 +242,14 @@ mod tests {
         assert_eq!(get(&c, "c"), Some(3));
         put(&c, "d", 10, 4);
         assert_eq!(get(&c, "b"), None, "b was least recently touched");
-        // A 20-unit entry displaces the two oldest survivors: a, then c.
+        // A 20-byte entry displaces the two oldest survivors: a, then c.
         put(&c, "e", 20, 5);
         assert_eq!(get(&c, "a"), None);
         assert_eq!(get(&c, "c"), None);
         assert_eq!(get(&c, "d"), Some(4));
         assert_eq!(get(&c, "e"), Some(5));
         let s = c.stats();
-        assert_eq!((s.evictions, s.entries, s.units), (3, 2, 30));
+        assert_eq!((s.evictions, s.entries, s.bytes), (3, 2, 30));
     }
 
     #[test]
@@ -252,7 +262,7 @@ mod tests {
         assert_eq!(get(&c, "apple"), None, "the newer key replaced the older");
         assert_eq!(get(&c, "avocado"), Some(2));
         let s = c.stats();
-        assert_eq!((s.inserts, s.evictions, s.entries, s.units), (2, 1, 1, 15));
+        assert_eq!((s.inserts, s.evictions, s.entries, s.bytes), (2, 1, 1, 15));
     }
 
     #[test]
@@ -263,7 +273,7 @@ mod tests {
         // Two workers that both missed on `a` both insert it.
         put(&c, "a", 12, 3);
         let s = c.stats();
-        assert_eq!((s.inserts, s.evictions, s.entries, s.units), (3, 0, 2, 22));
+        assert_eq!((s.inserts, s.evictions, s.entries, s.bytes), (3, 0, 2, 22));
         assert_eq!(get(&c, "a"), Some(3), "the later value wins");
         // The refresh also moved `a` to the fresh end: `b` goes first.
         put(&c, "c", 10, 4);
@@ -307,6 +317,6 @@ mod tests {
         assert_eq!(get(&c, "a"), None, "displaced by b");
         assert_eq!(get(&c, "b"), Some(2), "the newest entry is kept");
         let s = c.stats();
-        assert_eq!((s.entries, s.units, s.evictions), (1, 10, 1));
+        assert_eq!((s.entries, s.bytes, s.evictions), (1, 10, 1));
     }
 }

@@ -115,6 +115,17 @@ impl<T: Copy + Default, const N: usize> SmallIds<T, N> {
         }
     }
 
+    /// Heap bytes the list holds: 0 inline, the box and its vector's
+    /// capacity once spilled.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { .. } => 0,
+            Repr::Spill(spill) => {
+                std::mem::size_of::<Vec<T>>() + spill.capacity() * std::mem::size_of::<T>()
+            }
+        }
+    }
+
     fn as_slice(&self) -> &[T] {
         match &self.0 {
             Repr::Inline { len, items } => &items[..*len as usize],

@@ -18,7 +18,9 @@
 
 use crate::graph::{EdgeMeta, MapSpec, ReduceSpec, ScalarKind};
 use crate::hash::FxBuildHasher;
+use crate::ident::Ident;
 use crate::value::Tensor;
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,6 +80,13 @@ impl<T> Consed<T> {
     /// turbofish-free disambiguation).
     pub fn get(&self) -> &T {
         &self.0.value
+    }
+
+    /// Heap bytes of the shared record: the `Arc` block (counts, hash,
+    /// byte count and the payload inline) plus what the payload owns.
+    fn record_bytes(&self) -> usize {
+        let block = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<ConsedRec<T>>();
+        block - std::mem::size_of::<T>() + self.0.bytes as usize
     }
 }
 
@@ -149,6 +158,45 @@ pub fn store_stats() -> StoreStats {
     }
 }
 
+/// The heap bytes a set of values keeps alive, each shared record (a
+/// [`Consed`] payload or an [`Ident`]) counted once however many handles
+/// reach it. What a cache charges an entry: [`SrDfg::heap_bytes`] and
+/// `pm_lower::CompiledProgram::heap_bytes` are one walk each into a fresh
+/// count.
+///
+/// [`SrDfg::heap_bytes`]: crate::graph::SrDfg::heap_bytes
+#[derive(Debug, Default)]
+pub struct Footprint {
+    seen: HashSet<usize, FxBuildHasher>,
+    bytes: usize,
+}
+
+impl Footprint {
+    /// The bytes counted so far.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Counts `bytes` the caller's values own outright.
+    pub fn add(&mut self, bytes: usize) {
+        self.bytes += bytes;
+    }
+
+    /// Counts a payload record, unless an earlier handle counted it.
+    pub fn record<T>(&mut self, c: &Consed<T>) {
+        if self.seen.insert(c.ptr_id()) {
+            self.bytes += c.record_bytes();
+        }
+    }
+
+    /// Counts a shared name, unless an earlier handle counted it.
+    pub(crate) fn ident(&mut self, name: &Ident) {
+        if self.seen.insert(name.ptr_id()) {
+            self.bytes += name.heap_bytes();
+        }
+    }
+}
+
 /// Logical-vs-physical footprint of one graph's shared payloads.
 ///
 /// *Logical* counts what a flat (unshared) representation would have
@@ -176,7 +224,6 @@ pub struct SharingStats {
 
 /// Measures how much of `g` is structurally shared (see [`SharingStats`]).
 pub fn sharing_stats(g: &crate::graph::SrDfg) -> SharingStats {
-    use std::collections::HashSet;
     let mut s = SharingStats::default();
     let mut seen: HashSet<usize, FxBuildHasher> = HashSet::default();
     fn record<T>(

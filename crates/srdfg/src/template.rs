@@ -42,26 +42,22 @@
 //! (full-key compare on hit, exact LRU capacity eviction — see there).
 //! Templates are immutable and self-contained (they reference nothing
 //! outside themselves), so there is no dependency-driven invalidation;
-//! a template's size is its `nodes + edges`, a proxy for bytes. The
-//! handle is cheaply cloneable and thread-safe: `pmc serve`'s workers
-//! share one instance.
+//! an entry is charged the heap bytes its template and key keep alive,
+//! measured once when it is stored, against a byte budget
+//! ([`crate::lru::DEFAULT_CAPACITY_BYTES`] unless given one). The handle
+//! is cheaply cloneable and thread-safe: `pmc serve`'s workers share one
+//! instance.
 
 use crate::expand::{
     boundary_metas, refine_node, refine_node_canonical, scalar_expansion_eligible, RefineError,
 };
 use crate::graph::{EdgeMeta, Modifier, Node, NodeId, NodeKind, SrDfg};
 use crate::hash::{hash_kind, FxHasher};
-use crate::lru::{CacheStats, ContentLru};
-use crate::store::Consed;
+use crate::lru::{CacheStats, ContentLru, DEFAULT_CAPACITY_BYTES};
+use crate::store::{Consed, Footprint};
 use pmlang::DType;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// Default capacity, in `nodes + edges` units, of a [`TemplateCache`].
-/// Generous enough to hold every distinct expansion of the benchmark
-/// workload set simultaneously, small enough to bound memory (~a few
-/// hundred MB worst case).
-pub const DEFAULT_CAPACITY_UNITS: usize = 1_000_000;
 
 /// The cache-relevant slice of an [`EdgeMeta`]: name and span are
 /// provenance, not content.
@@ -104,6 +100,24 @@ impl TemplateKey {
         self.outs.hash(&mut h);
         h.finish()
     }
+
+    /// Heap bytes an entry keeps alive: the key's payload record and
+    /// boundary lists, the template's `Arc` block and what the template
+    /// owns, each shared record once.
+    fn entry_bytes(&self, template: &SrDfg) -> usize {
+        use std::mem::size_of;
+        let mut count = Footprint::default();
+        count.kind(&self.kind);
+        count.graph(template);
+        let metas = self.ins.iter().chain(&self.outs);
+        count.add(
+            (self.ins.capacity() + self.outs.capacity()) * size_of::<MetaKey>()
+                + metas.map(|(_, _, shape)| shape.capacity() * size_of::<usize>()).sum::<usize>()
+                + 2 * size_of::<usize>()
+                + size_of::<SrDfg>(),
+        );
+        count.bytes()
+    }
 }
 
 /// Counter snapshot of a [`TemplateCache`] (see [`TemplateCache::stats`]).
@@ -124,15 +138,14 @@ impl Default for TemplateCache {
 }
 
 impl TemplateCache {
-    /// A cache with [`DEFAULT_CAPACITY_UNITS`].
+    /// A cache of [`DEFAULT_CAPACITY_BYTES`].
     pub fn new() -> TemplateCache {
-        TemplateCache::with_capacity(DEFAULT_CAPACITY_UNITS)
+        TemplateCache::with_capacity(DEFAULT_CAPACITY_BYTES)
     }
 
-    /// A cache bounded to `capacity_units` of resident template size
-    /// (`nodes + edges`).
-    pub fn with_capacity(capacity_units: usize) -> TemplateCache {
-        TemplateCache { lru: ContentLru::with_capacity(capacity_units) }
+    /// A cache bounded to `capacity_bytes` of resident entries.
+    pub fn with_capacity(capacity_bytes: usize) -> TemplateCache {
+        TemplateCache { lru: ContentLru::with_capacity(capacity_bytes) }
     }
 
     /// Looks up a template, refreshing its LRU position on hit.
@@ -140,10 +153,10 @@ impl TemplateCache {
         self.lru.lookup(key.fingerprint(), key)
     }
 
-    /// Stores a template, sized as its `nodes + edges`.
+    /// Stores a template, charged the bytes it and its key keep alive.
     fn insert(&self, key: TemplateKey, template: Arc<SrDfg>) {
-        let units = template.node_count() + template.edge_count();
-        self.lru.insert(key.fingerprint(), key, units, template);
+        let bytes = key.entry_bytes(&template);
+        self.lru.insert(key.fingerprint(), key, bytes, template);
     }
 
     /// Current counter snapshot.
@@ -284,9 +297,9 @@ mod tests {
         let (k1, t1) = key_of(1.0, 16);
         let (k2, t2) = key_of(2.0, 16);
         let (k3, t3) = key_of(3.0, 16);
-        let unit = t1.node_count() + t1.edge_count();
+        let size = k1.entry_bytes(&t1).max(k2.entry_bytes(&t2)).max(k3.entry_bytes(&t3));
         // Room for two templates of this size, not three.
-        let cache = TemplateCache::with_capacity(unit * 2);
+        let cache = TemplateCache::with_capacity(size * 2);
         cache.insert(k1.clone(), t1);
         cache.insert(k2.clone(), t2);
         assert!(cache.lookup(&k1).is_some(), "touch k1 so k2 is the LRU");
@@ -297,7 +310,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.entries, 2);
-        assert!(s.units <= s.capacity_units);
+        assert!(s.bytes <= s.capacity_bytes);
     }
 
     #[test]

@@ -169,6 +169,8 @@ stats = json.loads(raw["stats"])
 pc = stats["program_cache"]
 if (pc["hits"], pc["misses"]) != (5, 5):
     sys.exit("program cache counters off: %s" % pc)
+if not 0 < pc["bytes"] <= pc["capacity_bytes"]:
+    sys.exit("program cache holds bytes outside (0, capacity_bytes]: %s" % pc)
 
 reqs = 2 * len(programs)
 throughput = reqs / elapsed

@@ -15,10 +15,18 @@ use srdfg::{Bindings, Budget, Tensor};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
-/// The memo's capacity (`PRICE_MEMO_ENTRIES` in `pm_accel::soc`), read off
-/// an idle SoC.
+/// The memo's capacity in entries (`PRICE_MEMO_ENTRIES` in
+/// `pm_accel::soc`): its byte budget over what each entry is charged, read
+/// off a SoC that priced one program.
 fn capacity() -> usize {
-    Soc::new().price_stats().capacity_units
+    let soc = standard_soc();
+    soc.run(&compile(&programs::kmeans(16, 3)), &Hints::new()).unwrap();
+    let s = soc.price_stats();
+    assert!(
+        s.entries > 0 && s.bytes.is_multiple_of(s.entries),
+        "every entry costs the same: {s:?}"
+    );
+    s.capacity_bytes / (s.bytes / s.entries)
 }
 
 type Hints = HashMap<Option<Domain>, WorkloadHints>;

@@ -3,15 +3,19 @@
 //! it never sees again holds what its caches hold and no more.
 //!
 //! One test in its own binary: `srdfg::store_stats` counts the records
-//! alive in the whole process, so no other thread may build payloads
-//! while it reads them.
+//! alive in the whole process, and the counting allocator its live bytes,
+//! so no other thread may build payloads or allocate while they are read.
 
 use pm_lower::{ProgramCache, ProgramKey};
 use pm_passes::PassManager;
+use pm_tests::{live_bytes, Counting};
 use pm_workloads::programs;
 use polymath::{Compiler, Json, ServeConfig, ServeEngine};
 use srdfg::{store_stats, Bindings, Budget, TemplateCache};
 use std::sync::Arc;
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// Programs in each stream.
 const PROGRAMS: usize = 200;
@@ -96,12 +100,15 @@ fn payload_records_are_freed_and_plateau_under_churn() {
 
     // Plateau: behind bounded caches (full after some 35 programs here),
     // what stays alive is what the caches hold, however many programs
-    // went through.
+    // went through — in records and in bytes, and neither cache holds more
+    // than its budget at any point.
     let targets = Compiler::cross_domain().targets().clone();
-    let templates = TemplateCache::with_capacity(50_000);
-    let compiled = ProgramCache::with_capacity(400_000);
-    let live = || store_stats().records() - before.records();
-    let mut at_50 = 0;
+    let templates = TemplateCache::with_capacity(4 << 20);
+    let compiled = ProgramCache::with_capacity(24 << 20);
+    let heap_before = live_bytes();
+    let live =
+        || (store_stats().records() - before.records(), live_bytes().saturating_sub(heap_before));
+    let mut at_50 = (0, 0);
     for i in 0..PROGRAMS {
         let (source, _, _) = churn_program(i);
         let (program, _) = pmlang::frontend(&source).unwrap();
@@ -113,14 +120,23 @@ fn payload_records_are_freed_and_plateau_under_churn() {
         let (program, _) =
             pm_passes::lower_and_compile(graph, &targets, Some(&templates), &budget).unwrap();
         compiled.insert(key, Arc::new(program));
+        for s in [compiled.stats(), templates.stats()] {
+            assert!(s.bytes <= s.capacity_bytes, "program {i}: {s:?}");
+        }
         if i == 49 {
             at_50 = live();
         }
     }
     assert!(compiled.stats().evictions > 0 && templates.stats().evictions > 0);
-    let at_end = live();
+    let (records, bytes) = live();
     assert!(
-        at_end as f64 <= 1.1 * at_50 as f64,
-        "live records grew from {at_50} after 50 programs to {at_end} after {PROGRAMS}"
+        records as f64 <= 1.1 * at_50.0 as f64,
+        "live records grew from {} after 50 programs to {records} after {PROGRAMS}",
+        at_50.0
+    );
+    assert!(
+        bytes as f64 <= 1.1 * at_50.1 as f64,
+        "live bytes grew from {} after 50 programs to {bytes} after {PROGRAMS}",
+        at_50.1
     );
 }
